@@ -23,7 +23,8 @@ Example — the paper's running LR example (Fig. 1/Fig. 3)::
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import TypeGraphError
 from ..jvm import sizing
@@ -33,6 +34,15 @@ class DataType:
     """Base class of every type in the model."""
 
     name: str
+    # The footprint measurer ``repro.spark.measure`` compiled for this type.
+    # It lives on the type so it dies with it; being a closure, it is left
+    # out of pickles and deep copies and rebuilt on demand.
+    _measurer: Callable[[Any, Any], tuple[int, int, int]] | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_measurer", None)
+        return state
 
     @property
     def is_primitive(self) -> bool:
@@ -48,8 +58,6 @@ class DataType:
 
 class PrimitiveType(DataType):
     """A JVM primitive (``int``, ``double``, ...)."""
-
-    __slots__ = ("name", "nbytes")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -132,9 +140,14 @@ class ClassType(DataType):
                 f"duplicate field {field.name!r} in class {self.name!r}")
         self._fields.append(field)
         self._by_name[field.name] = field
+        # Everything derived from the field list is recomputed on demand.
+        for derived in ("fields", "primitive_payload_bytes",
+                        "reference_field_count", "shallow_object_bytes",
+                        "_measurer"):
+            self.__dict__.pop(derived, None)
         return field
 
-    @property
+    @cached_property
     def fields(self) -> tuple[Field, ...]:
         return tuple(self._fields)
 
@@ -145,19 +158,19 @@ class ClassType(DataType):
             raise TypeGraphError(
                 f"class {self.name!r} has no field {name!r}") from None
 
-    @property
+    @cached_property
     def primitive_payload_bytes(self) -> int:
         """Summed size of this class's own primitive fields."""
         return sum(f.declared_type.nbytes for f in self._fields
                    if isinstance(f.declared_type, PrimitiveType))
 
-    @property
+    @cached_property
     def reference_field_count(self) -> int:
         """Number of this class's own reference-typed fields."""
         return sum(1 for f in self._fields
                    if not isinstance(f.declared_type, PrimitiveType))
 
-    @property
+    @cached_property
     def shallow_object_bytes(self) -> int:
         """JVM footprint of one instance, excluding referenced objects."""
         return sizing.object_bytes(self.reference_field_count,

@@ -24,6 +24,8 @@ def wordcount_udt_info() -> UdtInfo:
         entry_method=model.stage_entry,
         encode=lambda kv: ((tuple(ord(c) for c in kv[0]),), kv[1]),
         decode=lambda v: ("".join(chr(c) for c in v[0][0]), v[1]),
+        # A char[] is measured by its length alone: pass the word itself.
+        measure_encode=lambda kv: ((kv[0],), kv[1]),
     )
 
 

@@ -29,7 +29,7 @@ from ..config import DecaConfig
 from ..errors import AllocationError, OutOfMemoryError
 from ..simtime import SimClock
 from .collectors import CollectorModel
-from .objects import AllocationGroup, Lifetime
+from .objects import AllocationGroup, Lifetime, LiveBytes
 from .stats import GcEvent, GcKind, GcStats
 
 # A pressure handler tries to release at least the requested number of live
@@ -53,6 +53,8 @@ class SimHeap:
         self.collector = CollectorModel(config.gc_algorithm)
         self.stats = GcStats()
         self._groups: dict[int, AllocationGroup] = {}
+        # Live bytes per generation, kept current by the groups' mutators.
+        self._live = LiveBytes()
         # Garbage = bytes of freed groups not yet swept by a collection.
         self._young_garbage = 0
         self._old_garbage = 0
@@ -71,21 +73,21 @@ class SimHeap:
 
     @property
     def young_live_bytes(self) -> int:
-        return sum(g.young_bytes for g in self._groups.values())
+        return self._live.young
 
     @property
     def old_live_bytes(self) -> int:
-        return sum(g.old_bytes for g in self._groups.values())
+        return self._live.old
 
     @property
     def young_used_bytes(self) -> int:
         """Live young bytes plus unswept young garbage."""
-        return self.young_live_bytes + self._young_garbage
+        return self._live.young + self._young_garbage
 
     @property
     def old_used_bytes(self) -> int:
         """Live old bytes plus unswept old garbage."""
-        return self.old_live_bytes + self._old_garbage
+        return self._live.old + self._old_garbage
 
     @property
     def live_objects(self) -> int:
@@ -94,12 +96,12 @@ class SimHeap:
 
     @property
     def live_bytes(self) -> int:
-        return sum(g.live_bytes for g in self._groups.values())
+        return self._live.young + self._live.old
 
     # -- group management -------------------------------------------------------
     def new_group(self, name: str, lifetime: Lifetime) -> AllocationGroup:
         """Create and register an allocation group."""
-        group = AllocationGroup(name, lifetime)
+        group = AllocationGroup(name, lifetime, self._live)
         self._groups[group.group_id] = group
         return group
 
@@ -146,25 +148,29 @@ class SimHeap:
                 f"{self.name}: requested {nbytes} B exceeds the "
                 f"{self.config.heap_bytes} B heap")
 
-        if nbytes > self.young_capacity // 2:
+        young_capacity = self.young_capacity
+        if nbytes > young_capacity // 2:
             # Humongous allocation: straight into the old generation.
             self._ensure_old_space(nbytes)
             group.record_allocation(objects, nbytes, into_old=True)
             return
 
-        if self.young_used_bytes + nbytes > self.young_capacity:
-            self.minor_gc()
-        if self.young_used_bytes + nbytes > self.young_capacity:
+        if self._live.young + self._young_garbage + nbytes > young_capacity:
+            self._make_young_space(nbytes, young_capacity)
+        group.record_allocation(objects, nbytes)
+
+    def _make_young_space(self, nbytes: int, young_capacity: int) -> None:
+        self.minor_gc()
+        if self.young_used_bytes + nbytes > young_capacity:
             # Survivors pinned in the young generation still block us.
             self.full_gc()
-        if self.young_used_bytes + nbytes > self.young_capacity:
+        if self.young_used_bytes + nbytes > young_capacity:
             self._relieve_pressure(nbytes)
-        if self.young_used_bytes + nbytes > self.young_capacity:
+        if self.young_used_bytes + nbytes > young_capacity:
             raise OutOfMemoryError(
                 f"{self.name}: young generation exhausted "
-                f"({self.young_used_bytes}/{self.young_capacity} B, "
+                f"({self.young_used_bytes}/{young_capacity} B, "
                 f"need {nbytes} B)")
-        group.record_allocation(objects, nbytes)
 
     # -- collections -----------------------------------------------------------
     def minor_gc(self) -> GcEvent:
@@ -202,6 +208,7 @@ class SimHeap:
                     surv_bytes = math.ceil(
                         group.young_bytes * self.config.temp_survival_rate)
                     reclaimed += group.young_bytes - surv_bytes
+                    self._live.young -= group.young_bytes - surv_bytes
                     group.young_objects = survivors
                     group.young_bytes = surv_bytes
                     group.age = 1
@@ -269,6 +276,7 @@ class SimHeap:
                     # dead UDF frames, old or young.
                     _, dead_young = group.clear_young()
                     dead_old = group.old_bytes
+                    self._live.old -= dead_old
                     group.old_objects = 0
                     group.old_bytes = 0
                     reclaimed += dead_young + dead_old

@@ -35,6 +35,20 @@ class Lifetime(enum.Enum):
 _group_ids = itertools.count(1)
 
 
+class LiveBytes:
+    """Running live-byte totals per generation over a set of groups.
+
+    A heap hands one instance to every group it creates; each group
+    mutator applies its delta here, so heap occupancy is read in O(1).
+    """
+
+    __slots__ = ("young", "old")
+
+    def __init__(self) -> None:
+        self.young = 0
+        self.old = 0
+
+
 class AllocationGroup:
     """A cohort of objects with a shared lifetime inside one heap.
 
@@ -57,12 +71,16 @@ class AllocationGroup:
         "old_bytes",
         "age",
         "freed",
+        "totals",
     )
 
-    def __init__(self, name: str, lifetime: Lifetime) -> None:
+    def __init__(self, name: str, lifetime: Lifetime,
+                 totals: LiveBytes | None = None) -> None:
         self.group_id: int = next(_group_ids)
         self.name = name
         self.lifetime = lifetime
+        # The owning heap's totals (a standalone group keeps its own).
+        self.totals = totals if totals is not None else LiveBytes()
         self.young_objects = 0
         self.young_bytes = 0
         self.old_objects = 0
@@ -96,26 +114,27 @@ class AllocationGroup:
         if into_old:
             self.old_objects += objects
             self.old_bytes += nbytes
+            self.totals.old += nbytes
         else:
             self.young_objects += objects
             self.young_bytes += nbytes
+            self.totals.young += nbytes
 
     def promote_young(self) -> tuple[int, int]:
         """Move all young residents to the old generation.
 
         Returns ``(objects, bytes)`` promoted.
         """
-        objects, nbytes = self.young_objects, self.young_bytes
+        objects, nbytes = self.clear_young()
         self.old_objects += objects
         self.old_bytes += nbytes
-        self.young_objects = 0
-        self.young_bytes = 0
-        self.age = 0
+        self.totals.old += nbytes
         return objects, nbytes
 
     def clear_young(self) -> tuple[int, int]:
         """Drop all young residents (they died). Returns what was dropped."""
         objects, nbytes = self.young_objects, self.young_bytes
+        self.totals.young -= nbytes
         self.young_objects = 0
         self.young_bytes = 0
         self.age = 0
@@ -137,6 +156,8 @@ class AllocationGroup:
         from_old = min(nbytes, self.old_bytes)
         self.old_bytes -= from_old
         self.young_bytes -= nbytes - from_old
+        self.totals.old -= from_old
+        self.totals.young -= nbytes - from_old
 
     def free(self) -> tuple[int, int]:
         """Mark every object in the group dead.
@@ -150,6 +171,8 @@ class AllocationGroup:
         self.freed = True
         dead_objects = self.young_objects + self.old_objects
         dead_bytes = self.young_bytes + self.old_bytes
+        self.totals.young -= self.young_bytes
+        self.totals.old -= self.old_bytes
         self.young_objects = self.young_bytes = 0
         self.old_objects = self.old_bytes = 0
         return dead_objects, dead_bytes

@@ -29,7 +29,7 @@ from ..memory.provenance import VIOLATION_SLUGS, ProvenanceLedger
 from ..obs import Tracer
 from ..obs.vclock import RACE_SLUGS, VClockChecker
 from .cache import CachedBlock, StorageStrategy
-from .measure import ZERO_FOOTPRINT
+from .measure import RecordFootprint
 from .metrics import JobMetrics, RunMetrics
 from .profiler import HeapProfiler
 from .rdd import (
@@ -217,9 +217,13 @@ class DecaContext:
                      task: TaskContext) -> CachedBlock:
         executor = task.executor
         plan = self.plan_cache(rdd)
-        footprint = ZERO_FOOTPRINT
+        objects = object_bytes = data_bytes = 0
         for record in records:
-            footprint = footprint + rdd.measure_record(record)
+            measured = rdd.measure_record(record)
+            objects += measured.objects
+            object_bytes += measured.object_bytes
+            data_bytes += measured.data_bytes
+        footprint = RecordFootprint(objects, object_bytes, data_bytes)
         if plan.strategy is StorageStrategy.OBJECTS:
             group = executor.heap.new_group(f"cache:{key}", Lifetime.PINNED)
             # Records were allocated one by one while the UDF produced

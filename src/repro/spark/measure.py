@@ -10,14 +10,19 @@ many heap objects and bytes one record costs in each representation:
 * **serialized form** (SparkSer): Kryo bytes, essentially data-size plus a
   small per-object tag.
 
-When a dataset declares its UDT, the measurement walks the type graph with
-the record's actual array lengths.  Untyped datasets (plain driver-side
-values) fall back to a generic measurer over Python values.
+A record's footprint is a static function of its type (§3): constant for
+an SFST, affine in the array lengths for an RFST.  So when a dataset
+declares its UDT, the first measurement *compiles* one measurer per type —
+a closure that already knows every field plan, shallow size and boxed size
+and only reads the record's array lengths — and keeps it on the type
+object.  Untyped datasets (plain driver-side values) fall back to a generic
+measurer over Python values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..analysis.udt import ArrayType, ClassType, DataType, PrimitiveType
 from ..errors import MemoryLayoutError
@@ -51,70 +56,142 @@ class RecordFootprint:
 ZERO_FOOTPRINT = RecordFootprint(0, 0, 0)
 
 
+# ``sizing.array_bytes``/``sizing.object_bytes`` for sizes that are known to
+# be valid: ``(header + payload + ALIGNMENT - 1) & -ALIGNMENT``.
+_ALIGN_MASK = -sizing.ALIGNMENT
+_ARRAY_PAD = sizing.ARRAY_HEADER_BYTES + sizing.ALIGNMENT - 1
+_OBJECT_PAD = sizing.OBJECT_HEADER_BYTES + sizing.ALIGNMENT - 1
+_REFERENCE_BYTES = sizing.REFERENCE_BYTES
+
+# A measurer takes ``(udt, value)`` — the type is passed, not captured, so a
+# type and its measurer form no reference cycle — and returns a plain
+# ``(objects, object_bytes, data_bytes)`` triple; only the public entry
+# points build a RecordFootprint.
+_Measurer = Callable[[Any, Any], "tuple[int, int, int]"]
+
+
 def measure_typed(udt: DataType, value) -> RecordFootprint:
     """Measure *value* (in schema shape — nested tuples) against *udt*."""
+    return RecordFootprint(*_measurer(udt)(udt, value))
+
+
+def _measurer(udt: DataType) -> _Measurer:
+    """The compiled measurer of *udt*, built on first use.
+
+    It is stored on the type itself (``ClassType.add_field`` drops it), so
+    it lives exactly as long as the type.  A measurer never holds another
+    type's measurer: children are looked up per call, and every type-set is
+    compared with the one compiled against, so growing a recursive type or
+    re-pointing a field is seen by the next measurement.
+    """
+    return getattr(udt, "_measurer", None) or _compile(udt)
+
+
+def _compile(udt: DataType) -> _Measurer:
     if isinstance(udt, PrimitiveType):
         # A bare primitive inside a generic container gets boxed.
-        return RecordFootprint(
-            objects=1,
-            object_bytes=sizing.boxed_bytes(udt.name),
-            data_bytes=udt.nbytes,
-        )
-    if isinstance(udt, ArrayType):
-        return _measure_array(udt, value)
-    if isinstance(udt, ClassType):
-        return _measure_class(udt, value)
-    raise MemoryLayoutError(f"cannot measure {udt!r}")
+        boxed = (1, sizing.boxed_bytes(udt.name), udt.nbytes)
+        measurer: _Measurer = lambda udt, value: boxed
+    elif isinstance(udt, ArrayType):
+        measurer = _compile_array(udt)
+    elif isinstance(udt, ClassType):
+        measurer = _compile_class(udt)
+    else:
+        raise MemoryLayoutError(f"cannot measure {udt!r}")
+    udt._measurer = measurer
+    return measurer
 
 
-def _measure_array(udt: ArrayType, value) -> RecordFootprint:
-    length = len(value)
-    element_types = udt.element_field.get_type_set()
-    element = element_types[0] if len(element_types) == 1 else None
-    if isinstance(element, PrimitiveType) or element is None and not length:
-        element_bytes = (element.nbytes if isinstance(element, PrimitiveType)
-                         else sizing.REFERENCE_BYTES)
-        return RecordFootprint(
-            objects=1,
-            object_bytes=sizing.array_bytes(element_bytes, length),
-            data_bytes=(element_bytes * length
-                        if isinstance(element, PrimitiveType) else 0),
-        )
-    # Reference array: the array object plus each element's graph.
-    total = RecordFootprint(
-        objects=1,
-        object_bytes=sizing.array_bytes(sizing.REFERENCE_BYTES, length),
-        data_bytes=0,
-    )
-    for item in value:
-        if element is None:
+def _sole(type_set: tuple) -> Any:
+    """The only member of a monomorphic type-set, else None."""
+    return type_set[0] if len(type_set) == 1 else None
+
+
+def _compile_array(udt: ArrayType) -> _Measurer:
+    element_field = udt.element_field
+    type_set = element_field.type_set
+    element = _sole(type_set)
+
+    if isinstance(element, PrimitiveType):
+        element_bytes = element.nbytes
+
+        def measure_primitive_array(udt, value):
+            length = len(value)
+            if element_field.type_set is not type_set:
+                return _compile(udt)(udt, value)
+            data = element_bytes * length
+            return 1, (_ARRAY_PAD + data) & _ALIGN_MASK, data
+
+        return measure_primitive_array
+
+    def measure_reference_array(udt, value):
+        length = len(value)
+        if element_field.type_set is not type_set:
+            return _compile(udt)(udt, value)
+        # The array object plus each element's graph.
+        objects = 1
+        object_bytes = (_ARRAY_PAD + _REFERENCE_BYTES * length) & _ALIGN_MASK
+        data = 0
+        if length:
+            if element is None:
+                raise MemoryLayoutError(
+                    f"array {udt.name} has a polymorphic element type-set; "
+                    "measure each element with its concrete type")
+            measure_element = _measurer(element)
+            for item in value:
+                o, b, d = measure_element(element, item)
+                objects += o
+                object_bytes += b
+                data += d
+        return objects, object_bytes, data
+
+    return measure_reference_array
+
+
+def _compile_class(udt: ClassType) -> _Measurer:
+    name = udt.name
+    arity = len(udt.fields)
+    shallow = udt.shallow_object_bytes
+    payload = udt.primitive_payload_bytes
+    # (position, field, the type-set compiled against, its sole member)
+    references = tuple(
+        (index, field, field.type_set, _sole(field.type_set))
+        for index, field in enumerate(udt.fields)
+        if not isinstance(field.declared_type, PrimitiveType))
+
+    def measure_class(udt, value):
+        values = value if isinstance(value, (tuple, list)) else (value,)
+        if len(values) != arity:
             raise MemoryLayoutError(
-                f"array {udt.name} has a polymorphic element type-set; "
-                "measure each element with its concrete type")
-        total = total + measure_typed(element, item)
-    return total
+                f"value arity {len(values)} does not match "
+                f"{name}'s {arity} fields")
+        objects = 1
+        object_bytes = shallow
+        data = payload
+        for index, field, type_set, target in references:
+            if field.type_set is not type_set:
+                return _compile(udt)(udt, value)
+            if target is None:
+                raise MemoryLayoutError(
+                    f"field {name}.{field.name} has a polymorphic "
+                    "type-set; cannot measure statically")
+            o, b, d = _measurer(target)(target, values[index])
+            objects += o
+            object_bytes += b
+            data += d
+        return objects, object_bytes, data
+
+    return measure_class
 
 
-def _measure_class(udt: ClassType, value) -> RecordFootprint:
-    total = RecordFootprint(
-        objects=1, object_bytes=udt.shallow_object_bytes, data_bytes=0)
-    values = value if isinstance(value, (tuple, list)) else (value,)
-    if len(values) != len(udt.fields):
-        raise MemoryLayoutError(
-            f"value arity {len(values)} does not match "
-            f"{udt.name}'s {len(udt.fields)} fields")
-    for field, item in zip(udt.fields, values):
-        declared = field.declared_type
-        if isinstance(declared, PrimitiveType):
-            total = total + RecordFootprint(0, 0, declared.nbytes)
-            continue
-        type_set = field.get_type_set()
-        if len(type_set) != 1:
-            raise MemoryLayoutError(
-                f"field {udt.name}.{field.name} has a polymorphic "
-                "type-set; cannot measure statically")
-        total = total + measure_typed(type_set[0], item)
-    return total
+_NONE = (0, 0, 0)
+_BOXED_BOOLEAN = (1, sizing.boxed_bytes("boolean"), 1)
+_BOXED_LONG = (1, sizing.boxed_bytes("long"), 8)
+_BOXED_DOUBLE = (1, sizing.boxed_bytes("double"), 8)
+_STRING_BYTES = sizing.object_bytes(1, 4)
+_DICT_BYTES = sizing.object_bytes(1, 12)
+# Opaque object: one header, unknown payload.
+_OPAQUE = (1, sizing.object_bytes(0, 16), 16)
 
 
 def measure_generic(value) -> RecordFootprint:
@@ -126,32 +203,46 @@ def measure_generic(value) -> RecordFootprint:
     """
     if value is None:
         return ZERO_FOOTPRINT
+    return RecordFootprint(*_generic(value))
+
+
+def _generic(value) -> tuple[int, int, int]:
+    kind = type(value)
+    if kind is float:
+        return _BOXED_DOUBLE
+    if kind is int:
+        return _BOXED_LONG
+    if value is None:
+        return _NONE
     if isinstance(value, bool):
-        return RecordFootprint(1, sizing.boxed_bytes("boolean"), 1)
+        return _BOXED_BOOLEAN
     if isinstance(value, int):
-        return RecordFootprint(1, sizing.boxed_bytes("long"), 8)
+        return _BOXED_LONG
     if isinstance(value, float):
-        return RecordFootprint(1, sizing.boxed_bytes("double"), 8)
+        return _BOXED_DOUBLE
     if isinstance(value, str):
-        chars = sizing.array_bytes(2, len(value))
-        return RecordFootprint(
-            objects=2,
-            object_bytes=sizing.object_bytes(1, 4) + chars,
-            data_bytes=2 * len(value),
-        )
+        chars = 2 * len(value)
+        return 2, _STRING_BYTES + ((_ARRAY_PAD + chars) & _ALIGN_MASK), chars
     if isinstance(value, (bytes, bytearray)):
-        return RecordFootprint(
-            1, sizing.array_bytes(1, len(value)), len(value))
+        length = len(value)
+        return 1, (_ARRAY_PAD + length) & _ALIGN_MASK, length
     if isinstance(value, (tuple, list)):
-        total = RecordFootprint(
-            1, sizing.object_bytes(len(value), 0), 0)
-        for item in value:
-            total = total + measure_generic(item)
-        return total
+        return _generic_items(
+            value,
+            (_OBJECT_PAD + _REFERENCE_BYTES * len(value)) & _ALIGN_MASK)
     if isinstance(value, dict):
-        total = RecordFootprint(1, sizing.object_bytes(1, 12), 0)
-        for k, v in value.items():
-            total = total + measure_generic(k) + measure_generic(v)
-        return total
-    # Opaque object: one header, unknown payload.
-    return RecordFootprint(1, sizing.object_bytes(0, 16), 16)
+        return _generic_items(
+            (item for entry in value.items() for item in entry), _DICT_BYTES)
+    return _OPAQUE
+
+
+def _generic_items(items, object_bytes: int) -> tuple[int, int, int]:
+    """One container object of *object_bytes* plus the graphs of *items*."""
+    objects = 1
+    data = 0
+    for item in items:
+        o, b, d = _generic(item)
+        objects += o
+        object_bytes += b
+        data += d
+    return objects, object_bytes, data

@@ -69,12 +69,9 @@ class UdtInfo:
         """Footprint of one record (cached when sizes are constant)."""
         if self.constant_footprint and self._cached_footprint is not None:
             return self._cached_footprint
-        if self.object_model is not None:
-            encoder = self.measure_encode or self.to_schema_value
-            footprint = measure_typed(self.object_model, encoder(record))
-        else:
-            footprint = measure_typed(self.udt,
-                                      self.to_schema_value(record))
+        encoder = self.measure_encode or self.to_schema_value
+        footprint = measure_typed(self.object_model or self.udt,
+                                  encoder(record))
         if self.constant_footprint:
             self._cached_footprint = footprint
         return footprint

@@ -1,8 +1,11 @@
 """Tests for footprint measurement, the serializer model and the profiler."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import ArrayType, ClassType, DOUBLE, Field, INT
+from repro.apps.wordcount import wordcount_udt_info
 from repro.config import DecaConfig, MB, SerializerCosts
 from repro.errors import MemoryLayoutError
 from repro.jvm import SimHeap, Lifetime, sizing
@@ -13,6 +16,7 @@ from repro.spark.measure import (
     measure_typed,
 )
 from repro.spark.profiler import HeapProfiler
+from repro.spark.rdd import UdtInfo
 from repro.spark.serializer import SerializerModel
 
 
@@ -64,6 +68,40 @@ class TestMeasureTyped:
     def test_serialized_adds_tag(self):
         fp = RecordFootprint(1, 100, 40)
         assert fp.serialized_bytes == 42
+
+
+class TestUdtInfoMeasureEncode:
+    """``UdtInfo.measure`` shapes records with ``measure_encode`` if given."""
+
+    def test_measure_encode_is_honoured_without_an_object_model(self):
+        arr = ArrayType(DOUBLE)
+        info = UdtInfo(
+            udt=ClassType("Vec", [Field("data", arr, final=True)]),
+            encode=lambda rec: 1 / 0,          # packing only: never measured
+            measure_encode=lambda rec: (rec,))
+        assert info.object_model is None
+        assert info.measure((1.0, 2.0, 3.0)) == RecordFootprint(
+            2, 16 + sizing.array_bytes(8, 3), 24)
+
+    def test_measure_encode_is_honoured_with_an_object_model(self):
+        boxed = ClassType("Boxed", [Field("v", ArrayType(INT))])
+        info = UdtInfo(udt=ArrayType(INT), object_model=boxed,
+                       measure_encode=lambda rec: (rec,))
+        assert info.measure((1, 2)).objects == 2
+
+    def test_wordcount_measures_the_word_itself(self):
+        info = wordcount_udt_info()
+        without = dataclasses.replace(info, measure_encode=None)
+        for record in (("", 1), ("deca", 1), ("lifetime-based", 40_000)):
+            # A char[] is measured by its length alone, so the cheap shape
+            # (the word) and the packing shape (its code points) agree.
+            assert info.measure(record) == without.measure(record)
+            assert info.measure_encode(record) == ((record[0],), record[1])
+            # ``encode`` still produces what the page layout packs.
+            assert info.to_schema_value(record) == (
+                (tuple(ord(c) for c in record[0]),), record[1])
+            assert info.from_schema_value(
+                info.to_schema_value(record)) == record
 
 
 class TestMeasureGeneric:
