@@ -15,7 +15,10 @@ function (``__deca_source__``) so users can inspect their transformed
 loops the way Fig. 12 displays the transformed Scala.
 
 Only fixed-size schemas qualify — exactly the SFST condition under which
-Deca can schedule offsets statically (§3.1, Appendix B).
+Deca can schedule offsets statically (§3.1, Appendix B).  The offset
+schedule is the slot table of the schema's compiled codec
+(``Schema.flat_codec().slots``), the one the engine's own page scans
+(``Schema.iter_unpack``) are compiled from.
 """
 
 from __future__ import annotations
@@ -24,45 +27,8 @@ import struct
 from typing import Callable, Iterator
 
 from ..errors import MemoryLayoutError
-from ..memory.layout import (
-    FixedArraySchema,
-    PrimitiveSlot,
-    RecordSchema,
-    Schema,
-)
+from ..memory.layout import RecordSchema
 from ..memory.page import PageGroup
-
-_CODE_OF = {
-    "boolean": "?", "byte": "b", "char": "H", "short": "h",
-    "int": "i", "float": "f", "long": "q", "double": "d",
-}
-
-
-def _flatten(schema: Schema, prefix: str, offset: int,
-             out: list[tuple[str, str, int, int]]) -> int:
-    """Flatten a fixed schema into (name, struct-code, offset, count)."""
-    if isinstance(schema, PrimitiveSlot):
-        code = _CODE_OF[schema.primitive.name]
-        out.append((prefix, code, offset, 1))
-        return offset + schema.fixed_size
-    if isinstance(schema, FixedArraySchema):
-        element = schema.element
-        if not isinstance(element, PrimitiveSlot):
-            # Arrays of records: flatten each slot.
-            for index in range(schema.length):
-                offset = _flatten(element, f"{prefix}_{index}", offset,
-                                  out)
-            return offset
-        code = _CODE_OF[element.primitive.name]
-        out.append((prefix, code, offset, schema.length))
-        return offset + schema.fixed_size
-    if isinstance(schema, RecordSchema):
-        for name, field_schema in schema.fields:
-            offset = _flatten(field_schema, f"{prefix}_{name}"
-                              if prefix else name, offset, out)
-        return offset
-    raise MemoryLayoutError(
-        f"cannot generate static offsets for {schema!r}")
 
 
 def generate_scan_source(schema: RecordSchema,
@@ -79,8 +45,7 @@ def generate_scan_source(schema: RecordSchema,
         raise MemoryLayoutError(
             "static offset scheduling needs a fixed-size (SFST) schema; "
             "runtime fixed-sized types keep the accessor path")
-    slots: list[tuple[str, str, int, int]] = []
-    _flatten(schema, "", 0, slots)
+    slots = schema.flat_codec().slots
 
     lines = [
         f"def {fn_name}(page_group):",
@@ -88,8 +53,7 @@ def generate_scan_source(schema: RecordSchema,
         f'({schema.fixed_size} B/record)."""',
         f"    stride = {schema.fixed_size}",
     ]
-    for index, (name, code, offset, count) in enumerate(slots):
-        fmt = f"<{count}{code}" if count != 1 else f"<{code}"
+    for index, (name, _, offset, _) in enumerate(slots):
         lines.append(f"    _u{index} = _structs[{index}].unpack_from"
                      f"  # {name} @ +{offset}")
     lines.append("    for page in page_group.pages:")
@@ -98,13 +62,9 @@ def generate_scan_source(schema: RecordSchema,
     lines.append("        base = 0")
     lines.append("        while base < used:")
     parts = []
-    for index, (name, code, offset, count) in enumerate(slots):
-        if count == 1:
-            lines.append(
-                f"            v{index} = _u{index}(data, base + {offset})[0]")
-        else:
-            lines.append(
-                f"            v{index} = _u{index}(data, base + {offset})")
+    for index, (_, _, offset, count) in enumerate(slots):
+        lines.append(f"            v{index} = _u{index}(data, base + {offset})"
+                     + ("[0]" if count is None else ""))
         parts.append(f"v{index}")
     lines.append(f"            yield ({', '.join(parts)},)")
     lines.append("            base += stride")
@@ -120,16 +80,14 @@ def compile_scan(schema: RecordSchema,
     slot table on ``__deca_slots__``.
     """
     source = generate_scan_source(schema, fn_name)
-    slots: list[tuple[str, str, int, int]] = []
-    _flatten(schema, "", 0, slots)
-    structs = [struct.Struct(f"<{count}{code}" if count != 1
-                             else f"<{code}")
+    slots = schema.flat_codec().slots
+    structs = [struct.Struct(f"<{'' if count is None else count}{code}")
                for _, code, _, count in slots]
     namespace: dict = {"_structs": structs}
     exec(compile(source, f"<deca-scan:{schema.name}>", "exec"), namespace)
     fn = namespace[fn_name]
     fn.__deca_source__ = source
-    fn.__deca_slots__ = tuple(slots)
+    fn.__deca_slots__ = slots
     return fn
 
 

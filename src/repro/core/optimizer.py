@@ -137,8 +137,7 @@ class DecaOptimizer:
             decomposed=True,
             reason="decomposed into cache-block page groups"))
         return CachePlan(StorageStrategy.DECA_PAGES, schema=schema,
-                         encode=info.to_schema_value,
-                         decode=info.from_schema_value)
+                         encode=info.encode, decode=info.decode)
 
     def _escaping_consumer(self, rdd: "RDD") -> str | None:
         """Name of a registered consumer UDF with an ``escapes`` verdict.
@@ -226,7 +225,7 @@ class DecaOptimizer:
                            value_segment_reuse=value_reuse,
                            pointer_array=pointer_array,
                            schema=schema,
-                           encode=info.to_schema_value,
+                           encode=info.encode,
                            measure=measure)
 
     # -- shared machinery ------------------------------------------------------------

@@ -104,12 +104,8 @@ class CacheEntry:
                                             self.decode)
         else:  # packed: the sim cache's SERIALIZED representation
             assert self.blob is not None
-            decode = self.decode or (lambda value: value)
-            offset = 0
-            blob = self.blob
-            while offset < len(blob):
-                value, offset = self.schema.unpack_from(blob, offset)
-                yield decode(value)
+            values = self.schema.iter_unpack(self.blob)
+            yield from map(self.decode, values) if self.decode else values
 
 
 @dataclass
@@ -219,8 +215,7 @@ class MpBackend(ExecutionBackend):
             self.shuffle_meta[dep.shuffle_id] = ShuffleMeta(
                 schema=plan.schema,
                 encode=plan.encode or (lambda value: value),
-                decode=(info.from_schema_value if info is not None
-                        else None),
+                decode=info.decode if info is not None else None,
                 tag=dep.tag)
         outputs = self._run_stage(scheduler, stage, stage_metrics,
                                   job_metrics, stage_start,

@@ -245,13 +245,11 @@ def read_segment_records(ref: SegmentRef, schema: Schema,
         return
     group = attach_page_group(ref)
     info = group.new_page_info()
+    values = group.records(schema)
     try:
-        if decode is None:
-            yield from group.records(schema)
-        else:
-            for value in group.records(schema):
-                yield decode(value)
+        yield from map(decode, values) if decode else values
     finally:
+        values.close()      # its page view must go before the detach
         info.close()
 
 

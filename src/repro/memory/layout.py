@@ -16,12 +16,19 @@ Arrays come in two flavours:
 Schemas *pack* Python values into buffers and *unpack* them back; the
 record values are plain tuples in field order, arrays are tuples of element
 values.  :mod:`repro.memory.sudt` builds attribute-style accessors on top.
+
+A fixed-size schema (an SFST: every offset static) compiles, on first use,
+a :class:`FlatCodec` — Appendix B's statically scheduled access path.  Its
+``pack_into``/``unpack_from`` go through it and :meth:`Schema.iter_unpack`
+scans a whole buffer of records with it; the per-field walk stays as the
+path of length-prefixed schemas (RFSTs) and as the slow path that raises
+every error.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..analysis.size_type import SizeType
 from ..analysis.udt import (
@@ -46,6 +53,22 @@ _STRUCT_CODES: dict[str, str] = {
 _LENGTH_PREFIX = struct.Struct("<I")
 
 
+class FlatCodec(NamedTuple):
+    """One ``struct`` over a whole fixed-size record.
+
+    ``slots`` are its primitive runs in layout order — ``(name, struct
+    code, relative offset, count)``, *count* ``None`` for a scalar;
+    ``reshape`` nests a flat tuple into the schema's value shape and
+    ``flatten`` is the checking inverse: ``None`` for a value it cannot
+    vouch for (not a tuple/list, wrong arity or array length).
+    """
+
+    slots: tuple[tuple[str, str, int, int | None], ...]
+    struct: struct.Struct
+    reshape: Callable[[tuple], Any]
+    flatten: Callable[[Any], "tuple | None"]
+
+
 class Schema:
     """Base class for layout nodes.
 
@@ -54,6 +77,9 @@ class Schema:
     """
 
     fixed_size: int | None
+    # Compiled on first use, per instance; never pickled or deep-copied
+    # (every schema's ``__reduce__`` rebuilds it from constructor args).
+    _codec: FlatCodec | None = None
 
     def size_of(self, value: Any) -> int:
         """Packed size of *value* under this schema."""
@@ -62,12 +88,58 @@ class Schema:
     def pack_into(self, buffer: bytearray | memoryview, offset: int,
                   value: Any) -> int:
         """Write *value* at *offset*; returns the offset past the data."""
-        raise NotImplementedError
+        if self.fixed_size is not None:
+            codec = self._codec or self.flat_codec()
+            flat = codec.flatten(value)
+            if flat is not None:
+                try:
+                    codec.struct.pack_into(buffer, offset, *flat)
+                    return offset + self.fixed_size
+                except (struct.error, TypeError, OverflowError):
+                    pass    # the walk raises the per-field error
+        return self._pack_fields(buffer, offset, value)
 
     def unpack_from(self, buffer: bytes | bytearray | memoryview,
                     offset: int) -> tuple[Any, int]:
         """Read one value at *offset*; returns ``(value, next_offset)``."""
-        raise NotImplementedError
+        if self.fixed_size is not None:
+            codec = self._codec or self.flat_codec()
+            try:
+                flat = codec.struct.unpack_from(buffer, offset)
+                return codec.reshape(flat), offset + self.fixed_size
+            except struct.error:
+                pass        # the walk names the field that is short
+        return self._unpack_fields(buffer, offset)
+
+    def flat_codec(self) -> FlatCodec:
+        """The compiled codec of this fixed-size schema."""
+        if self._codec is None:
+            self._codec = _compile_codec(self)
+        return self._codec
+
+    def iter_unpack(self, buffer: bytes | bytearray | memoryview
+                    ) -> Iterator[Any]:
+        """Decode *buffer*: records packed back to back, nothing else."""
+        if not self.fixed_size:     # per-instance size (or a 0-byte array)
+            return self._iter_walk(buffer)
+        if len(buffer) % self.fixed_size:
+            raise MemoryLayoutError(
+                f"{len(buffer)} B is not a whole number of "
+                f"{self.fixed_size}-byte records")
+        codec = self._codec or self.flat_codec()
+        return map(codec.reshape, codec.struct.iter_unpack(buffer))
+
+    def _iter_walk(self, buffer) -> Iterator[Any]:
+        # Length-prefixed records: each one is read to find the next.
+        offset, end = 0, len(buffer)
+        while offset < end:
+            value, next_offset = self.unpack_from(buffer, offset)
+            if next_offset <= offset:
+                raise MemoryLayoutError(
+                    f"zero-size record at offset {offset}; "
+                    "scan cannot advance")
+            yield value
+            offset = next_offset
 
     def pack(self, value: Any) -> bytes:
         """Pack *value* into a fresh byte string."""
@@ -94,6 +166,9 @@ class PrimitiveSlot(Schema):
         self.primitive = primitive
         self._struct = struct.Struct("<" + code)
         self.fixed_size = self._struct.size
+
+    def __reduce__(self):
+        return PrimitiveSlot, (self.primitive,)
 
     def size_of(self, value: Any) -> int:
         return self.fixed_size
@@ -155,6 +230,9 @@ class RecordSchema(Schema):
                     acc += size
             self.field_offsets = tuple(offsets)
 
+    def __reduce__(self):
+        return RecordSchema, (self.name, self.fields)
+
     def field_index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -189,13 +267,13 @@ class RecordSchema(Schema):
         return sum(schema.size_of(v)
                    for (_, schema), v in zip(self.fields, values))
 
-    def pack_into(self, buffer, offset: int, value: Any) -> int:
+    def _pack_fields(self, buffer, offset: int, value: Any) -> int:
         values = self._as_sequence(value)
         for (_, schema), v in zip(self.fields, values):
             offset = schema.pack_into(buffer, offset, v)
         return offset
 
-    def unpack_from(self, buffer, offset: int) -> tuple[Any, int]:
+    def _unpack_fields(self, buffer, offset: int) -> tuple[Any, int]:
         out = []
         for _, schema in self.fields:
             value, offset = schema.unpack_from(buffer, offset)
@@ -243,10 +321,13 @@ class FixedArraySchema(Schema):
             code = _STRUCT_CODES[element.primitive.name]
             self._bulk = struct.Struct(f"<{length}{code}")
 
+    def __reduce__(self):
+        return FixedArraySchema, (self.element, self.length)
+
     def size_of(self, value: Any) -> int:
         return self.fixed_size
 
-    def pack_into(self, buffer, offset: int, value: Any) -> int:
+    def _pack_fields(self, buffer, offset: int, value: Any) -> int:
         if len(value) != self.length:
             raise MemoryLayoutError(
                 f"fixed array expects {self.length} elements, "
@@ -258,7 +339,7 @@ class FixedArraySchema(Schema):
             offset = self.element.pack_into(buffer, offset, element)
         return offset
 
-    def unpack_from(self, buffer, offset: int) -> tuple[Any, int]:
+    def _unpack_fields(self, buffer, offset: int) -> tuple[Any, int]:
         if self._bulk is not None:
             return (self._bulk.unpack_from(buffer, offset),
                     offset + self.fixed_size)
@@ -289,6 +370,9 @@ class VarArraySchema(Schema):
         self._element_code = None
         if isinstance(element, PrimitiveSlot):
             self._element_code = _STRUCT_CODES[element.primitive.name]
+
+    def __reduce__(self):
+        return VarArraySchema, (self.element,)
 
     def size_of(self, value: Any) -> int:
         return _LENGTH_PREFIX.size + self.element.fixed_size * len(value)
@@ -338,6 +422,63 @@ def _fixed_skip(self, buffer, offset: int) -> int:
 
 PrimitiveSlot.skip = _fixed_skip            # type: ignore[attr-defined]
 FixedArraySchema.skip = _fixed_skip         # type: ignore[attr-defined]
+
+
+def _compile_codec(schema: Schema) -> FlatCodec:
+    """Generate *schema*'s :class:`FlatCodec` in one walk of its tree."""
+    if schema.fixed_size is None:
+        raise MemoryLayoutError(
+            f"cannot generate static offsets for {schema!r}")
+    slots: list[tuple[str, str, int, int | None]] = []
+    checks: list[str] = []
+    pos = 0     # index of the next slot's first value in the flat tuple
+
+    def walk(node: Schema, name: str, offset: int,
+             value: str) -> tuple[str, str]:
+        """``(reshape expression, flatten terms)`` of *node*, whose value
+        the flatten body reads as the expression *value*."""
+        nonlocal pos
+        if isinstance(node, PrimitiveSlot):
+            slots.append(
+                (name, _STRUCT_CODES[node.primitive.name], offset, None))
+            pos += 1
+            return f"t[{pos - 1}]", f"{value}, "
+        array = isinstance(node, FixedArraySchema)
+        var = f"v{len(checks)}"
+        checks.append(
+            f"    {var} = {value}\n"
+            f"    if not (isinstance({var}, _seq) and len({var}) == "
+            f"{node.length if array else len(node.fields)}): return None\n")
+        if array and isinstance(node.element, PrimitiveSlot):
+            code = _STRUCT_CODES[node.element.primitive.name]
+            slots.append((name, code, offset, node.length))
+            start, pos = pos, pos + node.length
+            return f"t[{start}:{pos}]", f"*{var}, "
+        if array:
+            parts = [(f"{name}_{i}", node.element)
+                     for i in range(node.length)]
+        else:
+            parts = [(f"{name}_{field}" if name else field, field_schema)
+                     for field, field_schema in node.fields]
+        shapes = terms = ""
+        for index, (part_name, part) in enumerate(parts):
+            shape, term = walk(part, part_name, offset, f"{var}[{index}]")
+            offset += part.fixed_size
+            shapes += shape + ", "
+            terms += term
+        return f"({shapes})", terms
+
+    shape, terms = walk(schema, "", 0, "value")
+    namespace: dict[str, Any] = {"_seq": (tuple, list)}
+    exec(f"def reshape(t):\n    return {shape}\n"
+         f"def flatten(value):\n{''.join(checks)}    return ({terms})\n",
+         namespace)
+    fmt = "<" + "".join(f"{'' if count is None else count}{code}"
+                        for _, code, _, count in slots)
+    # Popped, so the functions and their globals dict form no cycle and
+    # a dropped schema's codec is freed by refcount.
+    return FlatCodec(tuple(slots), struct.Struct(fmt),
+                     namespace.pop("reshape"), namespace.pop("flatten"))
 
 
 def build_schema(udt: DataType,

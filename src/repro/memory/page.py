@@ -23,7 +23,7 @@ arrays instead of a million records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator
 
 from ..errors import PageError, PageOverflowError, PageReclaimedError
 
@@ -349,11 +349,26 @@ class PageGroup:
                         f"{self.name!r}; scan cannot advance")
                 offset = next_offset
 
-    def records(self, schema: Schema) -> Iterator:
-        """Sequentially decode every record (materializing values)."""
-        for buf, offset in self.scan(schema):
-            value, _ = schema.unpack_from(buf, offset)
-            yield value
+    def records(self, schema: Schema) -> Generator[Any, None, None]:
+        """Sequentially decode every record (materializing values).
+
+        Each page is one ``schema.iter_unpack`` over a view of its used
+        bytes; the view is released when the page is exhausted or the
+        generator is closed, so no export outlives the scan.
+        """
+        self._check_alive()
+        for page in self.pages:
+            if schema.fixed_size and page.used % schema.fixed_size:
+                raise PageError(
+                    f"{page} of {self.name!r} does not hold a whole number "
+                    f"of {schema.fixed_size}-byte records")
+            view = memoryview(page.data)[:page.used]
+            values = schema.iter_unpack(view)
+            try:
+                yield from values
+            finally:
+                del values      # the struct iterator exports the view
+                view.release()
 
     # -- lifetime ------------------------------------------------------------------
     def new_page_info(self) -> "PageInfo":

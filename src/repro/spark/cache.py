@@ -583,11 +583,8 @@ class CacheStore:
                 return
             executor.serializer.kryo_deserialize(
                 block.footprint.objects, len(block.blob))
-            offset = 0
-            decode = block.decode or (lambda v: v)
-            for _ in range(block.record_count):
-                value, offset = block.schema.unpack_from(block.blob, offset)
-                yield decode(value)
+            values = block.schema.iter_unpack(block.blob)
+            yield from map(block.decode, values) if block.decode else values
             return
         # DECA_PAGES: read decomposed records in place.
         assert block.page_group is not None and block.schema is not None
@@ -595,9 +592,8 @@ class CacheStore:
                                       block.page_group.used_bytes)
         executor.charge_compute(
             executor.config.cpu.page_access_ms * block.record_count)
-        decode = block.decode or (lambda v: v)
-        for value in block.page_group.records(block.schema):
-            yield decode(value)
+        values = block.page_group.records(block.schema)
+        yield from map(block.decode, values) if block.decode else values
 
     def _read_from_disk(self, block: CachedBlock) -> Iterator[Any]:
         """Stream a swapped block's records without re-promoting it."""
@@ -624,14 +620,11 @@ class CacheStore:
                 payload = views[0] if views else memoryview(b"")
             else:
                 payload = block._disk_payload
-            decode = block.decode or (lambda v: v)
             if isinstance(payload, (bytes, bytearray, memoryview)) \
                     and block.schema is not None:
-                offset = 0
-                for _ in range(block.record_count):
-                    value, offset = block.schema.unpack_from(payload,
-                                                             offset)
-                    yield decode(value)
+                values = block.schema.iter_unpack(payload)
+                yield from map(block.decode, values) if block.decode \
+                    else values
             else:
                 yield from payload
             return
@@ -639,11 +632,8 @@ class CacheStore:
         # the mmap tier they stream straight out of the extent's views.
         executor.serializer.deca_read(block.record_count, block.disk_bytes)
         assert block.schema is not None
-        decode = block.decode or (lambda v: v)
         chunks = (tier.views(tier_key) if tier_key is not None
                   else block._disk_payload)
         for chunk in chunks:
-            offset = 0
-            while offset < len(chunk):
-                value, offset = block.schema.unpack_from(chunk, offset)
-                yield decode(value)
+            values = block.schema.iter_unpack(chunk)
+            yield from map(block.decode, values) if block.decode else values

@@ -129,6 +129,8 @@ class DecaContext:
         self._jobs: list[JobMetrics] = []
         self._spilled_shuffle_bytes = 0
         self._optimizer = None
+        # SparkSer cache plans per rdd_id (the optimizer memoizes Deca's).
+        self._ser_plans: dict[int, CachePlan] = {}
         if self.mode is ExecutionMode.DECA:
             from ..core.optimizer import DecaOptimizer
             self._optimizer = DecaOptimizer(self)
@@ -170,17 +172,20 @@ class DecaContext:
         if self.mode is ExecutionMode.SPARK:
             return CachePlan(StorageStrategy.OBJECTS)
         if self.mode is ExecutionMode.SPARK_SER:
-            info = rdd.udt_info
-            if info is not None:
-                try:
-                    schema = self._serialization_schema(info)
-                except Exception:
-                    schema = None
-            else:
+            plan = self._ser_plans.get(rdd.rdd_id)
+            if plan is None:
+                info = rdd.udt_info
                 schema = None
-            return CachePlan(StorageStrategy.SERIALIZED, schema=schema,
-                             encode=info.to_schema_value if info else None,
-                             decode=info.from_schema_value if info else None)
+                if info is not None:
+                    try:
+                        schema = self._serialization_schema(info)
+                    except Exception:
+                        pass
+                plan = self._ser_plans[rdd.rdd_id] = CachePlan(
+                    StorageStrategy.SERIALIZED, schema=schema,
+                    encode=info.encode if info else None,
+                    decode=info.decode if info else None)
+            return plan
         assert self._optimizer is not None
         return self._optimizer.plan_cache(rdd)
 

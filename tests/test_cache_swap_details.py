@@ -394,6 +394,47 @@ class TestMmapColdTier:
         assert ctx.finish().tier == {}
 
 
+@pytest.mark.parametrize("how", ["all", "some", "none"])
+@pytest.mark.parametrize("mode", [ExecutionMode.DECA,
+                                  ExecutionMode.SPARK_SER],
+                         ids=lambda m: m.value)
+class TestStreamedReadViewLifetime:
+    """Streaming a swapped block decodes straight out of the mmap extent;
+    no view of it may outlive the read, however the read ends."""
+
+    def stream_swapped_block(self, mode, how, **overrides):
+        ctx, rdd, data = ctx_with_cached(mode, cold_tier="mmap",
+                                         **overrides)
+        store = ctx.executors[0].cache
+        for key in list(store.blocks):
+            store.swap_out(key)
+        key = next(iter(store.blocks))
+        records = store.read_records(key)
+        if how == "all":
+            assert len(list(records)) == store.blocks[key].record_count
+        elif how == "some":
+            assert next(records) == data[0]
+            records.close()
+        del records
+        store.invalidate_all()          # _drop_block frees the extents
+        return ctx
+
+    def test_extent_can_be_dropped_and_tier_closed(self, mode, how):
+        # (the sanitizer's ledger keeps every view it tracks alive)
+        ctx = self.stream_swapped_block(mode, how, sanitize=False)
+        tier = ctx.executors[0].cold_tier
+        mapping = tier._mm
+        tier.close()
+        # mmap.close() refuses (BufferError, swallowed by the tier) while
+        # any export of the mapping is alive.
+        assert mapping.closed
+
+    def test_ledger_sees_no_live_borrow_at_finish(self, mode, how):
+        ctx = self.stream_swapped_block(mode, how, sanitize=True)
+        run = ctx.finish()
+        assert run.sanitize.get("violations", 0) == 0
+
+
 class TestPageInfoCursor:
     def test_cursor_resets(self):
         from repro.memory import PageGroup

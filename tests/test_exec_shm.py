@@ -71,6 +71,34 @@ class TestPackAndRead:
                                         decode=lambda kv: kv[0] + kv[1]))
         assert got == [k + v for k, v in PAIRS[:5]]
 
+    @pytest.mark.parametrize("decode", [None, lambda kv: kv],
+                             ids=["raw", "decoded"])
+    @pytest.mark.parametrize("how", ["all", "some"])
+    def test_read_detaches_however_it_ends(self, seg_name, monkeypatch,
+                                           how, decode):
+        """The scan reads through a view of the mapping; it must be gone
+        before the group's reclaim closes the segment."""
+        detached = []
+
+        class Strict(SharedPageSegment):
+            def close(self):
+                if not self.closed:
+                    # BufferError here (swallowed by the real close) means
+                    # a view of the mapping outlived the scan.
+                    self._shm.close()
+                    detached.append(self.name)
+                super().close()
+
+        ref = pack_records_segment(seg_name, PAIR, PAIRS)
+        monkeypatch.setattr("repro.exec.shm.SharedPageSegment", Strict)
+        records = read_segment_records(ref, PAIR, decode)
+        if how == "all":
+            assert list(records) == PAIRS
+        else:
+            assert next(records) == PAIRS[0]
+            records.close()
+        assert detached == [seg_name]
+
     def test_overflowing_segment_raises(self, seg_name):
         segment = SharedPageSegment(seg_name, 16, create=True)
         try:
@@ -211,5 +239,28 @@ class TestWorkerDeathCleanup:
         assert metrics.recovery.task_retries >= 1
         # Nothing of either run is left in /dev/shm.
         assert stats["segments_live"] == 0
+        assert [name for name in list_segments()
+                if "-test-" not in name] == []
+
+
+class TestPartialReadsOnTheRealBackend:
+    def test_abandoned_cache_scans_leave_no_segment(self):
+        """Workers that stop reading a shm-attached cache block after its
+        first record still detach it: nothing is left in /dev/shm."""
+        from repro.apps.logistic_regression import labeled_point_udt_info
+        ctx = DecaContext(DecaConfig(
+            mode=ExecutionMode.DECA, execution_backend="mp",
+            num_executors=2, tasks_per_executor=2))
+        data = [(float(i), tuple(float(d) for d in range(10)))
+                for i in range(400)]
+        rdd = ctx.parallelize(data, 4).map(
+            lambda r: r, udt_info=labeled_point_udt_info(10)).cache()
+        assert rdd.count() == len(data)
+        firsts = ctx.run_job(rdd, lambda records: next(records), "firsts")
+        assert sorted(firsts) == [data[i] for i in range(0, 400, 100)]
+        assert sorted(rdd.collect()) == data
+        metrics = ctx.finish()
+        assert metrics.backend["segments_created"] >= 4
+        assert metrics.backend["segments_live"] == 0
         assert [name for name in list_segments()
                 if "-test-" not in name] == []

@@ -61,9 +61,66 @@ class TestPageGroupAppend:
             group.append_record(schema, value)
         assert list(group.records(schema)) == values
 
+    def test_partial_trailing_record_raises(self):
+        """A page whose used bytes are not whole records is refused —
+        the unused tail is never decoded as a record."""
+        group = PageGroup("g", page_bytes=64)
+        schema = point_schema()
+        group.append_record(schema, (1.0, 1))
+        group.pages[0].used += 5
+        with pytest.raises(PageError, match="whole number of 12-byte"):
+            list(group.records(schema))
+
     def test_zero_page_size_rejected(self):
         with pytest.raises(PageError):
             PageGroup("g", page_bytes=0)
+
+
+def _consume(records, how, expected):
+    """Drive a record iterator fully, partially then close, or not at all."""
+    if how == "all":
+        assert list(records) == expected
+    elif how == "some":
+        assert [next(records), next(records)] == expected[:2]
+        records.close()
+
+
+@pytest.mark.parametrize("how", ["all", "some", "none"])
+class TestRecordsViewLifetime:
+    """``records`` scans each page through a memoryview; the view must be
+    gone once the scan is over, however it ends."""
+
+    def filled(self):
+        group = PageGroup("g", page_bytes=64)
+        schema = point_schema()
+        values = [(float(i), i) for i in range(22)]   # last page: 2 of 5
+        for value in values:
+            group.append_record(schema, value)
+        return group, schema, values
+
+    def assert_unpinned(self, group):
+        # A bytearray with a live export refuses to be resized.
+        for page in group.pages:
+            page.data.append(0)
+            page.data.pop()
+
+    def test_pages_are_unpinned_and_trim_works(self, how):
+        group, schema, values = self.filled()
+        _consume(group.records(schema), how, values)
+        self.assert_unpinned(group)
+        assert group.trim() > 0
+        assert list(group.records(schema)) == values
+
+    def test_drain_and_reclaim_work(self, how):
+        group, schema, values = self.filled()
+        _consume(group.records(schema), how, values)
+        assert b"".join(group.drain()) == b"".join(
+            schema.pack(value) for value in values)
+        assert group.reclaimed
+        other, _, _ = self.filled()
+        _consume(other.records(schema), how, values)
+        other.reclaim()
+        assert other.pages == []
 
 
 class TestRefCounting:

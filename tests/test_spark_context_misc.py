@@ -1,6 +1,8 @@
 """Tests for context-level plumbing: hashing, planning dispatch,
 transformed-stage detection, run metrics and the simulated clock."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import DecaConfig, ExecutionMode, MB
@@ -17,6 +19,12 @@ def make_ctx(mode=ExecutionMode.SPARK, **overrides):
                     tasks_per_executor=2)
     defaults.update(overrides)
     return DecaContext(DecaConfig(**defaults))
+
+
+def ctx_plan(mode, info):
+    ctx = make_ctx(mode)
+    return ctx.plan_cache(ctx.parallelize([(1.0, (1.0,) * 4)], 1).map(
+        lambda r: r, udt_info=info))
 
 
 class TestSimClock:
@@ -75,6 +83,42 @@ class TestPlanDispatch:
         plan = ctx.plan_cache(rdd)
         assert plan.strategy is StorageStrategy.SERIALIZED
         assert plan.schema is None  # falls back to cost-only model
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.SPARK_SER,
+                                      ExecutionMode.DECA],
+                             ids=lambda m: m.value)
+    def test_cache_plan_and_schema_are_built_once_per_rdd(self, mode):
+        """The schema carries its compiled codec, so a plan rebuilt per
+        block would recompile it per block."""
+        ctx = make_ctx(mode)
+        rdd = ctx.parallelize([(1.0, (1.0,) * 4)], 1).map(
+            lambda r: r, udt_info=labeled_point_udt_info(4))
+        plan = ctx.plan_cache(rdd)
+        assert plan.schema is not None
+        assert ctx.plan_cache(rdd) is plan
+        assert ctx.plan_cache(rdd).schema is plan.schema
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.SPARK_SER,
+                                      ExecutionMode.DECA],
+                             ids=lambda m: m.value)
+    def test_plan_carries_the_udt_codec_itself(self, mode):
+        """No forwarding hop: a UDT without a decoder plans ``None`` and
+        the cache hands back the raw schema values."""
+        info = labeled_point_udt_info(4)
+        assert ctx_plan(mode, info).encode is info.encode
+        assert ctx_plan(mode, info).decode is info.decode
+        raw = dataclasses.replace(info, encode=None, decode=None)
+        ctx = make_ctx(mode, execution_backend="sim", num_executors=1)
+        records = [(float(i), ((1.0,) * 4, 0, 1, 4)) for i in range(6)]
+        rdd = ctx.parallelize(records, 1).map(
+            lambda r: r, udt_info=raw).cache()
+        plan = ctx.plan_cache(rdd)
+        assert plan.encode is None and plan.decode is None
+        assert rdd.count() == 6
+        store = ctx.executors[0].cache
+        (key,) = store.blocks
+        assert store.blocks[key].schema is plan.schema
+        assert list(store.read_records(key)) == records
 
     def test_shuffle_plan_measure_uses_parent(self):
         ctx = make_ctx(ExecutionMode.SPARK)
