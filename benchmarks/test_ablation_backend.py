@@ -19,11 +19,9 @@ Unlike every other benchmark in this directory, the mp wall seconds are
 perf trajectory (``BENCH_ablation_backend.json``).
 """
 
-import random
 import time
 
-from repro.apps.pagerank import run_pagerank
-from repro.apps.wordcount import run_wordcount
+from repro.bench.harness import cell_inputs, run_cell
 from repro.bench.report import format_table, write_json_result, \
     write_result
 from repro.config import DecaConfig, ExecutionMode
@@ -37,34 +35,21 @@ PARTITIONS = 4
 SEED = 17
 
 
-def _inputs():
-    rng = random.Random(SEED)
-    words = [f"w{rng.randrange(KEYS)}" for _ in range(WORDS)]
-    edges = sorted({(rng.randrange(NODES), rng.randrange(NODES))
-                    for _ in range(EDGES)})
-    return words, edges
-
-
 def test_ablation_backend(once):
     """mp matches sim bit-for-bit while pickling ~0 record bytes."""
 
     def scenario():
-        words, edges = _inputs()
+        inputs = cell_inputs(SEED, words=WORDS, keys=KEYS, nodes=NODES,
+                             edges=EDGES)
         grid = {}
         for backend in ("sim", "mp"):
-            cfg = DecaConfig(mode=ExecutionMode.DECA,
-                             execution_backend=backend)
-            start = time.perf_counter()
-            run = run_wordcount(words, cfg, num_partitions=PARTITIONS)
-            grid[("wc", backend)] = (
-                run, time.perf_counter() - start)
-            cfg = DecaConfig(mode=ExecutionMode.DECA,
-                             execution_backend=backend)
-            start = time.perf_counter()
-            run = run_pagerank(edges, cfg, iterations=ITERATIONS,
-                               num_partitions=PARTITIONS)
-            grid[("pr", backend)] = (
-                run, time.perf_counter() - start)
+            for app in ("wc", "pr"):
+                cfg = DecaConfig(mode=ExecutionMode.DECA,
+                                 execution_backend=backend)
+                start = time.perf_counter()
+                _, run = run_cell(app, inputs, cfg, iterations=ITERATIONS,
+                                  partitions=PARTITIONS)
+                grid[(app, backend)] = (run, time.perf_counter() - start)
         return grid
 
     grid = once(scenario)

@@ -33,7 +33,9 @@ from .harness import (
     MEMORY_WORKLOADS,
     SQL_LAYOUTS,
     WC_SIZES,
+    cell_inputs,
     fault_recovery_faults,
+    run_cell,
     run_fault_recovery_point,
     run_graph_point,
     run_kmeans_point,
@@ -151,7 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         "sanitize",
         help="prove the runtime alias sanitizer live: drive each seeded "
              "DECA30x bug fixture against a real tier/registry/ledger, "
-             "then run clean WC+PageRank under REPRO_SANITIZE semantics")
+             "then run clean WC+PageRank with sanitize=True, "
+             "cold_tier='mmap' (the full cell product is "
+             "tests/test_config_matrix.py)")
     sz.add_argument("--fixtures-only", action="store_true",
                     help="skip the clean WC/PageRank runs (fixture "
                          "checks only)")
@@ -247,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     be.add_argument("--seed", type=int, default=17)
     be.add_argument("--json", metavar="NAME",
                     help="also write benchmarks/results/<NAME>.json")
-    be.add_argument("--digest-dir", metavar="DIR",
-                    help="write <app>_<backend>.digest files (CI cmp)")
     be.add_argument("--check", action="store_true",
                     help="exit 1 unless every backend produced identical "
                          "results per app (and, in deca mode, mp moved "
@@ -637,10 +639,6 @@ def _run_sanitize(args) -> int:
     with ``cold_tier="mmap"`` on every requested backend, recording
     zero violations.
     """
-    import random
-
-    from ..apps.pagerank import run_pagerank
-    from ..apps.wordcount import run_wordcount
     from ..config import DecaConfig
 
     status = 0
@@ -664,10 +662,7 @@ def _run_sanitize(args) -> int:
 
     clean_cells: list[dict] = []
     if not args.fixtures_only:
-        rng = random.Random(args.seed)
-        words = [f"w{rng.randrange(2_000)}" for _ in range(40_000)]
-        edges = sorted({(rng.randrange(400), rng.randrange(400))
-                        for _ in range(2_000)})
+        inputs = cell_inputs(args.seed)
         print("repro.bench sanitize · clean runs "
               "(deca mode, cold_tier=mmap)")
         for backend in args.backends:
@@ -676,11 +671,7 @@ def _run_sanitize(args) -> int:
                                  execution_backend=backend,
                                  cold_tier="mmap", sanitize=True)
                 try:
-                    if app == "wc":
-                        run = run_wordcount(words, cfg, num_partitions=4)
-                    else:
-                        run = run_pagerank(edges, cfg, iterations=3,
-                                           num_partitions=4)
+                    _, run = run_cell(app, inputs, cfg)
                     counters = dict(run.metrics.sanitize)
                     violations = counters.get("violations", 0)
                     race_violations = run.metrics.race.get(
@@ -931,28 +922,16 @@ def _run_backend(args) -> int:
     reports *real* wall seconds plus the cross-process traffic counters
     — ``bytes_pickled_records`` should be ~0 wherever the optimizer
     decomposed the data (those payloads travel as shared segments,
-    ``bytes_shared``).  Sorted-result sha256 digests feed the CI
-    equivalence step.
+    ``bytes_shared``).  Digests are :func:`harness.result_digest`, the
+    one tests/test_config_matrix.py compares across every cell.
     """
-    import hashlib
-    import json
-    import os
-    import random
     import time
 
-    from ..apps.pagerank import run_pagerank
-    from ..apps.wordcount import run_wordcount
     from ..config import DecaConfig
 
     mode = {m.value: m for m in ExecutionMode}[args.mode]
-    rng = random.Random(args.seed)
-    words = [f"w{rng.randrange(args.keys)}" for _ in range(args.words)]
-    edges = sorted({(rng.randrange(args.nodes), rng.randrange(args.nodes))
-                    for _ in range(args.edges)})
-
-    def digest_of(items: list) -> str:
-        payload = json.dumps(sorted(repr(item) for item in items))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    inputs = cell_inputs(args.seed, words=args.words, keys=args.keys,
+                         nodes=args.nodes, edges=args.edges)
 
     cells: list[dict] = []
     digests: dict[str, dict[str, str]] = {}
@@ -960,18 +939,11 @@ def _run_backend(args) -> int:
         for backend in args.backends:
             cfg = DecaConfig(mode=mode, execution_backend=backend)
             start = time.perf_counter()
-            if app == "wc":
-                run = run_wordcount(words, cfg,
-                                    num_partitions=args.partitions)
-                items = sorted(run.result.items())
-            else:
-                run = run_pagerank(edges, cfg,
+            digest, run = run_cell(app, inputs, cfg,
                                    iterations=args.iterations,
-                                   num_partitions=args.partitions)
-                items = sorted(run.result)
+                                   partitions=args.partitions)
             wall_s = time.perf_counter() - start
             stats = dict(run.metrics.backend)
-            digest = digest_of(items)
             digests.setdefault(app, {})[backend] = digest
             cells.append({
                 "app": app, "backend": backend, "mode": mode.value,
@@ -998,17 +970,7 @@ def _run_backend(args) -> int:
               f"{cell['bytes_pickled_results']:>12} "
               f"{cell['bytes_shared']:>10} "
               f"{cell['segments_created']:>5}  "
-              f"{cell['digest'][:16]}")
-
-    if args.digest_dir:
-        os.makedirs(args.digest_dir, exist_ok=True)
-        for app, per_backend in digests.items():
-            for backend, digest in per_backend.items():
-                path = os.path.join(args.digest_dir,
-                                    f"{app}_{backend}.digest")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(digest + "\n")
-        print(f"wrote digests to {args.digest_dir}/")
+              f"{cell['digest']}")
 
     status = 0
     for app, per_backend in digests.items():

@@ -19,6 +19,7 @@ the tables/figures report.
 from __future__ import annotations
 
 import hashlib
+import random
 
 from dataclasses import dataclass, field
 from typing import Any
@@ -331,8 +332,8 @@ def memory_summary(run: AppRun) -> dict[str, Any]:
 
     Aggregates the ``memory:*`` trace events, the spill/swap events of
     the legacy planes, and (in unified mode) the per-executor arena
-    counters — the payload the ``repro.bench memory`` determinism job
-    byte-compares across seeded runs.
+    counters — the payload ``repro.bench memory --json`` writes, equal
+    byte for byte across seeded runs.
     """
     events: dict[str, int] = {}
     spilled_bytes = 0
@@ -389,20 +390,6 @@ def run_memory_point(workload: str, memory_mode: str,
     row.extra["memory_mode"] = memory_mode
     row.extra["memory"] = memory_summary(run)
     return row
-
-
-def run_memory_ablation(mode: ExecutionMode = ExecutionMode.SPARK,
-                        **config_overrides: Any
-                        ) -> dict[str, dict[str, FigureRow]]:
-    """Every workload × memory mode (the full static-vs-unified grid)."""
-    grid: dict[str, dict[str, FigureRow]] = {}
-    for workload in MEMORY_WORKLOADS:
-        grid[workload] = {
-            memory_mode: run_memory_point(workload, memory_mode, mode,
-                                          **config_overrides)
-            for memory_mode in ("static", "unified")
-        }
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +459,69 @@ def run_tier_point(cold_tier: str, label: str = "200GB",
     return row
 
 
-def run_tier_ablation(label: str = "200GB",
-                      mode: ExecutionMode = ExecutionMode.DECA,
-                      **config_overrides: Any) -> dict[str, FigureRow]:
-    """Both cold tiers on the same point (the heap-vs-mmap ablation)."""
-    return {tier: run_tier_point(tier, label, mode, **config_overrides)
-            for tier in COLD_TIERS}
+# ---------------------------------------------------------------------------
+# Cross-configuration cells (tests/test_config_matrix.py, ``backend``,
+# ``sanitize``): one seeded input set, one runner, one digest
+# ---------------------------------------------------------------------------
+
+CELL_APPS: tuple[str, ...] = ("wc", "pr", "cc", "kmeans", "lr")
+CELL_CLUSTERS = 4
+
+
+def cell_inputs(seed: int = 17, words: int = 40_000, keys: int = 2_000,
+                nodes: int = 400, edges: int = 2_000,
+                points: int = 0) -> dict[str, list]:
+    """The seeded inputs every cross-configuration comparison runs on.
+
+    ``words`` feeds WordCount, ``edges`` PageRank and
+    ConnectedComponents, ``points`` LR and ``clusters`` KMeans (both
+    *points* records of :data:`LR_DIMENSIONS` dimensions).
+    """
+    rng = random.Random(seed)
+    return {
+        "words": [f"w{rng.randrange(keys)}" for _ in range(words)],
+        "edges": sorted({(rng.randrange(nodes), rng.randrange(nodes))
+                         for _ in range(edges)}),
+        "points": labeled_points(points, LR_DIMENSIONS, seed=seed),
+        "clusters": clustered_points(points, LR_DIMENSIONS,
+                                     clusters=CELL_CLUSTERS, seed=seed),
+    }
+
+
+def run_cell(app: str, inputs: dict[str, list], config: DecaConfig,
+             iterations: int = 3,
+             partitions: int = 4) -> tuple[str, AppRun]:
+    """Run one workload under one configuration cell.
+
+    Returns ``(digest, run)``: the digest covers the whole result (keys
+    *and* values, in key order), so any two cells that computed the same
+    answer compare equal whatever order their partitions finished in.
+    """
+    if app == "wc":
+        run = run_wordcount(inputs["words"], config,
+                            num_partitions=partitions)
+    elif app == "pr":
+        run = run_pagerank(inputs["edges"], config, iterations=iterations,
+                           num_partitions=partitions)
+    elif app == "cc":
+        run = run_connected_components(inputs["edges"], config,
+                                       iterations=iterations,
+                                       num_partitions=partitions)
+    elif app == "kmeans":
+        run = run_kmeans(inputs["clusters"], k=CELL_CLUSTERS,
+                         config=config, iterations=iterations,
+                         num_partitions=partitions)
+    elif app == "lr":
+        run = run_logistic_regression(inputs["points"], config,
+                                      iterations=iterations,
+                                      num_partitions=partitions)
+    else:
+        raise ValueError(f"unknown cell app {app!r}; "
+                         f"choose from {CELL_APPS}")
+    result = run.result
+    if isinstance(result, dict):
+        result = sorted(result.items())
+    return result_digest(result), run
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +574,20 @@ def run_sql_point(layout: str, rankings_rows: int = 4_000,
 def run_sql_swap_roundtrip(rankings_rows: int = 4_000,
                            uservisits_rows: int = 8_000,
                            **config_overrides: Any) -> dict[str, Any]:
-    """Demote the cached columnar suite to the mmap tier and re-run.
+    """Demote the cached columnar suite to the cold tier and re-run.
 
-    The cached relations swap out as raw page bytes, swap back in as
-    adopted pages, and every query must reproduce its resident digest —
-    with ``swap_copy_bytes == 0`` (no serializer pass anywhere) and the
-    provenance ledger clean.
+    On the mmap tier (the default here) the cached relations swap out
+    as raw page bytes, swap back in as adopted pages, and every query
+    must reproduce its resident digest — with ``swap_copy_bytes == 0``
+    (no serializer pass anywhere) and the provenance ledger clean.
+    With ``cold_tier="heap"`` demotion drops the relations and the
+    re-run rebuilds them: same digests, ``swap_copy_bytes > 0``.
     """
     from ..apps.sql_queries import make_suite_engine, suite_queries
     from ..data import rankings_table, uservisits_table
 
     overrides = dict(config_overrides)
-    overrides["cold_tier"] = "mmap"
+    overrides.setdefault("cold_tier", "mmap")
     overrides.setdefault("sanitize", True)
     config = DecaConfig(**overrides)
     engine = make_suite_engine(rankings_table(rankings_rows),

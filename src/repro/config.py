@@ -14,7 +14,6 @@ what factor, and where the crossovers fall) — see DESIGN.md §5.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -236,44 +235,6 @@ class FaultConfig:
                               self.fetch_corruption_prob))
 
 
-def _default_execution_backend() -> str:
-    """Backend selection, overridable per-process via the environment.
-
-    ``REPRO_EXECUTION_BACKEND=mp`` flips every context constructed with
-    the default config onto the multiprocess backend — this is how the CI
-    backend matrix runs the whole test suite against real workers without
-    editing any test.
-    """
-    return os.environ.get("REPRO_EXECUTION_BACKEND", "sim")
-
-
-def _default_mp_workers() -> int:
-    return int(os.environ.get("REPRO_MP_WORKERS", "0"))
-
-
-def _default_sanitize() -> bool:
-    """Runtime alias-sanitizer switch, overridable via the environment.
-
-    ``REPRO_SANITIZE=1`` flips every context constructed with the default
-    config into sanitize mode: a :class:`repro.memory.provenance.
-    ProvenanceLedger` per executor records every exported zero-copy view,
-    poisons freed extents and fails the run at ``ctx.finish()`` if any
-    borrow outlived its backing bytes.  This is how the CI sanitizer leg
-    runs the whole test suite under the ledger without editing any test.
-    """
-    return os.environ.get("REPRO_SANITIZE", "0") not in ("", "0", "false")
-
-
-def _default_cold_tier() -> str:
-    """Cold-tier selection, overridable per-process via the environment.
-
-    ``REPRO_COLD_TIER=mmap`` flips every context constructed with the
-    default config onto the mmap page-store tier — how the CI cold-tier
-    leg runs the whole test suite against it without editing any test.
-    """
-    return os.environ.get("REPRO_COLD_TIER", "heap")
-
-
 @dataclass(frozen=True)
 class DecaConfig:
     """Top-level configuration of a simulated Deca/Spark deployment."""
@@ -287,11 +248,10 @@ class DecaConfig:
     # byte-deterministic default); ``"mp"`` runs stages on a real
     # ``multiprocessing`` worker pool with decomposed shuffle/cache data
     # crossing process boundaries through shared-memory Deca pages.
-    execution_backend: str = field(
-        default_factory=_default_execution_backend)
+    execution_backend: str = "sim"
     # Worker processes per stage under the mp backend; 0 means one per
     # simulated executor (so the split -> executor mapping is preserved).
-    mp_workers: int = field(default_factory=_default_mp_workers)
+    mp_workers: int = 0
     # Wall-clock ceiling for one mp stage wave; a hung worker pool is
     # terminated (and the stage fails) rather than deadlocking the run.
     mp_stage_timeout_s: float = 120.0
@@ -329,7 +289,7 @@ class DecaConfig:
     # ``"mmap"`` moves raw page bytes into a file-backed mmap extent
     # store (repro.memory.tier) with zero-copy promotion — no ``bytes``
     # copies and no serializer charge on the Deca path.
-    cold_tier: str = field(default_factory=_default_cold_tier)
+    cold_tier: str = "heap"
 
     # --- runtime alias sanitizer (docs/static_analysis.md) ----------------
     # When on, every executor carries a ProvenanceLedger that records each
@@ -337,7 +297,7 @@ class DecaConfig:
     # adopting page group), poisons freed extents with a sentinel fill and
     # raises repro.errors.SanitizerError from ``ctx.finish()`` on any
     # violation.  Off (the default) adds zero work to the hot paths.
-    sanitize: bool = field(default_factory=_default_sanitize)
+    sanitize: bool = False
 
     # --- Deca page geometry (§4.3.1) --------------------------------------
     page_bytes: int = 1 * MB

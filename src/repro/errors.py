@@ -63,10 +63,6 @@ class ContainerError(DecaError):
     """Misuse of a data container (double release, write after seal, ...)."""
 
 
-class OptimizerError(DecaError):
-    """The Deca optimizer could not produce a plan for a job."""
-
-
 class ExecutionError(DecaError):
     """A job failed while executing on the mini Spark engine."""
 

@@ -15,7 +15,7 @@ Two layers over the Deca lifetime analysis (see ``docs/static_analysis.md``):
 * **borrow rules** (``DECA301``–``DECA308``) — the zero-copy borrow
   checker over the engine's own mmap/shm plumbing, reported under the
   ``engine`` pseudo-app; the runtime counterpart is the alias sanitizer
-  (``REPRO_SANITIZE=1``, :mod:`repro.memory.provenance`);
+  (``DecaConfig(sanitize=True)``, :mod:`repro.memory.provenance`);
 * **race rules** (``DECA401``–``DECA410``) — the happens-before race
   detector over the engine's concurrency surface (mp backend, shm
   protocol, scheduler, arena, cold tier), reported under the ``race``

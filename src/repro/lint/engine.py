@@ -104,7 +104,8 @@ def lint_engine() -> AppLintResult:
     Unlike the registered apps, the target here is the engine source
     itself: the mmap tier, page groups, cache store and shm plumbing.
     There is no shadow run — the dynamic counterpart is the runtime
-    sanitizer (``REPRO_SANITIZE=1``).
+    sanitizer (``DecaConfig(sanitize=True)``; every configuration cell
+    runs under it in tests/test_config_matrix.py).
     """
     findings, summary = run_borrow_rules(target=ENGINE_APP)
     return AppLintResult(

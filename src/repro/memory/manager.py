@@ -2,22 +2,23 @@
 
 The memory manager allocates and reclaims memory pages.  It works together
 with the engine's cache manager and shuffle manager (which handle the
-un-decomposed object data): containers ask it for page groups, access to
-cached page groups refreshes a recently-used counter, and under heap
-pressure the *least recently used* evictable page group is swapped out as
-raw bytes — no serialization step, because the pages already are the wire
-format (Appendix C).
+un-decomposed object data): containers ask it for page groups, and under
+heap pressure the *least recently used* evictable page group is swapped
+out as raw bytes — no serialization step, because the pages already are
+the wire format (Appendix C).  The LRU order itself belongs to whoever
+owns the blocks: :class:`repro.spark.cache.CacheStore` in static mode,
+the executor arena (which :meth:`DecaMemoryManager.touch` forwards to) in
+unified mode.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..config import DecaConfig
 from ..errors import PageError
 from ..jvm.heap import SimHeap
-from .page import PageGroup, PageInfo
+from .page import PageGroup
 from .unified import UnifiedMemoryManager
 
 
@@ -33,9 +34,7 @@ class DecaMemoryManager:
         # in the same LRU as cached blocks.
         self.arena = arena
         self._groups: dict[str, PageGroup] = {}
-        self._evictable: dict[str, PageGroup] = {}
-        self._use_clock = itertools.count()
-        self._last_used: dict[str, int] = {}
+        self._evictable: set[str] = set()
 
     # -- group lifecycle -------------------------------------------------------
     def new_page_group(self, name: str, *, evictable: bool = False,
@@ -58,7 +57,7 @@ class DecaMemoryManager:
         )
         self._groups[name] = group
         if evictable:
-            self._evictable[name] = group
+            self._evictable.add(name)
             if self.arena is not None:
                 # Pinned while being built; the cache adopts the entry
                 # (making it evictable) once the block is sealed.
@@ -66,98 +65,21 @@ class DecaMemoryManager:
             self.touch(group)
         return group
 
-    def new_shared_group(self, name: str, segment, *,
-                         page_bytes: int | None = None) -> PageGroup:
-        """Allocate a page group whose page buffers live in *segment*.
-
-        *segment* is a :class:`repro.exec.shm.SharedPageSegment` (or any
-        object with an ``allocate(nbytes) -> memoryview`` bump
-        allocator).  Records appended to the group are packed directly
-        into shared memory, so another process can map the segment and
-        read them in place — no serialization, ever.
-        """
-        if name in self._groups:
-            raise PageError(f"page group {name!r} already exists")
-        group = PageGroup(
-            name,
-            page_bytes if page_bytes is not None else self.config.page_bytes,
-            heap=self.heap,
-            on_reclaim=self._forget,
-            allocator=segment.allocate,
-        )
-        self._groups[name] = group
-        return group
-
-    def attach_shared_group(self, ref, name: str | None = None) -> PageGroup:
-        """Attach a shared segment another process packed as a group.
-
-        The group is tracked like any other; when its last page-info
-        closes, this process's mapping is detached and the manager
-        forgets the group.  Unlinking the segment itself is the driver
-        registry's decision (refcounted across the whole run).
-        """
-        from ..exec.shm import attach_page_group
-        group = attach_page_group(ref, group_name=name)
-        if group.name in self._groups:
-            raise PageError(f"page group {group.name!r} already exists")
-        detach = group._on_reclaim
-
-        def _reclaim(g: PageGroup) -> None:
-            if detach is not None:
-                detach(g)
-            self._forget(g)
-
-        group._on_reclaim = _reclaim
-        self._groups[group.name] = group
-        return group
-
     def _resized(self, group: PageGroup, delta: int) -> None:
         if self.arena is not None:
             self.arena.storage_grow(group.name, delta)
 
-    def open(self, group: PageGroup) -> PageInfo:
-        """Hand out a page-info on *group* (reference-counted)."""
-        return group.new_page_info()
-
     def _forget(self, group: PageGroup) -> None:
         was_evictable = group.name in self._evictable
         self._groups.pop(group.name, None)
-        self._evictable.pop(group.name, None)
-        self._last_used.pop(group.name, None)
+        self._evictable.discard(group.name)
         if self.arena is not None and was_evictable:
             self.arena.storage_discard(group.name)
 
-    # -- LRU bookkeeping ----------------------------------------------------------
     def touch(self, group: PageGroup) -> None:
-        """Refresh *group*'s recently-used counter (data access)."""
-        self._last_used[group.name] = next(self._use_clock)
+        """Tell the arena's storage LRU that *group* was just read."""
         if self.arena is not None:
             self.arena.storage_touch(group.name)
-
-    def eviction_order(self) -> Iterator[PageGroup]:
-        """Evictable groups, least recently used first."""
-        ranked = sorted(self._evictable.values(),
-                        key=lambda g: self._last_used.get(g.name, -1))
-        return iter(ranked)
-
-    def evict(self, bytes_needed: int,
-              on_evict: Callable[[PageGroup], None] | None = None) -> int:
-        """Swap out LRU page groups until *bytes_needed* is satisfied.
-
-        *on_evict* is told about each victim before its pages are released
-        (the cache manager writes the raw bytes to its disk store there).
-        Returns the number of heap bytes released.
-        """
-        freed = 0
-        for group in list(self.eviction_order()):
-            if freed >= bytes_needed:
-                break
-            nbytes = group.allocated_bytes
-            if on_evict is not None:
-                on_evict(group)
-            group.reclaim()
-            freed += nbytes
-        return freed
 
     # -- stats ---------------------------------------------------------------------
     @property

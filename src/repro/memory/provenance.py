@@ -107,7 +107,6 @@ class ProvenanceLedger:
         self._by_resource: dict[tuple[str, str], list[int]] = {}
         self._freed: set[tuple[str, str]] = set()
         self._cold: set[tuple[str, str]] = set()
-        self._poisoned: dict[tuple[str, str], int] = {}
         self._drains: dict[str, int] = {}   # group name -> live copy count
         self.violations: list[dict[str, str]] = []
         self.counters: dict[str, int] = {
@@ -166,7 +165,6 @@ class ProvenanceLedger:
         self.counters["allocs"] += 1
         self._freed.discard(key)
         self._cold.discard(key)
-        self._poisoned.pop(key, None)
         for borrow_id in self._by_resource.pop(key, []):
             borrow = self._borrows.get(borrow_id)
             if borrow is not None:
@@ -266,7 +264,6 @@ class ProvenanceLedger:
         self._cold.add((kind, resource))
 
     def note_poison(self, kind: str, resource: str, nbytes: int) -> None:
-        self._poisoned[(kind, resource)] = nbytes
         self.counters["poisoned_bytes"] += nbytes
 
     def check_use(self, kind: str, resource: str) -> bool:
@@ -329,14 +326,6 @@ class ProvenanceLedger:
             if self._is_live(borrow):
                 count += 1
         return count
-
-    def poisoned_resources(self) -> dict[tuple[str, str], int]:
-        """Resources currently carrying a poison fill (name -> bytes)."""
-        return dict(self._poisoned)
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
 
     def summary(self) -> dict[str, int]:
         """Integer-only summary (determinism-safe, RunMetrics-ready)."""

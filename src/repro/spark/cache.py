@@ -549,9 +549,11 @@ class CacheStore:
         block.records = None
         block.blob = None
         block._disk_payload = None
-        tier = self.executor.cold_tier
-        if tier is not None and block._tier_key is not None:
-            tier.drop(block._tier_key)
+        # Only a block that was swapped has an extent; checking the key
+        # first keeps the lazy ``cold_tier`` property from opening a tier
+        # file on a run that never swapped.
+        if block._tier_key is not None:
+            self.executor.cold_tier.drop(block._tier_key)
             block._tier_key = None
             block._tier_resident = False
 

@@ -317,9 +317,6 @@ class DecaContext:
     def _register_rdd(self, rdd: RDD) -> None:
         self._rdds[rdd.rdd_id] = rdd
 
-    def _note_cached(self, rdd: RDD) -> None:
-        pass  # reserved for plan invalidation
-
     def _unpersist(self, rdd: RDD) -> None:
         for executor in self.executors:
             executor.cache.remove_rdd(rdd.rdd_id)

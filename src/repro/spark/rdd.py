@@ -164,7 +164,6 @@ class RDD:
     def cache(self) -> "RDD":
         """Pin this dataset's partitions in memory once computed."""
         self.is_cached = True
-        self.ctx._note_cached(self)
         return self
 
     def unpersist(self) -> "RDD":

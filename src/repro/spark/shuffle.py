@@ -138,12 +138,6 @@ class ShuffleBlockStore:
             del self._blocks[key]
         self._num_map_parts.pop(shuffle_id, None)
 
-    def remove_map_output(self, shuffle_id: int, map_part: int) -> None:
-        """Forget one map task's blocks (e.g. after a corrupt fetch)."""
-        for key in [k for k in self._blocks
-                    if k[0] == shuffle_id and k[1] == map_part]:
-            del self._blocks[key]
-
     def remove_executor_outputs(self, executor_id: int
                                 ) -> list[tuple[int, int]]:
         """Drop every block a lost executor wrote.

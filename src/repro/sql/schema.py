@@ -26,11 +26,6 @@ class ColumnType(enum.Enum):
     STRING = "string"
     OPAQUE = "opaque"
 
-    @property
-    def struct_code(self) -> str | None:
-        """Struct code for fixed-width columns (None for strings)."""
-        return {"int": "i", "long": "q", "double": "d"}.get(self.value)
-
     def validate(self, value: Any) -> None:
         if self is ColumnType.STRING:
             if not isinstance(value, str):

@@ -23,10 +23,8 @@ from repro.data.vectors import labeled_points
 
 
 def pinned_config(mode: ExecutionMode, heap_mb: int) -> DecaConfig:
-    """A config immune to the REPRO_* environment switches of the CI legs."""
     return DecaConfig(mode=mode, heap_bytes=heap_mb * MB, num_executors=2,
-                      tasks_per_executor=2, execution_backend="sim",
-                      sanitize=False, cold_tier="heap")
+                      tasks_per_executor=2)
 
 
 def summary(run) -> dict:

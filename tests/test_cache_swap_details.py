@@ -393,6 +393,21 @@ class TestMmapColdTier:
         assert executor.cold_tier is None
         assert ctx.finish().tier == {}
 
+    @pytest.mark.parametrize("drop", ["unpersist", "invalidate_all"])
+    def test_dropping_never_swapped_blocks_creates_no_tier(self, drop):
+        """Runs that never swap never touch the filesystem — dropping
+        their blocks must not construct the tier as a side effect."""
+        ctx, rdd, _ = ctx_with_cached(ExecutionMode.DECA,
+                                      cold_tier="mmap")
+        executor = ctx.executors[0]
+        if drop == "unpersist":
+            rdd.unpersist()
+        else:
+            executor.cache.invalidate_all()
+        assert not executor.cache.blocks
+        assert executor._cold_tier is None
+        assert ctx.finish().tier == {}
+
 
 @pytest.mark.parametrize("how", ["all", "some", "none"])
 @pytest.mark.parametrize("mode", [ExecutionMode.DECA,

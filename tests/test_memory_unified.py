@@ -341,20 +341,6 @@ class TestCacheFailFastRegression:
 
 
 class TestUnifiedEndToEnd:
-    def test_wordcount_results_identical_across_memory_modes(self):
-        from repro.data import random_words
-        from repro.apps.wordcount import run_wordcount
-
-        data = random_words(5_000, 500)
-        results = {}
-        for memory_mode in ("static", "unified"):
-            cfg = config(heap_bytes=3 * MB, num_executors=2,
-                         memory_mode=memory_mode,
-                         storage_fraction=0.05, shuffle_fraction=0.05)
-            results[memory_mode] = run_wordcount(data, cfg,
-                                                 num_partitions=4).result
-        assert results["static"] == results["unified"]
-
     def test_unified_mode_emits_memory_events(self):
         from repro.bench.harness import run_memory_point
 
