@@ -9,7 +9,7 @@ anything behind that a correct segment lifecycle would have cleaned up:
   driver pid), so a linked segment whose creator pid is dead is a leak
   of the registry, the atexit sweep or the worker-death orphan sweep.
   A segment whose creator is *alive* is checked against that process's
-  registry manifest (repro.exec.shm.manifest_path): present means the
+  registry journal (repro.exec.shm.manifest_path): present means the
   run still owns it, absent means the registry entry is gone and
   nothing will ever unlink it — the live-creator orphan;
 * worker processes — mp workers are forked children of the test
@@ -27,7 +27,6 @@ Exit status 0 = clean, 1 = leaks found (details on stdout).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import subprocess
@@ -46,22 +45,28 @@ WORKER_PATTERNS = ("python -m pytest", "-m repro.bench")
 def manifest_segments(pid: int) -> set[str] | None:
     """Segments the (alive) creator's registry still owns.
 
-    Mirrors ``repro.exec.shm.manifest_path`` without importing the
-    package — this script must run standalone in CI.  Returns ``None``
-    when the process has no manifest (its registry owns nothing, so
-    every surviving segment of that pid is an orphan).
+    Replays the creator's journal (``repro.exec.shm.manifest_path``: one
+    ``+name`` line per segment adopted, one ``-name`` per segment let
+    go) without importing the package — this script must run standalone
+    in CI.  A final line with no newline is a write caught half-way and
+    is ignored, like any line that is neither.  Returns ``None`` when
+    the process has no journal (its registry owns nothing, so every
+    surviving segment of that pid is an orphan).
     """
     path = os.path.join(tempfile.gettempdir(),
-                        f"repro-mp-manifest-{pid}.json")
+                        f"repro-mp-manifest-{pid}.journal")
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            lines = handle.read().split("\n")
     except (OSError, ValueError):
         return None
-    segments = payload.get("segments")
-    if not isinstance(segments, list):
-        return None
-    return {str(name) for name in segments}
+    owned: set[str] = set()
+    for line in lines[:-1]:
+        if line.startswith("+"):
+            owned.add(line[1:])
+        elif line.startswith("-"):
+            owned.discard(line[1:])
+    return owned
 
 
 def leaked_segments() -> list[str]:

@@ -7,10 +7,12 @@ trace is untouched), while :class:`~repro.exec.mp.MpBackend` claims
 stages and runs their tasks on a real ``multiprocessing`` worker pool
 with shared-memory Deca pages.
 
-The protocol is deliberately coarse — a backend takes whole *stages*,
-not tasks — because a stage is the natural fork point: everything a
-task needs (lineage, closures, parent map outputs, cached blocks) is
-driver state at stage start, so a forked pool inherits it for free.
+The protocol is deliberately coarse — a backend is told when a *job*
+begins and ends and takes whole *stages*, not tasks — because the job
+is the natural fork point: lineage, closures and plans are all driver
+state once the stage graph is built, so executors forked there inherit
+them for free and only parent map outputs and cached blocks produced
+*during* the job have to be sent after them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class BackendStats:
     segments_live: int = 0
     mp_stages: int = 0
     mp_tasks: int = 0
+    workers_forked: int = 0
     worker_deaths: int = 0
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -62,6 +65,7 @@ class BackendStats:
             "segments_live": self.segments_live,
             "mp_stages": self.mp_stages,
             "mp_tasks": self.mp_tasks,
+            "workers_forked": self.workers_forked,
             "worker_deaths": self.worker_deaths,
         }
         out.update(self.extra)
@@ -76,6 +80,14 @@ class ExecutionBackend:
     def __init__(self, ctx: "DecaContext") -> None:
         self.ctx = ctx
         self.stats = BackendStats(backend=self.name)
+
+    def begin_job(self, stages: "list[Stage]",
+                  func: Callable[[Iterator], Any]) -> None:
+        """A job is about to run *stages* (map stages in execution
+        order, then the result stage *func* is applied in)."""
+
+    def end_job(self) -> None:
+        """The job begun last is over — finished, failed or interrupted."""
 
     def run_map_stage(self, scheduler: "Scheduler", stage: "Stage",
                       stage_metrics: "StageMetrics",

@@ -1,17 +1,29 @@
 """The multiprocess execution backend (driver side).
 
-``MpBackend`` claims every stage and runs its tasks on a pool of
-**forked** worker processes.  Forking at stage start is the whole trick:
-the workers inherit the driver's RDD graph (closures included), the
-shuffle store with every registered parent block, the backend's shared
-cache tables and the optimizer's plans — a task ships as a bare split
-index, and a decomposed block ships back as a
+``MpBackend`` claims every stage and runs its tasks on **job-scoped
+executors**: ``mp_workers`` processes forked once per job, when the
+scheduler has built the job's stage graph (:meth:`MpBackend.begin_job`),
+and reaped when the job ends, however it ends
+(:meth:`MpBackend.end_job`).  Forking is what ships the code: a worker
+inherits the driver's RDD graph (closures included), every stage's
+shuffle plan, the shuffle store and the backend's cache table as of job
+start.  What changes afterwards reaches it over its own duplex pipe —
+each stage the driver sends every worker one small :class:`StageOrder`
+(stage id, splits, attempt numbers, fault plans) carrying the *delta*
+since that worker last heard: the outputs earlier stages registered and
+the cache blocks that went cold, which the worker folds into its
+inherited tables with the same :meth:`JobState.register` the driver
+used.  A decomposed block ships back as a
 :class:`~repro.exec.shm.SegmentRef` naming the shared-memory pages the
 worker packed it into.  Record payloads cross process boundaries either
 in place (shared segments, counted as ``bytes_shared``) or, for
 object-form plans, through one explicit pickle (counted as
 ``bytes_pickled_records`` — the serialization tax the paper's
 decomposition eliminates).
+
+Executors do not outlive the job: closures travel by ``fork`` (stdlib
+pickle cannot carry the apps' lambdas), so a worker can only run lineage
+that existed when it was forked.
 
 Determinism: task *results* are bitwise identical to the sim backend
 (the workers run the same data-plane code in the same per-split order),
@@ -26,10 +38,11 @@ Fault handling mirrors the simulated scheduler where the physics allow:
   own attempt segments and reports the failure (graceful; retried with
   the attempt counter rotating the executor assignment);
 * an injected ``executor-crash`` makes the worker ``_exit`` without
-  reporting — the driver detects the dead process, **sweeps the
-  attempt's orphan segments by deterministic name prefix**, and retries;
+  reporting — the driver sees the pipe hang up and the process sentinel
+  fire, **sweeps the attempt's orphan segments by deterministic name
+  prefix**, forks a replacement from its current state and retries;
 * ``max_task_failures`` aborts the stage exactly like the sim path;
-* a wave that stops making progress is killed at
+* a stage that stops making progress is killed at
   ``mp_stage_timeout_s`` (the CI hang guard's backstop).
 """
 
@@ -42,7 +55,7 @@ import itertools
 import pickle
 import time
 from dataclasses import dataclass, field
-from queue import Empty
+from multiprocessing import connection, resource_tracker
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
 from ..errors import ExecutionError, StageAbortError, TaskKilledError
@@ -53,9 +66,12 @@ from .backend import ExecutionBackend
 from .shm import (SEGMENT_PREFIX, SegmentRef, ShmSegmentRegistry,
                   read_segment_records, shm_available, sweep_segments,
                   unlink_segment)
-from .worker import (CacheBlockOut, TaskFailure, TaskOutput, worker_main)
+from .worker import (CacheBlockOut, StageOrder, TaskFailure, TaskOutput,
+                     worker_main)
 
 if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
+
     from ..spark.context import DecaContext
     from ..spark.metrics import JobMetrics, StageMetrics
     from ..spark.scheduler import DAGScheduler, Stage
@@ -63,6 +79,10 @@ if TYPE_CHECKING:
 #: Distinguishes segment namespaces when one interpreter builds several
 #: mp contexts (tests): names stay deterministic *per context order*.
 _RUN_IDS = itertools.count()
+
+#: How long a worker gets to exit after each of: being asked to return,
+#: SIGTERM.  SIGKILL follows and is waited for without a limit.
+_REAP_GRACE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -109,23 +129,119 @@ class CacheEntry:
 
 
 @dataclass
-class StageState:
-    """Driver state snapshot a stage's forked workers execute against."""
+class JobState:
+    """The driver state a job's executors are forked from.
+
+    ``shuffle_meta`` and ``cache_blocks`` are the backend's own tables
+    and ``ctx.shuffle_store`` the context's: each process mutates its
+    copy through :meth:`register` — the driver when a task reports, a
+    worker when the same output reaches it in an order's delta — so all
+    copies move through the same states in the same order.
+    """
 
     ctx: "DecaContext"
-    stage: "Stage"
-    is_map_stage: bool
-    result_func: Callable | None
-    shuffle_plan: Any
+    # stage_id -> (stage, its shuffle plan; None for the result stage).
+    stages: dict[int, tuple["Stage", Any]]
+    result_func: Callable[[Iterator], Any]
     shuffle_meta: dict[int, ShuffleMeta]
     cache_blocks: dict[tuple[int, int], CacheEntry]
-    fault_plans: dict[int, Any]
-    attempts: dict[int, int]
-    num_executors: int
     run_tag: str
-    # worker_id -> {"actor": ..., "clock": ...} fork snapshots (race
-    # sanitizer; empty unless config.sanitize).
-    vclock_snapshots: dict[int, dict] = field(default_factory=dict)
+
+    def register(self, stage_id: int, out: TaskOutput,
+                 owner: "MpBackend | None" = None) -> None:
+        """Fold one task's reported blocks into the shuffle store and
+        the cache table.
+
+        *owner* is the driver's backend: only it adopts segments into the
+        registry, charges arenas, counts bytes and unlinks what a newer
+        block replaces.  A worker passes ``None`` and merely learns where
+        the blocks are.
+        """
+        ctx = self.ctx
+        stage, plan = self.stages[stage_id]
+        dep = stage.shuffle_dep
+        for mb in out.map_blocks:
+            assert dep is not None
+            if mb.ref is not None:
+                if owner is not None:
+                    owner._adopt_segment(mb.ref, out.executor_id)
+                meta = self.shuffle_meta[dep.shuffle_id]
+                block = MapOutputBlock(
+                    records=None, nbytes=mb.nbytes, objects=mb.objects,
+                    executor_id=out.executor_id, decomposed=True,
+                    merge_penalty_bytes=mb.merge_penalty_bytes,
+                    shm_ref=mb.ref, shm_schema=meta.schema,
+                    shm_decode=meta.decode, shm_tag=meta.tag)
+            else:
+                assert mb.blob is not None
+                if owner is not None:
+                    owner.stats.bytes_pickled_records += len(mb.blob)
+                block = MapOutputBlock(
+                    records=pickle.loads(mb.blob), nbytes=mb.nbytes,
+                    objects=mb.objects, executor_id=out.executor_id,
+                    decomposed=plan.decomposed,
+                    merge_penalty_bytes=mb.merge_penalty_bytes)
+            ctx.shuffle_store.register(dep.shuffle_id, out.split,
+                                       mb.reduce_part, block)
+        for cb in out.cache_blocks:
+            key = (cb.rdd_id, cb.split)
+            existing = self.cache_blocks.get(key)
+            if existing is not None and not existing.cold:
+                # Already materialized by an earlier task (cannot happen
+                # within a stage; defensive for replays): keep the first.
+                if (owner is not None and cb.ref is not None
+                        and cb.ref.name is not None):
+                    unlink_segment(cb.ref.name)
+                continue
+            if owner is not None:
+                # A recomputed block replaces the demoted entry and its
+                # stale segment; the fresh one is adopted in its place.
+                owner._account_cache_block(cb, existing, out.executor_id)
+            self.cache_blocks[key] = self._cache_entry(cb)
+
+    def _cache_entry(self, cb: CacheBlockOut) -> CacheEntry:
+        ctx = self.ctx
+        rdd = ctx._rdds.get(cb.rdd_id)
+        plan = ctx.plan_cache(rdd) if rdd is not None else None
+        schema = plan.schema if plan is not None else None
+        decode = plan.decode if plan is not None else None
+        if cb.kind == "shm":
+            assert cb.ref is not None
+            return CacheEntry(kind="shm", count=cb.count, ref=cb.ref,
+                              schema=schema, decode=decode)
+        assert cb.blob is not None
+        if cb.kind == "packed":
+            return CacheEntry(kind="packed", count=cb.count, blob=cb.blob,
+                              schema=schema, decode=decode)
+        return CacheEntry(kind="records", count=cb.count,
+                          records=pickle.loads(cb.blob))
+
+
+@dataclass
+class _Executor:
+    """The driver's handle on one forked job executor."""
+
+    worker_id: int
+    proc: "BaseProcess"
+    conn: "connection.Connection"
+    # Race-sanitizer actor name (unique per fork).
+    actor: str
+    # How much of the job's delta log this worker has been sent.
+    cursor: int
+    # The stage it was last ordered into, and split -> attempt for what
+    # it was ordered to run there and has not reported yet.
+    stage_id: int = -1
+    outstanding: dict[int, int] = field(default_factory=dict)
+
+
+@dataclass
+class _Job:
+    """One job's executors and what they have to be told."""
+
+    state: JobState
+    # Append-only: ("out", stage_id, TaskOutput) / ("cold", key, None).
+    delta: list[tuple[str, Any, Any]] = field(default_factory=list)
+    workers: dict[int, _Executor] = field(default_factory=dict)
 
 
 @dataclass
@@ -155,6 +271,11 @@ class MpBackend(ExecutionBackend):
             raise ExecutionError(
                 "execution_backend='mp' needs the fork start method")
         self._mp = multiprocessing.get_context("fork")
+        # The driver owns the one resource tracker and every worker
+        # inherits it.  A worker forked before the driver has one finds
+        # nothing to inherit and fork+execs an interpreter of its own on
+        # its first segment, on the job's clock.
+        resource_tracker.ensure_running()
         self.run_tag = f"{SEGMENT_PREFIX}-{os.getpid()}-{next(_RUN_IDS)}"
         self.num_workers = (ctx.config.mp_workers
                             or ctx.config.num_executors)
@@ -167,10 +288,7 @@ class MpBackend(ExecutionBackend):
         self.cache_blocks: dict[tuple[int, int], CacheEntry] = {}
         self._cache_segments: dict[int, list[str]] = {}
         self._segment_owner: dict[str, int] = {}
-        # Race-sanitizer bookkeeping for the current wave: worker_id ->
-        # actor name, split -> owning worker_id.
-        self._wave_actors: dict[int, str] = {}
-        self._split_worker: dict[int, int] = {}
+        self._job: _Job | None = None
 
     # -- arena accounting -----------------------------------------------------
     def _charge_segment(self, ref: SegmentRef, executor_id: int) -> None:
@@ -200,50 +318,146 @@ class MpBackend(ExecutionBackend):
         self.stats.bytes_shared += ref.nbytes
         self.stats.segments_live = len(self.registry)
 
-    # -- the backend protocol -------------------------------------------------
-    def run_map_stage(self, scheduler: "DAGScheduler", stage: "Stage",
-                      stage_metrics: "StageMetrics",
-                      job_metrics: "JobMetrics",
-                      stage_start: float) -> bool:
-        dep = stage.shuffle_dep
-        assert dep is not None
+    def _account_cache_block(self, cb: CacheBlockOut,
+                             replaced: CacheEntry | None,
+                             executor_id: int) -> None:
+        """Driver-side bookkeeping for a cache block entering the table
+        (see :meth:`JobState.register`)."""
+        if (replaced is not None and replaced.ref is not None
+                and replaced.ref.name is not None):
+            self.registry.release(replaced.ref.name)
+            self._cache_segments[cb.rdd_id].remove(replaced.ref.name)
+        if cb.ref is None:
+            assert cb.blob is not None
+            self.stats.bytes_pickled_records += len(cb.blob)
+        elif cb.ref.name is not None:
+            self._adopt_segment(cb.ref, executor_id)
+            self._cache_segments.setdefault(cb.rdd_id, []).append(
+                cb.ref.name)
+
+    # -- the job lifecycle ----------------------------------------------------
+    def begin_job(self, stages: "list[Stage]",
+                  func: Callable[[Iterator], Any]) -> None:
+        """Plan every stage of the job, then fork its executors — once.
+
+        Planning first is what lets a worker serve the whole job from
+        one fork: each stage's shuffle plan and the decode metadata of
+        every shuffle are inherited, so an order only has to name the
+        stage.
+        """
         ctx = self.ctx
-        plan = ctx.plan_shuffle(dep)
-        info = dep.parent.udt_info
-        if (dep.shuffle_id not in self.shuffle_meta and plan.decomposed
-                and plan.schema is not None):
+        plans: dict[int, tuple["Stage", Any]] = {}
+        for stage in stages:
+            dep = stage.shuffle_dep
+            if dep is None:
+                plans[stage.stage_id] = (stage, None)
+                continue
+            plan = ctx.plan_shuffle(dep)
+            plans[stage.stage_id] = (stage, plan)
+            # The scheduler sets this again at stage start — too late
+            # for a reader forked now.
+            ctx.shuffle_store.set_map_parts(dep.shuffle_id, stage.num_tasks)
+            if (dep.shuffle_id in self.shuffle_meta
+                    or not plan.decomposed or plan.schema is None):
+                continue
+            info = dep.parent.udt_info
             self.shuffle_meta[dep.shuffle_id] = ShuffleMeta(
                 schema=plan.schema,
                 encode=plan.encode or (lambda value: value),
                 decode=info.decode if info is not None else None,
                 tag=dep.tag)
+        job = self._job = _Job(JobState(
+            ctx=ctx, stages=plans, result_func=func,
+            shuffle_meta=self.shuffle_meta, cache_blocks=self.cache_blocks,
+            run_tag=self.run_tag))
+        width = max(stage.num_tasks for stage in stages)
+        for worker_id in range(max(1, min(self.num_workers, width))):
+            self._spawn(job, worker_id)
+
+    def end_job(self) -> None:
+        """Reap the job's executors (also on the way out of a failed or
+        interrupted job: busy ones are killed, their segments swept)."""
+        job, self._job = self._job, None
+        if job is not None:
+            for worker in list(job.workers.values()):
+                self._retire(job, worker)
+
+    def _spawn(self, job: _Job, worker_id: int) -> None:
+        """Fork one executor from the driver's state as of now.
+
+        The only spawn site: job start and the replacement of a dead
+        worker both come here.  The child has everything registered so
+        far, so its delta cursor starts at the end of the log.
+        """
+        ctx = self.ctx
+        actor = f"w{self.stats.workers_forked}"
+        seed = None
+        if ctx.vclock is not None:
+            # Fork edge: the worker's checker starts from a snapshot of
+            # the driver clock taken before the fork.
+            seed = {"actor": actor, "clock": ctx.vclock.fork(actor)}
+        driver_end, worker_end = self._mp.Pipe()
+        # The child must not hold the driver's pipe ends (its own or its
+        # siblings'), or it would never see the driver hang up.
+        inherited = [driver_end] + [w.conn for w in job.workers.values()]
+        proc = self._mp.Process(
+            target=_worker_entry,
+            args=(job.state, worker_id, worker_end, seed, inherited),
+            daemon=True)
+        proc.start()
+        # Likewise the driver: with the worker's end open only in the
+        # worker, its death reads as EOF on the driver's end.
+        worker_end.close()
+        job.workers[worker_id] = _Executor(worker_id, proc, driver_end,
+                                           actor, cursor=len(job.delta))
+        self.stats.workers_forked += 1
+
+    def _retire(self, job: _Job, worker: _Executor) -> int | None:
+        """Take one executor out of the job; returns its exit code.
+
+        An idle worker is asked to return (so ``worker_main`` unwinds and
+        whatever wraps it runs); a busy or deaf one is terminated, then
+        killed.  Only once the process is confirmed dead are the segments
+        of its unreported attempts swept by name prefix.
+        """
+        ctx = self.ctx
+        job.workers.pop(worker.worker_id, None)
+        proc = worker.proc
+        if not worker.outstanding:
+            try:
+                worker.conn.send(None)
+            except OSError:     # it died idle; nothing to ask
+                pass
+            proc.join(timeout=_REAP_GRACE_S)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=_REAP_GRACE_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        if ctx.vclock is not None:
+            # Death confirmed (joined corpse): the actor leaves the live
+            # set before any orphan sweep.
+            ctx.vclock.exit_actor(worker.actor)
+        for split, attempt in sorted(worker.outstanding.items()):
+            prefix = self._attempt_prefix(worker.stage_id, split, attempt)
+            sweep_segments(prefix)
+            if ctx.vclock is not None:
+                ctx.vclock.note_sweep(prefix, owner=worker.actor)
+        exitcode: int | None = proc.exitcode
+        worker.conn.close()
+        proc.close()
+        return exitcode
+
+    # -- the backend protocol -------------------------------------------------
+    def run_map_stage(self, scheduler: "DAGScheduler", stage: "Stage",
+                      stage_metrics: "StageMetrics",
+                      job_metrics: "JobMetrics",
+                      stage_start: float) -> bool:
         outputs = self._run_stage(scheduler, stage, stage_metrics,
-                                  job_metrics, stage_start,
-                                  shuffle_plan=plan)
-        meta = self.shuffle_meta.get(dep.shuffle_id)
+                                  job_metrics, stage_start)
         for split in sorted(outputs):
-            out = outputs[split]
-            for mb in out.map_blocks:
-                if mb.ref is not None:
-                    self._adopt_segment(mb.ref, out.executor_id)
-                    assert meta is not None
-                    block = MapOutputBlock(
-                        records=None, nbytes=mb.nbytes, objects=mb.objects,
-                        executor_id=out.executor_id, decomposed=True,
-                        merge_penalty_bytes=mb.merge_penalty_bytes,
-                        shm_ref=mb.ref, shm_schema=meta.schema,
-                        shm_decode=meta.decode, shm_tag=meta.tag)
-                else:
-                    assert mb.blob is not None
-                    self.stats.bytes_pickled_records += len(mb.blob)
-                    block = MapOutputBlock(
-                        records=pickle.loads(mb.blob), nbytes=mb.nbytes,
-                        objects=mb.objects, executor_id=out.executor_id,
-                        decomposed=plan.decomposed,
-                        merge_penalty_bytes=mb.merge_penalty_bytes)
-                ctx.shuffle_store.register(dep.shuffle_id, split,
-                                           mb.reduce_part, block)
-            self._register_caches(out)
+            self._register(stage, outputs[split])
         return True
 
     def run_result_stage(self, scheduler: "DAGScheduler", stage: "Stage",
@@ -252,77 +466,40 @@ class MpBackend(ExecutionBackend):
                          job_metrics: "JobMetrics",
                          stage_start: float) -> list | None:
         outputs = self._run_stage(scheduler, stage, stage_metrics,
-                                  job_metrics, stage_start,
-                                  result_func=func)
+                                  job_metrics, stage_start)
         results: list[Any] = []
         ctx = self.ctx
         for split in range(stage.num_tasks):
             out = outputs[split]
             assert out.result_blob is not None
             if ctx.vclock is not None:
-                # The producer's notes were absorbed at the wave barrier
-                # in _run_stage, so this consume has its edge.
+                # The producer's notes were absorbed at the barrier in
+                # _run_stage, so this consume has its edge.
                 ctx.vclock.note_result_consumed(
                     f"t{stage.stage_id}.{split}.{out.attempt}")
             self.stats.bytes_pickled_results += len(out.result_blob)
             results.append(pickle.loads(out.result_blob))
-            self._register_caches(out)
+            self._register(stage, out)
         return results
 
-    def _register_caches(self, out: TaskOutput) -> None:
-        ctx = self.ctx
-        for cb in out.cache_blocks:
-            key = (cb.rdd_id, cb.split)
-            existing = self.cache_blocks.get(key)
-            if existing is not None:
-                if not existing.cold:
-                    # Already materialized by an earlier task (cannot
-                    # happen within a stage; defensive for replays):
-                    # keep the first.
-                    if cb.ref is not None and cb.ref.name is not None:
-                        unlink_segment(cb.ref.name)
-                    continue
-                # A demoted block was recomputed: the fresh bytes
-                # replace the cold entry and its stale segment.
-                if existing.ref is not None \
-                        and existing.ref.name is not None:
-                    self.registry.release(existing.ref.name)
-                    segs = self._cache_segments.get(cb.rdd_id)
-                    if segs is not None and existing.ref.name in segs:
-                        segs.remove(existing.ref.name)
-            self.cache_blocks[key] = self._cache_entry(cb, out.executor_id)
-
-    def _cache_entry(self, cb: CacheBlockOut, executor_id: int
-                     ) -> CacheEntry:
-        ctx = self.ctx
-        rdd = ctx._rdds.get(cb.rdd_id)
-        plan = ctx.plan_cache(rdd) if rdd is not None else None
-        schema = plan.schema if plan is not None else None
-        decode = plan.decode if plan is not None else None
-        if cb.kind == "shm":
-            assert cb.ref is not None
-            if cb.ref.name is not None:
-                self._adopt_segment(cb.ref, executor_id)
-                self._cache_segments.setdefault(cb.rdd_id, []).append(
-                    cb.ref.name)
-            return CacheEntry(kind="shm", count=cb.count, ref=cb.ref,
-                              schema=schema, decode=decode)
-        assert cb.blob is not None
-        self.stats.bytes_pickled_records += len(cb.blob)
-        if cb.kind == "packed":
-            return CacheEntry(kind="packed", count=cb.count, blob=cb.blob,
-                              schema=schema, decode=decode)
-        return CacheEntry(kind="records", count=cb.count,
-                          records=pickle.loads(cb.blob))
+    def _register(self, stage: "Stage", out: TaskOutput) -> None:
+        """Register *out* driver-side and log it for the workers."""
+        job = self._job
+        assert job is not None
+        job.state.register(stage.stage_id, out, owner=self)
+        job.delta.append(("out", stage.stage_id, dataclasses.replace(
+            out, result_blob=None, events=[], vclock_notes=None)))
 
     def demote_block(self, key: tuple[int, int]) -> None:
-        """Mark a block cold: forked workers recompute it from lineage
-        instead of resolving the shared-memory copy (the driver's cache
-        moved the authoritative bytes into the mmap tier)."""
+        """Mark a block cold: workers recompute it from lineage instead
+        of resolving the shared-memory copy (the driver's cache moved the
+        authoritative bytes into the mmap tier)."""
         entry = self.cache_blocks.get(key)
         if entry is None or entry.cold:
             return
         entry.cold = True
+        if self._job is not None:
+            self._job.delta.append(("cold", key, None))
         if (self.ctx.ledger is not None and entry.ref is not None
                 and entry.ref.name is not None):
             self.ctx.ledger.note_demote("segment", entry.ref.name)
@@ -345,15 +522,18 @@ class MpBackend(ExecutionBackend):
         self.registry.release_all()
         self.stats.segments_live = 0
 
-    # -- the wave engine ------------------------------------------------------
+    # -- running one stage ----------------------------------------------------
     def _run_stage(self, scheduler: "DAGScheduler", stage: "Stage",
                    stage_metrics: "StageMetrics",
                    job_metrics: "JobMetrics", stage_start: float,
-                   shuffle_plan: Any = None,
-                   result_func: Callable | None = None,
                    ) -> dict[int, TaskOutput]:
         ctx = self.ctx
         cfg = ctx.config
+        job = self._job
+        if job is None or stage.stage_id not in job.state.stages:
+            raise ExecutionError(
+                f"mp stage {stage.stage_id} is not part of a running job "
+                "(begin_job plans the stages its executors can serve)")
         injector = ctx.fault_injector
         recovery = job_metrics.recovery
         pending: dict[int, int] = {s: 0 for s in range(stage.num_tasks)}
@@ -376,52 +556,32 @@ class MpBackend(ExecutionBackend):
                                               pending[split])
                     if plan is not None:
                         fault_plans[split] = plan
-            state = StageState(
-                ctx=ctx, stage=stage,
-                is_map_stage=result_func is None,
-                result_func=result_func, shuffle_plan=shuffle_plan,
-                shuffle_meta=self.shuffle_meta,
-                cache_blocks=self.cache_blocks,
-                fault_plans=fault_plans, attempts=dict(pending),
-                num_executors=len(ctx.executors), run_tag=self.run_tag)
-            nworkers = max(1, min(self.num_workers, len(wave)))
-            assignments = [wave[w::nworkers] for w in range(nworkers)]
-            self._wave_actors = {}
-            self._split_worker = {}
-            if ctx.vclock is not None:
-                # Fork edges: each worker's checker starts from a
-                # snapshot of the driver clock taken before the fork.
-                for worker_id, splits in enumerate(assignments):
-                    actor = f"w{stage.stage_id}.{waves}.{worker_id}"
-                    self._wave_actors[worker_id] = actor
-                    for split in splits:
-                        self._split_worker[split] = worker_id
-                    state.vclock_snapshots[worker_id] = {
-                        "actor": actor,
-                        "clock": ctx.vclock.fork(actor)}
-            queue = self._mp.Queue()
-            procs = []
-            for worker_id, splits in enumerate(assignments):
-                proc = self._mp.Process(
-                    target=worker_main,
-                    args=(state, worker_id, splits, queue), daemon=True)
-                proc.start()
-                procs.append(proc)
-            oks, fails, deaths = self._gather(procs, queue, assignments,
-                                              stage, pending, deadline)
+            nworkers = min(len(job.workers), len(wave))
+            for worker_id in range(nworkers):
+                worker = job.workers[worker_id]
+                splits = wave[worker_id::nworkers]
+                order = StageOrder(
+                    stage_id=stage.stage_id,
+                    attempts={s: pending[s] for s in splits},
+                    fault_plans={s: fault_plans[s] for s in splits
+                                 if s in fault_plans},
+                    delta=job.delta[worker.cursor:],
+                    # Send edge: what the driver did before this order
+                    # happens-before everything the worker does under it.
+                    vclock=(ctx.vclock.send()
+                            if ctx.vclock is not None else None))
+                worker.cursor = len(job.delta)
+                worker.stage_id = stage.stage_id
+                worker.outstanding = dict(order.attempts)
+                try:
+                    worker.conn.send(order)
+                except OSError:
+                    pass    # died idle: _gather finds the corpse
+            oks, fails, deaths = self._gather(job, stage, deadline)
             # One process death is one lost executor, however many of
             # its assigned tasks went down with it.
             recovery.executors_lost += deaths
             self.stats.worker_deaths += deaths
-            queue.close()
-            for proc in procs:
-                proc.join(timeout=5.0)
-            if ctx.vclock is not None:
-                # The wave barrier: every worker is joined, so all of
-                # them are dead by the time the next wave (or a sweep
-                # outside _gather) runs.
-                for actor in self._wave_actors.values():
-                    ctx.vclock.exit_actor(actor)
             self.stats.mp_tasks += len(oks) + len(fails)
             for out in oks:
                 if ctx.vclock is not None and out.vclock_notes is not None:
@@ -448,20 +608,6 @@ class MpBackend(ExecutionBackend):
                     duration_ms=fail.duration_ms, events=fail.events))
                 recovery.task_failures += 1
                 failures[split] += 1
-                if fail.status == "executor-lost":
-                    # The dead worker reported nothing: sweep whatever
-                    # the attempt managed to pack before dying.  The
-                    # vclock saw the death confirmation in _gather
-                    # (exit_actor), so the owner is provably dead here.
-                    prefix = self._attempt_prefix(stage, split,
-                                                  fail.attempt)
-                    sweep_segments(prefix)
-                    if ctx.vclock is not None:
-                        owner_id = self._split_worker.get(split)
-                        ctx.vclock.note_sweep(
-                            prefix,
-                            owner=self._wave_actors.get(owner_id)
-                            if owner_id is not None else None)
                 if fail.status == "error":
                     # Non-injected failures are driver errors, as in the
                     # sim path (which only retries injected fault kinds).
@@ -482,9 +628,9 @@ class MpBackend(ExecutionBackend):
                     real_start, waves)
         return outputs
 
-    def _attempt_prefix(self, stage: "Stage", split: int,
+    def _attempt_prefix(self, stage_id: int, split: int,
                         attempt: int) -> str:
-        return f"{self.run_tag}-t{stage.stage_id}p{split}a{attempt}-"
+        return f"{self.run_tag}-t{stage_id}p{split}a{attempt}-"
 
     def _flush(self, scheduler: "DAGScheduler",
                stage_metrics: "StageMetrics",
@@ -526,86 +672,73 @@ class MpBackend(ExecutionBackend):
         for executor in ctx.executors:
             executor.clock.advance_to(stage_start + elapsed_ms)
 
-    def _gather(self, procs: list, queue: Any,
-                assignments: list[list[int]], stage: "Stage",
-                pending: dict[int, int], deadline: float,
+    def _gather(self, job: _Job, stage: "Stage", deadline: float,
                 ) -> tuple[list[TaskOutput], list[TaskFailure], int]:
-        """Drain one wave's result queue until every worker is accounted
-        for — by its "done" sentinel or by its corpse.  Returns the
-        wave's outputs, failures and the count of workers that died."""
+        """The stage barrier: wait until every ordered worker has
+        reported all its splits — or is a corpse.
+
+        One ``connection.wait`` over the busy workers' pipes and process
+        sentinels, bounded by the stage deadline: an outcome, a hang-up
+        and an exit all wake it at once.  A dead worker's unreported
+        splits come back as ``executor-lost`` failures and a fresh fork
+        takes its place before the retry wave.  Returns the wave's
+        outputs, failures and the count of workers that died.
+        """
         oks: list[TaskOutput] = []
         fails: list[TaskFailure] = []
-        done: set[int] = set()
-        reported: set[int] = set()
         deaths = 0
-
-        def dispatch(message: tuple) -> None:
-            kind, payload = message
-            if kind == "ok":
-                oks.append(payload)
-                reported.add(payload.split)
-            elif kind == "fail":
-                fails.append(payload)
-                reported.add(payload.split)
-            else:  # "done"
-                done.add(payload)
-
-        while len(done) < len(procs):
-            if time.monotonic() >= deadline:
-                for proc in procs:
-                    proc.terminate()
-                for proc in procs:
-                    proc.join(timeout=5.0)
-                if self.ctx.vclock is not None:
-                    # Every worker was just terminated and joined.
-                    for actor in self._wave_actors.values():
-                        self.ctx.vclock.exit_actor(actor)
-                for split, attempt in sorted(pending.items()):
-                    if split not in reported:
-                        sweep_segments(
-                            self._attempt_prefix(stage, split, attempt))
+        while True:
+            busy = [w for w in job.workers.values() if w.outstanding]
+            if not busy:
+                return oks, fails, deaths
+            waitables: list[Any] = [w.conn for w in busy]
+            waitables += [w.proc.sentinel for w in busy]
+            ready = connection.wait(
+                waitables, max(0.0, deadline - time.monotonic()))
+            if not ready:
+                for worker in list(job.workers.values()):
+                    self._retire(job, worker)
                 raise ExecutionError(
                     f"mp stage {stage.stage_id} exceeded "
                     f"mp_stage_timeout_s="
                     f"{self.ctx.config.mp_stage_timeout_s}")
-            try:
-                dispatch(queue.get(timeout=0.05))
-                continue
-            except Empty:
-                pass
-            for worker_id, proc in enumerate(procs):
-                if worker_id in done or proc.is_alive():
+            for worker in busy:
+                if (worker.conn not in ready
+                        and worker.proc.sentinel not in ready):
                     continue
-                if proc.exitcode is None:
+                try:
+                    # Everything it managed to send, a dead worker's
+                    # last words included.
+                    while worker.outstanding and worker.conn.poll():
+                        kind, outcome = worker.conn.recv()
+                        (oks if kind == "ok" else fails).append(outcome)
+                        del worker.outstanding[outcome.split]
+                    dead = not worker.proc.is_alive()
+                except (EOFError, OSError):
+                    dead = True
+                if not (dead and worker.outstanding):
                     continue
-                # The worker exited without its sentinel reaching us yet:
-                # drain any messages it flushed before dying, then treat
-                # what is still unreported as lost with the process.
-                while True:
-                    try:
-                        dispatch(queue.get(timeout=0.05))
-                    except Empty:
-                        break
-                if worker_id in done:
-                    continue
-                done.add(worker_id)
                 deaths += 1
-                if self.ctx.vclock is not None:
-                    # Death confirmed (corpse with an exit code): the
-                    # actor leaves the live set before any orphan sweep.
-                    actor = self._wave_actors.get(worker_id)
-                    if actor is not None:
-                        self.ctx.vclock.exit_actor(actor)
-                for split in assignments[worker_id]:
-                    if split in reported:
-                        continue
-                    attempt = pending[split]
-                    reported.add(split)
-                    executor_id = (split + attempt) % len(
-                        self.ctx.executors)
+                lost = dict(worker.outstanding)
+                exitcode = self._retire(job, worker)
+                for split, attempt in lost.items():
                     fails.append(TaskFailure(
                         split=split, attempt=attempt,
-                        executor_id=executor_id, status="executor-lost",
-                        message=f"worker {worker_id} died "
-                                f"(exit {proc.exitcode})"))
-        return oks, fails, deaths
+                        executor_id=(split + attempt) % len(
+                            self.ctx.executors),
+                        status="executor-lost",
+                        message=f"worker {worker.worker_id} died "
+                                f"(exit {exitcode})"))
+                self._spawn(job, worker.worker_id)
+
+
+def _worker_entry(state: JobState, worker_id: int,
+                  conn: "connection.Connection",
+                  vclock_seed: dict[str, Any] | None,
+                  inherited: "list[connection.Connection]") -> None:
+    """What a forked executor process runs."""
+    for driver_end in inherited:
+        driver_end.close()
+    # Looked up now, in the child: whoever wrapped ``worker_main`` in
+    # this module (benchmarks/perf's traced run) is what runs.
+    worker_main(state, worker_id, conn, vclock_seed)

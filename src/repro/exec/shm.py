@@ -30,7 +30,6 @@ Lifecycle rules (mirroring page-info reference counting, §4.3.3):
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import tempfile
 import threading
@@ -258,42 +257,56 @@ def read_segment_records(ref: SegmentRef, schema: Schema,
 #: Names the atexit sweep still has to unlink, across every registry in
 #: the process (a test may build several contexts).
 _PENDING_UNLINK: set[str] = set()
+_JOURNAL_LOCK = threading.Lock()
 _ATEXIT_ARMED = False
 
 
 def manifest_path(pid: int | None = None) -> str:
-    """The per-process registry manifest under the temp dir.
+    """The per-process segment journal under the temp dir.
 
-    The manifest mirrors ``_PENDING_UNLINK``: every segment this process
-    still owns.  ``scripts/check_mp_leaks.py`` uses it to catch the
+    The journal mirrors ``_PENDING_UNLINK``: one ``+name`` line when this
+    process takes ownership of a segment, one ``-name`` line when it lets
+    go, so replaying the file yields every segment the process still
+    owns.  ``scripts/check_mp_leaks.py`` replays it to catch the
     *live-creator* orphan — a linked segment whose creating process is
     alive but whose registry entry is gone, so nothing will ever unlink
     it (a dead-pid check alone cannot see this leak).
     """
     return os.path.join(tempfile.gettempdir(),
-                        f"repro-mp-manifest-{pid or os.getpid()}.json")
+                        f"repro-mp-manifest-{pid or os.getpid()}.journal")
 
 
-def _write_manifest() -> None:
-    """Persist the owned-segment set (best-effort; removed when empty)."""
-    path = manifest_path()
-    try:
-        if not _PENDING_UNLINK:
-            if os.path.exists(path):
+def _journal(sign: str, name: str) -> None:
+    """Apply one ownership change to ``_PENDING_UNLINK`` and append it to
+    the journal: O(1) however many segments are live.  Best-effort on the
+    file side; the file is removed when the owned set empties, so it
+    never outgrows one run's operations."""
+    with _JOURNAL_LOCK:
+        if sign == "+":
+            _PENDING_UNLINK.add(name)
+        else:
+            _PENDING_UNLINK.discard(name)
+        path = manifest_path()
+        try:
+            if not _PENDING_UNLINK:
                 os.unlink(path)
-            return
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"pid": os.getpid(),
-                       "segments": sorted(_PENDING_UNLINK)}, handle)
-    except OSError:  # pragma: no cover - tmpdir trouble must not kill a run
-        pass
+                return
+            # One O_APPEND write per line: a reader never sees a line
+            # interleaved with another, at worst a torn last one.
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                         0o600)
+            try:
+                os.write(fd, f"{sign}{name}\n".encode())
+            finally:
+                os.close(fd)
+        except OSError:  # tmpdir trouble must not kill a run
+            pass
 
 
 def _sweep_at_exit() -> None:
     for name in sorted(_PENDING_UNLINK):
         unlink_segment(name)
-    _PENDING_UNLINK.clear()
-    _write_manifest()
+        _journal("-", name)
 
 
 def _arm_atexit() -> None:
@@ -344,10 +357,8 @@ def sweep_segments(prefix: str) -> list[str]:
     swept = []
     for name in list_segments(prefix):
         if unlink_segment(name):
-            _PENDING_UNLINK.discard(name)
+            _journal("-", name)
             swept.append(name)
-    if swept:
-        _write_manifest()
     return swept
 
 
@@ -402,8 +413,7 @@ class ShmSegmentRegistry:
             self.ledger.note_alloc("segment", ref.name)
         if self.vclock is not None:
             self.vclock.note_create("segment", ref.name)
-        _PENDING_UNLINK.add(ref.name)
-        _write_manifest()
+        _journal("+", ref.name)
 
     def acquire(self, name: str) -> None:
         with self._lock:
@@ -431,8 +441,7 @@ class ShmSegmentRegistry:
         unlink_segment(name)
         if self.vclock is not None:
             self.vclock.note_reclaim("segment", name)
-        _PENDING_UNLINK.discard(name)
-        _write_manifest()
+        _journal("-", name)
         if self.on_unlink is not None:
             self.on_unlink(name, nbytes)
 

@@ -1,10 +1,15 @@
 """Worker-side task execution for the mp backend.
 
-A worker is **forked at stage start**, so it inherits the driver's whole
-object graph: the RDD lineage (closures included — nothing is pickled to
-ship a task), the shuffle store with every parent stage's registered map
-outputs, the backend's cache/segment tables and the optimizer's plans.
-The task payload is just a split index.
+A worker is **forked once per job**, after the job's stage graph is
+planned, so it inherits the driver's whole object graph: the RDD lineage
+(closures included — nothing is pickled to ship a task), every stage's
+shuffle plan, the shuffle store and the backend's cache table as they
+stood at job start.  From then on it serves :class:`StageOrder` messages
+on its pipe: one per stage wave, naming the splits to run and carrying
+the *delta* — what earlier stages of this job registered driver-side
+since the worker last heard — which the worker folds into its inherited
+tables with the driver's own registration function
+(:meth:`repro.exec.mp.JobState.register`).
 
 The worker re-runs the *real data plane* of the simulated engine — the
 same ``rdd.compute`` chains, the same :class:`MapSideWriter` combine
@@ -18,7 +23,7 @@ Outputs leave the worker two ways:
 
 * decomposed shuffle blocks and Deca-page cache blocks are packed into
   shared-memory segments (:mod:`repro.exec.shm`) and only a
-  :class:`~repro.exec.shm.SegmentRef` crosses the queue — zero pickled
+  :class:`~repro.exec.shm.SegmentRef` crosses the pipe — zero pickled
   record bytes;
 * object-form blocks are pickled (and counted — this is exactly the
   serialization cost the paper's decomposition removes).
@@ -39,10 +44,13 @@ from ..spark.faults import EXECUTOR_CRASH, TASK_KILL, TaskFaultPlan
 from ..spark.metrics import TaskMetrics
 from ..spark.scheduler import TaskContext
 from ..spark.shuffle import MapSideWriter, ShuffleBlockStore
-from .shm import SegmentRef, pack_records_segment, read_segment_records
+from .shm import (SegmentRef, pack_records_segment, read_segment_records,
+                  unlink_segment)
 
 if TYPE_CHECKING:
-    from .mp import StageState
+    from multiprocessing.connection import Connection
+
+    from .mp import JobState
 
 #: Exit code a worker uses for an injected executor crash, so the driver
 #: can tell an injected death from an interpreter error.
@@ -60,7 +68,23 @@ def _resolvable(entry: Any) -> bool:
     return entry is not None and not getattr(entry, "cold", False)
 
 
-# -- messages shipped back to the driver -------------------------------------
+# -- messages on the pipe -----------------------------------------------------
+
+@dataclass
+class StageOrder:
+    """The driver's order for one executor's share of one stage wave."""
+
+    stage_id: int
+    # split -> attempt number, in the order the worker runs them.
+    attempts: dict[int, int]
+    fault_plans: dict[int, TaskFaultPlan]
+    # What the driver registered since this worker last heard, oldest
+    # first: ``("out", stage_id, TaskOutput)`` for a task of an earlier
+    # stage, ``("cold", key, None)`` for a demoted cache block.
+    delta: list[tuple[str, Any, Any]]
+    # Send edge (race sanitizer): the driver clock as of this order.
+    vclock: dict[str, int] | None = None
+
 
 @dataclass
 class MapBlockOut:
@@ -235,9 +259,6 @@ class WorkerExecutor:
         self._fault_countdown = 0
 
     def _tick_fault(self) -> None:
-        plan = self._fault_plan
-        if plan is None:
-            return
         if self._fault_countdown > 0:
             self._fault_countdown -= 1
             return
@@ -251,7 +272,9 @@ class WorkerExecutor:
 
     # -- charges (no-ops; the wall clock is the cost model) ------------------
     def charge_compute(self, ms: float) -> None:
-        self._tick_fault()
+        # Called once per record: unarmed, it costs this one check.
+        if self._fault_plan is not None:
+            self._tick_fault()
 
     def charge_disk_write(self, nbytes: int) -> None:
         pass
@@ -279,13 +302,20 @@ class WorkerExecutor:
 # -- the worker loop ----------------------------------------------------------
 
 class _WorkerRuntime:
-    """Per-process state of one forked stage worker."""
+    """Per-process state of one forked job executor."""
 
-    def __init__(self, state: "StageState", worker_id: int) -> None:
+    def __init__(self, state: "JobState", worker_id: int,
+                 vclock_seed: dict[str, Any] | None) -> None:
         self.state = state
         self.worker_id = worker_id
         self.clock = _WallClock()
+        # The stage being served: its plan and this wave's fault plans.
+        self.stage: Any = None
+        self.shuffle_plan: Any = None
+        self.fault_plans: dict[int, TaskFaultPlan] = {}
         # (rdd_id, split) -> records decoded/computed in this process.
+        # It outlives the stage, so a cached block is decoded once per
+        # job; `begin_stage` evicts what the driver has since replaced.
         self.local_cache: dict[tuple[int, int], list] = {}
         # Segment names created by the current attempt (unlinked if the
         # attempt fails gracefully; left for the driver sweep if the
@@ -293,19 +323,42 @@ class _WorkerRuntime:
         self.created: list[str] = []
         self.current_out: TaskOutput | None = None
         self.attempt_tag = ""
-        ctx = state.ctx
         # Race sanitizer: a worker-local checker seeded from the driver's
         # fork snapshot; its notes ship home with every task outcome.
         self.vclock: VClockChecker | None = None
-        seed = state.vclock_snapshots.get(worker_id)
-        if seed is not None:
-            self.vclock = VClockChecker(actor=str(seed["actor"]),
-                                        snapshot=dict(seed["clock"]))
+        if vclock_seed is not None:
+            self.vclock = VClockChecker(
+                actor=str(vclock_seed["actor"]),
+                snapshot=dict(vclock_seed["clock"]))
         # Reroute cache materialization through this worker: blocks come
         # from (or go to) the backend's cross-process tables instead of
         # the simulated per-executor CacheStore.
-        ctx._cached_iterator = (
+        state.ctx._cached_iterator = (
             lambda rdd, split, task: self._cached_iterator(rdd, split, task))
+
+    def begin_stage(self, order: StageOrder) -> None:
+        """Catch up with the driver, then point at the ordered stage."""
+        state = self.state
+        if self.vclock is not None and order.vclock is not None:
+            self.vclock.join("driver", order.vclock)
+        for kind, subject, out in order.delta:
+            if kind == "cold":
+                entry = state.cache_blocks.get(subject)
+                if entry is not None:
+                    entry.cold = True
+                self.local_cache.pop(subject, None)
+                continue
+            state.register(subject, out)
+            for cb in out.cache_blocks:
+                # The table now serves this block (this worker's own
+                # computed records included): later stages decode the
+                # registered bytes, exactly what a sim cache read yields.
+                self.local_cache.pop((cb.rdd_id, cb.split), None)
+        self.stage, self.shuffle_plan = state.stages[order.stage_id]
+        self.fault_plans = order.fault_plans
+        # Task timestamps are relative to the order's arrival; the driver
+        # re-anchors them at its own stage start.
+        self.clock = _WallClock()
 
     # -- shuffle read shim ---------------------------------------------------
     def read_shuffle(self, shuffle_id: int, reduce_part: int) -> Any:
@@ -320,7 +373,6 @@ class _WorkerRuntime:
                     f"mp fetch: missing map output "
                     f"({shuffle_id}, {map_part}, {reduce_part})")
             if block.records is not None:
-                # Inherited by fork from the driver — zero IPC.
                 yield from block.records
             elif block.shm_ref is not None and meta is not None:
                 if self.vclock is not None \
@@ -401,12 +453,12 @@ class _WorkerRuntime:
     def run_task(self, split: int, attempt: int
                  ) -> TaskOutput | TaskFailure:
         state = self.state
-        stage = state.stage
-        executor_id = (split + attempt) % state.num_executors
+        stage = self.stage
+        executor_id = (split + attempt) % len(state.ctx.executors)
         self.attempt_tag = (f"{state.run_tag}-t{stage.stage_id}"
                             f"p{split}a{attempt}-")
         self.created = []
-        plan = state.fault_plans.get(split)
+        plan = self.fault_plans.get(split)
         if (plan is not None and plan.kind == EXECUTOR_CRASH
                 and plan.after_ops == 0):
             # Crash before doing any work.
@@ -426,7 +478,7 @@ class _WorkerRuntime:
             executor.arm_fault(plan)
         start_ms = self.clock.now_ms
         try:
-            if state.is_map_stage:
+            if stage.shuffle_dep is not None:
                 self._run_map_task(executor, task, split, out)
             else:
                 result = state.result_func(stage.rdd.iterator(split, task))
@@ -461,15 +513,19 @@ class _WorkerRuntime:
     def _fail(self, split: int, attempt: int, executor: WorkerExecutor,
               status: str, message: str, start_ms: float) -> TaskFailure:
         for name in self.created:
-            from .shm import unlink_segment
             unlink_segment(name)
         self.created = []
+        if self.current_out is not None:
+            # Blocks this attempt computed never reach the driver's
+            # table: the retry must rebuild (and report) them.
+            for cb in self.current_out.cache_blocks:
+                self.local_cache.pop((cb.rdd_id, cb.split), None)
         self.current_out = None
         duration = self.clock.now_ms - start_ms
         executor.tracer.complete(
-            f"task:{self.state.stage.stage_id}.{split}.{attempt}", "task",
+            f"task:{self.stage.stage_id}.{split}.{attempt}", "task",
             ts_ms=start_ms, dur_ms=duration, pid=executor.trace_pid,
-            stage_id=self.state.stage.stage_id, task_id=split,
+            stage_id=self.stage.stage_id, task_id=split,
             attempt=attempt, status=status, backend="mp",
             worker_pid=os.getpid())
         notes = (self.vclock.export_notes(drain=True)
@@ -483,10 +539,10 @@ class _WorkerRuntime:
     def _run_map_task(self, executor: WorkerExecutor, task: TaskContext,
                       split: int, out: TaskOutput) -> None:
         state = self.state
-        stage = state.stage
+        stage = self.stage
         dep = stage.shuffle_dep
         assert dep is not None
-        plan = state.shuffle_plan
+        plan = self.shuffle_plan
         local_store = ShuffleBlockStore()
         writer = MapSideWriter(
             executor, dep.shuffle_id, split, dep.num_reduce,
@@ -528,21 +584,27 @@ class _WorkerRuntime:
                     blob=blob))
 
 
-def worker_main(state: "StageState", worker_id: int, splits: list[int],
-                queue: Any) -> None:
-    """Entry point of one forked stage worker.
+def worker_main(state: "JobState", worker_id: int, conn: "Connection",
+                vclock_seed: dict[str, Any] | None = None) -> None:
+    """Entry point of one forked job executor.
 
-    Runs its assigned splits sequentially, reporting each attempt's
-    outcome on *queue*, then a final ``("done", worker_id)``.
+    Serves :class:`StageOrder` messages from *conn* until the driver
+    sends ``None`` (or hangs up): each order's splits run sequentially
+    and every attempt's outcome goes back as ``("ok" | "fail", outcome)``
+    the moment it exists, so a later death loses only unreported work.
+    Returns normally — the interpreter then exits without running the
+    atexit hooks it inherited from the driver.
     """
-    runtime = _WorkerRuntime(state, worker_id)
-    for split in splits:
-        attempt = state.attempts.get(split, 0)
-        outcome = runtime.run_task(split, attempt)
-        if isinstance(outcome, TaskOutput):
-            queue.put(("ok", outcome))
-        else:
-            queue.put(("fail", outcome))
-    queue.put(("done", worker_id))
-    queue.close()
-    queue.join_thread()
+    runtime = _WorkerRuntime(state, worker_id, vclock_seed)
+    while True:
+        try:
+            order = conn.recv()
+        except EOFError:    # the driver is gone
+            return
+        if order is None:
+            return
+        runtime.begin_stage(order)
+        for split, attempt in order.attempts.items():
+            outcome = runtime.run_task(split, attempt)
+            conn.send(("ok" if isinstance(outcome, TaskOutput) else "fail",
+                       outcome))

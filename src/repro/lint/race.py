@@ -13,8 +13,9 @@ enumeration, :func:`repro.lint.borrow._enumerate_paths`), and runs a
 
 * **acquire/release edges** — registry ``acquire``/``release`` refcount
   transitions, ``with self._lock`` scopes, arena pool reads and writes;
-* **wave barriers** — result-queue ``get``, worker ``join``, the
-  ``_gather`` rendezvous;
+* **wave barriers** — ``connection.wait`` over the workers' pipes and
+  sentinels (the mp backend's ``_gather`` rendezvous), worker ``join``,
+  a result-queue ``get``;
 * **segment lifecycle** — create/attach/close/unlink, with created
   handles writable and attached handles read-only;
 * **extent lifecycle** — alloc/free/remap on the mmap tier;
@@ -87,7 +88,7 @@ COLD_SET = "COLD_SET"          # ``entry.cold = ...`` publication
 FREE = "FREE"                  # extent drop / backing free
 POOL_READ = "POOL_READ"        # arena pool level read
 POOL_WRITE = "POOL_WRITE"      # arena pool transition
-WAIT = "WAIT"                  # blocking wait (queue get / join / sleep)
+WAIT = "WAIT"                  # blocking wait (wait / join / queue get)
 CONSUME = "CONSUME"            # task result bytes consumed
 SWEEP = "SWEEP"                # orphan-segment sweep by prefix
 DEATH = "DEATH"                # worker-death evidence (terminate/kill)

@@ -15,10 +15,12 @@ The clock model mirrors the engine's concurrency structure:
   sequential backend is violation-free by construction;
 * each mp **worker** is a *remote* actor.  :meth:`VClockChecker.fork`
   snapshots the driver clock into the worker's initial clock (the fork
-  edge); the worker process runs its own checker seeded from that
-  snapshot, buffers its annotations, and ships them back inside the
-  result queue message; :meth:`VClockChecker.absorb` replays them
-  driver-side and merges the worker clock (the receive edge).
+  edge, once per worker per job); the worker process runs its own
+  checker seeded from that snapshot, joins the clock every stage order
+  carries (:meth:`VClockChecker.send`, the send edge), buffers its
+  annotations, and ships them back with each task outcome;
+  :meth:`VClockChecker.absorb` replays them driver-side and merges the
+  worker clock (the receive edge).
 
 A violation is an operation with no happens-before edge to the event it
 must be ordered against: an attach whose segment was unlinked by a clock
@@ -143,6 +145,11 @@ class VClockChecker:
         self._live.add(actor)
         self.counters["forks"] += 1
         return snapshot
+
+    def send(self) -> Clock:
+        """Send edge: snapshot the local clock for a message to a live
+        remote actor, whose checker merges it with :meth:`join`."""
+        return dict(self._tick())
 
     def join(self, actor: str, clock: Optional[Clock] = None) -> None:
         """Receive edge: merge a remote actor's clock into the local one."""

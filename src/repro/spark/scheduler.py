@@ -137,17 +137,30 @@ class DAGScheduler:
         start_ms = self._sync_clocks()
 
         result_stage = self._build_stages(rdd)
-        for stage in self._topological(result_stage):
-            if stage.is_result_stage:
-                continue
-            assert stage.shuffle_dep is not None
-            self._shuffle_stages[stage.shuffle_dep.shuffle_id] = stage
-            if stage.shuffle_dep.shuffle_id in self._shuffles_done:
-                continue
-            self._run_shuffle_map_stage(stage, metrics)
-            self._shuffles_done.add(stage.shuffle_dep.shuffle_id)
+        order = self._topological(result_stage)
+        backend = self.ctx.backend
+        try:
+            # The stages this job will run are known here: a backend
+            # with job-scoped resources (the mp executors) sets them up
+            # now and gives them back whatever way the job ends.
+            backend.begin_job(
+                [stage for stage in order
+                 if stage.shuffle_dep is None
+                 or stage.shuffle_dep.shuffle_id not in self._shuffles_done],
+                func)
+            for stage in order:
+                if stage.is_result_stage:
+                    continue
+                assert stage.shuffle_dep is not None
+                self._shuffle_stages[stage.shuffle_dep.shuffle_id] = stage
+                if stage.shuffle_dep.shuffle_id in self._shuffles_done:
+                    continue
+                self._run_shuffle_map_stage(stage, metrics)
+                self._shuffles_done.add(stage.shuffle_dep.shuffle_id)
 
-        results = self._run_result_stage(result_stage, func, metrics)
+            results = self._run_result_stage(result_stage, func, metrics)
+        finally:
+            backend.end_job()
         metrics.wall_ms = self._sync_clocks() - start_ms
         self.ctx.tracer.complete(
             f"job:{name}", "job", ts_ms=start_ms,

@@ -238,6 +238,23 @@ class TestCrossProcessProtocol:
         assert driver.counters["unlink-concurrent-with-attach"] == 1
 
 
+    @pytest.mark.parametrize("send_edge", [False, True])
+    def test_send_edge_orders_a_long_lived_worker_after_the_driver(
+            self, send_edge):
+        """A worker forked at job start knows nothing of what the driver
+        did since — unless the order it is serving carried the clock."""
+        driver = VClockChecker()
+        worker = VClockChecker(actor="w0", snapshot=driver.fork("w0"))
+        driver.note_create("segment", "s")
+        driver.note_reclaim("segment", "s")
+        if send_edge:
+            worker.join("driver", driver.send())
+        worker.note_attach("segment", "s")
+        driver.absorb(worker.export_notes(drain=True))
+        assert driver.counters["unlink-concurrent-with-attach"] == \
+            (0 if send_edge else 1)
+
+
 class TestReporting:
     def test_summary_has_every_slug(self):
         summary = VClockChecker().summary()
