@@ -28,7 +28,14 @@ every error.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+)
 
 from ..analysis.size_type import SizeType
 from ..analysis.udt import (
@@ -634,7 +641,15 @@ class StringColumnLayout:
 
 
 class StringRunView:
-    """Zero-copy accessor over a string column's offsets + blob views."""
+    """Zero-copy accessor over a string column's offsets + blob views.
+
+    :meth:`get`/:meth:`get_prefix` are the point accessors; the batch
+    kernels use the bulk methods, which read the offsets with one
+    ``tolist()`` and — when the blob is pure ASCII, so byte offsets are
+    character offsets — decode the blob once and slice the result.
+    Everything they return is a transient list of fresh ``str`` objects:
+    nothing refers to the page views afterwards.
+    """
 
     __slots__ = ("offsets", "blob")
 
@@ -647,19 +662,54 @@ class StringRunView:
         return len(self.offsets) - 1
 
     def get(self, row: int) -> str:
-        start = self.offsets[row]
-        end = self.offsets[row + 1]
-        return bytes(self.blob[start:end]).decode("utf-8")
+        return str(self.blob[self.offsets[row]:self.offsets[row + 1]],
+                   "utf-8")
 
     def get_prefix(self, row: int, length: int) -> str:
-        """``SUBSTR(col, 1, length)`` without decoding the whole string."""
+        """``SUBSTR(col, 1, length)``: the first *length* characters,
+        decoding at most the ``4 * length`` bytes they can occupy."""
         start = self.offsets[row]
-        end = min(start + length, self.offsets[row + 1])
-        return bytes(self.blob[start:end]).decode("utf-8", errors="ignore")
+        end = min(start + 4 * length, self.offsets[row + 1])
+        return str(self.blob[start:end], "utf-8", "ignore")[:length]
 
-    def __iter__(self):
-        for row in range(self.count):
-            yield self.get(row)
+    def values(self) -> list[str]:
+        """Every string of the run, in row order."""
+        offsets = self.offsets.tolist()
+        text = str(self.blob, "utf-8")
+        if len(text) == len(self.blob):
+            return [text[start:end]
+                    for start, end in zip(offsets, offsets[1:])]
+        blob = bytes(self.blob)
+        return [str(blob[start:end], "utf-8")
+                for start, end in zip(offsets, offsets[1:])]
+
+    def prefixes(self, length: int) -> list[str]:
+        """``SUBSTR(col, 1, length)`` of every string, in row order.
+
+        A cut at ``4 * length`` bytes can only split a character past
+        the prefix, so ``errors="ignore"`` drops nothing that survives
+        the final character slice.
+        """
+        offsets = self.offsets.tolist()
+        text = str(self.blob, "utf-8")
+        if len(text) == len(self.blob):
+            return [text[start:start + length] if start + length < end
+                    else text[start:end]
+                    for start, end in zip(offsets, offsets[1:])]
+        blob = bytes(self.blob)
+        width = 4 * length
+        return [str(blob[start:start + width] if start + width < end
+                    else blob[start:end], "utf-8", "ignore")[:length]
+                for start, end in zip(offsets, offsets[1:])]
+
+    def take(self, rows: Iterable[int]) -> list[str]:
+        """The strings at *rows*, decoded one by one."""
+        offsets, blob = self.offsets, self.blob
+        return [str(blob[offsets[row]:offsets[row + 1]], "utf-8")
+                for row in rows]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.values())
 
     def release(self) -> None:
         """Release both backing views (before the pages are reclaimed)."""

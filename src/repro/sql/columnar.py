@@ -21,7 +21,8 @@ provenance ledger tracks promoted extents as borrows.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+import struct
+from typing import Any, Callable, Iterable, Sequence
 
 from ..analysis.udt import CHAR, DOUBLE, INT, LONG
 from ..errors import MemoryLayoutError, SchemaError, SqlError
@@ -57,6 +58,19 @@ _ROW_PRIMITIVES = {
     ColumnType.INT: INT,
     ColumnType.LONG: LONG,
     ColumnType.DOUBLE: DOUBLE,
+}
+
+
+# ``WHERE column <op> literal``: one whole-column pass per operator with
+# the comparison inlined, so the predicate costs no call per row.
+SELECTORS: dict[str, Callable[[Iterable[Any], Any], list[int]]] = {
+    ">": lambda values, x: [r for r, v in enumerate(values) if v > x],
+    ">=": lambda values, x: [r for r, v in enumerate(values) if v >= x],
+    "<": lambda values, x: [r for r, v in enumerate(values) if v < x],
+    "<=": lambda values, x: [r for r, v in enumerate(values) if v <= x],
+    "=": lambda values, x: [r for r, v in enumerate(values) if v == x],
+    "==": lambda values, x: [r for r, v in enumerate(values) if v == x],
+    "!=": lambda values, x: [r for r, v in enumerate(values) if v != x],
 }
 
 
@@ -208,7 +222,11 @@ class PagedRelation:
 
 # -- column-major ------------------------------------------------------------
 class _FixedColumnReader:
-    """Batch accessor over one fixed-width column run."""
+    """Batch accessor over one fixed-width column run.
+
+    Bulk reads are one ``tolist()`` over the typed view: a C loop that
+    boxes the run once, into a list that dies with the query.
+    """
 
     __slots__ = ("_table", "_index", "_layout", "count")
 
@@ -225,19 +243,17 @@ class _FixedColumnReader:
     def get(self, row: int) -> Any:
         return self._view()[row]
 
-    def values(self) -> Iterator[Any]:
-        return iter(self._view())
+    def values(self) -> list[Any]:
+        return self._view().tolist()
 
-    def select(self, op: Callable[[Any, Any], bool],
-               literal: Any) -> list[int]:
-        """Row indices where ``op(value, literal)`` holds — one tight
-        per-column predicate loop over the typed view."""
-        view = self._view()
-        return [row for row, value in enumerate(view)
-                if op(value, literal)]
+    def select(self, op: str, literal: Any) -> list[int]:
+        """Row indices where ``value <op> literal`` holds."""
+        return SELECTORS[op](self.values(), literal)
 
     def gather(self, rows: Sequence[int]) -> list[Any]:
         view = self._view()
+        if rows == range(self.count):
+            return view.tolist()
         return [view[row] for row in rows]
 
     @property
@@ -246,7 +262,11 @@ class _FixedColumnReader:
 
 
 class _StringColumnReader:
-    """Batch accessor over a string column's offsets + blob runs."""
+    """Batch accessor over a string column's offsets + blob runs.
+
+    Bulk reads go through :class:`StringRunView`'s one-decode-per-run
+    methods; ``get``/``get_prefix`` are the point-access API only.
+    """
 
     __slots__ = ("_table", "_index", "count")
 
@@ -266,23 +286,20 @@ class _StringColumnReader:
         """``SUBSTR(col, 1, length)`` without decoding the whole string."""
         return self._view().get_prefix(row, length)
 
-    def values(self) -> Iterator[str]:
-        return iter(self._view())
+    def values(self) -> list[str]:
+        return self._view().values()
 
-    def prefix_values(self, length: int) -> Iterator[str]:
-        view = self._view()
-        for row in range(view.count):
-            yield view.get_prefix(row, length)
+    def prefix_values(self, length: int) -> list[str]:
+        return self._view().prefixes(length)
 
-    def select(self, op: Callable[[Any, Any], bool],
-               literal: Any) -> list[int]:
-        view = self._view()
-        return [row for row in range(view.count)
-                if op(view.get(row), literal)]
+    def select(self, op: str, literal: Any) -> list[int]:
+        return SELECTORS[op](self.values(), literal)
 
     def gather(self, rows: Sequence[int]) -> list[str]:
         view = self._view()
-        return [view.get(row) for row in rows]
+        if rows == range(self.count):
+            return view.values()
+        return view.take(rows)
 
     @property
     def nbytes(self) -> int:
@@ -431,18 +448,14 @@ class _RowColumnReader:
     def get_prefix(self, row: int, length: int) -> str:
         return self.get(row)[:length]
 
-    def values(self) -> Iterator[Any]:
-        for row in range(self.count):
-            yield self.get(row)
+    def values(self) -> list[Any]:
+        return [self.get(row) for row in range(self.count)]
 
-    def prefix_values(self, length: int) -> Iterator[str]:
-        for row in range(self.count):
-            yield self.get(row)[:length]
+    def prefix_values(self, length: int) -> list[str]:
+        return [self.get(row)[:length] for row in range(self.count)]
 
-    def select(self, op: Callable[[Any, Any], bool],
-               literal: Any) -> list[int]:
-        return [row for row, value in enumerate(self.values())
-                if op(value, literal)]
+    def select(self, op: str, literal: Any) -> list[int]:
+        return SELECTORS[op](self.values(), literal)
 
     def gather(self, rows: Sequence[int]) -> list[Any]:
         return [self.get(row) for row in rows]
@@ -490,7 +503,10 @@ class RowMajorTable(PagedRelation):
             if column.ctype in _ROW_PRIMITIVES:
                 out.append(value)
             elif isinstance(value, str):
-                out.append(tuple(ord(ch) for ch in value))
+                # UTF-16 code units, as on the JVM: an astral character
+                # is a surrogate pair, not one out-of-range unit.
+                units = value.encode("utf-16-le", "surrogatepass")
+                out.append(struct.unpack(f"<{len(units) // 2}H", units))
             else:
                 out.append(tuple(value))  # opaque byte payload
         return tuple(out)
@@ -501,7 +517,8 @@ class RowMajorTable(PagedRelation):
             if column.ctype in _ROW_PRIMITIVES:
                 out.append(value)
             elif column.ctype is ColumnType.STRING:
-                out.append("".join(chr(unit) for unit in value))
+                out.append(struct.pack(f"<{len(value)}H", *value)
+                           .decode("utf-16-le", "surrogatepass"))
             else:
                 out.append(bytes(value))
         return tuple(out)

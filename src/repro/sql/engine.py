@@ -26,9 +26,8 @@ mode.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..config import DecaConfig
 from ..errors import SqlError
@@ -40,18 +39,8 @@ from ..memory.tier import PageStoreTier
 from ..memory.unified import UnifiedMemoryManager
 from ..obs.tracer import Tracer
 from ..simtime import SimClock
-from .columnar import ColumnarTable, PagedRelation, RowMajorTable
+from .columnar import SELECTORS, ColumnarTable, PagedRelation, RowMajorTable
 from .schema import ColumnType, TableSchema
-
-_OPS: dict[str, Callable[[Any, Any], bool]] = {
-    ">": operator.gt,
-    ">=": operator.ge,
-    "<": operator.lt,
-    "<=": operator.le,
-    "=": operator.eq,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
 
 _LAYOUTS = ("auto", "columnar", "row")
 
@@ -65,7 +54,7 @@ class Filter:
     literal: Any
 
     def __post_init__(self) -> None:
-        if self.op not in _OPS:
+        if self.op not in SELECTORS:
             raise SqlError(f"unsupported operator {self.op!r}")
 
 
@@ -89,6 +78,8 @@ class Aggregation:
         if self.func not in _AGGREGATE_FUNCS:
             raise SqlError(f"unsupported aggregate {self.func!r}; "
                            f"choose from {_AGGREGATE_FUNCS}")
+        if self.key_prefix is not None and self.key_prefix < 0:
+            raise SqlError(f"negative SUBSTR length {self.key_prefix}")
 
 
 @dataclass(frozen=True)
@@ -383,36 +374,42 @@ class SqlEngine:
                   query: Query) -> list[tuple]:
         cpu = self.config.cpu
         count = table.row_count
-        matches: list[int]
+        matches: Sequence[int]
         if query.where is not None:
             condition = query.where
             column = table.column(condition.column)
-            # Columnar: a tight per-column predicate loop over the typed
-            # view.  Row-major: the same predicate, but every probe
+            # Columnar: one bulk predicate pass over the typed view.
+            # Row-major: the same predicate, but every probe
             # reconstructs a record.
             self.clock.advance(self._scan_cost_per_row(table) * count)
-            matches = column.select(_OPS[condition.op], condition.literal)
+            matches = column.select(condition.op, condition.literal)
         else:
-            matches = list(range(count))
+            matches = range(count)
         if table.layout == "row":
             per_row = (cpu.page_access_ms * len(table.schema.columns)
                        + cpu.boxing_ms)
         else:
             per_row = cpu.page_access_ms * max(1, len(query.projection))
         self.clock.advance(per_row * len(matches))
-        # Result rows are short-lived driver objects.
+        # Result rows are short-lived driver objects.  The simulated
+        # engine materializes every match before it sorts, so the
+        # charges below stay functions of len(matches) even though the
+        # real kernel gathers late.
         temp = self.heap.new_group("sql-result", Lifetime.TEMPORARY)
         self.heap.allocate(temp, len(matches), 48 * max(1, len(matches)))
-        out = table.gather(matches, query.projection)
         self.heap.free_group(temp)
         if query.order_by is not None:
-            key_index = query.projection.index(query.order_by)
-            self.clock.advance(cpu.sort_per_record_ms * len(out))
-            out.sort(key=lambda row: row[key_index],
-                     reverse=query.descending)
-        if query.limit is not None:
-            out = out[:query.limit]
-        return out
+            self.clock.advance(cpu.sort_per_record_ms * len(matches))
+            # Late materialization: sort row ids on the key column
+            # alone (stable, so ties keep row order under either
+            # direction) and project only the rows that survive LIMIT.
+            keys = table.column(query.order_by).gather(matches)
+            order = sorted(range(len(keys)), key=keys.__getitem__,
+                           reverse=query.descending)
+            matches = [matches[i] for i in order[:query.limit]]
+        else:
+            matches = matches[:query.limit]
+        return table.gather(matches, query.projection)
 
     def _run_aggregate(self, table: PagedRelation,
                        agg: Aggregation) -> list[tuple]:

@@ -214,6 +214,26 @@ class TestColumnLayouts:
         assert view.get_prefix(0, 10) == "ab"
         assert view.get_prefix(1, 2) == "wx"
 
+    @pytest.mark.parametrize("values", [
+        ["", "spark", "x" * 100, "deca"],          # ASCII: one decode, sliced
+        ["", "déca", "\U0001F600x", "abc", "日本語"],  # decoded per row
+    ])
+    def test_string_bulk_reads_match_point_reads(self, values):
+        from repro.memory.layout import StringColumnLayout
+        layout = StringColumnLayout()
+        offsets_run, blob_run = layout.emit(values)
+        view = layout.view(bytearray(offsets_run), 0, len(offsets_run),
+                           bytearray(blob_run), 0, len(blob_run))
+        rows = range(len(values))
+        assert view.values() == values
+        assert view.take([2, 0, 2]) == [values[2], values[0], values[2]]
+        for length in (0, 1, 3, 64):
+            # SUBSTR is a character prefix, never a byte prefix.
+            expected = [value[:length] for value in values]
+            assert view.prefixes(length) == expected
+            assert [view.get_prefix(row, length) for row in rows] \
+                == expected
+
     def test_string_view_release_is_idempotent(self):
         from repro.memory.layout import StringColumnLayout
         layout = StringColumnLayout()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.sql_queries import make_suite_engine, suite_queries
 from repro.config import DecaConfig, MB
 from repro.core.optimizer import plan_sql_layout
 from repro.data import rankings_table, uservisits_table
@@ -252,6 +253,31 @@ class TestLayoutPlanning:
             results[layout] = sorted(engine.run(query).rows)
         assert results["columnar"] == results["row"]
 
+    @pytest.mark.parametrize("layout", ["columnar", "row"])
+    def test_substr_cuts_characters_not_bytes(self, layout):
+        """``SUBSTR(k, 1, 2)`` is a two-*character* prefix on both
+        layouts; a two-byte cut splits "é" and merges three groups."""
+        schema = TableSchema("t", [Column("k", ColumnType.STRING),
+                                   Column("v", ColumnType.DOUBLE)])
+        rows = [("héllo", 1.0), ("hèllo", 2.0), ("hello", 4.0),
+                ("h", 8.0)]
+        expected = [("h", 8.0), ("he", 4.0), ("hè", 2.0), ("hé", 1.0)]
+        with SqlEngine(DecaConfig(heap_bytes=64 * MB)) as engine:
+            engine.register_table("t", schema, rows)
+            table = engine.cache_table("t", layout=layout)
+            assert engine.run(groupby_sum("t", "k", "v",
+                                          key_prefix=2)).rows == expected
+            assert engine.sql("SELECT SUBSTR(k, 1, 2), SUM(v) FROM t "
+                              "GROUP BY SUBSTR(k, 1, 2)").rows == expected
+            # The point accessor honours the same contract.
+            column = table.column("k")
+            assert [column.get_prefix(i, 2) for i in range(4)] \
+                == [key[:2] for key, _ in rows]
+
+    def test_negative_substr_length_rejected(self):
+        with pytest.raises(SqlError):
+            groupby_sum("t", "k", "v", key_prefix=-1)
+
     def test_unknown_layout_rejected(self):
         engine = SqlEngine(DecaConfig(heap_bytes=64 * MB))
         engine.register_table("rankings", RANKINGS_SCHEMA,
@@ -293,6 +319,40 @@ class TestColdTierSwap:
         # valid and a re-demote moves zero bytes.
         assert engine.demote_table("rankings") == 0
         engine.close()
+        assert engine.ledger.check_finish()["violations"] == 0
+
+    @pytest.mark.parametrize("shape", [name for name, _ in suite_queries()])
+    def test_bulk_kernels_leave_no_view_behind(self, shape):
+        """run → demote → run (promotes) → demote, per query shape.
+
+        ``memoryview.release()`` succeeds while a *slice* of the view is
+        alive, so the probe is the exporter itself: a heap page
+        (``bytearray``) refuses to resize and the tier's mapping refuses
+        to close for as long as any kernel-made sub-view survives.
+        """
+        query = dict(suite_queries())[shape]
+        cfg = DecaConfig(heap_bytes=64 * MB, cold_tier="mmap",
+                         sanitize=True)
+        engine = make_suite_engine(rankings_table(400),
+                                   uservisits_table(600), cfg,
+                                   layout="columnar")
+        table = engine.cache_table(query.table)
+        resident = engine.run(query).rows
+        assert table._view_cache
+        heap_pages = [page.data for page in table._group.pages]
+        assert engine.demote_table(query.table) > 0
+        assert table._view_cache == {}
+        for data in heap_pages:
+            data.clear()  # BufferError while a view is exported
+        assert engine.run(query).rows == resident
+        assert table._view_cache
+        mapping = engine._tier._mm
+        # Promoted pages alias the extent: nothing left to move.
+        assert engine.demote_table(query.table) == 0
+        assert engine.swap_copy_bytes == 0
+        engine.close()
+        assert mapping.closed
+        assert engine.ledger.violations == []
         assert engine.ledger.check_finish()["violations"] == 0
 
     def test_uncache_drops_extent(self):
