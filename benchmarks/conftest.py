@@ -1,22 +1,22 @@
 """Shared benchmark plumbing.
 
-Every benchmark runs its scenario exactly once (``rounds=1``): the numbers
-of interest are *simulated* milliseconds collected inside the run, not the
-host's wall clock, so repeating a deterministic simulation would only waste
-time.  Each benchmark prints and persists the rows its paper counterpart
-reports (see ``benchmarks/results/`` after a run).
+Every benchmark runs its scenario exactly once: the numbers of interest
+are *simulated* milliseconds collected inside the run (or, in the two
+real-clock files, ``perf_counter`` readings the scenario takes itself),
+never a stopwatch around the test, so repeating a deterministic
+simulation would only waste time.  Each benchmark prints and persists
+the rows its paper counterpart reports (see ``benchmarks/results/``
+after a run).
 """
 
 import pytest
 
 
 @pytest.fixture
-def once(benchmark):
-    """Run a scenario a single time under pytest-benchmark."""
+def once():
+    """Run a scenario a single time and hand back its result."""
 
     def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1,
-                                  warmup_rounds=0)
+        return fn(*args, **kwargs)
 
     return runner

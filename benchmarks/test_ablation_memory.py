@@ -4,102 +4,18 @@ The seed engine partitions executor memory statically (Spark 1.5's
 ``storage_fraction`` / ``shuffle_fraction`` walls).  The unified arena
 (``memory_mode="unified"``, docs/memory_model.md) lets the execution
 and storage pools borrow from each other the way Spark 1.6's
-``UnifiedMemoryManager`` does.  This ablation runs the same two
-workloads under both accounting planes at an equal heap and reports
-the difference the borrowing makes:
+``UnifiedMemoryManager`` does.  Two workloads at an equal heap — a
+shuffle-heavy WordCount with tight static fractions and the cache-heavy
+traced WordCount — show what the borrowing buys.
 
-* shuffle-heavy — WordCount 100GB/100M with deliberately tight static
-  fractions: the unified pool must spill strictly less than the static
-  wall does (the acceptance criterion for the arena);
-* cache-heavy — the instrumented WordCount trace point: the unified
-  run must show nonzero ``memory:borrow``/``memory:evict`` traffic
-  (storage borrowing free execution memory and being evicted back).
-
-Rows land in ``benchmarks/results/ablation_memory.txt`` and the
-machine-readable summary in
-``benchmarks/results/BENCH_ablation_memory.json``.
+The cells, gates, table and JSON shape are the ``memory`` row of
+:data:`repro.bench.experiments.EXPERIMENTS` — this file only reruns it
+and rewrites ``ablation_memory.txt`` / ``BENCH_ablation_memory.json``.
 """
 
-from repro.bench.harness import run_memory_point
-from repro.bench.report import format_table, write_json_result, \
-    write_result
-from repro.config import ExecutionMode
-
-
-def _summary(row):
-    return row.extra["memory"]
+from repro.bench.experiments import MEMORY, run_experiment
 
 
 def test_ablation_memory(once):
     """Unified arena spills less shuffle data and borrows for cache."""
-
-    def scenario():
-        grid = {}
-        for workload in ("shuffle-heavy", "cache-heavy"):
-            for memory_mode in ("static", "unified"):
-                grid[(workload, memory_mode)] = run_memory_point(
-                    workload, memory_mode, ExecutionMode.SPARK)
-        return grid
-
-    grid = once(scenario)
-
-    sh_static = _summary(grid[("shuffle-heavy", "static")])
-    sh_unified = _summary(grid[("shuffle-heavy", "unified")])
-    ch_static = _summary(grid[("cache-heavy", "static")])
-    ch_unified = _summary(grid[("cache-heavy", "unified")])
-
-    # Same answers either way: the arena changes accounting, not
-    # results.
-    for workload in ("shuffle-heavy", "cache-heavy"):
-        assert (grid[(workload, "static")].extra["run"].result
-                == grid[(workload, "unified")].extra["run"].result)
-
-    # Shuffle-heavy: at an equal heap the unified pool spills strictly
-    # less than the static wall.
-    assert sh_static["spilled_bytes"] > 0
-    assert sh_unified["spilled_bytes"] < sh_static["spilled_bytes"]
-
-    # Cache-heavy: the unified run exercises borrowing and eviction.
-    assert ch_unified["arena"]["borrow_events"] > 0
-    assert ch_unified["arena"]["evict_events"] > 0
-    # The static run rejects oversized blocks instead of thrashing.
-    assert ch_static["events"].get("memory:reject", 0) > 0
-
-    def spills(summary):
-        return (summary["events"].get("shuffle:spill", 0)
-                + summary["events"].get("shuffle:merge-spill", 0))
-
-    rows = []
-    for (workload, memory_mode), row in sorted(grid.items()):
-        summary = _summary(row)
-        rows.append([
-            workload, memory_mode, row.mode,
-            spills(summary), summary["spilled_bytes"],
-            summary["events"].get("cache:swap-out", 0),
-            summary["arena"].get("borrow_events", 0),
-            summary["arena"].get("evict_events", 0),
-            summary["events"].get("memory:reject", 0),
-            round(row.exec_s, 3),
-        ])
-    table = format_table(
-        "Ablation: static split vs unified memory arena (equal heap)",
-        ["workload", "memory_mode", "mode", "spills", "spilled_B",
-         "swapouts", "borrows", "evicts", "rejects", "exec(s)"],
-        rows)
-    print(table)
-    write_result("ablation_memory", table)
-    write_json_result("BENCH_ablation_memory", {
-        "benchmark": "ablation_memory",
-        "modes": ["static", "unified"],
-        "points": {
-            f"{workload}/{memory_mode}": {
-                "spills": spills(_summary(row)),
-                "spilled_bytes": _summary(row)["spilled_bytes"],
-                "swapped_cache_bytes":
-                    _summary(row)["swapped_cache_bytes"],
-                "arena": _summary(row)["arena"],
-                "exec_s": round(row.exec_s, 6),
-            }
-            for (workload, memory_mode), row in sorted(grid.items())
-        },
-    })
+    assert not once(run_experiment, MEMORY, check=True, commit=True)

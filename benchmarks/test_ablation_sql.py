@@ -2,85 +2,20 @@
 
 The SQL engine caches relations as Deca page groups either row-major
 (each record packed contiguously) or column-major (one page run per
-field, docs/sql_engine.md).  This ablation runs the TPC-H-flavoured
-suite under both layouts on identical inputs and checks the layout
-contract:
+field, docs/sql_engine.md).  The TPC-H-flavoured suite runs under both
+layouts on identical inputs, then once more from pages demoted to and
+promoted back from the mmap tier.
 
-* equivalence — every query produces a byte-identical result digest
-  under both layouts (the layout changes byte arrangement, not
-  answers);
-* kernels — the columnar scan/filter/aggregate kernels are faster in
-  simulated time, because they touch one column run per value where
-  the row kernels reconstruct whole records;
-* footprint — the columnar cache is no larger than the row cache;
-* zero-copy swaps — demoting the columnar cache to the mmap tier and
-  re-running every query reproduces the resident digests with zero
-  serializer bytes and a clean provenance ledger.
-
-Rows land in ``benchmarks/results/ablation_sql.txt`` and the
-machine-readable summary in
-``benchmarks/results/BENCH_ablation_sql.json``.
+The cells, gates (same digests, faster columnar kernels, no larger
+footprint, zero-copy clean round trip), table and JSON shape are the
+``sql`` row of :data:`repro.bench.experiments.EXPERIMENTS` — this file
+only reruns it and rewrites ``ablation_sql.txt`` /
+``BENCH_ablation_sql.json``.
 """
 
-from repro.bench.harness import run_sql_point, run_sql_swap_roundtrip
-from repro.bench.report import format_table, write_json_result, \
-    write_result
-
-RANKINGS_ROWS = 4_000
-USERVISITS_ROWS = 8_000
+from repro.bench.experiments import SQL, run_experiment
 
 
 def test_ablation_sql(once):
     """Columnar layout: same digests, faster kernels, zero-copy swaps."""
-
-    def scenario():
-        cells = {layout: run_sql_point(layout, RANKINGS_ROWS,
-                                       USERVISITS_ROWS)
-                 for layout in ("row", "columnar")}
-        swap = run_sql_swap_roundtrip(RANKINGS_ROWS, USERVISITS_ROWS)
-        return cells, swap
-
-    cells, swap = once(scenario)
-    row, col = cells["row"], cells["columnar"]
-
-    # Equivalence: both layouts agree on every query's digest.
-    assert row["digests"] == col["digests"]
-
-    # Kernels: columnar wins every batch-kernel query.
-    for name in ("scan", "filter", "groupby"):
-        assert col["wall_ms"][name] < row["wall_ms"][name]
-
-    # Footprint: no per-record padding in the columnar cache.
-    assert col["cached_bytes"] <= row["cached_bytes"]
-
-    # Zero-copy swaps: the mmap roundtrip moves raw page bytes only.
-    assert swap["digests_match"]
-    assert swap["bytes_moved_out"] > 0
-    assert swap["bytes_moved_in"] > 0
-    assert swap["swap_copy_bytes"] == 0
-    assert swap["ledger_violations"] == 0
-
-    names = sorted(row["digests"])
-    body = []
-    for layout, cell in sorted(cells.items()):
-        body.append([layout]
-                    + [round(cell["wall_ms"][name], 4) for name in names]
-                    + [cell["cached_bytes"],
-                       ",".join(cell["digests"][name][:8]
-                                for name in names)])
-    table = format_table(
-        "Ablation: row vs columnar SQL cache layout",
-        ["layout"] + [f"{name}(ms)" for name in names]
-        + ["cached(B)", "digests"], body)
-    print(table)
-    print(f"swap roundtrip: moved_out={swap['bytes_moved_out']} "
-          f"moved_in={swap['bytes_moved_in']} "
-          f"serializer_copies={swap['swap_copy_bytes']} "
-          f"ledger_violations={swap['ledger_violations']}")
-    write_result("ablation_sql", table)
-    write_json_result("BENCH_ablation_sql", {
-        "benchmark": "ablation_sql",
-        "layouts": ["row", "columnar"],
-        "cells": cells,
-        "swap_roundtrip": swap,
-    })
+    assert not once(run_experiment, SQL, check=True, commit=True)

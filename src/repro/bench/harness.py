@@ -332,7 +332,7 @@ def memory_summary(run: AppRun) -> dict[str, Any]:
 
     Aggregates the ``memory:*`` trace events, the spill/swap events of
     the legacy planes, and (in unified mode) the per-executor arena
-    counters — the payload ``repro.bench memory --json`` writes, equal
+    counters — what the ``memory`` experiment row is built from, equal
     byte for byte across seeded runs.
     """
     events: dict[str, int] = {}
@@ -433,30 +433,6 @@ def tier_summary(run: AppRun) -> dict[str, Any]:
         "swap_copy_bytes": swap_copy,
         "tier": dict(sorted(run.metrics.tier.items())),
     }
-
-
-def run_tier_point(cold_tier: str, label: str = "200GB",
-                   mode: ExecutionMode = ExecutionMode.DECA,
-                   **config_overrides: Any) -> FigureRow:
-    """One cold-tier ablation point: LR in the swapping regime.
-
-    The default "200GB" point runs the object cache at ~2.3x the old
-    generation, so cached page groups are evicted and promoted all run
-    long — exactly the traffic the tier moves.  Results must be
-    byte-identical across tiers (only where the cold bytes live and
-    what the moves cost may differ).
-    """
-    if cold_tier not in COLD_TIERS:
-        raise ValueError(f"unknown cold tier {cold_tier!r}; "
-                         f"choose from {COLD_TIERS}")
-    overrides = dict(config_overrides)
-    overrides["cold_tier"] = cold_tier
-    row = run_lr_point(label, mode, **overrides)
-    run: AppRun = row.extra["run"]
-    row.extra["cold_tier"] = cold_tier
-    row.extra["tier"] = tier_summary(run)
-    row.extra["digest"] = result_digest(run.result)
-    return row
 
 
 # ---------------------------------------------------------------------------

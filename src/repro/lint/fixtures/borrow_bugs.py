@@ -7,7 +7,7 @@ report precisely that rule against it, and when driven against a live
 ``python -m repro.bench sanitize``, the runtime sanitizer must record
 the matching violation slug.
 
-The harness (``repro.bench.__main__._run_sanitize``) owns all setup —
+The drivers (:mod:`repro.lint.fixtures.drivers`) own all setup —
 pre-populating extents, creating segments, wiring ledgers — so each
 fixture body is the minimal buggy interaction.
 """

@@ -11,10 +11,11 @@ things at once:
   the borrow fixtures skip ledger instrumentation) so the runtime
   sanitizer trips the matching slug when the function is executed.
 
-``repro.bench sanitize`` drives every function here against real
-engine objects (a shm segment, a mmap tier, an arena stub) and asserts
-the per-rule counters; ``tests/test_lint_race.py`` asserts the static
-findings.  None of this module is imported by the engine.
+``repro.bench sanitize`` drives every function here (through
+:mod:`repro.lint.fixtures.drivers`) against real engine objects (a shm
+segment, a mmap tier, an arena stub) and asserts the per-rule counters;
+``tests/test_lint_race.py`` asserts the static findings.  None of this
+module is imported by the engine.
 """
 
 from __future__ import annotations

@@ -46,6 +46,17 @@ from functools import cache
 
 import pytest
 
+from repro.bench.experiments import (
+    BACKENDS,
+    MEMORY_MODES,
+    pickles_no_records,
+    roundtrip_is_clean,
+    sanitizers_silent,
+    shares_pages,
+    swap_moves_bytes,
+    swap_pays_copies,
+    swap_returns_bytes,
+)
 from repro.bench.harness import (
     CELL_APPS,
     COLD_TIERS,
@@ -59,9 +70,6 @@ from repro.bench.harness import (
 from repro.config import KB, DecaConfig, ExecutionMode
 from repro.exec.shm import SEGMENT_PREFIX, list_segments, shm_available
 from repro.memory.tier import TIER_FILE_PREFIX
-
-BACKENDS = ("sim", "mp")
-MEMORY_MODES = ("static", "unified")
 
 #: The cell every other cell is compared with.
 REFERENCE = dict(mode=ExecutionMode.SPARK, execution_backend="sim",
@@ -144,9 +152,10 @@ def test_cell_matches_reference(app, mode, backend, cold_tier, memory_mode,
     metrics = cell.metrics
 
     assert digest == reference(app)
-    # Both sanitizers ran (non-empty summaries) and stayed silent.
-    assert metrics.sanitize and metrics.sanitize["violations"] == 0
-    assert metrics.race and metrics.race["violations"] == 0
+    # What `repro.bench sanitize` gates: both sanitizers ran (non-empty
+    # summaries) and stayed silent.
+    assert sanitizers_silent({"sanitize": metrics.sanitize,
+                              "race": metrics.race})
 
     deca = mode is ExecutionMode.DECA
     if deca and backend == "sim" and app == "lr":
@@ -154,16 +163,14 @@ def test_cell_matches_reference(app, mode, backend, cold_tier, memory_mode,
         # the swap in serializer copies, the mmap tier moves the bytes.
         swap = tier_summary(cell)
         if cold_tier == "mmap":
-            assert swap["swap_copy_bytes"] == 0
-            assert swap["tier"]["bytes_moved_out"] > 0
+            assert swap_moves_bytes(swap), swap
         else:
-            assert swap["swap_copy_bytes"] > 0
-            assert swap["tier"] == {}
+            assert swap_pays_copies(swap), swap
     if deca and backend == "mp":
         # What `repro.bench backend --check` gates.
-        assert metrics.backend["bytes_shared"] > 0
+        assert shares_pages(metrics.backend), metrics.backend
         if app == "wc":
-            assert metrics.backend["bytes_pickled_records"] == 0
+            assert pickles_no_records(metrics.backend), metrics.backend
 
     if backend == "sim":
         _, again = run(app, **axes)
@@ -186,14 +193,11 @@ def test_sql_cell_matches_reference(cold_tier, sanitize,
     cell = sql_roundtrip(cold_tier, sanitize)
 
     assert cell["resident_digests"] == expected
-    assert cell["promoted_digests"] == expected
-    assert cell["ledger_violations"] == 0
-    assert cell["bytes_moved_out"] > 0
+    # What `repro.bench sql --check` gates: bytes left, every promoted
+    # digest equals its resident one, the ledger is clean — and on the
+    # mmap tier the trip is raw bytes out and back.
+    assert roundtrip_is_clean(cell), cell
     if cold_tier == "mmap":
-        # What `repro.bench sql --check` gates: raw bytes out and back.
-        assert cell["swap_copy_bytes"] == 0
-        assert cell["tier"]["bytes_moved_out"] > 0
-        assert cell["bytes_moved_in"] > 0
+        assert swap_moves_bytes(cell) and swap_returns_bytes(cell), cell
     else:
-        assert cell["swap_copy_bytes"] > 0
-        assert cell["tier"] == {}
+        assert swap_pays_copies(cell), cell

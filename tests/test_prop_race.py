@@ -14,13 +14,13 @@ protocol layer up:
   sanitizer must agree on every schedule;
 * every seeded DECA40x bug fixture always trips the sanitizer with
   exactly its slug, on every run (the fixtures are deterministic, so
-  this half is a straight sweep over the bench driver's checks).
+  this half is a straight sweep over the fixture driver table).
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.__main__ import _race_fixture_checks
 from repro.exec.shm import SegmentRef, ShmSegmentRegistry
+from repro.lint.fixtures.drivers import run_fixtures
 from repro.memory.tier import PageStoreTier
 from repro.obs.vclock import RACE_SLUGS, VClockChecker
 
@@ -172,7 +172,7 @@ def test_result_handoff_safe_iff_joined(join_first, tasks):
 
 
 def test_every_race_fixture_always_fires():
-    rows = _race_fixture_checks()
+    rows = run_fixtures("DECA4")
     assert len(rows) == len(RACE_SLUGS)
     for row in rows:
         assert row["fired"], f"{row['rule']} did not trip the vclock"
