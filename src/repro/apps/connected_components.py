@@ -51,7 +51,12 @@ def run_connected_components(edges: list[Edge],
                       udt_info=msg_info)
         best = messages.reduce_by_key(min, num_partitions,
                                       name="cc.minLabel").with_udt(msg_info)
-        # A vertex keeps its own label if no smaller one arrives.
+        # A vertex keeps its own label if no smaller one arrives.  ``map``
+        # drops the partitioner, so ``labels`` is shuffled into both joins
+        # (three shuffles per iteration; the adjacency and ``best`` sides
+        # are read in place).  A partition-preserving update must come
+        # with ``labels.cache()``/``unpersist()`` per iteration, or every
+        # iteration recomputes all earlier joins (docs/paper_mapping.md).
         labels = labels.join(best, num_partitions, name="cc.update") \
             .map(lambda kv: (kv[0], min(kv[1][0], kv[1][1])),
                  name="cc.newLabels").with_udt(msg_info)

@@ -3,14 +3,17 @@
 Following the paper's setup: ``groupByKey`` turns the edge list into
 adjacency lists which are cached for all iterations; every iteration joins
 the adjacency lists with the current ranks and aggregates the contribution
-messages per target vertex.  The adjacency array is a VST inside the
-grouping shuffle buffer but init-only afterwards, so Deca decomposes it
-*in the cache* while leaving the buffer in object form — the partially-
-decomposable pattern of Fig. 7(b).
+messages per target vertex.  Adjacency lists and ranks keep ``groupByKey``'s
+partitioner (``mapValues``), so the join reads both where they are and the
+``reduceByKey`` is the iteration's only shuffle.  The adjacency array is a
+VST inside the grouping shuffle buffer but init-only afterwards, so Deca
+decomposes it *in the cache* while leaving the buffer in object form — the
+partially-decomposable pattern of Fig. 7(b).
 """
 
 from __future__ import annotations
 
+from ..analysis import ClassType, Field, LONG
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
 from .common import AppRun, make_context
@@ -44,16 +47,34 @@ def message_udt_info() -> UdtInfo:
     )
 
 
+def edge_udt_info() -> UdtInfo:
+    """The ``Edge(src: Long, dst: Long)`` model — an SFST, so Deca
+    decomposes the map side of the grouping shuffle.  Spark holds an edge
+    as a ``Tuple2`` of two boxed ``Long``s, which is what is measured."""
+    model = make_graph_model()
+    boxed_long = ClassType("Long", [Field("value", LONG)])
+    return UdtInfo(
+        udt=model.edge,
+        entry_method=model.build_stage_entry,
+        constant_footprint=True,
+        object_model=ClassType("Tuple2", [
+            Field("_1", boxed_long, final=True),
+            Field("_2", boxed_long, final=True)]),
+        measure_encode=lambda edge: ((edge[0],), (edge[1],)),
+    )
+
+
 def build_adjacency(ctx, edges: list[Edge], num_partitions: int,
                     name: str = "pr"):
     """Edge list → cached adjacency lists (the paper's first stage)."""
-    edge_rdd = ctx.parallelize(edges, num_partitions, name=f"{name}.edges")
+    edge_rdd = ctx.parallelize(edges, num_partitions, name=f"{name}.edges",
+                               udt_info=edge_udt_info())
     grouped = edge_rdd.group_by_key(num_partitions,
                                     name=f"{name}.groupEdges")
-    adjacency = grouped.map(lambda kv: (kv[0], tuple(kv[1])),
-                            name=f"{name}.adjacency",
-                            udt_info=adjacency_udt_info()).cache()
-    return adjacency
+    # mapValues keeps groupByKey's partitioner, so the per-iteration join
+    # reads the cached lists in place instead of re-shuffling them.
+    return grouped.map_values(tuple, name=f"{name}.adjacency") \
+        .with_udt(adjacency_udt_info()).cache()
 
 
 def run_pagerank(edges: list[Edge], config: DecaConfig | None = None,

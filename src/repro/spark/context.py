@@ -290,27 +290,31 @@ class DecaContext:
     def _is_deca_transformed(self, rdd: RDD) -> bool:
         """Did the optimizer rewrite this RDD's input access (Fig. 12)?
 
-        True when the nearest cached ancestor (through narrow
-        dependencies) is stored as decomposed pages in DECA mode.
+        True when an input of *rdd*'s stage — the nearest cached ancestor
+        or input shuffle along any narrow path (a co-partitioned join has
+        two) — is stored decomposed in DECA mode.
         """
         if self.mode is not ExecutionMode.DECA:
             return False
-        from .rdd import NarrowDependency, ShuffleDependency
-        node: RDD | None = rdd
-        while node is not None:
+        seen: set[int] = set()
+        pending = [rdd]
+        while pending:
+            node = pending.pop()
+            if node.rdd_id in seen:
+                continue
+            seen.add(node.rdd_id)
             if node.is_cached:
-                plan = self.plan_cache(node)
-                return plan.strategy is StorageStrategy.DECA_PAGES
-            shuffles = [d for d in node.deps
-                        if isinstance(d, ShuffleDependency)]
-            if shuffles:
-                # A stage whose input shuffle is decomposed is rewritten
-                # to read the buffer bytes directly.
-                return any(self.plan_shuffle(d).decomposed
-                           for d in shuffles)
-            narrow = [d for d in node.deps
-                      if isinstance(d, NarrowDependency)]
-            node = narrow[0].parent if len(narrow) == 1 else None
+                if self.plan_cache(node).strategy \
+                        is StorageStrategy.DECA_PAGES:
+                    return True
+                continue
+            for dep in node.deps:
+                if not isinstance(dep, ShuffleDependency):
+                    pending.append(dep.parent)
+                elif self.plan_shuffle(dep).decomposed:
+                    # A stage whose input shuffle is decomposed is
+                    # rewritten to read the buffer bytes directly.
+                    return True
         return False
 
     # -- lifecycle bookkeeping ----------------------------------------------------------

@@ -136,6 +136,14 @@ class RDD:
         self.name = name
         self.udt_info = udt_info
         self.is_cached = False
+        # How the records are laid out over the partitions, when known:
+        # ``(num_partitions, partitioner)`` of the shuffle or join that
+        # produced them (partitioner None = the context's hash
+        # partitioner).  Transformations that cannot change a record's
+        # key carry it along; ``join`` reads it to skip the shuffle of a
+        # side that is already partitioned its way.
+        self.partitioning: (
+            tuple[int, Callable[[Any], int] | None] | None) = None
         ctx._register_rdd(self)
 
     # -- to be provided by subclasses ---------------------------------------
@@ -209,6 +217,7 @@ class RDD:
             udt_info=self.udt_info)
         out._record_fn = predicate
         out._record_kind = "filter"
+        out.partitioning = self.partitioning
         return out
 
     def map_partitions(self, f: Callable[[Iterator[Any]], Iterable[Any]],
@@ -226,8 +235,11 @@ class RDD:
 
     def map_values(self, f: Callable[[Any], Any],
                    name: str | None = None) -> "RDD":
-        return self.map(lambda kv: (kv[0], f(kv[1])),
-                        name or f"{self.name}.mapValues")
+        """Apply *f* to each value; keys, and so the partitioning, stay."""
+        out = self.map(lambda kv: (kv[0], f(kv[1])),
+                       name or f"{self.name}.mapValues")
+        out.partitioning = self.partitioning
+        return out
 
     def key_by(self, f: Callable[[Any], Any]) -> "RDD":
         return self.map(lambda v: (f(v), v), f"{self.name}.keyBy")
@@ -315,7 +327,12 @@ class RDD:
 
     def join(self, other: "RDD", num_partitions: int | None = None,
              name: str | None = None) -> "RDD":
-        """Inner join on keys (cogroup then cartesian per key)."""
+        """Inner join on keys (cogroup then cartesian per key).
+
+        A side already partitioned like the join — same partition count,
+        hash partitioner — is read in place through a narrow dependency;
+        only the other sides are shuffled.
+        """
         return JoinedRDD(self, other,
                          num_partitions or self.num_partitions,
                          name=name or f"{self.name}.join")
@@ -545,6 +562,7 @@ class ShuffledRDD(RDD):
         super().__init__(parent.ctx, [dep], num_reduce, name)
         self.shuffle_dep = dep
         self.kind = kind
+        self.partitioning = (num_reduce, partitioner)
 
     def compute(self, split: int, task: "TaskContext") -> Iterator[Any]:
         executor = task.executor
@@ -620,43 +638,74 @@ def _group_records(records: Iterator[tuple[Any, Any]],
 
 
 class JoinedRDD(RDD):
-    """Inner join of two key-value datasets (a cogroup)."""
+    """Inner join of two key-value datasets (a cogroup).
+
+    A side that is already partitioned like the join — produced by a
+    shuffle or join with the same partition count and the hash
+    partitioner — is a :class:`NarrowDependency` and is read in place;
+    any other side is repartitioned through a ``COGROUP`` shuffle.
+    """
 
     def __init__(self, left: RDD, right: RDD, num_reduce: int,
                  name: str) -> None:
-        left_dep = ShuffleDependency(left, num_reduce, ShuffleKind.COGROUP,
-                                     tag=0)
-        right_dep = ShuffleDependency(right, num_reduce,
-                                      ShuffleKind.COGROUP, tag=1)
-        super().__init__(left.ctx, [left_dep, right_dep], num_reduce, name)
-        self.left_dep = left_dep
-        self.right_dep = right_dep
+        partitioning = (num_reduce, None)
+        deps = [NarrowDependency(side) if side.partitioning == partitioning
+                else ShuffleDependency(side, num_reduce, ShuffleKind.COGROUP,
+                                       tag=tag)
+                for tag, side in enumerate((left, right))]
+        super().__init__(left.ctx, deps, num_reduce, name)
+        self.left_dep, self.right_dep = deps
+        self.partitioning = partitioning
+
+    def _table(self, dep: Dependency, split: int, task: "TaskContext",
+               buffer_group: Any) -> dict[Any, list]:
+        """Materialise one side as key -> values in the pinned buffer."""
+        executor = task.executor
+        probe_ms = executor.config.cpu.hash_probe_ms
+        if isinstance(dep, ShuffleDependency):
+            fetched = executor.read_shuffle(dep.shuffle_id, split, task)
+            # Strip the cogroup side tag.
+            records = ((key, tagged[1]) for key, tagged in fetched)
+            decomposed = self.ctx.plan_shuffle(dep).decomposed
+        else:
+            records = dep.parent.iterator(split, task)
+            decomposed = self.ctx._is_deca_transformed(dep.parent)
+        table: dict[Any, list] = {}
+        for key, value in records:
+            executor.charge_compute(probe_ms)
+            table.setdefault(key, []).append(value)
+            if decomposed:
+                # Decomposed inputs enter the table as pointers into the
+                # pages they sit in (Fig. 7(a)); object inputs as graphs.
+                executor.heap.allocate(buffer_group, 0, 8)
+                continue
+            footprint = measure_generic(value)
+            executor.heap.allocate(buffer_group, footprint.objects,
+                                   footprint.object_bytes)
+        return table
 
     def compute(self, split: int, task: "TaskContext") -> Iterator[Any]:
         executor = task.executor
         cpu = executor.config.cpu
         buffer_group = executor.new_pinned_group("join-buffer")
-        sides: tuple[dict[Any, list], dict[Any, list]] = ({}, {})
         # One try/finally spans fill and probe: a task that dies mid-fill
         # (fault injection, fetch failure) must still free the buffer.
         try:
-            for dep, side in ((self.left_dep, 0), (self.right_dep, 1)):
-                # Decomposed inputs enter the cogroup table as pointers
-                # into the fetched pages (Fig. 7(a)); object inputs as
-                # graphs.
-                decomposed = self.ctx.plan_shuffle(dep).decomposed
-                for key, tagged in executor.read_shuffle(dep.shuffle_id,
-                                                         split, task):
-                    value = tagged[1]  # strip the cogroup side tag
+            if isinstance(self.left_dep, NarrowDependency):
+                # Fig. 7(b): the co-partitioned left side (the cached
+                # adjacency lists) is probed where it sits — streamed
+                # against the right side's table, never copied into the
+                # buffer.
+                right = self._table(self.right_dep, split, task,
+                                    buffer_group)
+                for key, lv in self.left_dep.parent.iterator(split, task):
                     executor.charge_compute(cpu.hash_probe_ms)
-                    sides[side].setdefault(key, []).append(value)
-                    if decomposed:
-                        executor.heap.allocate(buffer_group, 0, 8)
-                        continue
-                    footprint = measure_generic(value)
-                    executor.heap.allocate(buffer_group, footprint.objects,
-                                           footprint.object_bytes)
-            left, right = sides
+                    for rv in right.get(key, ()):
+                        executor.charge_compute(cpu.record_op_ms)
+                        yield key, (lv, rv)
+                return
+            left = self._table(self.left_dep, split, task, buffer_group)
+            right = self._table(self.right_dep, split, task, buffer_group)
             for key, left_values in left.items():
                 right_values = right.get(key)
                 if right_values is None:

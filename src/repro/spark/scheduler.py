@@ -36,7 +36,7 @@ from ..errors import (
     TaskKilledError,
 )
 from .metrics import JobMetrics, StageMetrics, TaskMetrics
-from .rdd import RDD, ShuffleDependency
+from .rdd import Dependency, RDD, ShuffleDependency
 from .shuffle import MapSideWriter, ShuffleBlockStore
 
 if TYPE_CHECKING:
@@ -110,19 +110,21 @@ class DAGScheduler:
             return stage
 
         def parent_stages(r: RDD) -> list[Stage]:
+            # Depth-first, a node's dependencies left to right: the left
+            # lineage of a two-sided narrow join runs (and is numbered)
+            # before the right one's.
             parents: list[Stage] = []
             visited: set[int] = set()
-            pending = [r]
+            pending: list[Dependency] = list(reversed(r.deps))
             while pending:
-                node = pending.pop()
-                if node.rdd_id in visited:
+                dep = pending.pop()
+                if isinstance(dep, ShuffleDependency):
+                    parents.append(stage_for_shuffle(dep))
                     continue
-                visited.add(node.rdd_id)
-                for dep in node.deps:
-                    if isinstance(dep, ShuffleDependency):
-                        parents.append(stage_for_shuffle(dep))
-                    else:
-                        pending.append(dep.parent)
+                node = dep.parent
+                if node.rdd_id not in visited:
+                    visited.add(node.rdd_id)
+                    pending.extend(reversed(node.deps))
             return parents
 
         parents = parent_stages(rdd)

@@ -30,6 +30,7 @@ from repro.apps.sql_queries import (
     run_query2,
     run_query2_sparksql,
 )
+from repro.spark.executor import Executor
 
 
 def cfg(mode, heap_mb=32):
@@ -137,8 +138,65 @@ class TestPageRank:
             assert math.isclose(rank, results[1][vertex], rel_tol=1e-9)
             assert math.isclose(rank, results[2][vertex], rel_tol=1e-9)
 
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_one_shuffle_per_iteration(self, mode):
+        """groupByKey once, one reduceByKey per iteration, the result
+        stage: the join reads the cached adjacency lists and the ranks
+        where they are (§6.3)."""
+        run = run_pagerank(self.edges, cfg(mode), iterations=4,
+                           num_partitions=4)
+        names = [s.name for job in run.metrics.jobs for s in job.stages]
+        assert names == (["shuffle-map:pr.edges"]
+                         + ["shuffle-map:pr.contribs"] * 4
+                         + ["result:pr.newRanks"])
+
+    def test_deca_iterate_stages_allocate_no_udf_temporaries(
+            self, monkeypatch):
+        """``pr.contribs`` sits on a join with two narrow parents, both
+        decomposed (cached pages, a decomposed shuffle): Deca rewrites
+        its loop, so no per-record object graph is charged.  Spark mode
+        is the control that the probe sees allocations at all."""
+        alloc_temp = Executor.alloc_temp
+        allocations = Counter()
+
+        def spy(executor, objects, nbytes):
+            if objects > 0 or nbytes > 0:
+                allocations[executor._current_task.metrics.stage_id] += 1
+            alloc_temp(executor, objects, nbytes)
+
+        monkeypatch.setattr(Executor, "alloc_temp", spy)
+        for mode in (ExecutionMode.SPARK, ExecutionMode.DECA):
+            allocations.clear()
+            run = run_pagerank(self.edges, cfg(mode), iterations=3,
+                               num_partitions=4)
+            iterate = [s.stage_id for s in run.metrics.jobs[0].stages
+                       if s.name == "shuffle-map:pr.contribs"]
+            assert len(iterate) == 3
+            per_stage = [allocations[stage_id] for stage_id in iterate]
+            if mode is ExecutionMode.SPARK:
+                assert all(count > 0 for count in per_stage)
+            else:
+                assert per_stage == [0, 0, 0]
+
 
 class TestConnectedComponents:
+    def test_three_shuffles_per_iteration(self):
+        """The cached adjacency side and the ``minLabel`` side are read
+        in place; ``labels`` loses its partitioner through ``map`` and is
+        shuffled into both joins (docs/paper_mapping.md, "Partitioner-aware
+        joins", records why the program is left alone)."""
+        edges = [(i, i + 1) for i in range(30)]
+        run = run_connected_components(edges, cfg(ExecutionMode.SPARK),
+                                       iterations=2, num_partitions=4)
+        names = Counter(s.name for job in run.metrics.jobs
+                        for s in job.stages)
+        assert names == {
+            "shuffle-map:cc.edges": 1,
+            # labels into cc.joined and into cc.update, per iteration
+            "shuffle-map:cc.initLabels": 2, "shuffle-map:cc.newLabels": 2,
+            "shuffle-map:cc.messages": 2,
+            "result:cc.newLabels": 1}
+
     def test_finds_true_components(self):
         # Two disjoint cliques plus a bridge-free singleton chain.
         edges = []

@@ -85,7 +85,8 @@ def three_shuffles(ctx, slow_stage=None):
 
 def cached_points_twice(ctx):
     """A cached RDD built in the job's first stage and read again in its
-    second: two shuffles off the same cache, joined (five stages)."""
+    second: two shuffles off the same cache, joined where they already
+    sit (three stages — both sides are partitioned like the join)."""
     points = [(float(i % 7), tuple(float(i + d) for d in range(10)))
               for i in range(400)]
     cached = ctx.parallelize(points, 4, name="lc.points") \
@@ -99,13 +100,16 @@ def cached_points_twice(ctx):
 
 
 class TestOneForkPerWorkerPerJob:
-    def test_seventeen_stage_job_forks_mp_workers_processes(self):
+    def test_7_stage_job_forks_mp_workers_processes(self):
         edges = cell_inputs(nodes=80, edges=400)["edges"]
         sim = run_pagerank(edges, config("sim"), iterations=5,
                            num_partitions=4)
         run = run_pagerank(edges, config(), iterations=5, num_partitions=4)
         stats = run.metrics.backend
-        assert stats["mp_stages"] == 17
+        # groupEdges, one reduceByKey per iteration, the result stage:
+        # the join reads both of its sides where they are.
+        assert stats["mp_stages"] == 2 + 5
+        assert stats["mp_tasks"] == 4 * (2 + 5)
         assert stats["workers_forked"] == WORKERS
         assert stats["worker_deaths"] == 0
         assert result_digest(sorted(run.result.items())) == \
@@ -161,7 +165,7 @@ class TestDataArrivesByDelta:
                  if key[0] == cached.rdd_id}
         assert kinds == {"packed"}
         stats = finish_clean(ctx).backend
-        assert stats["mp_stages"] == 5
+        assert stats["mp_stages"] == 3
         assert stats["workers_forked"] == WORKERS
 
     def test_later_stages_read_the_registered_block(self):
@@ -278,6 +282,32 @@ class TestNothingOutlivesTheJob:
         assert stats.worker_deaths == 1
         assert stats.workers_forked == WORKERS + 1
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("kind", ["task-kill", "executor-crash"])
+    def test_fault_inside_a_co_partitioned_join(self, kind):
+        """PageRank's second iteration: the join reads the cached
+        adjacency segments and the previous iteration's shuffle blocks
+        in place; the retry (on a fresh fork, after a crash) reads them
+        again and the answer is the fault-free one."""
+        edges = cell_inputs(nodes=80, edges=400)["edges"]
+        before = residue()
+        clean = run_pagerank(edges, config("sim"), iterations=3,
+                             num_partitions=4)
+        run = run_pagerank(edges, config(faults=FaultConfig(scripted=(
+            ScriptedFault(kind, stage_id=2, partition=1, after_ops=3),))),
+            iterations=3, num_partitions=4)
+        assert list(run.result.items()) == list(clean.result.items())
+        stats = run.metrics.backend
+        assert stats["mp_stages"] == 2 + 3
+        # A dying worker takes both splits of its wave down with it.
+        failures = 2 if kind == "executor-crash" else 1
+        assert run.metrics.recovery.task_failures == failures
+        assert stats["mp_tasks"] == 4 * (2 + 3) + failures
+        assert stats["worker_deaths"] == (kind == "executor-crash")
+        assert stats["segments_live"] == 0
+        assert run.metrics.race["violations"] == 0
+        assert run.metrics.sanitize["violations"] == 0
+        assert residue() == before
 
     def test_sigkilled_worker(self, clean_ctx, expected, tmp_path):
         """A real SIGKILL in the middle of a task of the third stage."""

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.apps.pagerank import run_pagerank
 from repro.config import (
     DecaConfig,
     ExecutionMode,
@@ -183,6 +184,49 @@ class TestExecutorLoss:
         # the crashed attempt's own retry produced the output.
         assert recovery.recomputed_partitions == 0
         assert recovery.task_retries == 1
+
+
+class TestRecoveryThroughACoPartitionedJoin:
+    """PageRank's iterate stages read both join sides in place: the
+    cached adjacency lists and the previous iteration's shuffle.  A
+    fault there re-enters the join through those narrow parents — a
+    lost executor takes the cached blocks *and* the shuffle outputs
+    they would be rebuilt from."""
+
+    edges = [(i % 40, (i * 7 + 3) % 40) for i in range(400)]
+
+    def pagerank(self, *scripted):
+        config = DecaConfig(
+            mode=ExecutionMode.DECA, heap_bytes=32 * MB, num_executors=2,
+            tasks_per_executor=2, faults=FaultConfig(scripted=scripted))
+        return run_pagerank(self.edges, config, iterations=3,
+                            num_partitions=4)
+
+    def test_killed_iterate_task_is_retried(self):
+        clean = self.pagerank()
+        # Stage 0 groups the edges; stage 2 is the second iteration.
+        run = self.pagerank(ScriptedFault("task-kill", stage_id=2,
+                                          partition=1, after_ops=5))
+        assert list(run.result.items()) == list(clean.result.items())
+        assert run.metrics.recovery.task_failures == 1
+        assert run.metrics.recovery.recomputed_partitions == 0
+
+    def test_executor_lost_in_an_iterate_stage(self):
+        clean = self.pagerank()
+        run = self.pagerank(ScriptedFault("executor-crash", stage_id=2,
+                                          partition=1, after_ops=5))
+        assert list(run.result.items()) == list(clean.result.items())
+        recovery = run.metrics.recovery
+        assert recovery.executors_lost == 1
+        # Its half of the grouping shuffle's and of the first
+        # iteration's map outputs, regenerated parents first.
+        names = [s.name for s in run.metrics.jobs[0].stages
+                 if s.name.startswith("recompute:")]
+        assert names == ["recompute:shuffle-map:pr.edges"] * 2 \
+            + ["recompute:shuffle-map:pr.contribs"] * 2
+        for executor in run.ctx.executors:
+            assert [g.name for g in executor.heap._groups.values()
+                    if g.name.startswith("join-buffer")] == []
 
 
 class TestFetchFailure:

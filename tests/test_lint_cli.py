@@ -40,17 +40,18 @@ class TestLintCli:
     def test_findings_missing_from_baseline_fail(self, tmp_path, capsys):
         baseline = tmp_path / "empty.json"
         baseline.write_text(json.dumps({"apps": []}))
-        # The pr shadow run produces a DECA006 note (the edge shuffle has
-        # no declared UDT), which an empty baseline does not contain.
-        assert main(["lint", "--apps", "pr", "--format", "json",
+        # The q2 shadow run produces a DECA006 note (its aggregation
+        # shuffle has no declared UDT), which an empty baseline does not
+        # contain.
+        assert main(["lint", "--apps", "q2", "--format", "json",
                      "--baseline", str(baseline)]) == 1
         captured = capsys.readouterr()
         assert "not in baseline" in captured.err
         assert "DECA006" in captured.err
 
     def test_rules_filter_keeps_only_matching_family(self, capsys):
-        # pr emits a DECA006 note; the closure-family filter drops it.
-        assert main(["lint", "--apps", "pr", "--format", "json",
+        # q2 emits a DECA006 note; the closure-family filter drops it.
+        assert main(["lint", "--apps", "q2", "--format", "json",
                      "--rules", "DECA2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         findings = [f for app in payload["apps"]
@@ -62,7 +63,7 @@ class TestLintCli:
         assert closures["udfs_analyzed"] == closures["udf_sites"] > 0
 
     def test_rules_filter_passes_unfiltered_without_prefixes(self, capsys):
-        assert main(["lint", "--apps", "pr", "--format", "json"]) == 0
+        assert main(["lint", "--apps", "q2", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["totals"]["note"] >= 1    # the DECA006 note
 

@@ -4,9 +4,11 @@ from collections import Counter
 
 import pytest
 
+from repro.apps.pagerank import message_udt_info
 from repro.config import DecaConfig, ExecutionMode, MB
 from repro.errors import ExecutionError
 from repro.spark import DecaContext
+from repro.spark.rdd import NarrowDependency, ShuffleDependency
 
 
 def make_ctx(mode=ExecutionMode.SPARK, **overrides):
@@ -144,6 +146,87 @@ class TestKeyBasedOperators:
             results.append(
                 dict(pairs.reduce_by_key(lambda a, b: a + b, 2).collect()))
         assert results[0] == results[1] == results[2]
+
+
+def add(a, b):
+    return a + b
+
+
+PAIRS = [(i % 7, i) for i in range(40)]
+
+KEEPS_PARTITIONING = {
+    "map_values": lambda r: r.map_values(lambda v: v + 1),
+    "filter": lambda r: r.filter(lambda kv: kv[1] % 2 == 0),
+    "sample": lambda r: r.sample(0.5),
+    "with_udt": lambda r: r.with_udt(message_udt_info()),
+    "cache": lambda r: r.cache(),
+}
+DROPS_PARTITIONING = {
+    "map": lambda r: r.map(lambda kv: kv),
+    "flat_map": lambda r: r.flat_map(lambda kv: [kv]),
+    "key_by": lambda r: r.key_by(lambda kv: kv[0]),
+    "map_partitions": lambda r: r.map_partitions(list),
+    "union": lambda r: r.union(r),
+    "zip_with_index": lambda r: r.zip_with_index(),
+}
+
+
+class TestPartitionerPropagation:
+    """An RDD remembers the partitioner it was produced with, as long as
+    nothing could have changed its keys; ``join`` shuffles only the sides
+    that are not already partitioned its way."""
+
+    def summed(self, ctx, partitions=4):
+        return ctx.parallelize(PAIRS, 3).reduce_by_key(add, partitions)
+
+    def test_shuffles_and_joins_set_it(self):
+        ctx = make_ctx()
+        assert ctx.parallelize(PAIRS, 3).partitioning is None
+        assert self.summed(ctx).partitioning == (4, None)
+        assert ctx.parallelize(PAIRS, 3).group_by_key(2).partitioning \
+            == (2, None)
+        count, by_range = ctx.parallelize(PAIRS, 3).sort_by_key(4) \
+            .partitioning
+        assert count == 4 and callable(by_range)
+        joined = ctx.parallelize(PAIRS, 3).join(self.summed(ctx), 5)
+        assert joined.partitioning == (5, None)
+
+    @pytest.mark.parametrize("op", sorted(KEEPS_PARTITIONING))
+    def test_kept_when_keys_cannot_change(self, op):
+        out = KEEPS_PARTITIONING[op](self.summed(make_ctx()))
+        assert out.partitioning == (4, None)
+
+    @pytest.mark.parametrize("op", sorted(DROPS_PARTITIONING))
+    def test_dropped_when_keys_or_partitions_may_change(self, op):
+        out = DROPS_PARTITIONING[op](self.summed(make_ctx()))
+        assert out.partitioning is None
+
+    def check_join(self, left, right, partitions, expected_deps):
+        joined = left.join(right, partitions)
+        assert [type(dep) for dep in joined.deps] == expected_deps
+        left_pairs, right_pairs = left.collect(), right.collect()
+        assert sorted(joined.collect()) == sorted(
+            (k, (lv, rv)) for k, lv in left_pairs
+            for k2, rv in right_pairs if k == k2)
+
+    def test_join_of_co_partitioned_sides_is_narrow(self):
+        ctx = make_ctx()
+        sums = self.summed(ctx)
+        self.check_join(sums, sums.map_values(lambda v: -v), 4,
+                        [NarrowDependency, NarrowDependency])
+
+    def test_side_with_another_partition_count_still_shuffles(self):
+        ctx = make_ctx()
+        self.check_join(self.summed(ctx, 4), self.summed(ctx, 3), 4,
+                        [NarrowDependency, ShuffleDependency])
+        self.check_join(self.summed(ctx, 4), self.summed(ctx, 4), 3,
+                        [ShuffleDependency, ShuffleDependency])
+
+    def test_range_partitioned_side_still_shuffles(self):
+        ctx = make_ctx()
+        by_range = ctx.parallelize(PAIRS, 3).sort_by_key(4)
+        self.check_join(by_range, self.summed(ctx), 4,
+                        [ShuffleDependency, NarrowDependency])
 
 
 class TestCaching:

@@ -41,6 +41,20 @@ class TestStageConstruction:
         stage = ctx.scheduler._build_stages(left.join(right, 2))
         assert len(stage.parents) == 2
 
+    def test_co_partitioned_join_numbers_its_left_lineage_first(self):
+        ctx = make_ctx()
+        pairs = ctx.parallelize([(1, 1), (2, 2)], 2)
+        left = pairs.reduce_by_key(min, 2, name="sched.left")
+        right = pairs.reduce_by_key(max, 2, name="sched.right")
+        stage = ctx.scheduler._build_stages(left.join(right, 2))
+        # No stage of its own for either side: the join runs in the
+        # result stage, whose parents are the two reduce shuffles.
+        assert [p.shuffle_dep for p in stage.parents] == \
+            [left.shuffle_dep, right.shuffle_dep]
+        assert [p.stage_id for p in stage.parents] == [0, 1]
+        assert [s.stage_id for s in ctx.scheduler._topological(stage)] \
+            == [0, 1, 2]
+
     def test_chained_shuffles_nest(self):
         ctx = make_ctx()
         rdd = ctx.parallelize([(1, 1)], 2) \
