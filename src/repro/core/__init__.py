@@ -3,33 +3,26 @@
 This package is the paper's contribution proper, assembled from the
 substrates:
 
-* :mod:`repro.core.containers` — the three data-container kinds and their
-  lifetime rules (§4.2);
-* :mod:`repro.core.decompose` — fully/partially-decomposable decisions for
-  objects shared between containers (§4.3.3);
+* :mod:`repro.core.plan` — the per-container decision (§4.2–§4.3): one
+  :class:`ContainerPlan` carries the verdict, its evidence and the record
+  codec every reader and writer of the container goes through;
 * :mod:`repro.core.optimizer` — the hybrid runtime optimizer (Appendix A):
   intercepts each dataset/shuffle as jobs materialize it, runs the UDT
   classification (Algorithms 1–4), resolves symbolic sizes with runtime
-  bindings, and emits cache/shuffle plans that the engine executes.
+  bindings, and emits the container plans that the engine executes;
+* :mod:`repro.core.fusion` — iterator fusion of map/filter chains (§5
+  pre-processing).
+
+The container lifetimes of §4.2 are executed by
+:class:`~repro.jvm.objects.Lifetime` groups and
+:meth:`~repro.memory.page.PageGroup.reclaim`; the shared-object rules of
+§4.3.3 by the per-container plan plus
+:class:`~repro.memory.page.PageInfo` reference counts.
 """
 
-from .containers import Container, ContainerKind, LifetimeRegistry
-from .decompose import DecompositionKind, decide_decomposition
-from .optimizer import DecaOptimizer, PlanReport
-from .fusion import FusedMapRDD, fuse
-from .codegen import compile_scan, generate_scan_source, scan_flat
+# Only the plan is re-exported: it sits below the engine (analysis and
+# memory are all it imports), while the optimizer and fusion import
+# ``repro.spark`` — which imports the plan.
+from .plan import ContainerPlan, StorageStrategy
 
-__all__ = [
-    "Container",
-    "ContainerKind",
-    "LifetimeRegistry",
-    "DecompositionKind",
-    "decide_decomposition",
-    "DecaOptimizer",
-    "PlanReport",
-    "FusedMapRDD",
-    "fuse",
-    "compile_scan",
-    "generate_scan_source",
-    "scan_flat",
-]
+__all__ = ["ContainerPlan", "StorageStrategy"]

@@ -8,12 +8,14 @@ a shuffle, the optimizer
    (Algorithms 2–4) over the dataset's declared stage call graph;
 2. resolves the symbolic array lengths of the analysis against the job's
    runtime symbol bindings (the driver knows the actual dimension by now);
-3. maps the objects to their containers and applies the ownership and
-   decomposition rules of §4.3;
-4. emits a :class:`~repro.spark.context.CachePlan` /
-   :class:`~repro.spark.shuffle.ShufflePlan` that the engine executes —
-   the stand-in for the bytecode transformation of Appendix B, with
-   synthesized accessor classes taking the place of rewritten methods.
+3. builds the byte layout of the container's records from the refined
+   size-type and the resolved lengths, falling back to object form when
+   records escape a consuming UDF, the size-type is not decomposable or
+   no layout exists;
+4. emits one :class:`~repro.core.plan.ContainerPlan` that the engine
+   executes — the stand-in for the bytecode transformation of Appendix B,
+   with synthesized accessor classes taking the place of rewritten
+   methods.
 
 Plans are memoized per dataset/shuffle, mirroring how transformed classes
 are generated once and shipped to every executor.
@@ -31,39 +33,14 @@ from ..analysis.symconst import Affine
 from ..analysis.udt import ClassType, PrimitiveType
 from ..errors import MemoryLayoutError
 from ..memory.layout import build_schema, columnar_plan
-from ..spark.cache import StorageStrategy
-from ..spark.shuffle import ShuffleKind, ShufflePlan
+from ..spark.shuffle import ShuffleKind
+from .plan import ContainerPlan, StorageStrategy
 
 if TYPE_CHECKING:
     from ..analysis.closures import ClosureReport
-    from ..spark.context import CachePlan as CachePlanT, DecaContext
+    from ..spark.context import DecaContext
     from ..spark.rdd import RDD, ShuffleDependency, UdtInfo
     from ..sql.schema import TableSchema
-
-
-@dataclass(frozen=True)
-class PlanReport:
-    """What the optimizer decided for one dataset/shuffle, and why."""
-
-    target: str
-    udt: str | None
-    local_size_type: SizeType | None
-    global_size_type: SizeType | None
-    decomposed: bool
-    reason: str
-
-    def to_dict(self) -> dict[str, object]:
-        """A JSON-serializable form (used by ``repro.lint`` summaries)."""
-        return {
-            "target": self.target,
-            "udt": self.udt,
-            "local": (self.local_size_type.value
-                      if self.local_size_type else None),
-            "global": (self.global_size_type.value
-                       if self.global_size_type else None),
-            "decomposed": self.decomposed,
-            "reason": self.reason,
-        }
 
 
 class DecaOptimizer:
@@ -71,73 +48,24 @@ class DecaOptimizer:
 
     def __init__(self, ctx: "DecaContext") -> None:
         self.ctx = ctx
-        self._cache_plans: dict[int, "CachePlanT"] = {}
-        self._shuffle_plans: dict[int, ShufflePlan] = {}
+        # The context's plan table: (container family, id) -> plan, in
+        # creation order.
+        self._plans = ctx._plans
         self._closure_reports: dict[int, "ClosureReport | None"] = {}
-        self.reports: list[PlanReport] = []
+
+    @property
+    def reports(self) -> list[ContainerPlan]:
+        """Every plan made so far, oldest first (what lint audits)."""
+        return list(self._plans.values())
 
     # -- cached datasets --------------------------------------------------------
-    def plan_cache(self, rdd: "RDD") -> "CachePlanT":
-        cached = self._cache_plans.get(rdd.rdd_id)
-        if cached is not None:
-            return cached
-        plan = self._plan_cache_uncached(rdd)
-        self._cache_plans[rdd.rdd_id] = plan
+    def plan_cache(self, rdd: "RDD") -> ContainerPlan:
+        key = ("cache", rdd.rdd_id)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(
+                f"cache:{rdd.name}", rdd.udt_info, cached=rdd)
         return plan
-
-    def _plan_cache_uncached(self, rdd: "RDD") -> "CachePlanT":
-        from ..spark.context import CachePlan
-
-        info = rdd.udt_info
-        if info is None:
-            self.reports.append(PlanReport(
-                target=f"cache:{rdd.name}", udt=None,
-                local_size_type=None, global_size_type=None,
-                decomposed=False, reason="no UDT declared"))
-            return CachePlan(StorageStrategy.OBJECTS)
-
-        escaper = self._escaping_consumer(rdd)
-        if escaper is not None:
-            # A consuming UDF lets records outlive the call (stored into
-            # captured state or closed over) — decomposed page records
-            # would dangle once the page group is reclaimed, so the
-            # container must stay in object form (§4.2).
-            self.reports.append(PlanReport(
-                target=f"cache:{rdd.name}", udt=info.udt.name,
-                local_size_type=None, global_size_type=None,
-                decomposed=False,
-                reason=f"records escape consuming UDF {escaper}; "
-                       "closure analysis forces object form"))
-            return CachePlan(StorageStrategy.OBJECTS)
-
-        local, refined, classifier = self._classify(info)
-        if refined is None or not refined.decomposable:
-            self.reports.append(PlanReport(
-                target=f"cache:{rdd.name}", udt=info.udt.name,
-                local_size_type=local, global_size_type=refined,
-                decomposed=False,
-                reason=f"size-type {refined.value if refined else '?'} "
-                       "cannot be safely decomposed"))
-            return CachePlan(StorageStrategy.OBJECTS)
-
-        fixed_lengths = self._resolve_fixed_lengths(info, classifier)
-        try:
-            schema = build_schema(info.udt, refined,
-                                  fixed_lengths=fixed_lengths)
-        except MemoryLayoutError as exc:
-            self.reports.append(PlanReport(
-                target=f"cache:{rdd.name}", udt=info.udt.name,
-                local_size_type=local, global_size_type=refined,
-                decomposed=False, reason=f"layout failed: {exc}"))
-            return CachePlan(StorageStrategy.OBJECTS)
-
-        self.reports.append(PlanReport(
-            target=f"cache:{rdd.name}", udt=info.udt.name,
-            local_size_type=local, global_size_type=refined,
-            decomposed=True,
-            reason="decomposed into cache-block page groups"))
-        return CachePlan(StorageStrategy.DECA_PAGES, schema=schema,
-                         encode=info.encode, decode=info.decode)
 
     def _escaping_consumer(self, rdd: "RDD") -> str | None:
         """Name of a registered consumer UDF with an ``escapes`` verdict.
@@ -169,64 +97,80 @@ class DecaOptimizer:
         return None
 
     # -- shuffles ---------------------------------------------------------------
-    def plan_shuffle(self, dep: "ShuffleDependency") -> ShufflePlan:
-        cached = self._shuffle_plans.get(dep.shuffle_id)
-        if cached is not None:
-            return cached
-        plan = self._plan_shuffle_uncached(dep)
-        self._shuffle_plans[dep.shuffle_id] = plan
+    def plan_shuffle(self, dep: "ShuffleDependency") -> ContainerPlan:
+        key = ("shuffle", dep.shuffle_id)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(
+                f"shuffle:{dep.shuffle_id}:{dep.parent.name}",
+                dep.parent.udt_info, dep=dep)
         return plan
 
-    def _plan_shuffle_uncached(self, dep: "ShuffleDependency"
-                               ) -> ShufflePlan:
-        parent = dep.parent
-        info = parent.udt_info
-        measure = parent.measure_record
-        target = f"shuffle:{dep.shuffle_id}:{parent.name}"
+    # -- the one decision routine ------------------------------------------------
+    def _plan(self, target: str, info: "UdtInfo | None", *,
+              cached: "RDD | None" = None,
+              dep: "ShuffleDependency | None" = None) -> ContainerPlan:
+        """Classify → resolve lengths → lay out → explain: the plan of
+        the cached dataset *cached* or of the shuffle *dep*."""
+        measure = dep.parent.measure_record if dep is not None else None
+        tag = dep.tag if dep is not None else None
+
+        def object_form(reason: str, local: SizeType | None = None,
+                        refined: SizeType | None = None) -> ContainerPlan:
+            return ContainerPlan(
+                target=target, udt=info.udt.name if info else None,
+                local_size_type=local, global_size_type=refined,
+                decomposed=False, reason=reason, measure=measure, tag=tag)
+
         if info is None:
-            self.reports.append(PlanReport(
-                target=target, udt=None, local_size_type=None,
-                global_size_type=None, decomposed=False,
-                reason="no UDT declared for the shuffled records"))
-            return ShufflePlan(measure=measure)
+            return object_form("no UDT declared" if dep is None else
+                               "no UDT declared for the shuffled records")
+        escaper = (self._escaping_consumer(cached)
+                   if cached is not None else None)
+        if escaper is not None:
+            # A consuming UDF lets records outlive the call (stored into
+            # captured state or closed over) — decomposed page records
+            # would dangle once the page group is reclaimed, so the
+            # container must stay in object form (§4.2).
+            return object_form(
+                f"records escape consuming UDF {escaper}; "
+                "closure analysis forces object form")
 
         local, refined, classifier = self._classify(info)
         if refined is None or not refined.decomposable:
+            if dep is None:
+                return object_form(
+                    f"size-type {refined.value if refined else '?'} "
+                    "cannot be safely decomposed", local, refined)
             # Fig. 7(b): a grouped Value array is a VST inside the buffer;
             # the buffer keeps object form (a later cache may still
             # decompose — that is the cache plan's business).
-            self.reports.append(PlanReport(
-                target=target, udt=info.udt.name, local_size_type=local,
-                global_size_type=refined, decomposed=False,
-                reason="records not decomposable inside the buffer"))
-            return ShufflePlan(measure=measure)
-
-        fixed_lengths = self._resolve_fixed_lengths(info, classifier)
+            return object_form("records not decomposable inside the buffer",
+                               local, refined)
         try:
-            schema = build_schema(info.udt, refined,
-                                  fixed_lengths=fixed_lengths)
+            schema = build_schema(
+                info.udt, refined,
+                fixed_lengths=self._resolve_fixed_lengths(info, classifier))
         except MemoryLayoutError as exc:
-            self.reports.append(PlanReport(
-                target=target, udt=info.udt.name, local_size_type=local,
-                global_size_type=refined, decomposed=False,
-                reason=f"layout failed: {exc}"))
-            return ShufflePlan(measure=measure)
+            return object_form(f"layout failed: {exc}", local, refined)
 
-        value_reuse = (dep.kind is ShuffleKind.COMBINE
-                       and self._value_field_is_sfst(info, classifier))
-        pointer_array = not self._statically_addressable(info, classifier)
-        self.reports.append(PlanReport(
+        value_reuse = pointer_array = False
+        reason = "decomposed into cache-block page groups"
+        if dep is not None:
+            value_reuse = (dep.kind is ShuffleKind.COMBINE
+                           and self._value_field_is_sfst(info, classifier))
+            pointer_array = not self._statically_addressable(info,
+                                                             classifier)
+            reason = ("decomposed into shuffle-buffer page groups"
+                      + (" with value segment reuse" if value_reuse else "")
+                      + ("" if pointer_array else ", pointer array elided"))
+        return ContainerPlan(
             target=target, udt=info.udt.name, local_size_type=local,
-            global_size_type=refined, decomposed=True,
-            reason="decomposed into shuffle-buffer page groups"
-                   + (" with value segment reuse" if value_reuse else "")
-                   + ("" if pointer_array else ", pointer array elided")))
-        return ShufflePlan(decomposed=True,
-                           value_segment_reuse=value_reuse,
-                           pointer_array=pointer_array,
-                           schema=schema,
-                           encode=info.encode,
-                           measure=measure)
+            global_size_type=refined, decomposed=True, reason=reason,
+            strategy=StorageStrategy.DECA_PAGES, schema=schema,
+            encode=info.encode, decode=info.decode, measure=measure,
+            value_segment_reuse=value_reuse, pointer_array=pointer_array,
+            tag=tag)
 
     # -- shared machinery ------------------------------------------------------------
     def _classify(self, info: "UdtInfo") -> tuple[

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection, resource_tracker
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
+from ..core.plan import ContainerPlan
 from ..errors import ExecutionError, StageAbortError, TaskKilledError
 from ..memory.unified import UnifiedMemoryManager
 from ..spark.metrics import TaskMetrics
@@ -85,16 +86,6 @@ _RUN_IDS = itertools.count()
 _REAP_GRACE_S = 5.0
 
 
-@dataclass(frozen=True)
-class ShuffleMeta:
-    """Everything a reader needs to decode one shuffle's shared blocks."""
-
-    schema: Any
-    encode: Callable[[Any], Any]
-    decode: Callable[[Any], Any] | None
-    tag: int | None
-
-
 @dataclass
 class CacheEntry:
     """One cached partition in the backend's cross-process table."""
@@ -104,8 +95,8 @@ class CacheEntry:
     ref: SegmentRef | None = None
     blob: bytes | None = None
     records: list | None = None
-    schema: Any = None
-    decode: Callable[[Any], Any] | None = None
+    # The dataset's cache plan: the codec of the shm / packed forms.
+    plan: ContainerPlan | None = None
     # Set when the driver's cache swapped the block to the cold tier:
     # workers must recompute instead of resolving the (stale-hot) copy.
     cold: bool = False
@@ -119,31 +110,31 @@ class CacheEntry:
             assert self.records is not None
             yield from self.records
         elif self.kind == "shm":
-            assert self.ref is not None
-            yield from read_segment_records(self.ref, self.schema,
-                                            self.decode)
+            assert self.ref is not None and self.plan is not None
+            yield from read_segment_records(self.ref, self.plan)
         else:  # packed: the sim cache's SERIALIZED representation
-            assert self.blob is not None
-            values = self.schema.iter_unpack(self.blob)
-            yield from map(self.decode, values) if self.decode else values
+            assert self.blob is not None and self.plan is not None
+            yield from self.plan.records(self.blob)
 
 
 @dataclass
 class JobState:
     """The driver state a job's executors are forked from.
 
-    ``shuffle_meta`` and ``cache_blocks`` are the backend's own tables
-    and ``ctx.shuffle_store`` the context's: each process mutates its
-    copy through :meth:`register` — the driver when a task reports, a
-    worker when the same output reaches it in an order's delta — so all
-    copies move through the same states in the same order.
+    ``cache_blocks`` is the backend's own table and ``ctx.shuffle_store``
+    the context's: each process mutates its copy through :meth:`register`
+    — the driver when a task reports, a worker when the same output
+    reaches it in an order's delta — so all copies move through the same
+    states in the same order.  Decoding needs no table of its own: a
+    shuffle's plan (planned by ``begin_job``, before the fork) and a
+    cached dataset's plan carry their codecs, and every process holds
+    the same ones.
     """
 
     ctx: "DecaContext"
     # stage_id -> (stage, its shuffle plan; None for the result stage).
-    stages: dict[int, tuple["Stage", Any]]
+    stages: dict[int, tuple["Stage", ContainerPlan | None]]
     result_func: Callable[[Iterator], Any]
-    shuffle_meta: dict[int, ShuffleMeta]
     cache_blocks: dict[tuple[int, int], CacheEntry]
     run_tag: str
 
@@ -161,28 +152,23 @@ class JobState:
         stage, plan = self.stages[stage_id]
         dep = stage.shuffle_dep
         for mb in out.map_blocks:
-            assert dep is not None
+            assert dep is not None and plan is not None
             if mb.ref is not None:
                 if owner is not None:
                     owner._adopt_segment(mb.ref, out.executor_id)
-                meta = self.shuffle_meta[dep.shuffle_id]
-                block = MapOutputBlock(
-                    records=None, nbytes=mb.nbytes, objects=mb.objects,
-                    executor_id=out.executor_id, decomposed=True,
-                    merge_penalty_bytes=mb.merge_penalty_bytes,
-                    shm_ref=mb.ref, shm_schema=meta.schema,
-                    shm_decode=meta.decode, shm_tag=meta.tag)
+                records = None
             else:
                 assert mb.blob is not None
                 if owner is not None:
                     owner.stats.bytes_pickled_records += len(mb.blob)
-                block = MapOutputBlock(
-                    records=pickle.loads(mb.blob), nbytes=mb.nbytes,
-                    objects=mb.objects, executor_id=out.executor_id,
-                    decomposed=plan.decomposed,
-                    merge_penalty_bytes=mb.merge_penalty_bytes)
-            ctx.shuffle_store.register(dep.shuffle_id, out.split,
-                                       mb.reduce_part, block)
+                records = pickle.loads(mb.blob)
+            ctx.shuffle_store.register(
+                dep.shuffle_id, out.split, mb.reduce_part,
+                MapOutputBlock(
+                    records=records, nbytes=mb.nbytes, objects=mb.objects,
+                    executor_id=out.executor_id, plan=plan,
+                    merge_penalty_bytes=mb.merge_penalty_bytes,
+                    shm_ref=mb.ref))
         for cb in out.cache_blocks:
             key = (cb.rdd_id, cb.split)
             existing = self.cache_blocks.get(key)
@@ -197,24 +183,15 @@ class JobState:
                 # A recomputed block replaces the demoted entry and its
                 # stale segment; the fresh one is adopted in its place.
                 owner._account_cache_block(cb, existing, out.executor_id)
-            self.cache_blocks[key] = self._cache_entry(cb)
-
-    def _cache_entry(self, cb: CacheBlockOut) -> CacheEntry:
-        ctx = self.ctx
-        rdd = ctx._rdds.get(cb.rdd_id)
-        plan = ctx.plan_cache(rdd) if rdd is not None else None
-        schema = plan.schema if plan is not None else None
-        decode = plan.decode if plan is not None else None
-        if cb.kind == "shm":
-            assert cb.ref is not None
-            return CacheEntry(kind="shm", count=cb.count, ref=cb.ref,
-                              schema=schema, decode=decode)
-        assert cb.blob is not None
-        if cb.kind == "packed":
-            return CacheEntry(kind="packed", count=cb.count, blob=cb.blob,
-                              schema=schema, decode=decode)
-        return CacheEntry(kind="records", count=cb.count,
-                          records=pickle.loads(cb.blob))
+            if cb.kind == "pickle":
+                assert cb.blob is not None
+                self.cache_blocks[key] = CacheEntry(
+                    kind="records", count=cb.count,
+                    records=pickle.loads(cb.blob))
+            else:
+                self.cache_blocks[key] = CacheEntry(
+                    kind=cb.kind, count=cb.count, ref=cb.ref, blob=cb.blob,
+                    plan=ctx.plan_cache(ctx._rdds[cb.rdd_id]))
 
 
 @dataclass
@@ -284,7 +261,6 @@ class MpBackend(ExecutionBackend):
         self.registry = ShmSegmentRegistry(on_unlink=self._segment_unlinked,
                                            ledger=ctx.ledger,
                                            vclock=ctx.vclock)
-        self.shuffle_meta: dict[int, ShuffleMeta] = {}
         self.cache_blocks: dict[tuple[int, int], CacheEntry] = {}
         self._cache_segments: dict[int, list[str]] = {}
         self._segment_owner: dict[str, int] = {}
@@ -341,35 +317,24 @@ class MpBackend(ExecutionBackend):
         """Plan every stage of the job, then fork its executors — once.
 
         Planning first is what lets a worker serve the whole job from
-        one fork: each stage's shuffle plan and the decode metadata of
-        every shuffle are inherited, so an order only has to name the
-        stage.
+        one fork: every shuffle's plan — its codec included — is in the
+        context's memo when the workers inherit it, so an order only has
+        to name the stage.
         """
         ctx = self.ctx
-        plans: dict[int, tuple["Stage", Any]] = {}
+        plans: dict[int, tuple["Stage", ContainerPlan | None]] = {}
         for stage in stages:
             dep = stage.shuffle_dep
             if dep is None:
                 plans[stage.stage_id] = (stage, None)
                 continue
-            plan = ctx.plan_shuffle(dep)
-            plans[stage.stage_id] = (stage, plan)
+            plans[stage.stage_id] = (stage, ctx.plan_shuffle(dep))
             # The scheduler sets this again at stage start — too late
             # for a reader forked now.
             ctx.shuffle_store.set_map_parts(dep.shuffle_id, stage.num_tasks)
-            if (dep.shuffle_id in self.shuffle_meta
-                    or not plan.decomposed or plan.schema is None):
-                continue
-            info = dep.parent.udt_info
-            self.shuffle_meta[dep.shuffle_id] = ShuffleMeta(
-                schema=plan.schema,
-                encode=plan.encode or (lambda value: value),
-                decode=info.decode if info is not None else None,
-                tag=dep.tag)
         job = self._job = _Job(JobState(
             ctx=ctx, stages=plans, result_func=func,
-            shuffle_meta=self.shuffle_meta, cache_blocks=self.cache_blocks,
-            run_tag=self.run_tag))
+            cache_blocks=self.cache_blocks, run_tag=self.run_tag))
         width = max(stage.num_tasks for stage in stages)
         for worker_id in range(max(1, min(self.num_workers, width))):
             self._spawn(job, worker_id)

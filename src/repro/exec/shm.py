@@ -36,6 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+from ..core.plan import ContainerPlan
 from ..errors import PageError
 from ..memory.layout import Schema
 from ..memory.page import Page, PageGroup
@@ -236,17 +237,19 @@ def attach_page_group(ref: SegmentRef, group_name: str | None = None,
     return group
 
 
-def read_segment_records(ref: SegmentRef, schema: Schema,
-                         decode: Callable[[Any], Any] | None = None,
+def read_segment_records(ref: SegmentRef, plan: ContainerPlan,
                          ) -> Iterator[Any]:
-    """Decode every record of *ref* in place (attach, scan, detach)."""
+    """Decode every record of *ref* in place (attach, scan, detach) —
+    the one reader of shared blocks, shuffle and cache, in the driver
+    and in every worker."""
     if ref.name is None or ref.count == 0:
         return
+    assert plan.schema is not None
     group = attach_page_group(ref)
     info = group.new_page_info()
-    values = group.records(schema)
+    values = group.records(plan.schema)
     try:
-        yield from map(decode, values) if decode else values
+        yield from plan.decoded(values)
     finally:
         values.close()      # its page view must go before the detach
         info.close()

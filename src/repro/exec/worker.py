@@ -37,15 +37,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
+from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import TaskKilledError
 from ..obs.tracer import TraceEvent, Tracer
 from ..obs.vclock import VClockChecker
 from ..spark.faults import EXECUTOR_CRASH, TASK_KILL, TaskFaultPlan
 from ..spark.metrics import TaskMetrics
 from ..spark.scheduler import TaskContext
-from ..spark.shuffle import MapSideWriter, ShuffleBlockStore
-from .shm import (SegmentRef, pack_records_segment, read_segment_records,
-                  unlink_segment)
+from ..spark.shuffle import ShuffleBlockStore
+from .shm import SegmentRef, pack_records_segment, unlink_segment
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -309,9 +309,8 @@ class _WorkerRuntime:
         self.state = state
         self.worker_id = worker_id
         self.clock = _WallClock()
-        # The stage being served: its plan and this wave's fault plans.
+        # The stage being served and this wave's fault plans.
         self.stage: Any = None
-        self.shuffle_plan: Any = None
         self.fault_plans: dict[int, TaskFaultPlan] = {}
         # (rdd_id, split) -> records decoded/computed in this process.
         # It outlives the stage, so a cached block is decoded once per
@@ -354,7 +353,7 @@ class _WorkerRuntime:
                 # computed records included): later stages decode the
                 # registered bytes, exactly what a sim cache read yields.
                 self.local_cache.pop((cb.rdd_id, cb.split), None)
-        self.stage, self.shuffle_plan = state.stages[order.stage_id]
+        self.stage, _ = state.stages[order.stage_id]
         self.fault_plans = order.fault_plans
         # Task timestamps are relative to the order's arrival; the driver
         # re-anchors them at its own stage start.
@@ -362,35 +361,17 @@ class _WorkerRuntime:
 
     # -- shuffle read shim ---------------------------------------------------
     def read_shuffle(self, shuffle_id: int, reduce_part: int) -> Any:
-        state = self.state
-        store = state.ctx.shuffle_store
-        num_maps = store.map_parts(shuffle_id)
-        meta = state.shuffle_meta.get(shuffle_id)
-        for map_part in range(num_maps):
+        store = self.state.ctx.shuffle_store
+        for map_part in range(store.map_parts(shuffle_id)):
             block = store.fetch(shuffle_id, map_part, reduce_part)
             if block is None:
                 raise RuntimeError(
                     f"mp fetch: missing map output "
                     f"({shuffle_id}, {map_part}, {reduce_part})")
-            if block.records is not None:
-                yield from block.records
-            elif block.shm_ref is not None and meta is not None:
-                if self.vclock is not None \
-                        and block.shm_ref.name is not None:
-                    self.vclock.note_access("segment", block.shm_ref.name)
-                records = read_segment_records(block.shm_ref, meta.schema,
-                                               meta.decode)
-                if meta.tag is None:
-                    yield from records
-                else:
-                    # Cogroup blocks are stored untagged; the side tag is
-                    # a per-shuffle constant, reattached on read.
-                    for key, value in records:
-                        yield key, (meta.tag, value)
-            else:
-                raise RuntimeError(
-                    f"mp fetch: unreadable block "
-                    f"({shuffle_id}, {map_part}, {reduce_part})")
+            if (self.vclock is not None and block.shm_ref is not None
+                    and block.shm_ref.name is not None):
+                self.vclock.note_access("segment", block.shm_ref.name)
+            yield from block.read()
 
     # -- cache shim ----------------------------------------------------------
     def _cached_iterator(self, rdd: Any, split: int,
@@ -416,38 +397,36 @@ class _WorkerRuntime:
 
     def _build_cache_block(self, rdd: Any, key: tuple[int, int],
                            records: list) -> None:
-        from ..spark.cache import StorageStrategy
         out = self.current_out
         if out is None:
             return
         plan = self.state.ctx.plan_cache(rdd)
-        encode = plan.encode or (lambda value: value)
-        if (plan.strategy is StorageStrategy.DECA_PAGES
-                and plan.schema is not None):
-            name = f"{self.attempt_tag}c{key[0]}"
-            ref = pack_records_segment(
-                name, plan.schema, [encode(r) for r in records])
-            if ref.name is not None:
-                self.created.append(ref.name)
+        if plan.schema is None:
+            out.cache_blocks.append(CacheBlockOut(
+                rdd_id=key[0], split=key[1], kind="pickle",
+                count=len(records), blob=pickle.dumps(records)))
+        elif plan.strategy is StorageStrategy.DECA_PAGES:
+            ref = self._pack_segment(f"c{key[0]}", plan, records)
             out.cache_blocks.append(CacheBlockOut(
                 rdd_id=key[0], split=key[1], kind="shm",
                 count=len(records), ref=ref))
-            return
-        if (plan.strategy is StorageStrategy.SERIALIZED
-                and plan.schema is not None):
-            # Same representation the sim cache stores: schema-packed
-            # bytes, decoded on read — so both backends hand later
-            # stages byte-identical record values.
-            chunks = bytearray()
-            for record in records:
-                chunks.extend(plan.schema.pack(encode(record)))
+        else:
+            # The sim cache's SERIALIZED representation, from the same
+            # plan.pack: both backends hand later stages byte-identical
+            # record values.
             out.cache_blocks.append(CacheBlockOut(
                 rdd_id=key[0], split=key[1], kind="packed",
-                count=len(records), blob=bytes(chunks)))
-            return
-        out.cache_blocks.append(CacheBlockOut(
-            rdd_id=key[0], split=key[1], kind="pickle",
-            count=len(records), blob=pickle.dumps(records)))
+                count=len(records), blob=plan.pack(records)))
+
+    def _pack_segment(self, suffix: str, plan: ContainerPlan,
+                      records: list) -> SegmentRef:
+        """Pack *records* into this attempt's segment ``…<suffix>``."""
+        assert plan.schema is not None
+        ref = pack_records_segment(self.attempt_tag + suffix, plan.schema,
+                                   list(plan.encoded(records)))
+        if ref.name is not None:
+            self.created.append(ref.name)
+        return ref
 
     # -- one task attempt ----------------------------------------------------
     def run_task(self, split: int, attempt: int
@@ -479,7 +458,7 @@ class _WorkerRuntime:
         start_ms = self.clock.now_ms
         try:
             if stage.shuffle_dep is not None:
-                self._run_map_task(executor, task, split, out)
+                self._run_map_task(task, split, out)
             else:
                 result = state.result_func(stage.rdd.iterator(split, task))
                 out.result_blob = pickle.dumps(result)
@@ -536,52 +515,29 @@ class _WorkerRuntime:
                            events=list(executor.tracer.events),
                            vclock_notes=notes)
 
-    def _run_map_task(self, executor: WorkerExecutor, task: TaskContext,
-                      split: int, out: TaskOutput) -> None:
-        state = self.state
-        stage = self.stage
-        dep = stage.shuffle_dep
+    def _run_map_task(self, task: TaskContext, split: int,
+                      out: TaskOutput) -> None:
+        """The sim engine's map task against a task-local store, then the
+        store's blocks leave as segments (decomposed) or pickles."""
+        dep = self.stage.shuffle_dep
         assert dep is not None
-        plan = self.shuffle_plan
         local_store = ShuffleBlockStore()
-        writer = MapSideWriter(
-            executor, dep.shuffle_id, split, dep.num_reduce,
-            partitioner=dep.partitioner or state.ctx.partitioner,
-            kind=dep.kind, merge_value=dep.merge_value, plan=plan)
-        records = stage.rdd.iterator(split, task)
-        if dep.tag is not None:
-            records = ((key, (dep.tag, value)) for key, value in records)
-        writer.write_all(records)
-        writer.flush(local_store)
-        meta = state.shuffle_meta.get(dep.shuffle_id)
-        packable = meta is not None and meta.schema is not None
+        self.state.ctx.scheduler._map_task_body(
+            self.stage, local_store)(task, split)
         for reduce_part in range(dep.num_reduce):
             block = local_store.fetch(dep.shuffle_id, split, reduce_part)
-            assert block is not None
-            if packable:
-                assert meta is not None and meta.schema is not None
-                if dep.tag is None:
-                    values = [meta.encode(record)
-                              for record in block.records]
-                else:
-                    values = [meta.encode((key, tagged[1]))
-                              for key, tagged in block.records]
-                name = f"{self.attempt_tag}s{dep.shuffle_id}r{reduce_part}"
-                ref = pack_records_segment(name, meta.schema, values)
-                if ref.name is not None:
-                    self.created.append(ref.name)
-                out.map_blocks.append(MapBlockOut(
-                    reduce_part=reduce_part, count=len(block.records),
-                    nbytes=block.nbytes, objects=block.objects,
-                    merge_penalty_bytes=block.merge_penalty_bytes,
-                    ref=ref))
+            assert block is not None and block.records is not None
+            mb = MapBlockOut(
+                reduce_part=reduce_part, count=len(block.records),
+                nbytes=block.nbytes, objects=block.objects,
+                merge_penalty_bytes=block.merge_penalty_bytes)
+            if block.plan.schema is not None:
+                mb.ref = self._pack_segment(
+                    f"s{dep.shuffle_id}r{reduce_part}", block.plan,
+                    block.records)
             else:
-                blob = pickle.dumps(block.records)
-                out.map_blocks.append(MapBlockOut(
-                    reduce_part=reduce_part, count=len(block.records),
-                    nbytes=block.nbytes, objects=block.objects,
-                    merge_penalty_bytes=block.merge_penalty_bytes,
-                    blob=blob))
+                mb.blob = pickle.dumps(block.records)
+            out.map_blocks.append(mb)
 
 
 def worker_main(state: "JobState", worker_id: int, conn: "Connection",

@@ -68,13 +68,12 @@ def lint_app(app: LintApp, shadow: bool = True) -> AppLintResult:
         with ShadowRecorder() as recorder:
             ctx = app.shadow_run()
         optimizer = ctx._optimizer
-        reports = tuple(optimizer.reports) if optimizer is not None else ()
-        findings.extend(run_plan_rules(app.name, reports, targets))
-        findings.extend(check_observations(app.name, recorder, reports))
-        findings.extend(check_arena_accounting(app.name, recorder,
-                                               reports))
-        findings.extend(check_imprecision(app.name, ctx, reports))
-        summary.update(shadow_summary(recorder, reports))
+        plans = tuple(optimizer.reports) if optimizer is not None else ()
+        findings.extend(run_plan_rules(app.name, plans, targets))
+        findings.extend(check_observations(app.name, recorder, plans))
+        findings.extend(check_arena_accounting(app.name, recorder, plans))
+        findings.extend(check_imprecision(app.name, ctx, plans))
+        summary.update(shadow_summary(recorder, plans))
         # Closure rules go last: the differential double-run replays
         # tasks on the finished context, which must not perturb the
         # recorder-based checks above.

@@ -2,7 +2,7 @@
 
 Each rule walks the same artifacts the classification pipeline produces —
 the UDT model, the per-stage call graph, the symbolized-constant facts and
-the optimizer's :class:`~repro.core.optimizer.PlanReport` stream — and
+the optimizer's :class:`~repro.core.plan.ContainerPlan` per container — and
 emits findings whose ``why`` chains are the provenance steps of
 :func:`repro.analysis.explain.explain_provenance`, so a finding always
 shows the algorithm trail that led to it.
@@ -19,7 +19,7 @@ from ..analysis.phased import Phase, PhasedClassifier
 from ..analysis.symconst import Affine
 from ..analysis.udt import ArrayType, ClassType, Field, PrimitiveType, \
     type_dependency_cycle, walk_types
-from ..core.optimizer import PlanReport
+from ..core.plan import ContainerPlan
 from ..spark.rdd import UdtInfo
 from .findings import Finding, make_finding
 
@@ -76,7 +76,7 @@ def run_static_rules(target: LintTarget) -> list[Finding]:
     return findings
 
 
-def run_plan_rules(app: str, reports: tuple[PlanReport, ...],
+def run_plan_rules(app: str, plans: tuple[ContainerPlan, ...],
                    targets: tuple[LintTarget, ...]) -> list[Finding]:
     """Rules over the optimizer's decomposition decisions.
 
@@ -85,32 +85,32 @@ def run_plan_rules(app: str, reports: tuple[PlanReport, ...],
     never saw.
     """
     findings: list[Finding] = []
-    for report in reports:
-        report_target = f"{app}/{report.target}"
-        if report.udt is None:
-            kind = ("cache block" if report.target.startswith("cache:")
+    for plan in plans:
+        plan_target = f"{app}/{plan.target}"
+        if plan.udt is None:
+            kind = ("cache block" if plan.target.startswith("cache:")
                     else "shuffle buffer")
             findings.append(make_finding(
-                "DECA006", report_target, report.target,
+                "DECA006", plan_target, plan.target,
                 f"{kind} holds records with no declared UDT; the analysis "
                 f"never saw their type and they stay in object form "
-                f"({report.reason})",
-                why=(f"[optimizer.plan] {report.reason}",)))
+                f"({plan.reason})",
+                why=(f"[optimizer.plan] {plan.reason}",)))
             continue
-        if not report.decomposed:
+        if not plan.decomposed:
             continue
-        if report.global_size_type is None \
-                or not report.global_size_type.decomposable:
-            claimed = (report.global_size_type.value
-                       if report.global_size_type else "?")
+        if plan.global_size_type is None \
+                or not plan.global_size_type.decomposable:
+            claimed = (plan.global_size_type.value
+                       if plan.global_size_type else "?")
             findings.append(make_finding(
-                "DECA005", report_target, report.udt,
-                f"plan decomposed {report.udt} although its global "
+                "DECA005", plan_target, plan.udt,
+                f"plan decomposed {plan.udt} although its global "
                 f"size-type is {claimed} — only SFSTs/RFSTs may be "
                 "decomposed (§3.1)",
-                why=(f"[optimizer.plan] {report.reason}",)))
+                why=(f"[optimizer.plan] {plan.reason}",)))
             continue
-        findings.extend(_check_phase_contradiction(app, report, targets))
+        findings.extend(_check_phase_contradiction(app, plan, targets))
     return findings
 
 
@@ -223,12 +223,12 @@ def _check_symbolic_lengths(target: LintTarget,
 
 
 # -- DECA005 (phase contradiction) ------------------------------------------
-def _check_phase_contradiction(app: str, report: PlanReport,
+def _check_phase_contradiction(app: str, plan: ContainerPlan,
                                targets: tuple[LintTarget, ...]
                                ) -> list[Finding]:
-    container = "cache" if report.target.startswith("cache:") else "shuffle"
+    container = "cache" if plan.target.startswith("cache:") else "shuffle"
     for target in targets:
-        if target.udt_info.udt.name != report.udt \
+        if target.udt_info.udt.name != plan.udt \
                 or target.container != container:
             continue
         if not target.phases or target.container_phase is None:
@@ -239,8 +239,8 @@ def _check_phase_contradiction(app: str, report: PlanReport,
         in_phase = phase_report.size_type_in(target.container_phase)
         if not in_phase.decomposable:
             return [make_finding(
-                "DECA005", f"{app}/{report.target}", report.udt,
-                f"plan decomposed {report.udt} in the {container}, but "
+                "DECA005", f"{app}/{plan.target}", plan.udt,
+                f"plan decomposed {plan.udt} in the {container}, but "
                 f"the phased classification says it is {in_phase.value} "
                 f"in phase {target.container_phase!r} — the plan "
                 "contradicts the classification (§3.4)",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..analysis.size_type import SizeType
-from ..core.optimizer import PlanReport
+from ..core.plan import ContainerPlan
 from ..memory import page as page_module
 from ..memory import sudt as sudt_module
 from ..memory import unified as unified_module
@@ -130,19 +130,19 @@ class ShadowRecorder:
 
 
 def check_observations(app: str, recorder: ShadowRecorder,
-                       reports: tuple[PlanReport, ...]) -> list[Finding]:
+                       plans: tuple[ContainerPlan, ...]) -> list[Finding]:
     """``DECA101``: observed behaviour vs. the static claims.
 
     Page-group record labels are schema names, and a schema's name is the
     UDT's name (:func:`repro.memory.layout.build_schema`), so observations
-    join against plan reports by UDT name.
+    join against the plans by UDT name.
     """
     findings: list[Finding] = []
     claims: dict[str, SizeType] = {}
-    for report in reports:
-        if report.decomposed and report.udt \
-                and report.global_size_type is not None:
-            claims[report.udt] = report.global_size_type
+    for plan in plans:
+        if plan.decomposed and plan.udt \
+                and plan.global_size_type is not None:
+            claims[plan.udt] = plan.global_size_type
 
     for schema, sizes in sorted(recorder.sizes_by_schema().items()):
         claim = claims.get(schema)
@@ -179,7 +179,7 @@ def check_observations(app: str, recorder: ShadowRecorder,
 
 
 def check_arena_accounting(app: str, recorder: ShadowRecorder,
-                           reports: tuple[PlanReport, ...]
+                           plans: tuple[ContainerPlan, ...]
                            ) -> list[Finding]:
     """``DECA101``: arena-observed page-group bytes vs. static claims.
 
@@ -205,10 +205,10 @@ def check_arena_accounting(app: str, recorder: ShadowRecorder,
         schema_of[append.group] = append.schema
 
     claims: dict[str, SizeType] = {}
-    for report in reports:
-        if report.decomposed and report.udt \
-                and report.global_size_type is not None:
-            claims[report.udt] = report.global_size_type
+    for plan in plans:
+        if plan.decomposed and plan.udt \
+                and plan.global_size_type is not None:
+            claims[plan.udt] = plan.global_size_type
 
     for group in sorted(packed):
         if group not in balances:
@@ -241,19 +241,19 @@ def check_arena_accounting(app: str, recorder: ShadowRecorder,
 
 
 def check_imprecision(app: str, ctx: "DecaContext",
-                      reports: tuple[PlanReport, ...]) -> list[Finding]:
+                      plans: tuple[ContainerPlan, ...]) -> list[Finding]:
     """``DECA102``: object-form caches whose instances never varied.
 
     Not a bug — the analysis is conservative by design — but each note is
     a concrete precision gap worth a look (e.g. a missing init-only
     assumption or runtime symbol binding).
     """
-    object_form: dict[str, PlanReport] = {}
-    for report in reports:
-        if report.target.startswith("cache:") and report.udt \
-                and not report.decomposed \
-                and report.global_size_type is SizeType.VARIABLE:
-            object_form[report.target] = report
+    object_form: dict[str, ContainerPlan] = {}
+    for plan in plans:
+        if plan.target.startswith("cache:") and plan.udt \
+                and not plan.decomposed \
+                and plan.global_size_type is SizeType.VARIABLE:
+            object_form[plan.target] = plan
 
     sizes_by_rdd: dict[str, set[int]] = {}
     counts_by_rdd: dict[str, int] = {}
@@ -283,21 +283,21 @@ def check_imprecision(app: str, ctx: "DecaContext",
         if count < 2 or len(sizes) != 1:
             continue
         (size,) = sizes
-        report = object_form[f"cache:{name}"]
+        plan = object_form[f"cache:{name}"]
         findings.append(make_finding(
-            "DECA102", f"{app}/cache:{name}", report.udt or name,
+            "DECA102", f"{app}/cache:{name}", plan.udt or name,
             f"cache {name!r} stayed in object form (classified "
             f"variable-sized), yet all {count} sampled records measured "
             f"exactly {size} data bytes — the classification may be "
             "imprecise for this workload",
             why=(f"[shadow.cache] {count} records sampled, one distinct "
                  f"data-size ({size} B)",
-                 f"[optimizer.plan] {report.reason}")))
+                 f"[optimizer.plan] {plan.reason}")))
     return findings
 
 
 def shadow_summary(recorder: ShadowRecorder,
-                   reports: tuple[PlanReport, ...]) -> dict[str, object]:
+                   plans: tuple[ContainerPlan, ...]) -> dict[str, object]:
     """Integer-only observation summary (safe for byte-stable baselines)."""
     schemas: dict[str, dict[str, int]] = {}
     for schema, sizes in sorted(recorder.sizes_by_schema().items()):
@@ -312,5 +312,5 @@ def shadow_summary(recorder: ShadowRecorder,
         "sudt_writes": sum(1 for m in recorder.mutations
                            if not m.is_resize),
         "resize_attempts": len(recorder.resize_attempts()),
-        "plans": [report.to_dict() for report in reports],
+        "plans": [plan.to_dict() for plan in plans],
     }

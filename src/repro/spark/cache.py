@@ -19,14 +19,13 @@ dependent) deserialization costs.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
+from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import CacheError
 from ..jvm.objects import AllocationGroup, Lifetime
 from ..jvm.sizing import array_bytes
-from ..memory.layout import Schema
 from ..memory.page import PageGroup
 from ..memory.unified import UnifiedMemoryManager
 from .measure import RecordFootprint
@@ -34,25 +33,15 @@ from .measure import RecordFootprint
 BlockKey = tuple[int, int]  # (rdd_id, partition_index)
 
 
-class StorageStrategy(enum.Enum):
-    """How a cached block stores its records."""
-
-    OBJECTS = "objects"
-    SERIALIZED = "serialized"
-    DECA_PAGES = "deca-pages"
-
-
 @dataclass
 class CachedBlock:
     """One cached partition on one executor."""
 
     key: BlockKey
-    strategy: StorageStrategy
+    plan: ContainerPlan             # the dataset's strategy and codec
     records: list | None            # OBJECTS strategy
     blob: bytes | None              # SERIALIZED strategy
     page_group: PageGroup | None    # DECA_PAGES strategy
-    schema: Schema | None
-    decode: Callable[[Any], Any] | None
     record_count: int
     memory_bytes: int               # heap footprint while in memory
     disk_bytes: int                 # bytes written if swapped
@@ -265,13 +254,13 @@ class CacheStore:
         tier_moved = 0
         copy_group: AllocationGroup | None = None
         drained_group: str | None = None
-        if block.strategy is StorageStrategy.OBJECTS:
+        if block.plan.strategy is StorageStrategy.OBJECTS:
             # Spark serializes object blocks before writing them out.
             executor.serializer.kryo_serialize(
                 block.footprint.objects, block.disk_bytes)
             block._disk_payload = block.records
             block.records = None
-        elif block.strategy is StorageStrategy.SERIALIZED:
+        elif block.plan.strategy is StorageStrategy.SERIALIZED:
             if tier is not None and block.blob is not None:
                 # The blob is already wire format: move the bytes into
                 # an extent (none move if a promoted blob still aliases
@@ -360,7 +349,7 @@ class CacheStore:
         self.swapped_bytes_total += block.disk_bytes
         swap_args = dict(
             rdd_id=key[0], partition=key[1],
-            strategy=block.strategy.value, released_bytes=released,
+            strategy=block.plan.strategy.value, released_bytes=released,
             disk_bytes=block.disk_bytes,
             heap_used_bytes=(executor.heap.young_used_bytes
                              + executor.heap.old_used_bytes))
@@ -397,7 +386,7 @@ class CacheStore:
             executor.charge_tier_read(block.disk_bytes)
         else:
             executor.charge_disk_read(block.disk_bytes)
-        if block.strategy is StorageStrategy.OBJECTS:
+        if block.plan.strategy is StorageStrategy.OBJECTS:
             executor.serializer.kryo_deserialize(
                 block.footprint.objects, block.disk_bytes)
             block.records = block._disk_payload
@@ -409,7 +398,7 @@ class CacheStore:
             executor.heap.allocate(group, block.footprint.objects,
                                    block.memory_bytes)
             block.alloc_group = group
-        elif block.strategy is StorageStrategy.SERIALIZED:
+        elif block.plan.strategy is StorageStrategy.SERIALIZED:
             if tier is not None and block._tier_key is not None:
                 # Zero-copy promotion: the blob is a view of its extent.
                 views = tier.swap_in(block._tier_key)
@@ -480,7 +469,7 @@ class CacheStore:
         executor.tracer.instant(
             "cache:swap-in", "cache", ts_ms=executor.clock.now_ms,
             pid=executor.trace_pid, rdd_id=key[0], partition=key[1],
-            strategy=block.strategy.value,
+            strategy=block.plan.strategy.value,
             restored_bytes=block.memory_bytes,
             disk_bytes=block.disk_bytes,
             heap_used_bytes=(executor.heap.young_used_bytes
@@ -570,11 +559,11 @@ class CacheStore:
             yield from self._read_from_disk(block)
             return
         executor = self.executor
-        if block.strategy is StorageStrategy.OBJECTS:
+        if block.plan.strategy is StorageStrategy.OBJECTS:
             yield from block.records
             return
-        if block.strategy is StorageStrategy.SERIALIZED:
-            if block.blob is None or block.schema is None:
+        if block.plan.strategy is StorageStrategy.SERIALIZED:
+            if block.blob is None:
                 # Non-decomposable records cannot be blob-packed: the
                 # block keeps its record list and only models the
                 # serialized footprint.  Reads still pay deserialization.
@@ -585,17 +574,16 @@ class CacheStore:
                 return
             executor.serializer.kryo_deserialize(
                 block.footprint.objects, len(block.blob))
-            values = block.schema.iter_unpack(block.blob)
-            yield from map(block.decode, values) if block.decode else values
+            yield from block.plan.records(block.blob)
             return
         # DECA_PAGES: read decomposed records in place.
-        assert block.page_group is not None and block.schema is not None
+        assert block.page_group is not None
         executor.serializer.deca_read(block.record_count,
                                       block.page_group.used_bytes)
         executor.charge_compute(
             executor.config.cpu.page_access_ms * block.record_count)
-        values = block.page_group.records(block.schema)
-        yield from map(block.decode, values) if block.decode else values
+        yield from block.plan.decoded(
+            block.page_group.records(block.plan.schema))
 
     def _read_from_disk(self, block: CachedBlock) -> Iterator[Any]:
         """Stream a swapped block's records without re-promoting it."""
@@ -606,7 +594,7 @@ class CacheStore:
             executor.charge_tier_read(block.disk_bytes)
         else:
             executor.charge_disk_read(block.disk_bytes)
-        if block.strategy is StorageStrategy.OBJECTS:
+        if block.plan.strategy is StorageStrategy.OBJECTS:
             executor.serializer.kryo_deserialize(block.footprint.objects,
                                                  block.disk_bytes)
             # Deserialized records are short-lived task-local objects.
@@ -614,7 +602,7 @@ class CacheStore:
                                 block.footprint.object_bytes)
             yield from block._disk_payload
             return
-        if block.strategy is StorageStrategy.SERIALIZED:
+        if block.plan.strategy is StorageStrategy.SERIALIZED:
             executor.serializer.kryo_deserialize(block.footprint.objects,
                                                  block.disk_bytes)
             if tier_key is not None:
@@ -622,20 +610,15 @@ class CacheStore:
                 payload = views[0] if views else memoryview(b"")
             else:
                 payload = block._disk_payload
-            if isinstance(payload, (bytes, bytearray, memoryview)) \
-                    and block.schema is not None:
-                values = block.schema.iter_unpack(payload)
-                yield from map(block.decode, values) if block.decode \
-                    else values
+            if isinstance(payload, (bytes, bytearray, memoryview)):
+                yield from block.plan.records(payload)
             else:
                 yield from payload
             return
         # DECA_PAGES: the cold bytes are already the record format — in
         # the mmap tier they stream straight out of the extent's views.
         executor.serializer.deca_read(block.record_count, block.disk_bytes)
-        assert block.schema is not None
         chunks = (tier.views(tier_key) if tier_key is not None
                   else block._disk_payload)
         for chunk in chunks:
-            values = block.schema.iter_unpack(chunk)
-            yield from map(block.decode, values) if block.decode else values
+            yield from block.plan.records(chunk)

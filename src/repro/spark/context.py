@@ -21,14 +21,17 @@ import itertools
 import zlib
 from typing import Any, Callable, Iterable, Iterator
 
+from ..analysis.size_type import SizeType
 from ..config import DecaConfig, ExecutionMode
-from ..errors import ExecutionError, SanitizerError
+from ..core.plan import ContainerPlan, StorageStrategy
+from ..errors import ExecutionError, MemoryLayoutError, SanitizerError
 from ..exec import create_backend
 from ..jvm.objects import Lifetime
+from ..memory.layout import build_schema
 from ..memory.provenance import VIOLATION_SLUGS, ProvenanceLedger
 from ..obs import Tracer
 from ..obs.vclock import RACE_SLUGS, VClockChecker
-from .cache import CachedBlock, StorageStrategy
+from .cache import CachedBlock
 from .measure import RecordFootprint
 from .metrics import JobMetrics, RunMetrics
 from .profiler import HeapProfiler
@@ -42,7 +45,7 @@ from .faults import FaultInjector
 from .closure_guard import ClosureGuard
 from .scheduler import DAGScheduler, TaskContext
 from .executor import Executor
-from .shuffle import ShuffleBlockStore, ShufflePlan
+from .shuffle import ShuffleBlockStore
 
 
 def stable_hash(key: Any) -> int:
@@ -63,19 +66,6 @@ def stable_hash(key: Any) -> int:
             acc = (acc * 31 + stable_hash(item)) & 0x7FFFFFFF
         return acc
     return hash(key) & 0x7FFFFFFF
-
-
-class CachePlan:
-    """How one cached dataset stores its blocks (Deca optimizer output)."""
-
-    def __init__(self, strategy: StorageStrategy,
-                 schema=None,
-                 encode: Callable[[Any], Any] | None = None,
-                 decode: Callable[[Any], Any] | None = None) -> None:
-        self.strategy = strategy
-        self.schema = schema
-        self.encode = encode
-        self.decode = decode
 
 
 class DecaContext:
@@ -128,9 +118,12 @@ class DecaContext:
         self._rdds: dict[int, RDD] = {}
         self._jobs: list[JobMetrics] = []
         self._spilled_shuffle_bytes = 0
+        # Every container's plan, made when a job first materializes it:
+        # ("cache", rdd_id) / ("shuffle", shuffle_id) -> plan, in creation
+        # order.  The optimizer fills it in DECA mode, the context itself
+        # for the Spark baselines.
+        self._plans: dict[tuple[str, int], ContainerPlan] = {}
         self._optimizer = None
-        # SparkSer cache plans per rdd_id (the optimizer memoizes Deca's).
-        self._ser_plans: dict[int, CachePlan] = {}
         if self.mode is ExecutionMode.DECA:
             from ..core.optimizer import DecaOptimizer
             self._optimizer = DecaOptimizer(self)
@@ -167,43 +160,59 @@ class DecaContext:
         return self.executors[(split + attempt) % len(self.executors)]
 
     # -- planning hooks (mode dispatch) ------------------------------------------------
-    def plan_cache(self, rdd: RDD) -> CachePlan:
+    def plan_cache(self, rdd: RDD) -> ContainerPlan:
         """Decide how *rdd*'s blocks are stored."""
-        if self.mode is ExecutionMode.SPARK:
-            return CachePlan(StorageStrategy.OBJECTS)
-        if self.mode is ExecutionMode.SPARK_SER:
-            plan = self._ser_plans.get(rdd.rdd_id)
-            if plan is None:
-                info = rdd.udt_info
-                schema = None
-                if info is not None:
-                    try:
-                        schema = self._serialization_schema(info)
-                    except Exception:
-                        pass
-                plan = self._ser_plans[rdd.rdd_id] = CachePlan(
-                    StorageStrategy.SERIALIZED, schema=schema,
-                    encode=info.encode if info else None,
-                    decode=info.decode if info else None)
-            return plan
-        assert self._optimizer is not None
-        return self._optimizer.plan_cache(rdd)
+        if self._optimizer is not None:
+            return self._optimizer.plan_cache(rdd)
+        key = ("cache", rdd.rdd_id)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._baseline_cache_plan(rdd)
+        return plan
 
-    def plan_shuffle(self, dep: ShuffleDependency) -> ShufflePlan:
+    def plan_shuffle(self, dep: ShuffleDependency) -> ContainerPlan:
         """Decide how *dep*'s buffers are stored."""
-        measure = dep.parent.measure_record
-        if self.mode is not ExecutionMode.DECA:
+        if self._optimizer is not None:
+            return self._optimizer.plan_shuffle(dep)
+        key = ("shuffle", dep.shuffle_id)
+        plan = self._plans.get(key)
+        if plan is None:
+            info = dep.parent.udt_info
             # Spark 1.6 has no in-memory serialized shuffle buffers; both
             # Spark and SparkSer shuffle object graphs (§6.5).
-            return ShufflePlan(measure=measure)
-        assert self._optimizer is not None
-        return self._optimizer.plan_shuffle(dep)
+            plan = self._plans[key] = ContainerPlan(
+                target=f"shuffle:{dep.shuffle_id}:{dep.parent.name}",
+                udt=info.udt.name if info else None,
+                local_size_type=None, global_size_type=None,
+                decomposed=False,
+                reason=f"{self.mode.value} shuffles object graphs",
+                measure=dep.parent.measure_record, tag=dep.tag)
+        return plan
 
-    def _serialization_schema(self, info: UdtInfo):
-        """A Kryo-equivalent layout for SparkSer blocks (RFST shape)."""
-        from ..memory.layout import build_schema
-        from ..analysis.size_type import SizeType
-        return build_schema(info.udt, SizeType.RUNTIME_FIXED)
+    def _baseline_cache_plan(self, rdd: RDD) -> ContainerPlan:
+        """Spark's object blocks, or SparkSer's Kryo-equivalent blobs."""
+        info = rdd.udt_info
+        schema = None
+        if self.mode is ExecutionMode.SPARK:
+            strategy = StorageStrategy.OBJECTS
+            reason = "spark caches object graphs"
+        else:
+            strategy = StorageStrategy.SERIALIZED
+            reason = "no UDT declared; the block keeps its record list"
+        if strategy is StorageStrategy.SERIALIZED and info is not None:
+            try:
+                # A Kryo-equivalent layout (RFST shape).
+                schema = build_schema(info.udt, SizeType.RUNTIME_FIXED)
+                reason = "kryo-serialized in the RFST layout"
+            except MemoryLayoutError as exc:
+                reason = (f"layout failed: {exc}; "
+                          "the block keeps its record list")
+        return ContainerPlan(
+            target=f"cache:{rdd.name}", udt=info.udt.name if info else None,
+            local_size_type=None, global_size_type=None, decomposed=False,
+            reason=reason, strategy=strategy, schema=schema,
+            encode=info.encode if info else None,
+            decode=info.decode if info else None)
 
     # -- cache materialization ------------------------------------------------------------
     def _cached_iterator(self, rdd: RDD, split: int,
@@ -239,9 +248,8 @@ class DecaContext:
             for _ in range(len(records)):
                 executor.heap.allocate(group, per_record, per_bytes)
             return CachedBlock(
-                key=key, strategy=plan.strategy, records=records,
-                blob=None, page_group=None, schema=None, decode=None,
-                record_count=len(records),
+                key=key, plan=plan, records=records, blob=None,
+                page_group=None, record_count=len(records),
                 memory_bytes=footprint.object_bytes,
                 disk_bytes=footprint.serialized_bytes,
                 footprint=footprint, alloc_group=group)
@@ -250,21 +258,16 @@ class DecaContext:
                 footprint.objects, footprint.serialized_bytes)
             blob = None
             if plan.schema is not None:
-                encode = plan.encode or (lambda v: v)
-                chunks = bytearray()
-                for record in records:
-                    chunks.extend(plan.schema.pack(encode(record)))
-                blob = bytes(chunks)
+                blob = plan.pack(records)
                 memory_bytes = len(blob)
             else:
                 memory_bytes = footprint.serialized_bytes
             group = executor.heap.new_group(f"cache:{key}", Lifetime.PINNED)
             executor.heap.allocate(group, 2, memory_bytes)
             return CachedBlock(
-                key=key, strategy=plan.strategy,
+                key=key, plan=plan,
                 records=records if blob is None else None,
-                blob=blob, page_group=None, schema=plan.schema,
-                decode=plan.decode, record_count=len(records),
+                blob=blob, page_group=None, record_count=len(records),
                 memory_bytes=memory_bytes,
                 disk_bytes=footprint.serialized_bytes,
                 footprint=footprint, alloc_group=group)
@@ -274,15 +277,13 @@ class DecaContext:
                 f"Deca page plan for {rdd.name!r} lacks a schema")
         group = executor.memory_manager.new_page_group(
             f"cache:{key}", evictable=True)
-        encode = plan.encode or (lambda v: v)
-        for record in records:
-            group.append_record(plan.schema, encode(record))
+        for value in plan.encoded(records):
+            group.append_record(plan.schema, value)
         group.trim()  # sealed block: give the last page's tail back
         executor.serializer.deca_write(len(records), group.used_bytes)
         return CachedBlock(
-            key=key, strategy=plan.strategy, records=None, blob=None,
-            page_group=group, schema=plan.schema, decode=plan.decode,
-            record_count=len(records),
+            key=key, plan=plan, records=None, blob=None,
+            page_group=group, record_count=len(records),
             memory_bytes=group.allocated_bytes,
             disk_bytes=group.used_bytes,
             footprint=footprint, alloc_group=None)

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
+from ..core.plan import ContainerPlan
 from ..errors import FetchFailedError, ShuffleError
 from ..jvm.objects import Lifetime
-from ..memory.layout import Schema
 from ..memory.unified import UnifiedMemoryManager
 from .measure import RecordFootprint, measure_generic
+
+if TYPE_CHECKING:
+    from ..exec.shm import SegmentRef
 
 
 class ShuffleKind(enum.Enum):
@@ -40,72 +43,38 @@ class ShuffleKind(enum.Enum):
     COGROUP = "cogroup"        # join: group both sides by key
 
 
-@dataclass(frozen=True)
-class ShufflePlan:
-    """How one shuffle stores its buffers (produced by the Deca optimizer).
-
-    *decomposed* — keys/values live as raw bytes in the buffer: no
-    per-record serialization at the boundary and near-zero GC footprint.
-    *value_segment_reuse* — the combined Value is an SFST, so eager merges
-    overwrite the segment in place instead of allocating (§4.3.2).
-    *pointer_array* — sorting/hashing runs over an array of pointers into
-    the pages (Fig. 6(b)); elidable when Key and Value are primitives or
-    SFSTs, because segment offsets are then statically known.
-    """
-
-    decomposed: bool = False
-    value_segment_reuse: bool = False
-    pointer_array: bool = False
-    schema: Schema | None = None
-    encode: Callable[[Any], Any] | None = None
-    measure: Callable[[Any], RecordFootprint] | None = None
-
-
-SPARK_SHUFFLE_PLAN = ShufflePlan()
-
-
 @dataclass
 class MapOutputBlock:
     """One (map partition, reduce partition) shuffle block.
 
     Under the sim backend ``records`` holds the block's record objects.
     Under the mp backend a decomposed block lives in a shared-memory
-    segment instead: ``records`` is ``None`` and ``shm_ref`` (plus the
-    schema/decode/tag needed to read it) points at the packed pages —
-    reducers attach the segment and decode in place.
+    segment instead: ``records`` is ``None`` and ``shm_ref`` points at
+    the packed pages — reducers attach the segment and decode in place
+    through the shuffle's plan.
     """
 
     records: list | None
     nbytes: int
     objects: int
     executor_id: int
-    decomposed: bool
+    plan: ContainerPlan
     # Bytes this block's writer spilled mid-task: the reader must merge
     # the sorted spill files with the final output (Appendix C: Deca
     # merges through a single-page buffer; Spark re-reads the runs).
     merge_penalty_bytes: int = 0
     # Shared-segment form (mp backend): see repro.exec.shm.
-    shm_ref: object | None = None
-    shm_schema: object | None = None
-    shm_decode: object | None = None
-    shm_tag: int | None = None
+    shm_ref: SegmentRef | None = None
 
-    def resolve_records(self) -> list:
-        """The block's records, materializing from shared pages if needed.
-
-        Driver-side readers (a sim-path reduce over blocks an mp stage
-        produced) call this instead of touching ``records`` directly.
-        """
-        if self.records is None and self.shm_ref is not None:
-            from ..exec.shm import read_segment_records
-            pairs = read_segment_records(
-                self.shm_ref, self.shm_schema, self.shm_decode)
-            if self.shm_tag is None:
-                self.records = list(pairs)
-            else:
-                self.records = [(key, (self.shm_tag, value))
-                                for key, value in pairs]
-        return self.records if self.records is not None else []
+    def read(self) -> Iterator[tuple[Any, Any]]:
+        """The block's records, decoded in place from shared pages if
+        that is where they live — the reader of driver and workers."""
+        if self.records is not None:
+            return iter(self.records)
+        # Imported here: a sim run never loads the shared-memory stack.
+        from ..exec.shm import read_segment_records
+        assert self.shm_ref is not None
+        return read_segment_records(self.shm_ref, self.plan)
 
 
 class ShuffleBlockStore:
@@ -168,7 +137,7 @@ class MapSideWriter:
                  partitioner: Callable[[Any], int],
                  kind: ShuffleKind,
                  merge_value: Callable[[Any, Any], Any] | None = None,
-                 plan: ShufflePlan = SPARK_SHUFFLE_PLAN) -> None:
+                 plan: ContainerPlan | None = None) -> None:
         if kind is ShuffleKind.COMBINE and merge_value is None:
             raise ShuffleError("combine shuffles need a merge function")
         self.executor = executor
@@ -178,8 +147,11 @@ class MapSideWriter:
         self.partitioner = partitioner
         self.kind = kind
         self.merge_value = merge_value
-        self.plan = plan
-        self.measure = plan.measure or _default_measure
+        # No plan: Spark's object-form buffer of generically sized records.
+        self.plan = plan or ContainerPlan(
+            target=f"shuffle:{shuffle_id}", udt=None, local_size_type=None,
+            global_size_type=None, decomposed=False, reason="no plan given")
+        self.measure = self.plan.measure or _default_measure
         # Data plane: combined entries or append lists per reduce part.
         self._combine: list[dict[Any, Any]] = [dict()
                                                for _ in range(num_reduce)]
@@ -418,7 +390,7 @@ class MapSideWriter:
                 MapOutputBlock(records=records, nbytes=nbytes,
                                objects=objects,
                                executor_id=self.executor.executor_id,
-                               decomposed=self.plan.decomposed,
+                               plan=self.plan,
                                merge_penalty_bytes=penalty))
         # The buffer's lifetime ends with the task (§4.2).
         if not self._buffer_group.freed:
@@ -573,9 +545,12 @@ def _fetch_blocks(executor, store: ShuffleBlockStore, shuffle_id: int,
         remote = block.executor_id != executor.executor_id
         if remote:
             executor.charge_network(block.nbytes)
-        records = (block.records if block.records is not None
-                   else block.resolve_records())
-        if block.decomposed:
+        records = block.records
+        if records is None:
+            # A block an mp stage left in shared pages, read by a
+            # sim-path reduce: materialize once, keep for the next reader.
+            records = block.records = list(block.read())
+        if block.plan.decomposed:
             executor.serializer.deca_read(len(records), block.nbytes)
         else:
             executor.serializer.kryo_deserialize(block.objects,

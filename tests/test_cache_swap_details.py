@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DecaConfig, ExecutionMode, MB
+from repro.core.plan import ContainerPlan
 from repro.jvm.objects import Lifetime
 from repro.spark import DecaContext
 from repro.spark.cache import CachedBlock, StorageStrategy
@@ -90,6 +91,12 @@ def bare_store():
     return executor, executor.cache
 
 
+def block_plan(strategy):
+    return ContainerPlan(target="cache:t", udt=None, local_size_type=None,
+                         global_size_type=None, decomposed=False,
+                         reason="synthetic block", strategy=strategy)
+
+
 def object_block(executor, rdd_id, nbytes=10_000):
     """An OBJECTS-strategy block with a known heap footprint."""
     footprint = RecordFootprint(objects=10, object_bytes=nbytes,
@@ -98,9 +105,9 @@ def object_block(executor, rdd_id, nbytes=10_000):
                                     Lifetime.PINNED)
     executor.heap.allocate(group, footprint.objects, nbytes)
     return CachedBlock(
-        key=(rdd_id, 0), strategy=StorageStrategy.OBJECTS,
+        key=(rdd_id, 0), plan=block_plan(StorageStrategy.OBJECTS),
         records=[(rdd_id, i) for i in range(10)], blob=None,
-        page_group=None, schema=None, decode=None, record_count=10,
+        page_group=None, record_count=10,
         memory_bytes=nbytes, disk_bytes=nbytes // 2, footprint=footprint,
         alloc_group=group)
 
@@ -281,9 +288,9 @@ def serialized_record_block(executor, rdd_id, memory_bytes=9_000):
                                     Lifetime.PINNED)
     executor.heap.allocate(group, 2, memory_bytes)
     return CachedBlock(
-        key=(rdd_id, 0), strategy=StorageStrategy.SERIALIZED,
+        key=(rdd_id, 0), plan=block_plan(StorageStrategy.SERIALIZED),
         records=[(rdd_id, i) for i in range(10)], blob=None,
-        page_group=None, schema=None, decode=None, record_count=10,
+        page_group=None, record_count=10,
         memory_bytes=memory_bytes, disk_bytes=4_000, footprint=footprint,
         alloc_group=group)
 

@@ -1,19 +1,7 @@
-"""Tests for the Deca core: optimizer plans, decomposition decisions,
-container lifetimes."""
-
-import pytest
+"""Tests for the Deca core: the optimizer's container plans."""
 
 from repro.analysis import SizeType
-from repro.analysis.pointsto import ContainerKind
 from repro.config import DecaConfig, ExecutionMode, MB
-from repro.core import (
-    DecompositionKind,
-    LifetimeRegistry,
-    decide_decomposition,
-)
-from repro.core.containers import ValueLifetime, lifetime_rule
-from repro.core.decompose import ContainerView
-from repro.errors import ContainerError
 from repro.spark import DecaContext
 from repro.spark.cache import StorageStrategy
 
@@ -149,93 +137,3 @@ class TestOptimizerShufflePlans:
         pairs = ctx.parallelize([("a", 1)], 1).map(lambda r: r)
         dep = pairs.reduce_by_key(lambda a, b: a + b, 1).shuffle_dep
         assert not ctx.plan_shuffle(dep).decomposed
-
-
-class TestDecompositionDecisions:
-    def view(self, kind, size_type, propagates=False):
-        return ContainerView(kind=kind, size_type=size_type,
-                             propagates_modifications=propagates)
-
-    def test_fully_decomposable(self):
-        decision = decide_decomposition((
-            self.view(ContainerKind.CACHE_BLOCK, SizeType.STATIC_FIXED),
-            self.view(ContainerKind.SHUFFLE_BUFFER,
-                      SizeType.RUNTIME_FIXED),
-        ))
-        assert decision.kind is DecompositionKind.FULL
-
-    def test_partial_groupbykey_then_cache(self):
-        """Fig. 7(b): VST in the buffer, RFST in the cache."""
-        decision = decide_decomposition((
-            self.view(ContainerKind.SHUFFLE_BUFFER, SizeType.VARIABLE),
-            self.view(ContainerKind.CACHE_BLOCK, SizeType.RUNTIME_FIXED),
-        ))
-        assert decision.kind is DecompositionKind.PARTIAL
-        assert decision.decomposed[0].kind is ContainerKind.CACHE_BLOCK
-
-    def test_propagation_blocks_partial(self):
-        decision = decide_decomposition((
-            self.view(ContainerKind.SHUFFLE_BUFFER, SizeType.VARIABLE,
-                      propagates=True),
-            self.view(ContainerKind.CACHE_BLOCK, SizeType.RUNTIME_FIXED),
-        ))
-        assert decision.kind is DecompositionKind.NONE
-
-    def test_udf_only_objects_stay_intact(self):
-        decision = decide_decomposition((
-            self.view(ContainerKind.UDF_VARIABLES, SizeType.STATIC_FIXED),
-        ))
-        assert decision.kind is DecompositionKind.NONE
-
-    def test_vst_everywhere_is_none(self):
-        decision = decide_decomposition((
-            self.view(ContainerKind.CACHE_BLOCK, SizeType.VARIABLE),
-        ))
-        assert decision.kind is DecompositionKind.NONE
-
-
-class TestContainerLifetimes:
-    def test_lifetime_rules(self):
-        assert lifetime_rule(ContainerKind.UDF_VARIABLES) \
-            is ValueLifetime.TASK_END
-        assert lifetime_rule(ContainerKind.CACHE_BLOCK) \
-            is ValueLifetime.UNPERSIST
-        assert lifetime_rule(ContainerKind.SHUFFLE_BUFFER) \
-            is ValueLifetime.BUFFER_RELEASE
-        assert lifetime_rule(ContainerKind.SHUFFLE_BUFFER,
-                             eager_combine=True) \
-            is ValueLifetime.EACH_COMBINE
-
-    def test_registry_tracks_open_close(self):
-        registry = LifetimeRegistry()
-        container = registry.open(ContainerKind.CACHE_BLOCK, "rdd1-b0",
-                                  stage_id=0, now_ms=1.0)
-        registry.close(container, now_ms=5.0)
-        assert container.closed
-        registry.assert_all_closed()
-
-    def test_use_after_close_rejected(self):
-        registry = LifetimeRegistry()
-        container = registry.open(ContainerKind.SHUFFLE_BUFFER, "s0",
-                                  stage_id=0, now_ms=0.0)
-        registry.close(container, now_ms=1.0)
-        with pytest.raises(ContainerError):
-            container.check_open()
-
-    def test_leaked_container_detected(self):
-        registry = LifetimeRegistry()
-        registry.open(ContainerKind.CACHE_BLOCK, "leak", 0, 0.0)
-        with pytest.raises(ContainerError):
-            registry.assert_all_closed()
-
-    def test_double_open_rejected(self):
-        registry = LifetimeRegistry()
-        registry.open(ContainerKind.CACHE_BLOCK, "c", 0, 0.0)
-        with pytest.raises(ContainerError):
-            registry.open(ContainerKind.CACHE_BLOCK, "c", 0, 1.0)
-
-    def test_close_before_open_rejected(self):
-        registry = LifetimeRegistry()
-        container = registry.open(ContainerKind.CACHE_BLOCK, "c", 0, 5.0)
-        with pytest.raises(ContainerError):
-            registry.close(container, now_ms=1.0)

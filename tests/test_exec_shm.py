@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.udt import LONG
 from repro.config import DecaConfig, ExecutionMode, FaultConfig, \
     ScriptedFault
+from repro.core.plan import ContainerPlan, StorageStrategy
 from repro.errors import PageError
 from repro.exec.shm import (
     EMPTY_SEGMENT,
@@ -41,6 +42,14 @@ PAIR = RecordSchema("pair", [("k", PrimitiveSlot(LONG)),
 PAIRS = [(i, i * i) for i in range(200)]
 
 
+def pair_plan(decode=None) -> ContainerPlan:
+    return ContainerPlan(target="shuffle:0:pairs", udt="pair",
+                         local_size_type=None, global_size_type=None,
+                         decomposed=True, reason="test",
+                         strategy=StorageStrategy.DECA_PAGES, schema=PAIR,
+                         decode=decode)
+
+
 def _segment_linked(name: str) -> bool:
     return name in list_segments(prefix=name)
 
@@ -58,17 +67,17 @@ class TestPackAndRead:
         assert ref.count == len(PAIRS)
         assert ref.nbytes == 16 * len(PAIRS)
         assert _segment_linked(seg_name)
-        assert list(read_segment_records(ref, PAIR)) == PAIRS
+        assert list(read_segment_records(ref, pair_plan())) == PAIRS
 
     def test_empty_creates_no_segment(self, seg_name):
         assert pack_records_segment(seg_name, PAIR, []) is EMPTY_SEGMENT
         assert not _segment_linked(seg_name)
-        assert list(read_segment_records(EMPTY_SEGMENT, PAIR)) == []
+        assert list(read_segment_records(EMPTY_SEGMENT, pair_plan())) == []
 
     def test_decode_hook_applies(self, seg_name):
         ref = pack_records_segment(seg_name, PAIR, PAIRS[:5])
-        got = list(read_segment_records(ref, PAIR,
-                                        decode=lambda kv: kv[0] + kv[1]))
+        got = list(read_segment_records(
+            ref, pair_plan(decode=lambda kv: kv[0] + kv[1])))
         assert got == [k + v for k, v in PAIRS[:5]]
 
     @pytest.mark.parametrize("decode", [None, lambda kv: kv],
@@ -91,7 +100,7 @@ class TestPackAndRead:
 
         ref = pack_records_segment(seg_name, PAIR, PAIRS)
         monkeypatch.setattr("repro.exec.shm.SharedPageSegment", Strict)
-        records = read_segment_records(ref, PAIR, decode)
+        records = read_segment_records(ref, pair_plan(decode))
         if how == "all":
             assert list(records) == PAIRS
         else:
@@ -110,7 +119,7 @@ class TestPackAndRead:
 
 
 def _child_read(ref: SegmentRef, queue) -> None:
-    queue.put(list(read_segment_records(ref, PAIR)))
+    queue.put(list(read_segment_records(ref, pair_plan())))
 
 
 class TestCrossProcess:

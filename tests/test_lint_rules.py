@@ -5,7 +5,7 @@ from repro.analysis.callgraph import CallGraph
 from repro.analysis.phased import Phase
 from repro.apps.udts import make_graph_model, make_labeled_point_model, \
     make_wordcount_model
-from repro.core.optimizer import PlanReport
+from repro.core.plan import ContainerPlan
 from repro.lint import LintTarget, Severity, run_plan_rules, \
     run_static_rules
 from repro.spark.rdd import UdtInfo
@@ -123,10 +123,10 @@ class TestDeca004UnprovenSymbolicLength:
 
 class TestDeca005PlanContradiction:
     def test_fires_when_a_plan_decomposes_a_vst(self):
-        report = PlanReport(target="cache:x.rows", udt="LabeledPoint",
-                            local_size_type=SizeType.VARIABLE,
-                            global_size_type=SizeType.VARIABLE,
-                            decomposed=True, reason="forced for the test")
+        report = ContainerPlan(target="cache:x.rows", udt="LabeledPoint",
+                               local_size_type=SizeType.VARIABLE,
+                               global_size_type=SizeType.VARIABLE,
+                               decomposed=True, reason="forced for the test")
         findings = run_plan_rules("x", (report,), ())
         assert _rules_fired(findings) == {"DECA005"}
         assert findings[0].severity is Severity.ERROR
@@ -151,11 +151,11 @@ class TestDeca005PlanContradiction:
         target = _target(info, name="x/cache:x.adjacency", phases=phases,
                          materialized_fields=(model.neighbors_field,),
                          container_phase="build")
-        report = PlanReport(target="cache:x.adjacency",
-                            udt="AdjacencyList",
-                            local_size_type=SizeType.VARIABLE,
-                            global_size_type=SizeType.RUNTIME_FIXED,
-                            decomposed=True, reason="decomposed")
+        report = ContainerPlan(target="cache:x.adjacency",
+                               udt="AdjacencyList",
+                               local_size_type=SizeType.VARIABLE,
+                               global_size_type=SizeType.RUNTIME_FIXED,
+                               decomposed=True, reason="decomposed")
         findings = run_plan_rules("x", (report,), (target,))
         assert _rules_fired(findings) == {"DECA005"}
         assert "phase 'build'" in findings[0].message
@@ -177,30 +177,30 @@ class TestDeca005PlanContradiction:
         target = _target(info, name="x/cache:x.adjacency", phases=phases,
                          materialized_fields=(model.neighbors_field,),
                          container_phase="iterate")
-        report = PlanReport(target="cache:x.adjacency",
-                            udt="AdjacencyList",
-                            local_size_type=SizeType.VARIABLE,
-                            global_size_type=SizeType.RUNTIME_FIXED,
-                            decomposed=True, reason="decomposed")
+        report = ContainerPlan(target="cache:x.adjacency",
+                               udt="AdjacencyList",
+                               local_size_type=SizeType.VARIABLE,
+                               global_size_type=SizeType.RUNTIME_FIXED,
+                               decomposed=True, reason="decomposed")
         assert run_plan_rules("x", (report,), (target,)) == []
 
 
 class TestDeca006UnanalyzedContainer:
     def test_notes_containers_without_a_udt(self):
-        report = PlanReport(target="shuffle:0:x.edges", udt=None,
-                            local_size_type=None, global_size_type=None,
-                            decomposed=False, reason="no UDT declared")
+        report = ContainerPlan(target="shuffle:0:x.edges", udt=None,
+                               local_size_type=None, global_size_type=None,
+                               decomposed=False, reason="no UDT declared")
         findings = run_plan_rules("x", (report,), ())
         assert _rules_fired(findings) == {"DECA006"}
         assert findings[0].severity is Severity.NOTE
 
     def test_silent_for_analyzed_object_form_containers(self):
-        report = PlanReport(target="cache:x.rows", udt="LabeledPoint",
-                            local_size_type=SizeType.VARIABLE,
-                            global_size_type=SizeType.VARIABLE,
-                            decomposed=False,
-                            reason="size-type variable cannot be safely "
-                                   "decomposed")
+        report = ContainerPlan(target="cache:x.rows", udt="LabeledPoint",
+                               local_size_type=SizeType.VARIABLE,
+                               global_size_type=SizeType.VARIABLE,
+                               decomposed=False,
+                               reason="size-type variable cannot be safely "
+                                      "decomposed")
         assert run_plan_rules("x", (report,), ()) == []
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import ArrayType, ClassType, Field, LONG, SizeType
 from repro.apps.logistic_regression import labeled_point_udt_info
 from repro.apps.wordcount import wordcount_udt_info
-from repro.core.optimizer import PlanReport
+from repro.core.plan import ContainerPlan
 from repro.errors import PageOverflowError
 from repro.lint import (
     ArenaEvent,
@@ -32,11 +32,11 @@ def _record_schema():
     return build_schema(rec, SizeType.RUNTIME_FIXED)
 
 
-def _sfst_report(udt: str) -> PlanReport:
-    return PlanReport(target=f"cache:{udt}", udt=udt,
-                      local_size_type=SizeType.VARIABLE,
-                      global_size_type=SizeType.STATIC_FIXED,
-                      decomposed=True, reason="decomposed")
+def _sfst_report(udt: str) -> ContainerPlan:
+    return ContainerPlan(target=f"cache:{udt}", udt=udt,
+                         local_size_type=SizeType.VARIABLE,
+                         global_size_type=SizeType.STATIC_FIXED,
+                         decomposed=True, reason="decomposed")
 
 
 class TestShadowRecorder:
@@ -103,10 +103,10 @@ class TestCheckObservations:
         recorder = ShadowRecorder()
         recorder.appends = [PageAppend("g", "Rec", 40),
                             PageAppend("g", "Rec", 48)]
-        report = PlanReport(target="cache:Rec", udt="Rec",
-                            local_size_type=SizeType.VARIABLE,
-                            global_size_type=SizeType.RUNTIME_FIXED,
-                            decomposed=True, reason="decomposed")
+        report = ContainerPlan(target="cache:Rec", udt="Rec",
+                               local_size_type=SizeType.VARIABLE,
+                               global_size_type=SizeType.RUNTIME_FIXED,
+                               decomposed=True, reason="decomposed")
         assert check_observations("app", recorder, (report,)) == []
 
     def test_flags_resize_attempts(self):
@@ -173,11 +173,11 @@ class TestCheckImprecision:
             cache=SimpleNamespace(blocks={(0, 0): block}))
         return SimpleNamespace(executors=[executor], _rdds={0: rdd})
 
-    def _object_form_report(self, udt: str) -> PlanReport:
-        return PlanReport(target="cache:x.rows", udt=udt,
-                          local_size_type=SizeType.VARIABLE,
-                          global_size_type=SizeType.VARIABLE,
-                          decomposed=False, reason="kept in object form")
+    def _object_form_report(self, udt: str) -> ContainerPlan:
+        return ContainerPlan(target="cache:x.rows", udt=udt,
+                             local_size_type=SizeType.VARIABLE,
+                             global_size_type=SizeType.VARIABLE,
+                             decomposed=False, reason="kept in object form")
 
     def test_notes_constant_sized_object_form_caches(self):
         info = labeled_point_udt_info(4)
@@ -199,10 +199,10 @@ class TestCheckImprecision:
     def test_silent_for_decomposed_caches(self):
         info = labeled_point_udt_info(4)
         ctx = self._fake_ctx(info, [(1.0, (0.1, 0.2, 0.3, 0.4))] * 3)
-        report = PlanReport(target="cache:x.rows", udt="LabeledPoint",
-                            local_size_type=SizeType.VARIABLE,
-                            global_size_type=SizeType.STATIC_FIXED,
-                            decomposed=True, reason="decomposed")
+        report = ContainerPlan(target="cache:x.rows", udt="LabeledPoint",
+                               local_size_type=SizeType.VARIABLE,
+                               global_size_type=SizeType.STATIC_FIXED,
+                               decomposed=True, reason="decomposed")
         assert check_imprecision("app", ctx, (report,)) == []
 
 

@@ -10,6 +10,7 @@ correctness of the engine.
 import pytest
 
 from repro.config import DecaConfig, ExecutionMode, MB
+from repro.core.plan import ContainerPlan
 from repro.errors import ConfigError
 from repro.memory.unified import (
     StaticMemoryArena,
@@ -308,9 +309,12 @@ class TestCacheFailFastRegression:
 
     def _block(self, key, nbytes):
         return CachedBlock(
-            key=key, strategy=StorageStrategy.OBJECTS,
-            records=[1], blob=None, page_group=None, schema=None,
-            decode=None, record_count=1, memory_bytes=nbytes,
+            key=key, plan=ContainerPlan(
+                target="cache:t", udt=None, local_size_type=None,
+                global_size_type=None, decomposed=False, reason="test",
+                strategy=StorageStrategy.OBJECTS),
+            records=[1], blob=None, page_group=None,
+            record_count=1, memory_bytes=nbytes,
             disk_bytes=nbytes // 2,
             footprint=RecordFootprint(objects=1, object_bytes=nbytes,
                                       data_bytes=nbytes))

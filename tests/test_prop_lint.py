@@ -30,7 +30,7 @@ from repro.analysis import (
 )
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.global_refine import GlobalClassifier
-from repro.core.optimizer import PlanReport
+from repro.core.plan import ContainerPlan
 from repro.lint import ShadowRecorder, check_observations
 from repro.memory.layout import build_schema
 from repro.memory.page import PageGroup
@@ -118,10 +118,10 @@ def test_sound_decompositions_never_trigger_deca101(specs, num_records):
                      for i, spec in enumerate(specs))
                for r in range(num_records)]
 
-    report = PlanReport(target="cache:prop", udt=cls.name,
-                        local_size_type=size_type,
-                        global_size_type=size_type,
-                        decomposed=True, reason="property test")
+    report = ContainerPlan(target="cache:prop", udt=cls.name,
+                           local_size_type=size_type,
+                           global_size_type=size_type,
+                           decomposed=True, reason="property test")
 
     with ShadowRecorder() as recorder:
         group = PageGroup("prop", 1024)

@@ -224,7 +224,7 @@ class TestDanglingPromotedViewRegression:
         ctx = make_ctx(ExecutionMode.SPARK_SER)
         cache_one_rdd(ctx)
         store, key, block = self.promoted_block(ctx)
-        assert block.strategy is StorageStrategy.SERIALIZED
+        assert block.plan.strategy is StorageStrategy.SERIALIZED
         assert isinstance(block.blob, memoryview)
         blob = block.blob
         store.invalidate_all()

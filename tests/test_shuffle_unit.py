@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import CpuCosts, DecaConfig, IoCosts, MB, SerializerCosts
+from repro.core.plan import ContainerPlan
 from repro.errors import ShuffleError
 from repro.spark import DecaContext
 from repro.spark.shuffle import (
@@ -10,9 +11,14 @@ from repro.spark.shuffle import (
     MapSideWriter,
     ShuffleBlockStore,
     ShuffleKind,
-    ShufflePlan,
     read_reduce_partition,
 )
+
+
+def shuffle_plan(decomposed=False, **flags):
+    return ContainerPlan(target="shuffle:0:unit", udt=None,
+                         local_size_type=None, global_size_type=None,
+                         decomposed=decomposed, reason="unit test", **flags)
 
 
 def executor(**overrides):
@@ -26,7 +32,7 @@ class TestBlockStore:
     def test_register_and_fetch(self):
         store = ShuffleBlockStore()
         block = MapOutputBlock(records=[(1, 2)], nbytes=10, objects=1,
-                               executor_id=0, decomposed=False)
+                               executor_id=0, plan=shuffle_plan())
         store.register(7, 0, 3, block)
         store.set_map_parts(7, 1)
         assert store.fetch(7, 0, 3) is block
@@ -40,7 +46,7 @@ class TestBlockStore:
     def test_remove_shuffle(self):
         store = ShuffleBlockStore()
         store.set_map_parts(7, 1)
-        store.register(7, 0, 0, MapOutputBlock([], 0, 0, 0, False))
+        store.register(7, 0, 0, MapOutputBlock([], 0, 0, 0, shuffle_plan()))
         store.remove_shuffle(7)
         assert store.fetch(7, 0, 0) is None
         with pytest.raises(ShuffleError):
@@ -56,7 +62,7 @@ class TestMapSideWriter:
             partitioner=lambda k: k, kind=kind,
             merge_value=(lambda a, b: a + b)
             if kind is ShuffleKind.COMBINE else None,
-            plan=plan or ShufflePlan())
+            plan=plan or shuffle_plan())
 
     def test_combine_requires_merge(self):
         exe = executor()
@@ -100,7 +106,7 @@ class TestMapSideWriter:
 
     def test_decomposed_plan_uses_page_objects(self):
         exe = executor()
-        plan = ShufflePlan(decomposed=True)
+        plan = shuffle_plan(decomposed=True)
         _, writer = self.make_writer(plan=plan, exe=exe)
         writer.write_all([(k, 1) for k in range(500)])
         # One page object per config.page_bytes of data, not per entry.
@@ -108,7 +114,7 @@ class TestMapSideWriter:
 
     def test_segment_reuse_skips_temp_alloc(self):
         exe_a = executor()
-        plan = ShufflePlan(decomposed=True, value_segment_reuse=True)
+        plan = shuffle_plan(decomposed=True, value_segment_reuse=True)
         _, writer = self.make_writer(plan=plan, exe=exe_a)
         writer.write_all([(1, v) for v in range(1000)])
         reuse_temp = exe_a.heap.live_objects
@@ -127,10 +133,10 @@ class TestReduceRead:
         store.set_map_parts(5, 2)
         store.register(5, 0, 0, MapOutputBlock(
             [(1, "a")], nbytes=16, objects=1, executor_id=0,
-            decomposed=False))
+            plan=shuffle_plan()))
         store.register(5, 1, 0, MapOutputBlock(
             [(2, "b")], nbytes=16, objects=1,
-            executor_id=1, decomposed=False))
+            executor_id=1, plan=shuffle_plan()))
         records = list(read_reduce_partition(exe, store, 5, 0))
         assert sorted(records) == [(1, "a"), (2, "b")]
 
@@ -140,7 +146,7 @@ class TestReduceRead:
         store.set_map_parts(5, 1)
         store.register(5, 0, 0, MapOutputBlock(
             [(1, "a")], nbytes=1000, objects=1,
-            executor_id=exe.executor_id + 1, decomposed=False))
+            executor_id=exe.executor_id + 1, plan=shuffle_plan()))
         list(read_reduce_partition(exe, store, 5, 0))
         assert exe.network_ms_total > 0
 
@@ -150,7 +156,7 @@ class TestReduceRead:
         store.set_map_parts(5, 1)
         store.register(5, 0, 0, MapOutputBlock(
             [(1, "a")], nbytes=1000, objects=1,
-            executor_id=exe.executor_id, decomposed=False))
+            executor_id=exe.executor_id, plan=shuffle_plan()))
         list(read_reduce_partition(exe, store, 5, 0))
         assert exe.network_ms_total == 0
 
@@ -160,7 +166,8 @@ class TestReduceRead:
         store.set_map_parts(5, 1)
         store.register(5, 0, 0, MapOutputBlock(
             [(i, i) for i in range(1000)], nbytes=8000, objects=1000,
-            executor_id=exe.executor_id, decomposed=True))
+            executor_id=exe.executor_id,
+            plan=shuffle_plan(decomposed=True)))
         list(read_reduce_partition(exe, store, 5, 0))
         assert exe.serializer.deser_ms_total == 0.0
 
@@ -189,7 +196,7 @@ class TestSpillMerge:
         plain_store.register(0, 0, 0, MapOutputBlock(
             records=block.records, nbytes=block.nbytes,
             objects=block.objects, executor_id=block.executor_id,
-            decomposed=False))
+            plan=shuffle_plan()))
         reader_b = executor()
         list(read_reduce_partition(reader_b, plain_store, 0, 0))
         spilled_cost = reader.disk_ms_total - disk_before

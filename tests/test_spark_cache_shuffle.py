@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DecaConfig, ExecutionMode, MB
+from repro.core.plan import ContainerPlan
 from repro.errors import CacheError
 from repro.spark import DecaContext
 from repro.spark.cache import StorageStrategy
@@ -23,7 +24,7 @@ class TestCacheStorageStrategies:
         blocks = [b for e in ctx.executors
                   for b in e.cache.blocks.values()]
         assert blocks
-        assert all(b.strategy is StorageStrategy.OBJECTS for b in blocks)
+        assert all(b.plan.strategy is StorageStrategy.OBJECTS for b in blocks)
         assert all(b.records is not None for b in blocks)
 
     def test_sparkser_mode_serializes(self):
@@ -32,7 +33,7 @@ class TestCacheStorageStrategies:
         rdd.count()
         blocks = [b for e in ctx.executors
                   for b in e.cache.blocks.values()]
-        assert all(b.strategy is StorageStrategy.SERIALIZED
+        assert all(b.plan.strategy is StorageStrategy.SERIALIZED
                    for b in blocks)
 
     def test_deca_without_udt_stays_objects(self):
@@ -42,7 +43,7 @@ class TestCacheStorageStrategies:
         rdd.count()
         blocks = [b for e in ctx.executors
                   for b in e.cache.blocks.values()]
-        assert all(b.strategy is StorageStrategy.OBJECTS for b in blocks)
+        assert all(b.plan.strategy is StorageStrategy.OBJECTS for b in blocks)
 
     def test_deca_with_udt_uses_pages(self):
         from repro.apps.logistic_regression import labeled_point_udt_info
@@ -54,7 +55,7 @@ class TestCacheStorageStrategies:
         rdd.count()
         blocks = [b for e in ctx.executors
                   for b in e.cache.blocks.values()]
-        assert all(b.strategy is StorageStrategy.DECA_PAGES
+        assert all(b.plan.strategy is StorageStrategy.DECA_PAGES
                    for b in blocks)
         assert all(b.page_group is not None and b.page_group.page_count
                    for b in blocks)
@@ -131,9 +132,12 @@ class TestCacheEvictionAndSwap:
 
         def block(key):
             return CachedBlock(
-                key=key, strategy=StorageStrategy.SERIALIZED,
-                records=[1], blob=None, page_group=None, schema=None,
-                decode=None, record_count=1, memory_bytes=100,
+                key=key, plan=ContainerPlan(
+                    target="cache:t", udt=None, local_size_type=None,
+                    global_size_type=None, decomposed=False, reason="test",
+                    strategy=StorageStrategy.SERIALIZED),
+                records=[1], blob=None, page_group=None,
+                record_count=1, memory_bytes=100,
                 disk_bytes=100, footprint=RecordFootprint(1, 100, 50))
 
         store.put(block((1, 0)))

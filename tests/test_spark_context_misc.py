@@ -5,12 +5,14 @@ import dataclasses
 
 import pytest
 
+from repro.analysis import ClassType, DOUBLE, Field, LONG
 from repro.config import DecaConfig, ExecutionMode, MB
 from repro.errors import DecaError
 from repro.simtime import SimClock
 from repro.spark import DecaContext
 from repro.spark.cache import StorageStrategy
 from repro.spark.context import stable_hash
+from repro.spark.rdd import UdtInfo
 from repro.apps.logistic_regression import labeled_point_udt_info
 
 
@@ -84,6 +86,42 @@ class TestPlanDispatch:
         assert plan.strategy is StorageStrategy.SERIALIZED
         assert plan.schema is None  # falls back to cost-only model
 
+    def test_sparkser_refused_layout_keeps_records_and_says_why(self):
+        """A UDT the RFST layout refuses is cached as a record list —
+        and the plan names the layout error instead of hiding it."""
+        poly = ClassType("Poly", [
+            Field("key", LONG),
+            Field("value", DOUBLE, type_set=(DOUBLE, LONG))])
+        ctx = make_ctx(ExecutionMode.SPARK_SER, num_executors=1)
+        records = [(i, float(i)) for i in range(5)]
+        rdd = ctx.parallelize(records, 1).map(
+            lambda r: r, udt_info=UdtInfo(udt=poly)).cache()
+        plan = ctx.plan_cache(rdd)
+        assert plan.strategy is StorageStrategy.SERIALIZED
+        assert plan.schema is None and not plan.decomposed
+        assert "layout failed" in plan.reason
+        assert "Poly.value has a polymorphic type-set" in plan.reason
+        assert rdd.collect() == records
+        (block,) = ctx.executors[0].cache.blocks.values()
+        assert block.blob is None and block.records == records
+        assert rdd.collect() == records     # the cached read
+
+    def test_sparkser_planning_lets_other_errors_through(self):
+        """Only the documented failure of ``build_schema`` means "cannot
+        pack": a broken UDT model must not silently change what
+        SparkSer caches."""
+        class Typo(ClassType):
+            @property
+            def fields(self):
+                raise AttributeError("'Typo' object has no attribute "
+                                     "'feilds'")
+
+        ctx = make_ctx(ExecutionMode.SPARK_SER)
+        rdd = ctx.parallelize([(1, 2.0)], 1).map(
+            lambda r: r, udt_info=UdtInfo(udt=Typo("Typo")))
+        with pytest.raises(AttributeError, match="feilds"):
+            ctx.plan_cache(rdd)
+
     @pytest.mark.parametrize("mode", [ExecutionMode.SPARK_SER,
                                       ExecutionMode.DECA],
                              ids=lambda m: m.value)
@@ -117,7 +155,7 @@ class TestPlanDispatch:
         assert rdd.count() == 6
         store = ctx.executors[0].cache
         (key,) = store.blocks
-        assert store.blocks[key].schema is plan.schema
+        assert store.blocks[key].plan is plan
         assert list(store.read_records(key)) == records
 
     def test_shuffle_plan_measure_uses_parent(self):
