@@ -16,6 +16,6 @@ Unlike every other ablation its wall seconds are *real* elapsed time
 from repro.bench.experiments import BACKEND, run_experiment
 
 
-def test_ablation_backend(once):
+def test_ablation_backend():
     """mp matches sim bit-for-bit while pickling ~0 record bytes."""
-    assert not once(run_experiment, BACKEND, check=True, commit=True)
+    assert not run_experiment(BACKEND, check=True, commit=True)

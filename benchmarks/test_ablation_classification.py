@@ -14,7 +14,7 @@ from repro.bench.harness import run_lr_point
 from repro.bench.report import format_table, write_result
 
 
-def test_ablation_classification(once):
+def test_ablation_classification():
     def scenario():
         full = run_lr_point("80GB", ExecutionMode.DECA, iterations=3)
         spark = run_lr_point("80GB", ExecutionMode.SPARK, iterations=3)
@@ -36,7 +36,7 @@ def test_ablation_classification(once):
             lr_app.labeled_point_udt_info = original
         return spark, local, full
 
-    spark, local, full = once(scenario)
+    spark, local, full = scenario()
 
     table = format_table(
         "Ablation: local-only vs global classification (LR 80GB)",

@@ -16,6 +16,6 @@ and rewrites ``ablation_memory.txt`` / ``BENCH_ablation_memory.json``.
 from repro.bench.experiments import MEMORY, run_experiment
 
 
-def test_ablation_memory(once):
+def test_ablation_memory():
     """Unified arena spills less shuffle data and borrows for cache."""
-    assert not once(run_experiment, MEMORY, check=True, commit=True)
+    assert not run_experiment(MEMORY, check=True, commit=True)

@@ -15,7 +15,7 @@ from repro.bench.report import format_table, write_result
 PAGE_SIZES = (16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024)
 
 
-def test_ablation_page_size(once):
+def test_ablation_page_size():
     def scenario():
         rows = []
         for page_bytes in PAGE_SIZES:
@@ -31,7 +31,7 @@ def test_ablation_page_size(once):
             rows.append((page_bytes, point, pages, used, allocated))
         return rows
 
-    rows = once(scenario)
+    rows = scenario()
     table = format_table(
         "Ablation: Deca page size (LR 80GB)",
         ["page(KB)", "exec(s)", "gc(s)", "pages", "waste(KB)"],

@@ -19,7 +19,7 @@ from repro.bench.harness import run_wc_point
 from repro.bench.report import format_table, write_result
 
 
-def test_ablation_segment_reuse(once):
+def test_ablation_segment_reuse():
     def scenario():
         full = run_wc_point("150GB", "100M", ExecutionMode.DECA)
         spark = run_wc_point("150GB", "100M", ExecutionMode.SPARK)
@@ -40,7 +40,7 @@ def test_ablation_segment_reuse(once):
             DecaOptimizer.plan_shuffle = original
         return spark, ablated, full
 
-    spark, ablated, full = once(scenario)
+    spark, ablated, full = scenario()
 
     table = format_table(
         "Ablation: shuffle value segment reuse (WC 150GB/100M)",

@@ -16,6 +16,6 @@ only reruns it and rewrites ``ablation_sql.txt`` /
 from repro.bench.experiments import SQL, run_experiment
 
 
-def test_ablation_sql(once):
+def test_ablation_sql():
     """Columnar layout: same digests, faster kernels, zero-copy swaps."""
-    assert not once(run_experiment, SQL, check=True, commit=True)
+    assert not run_experiment(SQL, check=True, commit=True)

@@ -15,6 +15,6 @@ and rewrites ``ablation_tier.txt`` / ``BENCH_ablation_tier.json``.
 from repro.bench.experiments import TIER, run_experiment
 
 
-def test_ablation_tier(once):
+def test_ablation_tier():
     """Both tiers agree; only the heap tier pays serializer copies."""
-    assert not once(run_experiment, TIER, check=True, commit=True)
+    assert not run_experiment(TIER, check=True, commit=True)

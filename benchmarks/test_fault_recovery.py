@@ -25,7 +25,7 @@ from repro.bench.report import format_table, write_json_result, \
     write_result
 
 
-def test_fault_recovery_wc(once):
+def test_fault_recovery_wc():
     """WC completes correctly and deterministically under faults."""
 
     def scenario():
@@ -38,7 +38,7 @@ def test_fault_recovery_wc(once):
                                           faults=faults)
         return first, second
 
-    first, second = once(scenario)
+    first, second = scenario()
 
     # Correctness: injected faults never change the answer.
     assert first.extra["correct"]

@@ -49,8 +49,8 @@ def _check(rows):
     return by_point
 
 
-def test_fig10a_pagerank(once):
-    rows = once(_sweep, "PR")
+def test_fig10a_pagerank():
+    rows = _sweep("PR")
     table = rows_as_table("Figure 10(a): PageRank", rows)
     print(table)
     write_result("fig10a_pagerank", rows and table)
@@ -60,8 +60,8 @@ def test_fig10a_pagerank(once):
     assert speedup(big["spark"], big["deca"]) > 1.2
 
 
-def test_fig10b_cc(once):
-    rows = once(_sweep, "CC")
+def test_fig10b_cc():
+    rows = _sweep("CC")
     table = rows_as_table("Figure 10(b): ConnectedComponent", rows)
     print(table)
     write_result("fig10b_cc", table)

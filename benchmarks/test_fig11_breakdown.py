@@ -28,7 +28,7 @@ def _slowest_task(point):
     return slowest
 
 
-def test_fig11_breakdown(once):
+def test_fig11_breakdown():
     def scenario():
         out = {}
         for label in ("40GB", "100GB"):
@@ -43,7 +43,7 @@ def test_fig11_breakdown(once):
             out[("PR-60G", mode)] = (point, None)
         return out
 
-    out = once(scenario)
+    out = scenario()
 
     body = []
     for (label, mode), (point, task) in out.items():

@@ -14,7 +14,7 @@ from repro.bench.report import ascii_timeline, format_table, \
     rows_as_json, rows_as_table, write_json_result, write_result
 
 
-def test_fig8a_wc_lifetime(once):
+def test_fig8a_wc_lifetime():
     """Fig. 8(a): shuffle-buffer object population timeline."""
 
     def scenario():
@@ -29,7 +29,7 @@ def test_fig8a_wc_lifetime(once):
             rows[mode] = (point, sorted(samples, key=lambda s: s.time_ms))
         return rows
 
-    rows = once(scenario)
+    rows = scenario()
     spark_point, spark_samples = rows[ExecutionMode.SPARK]
     deca_point, deca_samples = rows[ExecutionMode.DECA]
 
@@ -58,7 +58,7 @@ def test_fig8a_wc_lifetime(once):
     write_result("fig8a_wc_lifetime", table + "\n\n" + chart)
 
 
-def test_fig8b_wc_exec(once):
+def test_fig8b_wc_exec():
     """Fig. 8(b): WC execution time by size and key count."""
 
     def scenario():
@@ -68,7 +68,7 @@ def test_fig8b_wc_exec(once):
                 rows.append(run_wc_point(size, keys, mode))
         return rows
 
-    rows = once(scenario)
+    rows = scenario()
     table = rows_as_table("Figure 8(b): WC execution time", rows,
                           include_cache=False)
     print(table)

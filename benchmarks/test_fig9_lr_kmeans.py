@@ -21,7 +21,7 @@ from repro.bench.report import ascii_timeline, format_table, \
 MODES = list(ExecutionMode)
 
 
-def test_fig9a_lr_lifetime(once):
+def test_fig9a_lr_lifetime():
     """Fig. 9(a): cached-object population and GC-time timeline."""
 
     def scenario():
@@ -36,7 +36,7 @@ def test_fig9a_lr_lifetime(once):
             out[mode] = (point, sorted(samples, key=lambda s: s.time_ms))
         return out
 
-    out = once(scenario)
+    out = scenario()
     spark_point, spark_samples = out[ExecutionMode.SPARK]
     deca_point, deca_samples = out[ExecutionMode.DECA]
 
@@ -99,20 +99,18 @@ def _check_sweep(rows, *, big_speedup: float):
                 + modes["deca"].swapped_mb
 
 
-def test_fig9b_lr(once):
+def test_fig9b_lr():
     """Fig. 9(b): LR execution time + cache size sweep."""
-    rows = once(_sweep, run_lr_point, ("40GB", "80GB", "100GB", "200GB"),
-                3)
+    rows = _sweep(run_lr_point, ("40GB", "80GB", "100GB", "200GB"), 3)
     table = rows_as_table("Figure 9(b): LR sweep", rows)
     print(table)
     write_result("fig9b_lr", table)
     _check_sweep(rows, big_speedup=3.0)
 
 
-def test_fig9c_kmeans(once):
+def test_fig9c_kmeans():
     """Fig. 9(c): KMeans execution time + cache size sweep."""
-    rows = once(_sweep, run_kmeans_point,
-                ("40GB", "80GB", "100GB", "200GB"), 3)
+    rows = _sweep(run_kmeans_point, ("40GB", "80GB", "100GB", "200GB"), 3)
     table = rows_as_table("Figure 9(c): KMeans sweep", rows)
     print(table)
     write_result("fig9c_kmeans", table)
@@ -127,7 +125,7 @@ def test_fig9c_kmeans(once):
     assert large["deca"].gc_s < 0.03 * large["spark"].gc_s
 
 
-def test_fig9d_highdim(once):
+def test_fig9d_highdim():
     """Fig. 9(d): 4096-dimension vectors — the cache-size gap closes."""
 
     def scenario():
@@ -139,7 +137,7 @@ def test_fig9d_highdim(once):
                     heap_mb=32))
         return rows
 
-    rows = once(scenario)
+    rows = scenario()
     table = rows_as_table("Figure 9(d): high-dimension LR", rows)
     print(table)
     write_result("fig9d_highdim", table)

@@ -41,7 +41,7 @@ def wc_config(**overrides):
                       shuffle_fraction=0.8, **overrides)
 
 
-def test_mp_scaling(once):
+def test_mp_scaling():
     scale = GRAPH_SCALES["Pokec"]
     edges = power_law_graph(scale.vertices, scale.edges)
     words = random_words(*WC_SIZES[("50GB", "100M")])
@@ -68,7 +68,7 @@ def test_mp_scaling(once):
                 grid[(app, label)] = (run, walls[1:])
         return grid
 
-    grid = once(scenario)
+    grid = scenario()
 
     for app in apps:
         for label, _ in cells:

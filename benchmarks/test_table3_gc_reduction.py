@@ -43,8 +43,8 @@ def _pairs():
     return out
 
 
-def test_table3_gc_reduction(once):
-    pairs = once(_pairs)
+def test_table3_gc_reduction():
+    pairs = _pairs()
 
     body = []
     for label, spark, deca in pairs:

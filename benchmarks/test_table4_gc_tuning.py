@@ -17,7 +17,7 @@ from repro.bench.harness import (
 from repro.bench.report import format_table, write_result
 
 
-def test_table4_gc_tuning(once):
+def test_table4_gc_tuning():
     def scenario():
         lr_fracs = [(f, run_lr_tuning_point(f,
                                             GcAlgorithm.PARALLEL_SCAVENGE))
@@ -33,7 +33,7 @@ def test_table4_gc_tuning(once):
         return lr_fracs, lr_algos, lr_deca, pr_fracs, pr_algos, pr_deca
 
     lr_fracs, lr_algos, lr_deca, pr_fracs, pr_algos, pr_deca = \
-        once(scenario)
+        scenario()
 
     body = []
     for frac, row in lr_fracs:

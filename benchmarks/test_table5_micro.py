@@ -42,7 +42,7 @@ def _pr(mode, heap_mb):
                         num_partitions=4)
 
 
-def test_table5_micro(once):
+def test_table5_micro():
     def scenario():
         out = {}
         for app, runner, small, large in (("LR", _lr, 4, 64),
@@ -53,7 +53,7 @@ def test_table5_micro(once):
                     out[(app, heap_label, mode)] = runner(mode, heap_mb)
         return out
 
-    out = once(scenario)
+    out = scenario()
 
     body = []
     for (app, heap, mode), run in out.items():

@@ -30,7 +30,7 @@ def _config(mode):
                       shuffle_fraction=0.1)
 
 
-def test_table6_sql(once):
+def test_table6_sql():
     def scenario():
         rankings = rankings_table(RANKINGS_ROWS)
         visits = uservisits_table(USERVISITS_ROWS)
@@ -50,7 +50,7 @@ def test_table6_sql(once):
             out[(f"Suite:{name}", "spark-sql")] = result
         return out
 
-    out = once(scenario)
+    out = scenario()
 
     def stats(key):
         run = out[key]

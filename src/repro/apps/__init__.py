@@ -17,44 +17,3 @@ ConnectedComponent (CC)   multi   multi  static    grouped+aggregated
 
 plus the two exploratory SQL queries of Table 6.
 """
-
-__all__ = [
-    "run_wordcount",
-    "run_logistic_regression",
-    "run_kmeans",
-    "run_pagerank",
-    "run_connected_components",
-    "run_query1",
-    "run_query2",
-]
-
-
-def __getattr__(name: str):
-    """Lazily import the application entry points.
-
-    The app modules pull in the whole engine; deferring the imports lets
-    lightweight users (e.g. the analysis tests) import submodules such as
-    :mod:`repro.apps.udts` without paying for it.
-    """
-    if name in __all__:
-        from . import (
-            connected_components,
-            kmeans,
-            logistic_regression,
-            pagerank,
-            sql_queries,
-            wordcount,
-        )
-        modules = {
-            "run_wordcount": wordcount.run_wordcount,
-            "run_logistic_regression":
-                logistic_regression.run_logistic_regression,
-            "run_kmeans": kmeans.run_kmeans,
-            "run_pagerank": pagerank.run_pagerank,
-            "run_connected_components":
-                connected_components.run_connected_components,
-            "run_query1": sql_queries.run_query1,
-            "run_query2": sql_queries.run_query2,
-        }
-        return modules[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

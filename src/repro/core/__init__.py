@@ -9,9 +9,7 @@ substrates:
 * :mod:`repro.core.optimizer` — the hybrid runtime optimizer (Appendix A):
   intercepts each dataset/shuffle as jobs materialize it, runs the UDT
   classification (Algorithms 1–4), resolves symbolic sizes with runtime
-  bindings, and emits the container plans that the engine executes;
-* :mod:`repro.core.fusion` — iterator fusion of map/filter chains (§5
-  pre-processing).
+  bindings, and emits the container plans that the engine executes.
 
 The container lifetimes of §4.2 are executed by
 :class:`~repro.jvm.objects.Lifetime` groups and
@@ -21,7 +19,7 @@ The container lifetimes of §4.2 are executed by
 """
 
 # Only the plan is re-exported: it sits below the engine (analysis and
-# memory are all it imports), while the optimizer and fusion import
+# memory are all it imports), while the optimizer imports
 # ``repro.spark`` — which imports the plan.
 from .plan import ContainerPlan, StorageStrategy
 

@@ -59,10 +59,6 @@ class PageReclaimedError(PageError):
     """An access through a page-info whose page group was already reclaimed."""
 
 
-class ContainerError(DecaError):
-    """Misuse of a data container (double release, write after seal, ...)."""
-
-
 class ExecutionError(DecaError):
     """A job failed while executing on the mini Spark engine."""
 

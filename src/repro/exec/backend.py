@@ -17,7 +17,7 @@ them for free and only parent map outputs and cached blocks produced
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -48,14 +48,13 @@ class BackendStats:
     mp_tasks: int = 0
     workers_forked: int = 0
     worker_deaths: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
 
     @property
     def bytes_pickled(self) -> int:
         return self.bytes_pickled_records + self.bytes_pickled_results
 
     def to_dict(self) -> dict[str, Any]:
-        out = {
+        return {
             "backend": self.backend,
             "bytes_pickled_records": self.bytes_pickled_records,
             "bytes_pickled_results": self.bytes_pickled_results,
@@ -68,8 +67,6 @@ class BackendStats:
             "workers_forked": self.workers_forked,
             "worker_deaths": self.worker_deaths,
         }
-        out.update(self.extra)
-        return out
 
 
 class ExecutionBackend:
@@ -106,13 +103,6 @@ class ExecutionBackend:
 
     def unpersist_rdd(self, rdd_id: int) -> None:
         """An RDD was unpersisted: drop backend-held cache blocks."""
-
-    def demote_block(self, key: tuple[int, int]) -> None:
-        """A cached block went cold (swapped to the cold tier).
-
-        Workers must stop resolving it from hot backend storage (shared
-        memory) and fall back to recomputing from lineage.
-        """
 
     def shutdown(self) -> None:
         """Release every backend resource (context teardown)."""

@@ -10,12 +10,11 @@ shuffle plan, the shuffle store and the backend's cache table as of job
 start.  What changes afterwards reaches it over its own duplex pipe —
 each stage the driver sends every worker one small :class:`StageOrder`
 (stage id, splits, attempt numbers, fault plans) carrying the *delta*
-since that worker last heard: the outputs earlier stages registered and
-the cache blocks that went cold, which the worker folds into its
-inherited tables with the same :meth:`JobState.register` the driver
-used.  A decomposed block ships back as a
-:class:`~repro.exec.shm.SegmentRef` naming the shared-memory pages the
-worker packed it into.  Record payloads cross process boundaries either
+since that worker last heard: the outputs earlier stages registered,
+which the worker folds into its inherited tables with the same
+:meth:`JobState.register` the driver used.  A decomposed block ships
+back as a :class:`~repro.exec.shm.SegmentRef` naming the shared-memory
+pages the worker packed it into.  Record payloads cross process boundaries either
 in place (shared segments, counted as ``bytes_shared``) or, for
 object-form plans, through one explicit pickle (counted as
 ``bytes_pickled_records`` — the serialization tax the paper's
@@ -97,15 +96,8 @@ class CacheEntry:
     records: list | None = None
     # The dataset's cache plan: the codec of the shm / packed forms.
     plan: ContainerPlan | None = None
-    # Set when the driver's cache swapped the block to the cold tier:
-    # workers must recompute instead of resolving the (stale-hot) copy.
-    cold: bool = False
 
     def read(self) -> Iterator[Any]:
-        if self.cold:
-            raise RuntimeError(
-                "cold cache block read as hot — workers must recompute "
-                "demoted blocks from lineage")
         if self.kind == "records":
             assert self.records is not None
             yield from self.records
@@ -144,8 +136,8 @@ class JobState:
         the cache table.
 
         *owner* is the driver's backend: only it adopts segments into the
-        registry, charges arenas, counts bytes and unlinks what a newer
-        block replaces.  A worker passes ``None`` and merely learns where
+        registry, charges arenas, counts bytes and unlinks a duplicate
+        block's segment.  A worker passes ``None`` and merely learns where
         the blocks are.
         """
         ctx = self.ctx
@@ -171,8 +163,7 @@ class JobState:
                     shm_ref=mb.ref))
         for cb in out.cache_blocks:
             key = (cb.rdd_id, cb.split)
-            existing = self.cache_blocks.get(key)
-            if existing is not None and not existing.cold:
+            if key in self.cache_blocks:
                 # Already materialized by an earlier task (cannot happen
                 # within a stage; defensive for replays): keep the first.
                 if (owner is not None and cb.ref is not None
@@ -180,9 +171,7 @@ class JobState:
                     unlink_segment(cb.ref.name)
                 continue
             if owner is not None:
-                # A recomputed block replaces the demoted entry and its
-                # stale segment; the fresh one is adopted in its place.
-                owner._account_cache_block(cb, existing, out.executor_id)
+                owner._account_cache_block(cb, out.executor_id)
             if cb.kind == "pickle":
                 assert cb.blob is not None
                 self.cache_blocks[key] = CacheEntry(
@@ -216,22 +205,9 @@ class _Job:
     """One job's executors and what they have to be told."""
 
     state: JobState
-    # Append-only: ("out", stage_id, TaskOutput) / ("cold", key, None).
-    delta: list[tuple[str, Any, Any]] = field(default_factory=list)
+    # Append-only: (stage_id, TaskOutput) in registration order.
+    delta: list[tuple[int, TaskOutput]] = field(default_factory=list)
     workers: dict[int, _Executor] = field(default_factory=dict)
-
-
-@dataclass
-class _AttemptReport:
-    """One attempt's outcome, buffered for deterministic processing."""
-
-    split: int
-    attempt: int
-    executor_id: int
-    status: str                     # "success" | "killed" | ...
-    duration_ms: float = 0.0
-    records_read: int = 0
-    events: list = field(default_factory=list)
 
 
 class MpBackend(ExecutionBackend):
@@ -295,14 +271,9 @@ class MpBackend(ExecutionBackend):
         self.stats.segments_live = len(self.registry)
 
     def _account_cache_block(self, cb: CacheBlockOut,
-                             replaced: CacheEntry | None,
                              executor_id: int) -> None:
         """Driver-side bookkeeping for a cache block entering the table
         (see :meth:`JobState.register`)."""
-        if (replaced is not None and replaced.ref is not None
-                and replaced.ref.name is not None):
-            self.registry.release(replaced.ref.name)
-            self._cache_segments[cb.rdd_id].remove(replaced.ref.name)
         if cb.ref is None:
             assert cb.blob is not None
             self.stats.bytes_pickled_records += len(cb.blob)
@@ -452,27 +423,8 @@ class MpBackend(ExecutionBackend):
         job = self._job
         assert job is not None
         job.state.register(stage.stage_id, out, owner=self)
-        job.delta.append(("out", stage.stage_id, dataclasses.replace(
+        job.delta.append((stage.stage_id, dataclasses.replace(
             out, result_blob=None, events=[], vclock_notes=None)))
-
-    def demote_block(self, key: tuple[int, int]) -> None:
-        """Mark a block cold: workers recompute it from lineage instead
-        of resolving the shared-memory copy (the driver's cache moved the
-        authoritative bytes into the mmap tier)."""
-        entry = self.cache_blocks.get(key)
-        if entry is None or entry.cold:
-            return
-        entry.cold = True
-        if self._job is not None:
-            self._job.delta.append(("cold", key, None))
-        if (self.ctx.ledger is not None and entry.ref is not None
-                and entry.ref.name is not None):
-            self.ctx.ledger.note_demote("segment", entry.ref.name)
-        if (self.ctx.vclock is not None and entry.ref is not None
-                and entry.ref.name is not None):
-            self.ctx.vclock.note_demote("segment", entry.ref.name)
-        self.stats.extra["blocks_demoted"] = \
-            self.stats.extra.get("blocks_demoted", 0) + 1
 
     def unpersist_rdd(self, rdd_id: int) -> None:
         for key in [k for k in self.cache_blocks if k[0] == rdd_id]:
@@ -504,7 +456,8 @@ class MpBackend(ExecutionBackend):
         pending: dict[int, int] = {s: 0 for s in range(stage.num_tasks)}
         failures: dict[int, int] = {s: 0 for s in range(stage.num_tasks)}
         outputs: dict[int, TaskOutput] = {}
-        reports: list[_AttemptReport] = []
+        # Every attempt's outcome, buffered for `_flush` to fold in order.
+        reports: list[TaskOutput | TaskFailure] = []
         waves = 0
         real_start = time.perf_counter()
         deadline = time.monotonic() + cfg.mp_stage_timeout_s
@@ -555,11 +508,7 @@ class MpBackend(ExecutionBackend):
                     ctx.vclock.absorb(out.vclock_notes)
                 outputs[out.split] = out
                 attempt = pending.pop(out.split)
-                reports.append(_AttemptReport(
-                    split=out.split, attempt=attempt,
-                    executor_id=out.executor_id, status="success",
-                    duration_ms=out.duration_ms,
-                    records_read=out.records_read, events=out.events))
+                reports.append(out)
                 if attempt > 0:
                     recovery.task_retries += attempt
             for fail in sorted(fails, key=lambda f: f.split):
@@ -567,10 +516,7 @@ class MpBackend(ExecutionBackend):
                 if ctx.vclock is not None \
                         and fail.vclock_notes is not None:
                     ctx.vclock.absorb(fail.vclock_notes)
-                reports.append(_AttemptReport(
-                    split=split, attempt=fail.attempt,
-                    executor_id=fail.executor_id, status=fail.status,
-                    duration_ms=fail.duration_ms, events=fail.events))
+                reports.append(fail)
                 recovery.task_failures += 1
                 failures[split] += 1
                 if fail.status == "error":
@@ -599,9 +545,9 @@ class MpBackend(ExecutionBackend):
 
     def _flush(self, scheduler: "DAGScheduler",
                stage_metrics: "StageMetrics",
-               reports: list[_AttemptReport], stage_start: float,
+               reports: list[TaskOutput | TaskFailure], stage_start: float,
                real_start: float, waves: int) -> None:
-        """Fold buffered attempts into metrics/trace, in split order.
+        """Fold buffered outcomes into metrics/trace, in split order.
 
         Workers finish in wall-clock order; sorting here makes the
         emitted structure — task metrics rows, relayed trace events —
@@ -689,8 +635,8 @@ class MpBackend(ExecutionBackend):
                 for split, attempt in lost.items():
                     fails.append(TaskFailure(
                         split=split, attempt=attempt,
-                        executor_id=(split + attempt) % len(
-                            self.ctx.executors),
+                        executor_id=self.ctx.executor_for(
+                            split, attempt).executor_id,
                         status="executor-lost",
                         message=f"worker {worker.worker_id} died "
                                 f"(exit {exitcode})"))

@@ -35,7 +35,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Iterator, TypeVar, TYPE_CHECKING
 
 from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import TaskKilledError
@@ -57,17 +57,6 @@ if TYPE_CHECKING:
 CRASH_EXIT_CODE = 17
 
 
-def _resolvable(entry: Any) -> bool:
-    """Whether a backend cache entry may serve reads.
-
-    Cold entries (the driver's cache demoted the block into the mmap
-    tier) must not be resolved as shared memory — the worker recomputes
-    the partition from lineage instead, like a real executor whose
-    BlockManager dropped the block.
-    """
-    return entry is not None and not getattr(entry, "cold", False)
-
-
 # -- messages on the pipe -----------------------------------------------------
 
 @dataclass
@@ -79,9 +68,8 @@ class StageOrder:
     attempts: dict[int, int]
     fault_plans: dict[int, TaskFaultPlan]
     # What the driver registered since this worker last heard, oldest
-    # first: ``("out", stage_id, TaskOutput)`` for a task of an earlier
-    # stage, ``("cold", key, None)`` for a demoted cache block.
-    delta: list[tuple[str, Any, Any]]
+    # first: ``(stage_id, TaskOutput)`` for a task of an earlier stage.
+    delta: list[tuple[int, TaskOutput]]
     # Send edge (race sanitizer): the driver clock as of this order.
     vclock: dict[str, int] | None = None
 
@@ -118,6 +106,7 @@ class TaskOutput:
     split: int
     attempt: int
     executor_id: int
+    status: str = "success"
     duration_ms: float = 0.0
     records_read: int = 0
     map_blocks: list[MapBlockOut] = field(default_factory=list)
@@ -136,11 +125,15 @@ class TaskFailure:
     split: int
     attempt: int
     executor_id: int
-    status: str                     # "killed" | "error"
+    status: str                     # "killed" | "error" | "executor-lost"
     message: str
     duration_ms: float = 0.0
+    records_read: int = 0
     events: list[TraceEvent] = field(default_factory=list)
     vclock_notes: dict | None = None
+
+
+_Outcome = TypeVar("_Outcome", TaskOutput, TaskFailure)
 
 
 # -- the executor stub --------------------------------------------------------
@@ -314,7 +307,7 @@ class _WorkerRuntime:
         self.fault_plans: dict[int, TaskFaultPlan] = {}
         # (rdd_id, split) -> records decoded/computed in this process.
         # It outlives the stage, so a cached block is decoded once per
-        # job; `begin_stage` evicts what the driver has since replaced.
+        # job; `begin_stage` evicts what the driver has since registered.
         self.local_cache: dict[tuple[int, int], list] = {}
         # Segment names created by the current attempt (unlinked if the
         # attempt fails gracefully; left for the driver sweep if the
@@ -340,14 +333,8 @@ class _WorkerRuntime:
         state = self.state
         if self.vclock is not None and order.vclock is not None:
             self.vclock.join("driver", order.vclock)
-        for kind, subject, out in order.delta:
-            if kind == "cold":
-                entry = state.cache_blocks.get(subject)
-                if entry is not None:
-                    entry.cold = True
-                self.local_cache.pop(subject, None)
-                continue
-            state.register(subject, out)
+        for stage_id, out in order.delta:
+            state.register(stage_id, out)
             for cb in out.cache_blocks:
                 # The table now serves this block (this worker's own
                 # computed records included): later stages decode the
@@ -382,7 +369,7 @@ class _WorkerRuntime:
             yield from local
             return
         entry = self.state.cache_blocks.get(key)
-        if _resolvable(entry):
+        if entry is not None:
             if (self.vclock is not None and entry.ref is not None
                     and entry.ref.name is not None):
                 self.vclock.note_access("segment", entry.ref.name)
@@ -433,7 +420,7 @@ class _WorkerRuntime:
                  ) -> TaskOutput | TaskFailure:
         state = self.state
         stage = self.stage
-        executor_id = (split + attempt) % len(state.ctx.executors)
+        executor_id = state.ctx.executor_for(split, attempt).executor_id
         self.attempt_tag = (f"{state.run_tag}-t{stage.stage_id}"
                             f"p{split}a{attempt}-")
         self.created = []
@@ -473,21 +460,30 @@ class _WorkerRuntime:
             # segments exist but the driver never hears about them —
             # exactly the orphan state its sweep must clean up.
             os._exit(CRASH_EXIT_CODE)
-        out.duration_ms = self.clock.now_ms - start_ms
         out.records_read = task.metrics.records_read
         if self.vclock is not None:
             self.vclock.note_result_produced(
                 f"t{stage.stage_id}.{split}.{attempt}")
-            out.vclock_notes = self.vclock.export_notes(drain=True)
+        return self._seal(out, executor, start_ms)
+
+    def _seal(self, outcome: _Outcome, executor: WorkerExecutor,
+              start_ms: float) -> _Outcome:
+        """Close the attempt: its duration, its task span (with whatever
+        the task traced before it) and its sanitizer notes ride home on
+        *outcome*, success or not."""
+        stage_id = self.stage.stage_id
+        outcome.duration_ms = self.clock.now_ms - start_ms
         executor.tracer.complete(
-            f"task:{stage.stage_id}.{split}.{attempt}", "task",
-            ts_ms=start_ms, dur_ms=out.duration_ms,
-            pid=executor.trace_pid, stage_id=stage.stage_id,
-            task_id=split, attempt=attempt, status="success",
-            backend="mp", worker_pid=os.getpid())
-        out.events = list(executor.tracer.events)
+            f"task:{stage_id}.{outcome.split}.{outcome.attempt}", "task",
+            ts_ms=start_ms, dur_ms=outcome.duration_ms,
+            pid=executor.trace_pid, stage_id=stage_id,
+            task_id=outcome.split, attempt=outcome.attempt,
+            status=outcome.status, backend="mp", worker_pid=os.getpid())
+        outcome.events = list(executor.tracer.events)
+        if self.vclock is not None:
+            outcome.vclock_notes = self.vclock.export_notes(drain=True)
         self.current_out = None
-        return out
+        return outcome
 
     def _fail(self, split: int, attempt: int, executor: WorkerExecutor,
               status: str, message: str, start_ms: float) -> TaskFailure:
@@ -499,21 +495,11 @@ class _WorkerRuntime:
             # table: the retry must rebuild (and report) them.
             for cb in self.current_out.cache_blocks:
                 self.local_cache.pop((cb.rdd_id, cb.split), None)
-        self.current_out = None
-        duration = self.clock.now_ms - start_ms
-        executor.tracer.complete(
-            f"task:{self.stage.stage_id}.{split}.{attempt}", "task",
-            ts_ms=start_ms, dur_ms=duration, pid=executor.trace_pid,
-            stage_id=self.stage.stage_id, task_id=split,
-            attempt=attempt, status=status, backend="mp",
-            worker_pid=os.getpid())
-        notes = (self.vclock.export_notes(drain=True)
-                 if self.vclock is not None else None)
-        return TaskFailure(split=split, attempt=attempt,
-                           executor_id=executor.executor_id, status=status,
-                           message=message, duration_ms=duration,
-                           events=list(executor.tracer.events),
-                           vclock_notes=notes)
+        return self._seal(
+            TaskFailure(split=split, attempt=attempt,
+                        executor_id=executor.executor_id, status=status,
+                        message=message),
+            executor, start_ms)
 
     def _run_map_task(self, task: TaskContext, split: int,
                       out: TaskOutput) -> None:

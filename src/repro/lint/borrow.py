@@ -148,7 +148,9 @@ class FuncModel:
     method: Method
     growlike: bool = False
     is_teardown: bool = False
-    cache_entry_class: bool = False
+    # The method's class keeps a ``self.cold`` demotion flag (DECA307's
+    # subject: payload reads there must consult it).
+    has_cold_flag: bool = False
     escapes: list[tuple[str, int]] = dc_field(default_factory=list)
 
 
@@ -347,7 +349,7 @@ class _Lowerer:
         For assignments only the value side counts — ``self.blob = x``
         in a constructor is initialization, not a stale-bytes read.
         """
-        if not self.model.cache_entry_class:
+        if not self.model.has_cold_flag:
             return []
         text = _text(node if node is not None else stmt)
         if any(ref in text for ref in
@@ -502,7 +504,7 @@ def _collect_functions(tree: ast.Module, module: str,
     models: list[FuncModel] = []
 
     def add(node: ast.FunctionDef | ast.AsyncFunctionDef,
-            cls: str | None) -> None:
+            cls: str | None, has_cold_flag: bool = False) -> None:
         qualname = f"{cls}.{node.name}" if cls else node.name
         name_l = node.name.lower()
         models.append(FuncModel(
@@ -512,15 +514,19 @@ def _collect_functions(tree: ast.Module, module: str,
             method=Method(name=f"{module}.{qualname}"),
             growlike=("grow" in name_l or "remap" in name_l),
             is_teardown=_is_teardown_name(node.name),
-            cache_entry_class=bool(cls and cls.endswith("CacheEntry"))))
+            has_cold_flag=has_cold_flag))
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             add(node, None)
         elif isinstance(node, ast.ClassDef):
+            has_cold_flag = any(
+                isinstance(ref, ast.Attribute) and ref.attr == "cold"
+                and isinstance(ref.value, ast.Name) and ref.value.id == "self"
+                for ref in ast.walk(node))
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    add(sub, node.name)
+                    add(sub, node.name, has_cold_flag)
     return models
 
 
@@ -739,7 +745,7 @@ def check_function(model: FuncModel, target: str) -> list[Finding]:
                          _ownership_why(op.resource, "page-group")))
 
         # DECA307: payload read with no cold check on this path.
-        if model.cache_entry_class:
+        if model.has_cold_flag:
             guarded = False
             for op in ops:
                 if op.kind == COLD_GUARD:

@@ -8,15 +8,15 @@ values derived from the simulated clocks and seeded RNGs, so two runs
 with the same seed produce byte-identical traces — the property the
 determinism CI job asserts on the exported JSON.
 
-The tracer is also the run's event *bus*: listeners registered with
-:meth:`Tracer.add_listener` see every event as it is emitted, which is
-how the heap profiler consumes the same stream the exporters render.
+The heap profiler is not a consumer of this buffer: it samples the heap
+through :meth:`~repro.jvm.heap.SimHeap.add_gc_listener`, the same GC
+events the executor forwards here as ``gc:*`` spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 #: Synthetic "process id" for driver-side events (job/stage spans).
 #: Executor events use ``pid = executor_id + 1``.
@@ -50,9 +50,6 @@ class TraceEvent:
         return self.ts_ms + self.dur_ms
 
 
-TraceListener = Callable[[TraceEvent], None]
-
-
 class Tracer:
     """Collects a run's trace events in emission order.
 
@@ -61,22 +58,12 @@ class Tracer:
     is reproducible bit-for-bit under a fixed seed.
     """
 
-    def __init__(self, recording: bool = True) -> None:
-        self.recording = recording
+    def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        self._listeners: list[TraceListener] = []
-
-    def add_listener(self, listener: TraceListener) -> None:
-        """Subscribe to the event stream (listeners see every emission,
-        even when buffer recording is off)."""
-        self._listeners.append(listener)
 
     # -- emission -------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:
-        for listener in self._listeners:
-            listener(event)
-        if self.recording:
-            self.events.append(event)
+        self.events.append(event)
 
     def complete(self, name: str, category: str, ts_ms: float,
                  dur_ms: float, pid: int = DRIVER_PID, tid: int = 0,
@@ -111,5 +98,4 @@ class Tracer:
         return len(self.events)
 
     def __repr__(self) -> str:
-        return (f"Tracer({len(self.events)} events, "
-                f"recording={self.recording})")
+        return f"Tracer({len(self.events)} events)"

@@ -359,10 +359,6 @@ class CacheStore:
                 executor.ledger.note_demote("extent", block._tier_key)
             if executor.vclock is not None and block._tier_key is not None:
                 executor.vclock.note_demote("extent", block._tier_key)
-            if executor.on_demote is not None:
-                # Tell the execution backend: mp workers must not keep
-                # resolving this block's shared-memory copy as hot.
-                executor.on_demote(key)
         executor.tracer.instant(
             "cache:swap-out", "cache", ts_ms=executor.clock.now_ms,
             pid=executor.trace_pid, **swap_args)

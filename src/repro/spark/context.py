@@ -107,8 +107,6 @@ class DecaContext:
         # scheduler's in-process loop runs); the mp backend runs them on
         # forked workers with shared-memory pages (repro.exec).
         self.backend = create_backend(self)
-        for executor in self.executors:
-            executor.on_demote = self.backend.demote_block
         self.partitioner = stable_hash
         # Per-context id sequences: a fresh context numbers RDDs and
         # shuffles from zero, keeping same-seed runs byte-identical even
@@ -117,7 +115,6 @@ class DecaContext:
         self._shuffle_ids = itertools.count()
         self._rdds: dict[int, RDD] = {}
         self._jobs: list[JobMetrics] = []
-        self._spilled_shuffle_bytes = 0
         # Every container's plan, made when a job first materializes it:
         # ("cache", rdd_id) / ("shuffle", shuffle_id) -> plan, in creation
         # order.  The optimizer fills it in DECA mode, the context itself
@@ -327,9 +324,6 @@ class DecaContext:
             executor.cache.remove_rdd(rdd.rdd_id)
         self.backend.unpersist_rdd(rdd.rdd_id)
 
-    def _note_spill(self, nbytes: int) -> None:
-        self._spilled_shuffle_bytes += nbytes
-
     def _record_job(self, metrics: JobMetrics) -> None:
         self._jobs.append(metrics)
 
@@ -377,7 +371,7 @@ class DecaContext:
             run.minor_gc_count += stats.minor_count
             run.full_gc_count += stats.full_count
             run.swapped_cache_bytes += executor.cache.swapped_bytes_total
-        run.spilled_shuffle_bytes = self._spilled_shuffle_bytes
+            run.spilled_shuffle_bytes += executor.spilled_shuffle_bytes
         # Teardown: the mp backend unlinks every shared segment it still
         # owns (the CI leak guard checks /dev/shm is clean afterwards).
         # The stats snapshot is taken after teardown so ``segments_live``

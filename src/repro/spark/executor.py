@@ -9,7 +9,7 @@ every thread — land at full price via the heap.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, TYPE_CHECKING
+from typing import Any, Iterator, TYPE_CHECKING
 
 from ..config import DecaConfig
 from ..errors import ExecutorLostError, TaskKilledError
@@ -91,13 +91,12 @@ class Executor:
         self.disk_ms_total = 0.0
         self.network_ms_total = 0.0
         self.tier_ms_total = 0.0
+        # Shuffle bytes spilled by this executor's successful attempts.
+        self.spilled_shuffle_bytes = 0
         # The mmap cold tier, created lazily on first swap so runs that
         # never swap never touch the filesystem (cold_tier="heap" keeps
         # this None forever).
         self._cold_tier: PageStoreTier | None = None
-        # Set by the context: notifies the execution backend that a
-        # block went cold, so mp workers stop resolving it as shm.
-        self.on_demote: "Callable[[tuple[int, int]], None] | None" = None
         # -- fault tolerance state --
         self.alive = True
         self.lost_count = 0
@@ -319,6 +318,8 @@ class Executor:
                                     - task._gc_start_ms)
         task.metrics.executor_id = self.executor_id
         task.metrics.status = status
+        if status == "success":
+            self.spilled_shuffle_bytes += task.spilled_bytes
         self._emit_task_span(task)
         self._current_task = None
         self.disarm_fault()
@@ -378,7 +379,7 @@ class Executor:
     def read_shuffle(self, shuffle_id: int, reduce_part: int,
                      task: "TaskContext") -> Iterator[tuple[Any, Any]]:
         return read_reduce_partition(self, self.shuffle_store, shuffle_id,
-                                     reduce_part)
+                                     reduce_part, task)
 
     def __repr__(self) -> str:
         return (f"Executor(#{self.executor_id}, "

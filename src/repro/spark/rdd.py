@@ -191,7 +191,7 @@ class RDD:
             self, lambda it, task: map(f, it),
             name or f"{self.name}.map", per_record=True, udt_info=udt_info,
             record_cost_ms=record_cost_ms)
-        out._record_fn = f          # enables iterator fusion (core.fusion)
+        out._record_fn = f
         out._record_kind = "map"
         return out
 
@@ -206,7 +206,7 @@ class RDD:
                                per_record=True, udt_info=udt_info,
                                record_cost_ms=record_cost_ms)
         out._record_fn = f
-        out._record_kind = "flatmap"  # ends a fusion group
+        out._record_kind = "flatmap"
         return out
 
     def filter(self, predicate: Callable[[Any], bool],
@@ -227,8 +227,7 @@ class RDD:
             self, lambda it, task: f(it),
             name or f"{self.name}.mapPartitions", per_record=False,
             udt_info=udt_info)
-        # Registered for the closure analyzer; "mappartitions" is not a
-        # fusible kind, so core.fusion ignores it.
+        # Registered for the closure analyzer.
         out._record_fn = f
         out._record_kind = "mappartitions"
         return out
@@ -454,7 +453,8 @@ class MapPartitionsRDD(RDD):
         self._per_record = per_record
         self._record_cost_ms = record_cost_ms
         self._transformed: bool | None = None
-        # Set by map/filter/flat_map for the iterator-fusion pass.
+        # Set by map/filter/flat_map/map_partitions: the record UDF, read
+        # by the optimizer, the closure guard and the closure lint.
         self._record_fn: Callable[[Any], Any] | None = None
         self._record_kind: str | None = None
 

@@ -58,6 +58,9 @@ class TaskContext:
     _gc_start_ms: float = 0.0
     # Unified-mode arena task slot (fair-share accounting key).
     _arena_key: int | None = None
+    # Shuffle bytes this attempt spilled, map-side buffer and reduce-side
+    # merge alike; they count toward the run only if the attempt succeeds.
+    spilled_bytes: int = 0
 
 
 @dataclass
@@ -209,7 +212,7 @@ class DAGScheduler:
                 # (more) is registered; the retry starts from scratch.
                 writer.abort()
                 raise
-            ctx._note_spill(writer.spilled_bytes)
+            task.spilled_bytes += writer.spilled_bytes
 
         return body
 

@@ -415,18 +415,19 @@ class ReduceMergeConsumer:
     In unified mode every fetched block's bytes are admitted against a
     per-task execution grant; when the arena cannot extend it the merge
     spills its buffered runs to disk (an extra sequential write, merged
-    back by charge-free streaming) and releases the grant.
+    back by charge-free streaming) and releases the grant.  Spilled
+    bytes are tallied on *task*, the attempt the merge runs in.
     """
 
     def __init__(self, executor, arena: UnifiedMemoryManager,
-                 shuffle_id: int, reduce_part: int) -> None:
+                 shuffle_id: int, reduce_part: int, task=None) -> None:
         self.executor = executor
         self.arena = arena
         self.shuffle_id = shuffle_id
         self.reduce_part = reduce_part
+        self.task = task
         self._charged = 0
         self._data_bytes = 0
-        self.spilled_bytes = 0
         self.spill_count = 0
 
     @property
@@ -458,7 +459,8 @@ class ReduceMergeConsumer:
             tier.note_spill(self._data_bytes)
         else:
             executor.charge_disk_write(self._data_bytes)
-        self.spilled_bytes += self._data_bytes
+        if self.task is not None:
+            self.task.spilled_bytes += self._data_bytes
         self.spill_count += 1
         executor.tracer.complete(
             "shuffle:merge-spill", "shuffle", ts_ms=spill_start_ms,
@@ -482,7 +484,7 @@ class ReduceMergeConsumer:
 
 
 def read_reduce_partition(executor, store: ShuffleBlockStore,
-                          shuffle_id: int, reduce_part: int,
+                          shuffle_id: int, reduce_part: int, task=None,
                           ) -> Iterator[tuple[Any, Any]]:
     """Fetch and yield one reduce partition's records.
 
@@ -493,7 +495,8 @@ def read_reduce_partition(executor, store: ShuffleBlockStore,
     :class:`ReduceMergeConsumer` and spills when the arena denies it.
     """
     arena = getattr(executor, "arena", None)
-    merge = (ReduceMergeConsumer(executor, arena, shuffle_id, reduce_part)
+    merge = (ReduceMergeConsumer(executor, arena, shuffle_id, reduce_part,
+                                 task)
              if isinstance(arena, UnifiedMemoryManager) else None)
     num_maps = store.map_parts(shuffle_id)
     injector = executor.fault_injector
@@ -546,10 +549,6 @@ def _fetch_blocks(executor, store: ShuffleBlockStore, shuffle_id: int,
         if remote:
             executor.charge_network(block.nbytes)
         records = block.records
-        if records is None:
-            # A block an mp stage left in shared pages, read by a
-            # sim-path reduce: materialize once, keep for the next reader.
-            records = block.records = list(block.read())
         if block.plan.decomposed:
             executor.serializer.deca_read(len(records), block.nbytes)
         else:

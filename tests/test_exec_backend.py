@@ -169,47 +169,6 @@ class TestCacheLifecycle:
         assert run("mp") == run("sim")
 
 
-class TestColdDemotion:
-    """Cold tier x mp backend: demoted blocks must never resolve as shm."""
-
-    def test_resolvable_predicate(self):
-        from repro.exec.mp import CacheEntry
-        from repro.exec.worker import _resolvable
-        assert not _resolvable(None)
-        entry = CacheEntry(kind="records", count=1, records=[1])
-        assert _resolvable(entry)
-        entry.cold = True
-        assert not _resolvable(entry)
-
-    def test_cold_entry_refuses_hot_reads(self):
-        from repro.exec.mp import CacheEntry
-        entry = CacheEntry(kind="records", count=1, records=[1], cold=True)
-        with pytest.raises(RuntimeError):
-            list(entry.read())
-
-    def test_demoted_blocks_recompute_and_rehydrate(self):
-        """After demote_block the worker recomputes from lineage and the
-        backend table swaps the cold entry for the fresh hot block."""
-        from repro.apps.wordcount import wordcount_udt_info
-        ctx = make_ctx()
-        words = [f"w{i % 20}" for i in range(800)]
-        pairs = ctx.text_file(words, 4, name="cd.input") \
-                   .map(lambda w: (w, 1), name="cd.pairs") \
-                   .with_udt(wordcount_udt_info()).cache()
-        first = sorted(pairs.collect())
-        backend = ctx.backend
-        keys = list(backend.cache_blocks)
-        assert keys
-        for key in keys:
-            backend.demote_block(key)
-            backend.demote_block(key)   # idempotent: counted once
-        assert backend.stats.extra["blocks_demoted"] == len(keys)
-        assert all(e.cold for e in backend.cache_blocks.values())
-        assert sorted(pairs.collect()) == first
-        assert all(not e.cold for e in backend.cache_blocks.values())
-        ctx.finish()
-
-
 class TestFaultsUnderMp:
     def test_task_kill_retries_to_same_answer(self):
         sim_ctx = make_ctx(backend="sim")

@@ -198,36 +198,6 @@ class TestDataArrivesByDelta:
         assert shapes(ctx) == expected
         finish_clean(ctx)
 
-    def test_cold_demotion_in_the_middle_of_a_job(self):
-        """Blocks cached by the job's first stage go cold before its
-        second: the workers hear of it, recompute from lineage instead of
-        reading the stale segments, and the fresh blocks replace them."""
-        sim_ctx = DecaContext(config("sim"))
-        _, expected = cached_points_twice(sim_ctx)
-        sim_ctx.finish()
-        ctx = DecaContext(config())
-        backend = ctx.backend
-        run_map_stage = backend.run_map_stage
-        demoted = []
-
-        def demote_after_first_stage(*args):
-            done = run_map_stage(*args)
-            if not demoted:
-                demoted.extend(backend.cache_blocks)
-                for key in demoted:
-                    backend.demote_block(key)
-            return done
-
-        backend.run_map_stage = demote_after_first_stage
-        _, got = cached_points_twice(ctx)
-        assert got == expected
-        assert len(demoted) == 4
-        assert backend.stats.extra["blocks_demoted"] == 4
-        assert all(not backend.cache_blocks[key].cold for key in demoted)
-        stats = finish_clean(ctx).backend
-        assert stats["workers_forked"] == WORKERS
-        assert stats["segments_live"] == 0
-
 
 # -- teardown, however the job ends -------------------------------------------
 

@@ -8,6 +8,8 @@ with the lint driver/report pipeline deterministically.
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import (
     PSEUDO_APPS,
     RACE_APP,
@@ -15,7 +17,6 @@ from repro.lint import (
     RULES_BY_ID,
     Severity,
     analyze_race_source,
-    lint_race,
     run_lint,
     run_race_rules,
 )
@@ -31,6 +32,13 @@ def fixture_findings():
                                "repro.lint.fixtures.race_bugs",
                                "lint/fixtures/race_bugs.py",
                                target="fixtures")
+
+
+@pytest.fixture(scope="module")
+def race_report():
+    """One race-only audit of the engine, shared by every test that only
+    reads it (a full audit of the nine modules costs about a second)."""
+    return run_lint([RACE_APP], shadow=False)
 
 
 class TestRuleCatalogue:
@@ -50,8 +58,9 @@ class TestRuleCatalogue:
 
 
 class TestEngineIsClean:
-    def test_zero_findings_on_concurrency_surface(self):
-        findings, summary = run_race_rules()
+    def test_zero_findings_on_concurrency_surface(self, race_report):
+        result = race_report.apps[0]
+        findings, summary = result.findings, result.summary
         assert findings == ()
         assert summary["modules"] == len(RACE_MODULES)
         assert summary["functions"] > 0
@@ -64,8 +73,9 @@ class TestEngineIsClean:
                                            module, relpath)
             assert findings == [], (module, findings)
 
-    def test_deterministic_across_runs(self):
-        first, summary1 = run_race_rules()
+    def test_deterministic_across_runs(self, race_report):
+        result = race_report.apps[0]
+        first, summary1 = result.findings, result.summary
         second, summary2 = run_race_rules()
         assert first == second
         assert summary1 == summary2
@@ -108,11 +118,10 @@ class TestFixturesFireExactly:
 
 
 class TestRacePseudoApp:
-    def test_race_only_request(self):
-        report = run_lint([RACE_APP], shadow=False)
-        assert [r.app for r in report.apps] == [RACE_APP]
-        assert report.apps[0].findings == ()
-        assert not report.has_errors
+    def test_race_only_request(self, race_report):
+        assert [r.app for r in race_report.apps] == [RACE_APP]
+        assert race_report.apps[0].findings == ()
+        assert not race_report.has_errors
 
     def test_race_rides_along_with_all(self):
         report = run_lint(["all"], shadow=False)
@@ -121,15 +130,14 @@ class TestRacePseudoApp:
         assert tuple(apps[-len(PSEUDO_APPS):]) == PSEUDO_APPS
         assert apps[-1] == RACE_APP
 
-    def test_lint_race_summary_shape(self):
-        result = lint_race()
+    def test_lint_race_summary_shape(self, race_report):
+        result = race_report.apps[0]
         assert result.summary["shadow"] is False
         assert result.summary["modules"] == len(RACE_MODULES)
         assert "DECA401" in result.title
 
-    def test_sarif_carries_race_rules(self):
-        report = run_lint([RACE_APP], shadow=False)
-        sarif = to_sarif(report)
+    def test_sarif_carries_race_rules(self, race_report):
+        sarif = to_sarif(race_report)
         rule_ids = {rule["id"]
                     for rule in sarif["runs"][0]["tool"]["driver"]["rules"]}
         for rule_id in RACE_RULES:

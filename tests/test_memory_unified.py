@@ -381,3 +381,31 @@ class TestUnifiedEndToEnd:
             arena = exe.arena
             assert arena.execution_used == 0
             assert arena.snapshot()["active_tasks"] == 0
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.SPARK,
+                                      ExecutionMode.DECA])
+    def test_reduce_merge_spills_reach_the_run_metrics(self, mode):
+        """A heap this small denies the reduce-side merge its grant, so
+        `ReduceMergeConsumer.spill` runs; what it wrote out is counted
+        with the map side's spills, and nothing stays charged."""
+        from repro.apps.wordcount import run_wordcount
+        from repro.data import random_words
+
+        def run(memory_mode):
+            return run_wordcount(
+                random_words(30_000, 8_000),
+                DecaConfig(mode=mode, memory_mode=memory_mode,
+                           heap_bytes=96 * 1024, num_executors=1,
+                           tasks_per_executor=4, page_bytes=4 * 1024,
+                           memory_fraction=0.5),
+                num_partitions=8)
+
+        got = run("unified")
+        spilled = {"shuffle:spill": 0, "shuffle:merge-spill": 0}
+        for event in got.ctx.tracer.events:
+            if event.name in spilled:
+                spilled[event.name] += event.args["spilled_bytes"]
+        assert spilled["shuffle:merge-spill"] > 0
+        assert got.metrics.spilled_shuffle_bytes == sum(spilled.values())
+        assert got.ctx.executors[0].arena.execution_used == 0
+        assert got.result == run("static").result

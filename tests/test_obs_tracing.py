@@ -54,14 +54,6 @@ class TestTracerUnit:
         assert span.end_ms == pytest.approx(3.0)
         assert point.phase == "i" and point.args == {"bar": "x"}
 
-    def test_listeners_see_events_even_when_not_recording(self):
-        tracer = Tracer(recording=False)
-        seen = []
-        tracer.add_listener(seen.append)
-        tracer.instant("a", "cat", ts_ms=0.0)
-        assert [e.name for e in seen] == ["a"]
-        assert tracer.events == []
-
     def test_by_category_and_end_ms(self):
         tracer = Tracer()
         tracer.complete("a", "task", ts_ms=0.0, dur_ms=10.0)

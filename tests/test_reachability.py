@@ -20,12 +20,6 @@ SRC = REPO / "src"
 ROOT_DIRS = ("benchmarks", "examples", "scripts")
 ROOT_MODULES = ("repro.bench.__main__",)
 
-#: Modules allowed to be unreached, each with the reason it is still here.
-ALLOWED_UNREACHED = {
-    "repro.core.fusion": "ROADMAP item 4",
-}
-
-
 def _modules() -> dict[str, Path]:
     """Dotted name -> file, for every module and package under src/repro
     (a package is named by its ``__init__``)."""
@@ -114,11 +108,9 @@ def test_every_module_is_reached():
     unreached = sorted(
         name for name in MODULES
         if name not in reached and not _is_package(name))
-    assert unreached == sorted(ALLOWED_UNREACHED), (
+    assert unreached == [], (
         "modules nothing but tests (or a bare package re-export) imports: "
-        f"{sorted(set(unreached) - set(ALLOWED_UNREACHED))}; "
-        "allow-listed modules that are reached again: "
-        f"{sorted(set(ALLOWED_UNREACHED) - set(unreached))}")
+        f"{unreached}")
 
 
 def test_the_walk_resolves_names_through_package_inits():
