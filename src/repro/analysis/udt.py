@@ -30,14 +30,28 @@ from ..errors import TypeGraphError
 from ..jvm import sizing
 
 
+# The type-graph epoch: bumped by every edit that can change a footprint
+# (``ClassType.add_field``, assigning ``Field.type_set``).  A measurer
+# ``repro.spark.measure`` compiled for one type has the types below it
+# folded in, so it cannot be dropped from here when one of them changes;
+# instead it remembers the epoch it was compiled at and compares it with
+# this one on every call.
+epoch = 0
+
+
+def _bump_epoch() -> None:
+    global epoch
+    epoch += 1
+
+
 class DataType:
     """Base class of every type in the model."""
 
     name: str
     # The footprint measurer ``repro.spark.measure`` compiled for this type.
-    # It lives on the type so it dies with it; being a closure, it is left
-    # out of pickles and deep copies and rebuilt on demand.
-    _measurer: Callable[[Any, Any], tuple[int, int, int]] | None = None
+    # It lives on the type so it dies with it; being generated code, it is
+    # left out of pickles and deep copies and rebuilt on demand.
+    _measurer: Callable[[Any, Any], Any] | None = None
 
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
@@ -87,7 +101,7 @@ class Field:
     local classifier exploits (Algorithm 1, lines 28–30).
     """
 
-    __slots__ = ("name", "declared_type", "type_set", "final")
+    __slots__ = ("name", "declared_type", "_type_set", "final")
 
     def __init__(self, name: str, declared_type: DataType,
                  type_set: Sequence[DataType] | None = None,
@@ -103,12 +117,22 @@ class Field:
             if not resolved:
                 raise TypeGraphError(
                     f"field {name!r} has an empty type-set")
-        self.type_set = resolved
+        # Not through the property: nothing compiled can reach a new field.
+        self._type_set = resolved
         self.final = final
+
+    @property
+    def type_set(self) -> tuple[DataType, ...]:
+        return self._type_set
+
+    @type_set.setter
+    def type_set(self, type_set: tuple[DataType, ...]) -> None:
+        self._type_set = type_set
+        _bump_epoch()
 
     def get_type_set(self) -> tuple[DataType, ...]:
         """The possible runtime types of this field (paper: ``getTypeSet``)."""
-        return self.type_set
+        return self._type_set
 
     def __repr__(self) -> str:
         modifier = "val" if self.final else "var"
@@ -142,9 +166,9 @@ class ClassType(DataType):
         self._by_name[field.name] = field
         # Everything derived from the field list is recomputed on demand.
         for derived in ("fields", "primitive_payload_bytes",
-                        "reference_field_count", "shallow_object_bytes",
-                        "_measurer"):
+                        "reference_field_count", "shallow_object_bytes"):
             self.__dict__.pop(derived, None)
+        _bump_epoch()
         return field
 
     @cached_property

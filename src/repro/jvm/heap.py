@@ -50,6 +50,10 @@ class SimHeap:
         self.config = config
         self.clock = clock
         self.name = name
+        # The config is frozen: the capacities are computed once, not on
+        # every allocation.
+        self.young_capacity = config.young_bytes
+        self.old_capacity = config.old_bytes
         self.collector = CollectorModel(config.gc_algorithm)
         self.stats = GcStats()
         self._groups: dict[int, AllocationGroup] = {}
@@ -63,14 +67,6 @@ class SimHeap:
         self._in_full_gc = False
 
     # -- capacity and occupancy ------------------------------------------------
-    @property
-    def young_capacity(self) -> int:
-        return self.config.young_bytes
-
-    @property
-    def old_capacity(self) -> int:
-        return self.config.old_bytes
-
     @property
     def young_live_bytes(self) -> int:
         return self._live.young

@@ -50,6 +50,13 @@ from .shuffle import ShuffleBlockStore
 
 def stable_hash(key: Any) -> int:
     """A process-independent hash for partitioning."""
+    # The two everyday key types first, by exact type (``bool`` is not
+    # ``int`` here, so ``True`` still takes the branch below).
+    kind = type(key)
+    if kind is str:
+        return zlib.crc32(key.encode("utf-8"))
+    if kind is int:
+        return key & 0x7FFFFFFF
     if isinstance(key, bool):
         return int(key)
     if isinstance(key, int):

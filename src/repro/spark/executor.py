@@ -84,6 +84,7 @@ class Executor:
         else:
             self.heap.add_pressure_handler(self.cache.release_for_pressure)
         self.parallelism = max(1, config.tasks_per_executor)
+        self._object_alloc_ms = config.cpu.object_alloc_ms
         self.profiler: HeapProfiler | None = None
         self._temp_group: AllocationGroup | None = None
         self._current_task: "TaskContext | None" = None
@@ -166,9 +167,9 @@ class Executor:
         self._fault_countdown = 0
 
     def _tick_fault(self) -> None:
+        """One compute charge of an armed attempt (``charge_compute``
+        calls this only while a plan is armed)."""
         plan = self._fault_plan
-        if plan is None:
-            return
         if self._fault_countdown > 0:
             self._fault_countdown -= 1
             return
@@ -185,11 +186,17 @@ class Executor:
 
     # -- cost charging -------------------------------------------------------------
     def charge_compute(self, ms: float) -> None:
-        self._tick_fault()
-        self.clock.advance(ms / self.parallelism)
-        if self._current_task is not None:
-            self._current_task.metrics.compute_ms += ms / self.parallelism
-        self._sample()
+        # The per-record charge: the fault tick and the profiler sample
+        # are spelled as the ``is not None`` tests they start with.
+        if self._fault_plan is not None:
+            self._tick_fault()
+        ms /= self.parallelism
+        self.clock.advance(ms)
+        task = self._current_task
+        if task is not None:
+            task.metrics.compute_ms += ms
+        if self.profiler is not None:
+            self.profiler.maybe_sample()
 
     def charge_disk_write(self, nbytes: int) -> None:
         io = self.config.io
@@ -277,12 +284,14 @@ class Executor:
         """Allocate short-lived UDF objects into the task's temp group."""
         if objects <= 0 and nbytes <= 0:
             return
-        if self._temp_group is None or self._temp_group.freed:
-            self._temp_group = self.heap.new_group(
+        group = self._temp_group
+        if group is None or group.freed:
+            group = self._temp_group = self.heap.new_group(
                 "udf-temp", Lifetime.TEMPORARY)
-        self.charge_compute(self.config.cpu.object_alloc_ms * objects)
-        self.heap.allocate(self._temp_group, objects, nbytes)
-        self._sample()
+        self.charge_compute(self._object_alloc_ms * objects)
+        self.heap.allocate(group, objects, nbytes)
+        if self.profiler is not None:
+            self.profiler.maybe_sample()
 
     def new_pinned_group(self, name: str) -> AllocationGroup:
         return self.heap.new_group(name, Lifetime.PINNED)

@@ -12,18 +12,24 @@ many heap objects and bytes one record costs in each representation:
 
 A record's footprint is a static function of its type (§3): constant for
 an SFST, affine in the array lengths for an RFST.  So when a dataset
-declares its UDT, the first measurement *compiles* one measurer per type —
-a closure that already knows every field plan, shallow size and boxed size
-and only reads the record's array lengths — and keeps it on the type
-object.  Untyped datasets (plain driver-side values) fall back to a generic
-measurer over Python values.
+declares its UDT, the first measurement *compiles* the root type: one walk
+of its type graph generates one straight-line function — every shallow
+size, boxed size and primitive payload folded into literals, a tuple/list
+coercion and an arity check per class level, ``len()`` at each primitive
+array, a ``for`` loop at an array of class elements — and keeps it on the
+type object.  The types below the root are folded in, so an edit to any of
+them must reach the root's function: every edit bumps the type graph's
+*epoch* (``repro.analysis.udt.epoch``) and every compiled function checks,
+once per call, that it was compiled at the current one.  Untyped datasets
+(plain driver-side values) fall back to a generic measurer over Python
+values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
+from ..analysis import udt as _type_graph
 from ..analysis.udt import ArrayType, ClassType, DataType, PrimitiveType
 from ..errors import MemoryLayoutError
 from ..jvm import sizing
@@ -32,8 +38,7 @@ from ..jvm import sizing
 KRYO_TAG_BYTES = 2
 
 
-@dataclass(frozen=True)
-class RecordFootprint:
+class RecordFootprint(NamedTuple):
     """Heap cost of one record in its three representations."""
 
     objects: int          # heap objects in the object form
@@ -55,6 +60,10 @@ class RecordFootprint:
 
 ZERO_FOOTPRINT = RecordFootprint(0, 0, 0)
 
+# The hot paths build footprints without the Python-level ``__new__`` a
+# NamedTuple generates: ``_new_footprint(RecordFootprint, triple)``.
+_new_footprint = tuple.__new__
+
 
 # ``sizing.array_bytes``/``sizing.object_bytes`` for sizes that are known to
 # be valid: ``(header + payload + ALIGNMENT - 1) & -ALIGNMENT``.
@@ -64,124 +73,148 @@ _OBJECT_PAD = sizing.OBJECT_HEADER_BYTES + sizing.ALIGNMENT - 1
 _REFERENCE_BYTES = sizing.REFERENCE_BYTES
 
 # A measurer takes ``(udt, value)`` — the type is passed, not captured, so a
-# type and its measurer form no reference cycle — and returns a plain
-# ``(objects, object_bytes, data_bytes)`` triple; only the public entry
-# points build a RecordFootprint.
-_Measurer = Callable[[Any, Any], "tuple[int, int, int]"]
+# type and its measurer form no reference cycle — and returns the record's
+# RecordFootprint.
+_Measurer = Callable[[Any, Any], RecordFootprint]
 
 
 def measure_typed(udt: DataType, value) -> RecordFootprint:
     """Measure *value* (in schema shape — nested tuples) against *udt*."""
-    return RecordFootprint(*_measurer(udt)(udt, value))
-
-
-def _measurer(udt: DataType) -> _Measurer:
-    """The compiled measurer of *udt*, built on first use.
-
-    It is stored on the type itself (``ClassType.add_field`` drops it), so
-    it lives exactly as long as the type.  A measurer never holds another
-    type's measurer: children are looked up per call, and every type-set is
-    compared with the one compiled against, so growing a recursive type or
-    re-pointing a field is seen by the next measurement.
-    """
-    return getattr(udt, "_measurer", None) or _compile(udt)
+    return (getattr(udt, "_measurer", None) or _compile(udt))(udt, value)
 
 
 def _compile(udt: DataType) -> _Measurer:
-    if isinstance(udt, PrimitiveType):
-        # A bare primitive inside a generic container gets boxed.
-        boxed = (1, sizing.boxed_bytes(udt.name), udt.nbytes)
-        measurer: _Measurer = lambda udt, value: boxed
-    elif isinstance(udt, ArrayType):
-        measurer = _compile_array(udt)
-    elif isinstance(udt, ClassType):
-        measurer = _compile_class(udt)
-    else:
-        raise MemoryLayoutError(f"cannot measure {udt!r}")
-    udt._measurer = measurer
+    """Generate, store on *udt* and return its measurer.
+
+    One walk of the type graph below *udt* emits the function's source in
+    the order the record is measured — depth first, fields in declaration
+    order — so a bad value raises where, and what, a level-by-level walk
+    would.  A polymorphic type-set or an unmeasurable type becomes a
+    ``raise`` at its place in that order: it fires only when reached, and
+    an empty polymorphic array still measures.  Only a type that contains
+    itself is not folded in: the back-edge calls that type's own measurer.
+    """
+    if not isinstance(udt, _MEASURABLE):
+        raise MemoryLayoutError(_unmeasurable(udt))
+    namespace: dict[str, Any] = {
+        "_type_graph": _type_graph, "_compile": _compile,
+        "_seq": (tuple, list), "_error": MemoryLayoutError,
+        "_new": _new_footprint, "_footprint": RecordFootprint,
+    }
+    lines: list[str] = []
+    count = 0
+
+    def walk(node: Any, value: str, total: _Sum, pad: str,
+             path: tuple) -> None:
+        """Emit the code that adds the footprint of the expression
+        *value*, measured as a *node*, to *total*."""
+        nonlocal count
+        count += 1
+        k = count
+        if isinstance(node, PrimitiveType):
+            # A bare primitive inside a generic container gets boxed.
+            total.add(1, sizing.boxed_bytes(node.name), node.nbytes)
+        elif not isinstance(node, _MEASURABLE):
+            lines.append(f"{pad}raise _error({_unmeasurable(node)!r})\n")
+        elif any(node is ancestor for ancestor in path):
+            namespace[f"t{k}"] = node
+            lines.append(
+                f"{pad}o{k}, b{k}, d{k} = (getattr(t{k}, '_measurer', None)"
+                f" or _compile(t{k}))(t{k}, {value})\n")
+            total.add(f"o{k}", f"b{k}", f"d{k}")
+        elif isinstance(node, ArrayType):
+            lines.append(f"{pad}n{k} = len({value})\n")
+            element = _sole(node.element_field.type_set)
+            if isinstance(element, PrimitiveType):
+                lines.append(f"{pad}d{k} = {element.nbytes} * n{k}\n")
+                total.add(1, f"(({_ARRAY_PAD} + d{k}) & {_ALIGN_MASK})",
+                          f"d{k}")
+                return
+            # The array object plus each element's graph.
+            total.add(1, f"(({_ARRAY_PAD} + {_REFERENCE_BYTES} * n{k})"
+                         f" & {_ALIGN_MASK})", 0)
+            if element is None:
+                message = (f"array {node.name} has a polymorphic element "
+                           "type-set; measure each element with its "
+                           "concrete type")
+                lines.append(f"{pad}if n{k}: raise _error({message!r})\n")
+                return
+            each = _Sum()
+            lines.append(f"{pad}o{k} = b{k} = d{k} = 0\n"
+                         f"{pad}for i{k} in {value}:\n")
+            walk(element, f"i{k}", each, pad + "    ", path + (node,))
+            objects, nbytes, data = each.sources()
+            lines.append(f"{pad}    o{k} += {objects}\n"
+                         f"{pad}    b{k} += {nbytes}\n"
+                         f"{pad}    d{k} += {data}\n")
+            total.add(f"o{k}", f"b{k}", f"d{k}")
+        else:
+            arity = len(node.fields)
+            mismatch = f" does not match {node.name}'s {arity} fields"
+            lines.append(
+                f"{pad}v{k} = {value}\n"
+                f"{pad}if not isinstance(v{k}, _seq): v{k} = (v{k},)\n"
+                f"{pad}if len(v{k}) != {arity}: raise _error("
+                f"'value arity ' + str(len(v{k})) + {mismatch!r})\n")
+            total.add(1, node.shallow_object_bytes,
+                      node.primitive_payload_bytes)
+            for index, field in enumerate(node.fields):
+                if isinstance(field.declared_type, PrimitiveType):
+                    continue
+                target = _sole(field.type_set)
+                if target is None:
+                    message = (f"field {node.name}.{field.name} has a "
+                               "polymorphic type-set; cannot measure "
+                               "statically")
+                    lines.append(f"{pad}raise _error({message!r})\n")
+                    return      # the fields after it are never reached
+                walk(target, f"v{k}[{index}]", total, pad, path + (node,))
+
+    total = _Sum()
+    walk(udt, "value", total, "    ", ())
+    exec(f"def measure(udt, value):\n"
+         f"    if _type_graph.epoch != {_type_graph.epoch}:\n"
+         f"        return _compile(udt)(udt, value)\n"
+         f"{''.join(lines)}"
+         f"    return _new(_footprint, ({', '.join(total.sources())}))\n",
+         namespace)
+    # Popped, so the function and its globals dict form no cycle and a
+    # dropped type's measurer is freed by refcount.
+    udt._measurer = measurer = namespace.pop("measure")
     return measurer
+
+
+class _Sum:
+    """One running footprint in generated code: the literal parts folded
+    into three ints, the per-record parts kept as source terms."""
+
+    def __init__(self) -> None:
+        self._literals = [0, 0, 0]
+        self._terms: tuple[list[str], ...] = ([], [], [])
+
+    def add(self, *parts: int | str) -> None:
+        for slot, part in enumerate(parts):
+            if isinstance(part, str):
+                self._terms[slot].append(part)
+            else:
+                self._literals[slot] += part
+
+    def sources(self) -> list[str]:
+        """The ``objects``, ``object_bytes`` and ``data_bytes`` expressions."""
+        return [" + ".join([str(literal), *terms])
+                for literal, terms in zip(self._literals, self._terms)]
+
+
+_MEASURABLE = (PrimitiveType, ArrayType, ClassType)
+
+
+def _unmeasurable(node: Any) -> str:
+    return f"cannot measure {node!r}"
 
 
 def _sole(type_set: tuple) -> Any:
     """The only member of a monomorphic type-set, else None."""
     return type_set[0] if len(type_set) == 1 else None
-
-
-def _compile_array(udt: ArrayType) -> _Measurer:
-    element_field = udt.element_field
-    type_set = element_field.type_set
-    element = _sole(type_set)
-
-    if isinstance(element, PrimitiveType):
-        element_bytes = element.nbytes
-
-        def measure_primitive_array(udt, value):
-            length = len(value)
-            if element_field.type_set is not type_set:
-                return _compile(udt)(udt, value)
-            data = element_bytes * length
-            return 1, (_ARRAY_PAD + data) & _ALIGN_MASK, data
-
-        return measure_primitive_array
-
-    def measure_reference_array(udt, value):
-        length = len(value)
-        if element_field.type_set is not type_set:
-            return _compile(udt)(udt, value)
-        # The array object plus each element's graph.
-        objects = 1
-        object_bytes = (_ARRAY_PAD + _REFERENCE_BYTES * length) & _ALIGN_MASK
-        data = 0
-        if length:
-            if element is None:
-                raise MemoryLayoutError(
-                    f"array {udt.name} has a polymorphic element type-set; "
-                    "measure each element with its concrete type")
-            measure_element = _measurer(element)
-            for item in value:
-                o, b, d = measure_element(element, item)
-                objects += o
-                object_bytes += b
-                data += d
-        return objects, object_bytes, data
-
-    return measure_reference_array
-
-
-def _compile_class(udt: ClassType) -> _Measurer:
-    name = udt.name
-    arity = len(udt.fields)
-    shallow = udt.shallow_object_bytes
-    payload = udt.primitive_payload_bytes
-    # (position, field, the type-set compiled against, its sole member)
-    references = tuple(
-        (index, field, field.type_set, _sole(field.type_set))
-        for index, field in enumerate(udt.fields)
-        if not isinstance(field.declared_type, PrimitiveType))
-
-    def measure_class(udt, value):
-        values = value if isinstance(value, (tuple, list)) else (value,)
-        if len(values) != arity:
-            raise MemoryLayoutError(
-                f"value arity {len(values)} does not match "
-                f"{name}'s {arity} fields")
-        objects = 1
-        object_bytes = shallow
-        data = payload
-        for index, field, type_set, target in references:
-            if field.type_set is not type_set:
-                return _compile(udt)(udt, value)
-            if target is None:
-                raise MemoryLayoutError(
-                    f"field {name}.{field.name} has a polymorphic "
-                    "type-set; cannot measure statically")
-            o, b, d = _measurer(target)(target, values[index])
-            objects += o
-            object_bytes += b
-            data += d
-        return objects, object_bytes, data
-
-    return measure_class
 
 
 _NONE = (0, 0, 0)
@@ -203,7 +236,7 @@ def measure_generic(value) -> RecordFootprint:
     """
     if value is None:
         return ZERO_FOOTPRINT
-    return RecordFootprint(*_generic(value))
+    return _new_footprint(RecordFootprint, _generic(value))
 
 
 def _generic(value) -> tuple[int, int, int]:

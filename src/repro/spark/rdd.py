@@ -59,6 +59,12 @@ class UdtInfo:
     _cached_footprint: RecordFootprint | None = None
     _callgraph: CallGraph | None = None
 
+    def __post_init__(self) -> None:
+        # Picked once, not per record: the type ``measure`` measures
+        # against and the encoder into that type's shape.
+        self._measured_type = self.object_model or self.udt
+        self._measure_encoder = self.measure_encode or self.encode
+
     def to_schema_value(self, record: Any) -> Any:
         return self.encode(record) if self.encode else record
 
@@ -69,9 +75,9 @@ class UdtInfo:
         """Footprint of one record (cached when sizes are constant)."""
         if self.constant_footprint and self._cached_footprint is not None:
             return self._cached_footprint
-        encoder = self.measure_encode or self.to_schema_value
-        footprint = measure_typed(self.object_model or self.udt,
-                                  encoder(record))
+        encoder = self._measure_encoder
+        footprint = measure_typed(
+            self._measured_type, encoder(record) if encoder else record)
         if self.constant_footprint:
             self._cached_footprint = footprint
         return footprint

@@ -129,6 +129,11 @@ def _default_measure(value) -> RecordFootprint:
     return measure_generic(value)
 
 
+# "No combined entry yet" — not ``None``, which is a legal value
+# (``distinct()`` shuffles ``(record, None)`` pairs).
+_NO_ENTRY = object()
+
+
 class MapSideWriter:
     """Writes one map task's output into per-reduce-partition buffers."""
 
@@ -196,8 +201,8 @@ class MapSideWriter:
         part = self.partitioner(key) % self.num_reduce
         bucket = self._combine[part]
         self.executor.charge_compute(cpu.hash_probe_ms)
-        old = bucket.get(key)
-        if old is None:
+        old = bucket.get(key, _NO_ENTRY)
+        if old is _NO_ENTRY:
             bucket[key] = value
             footprint = self.measure((key, value))
             if self.plan.decomposed:

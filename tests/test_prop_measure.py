@@ -1,10 +1,11 @@
 """Differential property test: compiled measurers vs the recursive walkers.
 
-``repro.spark.measure`` compiles one measurer per type.  The walkers it
-replaced — which re-derive everything from the type graph on every call —
-are kept here, verbatim, as the oracle: over random type graphs and random
-Python values both must return equal footprints, or raise the same
-exception type with the same message.
+``repro.spark.measure`` compiles one straight-line measurer per root type,
+with the types below the root folded in.  The walkers it replaced — which
+re-derive everything from the type graph on every call — are kept here,
+verbatim, as the oracle: over random type graphs and random Python values
+both must return equal footprints, or raise the same exception type with
+the same message.
 """
 
 import collections
@@ -377,13 +378,95 @@ def test_recursive_type_grown_with_add_field_is_never_stale():
     assert node.shallow_object_bytes == sizing.object_bytes(1, 4)
 
 
+def _nested():
+    """``Outer(id, Inner(xs: double[], tag: int))`` and a fitting value."""
+    xs = Field("xs", ArrayType(PRIMITIVES[7]))
+    inner = ClassType("Inner", [xs, Field("tag", PRIMITIVES[4])])
+    held = Field("inner", inner)
+    outer = ClassType("Outer", [Field("id", PRIMITIVES[6]), held])
+    return outer, inner, xs, held, (1, ((1.0, 2.0), 3))
+
+
+def test_parent_measurer_sees_add_field_on_a_child_type():
+    """The child is folded into the parent's function, so dropping the
+    child's own compiled state cannot be what keeps the parent fresh."""
+    outer, inner, _, _, value = _nested()
+    before = assert_same_typed(outer, value)
+    compiled = outer._measurer
+    inner.add_field(Field("extra", PRIMITIVES[7]))
+    kind, message = assert_same_typed(outer, value)
+    assert kind is MemoryLayoutError and "Inner's 3 fields" in message
+    grown = assert_same_typed(outer, (1, ((1.0, 2.0), 3, 0.5)))
+    assert grown.data_bytes == before.data_bytes + 8
+    assert outer._measurer is not compiled
+
+
+def test_parent_measurer_sees_a_child_type_set_repointed():
+    outer, _, xs, held, value = _nested()
+    before = assert_same_typed(outer, value)
+    # A grandchild edge: double[] becomes byte[].
+    xs.type_set = (ArrayType(PRIMITIVES[1]),)
+    assert assert_same_typed(outer, value).data_bytes \
+        == before.data_bytes - 2 * 7
+    # The child edge itself: Inner becomes a one-field class.
+    held.type_set = (ClassType("Slim", [Field("v", PRIMITIVES[4])]),)
+    kind, message = assert_same_typed(outer, value)
+    assert kind is MemoryLayoutError and "Slim's 1 fields" in message
+    assert assert_same_typed(outer, (1, (5,))) == RecordFootprint(2, 40, 12)
+    # ... and polymorphic: the raise is emitted in place.
+    held.type_set = (ClassType("A"), ClassType("B"))
+    kind, message = assert_same_typed(outer, value)
+    assert kind is MemoryLayoutError and "Outer.inner" in message
+
+
+def test_an_array_element_type_set_repointed_under_a_compiled_parent():
+    boxes = ArrayType(ClassType("Box", [Field("v", PRIMITIVES[4])]))
+    holder = ClassType("Holder", [Field("items", boxes)])
+    value = (((1,), (2,)),)
+    assert assert_same_typed(holder, value).objects == 4
+    boxes.element_field.type_set = (
+        ClassType("Pair", [Field("a", PRIMITIVES[4]),
+                           Field("b", PRIMITIVES[4])]),)
+    kind, message = assert_same_typed(holder, value)
+    assert kind is MemoryLayoutError and "Pair's 2 fields" in message
+    assert assert_same_typed(holder, (((1, 2), (3, 4)),)).data_bytes == 16
+
+
+def test_an_unrelated_edit_recompiles_but_measures_the_same():
+    """The epoch is global: any edit makes every compiled function stale,
+    and a stale function rebuilds itself to the same answer."""
+    outer, _, _, _, value = _nested()
+    expected = assert_same_typed(outer, value)
+    compiled = outer._measurer
+    assert_same_typed(outer, value)
+    assert outer._measurer is compiled        # no edit: no recompile
+    ClassType("Elsewhere", [Field("x", PRIMITIVES[4])])
+    assert assert_same_typed(outer, value) == expected
+    assert outer._measurer is not compiled
+
+
+def test_mutually_recursive_types_call_back_through_the_edge():
+    """A <-> B: each is folded into the other's function up to the
+    back-edge, which calls the ancestor's own measurer."""
+    a = ClassType("A", [Field("x", PRIMITIVES[4])])
+    b = ClassType("B", [Field("y", PRIMITIVES[6]), Field("as", ArrayType(a))])
+    a.add_field(Field("bs", ArrayType(b)))
+    value = (1, ((2, ((3, ()),)),))
+    assert assert_same_typed(a, value).objects == 6
+    assert assert_same_typed(b, (2, ((3, ()),))).objects == 4
+    b.add_field(Field("z", PRIMITIVES[4]))
+    kind, message = assert_same_typed(a, value)
+    assert kind is MemoryLayoutError and "B's 3 fields" in message
+
+
 def test_compiled_state_stays_out_of_pickles_and_deep_copies():
     arr = ArrayType(PRIMITIVES[7])
     point = ClassType("Point", [Field("label", PRIMITIVES[7]),
                                 Field("xs", arr, final=True)])
     value = (1.0, (1.0, 2.0))
     expected = assert_same_typed(point, value)
-    assert point._measurer is not None and arr._measurer is not None
+    # Only the root holds compiled state: ``arr`` is folded into it.
+    assert point._measurer is not None and arr._measurer is None
     for clone in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point)):
         assert "_measurer" not in vars(clone)
         assert [f.name for f in clone.fields] == ["label", "xs"]

@@ -81,6 +81,38 @@ class TestMapSideWriter:
         block_even = store.fetch(0, 0, 0)
         assert dict(block_even.records) == {2: 7}
 
+    def test_none_value_is_an_entry_not_a_missing_key(self):
+        """``distinct()`` shuffles ``(record, None)``: a duplicate must
+        merge into the entry, not be inserted (and charged) again."""
+        calls = []
+        exe = executor()
+        writer = MapSideWriter(
+            exe, shuffle_id=0, map_part=0, num_reduce=2,
+            partitioner=lambda k: k, kind=ShuffleKind.COMBINE,
+            merge_value=lambda a, b: calls.append((a, b)),
+            plan=shuffle_plan())
+        writer.write_all([(7, None)] * 500 + [(8, None)] * 3)
+        assert len(calls) == 501            # records - distinct keys
+        # The buffer holds, and the arena was charged for, two entries.
+        two_entries = 2 * writer.measure((7, None)).object_bytes
+        assert writer._buffer_group.live_bytes == two_entries
+        assert writer._charged == two_entries
+
+    def test_distinct_combines_map_side(self):
+        calls = []
+
+        def keep_first(a, b):
+            calls.append((a, b))
+            return a
+
+        ctx = DecaContext(DecaConfig(heap_bytes=32 * MB, num_executors=2,
+                                     tasks_per_executor=2))
+        out = ctx.parallelize(["k"] * 1000, 2).map(lambda v: (v, None)) \
+            .reduce_by_key(keep_first, 2).collect()
+        assert out == [("k", None)]
+        # 998 map-side (records - map partitions), 1 on the reduce side.
+        assert len(calls) == 999
+
     def test_sort_kind_sorts_output(self):
         exe, writer = self.make_writer(kind=ShuffleKind.SORT,
                                        num_reduce=1)

@@ -2,6 +2,7 @@
 transformed-stage detection, run metrics and the simulated clock."""
 
 import dataclasses
+import enum
 
 import pytest
 
@@ -52,7 +53,40 @@ class TestSimClock:
         assert clock.now_ms == 20.0
 
 
+class _Color(enum.IntEnum):
+    RED = 5
+
+
+class _Tag(str):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+class _Wide(int):
+    pass
+
+
 class TestStableHash:
+    # The values every key hashed to before the exact-type fast paths:
+    # partition assignment (and so every shuffle's layout) rests on them.
+    @pytest.mark.parametrize("key, expected", [
+        (True, 1), (False, 0),
+        (0, 0), (7, 7), (-1, 2147483647), (2 ** 40 + 3, 3), (-2 ** 40, 0),
+        (1.5, 1), (-0.0, 0), (2.0, 2),
+        ("", 0), ("spark", 2635321133), ("h\u00e9llo", 2654700086),
+        (b"", 0), (b"spark", 2635321133),
+        ((1, 2), 93250), ((2, 1), 93280), (("a", (True, 2.0)), 776135296),
+        ((), 97),
+        (_Color.RED, 5), (_Tag("spark"), 2635321133), (_Ratio(1.5), 1),
+        (_Wide(2 ** 31 + 9), 9),
+    ])
+    def test_pinned_values(self, key, expected):
+        hashed = stable_hash(key)
+        assert hashed == expected and type(hashed) is int
+
     def test_deterministic_across_types(self):
         for key in (0, 1, -5, 3.5, "word", b"bytes", (1, "a"), True):
             assert stable_hash(key) == stable_hash(key)
