@@ -26,8 +26,7 @@ def test_ablation_classification():
 
         def local_only(dimensions):
             info = original(dimensions)
-            return dataclasses.replace(info, entry_method=None,
-                                       _callgraph=None)
+            return dataclasses.replace(info, entry_method=None)
 
         lr_app.labeled_point_udt_info = local_only
         try:

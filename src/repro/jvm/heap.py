@@ -54,6 +54,8 @@ class SimHeap:
         # every allocation.
         self.young_capacity = config.young_bytes
         self.old_capacity = config.old_bytes
+        # Larger allocations go straight to the old generation.
+        self._humongous_bytes = self.young_capacity // 2
         self.collector = CollectorModel(config.gc_algorithm)
         self.stats = GcStats()
         self._groups: dict[int, AllocationGroup] = {}
@@ -144,16 +146,23 @@ class SimHeap:
                 f"{self.name}: requested {nbytes} B exceeds the "
                 f"{self.config.heap_bytes} B heap")
 
-        young_capacity = self.young_capacity
-        if nbytes > young_capacity // 2:
+        if nbytes > self._humongous_bytes:
             # Humongous allocation: straight into the old generation.
             self._ensure_old_space(nbytes)
             group.record_allocation(objects, nbytes, into_old=True)
             return
 
+        young_capacity = self.young_capacity
         if self._live.young + self._young_garbage + nbytes > young_capacity:
             self._make_young_space(nbytes, young_capacity)
-        group.record_allocation(objects, nbytes)
+        # ``record_allocation`` without its second round of checks: the
+        # sizes were checked above, only a freed group is left to refuse.
+        if group.freed:
+            raise AllocationError(
+                f"allocation into freed group {group.name!r}")
+        group.young_objects += objects
+        group.young_bytes += nbytes
+        group.totals.young += nbytes
 
     def _make_young_space(self, nbytes: int, young_capacity: int) -> None:
         self.minor_gc()

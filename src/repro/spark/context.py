@@ -49,7 +49,15 @@ from .shuffle import ShuffleBlockStore
 
 
 def stable_hash(key: Any) -> int:
-    """A process-independent hash for partitioning."""
+    """A hash for partitioning.
+
+    Process-independent for ``None``, ``bool``, ``int``, ``float``,
+    ``str`` and ``bytes`` (subclasses included) and for tuples of those,
+    so a key lands in the same partition in every run.  Any other key
+    falls back to ``hash()``, which is process-local wherever that is:
+    address-based for plain objects, salted for a ``frozenset`` of
+    strings, by member name for a non-``int`` enum.
+    """
     # The two everyday key types first, by exact type (``bool`` is not
     # ``int`` here, so ``True`` still takes the branch below).
     kind = type(key)
@@ -57,6 +65,10 @@ def stable_hash(key: Any) -> int:
         return zlib.crc32(key.encode("utf-8"))
     if kind is int:
         return key & 0x7FFFFFFF
+    if key is None:
+        # ``hash(None)`` is address-based before Python 3.12; a null key
+        # hashes to 0, as ``Objects.hashCode(null)`` does on the JVM.
+        return 0
     if isinstance(key, bool):
         return int(key)
     if isinstance(key, int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Iterator, TYPE_CHECKING
 
 from ..config import DecaConfig
-from ..errors import ExecutorLostError, TaskKilledError
+from ..errors import DecaError, ExecutorLostError, TaskKilledError
 from ..jvm.heap import SimHeap
 from ..jvm.objects import AllocationGroup, Lifetime
 from ..jvm.stats import GcEvent
@@ -187,11 +187,15 @@ class Executor:
     # -- cost charging -------------------------------------------------------------
     def charge_compute(self, ms: float) -> None:
         # The per-record charge: the fault tick and the profiler sample
-        # are spelled as the ``is not None`` tests they start with.
+        # are spelled as the ``is not None`` tests they start with, and
+        # the clock is advanced in place — ``SimClock.advance``'s check
+        # and addition, without its call.
         if self._fault_plan is not None:
             self._tick_fault()
         ms /= self.parallelism
-        self.clock.advance(ms)
+        if ms < 0:
+            raise DecaError(f"cannot advance clock by {ms} ms")
+        self.clock._now_ms += ms
         task = self._current_task
         if task is not None:
             task.metrics.compute_ms += ms

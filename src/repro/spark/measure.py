@@ -20,13 +20,21 @@ array, a ``for`` loop at an array of class elements — and keeps it on the
 type object.  The types below the root are folded in, so an edit to any of
 them must reach the root's function: every edit bumps the type graph's
 *epoch* (``repro.analysis.udt.epoch``) and every compiled function checks,
-once per call, that it was compiled at the current one.  Untyped datasets
-(plain driver-side values) fall back to a generic measurer over Python
-values.
+once per call, that it was compiled at the current one.
+
+Untyped datasets (plain driver-side values) fall back to a generic
+measurer over Python values.  It dispatches on the exact type first: a
+boxed leaf (``float``, ``int``, ``bool``, ``None``) is one table lookup,
+and a flat tuple or list whose items share one leaf type is the same §3
+case as a primitive array — ``(1 + n·o, shell + n·b, n·d)`` from its
+length alone, after one C-level pass that checks the item types.  Mixed,
+nested and subclassed values, dicts, bytes and opaque objects take the
+recursive walker.
 """
 
 from __future__ import annotations
 
+from operator import countOf
 from typing import Any, Callable, NamedTuple
 
 from ..analysis import udt as _type_graph
@@ -217,14 +225,20 @@ def _sole(type_set: tuple) -> Any:
     return type_set[0] if len(type_set) == 1 else None
 
 
-_NONE = (0, 0, 0)
-_BOXED_BOOLEAN = (1, sizing.boxed_bytes("boolean"), 1)
-_BOXED_LONG = (1, sizing.boxed_bytes("long"), 8)
-_BOXED_DOUBLE = (1, sizing.boxed_bytes("double"), 8)
+_BOXED_LONG = RecordFootprint(1, sizing.boxed_bytes("long"), 8)
+_BOXED_DOUBLE = RecordFootprint(1, sizing.boxed_bytes("double"), 8)
 _STRING_BYTES = sizing.object_bytes(1, 4)
 _DICT_BYTES = sizing.object_bytes(1, 12)
 # Opaque object: one header, unknown payload.
 _OPAQUE = (1, sizing.object_bytes(0, 16), 16)
+
+# The boxed leaves, keyed by *exact* type: a leaf's footprint does not
+# depend on its value (``None`` is a null reference, no object at all).
+# Subclasses — an ``IntEnum``, a ``float`` subclass — miss the table and
+# take the walker's ``isinstance`` chain.
+_LEAVES = {float: _BOXED_DOUBLE, int: _BOXED_LONG,
+           bool: RecordFootprint(1, sizing.boxed_bytes("boolean"), 1),
+           type(None): ZERO_FOOTPRINT}
 
 
 def measure_generic(value) -> RecordFootprint:
@@ -234,28 +248,52 @@ def measure_generic(value) -> RecordFootprint:
     Numbers box, strings become ``String`` + ``char[]``, tuples/lists
     become objects with reference fields.
     """
-    if value is None:
-        return ZERO_FOOTPRINT
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return leaf
+    if kind is tuple or kind is list:
+        return _new_footprint(RecordFootprint, _sequence(value))
     return _new_footprint(RecordFootprint, _generic(value))
+
+
+def _sequence(items) -> tuple[int, int, int]:
+    """An exact tuple or list: the object with one reference per item,
+    plus the items' graphs.
+
+    A flat sequence of one boxed-leaf type is the array-of-primitives
+    case of §3 — its footprint depends only on the length — and is
+    measured in closed form.  The guard costs one dict lookup and two
+    ``type`` calls, so a mixed pair like ``("word", 1)`` never pays for
+    the homogeneity pass.
+    """
+    n = len(items)
+    shell = (_OBJECT_PAD + _REFERENCE_BYTES * n) & _ALIGN_MASK
+    if n:
+        kind = type(items[0])
+        leaf = _LEAVES.get(kind)
+        if (leaf is not None and kind is type(items[-1])
+                and countOf(map(type, items), kind) == n):
+            objects, nbytes, data = leaf
+            return 1 + n * objects, shell + n * nbytes, n * data
+    return _generic_items(items, shell)
 
 
 def _generic(value) -> tuple[int, int, int]:
     kind = type(value)
-    if kind is float:
-        return _BOXED_DOUBLE
-    if kind is int:
-        return _BOXED_LONG
-    if value is None:
-        return _NONE
-    if isinstance(value, bool):
-        return _BOXED_BOOLEAN
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return leaf
+    if kind is tuple or kind is list:
+        return _sequence(value)
+    if isinstance(value, str):
+        chars = 2 * len(value)
+        return 2, _STRING_BYTES + ((_ARRAY_PAD + chars) & _ALIGN_MASK), chars
+    # Subclasses of the leaf types (``bool`` has none) and the rest.
     if isinstance(value, int):
         return _BOXED_LONG
     if isinstance(value, float):
         return _BOXED_DOUBLE
-    if isinstance(value, str):
-        chars = 2 * len(value)
-        return 2, _STRING_BYTES + ((_ARRAY_PAD + chars) & _ALIGN_MASK), chars
     if isinstance(value, (bytes, bytearray)):
         length = len(value)
         return 1, (_ARRAY_PAD + length) & _ALIGN_MASK, length

@@ -56,8 +56,12 @@ class UdtInfo:
     # even though the decomposition layout flattens them away.
     object_model: DataType | None = None
     measure_encode: Callable[[Any], Any] | None = None
-    _cached_footprint: RecordFootprint | None = None
-    _callgraph: CallGraph | None = None
+    # Caches of what the fields above determine: not init fields, so a
+    # ``dataclasses.replace`` starts them empty instead of copying them.
+    _cached_footprint: RecordFootprint | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
+    _callgraph: CallGraph | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Picked once, not per record: the type ``measure`` measures
@@ -487,20 +491,30 @@ class MapPartitionsRDD(RDD):
             return
         cost_ms = (self._record_cost_ms if self._record_cost_ms is not None
                    else cpu.record_op_ms)
+        # The per-record callables are picked once per partition.
+        charge = executor.charge_compute
+        metrics = task.metrics
         if self._reads_decomposed_data():
             # Transformed code path: reused result buffers, byte access.
+            cost_ms += cpu.page_access_ms
             for record in self._body(source, task):
-                executor.charge_compute(cost_ms + cpu.page_access_ms)
-                task.metrics.records_read += 1
+                charge(cost_ms)
+                metrics.records_read += 1
                 yield record
             return
+        # ``measure_generic`` is looked up in the module globals when the
+        # partition starts, so a wrapper installed over that global (the
+        # real-clock tracer's) still sees every call.
+        info = self.udt_info
+        measure = info.measure if info is not None else measure_generic
+        alloc_temp = executor.alloc_temp
         for record in self._body(source, task):
             # One UDF application: compute cost plus the temporaries the
             # UDF allocates (the young-generation churn of §2.2).
-            executor.charge_compute(cost_ms)
-            footprint = self.measure_record(record)
-            executor.alloc_temp(footprint.objects, footprint.object_bytes)
-            task.metrics.records_read += 1
+            charge(cost_ms)
+            objects, object_bytes, _ = measure(record)
+            alloc_temp(objects, object_bytes)
+            metrics.records_read += 1
             yield record
 
 

@@ -1,7 +1,10 @@
 """Detailed tests for cache swapping and page-info bookkeeping."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.udt import DOUBLE, ArrayType, ClassType, Field
 from repro.config import DecaConfig, ExecutionMode, MB
 from repro.core.plan import ContainerPlan
 from repro.jvm.objects import Lifetime
@@ -487,7 +490,25 @@ class TestUdtInfoCaching:
         assert info.measure(record) is info.measure(record)
 
     def test_no_entry_method_means_no_callgraph(self):
-        import dataclasses
         info = dataclasses.replace(labeled_point_udt_info(10),
-                                   entry_method=None, _callgraph=None)
+                                   entry_method=None)
         assert info.callgraph() is None
+
+    def test_replace_starts_with_empty_caches(self):
+        """The caches are not init fields: a replaced info measures and
+        analyses its own fields, not what the original cached."""
+        info = labeled_point_udt_info(10)
+        record = (1.0, tuple(float(d) for d in range(10)))
+        measured = info.measure(record)
+        assert info.callgraph() is not None
+        # The features as a bare double[], without the wrapper object.
+        flat = dict(object_model=ClassType("FlatPoint", [
+            Field("label", DOUBLE), Field("xs", ArrayType(DOUBLE))]),
+            measure_encode=lambda rec: rec)
+        fresh = dataclasses.replace(labeled_point_udt_info(10), **flat)
+        replaced = dataclasses.replace(info, **flat)
+        assert replaced.measure(record) == fresh.measure(record) \
+            == RecordFootprint(2, 120, 88)
+        assert measured != replaced.measure(record)
+        assert dataclasses.replace(info, entry_method=None).callgraph() \
+            is None

@@ -5,6 +5,7 @@ import pytest
 from repro.config import DecaConfig, GcAlgorithm, MB
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.jvm import GcKind, Lifetime, SimHeap
+from repro.jvm.objects import AllocationGroup
 from repro.simtime import SimClock
 
 
@@ -54,6 +55,64 @@ class TestAllocationBasics:
         group = heap.new_group("g", Lifetime.PINNED)
         with pytest.raises(OutOfMemoryError):
             heap.allocate(group, 1, heap.config.heap_bytes + 1)
+
+
+class TestAllocateRefusals:
+    """``allocate`` records a young allocation in place; every refusal
+    keeps its error type and message, and leaves the heap untouched."""
+
+    def test_freed_group_still_registered(self):
+        heap = make_heap()
+        group = heap.new_group("g", Lifetime.TEMPORARY)
+        group.free()            # not through the heap: still registered
+        for nbytes in (8, heap.young_capacity):     # young, humongous
+            with pytest.raises(AllocationError,
+                               match=r"^allocation into freed group 'g'$"):
+                heap.allocate(group, 1, nbytes)
+        assert (heap.young_used_bytes, heap.old_used_bytes) == (0, 0)
+        assert (group.young_objects, group.old_objects) == (0, 0)
+
+    def test_freed_through_the_heap_is_unregistered(self):
+        heap = make_heap()
+        group = heap.new_group("g", Lifetime.PINNED)
+        heap.free_group(group)
+        with pytest.raises(AllocationError, match=r"^group 'g' does not "
+                           r"belong to heap 'test-heap'$"):
+            heap.allocate(group, 1, 8)
+
+    def test_unregistered_group(self):
+        heap = make_heap()
+        with pytest.raises(AllocationError, match=r"^group 'stray' does "
+                           r"not belong to heap 'test-heap'$"):
+            heap.allocate(AllocationGroup("stray", Lifetime.PINNED), 1, 8)
+
+    @pytest.mark.parametrize("objects, nbytes", [(-1, 8), (1, -8), (-1, -8)])
+    def test_negative_sizes(self, objects, nbytes):
+        heap = make_heap()
+        group = heap.new_group("g", Lifetime.PINNED)
+        with pytest.raises(AllocationError,
+                           match=r"^allocation sizes cannot be negative$"):
+            heap.allocate(group, objects, nbytes)
+        assert group.live_bytes == 0
+
+    def test_request_over_the_heap_size(self):
+        heap = make_heap(heap_mb=1)
+        group = heap.new_group("g", Lifetime.PINNED)
+        with pytest.raises(OutOfMemoryError, match=r"^test-heap: requested "
+                           r"1048577 B exceeds the 1048576 B heap$"):
+            heap.allocate(group, 1, MB + 1)
+
+    def test_humongous_threshold_is_half_the_young_generation(self):
+        heap = make_heap()
+        group = heap.new_group("g", Lifetime.PINNED)
+        half = heap.young_capacity // 2
+        heap.allocate(group, 1, half)
+        assert (group.young_bytes, group.old_bytes) == (half, 0)
+        heap.allocate(group, 2, half + 1)
+        assert (group.young_bytes, group.old_bytes) == (half, half + 1)
+        assert (group.young_objects, group.old_objects) == (1, 2)
+        assert (heap.young_live_bytes, heap.old_live_bytes) \
+            == (half, half + 1)
 
 
 class TestMinorGc:

@@ -547,3 +547,75 @@ def test_compiled_generic_matches_walker(value):
 def test_generic_none_is_the_zero_footprint():
     assert compiled_generic(None) is ZERO_FOOTPRINT
     assert compiled_generic((None, 1)) == measure_generic((None, 1))
+
+
+# -- flat sequences: the closed form against the walker ------------------------
+
+# One kind of item per draw: the boxed leaves the closed form takes, and
+# look-alikes it must leave to the walker (subclasses, strings).
+item_kinds = st.sampled_from([
+    st.floats(allow_nan=False), st.integers(), st.booleans(), st.none(),
+    st.just(Color.RED), st.floats(allow_nan=False).map(Ratio),
+    st.text(max_size=3)])
+odd_items = st.one_of(st.text(max_size=2), st.integers(), st.booleans(),
+                      st.none(), st.floats(allow_nan=False),
+                      st.just(Color.RED), st.just(Ratio(0.5)),
+                      st.just(Opaque()))
+
+
+@st.composite
+def flat_sequences(draw):
+    """A tuple or list of one kind of item, or nearly: a ``bool`` among
+    ``int``s, or a different item between a first and last of one type."""
+    items = draw(st.lists(draw(item_kinds), max_size=12))
+    shape = draw(st.sampled_from(["same", "same", "bool-int", "odd-middle"]))
+    if shape == "bool-int":
+        items = [draw(st.one_of(st.booleans(), st.integers()))
+                 for _ in items]
+    elif shape == "odd-middle" and len(items) >= 3:
+        items[draw(st.integers(1, len(items) - 2))] = draw(odd_items)
+    return draw(st.sampled_from([tuple, list]))(items)
+
+
+@given(st.one_of(flat_sequences(),
+                 st.lists(flat_sequences().map(tuple), max_size=4),
+                 st.lists(flat_sequences().map(tuple), max_size=4).map(
+                     tuple)))
+@settings(max_examples=500, deadline=None)
+def test_closed_form_matches_walker(value):
+    assert outcome(compiled_generic, value) \
+        == outcome(measure_generic, value)
+
+
+def test_closed_form_pinned_cases():
+    cases = [(), [], (1.0,) * 10, [2] * 3, (True, False), (None,) * 4,
+             (True, 1), (1, True, 2), (1.0, "x", 2.0), (None, 1, None),
+             (Color.RED,) * 3, (Ratio(0.5), Ratio(1.5)), [(1.0, 2.0), (3,)]]
+    for value in cases:
+        assert compiled_generic(value) == measure_generic(value), value
+    assert compiled_generic((None,) * 4) == RecordFootprint(1, 32, 0)
+    assert compiled_generic((True,) * 2) == RecordFootprint(
+        3, sizing.object_bytes(2, 0) + 2 * sizing.boxed_bytes("boolean"), 2)
+
+
+def test_flat_homogeneous_sequences_never_reach_the_walker(monkeypatch):
+    import repro.spark.measure as measure
+
+    def walker(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(measure, "_generic_items", walker)
+    for value in ((1.0,) * 10, [7] * 5, (False,), [None, None]):
+        assert compiled_generic(value) == measure_generic(value)
+    # Lists of flat tuples walk the list, not the tuples.
+    monkeypatch.undo()
+    calls = []
+    original = measure._generic_items
+    monkeypatch.setattr(measure, "_generic_items",
+                        lambda *args: calls.append(1) or original(*args))
+    value = [(1.0, 2.0), (3.0, 4.0), (5, 6)]
+    assert compiled_generic(value) == measure_generic(value)
+    assert len(calls) == 1
+    # A mixed pair skips the homogeneity pass and walks.
+    assert compiled_generic(("word", 1)) == measure_generic(("word", 1))
+    assert len(calls) == 2

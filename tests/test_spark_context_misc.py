@@ -96,6 +96,14 @@ class TestStableHash:
         # crc32("spark") is a fixed constant — no PYTHONHASHSEED effects.
         assert stable_hash("spark") == 2635321133
 
+    def test_none_is_process_independent(self):
+        # ``hash(None)`` is the object's address on Python < 3.12, so a
+        # ``None`` key — or any tuple key holding one — used to land in a
+        # different partition in every process.
+        assert stable_hash(None) == 0
+        assert stable_hash((1, None)) == 93248
+        assert stable_hash((None, "a")) == stable_hash((0, "a"))
+
     def test_tuples_differ_by_order(self):
         assert stable_hash((1, 2)) != stable_hash((2, 1))
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DecaConfig, MB
+from repro.errors import DecaError
 from repro.spark import DecaContext
 from repro.spark.rdd import ShuffleDependency
 from repro.spark.scheduler import TaskContext
@@ -133,6 +134,20 @@ class TestTaskLifecycle:
         before = executor.clock.now_ms
         executor.charge_compute(4.0)
         assert executor.clock.now_ms - before == pytest.approx(1.0)
+
+    def test_negative_compute_charge_is_refused(self):
+        """The clock is advanced in place, with ``SimClock.advance``'s
+        check and message."""
+        ctx = make_ctx(num_executors=1, tasks_per_executor=2)
+        executor = ctx.executors[0]
+        task = TaskContext(executor=executor, metrics=TaskMetrics())
+        executor.begin_task(task)
+        executor.charge_compute(3.0)
+        with pytest.raises(DecaError,
+                           match=r"^cannot advance clock by -0\.5 ms$"):
+            executor.charge_compute(-1)
+        assert executor.clock.now_ms == 1.5
+        assert task.metrics.compute_ms == 1.5
 
     def test_io_charges_accumulate(self):
         ctx = make_ctx(num_executors=1)
