@@ -41,6 +41,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.ir import Call, If, Loop, Method, Return, Stmt
@@ -87,8 +88,6 @@ RELEASE_COPY = "RELEASE_COPY"
 REMAP_SAFE = "REMAP_SAFE"
 REMAP_UNSAFE = "REMAP_UNSAFE"
 DETACH = "DETACH"
-COLD_GUARD = "COLD_GUARD"
-PAYLOAD_READ = "PAYLOAD_READ"
 GUARD = "GUARD"
 RETURN = "RETURN"
 RAISE = "RAISE"
@@ -148,9 +147,6 @@ class FuncModel:
     method: Method
     growlike: bool = False
     is_teardown: bool = False
-    # The method's class keeps a ``self.cold`` demotion flag (DECA307's
-    # subject: payload reads there must consult it).
-    has_cold_flag: bool = False
     escapes: list[tuple[str, int]] = dc_field(default_factory=list)
 
 
@@ -342,21 +338,6 @@ class _Lowerer:
             out.extend(self._lower_stmt(stmt))
         return tuple(out)
 
-    def _payload_read(self, stmt: ast.stmt,
-                      node: ast.AST | None = None) -> list[Stmt]:
-        """A statement that *reads* the entry payload (not a write to it).
-
-        For assignments only the value side counts — ``self.blob = x``
-        in a constructor is initialization, not a stale-bytes read.
-        """
-        if not self.model.has_cold_flag:
-            return []
-        text = _text(node if node is not None else stmt)
-        if any(ref in text for ref in
-               ("self.blob", "self.records", "self.ref")):
-            return [_op(PAYLOAD_READ, "payload", stmt.lineno)]
-        return []
-
     def _lower_stmt(self, stmt: ast.stmt) -> list[Stmt]:
         if isinstance(stmt, ast.Expr):
             ops = []
@@ -370,7 +351,7 @@ class _Lowerer:
                     ops.extend(self._calls_in(arg))
             else:
                 ops.extend(self._calls_in(stmt.value))
-            return ops + self._payload_read(stmt)
+            return ops
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             return self._lower_assign(stmt)
         if isinstance(stmt, ast.Return):
@@ -380,9 +361,6 @@ class _Lowerer:
                     ops.append(_op(ESCAPE, self.model.escapes[-1][0],
                                    stmt.lineno))
                 ops.extend(self._calls_in(stmt.value))
-            # Payload reads must precede the path-terminating Return, or
-            # ``return self.blob[..]`` would drop its PAYLOAD_READ op.
-            ops = self._payload_read(stmt, stmt.value) + ops
             ops.append(_op(RETURN, "", stmt.lineno))
             ops.append(Return())
             return ops
@@ -441,14 +419,10 @@ class _Lowerer:
                         and self.model.escapes[-1][1] == stmt.lineno):
                     ops.append(_op(ESCAPE, self.model.escapes[-1][0],
                                    stmt.lineno))
-        return ops + self._payload_read(stmt, value)
+        return ops
 
     def _lower_if(self, stmt: ast.If) -> list[Stmt]:
-        test_text = _text(stmt.test).lower()
-        ops: list[Stmt] = []
-        if "cold" in test_text:
-            ops.append(_op(COLD_GUARD, test_text, stmt.lineno))
-        ops.append(_op(GUARD, test_text, stmt.lineno))
+        ops: list[Stmt] = [_op(GUARD, _text(stmt.test).lower(), stmt.lineno)]
         ops.extend(self._calls_in(stmt.test))
         then_body = self.lower(stmt.body)
         else_body = self.lower(stmt.orelse)
@@ -504,7 +478,7 @@ def _collect_functions(tree: ast.Module, module: str,
     models: list[FuncModel] = []
 
     def add(node: ast.FunctionDef | ast.AsyncFunctionDef,
-            cls: str | None, has_cold_flag: bool = False) -> None:
+            cls: str | None) -> None:
         qualname = f"{cls}.{node.name}" if cls else node.name
         name_l = node.name.lower()
         models.append(FuncModel(
@@ -513,46 +487,42 @@ def _collect_functions(tree: ast.Module, module: str,
             end_lineno=node.end_lineno or node.lineno,
             method=Method(name=f"{module}.{qualname}"),
             growlike=("grow" in name_l or "remap" in name_l),
-            is_teardown=_is_teardown_name(node.name),
-            has_cold_flag=has_cold_flag))
+            is_teardown=_is_teardown_name(node.name)))
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             add(node, None)
         elif isinstance(node, ast.ClassDef):
-            has_cold_flag = any(
-                isinstance(ref, ast.Attribute) and ref.attr == "cold"
-                and isinstance(ref.value, ast.Name) and ref.value.id == "self"
-                for ref in ast.walk(node))
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    add(sub, node.name, has_cold_flag)
+                    add(sub, node.name)
     return models
 
 
-def lower_module(source: str, module: str,
-                 relpath: str) -> list[FuncModel]:
-    """Parse and lower one module into per-function IR models."""
+def _lower(source: str, module: str, relpath: str,
+           lowerer: type[_Lowerer]) -> tuple[ast.Module, list[FuncModel]]:
+    """Parse one module and lower every function with *lowerer*."""
     tree = ast.parse(source)
     models = _collect_functions(tree, module, relpath)
     # Two-pass: register every function's Method first so intra-module
     # calls can reference callees lowered later; then fill the bodies.
-    by_name: dict[str, Method] = {}
+    # Last binding wins on name collisions across classes — the textual
+    # resource tokens keep any imprecision harmless.
+    by_name = {model.name: model.method for model in models}
     node_of: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             node_of.setdefault(node.name, node)
     for model in models:
-        # Last binding wins on name collisions across classes — the
-        # textual resource tokens keep any imprecision harmless.
-        by_name[model.name] = model.method
-    for model in models:
-        node = node_of.get(model.name)
-        if node is None:  # pragma: no cover - models come from node walk
-            continue
-        lowerer = _Lowerer(model, by_name)
-        model.method.body = lowerer.lower(node.body)
-    return models
+        model.method.body = lowerer(model, by_name).lower(
+            node_of[model.name].body)
+    return tree, models
+
+
+def lower_module(source: str, module: str,
+                 relpath: str) -> list[FuncModel]:
+    """Parse and lower one module into per-function IR models."""
+    return _lower(source, module, relpath, _Lowerer)[1]
 
 
 def build_scope(models: list[FuncModel]) -> CallGraph:
@@ -618,43 +588,45 @@ def _enumerate_paths(body: tuple[Stmt, ...], depth: int = 0,
 
 # -- rule predicates ---------------------------------------------------------
 
-def _loc(model: FuncModel, line: int) -> str:
-    return f"src/repro/{model.relpath}:{line}"
+Emit = Callable[[str, str, int, str, tuple[str, ...]], None]
 
 
-def _subject(model: FuncModel) -> str:
-    return f"{model.module}.{model.qualname}"
-
-
-def _ownership_why(resource: str, group: str) -> str:
-    """DECA304's provenance step, phrased via the §4.3 ownership rules."""
-    site = CreationSite(name=resource, udt=ClassType("memoryview"),
-                        stage_id=0)
-    binding = PointsToBinding(site)
-    binding.bind(ContainerRef(ContainerKind.CACHE_BLOCK, group, 0, 0))
-    binding.bind(ContainerRef(ContainerKind.UDF_VARIABLES,
-                              "escaped-handle", 0, 1))
-    ownership = assign_ownership(binding)
-    return (f"ownership: primary container is {ownership.primary.name!r} "
-            f"(kind {ownership.primary.kind.value}); the escaped handle "
-            "is a secondary holder the reclaim protocol never sees")
-
-
-def check_function(model: FuncModel, target: str) -> list[Finding]:
-    """Run every DECA30x predicate over one function's paths."""
+def _emitter(model: FuncModel,
+             target: str) -> tuple[list[Finding], Emit]:
+    """One function's findings and ``emit(rule, message, line, dedup,
+    why)``, which drops a second finding with the same rule and dedup key.
+    """
     findings: list[Finding] = []
     seen: set[tuple[str, str]] = set()
 
     def emit(rule: str, message: str, line: int, dedup: str,
              why: tuple[str, ...]) -> None:
-        key = (rule, dedup)
-        if key in seen:
+        if (rule, dedup) in seen:
             return
-        seen.add(key)
+        seen.add((rule, dedup))
         findings.append(make_finding(
-            rule, target, _subject(model), message,
-            location=_loc(model, line), why=why))
+            rule, target, f"{model.module}.{model.qualname}", message,
+            location=f"src/repro/{model.relpath}:{line}", why=why))
 
+    return findings, emit
+
+
+def _ownership_why(resource: str, udt: str, owner: ContainerRef,
+                   holder: str, consequence: str) -> str:
+    """A why-chain step naming *resource*'s primary container under the
+    §4.3 ownership rules while *holder* keeps a second handle to it."""
+    binding = PointsToBinding(
+        CreationSite(name=resource, udt=ClassType(udt), stage_id=0))
+    binding.bind(owner)
+    binding.bind(ContainerRef(ContainerKind.UDF_VARIABLES, holder, 0, 1))
+    primary = assign_ownership(binding).primary
+    return (f"ownership: primary container is {primary.name!r} "
+            f"(kind {primary.kind.value}); {consequence}")
+
+
+def check_function(model: FuncModel, target: str) -> list[Finding]:
+    """Run every DECA30x predicate over one function's paths."""
+    findings, emit = _emitter(model, target)
     paths = _enumerate_paths(model.method.body)
     all_ops = [op for ops, _term in paths for op in ops]
 
@@ -742,23 +714,13 @@ def check_function(model: FuncModel, target: str) -> list[Finding]:
                      op.line, f"{model.qualname}:{op.resource}", (
                          f"adopt: group takes ownership of {op.resource}",
                          f"escape: second handle kept at line {op.line}",
-                         _ownership_why(op.resource, "page-group")))
-
-        # DECA307: payload read with no cold check on this path.
-        if model.has_cold_flag:
-            guarded = False
-            for op in ops:
-                if op.kind == COLD_GUARD:
-                    guarded = True
-                elif op.kind == PAYLOAD_READ and not guarded:
-                    emit("DECA307",
-                         f"{model.qualname} reads the entry payload at "
-                         f"line {op.line} without consulting the cold "
-                         "flag; a demoted entry's bytes are stale",
-                         op.line, model.qualname, (
-                             f"read: payload access at line {op.line}",
-                             "no `if self.cold` guard dominates it"))
-                    break
+                         _ownership_why(
+                             op.resource, "memoryview",
+                             ContainerRef(ContainerKind.CACHE_BLOCK,
+                                          "page-group", 0, 0),
+                             "escaped-handle",
+                             "the escaped handle is a secondary holder "
+                             "the reclaim protocol never sees")))
 
     # DECA306: a teardown path returns early past its siblings' cleanup.
     if model.is_teardown:
@@ -800,40 +762,52 @@ def check_function(model: FuncModel, target: str) -> list[Finding]:
 
 # -- entry points ------------------------------------------------------------
 
-def _package_root() -> Path:
-    return Path(__file__).resolve().parent.parent
+M = TypeVar("M")
+
+
+def _check_all(models: list[M], check: Callable[[M, str], list[Finding]],
+               target: str) -> list[Finding]:
+    return [finding for model in models for finding in check(model, target)]
+
+
+def _audit(modules: tuple[tuple[str, str], ...],
+           lower: Callable[[str, str, str], list[M]],
+           check: Callable[[M, str], list[Finding]], target: str,
+           findings_key: str,
+           ) -> tuple[tuple[Finding, ...], dict[str, object], list[list[M]]]:
+    """Lower and check *modules* (paths relative to the ``repro``
+    package): the sorted findings, the summary both audits report, with
+    the finding count under *findings_key*, and each module's models."""
+    root = Path(__file__).resolve().parent.parent
+    findings: list[Finding] = []
+    lowered: list[list[M]] = []
+    for module, relpath in modules:
+        models = lower((root / relpath).read_text(), module, relpath)
+        lowered.append(models)
+        findings.extend(_check_all(models, check, target))
+    summary: dict[str, object] = {
+        "shadow": False,
+        "modules": len(modules),
+        "functions": sum(len(models) for models in lowered),
+        findings_key: len(findings),
+    }
+    return sort_findings(findings), summary, lowered
 
 
 def analyze_source(source: str, module: str, relpath: str,
                    target: str = "engine") -> list[Finding]:
     """Borrow-check one module's source text."""
-    models = lower_module(source, module, relpath)
-    findings: list[Finding] = []
-    for model in models:
-        findings.extend(check_function(model, target))
-    return findings
+    return _check_all(lower_module(source, module, relpath),
+                      check_function, target)
 
 
 def run_borrow_rules(modules: tuple[tuple[str, str], ...] = ENGINE_MODULES,
                      target: str = "engine",
                      ) -> tuple[tuple[Finding, ...], dict[str, object]]:
     """Borrow-check *modules*; returns (findings, summary)."""
-    root = _package_root()
-    findings: list[Finding] = []
-    functions = 0
-    scope_methods = 0
-    for module, relpath in modules:
-        source = (root / relpath).read_text()
-        models = lower_module(source, module, relpath)
-        functions += len(models)
-        scope_methods += len(build_scope(models).methods)
-        for model in models:
-            findings.extend(check_function(model, target))
-    summary: dict[str, object] = {
-        "shadow": False,
-        "modules": len(modules),
-        "functions": functions,
-        "scope_methods": scope_methods,
-        "borrow_findings": len(findings),
-    }
-    return sort_findings(list(findings)), summary
+    findings, summary, lowered = _audit(modules, lower_module,
+                                        check_function, target,
+                                        "borrow_findings")
+    summary["scope_methods"] = sum(len(build_scope(models).methods)
+                                   for models in lowered)
+    return findings, summary

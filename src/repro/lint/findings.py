@@ -140,27 +140,20 @@ RULES: tuple[Rule, ...] = (
          "A teardown path can return early without the release/drop "
          "calls its sibling paths perform; borrows and extents leak "
          "past the lifetime boundary", "§4.3"),
-    Rule("DECA307", "cross-process-cold-alias", Severity.ERROR,
-         "A cache entry's payload is read without consulting its cold "
-         "flag; a demoted entry's shared bytes are stale and the "
-         "authoritative copy lives in the mmap tier", "§4.2"),
     Rule("DECA308", "unreleased-drain-copy", Severity.WARNING,
          "A page-group drain's transient copies are never shrunk or "
          "freed after the drain; the double-buffer footprint outlives "
          "the swap it paid for", "§4.3"),
     Rule("DECA401", "unlink-concurrent-with-attach", Severity.ERROR,
          "A shared-memory segment is unlinked and then re-attached by "
-         "name on one path with no refcount acquire between them; a "
-         "concurrent attacher can map the deterministic name while the "
-         "unlink is in flight (TOCTOU)", "§4.3/§5"),
+         "name on one path with no refcount acquire between them, or a "
+         "tier extent is accessed across a reclaim; a concurrent attacher "
+         "can map the deterministic name while the unlink is in flight "
+         "(TOCTOU)", "§4.3/§5"),
     Rule("DECA402", "refcount-outside-lock", Severity.ERROR,
          "A segment refcount is mutated outside the registry lock in a "
          "class that takes the lock elsewhere; two concurrent mutators "
          "can interleave read-modify-write and lose a count", "§4.3"),
-    Rule("DECA403", "demote-promote-race", Severity.ERROR,
-         "A cache entry's cold flag is flipped after the backing bytes "
-         "were already released/unlinked on the same path; a concurrent "
-         "promote reads the flag against recycled bytes", "§4.2"),
     Rule("DECA404", "borrow-evict-lost-update", Severity.ERROR,
          "An arena pool level is read, the path blocks (queue get / "
          "join / sleep), and the stale reading then feeds a pool write; "

@@ -1,4 +1,4 @@
-"""Eight seeded zero-copy lifetime bugs, one per DECA30x rule.
+"""Seven seeded zero-copy lifetime bugs, one per DECA30x rule.
 
 Every function here is WRONG ON PURPOSE.  Each exhibits exactly one
 borrow violation: the static checker (:mod:`repro.lint.borrow`) must
@@ -112,30 +112,6 @@ def bug_leak_at_finish(tier: Any, stop_early: bool) -> Any:
     del views
     tier.drop("fx-leak")
     return None
-
-
-class BadCacheEntry:
-    """DECA307: reads its payload without consulting the cold flag."""
-
-    def __init__(self, blob: Any) -> None:
-        self.blob = blob
-        self.cold = False
-
-    def read(self) -> Any:
-        return self.blob[:8]
-
-
-def bug_cross_process_cold_alias(entry: Any, ledger: Any,
-                                 name: str) -> Any:
-    """Drives :class:`BadCacheEntry` past a demotion.
-
-    The entry was demoted (its authoritative bytes now live in the mmap
-    tier) but ``read`` never checks ``self.cold``, so the stale shared
-    bytes are served; ``check_use`` records the cold-alias violation.
-    """
-    ledger.note_demote("segment", name)
-    ledger.check_use("segment", name)
-    return entry.read()
 
 
 def bug_unreleased_drain_copy(group: Any, ledger: Any) -> list[bytes]:

@@ -84,11 +84,6 @@ def drive_306(ledger, tmp):
     return borrow_bugs.bug_leak_at_finish(tier, stop_early=True)
 
 
-def drive_307(ledger, tmp):
-    entry = borrow_bugs.BadCacheEntry(b"\xaa" * 64)
-    borrow_bugs.bug_cross_process_cold_alias(entry, ledger, "fx-cold")
-
-
 def drive_308(ledger, tmp):
     group = PageGroup("fx-drain", page_bytes=4096)
     group.append_bytes(b"\xaa" * 48)
@@ -108,13 +103,6 @@ def drive_402(checker, tmp):
     registry = race_bugs.RacyRegistry()
     registry.register("seg")
     registry.release_unlocked(checker, "seg")
-
-
-def drive_403(checker, tmp):
-    tier = _tier(tmp, "t403", "fx-cold")
-    entry = types.SimpleNamespace(cold=False)
-    race_bugs.demote_after_free(checker, tier, entry, "fx-cold")
-    tier.close()
 
 
 def drive_404(checker, tmp):
@@ -173,11 +161,9 @@ FIXTURES: tuple[tuple[str, str, Drive], ...] = (
     ("DECA304", "view-escapes-adoption", drive_304),
     ("DECA305", "remap-invalidates-export", drive_305),
     ("DECA306", "leak-at-finish", drive_306),
-    ("DECA307", "cross-process-cold-alias", drive_307),
     ("DECA308", "unreleased-drain-copy", drive_308),
     ("DECA401", "unlink-concurrent-with-attach", drive_401),
     ("DECA402", "refcount-outside-lock", drive_402),
-    ("DECA403", "demote-promote-race", drive_403),
     ("DECA404", "borrow-evict-lost-update", drive_404),
     ("DECA405", "wave-barrier-bypass", drive_405),
     ("DECA406", "orphan-sweep-live-worker", drive_406),

@@ -81,18 +81,6 @@ class RacyRegistry:
         vclock.note_refdec(name, locked=False)
 
 
-# -- DECA403 ----------------------------------------------------------------
-def demote_after_free(vclock: VClockChecker, tier: Any, entry: Any,
-                      name: str) -> None:
-    """WRONG: frees the backing extent first, then publishes the cold
-    flag — a concurrent promote reads cold=False over recycled bytes."""
-    vclock.fork("promoter")
-    tier.drop(name)
-    vclock.note_demote("extent", name)
-    entry.cold = True
-    vclock.note_promote("extent", name, actor="promoter")
-
-
 # -- DECA404 ----------------------------------------------------------------
 def stale_pool_write(vclock: VClockChecker, arena: Any,
                      queue: Any) -> None:

@@ -7,18 +7,18 @@ The fourth pillar of the deca-lint suite (plan → closure → borrow →
 concurrency surface — the mp backend, the shared-memory protocol, the
 worker runtime, the scheduler/shuffle wave machinery and the arena/tier
 accounting planes — with :mod:`ast`, lowers every function into the same
-mini-IR op stream the borrow checker uses (reusing its bounded path
-enumeration, :func:`repro.lint.borrow._enumerate_paths`), and runs a
-*protocol model* over each path:
+mini-IR op stream the borrow checker uses (reusing its module lowering,
+bounded path enumeration, finding sink and module loop from
+:mod:`repro.lint.borrow`), and runs a *protocol model* over each path:
 
-* **acquire/release edges** — registry ``acquire``/``release`` refcount
-  transitions, ``with self._lock`` scopes, arena pool reads and writes;
+* **acquire edges** — registry ``acquire`` refcount transitions,
+  refcount-table stores inside or outside ``with self._lock`` scopes,
+  arena pool reads and writes;
 * **wave barriers** — ``connection.wait`` over the workers' pipes and
   sentinels (the mp backend's ``_gather`` rendezvous), worker ``join``,
   a result-queue ``get``;
-* **segment lifecycle** — create/attach/close/unlink, with created
-  handles writable and attached handles read-only;
-* **extent lifecycle** — alloc/free/remap on the mmap tier;
+* **segment lifecycle** — create/attach/unlink, with created handles
+  writable and attached handles read-only;
 * **death/sweep evidence** — ``is_alive``/``exitcode``/``terminate``
   checks dominating an orphan-segment sweep.
 
@@ -38,27 +38,23 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 
-from ..analysis.pointsto import (
-    ContainerKind,
-    ContainerRef,
-    CreationSite,
-    PointsToBinding,
-    assign_ownership,
-)
 from ..analysis.ir import Call, Method
-from ..analysis.udt import ClassType
+from ..analysis.pointsto import ContainerKind, ContainerRef
 from .borrow import (
     FuncModel,
     PathOp,
-    _collect_functions,
+    _audit,
+    _check_all,
+    _emitter,
     _enumerate_paths,
+    _lower,
     _Lowerer,
     _op,
+    _ownership_why,
     _text,
 )
-from .findings import Finding, make_finding, sort_findings
+from .findings import Finding
 
 #: The engine's concurrency surface, relative to the ``repro`` package
 #: root.  Unlike the borrow checker this list *includes*
@@ -81,11 +77,8 @@ CREATE = "CREATE"              # segment created (writable handle)
 ATTACH = "ATTACH"              # segment attached by name (read-only)
 UNLINK = "UNLINK"              # segment unlinked
 REFINC = "REFINC"              # registry refcount acquire
-REFDEC = "REFDEC"              # registry refcount release
 REFMUT_LOCKED = "REFMUT_LOCKED"      # direct refcount mutation, in lock
 REFMUT_UNLOCKED = "REFMUT_UNLOCKED"  # direct refcount mutation, no lock
-COLD_SET = "COLD_SET"          # ``entry.cold = ...`` publication
-FREE = "FREE"                  # extent drop / backing free
 POOL_READ = "POOL_READ"        # arena pool level read
 POOL_WRITE = "POOL_WRITE"      # arena pool transition
 WAIT = "WAIT"                  # blocking wait (wait / join / queue get)
@@ -183,19 +176,19 @@ class _RaceLowerer(_Lowerer):
         line = call.lineno
         nargs = len(call.args)
         out: list[object] = []
+        callee = (func.id if isinstance(func, ast.Name)
+                  else getattr(func, "attr", None))
+        if callee in ("SharedPageSegment", "SharedMemory"):
+            resource = f"segment:{self._token(call)}"
+            writable = _has_create_true(call)
+            out.append(_op(CREATE if writable else ATTACH, resource, line))
+            self._bind_segment(target, resource, writable)
+            return out
         if isinstance(func, ast.Name):
             name = func.id
             if name == "unlink_segment" and nargs >= 1:
                 out.append(_op(UNLINK, f"segment:{self._token(call)}",
                                line))
-            elif name in ("SharedPageSegment", "SharedMemory"):
-                resource = f"segment:{self._token(call)}"
-                if _has_create_true(call):
-                    out.append(_op(CREATE, resource, line))
-                    self._bind_segment(target, resource, writable=True)
-                else:
-                    out.append(_op(ATTACH, resource, line))
-                    self._bind_segment(target, resource, writable=False)
             elif name == "pack_records_segment" and nargs >= 1:
                 out.append(_op(CREATE, f"segment:{self._token(call)}",
                                line))
@@ -218,25 +211,13 @@ class _RaceLowerer(_Lowerer):
         if "ledger" in recv or "vclock" in recv:
             # Sanitizer instrumentation is not a protocol op.
             return out
-        if meth in ("SharedPageSegment", "SharedMemory"):
-            resource = f"segment:{self._token(call)}"
-            if _has_create_true(call):
-                out.append(_op(CREATE, resource, line))
-                self._bind_segment(target, resource, writable=True)
-            else:
-                out.append(_op(ATTACH, resource, line))
-                self._bind_segment(target, resource, writable=False)
-        elif meth == "unlink" and nargs == 0:
+        if meth == "unlink" and nargs == 0:
             resource = f"segment:{recv}"
             if isinstance(func.value, ast.Name):
                 resource = self.seg_handles.get(func.value.id, resource)
             out.append(_op(UNLINK, resource, line))
         elif meth == "acquire" and nargs >= 1:
             out.append(_op(REFINC, f"segment:{self._token(call)}", line))
-        elif meth == "release" and nargs >= 1:
-            out.append(_op(REFDEC, f"segment:{self._token(call)}", line))
-        elif meth == "drop" and nargs >= 1:
-            out.append(_op(FREE, f"extent:{self._token(call)}", line))
         elif meth in ("view", "allocate") \
                 and isinstance(func.value, ast.Name) \
                 and func.value.id in self.seg_handles:
@@ -336,9 +317,6 @@ class _RaceLowerer(_Lowerer):
         for target in targets:
             if target is None:
                 continue
-            if isinstance(target, ast.Attribute) and target.attr == "cold":
-                ops.append(_op(COLD_SET, _text(target.value),
-                               stmt.lineno))
             if isinstance(target, ast.Subscript):
                 text = _text(target)
                 # Only element stores count: ``self._refs = {}`` in a
@@ -365,54 +343,15 @@ class _RaceLowerer(_Lowerer):
 def lower_race_module(source: str, module: str,
                       relpath: str) -> list[RaceModel]:
     """Parse and lower one module into per-function protocol models."""
-    tree = ast.parse(source)
-    models = _collect_functions(tree, module, relpath)
-    lock_classes: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and "self._lock" in _text(node):
-            lock_classes.add(node.name)
-    by_name = {model.name: model.method for model in models}
-    node_of: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            node_of.setdefault(node.name, node)
-    out: list[RaceModel] = []
-    for model in models:
-        fn = node_of.get(model.name)
-        if fn is None:  # pragma: no cover - models come from node walk
-            continue
-        lowerer = _RaceLowerer(model, by_name)
-        model.method.body = lowerer.lower(fn.body)
-        out.append(RaceModel(func=model,
-                             class_uses_lock=(model.cls in lock_classes)))
-    return out
+    tree, models = _lower(source, module, relpath, _RaceLowerer)
+    lock_classes = {node.name for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and "self._lock" in _text(node)}
+    return [RaceModel(func=model, class_uses_lock=model.cls in lock_classes)
+            for model in models]
 
 
 # -- rule predicates ---------------------------------------------------------
-
-def _loc(model: FuncModel, line: int) -> str:
-    return f"src/repro/{model.relpath}:{line}"
-
-
-def _subject(model: FuncModel) -> str:
-    return f"{model.module}.{model.qualname}"
-
-
-def _hb_why(resource: str) -> str:
-    """DECA401's provenance step: who owns the mapping while the name
-    is being recycled, phrased via the §4.3 ownership rules."""
-    site = CreationSite(name=resource, udt=ClassType("SharedMemory"),
-                        stage_id=0)
-    binding = PointsToBinding(site)
-    binding.bind(ContainerRef(ContainerKind.SHUFFLE_BUFFER, resource, 0, 0))
-    binding.bind(ContainerRef(ContainerKind.UDF_VARIABLES,
-                              "concurrent-attacher", 0, 1))
-    ownership = assign_ownership(binding)
-    return (f"ownership: primary holder is {ownership.primary.name!r} "
-            f"(kind {ownership.primary.kind.value}); the concurrent "
-            "attacher maps the recycled name with no happens-before "
-            "edge to the unlink")
-
 
 def _guard_matches(op: PathOp, words: tuple[str, ...]) -> bool:
     return op.kind == GUARD and any(w in op.resource for w in words)
@@ -421,19 +360,7 @@ def _guard_matches(op: PathOp, words: tuple[str, ...]) -> bool:
 def check_race_function(race: RaceModel, target: str) -> list[Finding]:
     """Run every DECA40x predicate over one function's paths."""
     model = race.func
-    findings: list[Finding] = []
-    seen: set[tuple[str, str]] = set()
-
-    def emit(rule: str, message: str, line: int, dedup: str,
-             why: tuple[str, ...]) -> None:
-        key = (rule, dedup)
-        if key in seen:
-            return
-        seen.add(key)
-        findings.append(make_finding(
-            rule, target, _subject(model), message,
-            location=_loc(model, line), why=why))
-
+    findings, emit = _emitter(model, target)
     paths = _enumerate_paths(model.method.body)
     all_ops = [op for ops, _term in paths for op in ops]
 
@@ -496,28 +423,15 @@ def check_race_function(race: RaceModel, target: str) -> list[Finding]:
                              "reference on this path",
                              f"attach: the deterministic name is re-"
                              f"mapped at line {op.line}",
-                             _hb_why(op.resource)))
+                             _ownership_why(
+                                 op.resource, "SharedMemory",
+                                 ContainerRef(ContainerKind.SHUFFLE_BUFFER,
+                                              op.resource, 0, 0),
+                                 "concurrent-attacher",
+                                 "the concurrent attacher maps the "
+                                 "recycled name with no happens-before "
+                                 "edge to the unlink")))
                 unlinked.pop(op.resource, None)
-
-        # DECA403: the cold flag is published after the backing bytes
-        # already died on this path.
-        freed_line: int | None = None
-        for op in ops:
-            if op.kind in (FREE, UNLINK, REFDEC):
-                freed_line = op.line
-            elif op.kind == COLD_SET and freed_line is not None \
-                    and op.depth == 0:
-                emit("DECA403",
-                     f"{model.qualname} sets {op.resource}.cold at line "
-                     f"{op.line} after the backing bytes were released "
-                     f"at line {freed_line}; a concurrent promote reads "
-                     "the flag against recycled bytes",
-                     op.line, f"{model.qualname}:{op.resource}", (
-                         f"free: backing released at line {freed_line}",
-                         f"publish: cold flag flipped at line {op.line}",
-                         "a promote between the two observes cold=False "
-                         "over bytes that are already gone"))
-                break
 
         # DECA404: pool read → blocking wait → pool write (lost update).
         read_line: int | None = None
@@ -646,37 +560,18 @@ def check_race_function(race: RaceModel, target: str) -> list[Finding]:
 
 # -- entry points ------------------------------------------------------------
 
-def _package_root() -> Path:
-    return Path(__file__).resolve().parent.parent
-
-
 def analyze_race_source(source: str, module: str, relpath: str,
                         target: str = "race") -> list[Finding]:
     """Race-check one module's source text."""
-    models = lower_race_module(source, module, relpath)
-    findings: list[Finding] = []
-    for race in models:
-        findings.extend(check_race_function(race, target))
-    return findings
+    return _check_all(lower_race_module(source, module, relpath),
+                      check_race_function, target)
 
 
 def run_race_rules(modules: tuple[tuple[str, str], ...] = RACE_MODULES,
                    target: str = "race",
                    ) -> tuple[tuple[Finding, ...], dict[str, object]]:
     """Race-check *modules*; returns (findings, summary)."""
-    root = _package_root()
-    findings: list[Finding] = []
-    functions = 0
-    for module, relpath in modules:
-        source = (root / relpath).read_text()
-        models = lower_race_module(source, module, relpath)
-        functions += len(models)
-        for race in models:
-            findings.extend(check_race_function(race, target))
-    summary: dict[str, object] = {
-        "shadow": False,
-        "modules": len(modules),
-        "functions": functions,
-        "race_findings": len(findings),
-    }
-    return sort_findings(list(findings)), summary
+    findings, summary, _lowered = _audit(modules, lower_race_module,
+                                         check_race_function, target,
+                                         "race_findings")
+    return findings, summary

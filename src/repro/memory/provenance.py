@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 #: the next tenant wrote.
 POISON_BYTE = 0xDB
 
-#: Violation slugs, one per DECA30x rule (same order as DECA301..308).
+#: Violation slugs, one per DECA30x rule, in rule order.
 VIOLATION_SLUGS = (
     "use-after-free-extent",
     "use-after-unlink-segment",
@@ -60,7 +60,6 @@ VIOLATION_SLUGS = (
     "view-escapes-adoption",
     "remap-invalidates-export",
     "leak-at-finish",
-    "cross-process-cold-alias",
     "unreleased-drain-copy",
 )
 
@@ -106,12 +105,11 @@ class ProvenanceLedger:
         self._borrows: dict[int, Borrow] = {}
         self._by_resource: dict[tuple[str, str], list[int]] = {}
         self._freed: set[tuple[str, str]] = set()
-        self._cold: set[tuple[str, str]] = set()
         self._drains: dict[str, int] = {}   # group name -> live copy count
         self.violations: list[dict[str, str]] = []
         self.counters: dict[str, int] = {
             "borrows": 0, "releases": 0, "allocs": 0, "frees": 0,
-            "remaps": 0, "reclaims": 0, "demotes": 0, "drain_copies": 0,
+            "remaps": 0, "reclaims": 0, "drain_copies": 0,
             "poisoned_bytes": 0,
         }
         for slug in VIOLATION_SLUGS:
@@ -164,7 +162,6 @@ class ProvenanceLedger:
         key = (kind, resource)
         self.counters["allocs"] += 1
         self._freed.discard(key)
-        self._cold.discard(key)
         for borrow_id in self._by_resource.pop(key, []):
             borrow = self._borrows.get(borrow_id)
             if borrow is not None:
@@ -217,7 +214,6 @@ class ProvenanceLedger:
                             "resource freed twice without reallocation")
             return
         self._freed.add(key)
-        self._cold.discard(key)
         slug = ("use-after-unlink-segment" if kind == "segment"
                 else "use-after-free-extent")
         for borrow_id in self._by_resource.get(key, []):
@@ -257,30 +253,8 @@ class ProvenanceLedger:
             if borrow.group == group:
                 borrow.orphaned = True
 
-    def note_demote(self, kind: str, resource: str) -> None:
-        """The resource's cache entry went cold (workers must recompute
-        from lineage; reading the stale bytes is a cross-process alias)."""
-        self.counters["demotes"] += 1
-        self._cold.add((kind, resource))
-
     def note_poison(self, kind: str, resource: str, nbytes: int) -> None:
         self.counters["poisoned_bytes"] += nbytes
-
-    def check_use(self, kind: str, resource: str) -> bool:
-        """Check a read through ``(kind, resource)``; False on violation."""
-        key = (kind, resource)
-        if key in self._freed:
-            self._violation(
-                "use-after-unlink-segment" if kind == "segment"
-                else "use-after-free-extent", kind, resource,
-                "read through a freed resource")
-            return False
-        if key in self._cold:
-            self._violation(
-                "cross-process-cold-alias", kind, resource,
-                "read of a demoted cold entry's stale bytes")
-            return False
-        return True
 
     # -- transient drain copies ---------------------------------------------
     def note_drain_copy(self, group: str, nbytes: int) -> None:

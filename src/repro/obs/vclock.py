@@ -4,8 +4,8 @@
 Where the static detector (:mod:`repro.lint.race`) proves happens-before
 properties of the *source*, this module checks them on a *run*: under
 ``DecaConfig.sanitize`` the context owns one :class:`VClockChecker`, and
-every shm/tier reclaim, cold-flag transition, arena grant and trace
-relay is annotated with the actor that performed it.
+every shm/tier reclaim, arena grant and trace relay is annotated with
+the actor that performed it.
 
 The clock model mirrors the engine's concurrency structure:
 
@@ -42,7 +42,6 @@ from .tracer import Tracer
 RACE_SLUGS: tuple[str, ...] = (
     "unlink-concurrent-with-attach",   # DECA401
     "refcount-outside-lock",           # DECA402
-    "demote-promote-race",             # DECA403
     "borrow-evict-lost-update",        # DECA404
     "wave-barrier-bypass",             # DECA405
     "orphan-sweep-live-worker",        # DECA406
@@ -91,9 +90,9 @@ class VClockChecker:
         self.clocks: dict[str, Clock] = {actor: init}
         self.counters: dict[str, int] = {
             "forks": 0, "joins": 0, "attaches": 0, "reclaims": 0,
-            "accesses": 0, "refdecs": 0, "transitions": 0,
-            "pool_writes": 0, "results": 0, "sweeps": 0, "victims": 0,
-            "adopts": 0, "relays": 0, "grants": 0,
+            "accesses": 0, "refdecs": 0, "pool_writes": 0, "results": 0,
+            "sweeps": 0, "victims": 0, "adopts": 0, "relays": 0,
+            "grants": 0,
         }
         for slug in RACE_SLUGS:
             self.counters[slug] = 0
@@ -104,8 +103,6 @@ class VClockChecker:
         self._accesses: dict[tuple[str, str], list[Clock]] = {}
         # Remote actors still considered alive (fork..exit window).
         self._live: set[str] = set()
-        # (kind, name) -> last cold-flag transition clock.
-        self._transitions: dict[tuple[str, str], Clock] = {}
         # pool -> version counter for lost-update detection.
         self._pool_versions: dict[str, int] = {}
         # task token -> producing clock (result handoff).
@@ -209,9 +206,7 @@ class VClockChecker:
         self.counters["accesses"] += 1
         reclaim = self._reclaimed.get((kind, name))
         if reclaim is not None and not clock_leq(reclaim, clock):
-            slug = ("unlink-concurrent-with-attach" if kind == "segment"
-                    else "demote-promote-race")
-            self._violation(slug, kind, name,
+            self._violation("unlink-concurrent-with-attach", kind, name,
                             f"access by {actor or self.actor!s} has no "
                             "happens-before edge to the reclaim")
         self._accesses.setdefault((kind, name), []).append(dict(clock))
@@ -224,10 +219,8 @@ class VClockChecker:
         self.counters["reclaims"] += 1
         for access in self._accesses.pop((kind, name), []):
             if not clock_leq(access, clock):
-                slug = ("unlink-concurrent-with-attach"
-                        if kind == "segment" else "demote-promote-race")
                 self._violation(
-                    slug, kind, name,
+                    "unlink-concurrent-with-attach", kind, name,
                     "reclaim has no happens-before edge to a recorded "
                     "access")
                 break
@@ -241,27 +234,6 @@ class VClockChecker:
         if not locked:
             self._violation("refcount-outside-lock", "segment", name,
                             "refcount mutated outside the registry lock")
-
-    # -- cold-flag transitions (DECA403) --------------------------------------
-    def _transition(self, kind: str, name: str,
-                    actor: Optional[str]) -> None:
-        clock = self._tick(actor)
-        self.counters["transitions"] += 1
-        last = self._transitions.get((kind, name))
-        if last is not None and not clock_leq(last, clock):
-            self._violation(
-                "demote-promote-race", kind, name,
-                f"cold-flag transition by {actor or self.actor!s} has "
-                "no happens-before edge to the previous transition")
-        self._transitions[(kind, name)] = dict(clock)
-
-    def note_demote(self, kind: str, name: str,
-                    actor: Optional[str] = None) -> None:
-        self._transition(kind, name, actor)
-
-    def note_promote(self, kind: str, name: str,
-                     actor: Optional[str] = None) -> None:
-        self._transition(kind, name, actor)
 
     # -- arena pools (DECA404) ------------------------------------------------
     def pool_read(self, pool: str) -> int:
@@ -423,10 +395,8 @@ class VClockChecker:
             clock: Clock = dict(access["clock"])
             reclaim = self._reclaimed.get((kind, name))
             if reclaim is not None and not clock_leq(reclaim, clock):
-                slug = ("unlink-concurrent-with-attach"
-                        if kind == "segment" else "demote-promote-race")
                 self._violation(
-                    slug, kind, name,
+                    "unlink-concurrent-with-attach", kind, name,
                     f"worker {actor!r} accessed the resource with no "
                     "happens-before edge to its reclaim")
             self._accesses.setdefault((kind, name), []).append(clock)

@@ -355,10 +355,6 @@ class CacheStore:
                              + executor.heap.old_used_bytes))
         if tier is not None:
             swap_args["tier_bytes"] = tier_moved
-            if executor.ledger is not None and block._tier_key is not None:
-                executor.ledger.note_demote("extent", block._tier_key)
-            if executor.vclock is not None and block._tier_key is not None:
-                executor.vclock.note_demote("extent", block._tier_key)
         executor.tracer.instant(
             "cache:swap-out", "cache", ts_ms=executor.clock.now_ms,
             pid=executor.trace_pid, **swap_args)
@@ -402,8 +398,6 @@ class CacheStore:
                 block.blob = blob
                 block.memory_bytes = len(blob)
                 block._tier_resident = True
-                if executor.vclock is not None:
-                    executor.vclock.note_promote("extent", block._tier_key)
                 if executor.ledger is not None:
                     # The promoted view outlives this call on purpose.
                     executor.ledger.retain("extent", block._tier_key)
@@ -432,8 +426,6 @@ class CacheStore:
                 for view in tier.swap_in(block._tier_key):
                     group.adopt_page(view)
                 block._tier_resident = True
-                if executor.vclock is not None:
-                    executor.vclock.note_promote("extent", block._tier_key)
                 if executor.ledger is not None:
                     # Adoption hands ownership to the page group; the
                     # ledger tracks the borrows until group.reclaim().

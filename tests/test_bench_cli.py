@@ -15,6 +15,7 @@ from repro.bench.experiments import (
     run_experiment,
 )
 from repro.exec.shm import shm_available
+from repro.lint.fixtures.drivers import FIXTURES
 
 
 class TestCli:
@@ -124,8 +125,7 @@ class TestExperimentCommands:
     def test_sanitize_fixtures_all_fire(self, capsys):
         assert main(["sanitize", "--fixtures-only"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        rules = [f"DECA30{n}" for n in range(1, 9)] \
-            + [f"DECA4{n:02d}" for n in range(1, 11)]
+        rules = [rule for rule, _slug, _drive in FIXTURES]
         fired = [line.split()[0] for line in lines
                  if line.rstrip().endswith("fired")]
         assert fired == rules

@@ -24,7 +24,8 @@ from repro.lint.output import to_sarif
 
 FIXTURE_PATH = (Path(__file__).resolve().parent.parent / "src" / "repro"
                 / "lint" / "fixtures" / "borrow_bugs.py")
-BORROW_RULES = tuple(f"DECA30{i}" for i in range(1, 9))
+BORROW_RULES = ("DECA301", "DECA302", "DECA303", "DECA304", "DECA305",
+                "DECA306", "DECA308")
 
 
 def fixture_findings():
@@ -40,8 +41,7 @@ class TestRuleCatalogue:
             assert rule_id in RULES_BY_ID
 
     def test_severities(self):
-        errors = {"DECA301", "DECA302", "DECA303", "DECA304", "DECA305",
-                  "DECA307"}
+        errors = {"DECA301", "DECA302", "DECA303", "DECA304", "DECA305"}
         for rule_id in BORROW_RULES:
             expected = (Severity.ERROR if rule_id in errors
                         else Severity.WARNING)
@@ -101,7 +101,6 @@ class TestFixturesFireExactly:
         assert by_rule["DECA305"].subject.endswith(
             "bug_remap_invalidates_export")
         assert by_rule["DECA306"].subject.endswith("bug_leak_at_finish")
-        assert by_rule["DECA307"].subject.endswith("BadCacheEntry.read")
         assert by_rule["DECA308"].subject.endswith(
             "bug_unreleased_drain_copy")
 
@@ -194,15 +193,6 @@ class TestPathSensitivity:
             "        return\n"
             "    self._closed = True\n"
             "    self._view.release()\n")
-        assert findings == []
-
-    def test_cold_guard_dominating_read_is_clean(self):
-        findings = self.check(
-            "class GoodCacheEntry:\n"
-            "    def read(self):\n"
-            "        if self.cold:\n"
-            "            raise RuntimeError('cold')\n"
-            "        return self.blob[:8]\n")
         assert findings == []
 
     def test_drain_followed_by_shrink_is_clean(self):

@@ -129,16 +129,10 @@ class TestLedgerTriggers:
         ledger.check_finish()
         assert ledger.counters["leak-at-finish"] == 0
 
-    def test_cold_alias_on_use(self):
-        ledger = ProvenanceLedger()
-        ledger.note_demote("segment", "s")
-        assert ledger.check_use("segment", "s") is False
-        assert ledger.counters["cross-process-cold-alias"] == 1
-
     def test_use_after_free_on_use(self):
         ledger = ProvenanceLedger()
         ledger.note_free("extent", "g")
-        assert ledger.check_use("extent", "g") is False
+        ledger.borrow("extent", "g", nbytes=16)
         assert ledger.counters["use-after-free-extent"] == 1
 
     def test_unreleased_drain_copy_at_finish(self):
