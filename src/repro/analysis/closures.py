@@ -27,10 +27,10 @@ sequences instead of running an abstract interpreter, so every hazard
 names a concrete opcode and line, and anything the bounded walk cannot
 resolve degrades the verdict to ``unknown`` rather than guessing.
 
-Findings surface as the ``DECA2xx`` lint family (:mod:`repro.lint`), gate
-retries and speculation through
-:class:`repro.spark.closure_guard.ClosureGuard`, and are cross-checked at
-runtime by the double-run differential shadow check.
+Findings surface as the ``DECA2xx`` lint family (:mod:`repro.lint`),
+where the double-run differential shadow check cross-checks them at
+runtime, and the escape verdict downgrades the optimizer's
+decomposition decisions (:mod:`repro.core.optimizer`).
 
 This module must not import :mod:`repro.spark` at module level — the
 spark layer imports :mod:`repro.analysis` first (engine-handle checks are

@@ -181,57 +181,30 @@ class FaultConfig:
 
     All probabilities are evaluated on a dedicated seeded RNG, so two runs
     with the same seed inject byte-identical failure sequences.  Backoff
-    waits advance the *simulated* clock — never wall time.
+    waits advance the *simulated* clock — never wall time.  The retry,
+    restart and speculation constants live in :mod:`repro.spark.faults`.
     """
 
     # --- injection ---------------------------------------------------------
     seed: int = 17
     task_kill_prob: float = 0.0
-    executor_crash_prob: float = 0.0
     fetch_corruption_prob: float = 0.0
     scripted: tuple[ScriptedFault, ...] = ()
-    # Probabilistic kills strike after 1..max_kill_ops compute charges so
-    # partially-executed tasks leave state the recovery must clean up.
-    max_kill_ops: int = 32
-
-    # --- retry policy ------------------------------------------------------
-    max_task_failures: int = 4
-    retry_backoff_ms: float = 50.0
-    retry_backoff_factor: float = 2.0
-    retry_backoff_max_ms: float = 1000.0
-
-    # --- executor recovery -------------------------------------------------
-    executor_restart_ms: float = 500.0
 
     # --- speculation -------------------------------------------------------
     speculation: bool = False
-    speculation_multiplier: float = 1.5
 
     def __post_init__(self) -> None:
-        for name in ("task_kill_prob", "executor_crash_prob",
-                     "fetch_corruption_prob"):
+        for name in ("task_kill_prob", "fetch_corruption_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]: {value}")
-        if self.max_task_failures < 1:
-            raise ConfigError("max_task_failures must be >= 1")
-        if self.max_kill_ops < 1:
-            raise ConfigError("max_kill_ops must be >= 1")
-        if self.retry_backoff_ms < 0 or self.retry_backoff_max_ms < 0:
-            raise ConfigError("retry backoff times must be >= 0")
-        if self.retry_backoff_factor < 1.0:
-            raise ConfigError("retry_backoff_factor must be >= 1.0")
-        if self.executor_restart_ms < 0:
-            raise ConfigError("executor_restart_ms must be >= 0")
-        if self.speculation_multiplier < 1.0:
-            raise ConfigError("speculation_multiplier must be >= 1.0")
 
     @property
     def injection_enabled(self) -> bool:
         """Whether any failure can actually be injected."""
         return bool(self.scripted) or any(
             p > 0.0 for p in (self.task_kill_prob,
-                              self.executor_crash_prob,
                               self.fetch_corruption_prob))
 
 
@@ -259,8 +232,6 @@ class DecaConfig:
     # --- heap geometry (per executor) ------------------------------------
     heap_bytes: int = 256 * MB
     young_fraction: float = 1.0 / 3.0
-    # Occupancy of the old generation that triggers a full collection.
-    full_gc_threshold: float = 0.95
     gc_algorithm: GcAlgorithm = GcAlgorithm.PARALLEL_SCAVENGE
 
     # --- Spark memory fractions (Table 4 tuning knobs) --------------------
@@ -273,14 +244,9 @@ class DecaConfig:
     # --- unified memory arena (SPARK-10000, docs/memory_model.md) ---------
     # ``"static"`` keeps the legacy fixed split above; ``"unified"`` pools
     # execution and storage into one per-executor arena with borrowing,
-    # like the Spark 1.6 runtime the paper's baseline actually ran under.
+    # like the Spark 1.6 runtime the paper's baseline actually ran under
+    # (its fractions are constants in repro.memory.unified).
     memory_mode: str = "static"
-    # Fraction of the heap the unified arena manages (Spark 1.6's
-    # ``spark.memory.fraction``); the rest is user/metadata headroom.
-    memory_fraction: float = 0.75
-    # Fraction of the arena that storage never gets evicted below when
-    # execution borrows (``spark.memory.storageFraction``).
-    storage_region_fraction: float = 0.5
 
     # --- cold tier (docs/memory_model.md) ---------------------------------
     # Where swapped-out cache blocks and spilled shuffle buffers go:
@@ -310,22 +276,8 @@ class DecaConfig:
     # --- fault tolerance ----------------------------------------------------
     faults: FaultConfig = field(default_factory=FaultConfig)
 
-    # --- closure guard (docs/closure_analysis.md) --------------------------
-    # What the scheduler does when a UDF's closure-analysis verdict is
-    # nondeterministic and a retry-like action (speculation, lineage
-    # re-execution) comes up: ``"off"`` skips the analysis entirely,
-    # ``"warn"`` refuses speculation / logs a ``closure:unsafe_retry``
-    # trace event but proceeds, ``"strict"`` raises
-    # :class:`repro.errors.NondeterministicUdfError`.
-    closure_guard: str = "off"
-
     # --- engine behaviour ---------------------------------------------------
     mode: ExecutionMode = ExecutionMode.SPARK
-    # Objects surviving this many minor collections are promoted.
-    tenuring_threshold: int = 1
-    # Fraction of "temporary" young objects that happen to survive a minor
-    # collection (they were still referenced by an in-flight computation).
-    temp_survival_rate: float = 0.01
     # Profiler sampling period on the simulated clock (Figs. 8a / 9a).
     profiler_period_ms: float = 1000.0
 
@@ -346,8 +298,6 @@ class DecaConfig:
             raise ConfigError("heap_bytes must be positive")
         if not 0.0 < self.young_fraction < 1.0:
             raise ConfigError("young_fraction must be in (0, 1)")
-        if not 0.0 < self.full_gc_threshold <= 1.0:
-            raise ConfigError("full_gc_threshold must be in (0, 1]")
         if self.page_bytes <= 0:
             raise ConfigError("page_bytes must be positive")
         if self.page_bytes > self.heap_bytes:
@@ -367,18 +317,6 @@ class DecaConfig:
             raise ConfigError(
                 f"memory_mode must be 'static' or 'unified': "
                 f"{self.memory_mode!r}")
-        if not 0.0 < self.memory_fraction <= 1.0:
-            raise ConfigError("memory_fraction must be in (0, 1]")
-        if not 0.0 <= self.storage_region_fraction <= 1.0:
-            raise ConfigError("storage_region_fraction must be in [0, 1]")
-        if self.closure_guard not in ("off", "warn", "strict"):
-            raise ConfigError(
-                f"closure_guard must be 'off', 'warn' or 'strict': "
-                f"{self.closure_guard!r}")
-        if self.tenuring_threshold < 0:
-            raise ConfigError("tenuring_threshold must be >= 0")
-        if not 0.0 <= self.temp_survival_rate <= 1.0:
-            raise ConfigError("temp_survival_rate must be in [0, 1]")
 
     # Convenience views -----------------------------------------------------
     @property
@@ -400,17 +338,6 @@ class DecaConfig:
     def shuffle_bytes(self) -> int:
         """Per-executor byte budget for shuffle buffers."""
         return int(self.heap_bytes * self.shuffle_fraction)
-
-    @property
-    def arena_bytes(self) -> int:
-        """Capacity of the unified memory arena (``memory_mode="unified"``)."""
-        return int(self.heap_bytes * self.memory_fraction)
-
-    @property
-    def storage_region_bytes(self) -> int:
-        """Storage floor of the unified arena: execution demand never
-        evicts cached storage below this many bytes."""
-        return int(self.arena_bytes * self.storage_region_fraction)
 
     @property
     def gc_costs(self) -> GcCostModel:

@@ -112,26 +112,8 @@ class FetchFailedError(FaultError):
         self.reason = reason
 
 
-class NondeterministicUdfError(FaultError):
-    """ClosureGuard (strict mode) refused to re-run a nondeterministic UDF.
-
-    Speculation and lineage re-execution assume every UDF is a pure
-    function of its input partition; when the closure analyzer proves
-    otherwise, re-running the task could commit a *different* result
-    than the original attempt.
-    """
-
-    def __init__(self, rdd_name: str, udf: str, action: str) -> None:
-        super().__init__(
-            f"refusing {action} for RDD {rdd_name!r}: UDF {udf!r} is "
-            "statically nondeterministic (closure_guard=strict)")
-        self.rdd_name = rdd_name
-        self.udf = udf
-        self.action = action
-
-
 class StageAbortError(FaultError):
-    """A task exhausted ``max_task_failures`` attempts; the stage aborts."""
+    """A task exhausted ``MAX_TASK_FAILURES`` attempts; the stage aborts."""
 
     def __init__(self, stage_id: int, partition: int,
                  failures: int, last: Exception) -> None:

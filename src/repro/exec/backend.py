@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, TYPE_CHECKING
 if TYPE_CHECKING:
     from ..spark.context import DecaContext
     from ..spark.metrics import JobMetrics, StageMetrics
-    from ..spark.scheduler import Scheduler, Stage
+    from ..spark.scheduler import DAGScheduler, Stage
 
 
 @dataclass
@@ -86,14 +86,14 @@ class ExecutionBackend:
     def end_job(self) -> None:
         """The job begun last is over — finished, failed or interrupted."""
 
-    def run_map_stage(self, scheduler: "Scheduler", stage: "Stage",
+    def run_map_stage(self, scheduler: "DAGScheduler", stage: "Stage",
                       stage_metrics: "StageMetrics",
                       job_metrics: "JobMetrics",
                       stage_start: float) -> bool:
         """Run a whole shuffle-map stage; ``False`` means "not mine"."""
         return False
 
-    def run_result_stage(self, scheduler: "Scheduler", stage: "Stage",
+    def run_result_stage(self, scheduler: "DAGScheduler", stage: "Stage",
                          func: Callable[[Iterator], Any],
                          stage_metrics: "StageMetrics",
                          job_metrics: "JobMetrics",

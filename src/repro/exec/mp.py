@@ -40,7 +40,7 @@ Fault handling mirrors the simulated scheduler where the physics allow:
   reporting — the driver sees the pipe hang up and the process sentinel
   fire, **sweeps the attempt's orphan segments by deterministic name
   prefix**, forks a replacement from its current state and retries;
-* ``max_task_failures`` aborts the stage exactly like the sim path;
+* ``MAX_TASK_FAILURES`` aborts the stage exactly like the sim path;
 * a stage that stops making progress is killed at
   ``mp_stage_timeout_s`` (the CI hang guard's backstop).
 """
@@ -60,6 +60,7 @@ from typing import Any, Callable, Iterator, TYPE_CHECKING
 from ..core.plan import ContainerPlan
 from ..errors import ExecutionError, StageAbortError, TaskKilledError
 from ..memory.unified import UnifiedMemoryManager
+from ..spark.faults import MAX_TASK_FAILURES
 from ..spark.metrics import TaskMetrics
 from ..spark.shuffle import MapOutputBlock
 from .backend import ExecutionBackend
@@ -527,7 +528,7 @@ class MpBackend(ExecutionBackend):
                     raise ExecutionError(
                         f"mp task {stage.stage_id}.{split} "
                         f"(attempt {fail.attempt}) failed: {fail.message}")
-                if failures[split] >= cfg.faults.max_task_failures:
+                if failures[split] >= MAX_TASK_FAILURES:
                     self._flush(scheduler, stage_metrics, reports,
                                 stage_start, real_start, waves)
                     raise StageAbortError(

@@ -41,6 +41,14 @@ PressureHandler = Callable[[int], int]
 # its pause timeline from the same stream.
 GcListener = Callable[[GcEvent], None]
 
+# Occupancy of the old generation that triggers a full collection.
+FULL_GC_THRESHOLD = 0.95
+# Pinned objects surviving this many minor collections are promoted.
+TENURING_THRESHOLD = 1
+# Fraction of "temporary" young objects that happen to survive a minor
+# collection (they were still referenced by an in-flight computation).
+TEMP_SURVIVAL_RATE = 0.01
+
 
 class SimHeap:
     """A generational heap with simulated tracing collections."""
@@ -193,7 +201,7 @@ class SimHeap:
                 traced += group.young_objects
                 survivor_bytes += group.young_bytes
                 group.age += 1
-                if group.age >= self.config.tenuring_threshold:
+                if group.age >= TENURING_THRESHOLD:
                     promotions.append(group)
             else:
                 if group.age >= 1:
@@ -209,9 +217,9 @@ class SimHeap:
                     promoted_bytes += dead
                 else:
                     survivors = math.ceil(
-                        group.young_objects * self.config.temp_survival_rate)
+                        group.young_objects * TEMP_SURVIVAL_RATE)
                     surv_bytes = math.ceil(
-                        group.young_bytes * self.config.temp_survival_rate)
+                        group.young_bytes * TEMP_SURVIVAL_RATE)
                     reclaimed += group.young_bytes - surv_bytes
                     self._live.young -= group.young_bytes - surv_bytes
                     group.young_objects = survivors
@@ -240,8 +248,7 @@ class SimHeap:
         )
         self._record_gc(event)
 
-        if (self.old_used_bytes
-                > self.config.full_gc_threshold * self.old_capacity):
+        if self.old_used_bytes > FULL_GC_THRESHOLD * self.old_capacity:
             self.full_gc()
         if self.old_used_bytes > self.old_capacity:
             # Promotion overflowed the old generation and the full
@@ -313,7 +320,7 @@ class SimHeap:
             # Even when it fits, crossing the occupancy threshold triggers
             # a (possibly futile) full collection first — §2.2's pathology.
             if (self.old_used_bytes + nbytes
-                    > self.config.full_gc_threshold * self.old_capacity):
+                    > FULL_GC_THRESHOLD * self.old_capacity):
                 self.full_gc()
             return
         self.full_gc()

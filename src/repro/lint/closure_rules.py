@@ -24,10 +24,10 @@ the acceptance tests pin that property.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 from ..analysis.closures import ClosureReport, analyze_value
-from ..spark.closure_guard import UdfSite
 from ..spark.context import DecaContext
 from ..spark.metrics import TaskMetrics
 from ..spark.rdd import RDD, ShuffledRDD
@@ -40,6 +40,16 @@ MAX_DIFFERENTIAL_RDDS = 16
 
 #: How many leading records of a replay are compared.
 MAX_DIFF_RECORDS = 4096
+
+
+@dataclass(frozen=True)
+class UdfSite:
+    """One user function attached to the lineage graph."""
+
+    rdd_id: int
+    rdd_name: str
+    kind: str               # "map" | "filter" | ... | "merge" | "partitioner"
+    fn: Callable[..., Any]
 
 
 def app_sites(ctx: DecaContext) -> Iterator[UdfSite]:

@@ -112,19 +112,12 @@ class PageGroup:
                  heap: SimHeap | None = None,
                  on_reclaim: Callable[["PageGroup"], None] | None = None,
                  on_resize: Callable[["PageGroup", int], None] | None = None,
-                 allocator: Callable[[int], bytearray | memoryview]
-                 | None = None,
                  ) -> None:
         if page_bytes <= 0:
             raise PageError(f"page size must be positive: {page_bytes}")
         self.name = name
         self.page_bytes = page_bytes
         self.heap = heap
-        # Page-buffer source: ``None`` allocates process-private
-        # bytearrays; a segment-backed group passes a bump allocator over
-        # a shared-memory segment (repro.exec.shm), so its record bytes
-        # are readable in place from other processes.
-        self.allocator = allocator
         self.pages: list[Page] = []
         self.refcount = 0
         self.reclaimed = False
@@ -219,8 +212,7 @@ class PageGroup:
         return PagePointer(page.index, offset, size)
 
     def _new_page(self, nbytes: int) -> Page:
-        buffer = self.allocator(nbytes) if self.allocator else None
-        page = Page(len(self.pages), nbytes, buffer=buffer)
+        page = Page(len(self.pages), nbytes)
         if self.heap is not None and self._alloc_group is not None:
             # One byte array object on the simulated heap.
             self.heap.allocate(self._alloc_group, 1, array_bytes(1, nbytes))

@@ -36,6 +36,13 @@ from ..obs.tracer import Tracer
 from ..obs.vclock import VClockChecker
 from ..simtime import SimClock
 
+# Spark 1.6's defaults: the arena manages this fraction of the heap
+# (``spark.memory.fraction``; the rest is user/metadata headroom), and
+# storage is never evicted below this fraction of the arena when
+# execution borrows (``spark.memory.storageFraction``).
+MEMORY_FRACTION = 0.75
+STORAGE_REGION_FRACTION = 0.5
+
 # -- shadow-validation hooks ------------------------------------------------
 # ``repro.lint``'s shadow validator registers an observer here to record
 # every arena transition (event name plus its integer/string payload).
@@ -166,8 +173,8 @@ class StaticMemoryArena:
 class UnifiedMemoryManager:
     """One execution+storage arena per executor (Spark 1.6 semantics).
 
-    Sizing: the arena manages ``config.arena_bytes`` of the executor's
-    heap; ``config.storage_region_bytes`` of it is the storage region
+    Sizing: the arena manages ``MEMORY_FRACTION`` of the executor's
+    heap; ``STORAGE_REGION_FRACTION`` of it is the storage region
     execution can never evict into.  Two counters partition the arena —
     ``execution_used`` and ``storage_used`` — with the invariant that
     their sum never exceeds the total (pinned storage growth excepted,
@@ -190,8 +197,8 @@ class UnifiedMemoryManager:
                  tracer: Optional[Tracer] = None,
                  pid: int = 0) -> None:
         self.config = config
-        self.total = config.arena_bytes
-        self.storage_region = config.storage_region_bytes
+        self.total = int(config.heap_bytes * MEMORY_FRACTION)
+        self.storage_region = int(self.total * STORAGE_REGION_FRACTION)
         self.clock = clock
         self.tracer = tracer
         self.pid = pid

@@ -42,7 +42,6 @@ from .rdd import (
     UdtInfo,
 )
 from .faults import FaultInjector
-from .closure_guard import ClosureGuard
 from .scheduler import DAGScheduler, TaskContext
 from .executor import Executor
 from .shuffle import ShuffleBlockStore
@@ -105,8 +104,6 @@ class DecaContext:
         for executor in self.executors:
             executor.fault_injector = self.fault_injector
         self.scheduler = DAGScheduler(self)
-        # Retry policy for nondeterministic UDFs (docs/closure_analysis.md).
-        self.closure_guard = ClosureGuard(self)
         # Driver-side alias sanitizer: audits shm segment ownership (the
         # mp backend's registry); executors carry their own ledgers for
         # mmap extents.  None unless config.sanitize — zero overhead off.

@@ -8,17 +8,20 @@ rebuilt.  :class:`FaultInjector` supplies the failures; the DAG scheduler
 
 Two injection styles compose:
 
-* **probabilistic** — per-attempt kill / executor-crash / fetch-corruption
-  probabilities drawn from one seeded ``random.Random``, so a run's entire
-  failure sequence is a pure function of the seed and the (deterministic)
+* **probabilistic** — per-attempt kill and fetch-corruption probabilities
+  drawn from one seeded ``random.Random``, so a run's entire failure
+  sequence is a pure function of the seed and the (deterministic)
   execution order;
 * **scripted** — exact :class:`~repro.config.ScriptedFault` points, for
   tests that need a failure at stage 2, partition 3, attempt 0 and nowhere
-  else.
+  else (the only way to crash an executor).
 
 The injector never sleeps, never reads wall time and never touches the
 process RNG: fault runs are reproducible bit-for-bit (the determinism CI
 job asserts two seeded runs emit identical metrics JSON).
+
+The recovery constants the scheduler applies (``spark.task.maxFailures``
+and friends) live here too.
 """
 
 from __future__ import annotations
@@ -32,6 +35,23 @@ from ..config import FaultConfig, ScriptedFault
 TASK_KILL = "task-kill"
 EXECUTOR_CRASH = "executor-crash"
 FETCH_CORRUPT = "fetch-corrupt"
+
+#: Probabilistic kills strike after 0..MAX_KILL_OPS-1 compute charges, so
+#: partially-executed tasks leave state the recovery must clean up.
+MAX_KILL_OPS = 32
+#: A task's attempts before its stage aborts (sim and mp backends alike).
+MAX_TASK_FAILURES = 4
+#: Capped exponential retry backoff, paid on the simulated clock:
+#: ``RETRY_BACKOFF_MS * RETRY_BACKOFF_FACTOR ** (failures - 1)``, at most
+#: ``RETRY_BACKOFF_MAX_MS``.
+RETRY_BACKOFF_MS = 50.0
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_BACKOFF_MAX_MS = 1000.0
+#: Simulated time a crashed executor's replacement takes to come up.
+EXECUTOR_RESTART_MS = 500.0
+#: With speculation on, a task slower than this multiple of its stage's
+#: median duration is re-launched.
+SPECULATION_MULTIPLIER = 1.5
 
 
 @dataclass(frozen=True)
@@ -82,14 +102,10 @@ class FaultInjector:
             return self._record(TaskFaultPlan(scripted.kind,
                                               scripted.after_ops))
         cfg = self.config
-        if cfg.executor_crash_prob > 0.0 \
-                and self._rng.random() < cfg.executor_crash_prob:
-            return self._record(TaskFaultPlan(
-                EXECUTOR_CRASH, self._rng.randrange(cfg.max_kill_ops)))
         if cfg.task_kill_prob > 0.0 \
                 and self._rng.random() < cfg.task_kill_prob:
             return self._record(TaskFaultPlan(
-                TASK_KILL, self._rng.randrange(cfg.max_kill_ops)))
+                TASK_KILL, self._rng.randrange(MAX_KILL_OPS)))
         return None
 
     # -- shuffle fetches ---------------------------------------------------

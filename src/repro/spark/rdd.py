@@ -464,7 +464,7 @@ class MapPartitionsRDD(RDD):
         self._record_cost_ms = record_cost_ms
         self._transformed: bool | None = None
         # Set by map/filter/flat_map/map_partitions: the record UDF, read
-        # by the optimizer, the closure guard and the closure lint.
+        # by the optimizer and the closure lint.
         self._record_fn: Callable[[Any], Any] | None = None
         self._record_kind: str | None = None
 

@@ -11,8 +11,8 @@ Tasks may fail (see :mod:`repro.spark.faults`); the scheduler recovers:
 
 * a **killed task attempt** is retried on the next executor after a capped
   exponential backoff on the simulated clock, up to
-  ``faults.max_task_failures`` attempts — then the stage aborts with a
-  clean :class:`~repro.errors.StageAbortError`;
+  ``MAX_TASK_FAILURES`` attempts — then the stage aborts with a clean
+  :class:`~repro.errors.StageAbortError`;
 * a **lost executor** has its cache blocks and shuffle map outputs
   invalidated; the lineage that produced those outputs is re-executed on
   the surviving topology before the failed task retries;
@@ -34,6 +34,14 @@ from ..errors import (
     FetchFailedError,
     StageAbortError,
     TaskKilledError,
+)
+from .faults import (
+    EXECUTOR_RESTART_MS,
+    MAX_TASK_FAILURES,
+    RETRY_BACKOFF_FACTOR,
+    RETRY_BACKOFF_MAX_MS,
+    RETRY_BACKOFF_MS,
+    SPECULATION_MULTIPLIER,
 )
 from .metrics import JobMetrics, StageMetrics, TaskMetrics
 from .rdd import Dependency, RDD, ShuffleDependency
@@ -353,19 +361,16 @@ class DAGScheduler:
 
     def _check_abort(self, stage: Stage, split: int, failures: int,
                      exc: Exception) -> None:
-        max_failures = self.ctx.config.faults.max_task_failures
-        if failures >= max_failures:
+        if failures >= MAX_TASK_FAILURES:
             raise StageAbortError(stage.stage_id, split, failures,
                                   exc) from exc
 
     def _backoff_deadline(self, executor: "Executor", failures: int,
                           recovery) -> float:
         """Capped exponential backoff, paid on the simulated clock."""
-        cfg = self.ctx.config.faults
         wait = min(
-            cfg.retry_backoff_ms * cfg.retry_backoff_factor
-            ** (failures - 1),
-            cfg.retry_backoff_max_ms)
+            RETRY_BACKOFF_MS * RETRY_BACKOFF_FACTOR ** (failures - 1),
+            RETRY_BACKOFF_MAX_MS)
         recovery.recovery_ms += wait
         return executor.clock.now_ms + wait
 
@@ -377,7 +382,7 @@ class DAGScheduler:
         """Invalidate a lost executor's state and re-run lineage.
 
         The executor's cache blocks and shuffle outputs are gone; a fresh
-        process replaces it after ``executor_restart_ms``.  Every map
+        process replaces it after ``EXECUTOR_RESTART_MS``.  Every map
         output it held is regenerated from lineage right away (parents
         first — the lost pairs are sorted by shuffle id, and parent
         shuffles have lower ids than the children that read them).
@@ -389,8 +394,8 @@ class DAGScheduler:
         recovery.executors_lost += 1
         lost = ctx.shuffle_store.remove_executor_outputs(
             executor.executor_id)
-        executor.restart(ctx.config.faults.executor_restart_ms)
-        recovery.recovery_ms += ctx.config.faults.executor_restart_ms
+        executor.restart(EXECUTOR_RESTART_MS)
+        recovery.recovery_ms += EXECUTOR_RESTART_MS
         for shuffle_id, map_part in lost:
             if (shuffle_id, map_part) == exclude:
                 continue
@@ -404,11 +409,6 @@ class DAGScheduler:
             # The shuffle never ran (output lost before production) —
             # nothing to regenerate; the stage loop will produce it.
             return
-        # Re-running the lineage of a nondeterministic UDF can regenerate
-        # *different* records than the lost output; warn mode logs it
-        # (recovery still beats an unrecoverable job), strict raises.
-        self.ctx.closure_guard.check_reexecution(
-            stage.rdd, stage.stage_id, stage.shuffle_dep)
         recovery = job_metrics.recovery
         recovery.recomputed_partitions += 1
         stage_metrics = StageMetrics(
@@ -435,13 +435,7 @@ class DAGScheduler:
         Shuffle-map duplicates write into a throwaway block store so the
         committed map outputs stay those of the winning attempt.
         """
-        cfg = self.ctx.config.faults
-        if not cfg.speculation:
-            return
-        # Speculation is only an optimisation: a stage whose UDFs are
-        # nondeterministic simply is not duplicated (strict mode raises).
-        if not self.ctx.closure_guard.allow_speculation(
-                stage.rdd, stage.stage_id, stage.shuffle_dep):
+        if not self.ctx.config.faults.speculation:
             return
         winners: dict[int, TaskMetrics] = {}
         for metrics in stage_metrics.tasks:
@@ -451,7 +445,7 @@ class DAGScheduler:
             return
         durations = sorted(m.duration_ms for m in winners.values())
         median = durations[len(durations) // 2]
-        threshold = median * cfg.speculation_multiplier
+        threshold = median * SPECULATION_MULTIPLIER
         if threshold <= 0.0:
             return
         if body is None:

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from ..core.plan import ContainerPlan
-from ..errors import FetchFailedError, ShuffleError
+from ..errors import AllocationError, FetchFailedError, ShuffleError
 from ..jvm.objects import Lifetime
 from ..memory.unified import UnifiedMemoryManager
-from .measure import RecordFootprint, measure_generic
+# Re-exported: benchmarks/perf's wrapper self-test reads this module's
+# binding of the generic measurer.
+from .measure import measure_generic as measure_generic
 
 if TYPE_CHECKING:
     from ..exec.shm import SegmentRef
@@ -125,10 +127,6 @@ class ShuffleBlockStore:
         return sorted(lost)
 
 
-def _default_measure(value) -> RecordFootprint:
-    return measure_generic(value)
-
-
 # "No combined entry yet" — not ``None``, which is a legal value
 # (``distinct()`` shuffles ``(record, None)`` pairs).
 _NO_ENTRY = object()
@@ -141,8 +139,9 @@ class MapSideWriter:
                  num_reduce: int,
                  partitioner: Callable[[Any], int],
                  kind: ShuffleKind,
+                 plan: ContainerPlan,
                  merge_value: Callable[[Any, Any], Any] | None = None,
-                 plan: ContainerPlan | None = None) -> None:
+                 ) -> None:
         if kind is ShuffleKind.COMBINE and merge_value is None:
             raise ShuffleError("combine shuffles need a merge function")
         self.executor = executor
@@ -152,11 +151,9 @@ class MapSideWriter:
         self.partitioner = partitioner
         self.kind = kind
         self.merge_value = merge_value
-        # No plan: Spark's object-form buffer of generically sized records.
-        self.plan = plan or ContainerPlan(
-            target=f"shuffle:{shuffle_id}", udt=None, local_size_type=None,
-            global_size_type=None, decomposed=False, reason="no plan given")
-        self.measure = self.plan.measure or _default_measure
+        self.plan = plan
+        # Every shuffle plan carries its records' measurer.
+        self.measure = plan.measure
         # Data plane: combined entries or append lists per reduce part.
         self._combine: list[dict[Any, Any]] = [dict()
                                                for _ in range(num_reduce)]
@@ -260,12 +257,21 @@ class MapSideWriter:
         new_pages = pages_after - pages_before
         if self._buffer_bytes == 0 and nbytes > 0:
             new_pages += 1  # the first page
-        self.executor.heap.allocate(self._buffer_group, new_pages, nbytes)
-        self._buffer_bytes += nbytes
-        self._charge_arena(nbytes)
+        self._account_buffer(new_pages, nbytes)
 
     def _account_buffer(self, objects: int, nbytes: int) -> None:
-        self.executor.heap.allocate(self._buffer_group, objects, nbytes)
+        group = self._buffer_group
+        try:
+            self.executor.heap.allocate(group, objects, nbytes)
+        except AllocationError:
+            if group is self._buffer_group:
+                raise
+            # Heap pressure spilled this very writer mid-allocation (the
+            # unified arena's release path): the record opens the fresh
+            # buffer epoch, decomposed bytes on a fresh page.
+            if self.plan.decomposed:
+                objects = nbytes // self._page_bytes + 1
+            self.executor.heap.allocate(self._buffer_group, objects, nbytes)
         self._buffer_bytes += nbytes
         self._charge_arena(nbytes)
 

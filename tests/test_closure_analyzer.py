@@ -2,7 +2,8 @@
 
 Every rule of the DECA2xx family gets a positive and (via the clean
 closures) a negative case; the bounded call-graph walk, the pragma
-suppression and the ``analyze_value`` builtin handling are pinned too.
+suppression and the ``analyze_value`` builtin handling are pinned too,
+and so is the lint consumer's static-plus-differential detection.
 """
 
 import os
@@ -17,6 +18,9 @@ from repro.analysis.closures import (
     code_location,
     iter_hazard_rules,
 )
+from repro.config import DecaConfig, ExecutionMode, MB
+from repro.lint import run_closure_rules
+from repro.spark import DecaContext
 
 
 def rules_of(fn, **kwargs):
@@ -280,3 +284,36 @@ class TestReportShape:
             return x
 
         assert code_location(probe.__code__).startswith("tests/")
+
+
+class TestSyntheticUdfCaughtBothWays:
+    """One nondeterministic UDF caught statically (DECA202) AND
+    differentially (DECA211) by the lint double-run."""
+
+    @staticmethod
+    def make_ctx():
+        return DecaContext(DecaConfig(mode=ExecutionMode.SPARK,
+                                      heap_bytes=32 * MB, num_executors=2,
+                                      tasks_per_executor=2))
+
+    def test_static_and_differential_detection(self):
+        ctx = self.make_ctx()
+        rdd = ctx.parallelize(list(range(64)), 4, name="syn.input") \
+                 .map(lambda x: (x, random.random()), name="syn.nondet")
+        assert rdd is not None
+        findings, summary = run_closure_rules("synthetic", ctx)
+        rules = {f.rule_id for f in findings}
+        assert "DECA202" in rules, "static detection failed"
+        assert "DECA211" in rules, "differential detection failed"
+        assert summary["udfs_nondeterministic"] >= 1
+        assert summary["double_run_mismatches"] >= 1
+
+    def test_deterministic_udf_never_diverges(self):
+        """A double-run never contradicts a deterministic verdict."""
+        ctx = self.make_ctx()
+        ctx.parallelize(list(range(64)), 4, name="det.input") \
+           .map(lambda x: (x % 4, x * x), name="det.square")
+        findings, summary = run_closure_rules("synthetic", ctx)
+        assert not any(f.rule_id == "DECA211" for f in findings)
+        assert summary["double_run_mismatches"] == 0
+        assert summary["double_runs"] >= 1

@@ -53,14 +53,6 @@ class TestDecaConfigValidation:
         with pytest.raises(ConfigError):
             DecaConfig(storage_fraction=0.8, shuffle_fraction=0.3)
 
-    def test_rejects_negative_tenuring(self):
-        with pytest.raises(ConfigError):
-            DecaConfig(tenuring_threshold=-1)
-
-    def test_rejects_bad_survival_rate(self):
-        with pytest.raises(ConfigError):
-            DecaConfig(temp_survival_rate=1.5)
-
 
 class TestDecaConfigViews:
     def test_generations_partition_heap(self):

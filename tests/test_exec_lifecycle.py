@@ -18,12 +18,14 @@ Every context runs with ``sanitize=True``: ``ctx.finish()`` raises on any
 provenance or vector-clock violation.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -209,6 +211,18 @@ def residue():
             sorted(os.listdir("/proc/self/fd")))
 
 
+def baseline():
+    """``residue()`` before a job, with what no job of the test owns
+    settled first.  An earlier test's finished context can hold tier
+    mappings (each with its own descriptor) in reference cycles until
+    the collector runs — which must not be in the middle of this test.
+    And the first mp backend of the process starts the process-wide
+    resource tracker (one pipe, kept)."""
+    gc.collect()
+    resource_tracker.ensure_running()
+    return residue()
+
+
 @pytest.fixture
 def clean_ctx():
     """A sanitizing mp context factory; whatever the test did to its
@@ -220,9 +234,7 @@ def clean_ctx():
     def make(**overrides):
         ctx = DecaContext(config(**overrides))
         if not before:
-            # Taken after the first backend exists: building it starts
-            # the process-wide resource tracker (one pipe, kept).
-            before.append(residue())
+            before.append(baseline())
         made.append(ctx)
         return ctx
 
@@ -260,7 +272,7 @@ class TestNothingOutlivesTheJob:
         in place; the retry (on a fresh fork, after a crash) reads them
         again and the answer is the fault-free one."""
         edges = cell_inputs(nodes=80, edges=400)["edges"]
-        before = residue()
+        before = baseline()
         clean = run_pagerank(edges, config("sim"), iterations=3,
                              num_partitions=4)
         run = run_pagerank(edges, config(faults=FaultConfig(scripted=(

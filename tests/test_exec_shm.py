@@ -30,7 +30,6 @@ from repro.exec.shm import (
     unlink_segment,
 )
 from repro.memory.layout import PrimitiveSlot, RecordSchema
-from repro.memory.page import PageGroup
 from repro.spark import DecaContext
 
 pytestmark = pytest.mark.skipif(
@@ -197,14 +196,16 @@ class TestRegistry:
 
 class TestManagerIntegration:
     def test_shared_group_packs_into_segment(self, seg_name):
-        """A writer-side group allocates its pages straight out of the
-        shared mapping; a reader attaches the segment and scans them."""
+        """A writer packs records into a buffer bump-allocated out of the
+        shared mapping; a reader attaches the segment and scans it as a
+        page group."""
         total = sum(PAIR.size_of(p) for p in PAIRS)
         segment = SharedPageSegment(seg_name, total, create=True)
-        group = PageGroup("w", total, allocator=segment.allocate)
+        buf = segment.allocate(total)
+        offset = 0
         for pair in PAIRS:
-            group.append_record(PAIR, pair)
-        group.reclaim()     # drop the write views before detaching
+            offset = PAIR.pack_into(buf, offset, pair)
+        buf.release()       # drop the write view before detaching
         segment.close()
 
         ref = SegmentRef(name=seg_name, nbytes=total, count=len(PAIRS))

@@ -7,6 +7,7 @@ on the simulated clocks deterministically.
 """
 
 import json
+import random
 
 import pytest
 
@@ -20,6 +21,13 @@ from repro.config import (
 )
 from repro.errors import StageAbortError
 from repro.spark import DecaContext, FaultInjector
+from repro.spark.faults import (
+    EXECUTOR_RESTART_MS,
+    MAX_TASK_FAILURES,
+    RETRY_BACKOFF_FACTOR,
+    RETRY_BACKOFF_MAX_MS,
+    RETRY_BACKOFF_MS,
+)
 
 
 def make_ctx(faults=None, **overrides):
@@ -111,28 +119,26 @@ class TestTaskRetry:
         assert attempts[0].executor_id != attempts[1].executor_id
 
     def test_retry_pays_backoff_on_the_simulated_clock(self):
-        faults = FaultConfig(
-            retry_backoff_ms=40.0, retry_backoff_factor=2.0,
-            retry_backoff_max_ms=100.0,
-            scripted=(
-                ScriptedFault("task-kill", stage_id=0, partition=1,
-                              attempt=0),
-                ScriptedFault("task-kill", stage_id=0, partition=1,
-                              attempt=1),
-            ))
+        faults = FaultConfig(scripted=(
+            ScriptedFault("task-kill", stage_id=0, partition=1, attempt=0),
+            ScriptedFault("task-kill", stage_id=0, partition=1, attempt=1),
+        ))
         ctx = make_ctx(faults)
         assert wordcount(ctx) == expected_counts()
         recovery = ctx.finish().recovery
         assert recovery.task_failures == 2
-        # Backoffs: 40 after the first failure, 80 after the second.
-        assert recovery.recovery_ms == pytest.approx(120.0)
+        # Backoffs: 50 after the first failure, 100 after the second.
+        expected = sum(
+            min(RETRY_BACKOFF_MS * RETRY_BACKOFF_FACTOR ** n,
+                RETRY_BACKOFF_MAX_MS) for n in range(2))
+        assert expected == 150.0
+        assert recovery.recovery_ms == pytest.approx(expected)
 
     def test_stage_aborts_after_max_task_failures(self):
-        ctx = make_ctx(FaultConfig(task_kill_prob=1.0,
-                                   max_task_failures=3))
+        ctx = make_ctx(FaultConfig(task_kill_prob=1.0))
         with pytest.raises(StageAbortError) as info:
             wordcount(ctx)
-        assert info.value.failures == 3
+        assert info.value.failures == MAX_TASK_FAILURES
 
     def test_mid_task_kill_leaves_no_leaked_heap_groups(self):
         ctx = make_ctx(FaultConfig(scripted=(
@@ -167,8 +173,7 @@ class TestExecutorLoss:
         # The crashed executor held two of the four map partitions.
         assert recovery.recomputed_partitions == 2
         assert sum(e.lost_count for e in ctx.executors) == 1
-        restart_ms = ctx.config.faults.executor_restart_ms
-        assert recovery.recovery_ms > restart_ms
+        assert recovery.recovery_ms > EXECUTOR_RESTART_MS
         # The recompute stages are visible in the job's metrics.
         names = [s.name for s in run.jobs[0].stages]
         assert names.count("recompute:shuffle-map:ft.pairs") == 2
@@ -248,6 +253,20 @@ class TestFetchFailure:
         assert any(s.name.startswith("recompute:")
                    for s in run.jobs[0].stages)
 
+    def test_nondeterministic_udf_recomputes_unchecked(self):
+        """Lineage re-execution runs a nondeterministic map UDF again
+        without consulting the closure analyzer."""
+        ctx = make_ctx(FaultConfig(scripted=(
+            ScriptedFault("fetch-corrupt", map_part=0, reduce_part=0),)))
+        pairs = ctx.parallelize([(i % 20, 1) for i in range(400)], 4,
+                                name="ft.input") \
+                   .map(lambda kv: (kv[0], kv[1] + int(random.random() * 0.0)),
+                        name="ft.jitter")
+        counts = pairs.reduce_by_key(lambda a, b: a + b, 4, name="ft.counts")
+        assert sum(dict(counts.collect()).values()) == 400
+        assert not ctx.tracer.by_category("closure")
+        assert ctx.finish().recovery.recomputed_partitions >= 1
+
     def test_crash_in_later_job_recomputes_reused_shuffle(self):
         # A shuffle produced by job 1 is reused by job 2; an executor
         # crash during job 2 must regenerate the lost job-1 map outputs
@@ -272,8 +291,7 @@ class TestFetchFailure:
 class TestSpeculation:
     @staticmethod
     def _skewed_ctx():
-        faults = FaultConfig(speculation=True, speculation_multiplier=1.2)
-        return make_ctx(faults)
+        return make_ctx(FaultConfig(speculation=True))
 
     def test_straggler_duplicate_never_changes_results(self):
         ctx = self._skewed_ctx()
@@ -300,9 +318,21 @@ class TestSpeculation:
                      for t in s.tasks if not t.speculative}
         assert {t.task_id for t in spec} <= originals
 
+    def test_nondeterministic_stage_still_speculates(self):
+        """A straggler stage is duplicated whatever its UDFs do; no
+        closure analysis runs."""
+        ctx = self._skewed_ctx()
+        data = [("hot" if i % 10 else f"cold{i}", 1) for i in range(3000)]
+        lens = ctx.parallelize(data, 4, name="sp.pairs") \
+                  .group_by_key(4, name="sp.groups") \
+                  .map(lambda kv: (kv[0], len(kv[1]) + int(0 * random.random())),
+                       name="sp.lens")
+        assert dict(lens.collect())["hot"] == 2700
+        assert not ctx.tracer.by_category("closure")
+        assert ctx.finish().recovery.speculative_tasks >= 1
+
     def test_no_speculation_without_stragglers(self):
-        ctx = make_ctx(FaultConfig(speculation=True,
-                                   speculation_multiplier=100.0))
+        ctx = make_ctx(FaultConfig(speculation=True))
         assert wordcount(ctx) == expected_counts()
         assert ctx.finish().recovery.speculative_tasks == 0
 

@@ -1,10 +1,13 @@
 """Tests for repro.jvm.heap — the generational simulated heap."""
 
+import math
+
 import pytest
 
 from repro.config import DecaConfig, GcAlgorithm, MB
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.jvm import GcKind, Lifetime, SimHeap
+from repro.jvm.heap import TEMP_SURVIVAL_RATE
 from repro.jvm.objects import AllocationGroup
 from repro.simtime import SimClock
 
@@ -125,21 +128,23 @@ class TestMinorGc:
         assert heap.stats.minor_count >= 1
 
     def test_temporaries_mostly_die(self):
-        heap = make_heap(temp_survival_rate=0.0)
+        heap = make_heap()
         temp = heap.new_group("temp", Lifetime.TEMPORARY)
         heap.allocate(temp, 1000, 100_000)
         heap.minor_gc()
-        assert temp.live_objects == 0
-        assert heap.young_used_bytes == 0
+        # Only the survival fraction outlives the scavenge.
+        assert temp.live_objects == math.ceil(1000 * TEMP_SURVIVAL_RATE) == 10
+        assert heap.young_used_bytes == math.ceil(100_000 * TEMP_SURVIVAL_RATE)
 
     def test_survivor_fraction_ages_then_dies(self):
-        heap = make_heap(temp_survival_rate=0.1)
+        heap = make_heap()
         temp = heap.new_group("temp", Lifetime.TEMPORARY)
         heap.allocate(temp, 1000, 100_000)
         heap.minor_gc()
-        assert temp.young_objects == 100  # 10% survived
+        assert temp.young_objects == 10  # 1% survived
         heap.minor_gc()
         assert temp.young_objects == 0  # survivors died at the next cycle
+        assert heap.young_used_bytes == 0
 
     def test_pinned_objects_promote(self):
         heap = make_heap()

@@ -13,6 +13,8 @@ from repro.config import DecaConfig, ExecutionMode, MB
 from repro.core.plan import ContainerPlan
 from repro.errors import ConfigError
 from repro.memory.unified import (
+    MEMORY_FRACTION,
+    STORAGE_REGION_FRACTION,
     StaticMemoryArena,
     UnifiedMemoryManager,
     add_memory_observer,
@@ -21,7 +23,7 @@ from repro.memory.unified import (
 )
 from repro.spark import DecaContext
 from repro.spark.cache import CachedBlock, StorageStrategy
-from repro.spark.measure import RecordFootprint
+from repro.spark.measure import RecordFootprint, measure_generic
 from repro.spark.shuffle import MapSideWriter, ShuffleKind
 
 
@@ -69,15 +71,12 @@ class TestConfig:
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
             config(memory_mode="fancy")
-        with pytest.raises(ConfigError):
-            config(memory_fraction=0.0)
-        with pytest.raises(ConfigError):
-            config(storage_region_fraction=1.5)
 
     def test_arena_sizing(self):
-        cfg = config(memory_fraction=0.75, storage_region_fraction=0.5)
-        assert cfg.arena_bytes == int(cfg.heap_bytes * 0.75)
-        assert cfg.storage_region_bytes == cfg.arena_bytes // 2
+        arena = unified()
+        assert (MEMORY_FRACTION, STORAGE_REGION_FRACTION) == (0.75, 0.5)
+        assert arena.total == int(arena.config.heap_bytes * 0.75)
+        assert arena.storage_region == arena.total // 2
 
     def test_factory_picks_mode(self):
         assert isinstance(create_memory_arena(config()),
@@ -263,9 +262,13 @@ class TestSharedShufflePoolRegression:
     """Satellite: concurrent writers must share one static pool."""
 
     def make_writer(self, exe, shuffle_id):
+        plan = ContainerPlan(
+            target=f"shuffle:{shuffle_id}", udt=None, local_size_type=None,
+            global_size_type=None, decomposed=False, reason="test",
+            measure=measure_generic)
         return MapSideWriter(exe, shuffle_id=shuffle_id, map_part=0,
                              num_reduce=2, partitioner=lambda k: k,
-                             kind=ShuffleKind.GROUP)
+                             kind=ShuffleKind.GROUP, plan=plan)
 
     def test_concurrent_writers_spill_at_combined_threshold(self):
         exe = DecaContext(config(heap_bytes=8 * MB,
@@ -387,7 +390,9 @@ class TestUnifiedEndToEnd:
     def test_reduce_merge_spills_reach_the_run_metrics(self, mode):
         """A heap this small denies the reduce-side merge its grant, so
         `ReduceMergeConsumer.spill` runs; what it wrote out is counted
-        with the map side's spills, and nothing stays charged."""
+        with the map side's spills, and nothing stays charged.  Heap
+        pressure also spills map-side writers in the middle of their own
+        buffer allocation, which must land in the fresh buffer."""
         from repro.apps.wordcount import run_wordcount
         from repro.data import random_words
 
@@ -395,9 +400,8 @@ class TestUnifiedEndToEnd:
             return run_wordcount(
                 random_words(30_000, 8_000),
                 DecaConfig(mode=mode, memory_mode=memory_mode,
-                           heap_bytes=96 * 1024, num_executors=1,
-                           tasks_per_executor=4, page_bytes=4 * 1024,
-                           memory_fraction=0.5),
+                           heap_bytes=64 * 1024, num_executors=1,
+                           tasks_per_executor=4, page_bytes=4 * 1024),
                 num_partitions=8)
 
         got = run("unified")

@@ -6,6 +6,7 @@ from repro.config import CpuCosts, DecaConfig, IoCosts, MB, SerializerCosts
 from repro.core.plan import ContainerPlan
 from repro.errors import ShuffleError
 from repro.spark import DecaContext
+from repro.spark.measure import measure_generic
 from repro.spark.shuffle import (
     MapOutputBlock,
     MapSideWriter,
@@ -18,7 +19,8 @@ from repro.spark.shuffle import (
 def shuffle_plan(decomposed=False, **flags):
     return ContainerPlan(target="shuffle:0:unit", udt=None,
                          local_size_type=None, global_size_type=None,
-                         decomposed=decomposed, reason="unit test", **flags)
+                         decomposed=decomposed, reason="unit test",
+                         measure=measure_generic, **flags)
 
 
 def executor(**overrides):
@@ -68,7 +70,7 @@ class TestMapSideWriter:
         exe = executor()
         with pytest.raises(ShuffleError):
             MapSideWriter(exe, 0, 0, 2, lambda k: k,
-                          ShuffleKind.COMBINE)
+                          ShuffleKind.COMBINE, shuffle_plan())
 
     def test_eager_combining_merges_per_key(self):
         exe, writer = self.make_writer()
@@ -211,7 +213,8 @@ class TestSpillMerge:
                               storage_fraction=0.1)
         writer = MapSideWriter(
             exe_writer, shuffle_id=0, map_part=0, num_reduce=1,
-            partitioner=lambda k: 0, kind=ShuffleKind.GROUP)
+            partitioner=lambda k: 0, kind=ShuffleKind.GROUP,
+            plan=shuffle_plan())
         writer.write_all([(k, "x" * 50) for k in range(2000)])
         assert writer.spilled_bytes > 0
         store = ShuffleBlockStore()
@@ -259,7 +262,8 @@ class TestSpillMerge:
                                        deca_read_per_object_ms=0.0))
         writer = MapSideWriter(
             exe, shuffle_id=0, map_part=0, num_reduce=1,
-            partitioner=lambda k: 0, kind=ShuffleKind.GROUP)
+            partitioner=lambda k: 0, kind=ShuffleKind.GROUP,
+            plan=shuffle_plan())
         writer.write_all([(k, "x" * 50) for k in range(2000)])
         assert writer.spill_count >= 2
         spills = [e for e in exe.tracer.events
@@ -282,7 +286,8 @@ class TestSpillMerge:
         num_reduce = 3
         writer = MapSideWriter(
             exe, shuffle_id=0, map_part=0, num_reduce=num_reduce,
-            partitioner=lambda k: k, kind=ShuffleKind.GROUP)
+            partitioner=lambda k: k, kind=ShuffleKind.GROUP,
+            plan=shuffle_plan())
         writer.write_all([(k, "x" * (50 + k % 7)) for k in range(2000)])
         assert writer.spilled_bytes > 0
         assert writer.spilled_bytes % num_reduce != 0, \
@@ -300,7 +305,7 @@ class TestSpillMerge:
         writer = MapSideWriter(
             exe, shuffle_id=1, map_part=0, num_reduce=1,
             partitioner=lambda k: 0, kind=ShuffleKind.COMBINE,
-            merge_value=lambda a, b: a + b)
+            merge_value=lambda a, b: a + b, plan=shuffle_plan())
         writer.write_all([(1, 1), (2, 2)])
         store = ShuffleBlockStore()
         writer.flush(store)
