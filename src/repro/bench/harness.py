@@ -553,8 +553,8 @@ def run_sql_swap_roundtrip(rankings_rows: int = 4_000,
     as raw page bytes, swap back in as adopted pages, and every query
     must reproduce its resident digest — with ``swap_copy_bytes == 0``
     (no serializer pass anywhere) and the provenance ledger clean.
-    With ``cold_tier="heap"`` demotion drops the relations and the
-    re-run rebuilds them: same digests, ``swap_copy_bytes > 0``.
+    With ``cold_tier="heap"`` the pages drain into heap copies and are
+    copied back: same digests, ``swap_copy_bytes > 0``.
     """
     from ..apps.sql_queries import make_suite_engine, suite_queries
     from ..data import rankings_table, uservisits_table

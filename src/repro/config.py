@@ -249,12 +249,11 @@ class DecaConfig:
     memory_mode: str = "static"
 
     # --- cold tier (docs/memory_model.md) ---------------------------------
-    # Where swapped-out cache blocks and spilled shuffle buffers go:
-    # ``"heap"`` parks serialized/copied payloads on the Python heap and
-    # charges simulated-disk costs (the seed behaviour, byte-identical);
-    # ``"mmap"`` moves raw page bytes into a file-backed mmap extent
-    # store (repro.memory.tier) with zero-copy promotion — no ``bytes``
-    # copies and no serializer charge on the Deca path.
+    # Where swapped cache blocks, demoted SQL relations and shuffle spills
+    # go; only repro.memory.tier.cold_tier_for reads it.  ``"heap"``
+    # parks payloads and drained page copies at simulated-disk cost (the
+    # paper figures); ``"mmap"`` moves raw page bytes into file-backed
+    # extents promoted back zero-copy: no copies, no serializer charge.
     cold_tier: str = "heap"
 
     # --- runtime alias sanitizer (docs/static_analysis.md) ----------------

@@ -17,9 +17,9 @@ no per-record Python objects survive.
   interface for cache, shuffle and Deca pages, implemented by the static
   split and by Spark 1.6's unified arena (SPARK-10000, execution/storage
   borrowing and cooperative spilling);
-* :mod:`repro.memory.tier` — the mmap-backed cold tier: swapped page
-  groups move as raw bytes into file-backed extents and promote back as
-  zero-copy views (``DecaConfig.cold_tier="mmap"``).
+* :mod:`repro.memory.tier` — the cold tier: one interface for cache
+  blocks, SQL relations and shuffle spills, implemented on the heap and
+  by file-backed mmap extents promoted back as zero-copy views.
 """
 
 from .layout import (

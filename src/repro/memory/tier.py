@@ -1,12 +1,16 @@
-"""File-backed mmap cold tier for swapped page groups (ROADMAP item 4).
+"""The cold tier: where swapped containers and shuffle spills go.
 
 Deca pages hold raw wire-format bytes, so swapping a page group out does
 not need a serialize/deserialize round trip — the TeraHeap observation
 (*Garbage Collection or Serialization? Between a Rock and a Hard Place!*,
 PAPERS.md) is that paying one anyway means paying twice: once in GC
-pressure from the transient heap copies, once in serde time.  The
-:class:`PageStoreTier` is the second tier that makes the swap a plain
-byte move:
+pressure from the transient heap copies, once in serde time.
+:class:`ColdTier` is the one interface the cache store, the shuffle
+spills and the SQL engine use; :func:`cold_tier_for` is the only code
+that reads ``DecaConfig.cold_tier``.  :class:`HeapColdTier` parks
+payloads at simulated-disk cost (the paper figures' tier);
+:class:`MmapColdTier` moves page bytes into a :class:`PageStoreTier`,
+the extent store that makes the swap a plain byte move:
 
 * one **extent** per page group, carved from a file-backed ``mmap``
   region with a first-fit free list (freed extents coalesce with their
@@ -35,10 +39,14 @@ import mmap
 import os
 import tempfile
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from ..errors import PageError
+from ..jvm.objects import Lifetime
+from ..jvm.sizing import array_bytes
+from ..obs.vclock import VClockChecker
+from .page import PageGroup
 from .provenance import ProvenanceLedger, poison_fill
 
 #: Tier files are named ``repro-tier-<pid>-<seq>[-<tag>].bin`` in the
@@ -104,19 +112,7 @@ class TierStats:
     truncated_bytes: int = 0   # leftover bytes reclaimed on startup
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "swap_out_count": self.swap_out_count,
-            "swap_in_count": self.swap_in_count,
-            "drop_count": self.drop_count,
-            "bytes_moved_out": self.bytes_moved_out,
-            "bytes_moved_in": self.bytes_moved_in,
-            "spill_count": self.spill_count,
-            "spill_bytes": self.spill_bytes,
-            "extents_live": self.extents_live,
-            "extent_bytes_live": self.extent_bytes_live,
-            "file_bytes": self.file_bytes,
-            "truncated_bytes": self.truncated_bytes,
-        }
+        return asdict(self)
 
 
 class PageStoreTier:
@@ -375,3 +371,233 @@ class PageStoreTier:
     def __repr__(self) -> str:
         return (f"PageStoreTier({self.path!r}, extents="
                 f"{len(self._extents)}, file={self._size} B)")
+
+
+# -- the cold tier callers use --------------------------------------------------
+
+def _no_charge(nbytes: int) -> None:
+    """The I/O charge of an owner without a clock to charge."""
+
+
+class ColdTier:
+    """What a cold tier offers its callers, written down once.
+
+    A container is named (``cache:<key>``, ``sql:<table>``); *disk_bytes*
+    is its modelled disk image.  ``park`` holds a Python payload,
+    ``demote`` raw byte chunks (a blob) and ``demote_group`` a page
+    group's pages, reclaiming it; each returns the bytes it moved.
+    ``promote_group`` mounts one page per chunk into an empty group, in
+    order, so every ``PagePointer`` stays valid.  Payloads and chunks
+    are parked in a dict here (the heap tier's plane).  The *owner* (an
+    executor, or the SQL engine, which has no charge methods and pays
+    nothing) supplies ``heap``, ``serializer``, ``ledger``, ``tracer``,
+    ``clock`` and the :attr:`charges` methods.
+    """
+
+    #: The owner's ``(write, read)`` charge methods.
+    charges: tuple[str, str]
+
+    def __init__(self, owner: Any) -> None:
+        self.owner = owner
+        # Race sanitizer; set by the context when config.sanitize.
+        self.vclock: VClockChecker | None = None
+        write, read = self.charges
+        self._charge_write = getattr(owner, write, _no_charge)
+        self._charge_read = getattr(owner, read, _no_charge)
+        self._parked: dict[str, Any] = {}
+
+    def _open(self) -> object:
+        return None  # the mmap tier opens its file here
+
+    def park(self, name: str, payload: Any, disk_bytes: int) -> int:
+        self._open()
+        self._parked[name] = payload
+        self._charge_write(disk_bytes)
+        return 0
+
+    def demote(self, name: str, chunks: list[Any], disk_bytes: int) -> int:
+        return self.park(name, chunks, disk_bytes)
+
+    def demote_group(self, name: str, group: PageGroup,
+                     disk_bytes: int) -> int:
+        raise NotImplementedError
+
+    def promote(self, name: str, disk_bytes: int) -> Any:
+        self._charge_read(disk_bytes)
+        return self._parked.pop(name)
+
+    def promote_group(self, name: str, group: PageGroup,
+                      disk_bytes: int) -> None:
+        raise NotImplementedError
+
+    def stream(self, name: str, disk_bytes: int) -> Any:
+        self._charge_read(disk_bytes)
+        return self._parked[name]
+
+    def holds(self, name: str) -> bool:
+        return name in self._parked
+
+    def drop(self, name: str) -> None:
+        self._parked.pop(name, None)
+
+    def spill(self, nbytes: int) -> None:
+        """A shuffle spill's write (cost model only: no bytes move)."""
+        self._charge_write(nbytes)
+
+    def swap_out_args(self, moved: int) -> dict[str, int]:
+        """Extra ``cache:swap-out`` trace args."""
+        return {}
+
+    def snapshot(self) -> dict[str, int]:
+        """Counters for ``RunMetrics.tier``: none without a file."""
+        return {}
+
+    def close(self) -> None:
+        """Release the tier's file, if it opened one."""
+
+
+class HeapColdTier(ColdTier):
+    """Containers parked on the Python heap at simulated-disk cost; page
+    groups go through counted heap copies both ways."""
+
+    charges = ("charge_disk_write", "charge_disk_read")
+
+    def demote_group(self, name: str, group: PageGroup,
+                     disk_bytes: int) -> int:
+        """Drain *group* page by page, charging each copy and releasing
+        its source, so the double-buffer transient is bounded at one page
+        (not ~2x the group); the copies are freed once the disk write has
+        consumed them."""
+        heap, ledger = self.owner.heap, self.owner.ledger
+        copy_group = heap.new_group(f"swap-copy:{name}", Lifetime.PINNED)
+        if ledger is not None:
+            group.ledger = ledger
+        chunks: list[bytes] = []
+        for chunk in group.drain():
+            self.owner.serializer.note_swap_copy(len(chunk))
+            copy_bytes = array_bytes(1, len(chunk))
+            heap.allocate(copy_group, 1, copy_bytes)
+            chunks.append(chunk)
+            copy_group.shrink(copy_bytes)
+        self._parked[name] = chunks
+        self._charge_write(disk_bytes)
+        if not copy_group.freed:
+            heap.free_group(copy_group)
+        if ledger is not None:
+            ledger.release_drain(group.name)
+        return sum(len(chunk) for chunk in chunks)
+
+    def promote_group(self, name: str, group: PageGroup,
+                      disk_bytes: int) -> None:
+        for chunk in self.promote(name, disk_bytes):
+            self.owner.serializer.note_swap_copy(len(chunk))
+            group.append_run(chunk)
+
+
+class MmapColdTier(ColdTier):
+    """Bytes in a :class:`PageStoreTier` opened on the first swap (a run
+    that never swaps never touches the filesystem).  A demoted blob or
+    group is one extent, promoted back as zero-copy views; it outlives
+    the promotion, so a re-demote moves nothing, until :meth:`drop`."""
+
+    charges = ("charge_tier_write", "charge_tier_read")
+
+    def __init__(self, owner: Any, tag: str, pid: int) -> None:
+        super().__init__(owner)
+        self._tag = tag
+        self._pid = pid
+        self.extents: PageStoreTier | None = None
+
+    def _open(self) -> PageStoreTier:
+        if self.extents is None:
+            owner = self.owner
+            self.extents = PageStoreTier(
+                tracer=owner.tracer, clock=owner.clock, pid=self._pid,
+                tag=self._tag, ledger=owner.ledger, vclock=self.vclock)
+        return self.extents
+
+    def _has_extent(self, name: str) -> bool:
+        return self.extents is not None and self.extents.has(name)
+
+    def demote(self, name: str, chunks: list[Any], disk_bytes: int) -> int:
+        extents = self._open()
+        moved = 0 if extents.has(name) else extents.swap_out(name, chunks)
+        self._charge_write(moved)
+        return moved
+
+    def demote_group(self, name: str, group: PageGroup,
+                     disk_bytes: int) -> int:
+        extents = self._open()
+        # A promoted group's pages alias its extent: nothing to move.
+        moved = (0 if extents.has(name)
+                 else extents.swap_out(name, group.swap_chunks()))
+        group.reclaim()
+        self._charge_write(moved)
+        return moved
+
+    def promote(self, name: str, disk_bytes: int) -> Any:
+        if not self._has_extent(name):
+            return super().promote(name, disk_bytes)
+        self._charge_read(disk_bytes)
+        views = self._open().swap_in(name)
+        if self.owner.ledger is not None:
+            # The promoted views outlive this call on purpose.
+            self.owner.ledger.retain("extent", name)
+        return views
+
+    def promote_group(self, name: str, group: PageGroup,
+                      disk_bytes: int) -> None:
+        self._charge_read(disk_bytes)
+        for view in self._open().swap_in(name):
+            group.adopt_page(view)
+        ledger = self.owner.ledger
+        if ledger is not None:
+            # Adoption hands ownership to the page group; the ledger
+            # tracks the borrows until group.reclaim().
+            ledger.retain("extent", name, group=group.name)
+            group.ledger = ledger
+
+    def stream(self, name: str, disk_bytes: int) -> Any:
+        if not self._has_extent(name):
+            return super().stream(name, disk_bytes)
+        self._charge_read(disk_bytes)
+        return self._open().views(name)
+
+    def holds(self, name: str) -> bool:
+        return super().holds(name) or self._has_extent(name)
+
+    def drop(self, name: str) -> None:
+        self._parked.pop(name, None)
+        # A name without an extent is not dropped, so dropping a block
+        # that never swapped neither opens the file nor reads as a
+        # double free to the sanitizer.
+        if self._has_extent(name):
+            self._open().drop(name)
+
+    def spill(self, nbytes: int) -> None:
+        extents = self._open()
+        super().spill(nbytes)
+        extents.note_spill(nbytes)
+
+    def swap_out_args(self, moved: int) -> dict[str, int]:
+        return {"tier_bytes": moved}
+
+    def snapshot(self) -> dict[str, int]:
+        if self.extents is None:
+            return {}
+        stats = self.extents.stats.to_dict()
+        if self._charge_write is not _no_charge:  # an owner that pays
+            stats["tier_ms"] = round(self.owner.tier_ms_total, 3)
+        return stats
+
+    def close(self) -> None:
+        if self.extents is not None:
+            self.extents.close()
+
+
+def cold_tier_for(owner: Any, tag: str, pid: int = 0) -> ColdTier:
+    """Build *owner*'s tier from ``owner.config.cold_tier`` — the one
+    place that reads it (*tag*, *pid*: the mmap file's name, events)."""
+    if owner.config.cold_tier == "mmap":
+        return MmapColdTier(owner, tag, pid)
+    return HeapColdTier(owner)

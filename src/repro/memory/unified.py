@@ -406,6 +406,12 @@ class UnifiedMemoryManager(_ArenaBase):
         self._emit(event, **args, execution_used=self.execution_used,
                    storage_used=self.storage_used)
 
+    def _pool_written(self, pool: str,
+                      based_on: Optional[int] = None) -> None:
+        """Race sanitizer: one transition of *pool* (DECA404)."""
+        if self.vclock is not None:
+            self.vclock.pool_write(pool, based_on=based_on)
+
     def _note_borrow(self, side: str, before: int, after: int) -> None:
         """Count and trace *side* borrowing more of the other's region."""
         if after > before:
@@ -462,6 +468,7 @@ class UnifiedMemoryManager(_ArenaBase):
             del self._consumers[ident]
         if leftover > 0:
             self.execution_used -= leftover
+            self._pool_written("execution")
             self.stats.released_bytes += leftover
             self._emit_levels("release", task=key, nbytes=leftover,
                               reason="task-end")
@@ -512,6 +519,10 @@ class UnifiedMemoryManager(_ArenaBase):
                                     reason="execution-demand")
         if want > 0 and self.free_bytes < want:
             self._spill_siblings(want - self.free_bytes, consumer)
+        # The grant derives from this last level read: no pool
+        # transition may land before it is written (DECA404).
+        version = (self.vclock.pool_read("execution")
+                   if self.vclock is not None else None)
         granted = min(want, self.free_bytes)
         if granted <= 0:
             self.stats.denied_bytes += nbytes
@@ -521,6 +532,7 @@ class UnifiedMemoryManager(_ArenaBase):
         region = self.total - self.storage_region
         borrowed = max(0, self.execution_used - region)
         self.execution_used += granted
+        self._pool_written("execution", version)
         self._task_used[key] = used + granted
         if consumer is not None:
             ident = id(consumer)
@@ -567,6 +579,7 @@ class UnifiedMemoryManager(_ArenaBase):
             return 0
         self._task_used[key] = held - freed
         self.execution_used -= freed
+        self._pool_written("execution")
         if entry is not None:
             remaining = entry[1] - freed
             ident = id(entry[0])
@@ -646,6 +659,7 @@ class UnifiedMemoryManager(_ArenaBase):
                                             tick=self._next_tick(),
                                             evict=evict)
         self.storage_used += nbytes
+        self._pool_written("storage")
         self.stats.storage_acquired_bytes += nbytes
         self._emit_levels("acquire", entry=name, nbytes=nbytes,
                           side="storage")
@@ -680,6 +694,7 @@ class UnifiedMemoryManager(_ArenaBase):
                     name=name, nbytes=nbytes, tick=self._next_tick(),
                     evict=evict)
                 self.storage_used += nbytes
+                self._pool_written("storage")
                 self.stats.storage_acquired_bytes += nbytes
             return True
         delta = nbytes - entry.nbytes
@@ -705,6 +720,7 @@ class UnifiedMemoryManager(_ArenaBase):
             borrowed = max(0, self.storage_used - self.storage_region)
             entry.nbytes += delta
             self.storage_used += delta
+            self._pool_written("storage")
             self.stats.storage_acquired_bytes += delta
             self._emit_levels("grow", entry=name, nbytes=delta,
                               total=entry.nbytes)
@@ -714,6 +730,7 @@ class UnifiedMemoryManager(_ArenaBase):
             shrink = min(-delta, entry.nbytes)
             entry.nbytes -= shrink
             self.storage_used -= shrink
+            self._pool_written("storage")
             self.stats.storage_released_bytes += shrink
 
     def storage_discard(self, name: str) -> int:
@@ -722,6 +739,7 @@ class UnifiedMemoryManager(_ArenaBase):
         if entry is None:
             return 0
         self.storage_used -= entry.nbytes
+        self._pool_written("storage")
         self.stats.storage_released_bytes += entry.nbytes
         self._emit_levels("release", entry=name, nbytes=entry.nbytes,
                           reason="storage-discard")

@@ -11,10 +11,10 @@ on the execution mode / Deca plan:
 * ``DECA_PAGES`` — a reference-counted page group of decomposed records;
   a handful of heap objects, readable in place.
 
-The executor's memory arena swaps blocks to disk, least recently used
-first (the paper's modified LRU evicts whole page groups in Deca mode).
-Swapped blocks are transparently re-read with disk + (mode-dependent)
-deserialization costs.
+The executor's memory arena swaps blocks to its cold tier, least recently
+used first (the paper's modified LRU evicts whole page groups in Deca
+mode).  Swapped blocks are transparently re-read with cold-tier +
+(mode-dependent) deserialization costs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Any, Iterator
 from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import CacheError
 from ..jvm.objects import AllocationGroup, Lifetime
-from ..jvm.sizing import array_bytes
 from ..memory.page import PageGroup
 from .measure import RecordFootprint
 
@@ -47,17 +46,9 @@ class CachedBlock:
     footprint: RecordFootprint      # summed record footprints
     alloc_group: AllocationGroup | None = None
     on_disk: bool = False
-    # Payload parked here while the block is swapped out.
-    _disk_payload: Any = None
     # What the last swap-out released; swap-in readmits exactly this so
     # the two directions stay byte-symmetric.
     _swap_released_bytes: int = 0
-    # mmap cold tier (``DecaConfig.cold_tier="mmap"``): the extent that
-    # holds the block's bytes, and whether the *resident* payload
-    # currently aliases that extent.  A promoted block keeps its extent,
-    # so re-evicting it moves zero bytes.
-    _tier_key: str | None = None
-    _tier_resident: bool = False
 
 
 class CacheStore:
@@ -143,8 +134,8 @@ class CacheStore:
             self.swap_out(key)
 
     # -- swapping (Appendix C) ----------------------------------------------------
-    def _tier_name(self, block: CachedBlock) -> str:
-        """The block's extent name in the mmap cold tier."""
+    def _cold_name(self, block: CachedBlock) -> str:
+        """The block's name in the executor's cold tier."""
         return f"cache:{block.key}"
 
     def swap_out(self, key: BlockKey) -> int:
@@ -168,78 +159,28 @@ class CacheStore:
 
     def _swap_out(self, key: BlockKey, block: CachedBlock) -> int:
         executor = self.executor
-        tier = executor.cold_tier
+        cold = executor.cold_tier
+        name = self._cold_name(block)
         released = block.memory_bytes
         # Remember what this eviction released: swap-in readmits exactly
         # these bytes, whatever the footprint model would have guessed.
         block._swap_released_bytes = released
-        tier_moved = 0
-        copy_group: AllocationGroup | None = None
-        drained_group: str | None = None
-        if block.plan.strategy is StorageStrategy.OBJECTS:
-            # Spark serializes object blocks before writing them out.
-            executor.serializer.kryo_serialize(
-                block.footprint.objects, block.disk_bytes)
-            block._disk_payload = block.records
-            block.records = None
-        elif block.plan.strategy is StorageStrategy.SERIALIZED:
-            if tier is not None and block.blob is not None:
-                # The blob is already wire format: move the bytes into
-                # an extent (none move if a promoted blob still aliases
-                # its extent — the bytes never left the tier).
-                if block._tier_key is None:
-                    block._tier_key = self._tier_name(block)
-                    tier_moved = tier.swap_out(block._tier_key,
-                                               [block.blob])
-                block._tier_resident = False
-                # A promoted blob is a view of the extent; it is
-                # superseded now, so detach it — a straggling reader
-                # must fail loudly, not see the extent's next tenant.
-                if isinstance(block.blob, memoryview):
-                    try:
-                        block.blob.release()
-                    except BufferError:
-                        pass  # a sub-view reader is still mid-scan
-                block.blob = None
-            else:
-                # Schema-less blocks keep their record list instead of a
-                # packed blob; park whichever payload exists.
-                block._disk_payload = (block.blob if block.blob is not None
-                                       else block.records)
-                block.blob = None
-                block.records = None
-        else:
+        if block.page_group is not None:
             # Deca: raw page bytes, never serialized (Appendix C).
-            group = block.page_group
-            assert group is not None
-            if tier is not None:
-                if block._tier_key is None:
-                    block._tier_key = self._tier_name(block)
-                    tier_moved = tier.swap_out(block._tier_key,
-                                               group.swap_chunks())
-                # else: the resident pages alias the extent (the block
-                # was promoted earlier) — the bytes are already cold.
-                block._tier_resident = False
-                group.reclaim()
-            else:
-                copy_group = self._drain_to_heap(key, block, group)
-                drained_group = group.name
-            block.page_group = None
-        if tier is not None:
-            # Extent-backed payloads pay for the bytes actually moved;
-            # parked object/record payloads pay for their disk image
-            # landing in the tier file (no seek either way).
-            executor.charge_tier_write(
-                tier_moved if block._tier_key is not None
-                else block.disk_bytes)
+            moved = cold.demote_group(name, block.page_group,
+                                      block.disk_bytes)
+        elif block.blob is not None:
+            # A SparkSer blob already is wire format.
+            moved = cold.demote(name, [block.blob], block.disk_bytes)
         else:
-            executor.charge_disk_write(block.disk_bytes)
-        if copy_group is not None and not copy_group.freed:
-            # The copies reached the disk with the write above.
-            executor.heap.free_group(copy_group)
-        if drained_group is not None and executor.ledger is not None:
-            # The transient drain copies were consumed by the write.
-            executor.ledger.release_drain(drained_group)
+            if block.plan.strategy is StorageStrategy.OBJECTS:
+                # Spark serializes object blocks before writing them out.
+                executor.serializer.kryo_serialize(
+                    block.footprint.objects, block.disk_bytes)
+            # Object blocks and schema-less SparkSer blocks have no byte
+            # image to move: the tier parks their record list.
+            moved = cold.park(name, block.records, block.disk_bytes)
+        self._release_payload(block)
         if block.alloc_group is not None and not block.alloc_group.freed:
             executor.heap.free_group(block.alloc_group)
             block.alloc_group = None
@@ -256,33 +197,11 @@ class CacheStore:
             disk_bytes=block.disk_bytes,
             heap_used_bytes=(executor.heap.young_used_bytes
                              + executor.heap.old_used_bytes))
-        if tier is not None:
-            swap_args["tier_bytes"] = tier_moved
+        swap_args.update(cold.swap_out_args(moved))
         executor.tracer.instant(
             "cache:swap-out", "cache", ts_ms=executor.clock.now_ms,
             pid=executor.trace_pid, **swap_args)
         return released
-
-    def _drain_to_heap(self, key: BlockKey, block: CachedBlock,
-                       group: PageGroup) -> AllocationGroup:
-        """Heap tier: drain a Deca group page by page into the parked
-        disk image, charging each copy and releasing its source, so the
-        double-buffer transient is bounded at one page (not ~2x the
-        group).  Returns the copies' group, freed after the disk write."""
-        executor = self.executor
-        copy_group = executor.heap.new_group(f"swap-copy:{key}",
-                                             Lifetime.PINNED)
-        if executor.ledger is not None:
-            group.ledger = executor.ledger
-        chunks: list[bytes] = []
-        for chunk in group.drain():
-            executor.serializer.note_swap_copy(len(chunk))
-            copy_bytes = array_bytes(1, len(chunk))
-            executor.heap.allocate(copy_group, 1, copy_bytes)
-            chunks.append(chunk)
-            copy_group.shrink(copy_bytes)
-        block._disk_payload = chunks
-        return copy_group
 
     def swap_in(self, key: BlockKey) -> CachedBlock:
         """Read a swapped block back (charging tier/disk + deser costs)."""
@@ -301,73 +220,35 @@ class CacheStore:
 
     def _swap_in(self, key: BlockKey, block: CachedBlock) -> bool:
         executor = self.executor
-        tier = executor.cold_tier
-        if tier is not None:
-            executor.charge_tier_read(block.disk_bytes)
-        else:
-            executor.charge_disk_read(block.disk_bytes)
-        if block.plan.strategy is StorageStrategy.OBJECTS:
-            executor.serializer.kryo_deserialize(
-                block.footprint.objects, block.disk_bytes)
-            block.records = block._disk_payload
-            # Swap symmetry: readmit what swap-out actually released.
-            block.memory_bytes = (block._swap_released_bytes
-                                  or block.footprint.object_bytes)
-            group = executor.heap.new_group(
-                f"cache:{block.key}", Lifetime.PINNED)
-            executor.heap.allocate(group, block.footprint.objects,
-                                   block.memory_bytes)
-            block.alloc_group = group
-        elif block.plan.strategy is StorageStrategy.SERIALIZED:
-            if tier is not None and block._tier_key is not None:
-                # Zero-copy promotion: the blob is a view of its extent.
-                views = tier.swap_in(block._tier_key)
-                blob = views[0] if views else memoryview(b"")
-                block.blob = blob
-                block.memory_bytes = len(blob)
-                block._tier_resident = True
-                if executor.ledger is not None:
-                    # The promoted view outlives this call on purpose.
-                    executor.ledger.retain("extent", block._tier_key)
-            else:
-                payload = block._disk_payload
-                if isinstance(payload, (bytes, bytearray, memoryview)):
-                    block.blob = payload
-                    block.memory_bytes = len(payload)
-                else:
-                    block.records = payload
-                    # Swap symmetry: the record list was tracked at the
-                    # released size, not at the footprint's estimate.
-                    block.memory_bytes = (
-                        block._swap_released_bytes
-                        or block.footprint.serialized_bytes)
-            group = executor.heap.new_group(
-                f"cache:{block.key}", Lifetime.PINNED)
-            executor.heap.allocate(group, 2, block.memory_bytes)
-            block.alloc_group = group
-        else:
+        cold = executor.cold_tier
+        name = self._cold_name(block)
+        strategy = block.plan.strategy
+        if strategy is StorageStrategy.DECA_PAGES:
             group = executor.memory_manager.new_page_group(
                 f"cache:{block.key}:{self._tick}", evictable=True)
-            if tier is not None and block._tier_key is not None:
-                # Zero-copy promotion: mount the extent's views as
-                # pages, readable through the SUDT/schema accessors.
-                for view in tier.swap_in(block._tier_key):
-                    group.adopt_page(view)
-                block._tier_resident = True
-                if executor.ledger is not None:
-                    # Adoption hands ownership to the page group; the
-                    # ledger tracks the borrows until group.reclaim().
-                    executor.ledger.retain(
-                        "extent", block._tier_key, group=group.name)
-                    group.ledger = executor.ledger
-            else:
-                for chunk in block._disk_payload:
-                    executor.serializer.note_swap_copy(len(chunk))
-                    page, offset = group.reserve(len(chunk))
-                    page.data[offset:offset + len(chunk)] = chunk
+            cold.promote_group(name, group, block.disk_bytes)
             block.page_group = group
             block.memory_bytes = group.allocated_bytes
-        block._disk_payload = None
+        else:
+            payload = cold.promote(name, block.disk_bytes)
+            objects, estimate = 2, block.footprint.serialized_bytes
+            if strategy is StorageStrategy.OBJECTS:
+                executor.serializer.kryo_deserialize(
+                    block.footprint.objects, block.disk_bytes)
+                objects = block.footprint.objects
+                estimate = block.footprint.object_bytes
+            if block.plan.schema is None:
+                block.records = payload
+                # Swap symmetry: readmit what swap-out actually released,
+                # not the footprint's estimate.
+                block.memory_bytes = block._swap_released_bytes or estimate
+            else:
+                block.blob = payload[0]
+                block.memory_bytes = len(block.blob)
+            group = executor.heap.new_group(
+                f"cache:{block.key}", Lifetime.PINNED)
+            executor.heap.allocate(group, objects, block.memory_bytes)
+            block.alloc_group = group
         block.on_disk = False
         self._resident_bytes += block.memory_bytes
         self._touch(key)
@@ -422,26 +303,22 @@ class CacheStore:
         if block.page_group is not None \
                 and not block.page_group.reclaimed:
             block.page_group.reclaim()
-        # Release every payload reference: a dropped-while-swapped block
-        # must not keep its parked records/bytes reachable.  A promoted
-        # blob aliases its extent — detach it before the extent is
-        # dropped below so stale readers fail loudly.
+        # A dropped-while-swapped block must not keep its cold payload
+        # reachable either.
+        self._release_payload(block)
+        self.executor.cold_tier.drop(self._cold_name(block))
+
+    @staticmethod
+    def _release_payload(block: CachedBlock) -> None:
+        """Forget the block's resident payload.  A promoted blob aliases
+        its cold-tier extent: detach it, so a straggling reader fails
+        loudly instead of seeing the extent's next tenant."""
         if isinstance(block.blob, memoryview):
             try:
                 block.blob.release()
             except BufferError:
                 pass  # a sub-view reader is still mid-scan
-        block.page_group = None
-        block.records = None
-        block.blob = None
-        block._disk_payload = None
-        # Only a block that was swapped has an extent; checking the key
-        # first keeps the lazy ``cold_tier`` property from opening a tier
-        # file on a run that never swapped.
-        if block._tier_key is not None:
-            self.executor.cold_tier.drop(block._tier_key)
-            block._tier_key = None
-            block._tier_resident = False
+        block.records = block.blob = block.page_group = None
 
     def read_records(self, key: BlockKey) -> Iterator[Any]:
         """Iterate a block's records, charging mode-appropriate costs.
@@ -485,37 +362,22 @@ class CacheStore:
     def _read_from_disk(self, block: CachedBlock) -> Iterator[Any]:
         """Stream a swapped block's records without re-promoting it."""
         executor = self.executor
-        tier = executor.cold_tier
-        tier_key = block._tier_key if tier is not None else None
-        if tier is not None:
-            executor.charge_tier_read(block.disk_bytes)
+        payload = executor.cold_tier.stream(self._cold_name(block),
+                                            block.disk_bytes)
+        if block.plan.strategy is StorageStrategy.DECA_PAGES:
+            # The cold bytes are already the record format — in the mmap
+            # tier they stream straight out of the extent's views.
+            executor.serializer.deca_read(block.record_count,
+                                          block.disk_bytes)
         else:
-            executor.charge_disk_read(block.disk_bytes)
-        if block.plan.strategy is StorageStrategy.OBJECTS:
             executor.serializer.kryo_deserialize(block.footprint.objects,
                                                  block.disk_bytes)
+        if block.plan.strategy is StorageStrategy.OBJECTS:
             # Deserialized records are short-lived task-local objects.
             executor.alloc_temp(block.footprint.objects,
                                 block.footprint.object_bytes)
-            yield from block._disk_payload
+        if block.plan.schema is None:
+            yield from payload      # a parked record list
             return
-        if block.plan.strategy is StorageStrategy.SERIALIZED:
-            executor.serializer.kryo_deserialize(block.footprint.objects,
-                                                 block.disk_bytes)
-            if tier_key is not None:
-                views = tier.views(tier_key)
-                payload = views[0] if views else memoryview(b"")
-            else:
-                payload = block._disk_payload
-            if isinstance(payload, (bytes, bytearray, memoryview)):
-                yield from block.plan.records(payload)
-            else:
-                yield from payload
-            return
-        # DECA_PAGES: the cold bytes are already the record format — in
-        # the mmap tier they stream straight out of the extent's views.
-        executor.serializer.deca_read(block.record_count, block.disk_bytes)
-        chunks = (tier.views(tier_key) if tier_key is not None
-                  else block._disk_payload)
-        for chunk in chunks:
+        for chunk in payload:
             yield from block.plan.records(chunk)

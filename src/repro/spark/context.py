@@ -119,6 +119,7 @@ class DecaContext:
             for executor in self.executors:
                 executor.vclock = self.vclock
                 executor.arena.vclock = self.vclock
+                executor.cold_tier.vclock = self.vclock
         # How stages execute: the sim backend declines every stage (the
         # scheduler's in-process loop runs); the mp backend runs them on
         # forked workers with shared-memory pages (repro.exec).
@@ -394,18 +395,12 @@ class DecaContext:
         # reports what the run actually leaked — zero, or a bug.
         self.backend.shutdown()
         run.backend = dict(self.backend.stats.to_dict())
-        # Cold-tier teardown: sum each executor's tier stats, then close
-        # (fd + unlink) — iterate the private slot so executors that
-        # never swapped don't get a tier created as a side effect.
+        # Cold-tier teardown: sum each executor's tier snapshot (empty
+        # for a tier that holds no file), then close it (fd + unlink).
         for executor in self.executors:
-            tier = executor._cold_tier
-            if tier is None:
-                continue
-            for field_name, value in tier.stats.to_dict().items():
-                run.tier[field_name] = run.tier.get(field_name, 0) + value
-            run.tier["tier_ms"] = (run.tier.get("tier_ms", 0)
-                                   + round(executor.tier_ms_total, 3))
-            tier.close()
+            for key, value in executor.cold_tier.snapshot().items():
+                run.tier[key] = run.tier.get(key, 0) + value
+            executor.cold_tier.close()
         for rdd in self._rdds.values():
             if rdd.is_cached:
                 nbytes = self.cached_bytes_of(rdd)

@@ -18,7 +18,7 @@ from ..jvm.objects import AllocationGroup, Lifetime
 from ..jvm.stats import GcEvent
 from ..memory.manager import DecaMemoryManager
 from ..memory.provenance import ProvenanceLedger
-from ..memory.tier import PageStoreTier
+from ..memory.tier import ColdTier, cold_tier_for
 from ..memory.unified import create_memory_arena
 from ..obs import Tracer
 from ..obs.vclock import VClockChecker
@@ -88,10 +88,10 @@ class Executor:
         self.tier_ms_total = 0.0
         # Shuffle bytes spilled by this executor's successful attempts.
         self.spilled_shuffle_bytes = 0
-        # The mmap cold tier, created lazily on first swap so runs that
-        # never swap never touch the filesystem (cold_tier="heap" keeps
-        # this None forever).
-        self._cold_tier: PageStoreTier | None = None
+        # Where swapped cache blocks and shuffle spills go; it charges
+        # its I/O back to this executor (docs/memory_model.md).
+        self.cold_tier: ColdTier = cold_tier_for(
+            self, f"e{executor_id}", self.trace_pid)
         # -- fault tolerance state --
         self.alive = True
         self.lost_count = 0
@@ -196,86 +196,54 @@ class Executor:
         if self.profiler is not None:
             self.profiler.maybe_sample()
 
-    def charge_disk_write(self, nbytes: int) -> None:
-        io = self.config.io
-        ms = (io.disk_seek_ms + io.disk_write_per_byte_ms * nbytes) \
-            / self.parallelism
+    def _charge_io(self, ms: float, nbytes: int, event: str, total: str,
+                   task_metric: str) -> None:
+        """Advance the clock by one modelled transfer of *nbytes*, tally
+        it in the executor's *total* and the running task's
+        *task_metric*, and trace it as *event* (``<device>:<what>``, in
+        category ``io.<device>``)."""
         start_ms = self.clock.now_ms
         self.clock.advance(ms)
-        self.disk_ms_total += ms
+        setattr(self, total, getattr(self, total) + ms)
         if self._current_task is not None:
-            self._current_task.metrics.shuffle_write_ms += ms
-        self.tracer.complete("disk:write", "io.disk", ts_ms=start_ms,
-                             dur_ms=ms, pid=self.trace_pid, nbytes=nbytes)
+            metrics = self._current_task.metrics
+            setattr(metrics, task_metric, getattr(metrics, task_metric) + ms)
+        self.tracer.complete(event, f"io.{event.split(':')[0]}",
+                             ts_ms=start_ms, dur_ms=ms, pid=self.trace_pid,
+                             nbytes=nbytes)
         self._sample()
+
+    def charge_disk_write(self, nbytes: int) -> None:
+        io = self.config.io
+        self._charge_io((io.disk_seek_ms + io.disk_write_per_byte_ms * nbytes)
+                        / self.parallelism, nbytes, "disk:write",
+                        "disk_ms_total", "shuffle_write_ms")
 
     def charge_disk_read(self, nbytes: int) -> None:
         io = self.config.io
-        ms = (io.disk_seek_ms + io.disk_read_per_byte_ms * nbytes) \
-            / self.parallelism
-        start_ms = self.clock.now_ms
-        self.clock.advance(ms)
-        self.disk_ms_total += ms
-        if self._current_task is not None:
-            self._current_task.metrics.shuffle_read_ms += ms
-        self.tracer.complete("disk:read", "io.disk", ts_ms=start_ms,
-                             dur_ms=ms, pid=self.trace_pid, nbytes=nbytes)
-        self._sample()
+        self._charge_io((io.disk_seek_ms + io.disk_read_per_byte_ms * nbytes)
+                        / self.parallelism, nbytes, "disk:read",
+                        "disk_ms_total", "shuffle_read_ms")
 
     def charge_tier_write(self, nbytes: int) -> None:
         """Charge moving bytes into the mmap cold tier: memory-bus
         bandwidth, no seek — the point of not serializing to disk."""
-        if nbytes <= 0:
-            return
-        ms = self.config.io.tier_write_per_byte_ms * nbytes \
-            / self.parallelism
-        start_ms = self.clock.now_ms
-        self.clock.advance(ms)
-        self.tier_ms_total += ms
-        if self._current_task is not None:
-            self._current_task.metrics.cache_io_ms += ms
-        self.tracer.complete("tier:write", "io.tier", ts_ms=start_ms,
-                             dur_ms=ms, pid=self.trace_pid, nbytes=nbytes)
-        self._sample()
+        if nbytes > 0:
+            self._charge_io(self.config.io.tier_write_per_byte_ms * nbytes
+                            / self.parallelism, nbytes, "tier:write",
+                            "tier_ms_total", "cache_io_ms")
 
     def charge_tier_read(self, nbytes: int) -> None:
-        if nbytes <= 0:
-            return
-        ms = self.config.io.tier_read_per_byte_ms * nbytes \
-            / self.parallelism
-        start_ms = self.clock.now_ms
-        self.clock.advance(ms)
-        self.tier_ms_total += ms
-        if self._current_task is not None:
-            self._current_task.metrics.cache_io_ms += ms
-        self.tracer.complete("tier:read", "io.tier", ts_ms=start_ms,
-                             dur_ms=ms, pid=self.trace_pid, nbytes=nbytes)
-        self._sample()
-
-    @property
-    def cold_tier(self) -> PageStoreTier | None:
-        """The executor's mmap cold tier, or ``None`` under ``"heap"``."""
-        if self.config.cold_tier != "mmap":
-            return None
-        if self._cold_tier is None:
-            self._cold_tier = PageStoreTier(
-                tracer=self.tracer, clock=self.clock, pid=self.trace_pid,
-                tag=f"e{self.executor_id}", ledger=self.ledger,
-                vclock=self.vclock)
-        return self._cold_tier
+        if nbytes > 0:
+            self._charge_io(self.config.io.tier_read_per_byte_ms * nbytes
+                            / self.parallelism, nbytes, "tier:read",
+                            "tier_ms_total", "cache_io_ms")
 
     def charge_network(self, nbytes: int) -> None:
         io = self.config.io
-        ms = (io.network_rtt_ms + io.network_per_byte_ms * nbytes) \
-            / self.parallelism
-        start_ms = self.clock.now_ms
-        self.clock.advance(ms)
-        self.network_ms_total += ms
-        if self._current_task is not None:
-            self._current_task.metrics.shuffle_read_ms += ms
-        self.tracer.complete("net:transfer", "io.net", ts_ms=start_ms,
-                             dur_ms=ms, pid=self.trace_pid, nbytes=nbytes)
-        self._sample()
+        self._charge_io((io.network_rtt_ms + io.network_per_byte_ms * nbytes)
+                        / self.parallelism, nbytes, "net:transfer",
+                        "network_ms_total", "shuffle_read_ms")
 
     # -- allocation helpers -----------------------------------------------------------
     def alloc_temp(self, objects: int, nbytes: int) -> None:

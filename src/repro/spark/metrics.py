@@ -159,8 +159,8 @@ class RunMetrics:
     # Execution-backend traffic accounting (repro.exec.BackendStats):
     # pickled vs shared-memory bytes crossing process boundaries.
     backend: dict[str, "int | str"] = field(default_factory=dict)
-    # mmap cold-tier accounting (repro.memory.tier.TierStats, summed
-    # across executors); empty under cold_tier="heap".
+    # Cold-tier counters (each executor's ColdTier.snapshot(), summed):
+    # empty on the heap tier and when no mmap tier opened its file.
     tier: dict[str, "int | str"] = field(default_factory=dict)
     # Runtime alias-sanitizer counters (repro.memory.provenance), summed
     # across executor ledgers at finish(); empty unless config.sanitize.

@@ -288,14 +288,7 @@ class MapSideWriter:
         spill_start_ms = executor.clock.now_ms
         executor.charge_compute(
             cpu.sort_per_record_ms * self._buffer_records)
-        tier = executor.cold_tier
-        if tier is not None:
-            # Spills land in the mmap tier file: sequential byte moves
-            # at memory-bus speed instead of disk writes.
-            executor.charge_tier_write(self._buffer_bytes)
-            tier.note_spill(self._buffer_bytes)
-        else:
-            executor.charge_disk_write(self._buffer_bytes)
+        executor.cold_tier.spill(self._buffer_bytes)
         self.spilled_bytes += self._buffer_bytes
         self.spill_count += 1
         executor.heap.free_group(self._buffer_group)
@@ -427,12 +420,7 @@ class ReduceMergeConsumer:
             return 0
         executor = self.executor
         spill_start_ms = executor.clock.now_ms
-        tier = executor.cold_tier
-        if tier is not None:
-            executor.charge_tier_write(self._data_bytes)
-            tier.note_spill(self._data_bytes)
-        else:
-            executor.charge_disk_write(self._data_bytes)
+        executor.cold_tier.spill(self._data_bytes)
         if self.task is not None:
             self.task.spilled_bytes += self._data_bytes
         self.spill_count += 1

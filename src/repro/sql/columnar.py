@@ -14,8 +14,9 @@ the executor's page manager:
   the optimizer picks for opaque relations.
 
 Because both are plain page groups, everything built for Deca pages
-applies to SQL caches for free: the unified arena charges them, the mmap
-cold tier swaps them by moving raw bytes (zero serializer bytes), and the
+applies to SQL caches for free: the unified arena charges them, the cold
+tier demotes and promotes them through the page-group path cache blocks
+use (raw bytes moved, zero serializer bytes, on the mmap tier), and the
 provenance ledger tracks promoted extents as borrows.
 """
 
@@ -37,8 +38,6 @@ from ..memory.layout import (
 )
 from ..memory.manager import DecaMemoryManager
 from ..memory.page import PageGroup, PagePointer
-from ..memory.provenance import ProvenanceLedger
-from ..memory.tier import PageStoreTier
 from .schema import ColumnType, TableSchema
 
 # Page size for standalone (manager-less) tables; irrelevant for sizing
@@ -92,13 +91,14 @@ def row_major_schema(schema: TableSchema) -> RecordSchema:
 
 
 class PagedRelation:
-    """Base of both cached-relation layouts: one page group + swap state.
+    """Base of both cached-relation layouts: one page group.
 
     The group is created through the executor's
     :class:`~repro.memory.manager.DecaMemoryManager` when one is given
     (the engine path) or standalone against a plain heap (the unit-test
-    path).  ``tier_key`` survives a demote so a re-demote of promoted
-    pages moves zero bytes, mirroring the cache manager's protocol.
+    path).  The engine's cold tier moves the group's bytes: it demotes
+    the pages :meth:`detach` hands over and promotes them back into the
+    group :meth:`reattach` returns.
     """
 
     layout = "paged"
@@ -112,7 +112,6 @@ class PagedRelation:
         self._heap = heap
         self._manager = manager
         self.group_name = group_name or f"sql:{schema.name}"
-        self.tier_key: str | None = None
         self._group: PageGroup | None = self._new_group()
 
     def _new_group(self) -> PageGroup:
@@ -164,54 +163,23 @@ class PagedRelation:
         """Project *columns* for *rows* (layout subclasses provide it)."""
         raise NotImplementedError
 
-    # -- swap protocol --------------------------------------------------------
-    def demote(self, tier: PageStoreTier) -> int:
-        """Swap the relation's pages out to *tier* and reclaim them.
-
-        The pages already are the wire format, so the extent write moves
-        the raw bytes — no serializer runs.  Returns the bytes moved (0
-        when the extent from a previous demote is still valid).
-        """
+    # -- swap hooks -----------------------------------------------------------
+    def detach(self) -> PageGroup:
+        """Hand the resident pages over (views dropped first)."""
         group = self._require_group()
         self.drop_views()
-        moved = 0
-        if self.tier_key is None:
-            self.tier_key = f"sql:{self.schema.name}"
-            moved = tier.swap_out(self.tier_key, group.swap_chunks())
         self._group = None
-        group.reclaim()
-        return moved
+        return group
 
-    def promote(self, tier: PageStoreTier,
-                ledger: ProvenanceLedger | None = None) -> None:
-        """Adopt the tier extent's bytes back as pages — zero copy.
-
-        Pages are re-adopted in their original order, so every
-        :class:`~repro.memory.page.PagePointer` held by the column
-        accessors stays valid.  Under the sanitizer the extent borrow is
-        retained against the new group.
-        """
-        if self.resident:
-            return
-        if self.tier_key is None:
-            raise SqlError(
-                f"table {self.schema.name!r} has no cold-tier extent")
-        group = self._new_group()
-        for view in tier.swap_in(self.tier_key):
-            group.adopt_page(view)
-        if ledger is not None:
-            ledger.retain("extent", self.tier_key, group=group.name)
-            group.ledger = ledger
-        self._group = group
+    def reattach(self) -> PageGroup:
+        """A fresh, empty group for the pages to be mounted back into."""
+        self._group = self._new_group()
+        return self._group
 
     def release(self) -> None:
         """Drop the cached pages (the relation's lifetime ends)."""
-        group = self._group
-        self._group = None
-        if group is None or group.reclaimed:
-            return
-        self.drop_views()
-        group.reclaim()
+        if self.resident:
+            self.detach().reclaim()
 
     def __repr__(self) -> str:
         state = "resident" if self.resident else "demoted"

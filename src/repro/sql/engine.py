@@ -18,10 +18,10 @@ that pay the record-reconstruction cost on every read.
 
 Cached relations are ordinary Deca page groups: they are charged to the
 engine's :class:`~repro.memory.unified.UnifiedMemoryManager` (with
-``memory:acquire``/``memory:release`` trace events), demote to the mmap
-cold tier by moving raw bytes (zero serializer bytes) and promote back
-zero-copy, with the provenance ledger auditing the extents in sanitize
-mode.
+``memory:acquire``/``memory:release`` trace events) and swap through the
+cold tier's page-group path cache blocks use — on the mmap tier as raw
+bytes (zero serializer bytes) adopted back zero-copy, audited by the
+provenance ledger in sanitize mode; on the heap tier as counted copies.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from ..jvm.heap import SimHeap
 from ..jvm.objects import Lifetime
 from ..memory.manager import DecaMemoryManager
 from ..memory.provenance import ProvenanceLedger
-from ..memory.tier import PageStoreTier
+from ..memory.tier import cold_tier_for
 from ..memory.unified import UnifiedMemoryManager
 from ..obs.tracer import Tracer
 from ..simtime import SimClock
+from ..spark.serializer import SerializerModel
 from .columnar import SELECTORS, ColumnarTable, PagedRelation, RowMajorTable
 from .schema import ColumnType, TableSchema
 
@@ -173,12 +174,11 @@ class SqlEngine:
                                                 arena=self.arena)
         self._tables: dict[str, tuple[TableSchema, list]] = {}
         self._cached: dict[str, PagedRelation] = {}
-        self._arena_entries: set[str] = set()
-        self._tier: PageStoreTier | None = None
-        # Serializer bytes copied during swaps: always 0 on the mmap
-        # tier (pages move as raw bytes), > 0 when the heap tier has to
-        # drain-copy a relation out.
-        self.swap_copy_bytes = 0
+        # Counts the heap tier's swap copies.  With no I/O charge methods
+        # the engine pays no swap time (none runs inside a query).
+        self.serializer = SerializerModel(self.config.serializer,
+                                          self.clock)
+        self.cold_tier = cold_tier_for(self, "sql")
 
     # -- catalog --------------------------------------------------------------
     def register_table(self, name: str, schema: TableSchema,
@@ -223,10 +223,9 @@ class SqlEngine:
         table = self._cached.pop(name, None)
         if table is None:
             return
-        self._discharge(name)
+        self.arena.storage_discard(f"sql:{name}")
         table.release()
-        if table.tier_key is not None and self._tier is not None:
-            self._tier.drop(table.tier_key)
+        self.cold_tier.drop(table.group_name)
 
     def _lookup(self, name: str) -> tuple[TableSchema, list]:
         try:
@@ -238,6 +237,12 @@ class SqlEngine:
     def cached_bytes(self) -> int:
         return sum(t.memory_bytes for t in self._cached.values())
 
+    @property
+    def swap_copy_bytes(self) -> int:
+        """Serializer bytes copied during swaps: always 0 on the mmap
+        tier (pages move as raw bytes), > 0 on the heap tier."""
+        return self.serializer.swap_copy_bytes_total
+
     def layout_of(self, name: str) -> str | None:
         """The cached relation's layout (None when not cached)."""
         table = self._cached.get(name)
@@ -245,84 +250,53 @@ class SqlEngine:
 
     # -- arena accounting -----------------------------------------------------
     def _charge(self, name: str, table: PagedRelation) -> None:
-        granted = self.arena.storage_acquire(
+        self.arena.storage_acquire(
             f"sql:{name}", table.memory_bytes,
             evict=lambda: self._evict_for_arena(name))
-        if granted:
-            self._arena_entries.add(name)
-
-    def _discharge(self, name: str) -> None:
-        if name in self._arena_entries:
-            self._arena_entries.discard(name)
-            if self.arena.storage_contains(f"sql:{name}"):
-                self.arena.storage_discard(f"sql:{name}")
 
     def _evict_for_arena(self, name: str) -> None:
-        """Arena pressure: demote the relation (mmap) or drop it (heap).
+        """Arena pressure: demote the relation to the cold tier.
 
         Called by the arena's LRU eviction; the arena discards the
         storage entry itself afterwards.
         """
-        self._arena_entries.discard(name)
         table = self._cached.get(name)
-        if table is None or not table.resident:
-            return
-        if self.config.cold_tier == "mmap":
-            table.demote(self._ensure_tier())
-        else:
-            # The heap tier has no byte-addressed extents: dropping the
-            # relation costs a serializer pass on the next rebuild.
-            self.swap_copy_bytes += table.used_bytes
-            self._cached.pop(name, None)
-            table.release()
+        if table is not None and table.resident:
+            self._demote(table)
 
     # -- cold-tier swaps ------------------------------------------------------
-    def _ensure_tier(self) -> PageStoreTier:
-        if self._tier is None:
-            self._tier = PageStoreTier(tracer=self.tracer,
-                                       clock=self.clock, tag="sql",
-                                       ledger=self.ledger)
-        return self._tier
-
     @property
-    def tier_stats(self) -> dict[str, int] | None:
-        if self._tier is None:
-            return None
-        return self._tier.stats.to_dict()
+    def tier_stats(self) -> dict[str, int]:
+        return self.cold_tier.snapshot()
 
     def demote_table(self, name: str) -> int:
         """Swap a cached relation out of RAM; returns bytes moved.
 
-        On the mmap tier the pages move as raw bytes and the relation
-        stays cached (non-resident); on the heap tier the relation is
-        dropped and its bytes counted as serializer copies.
+        The relation stays cached (non-resident) and the next query
+        promotes it back.  On the mmap tier the pages move as raw bytes
+        (0 when a promoted relation still aliases its extent); on the
+        heap tier they are drained into counted serializer copies.
         """
         table = self._cached.get(name)
         if table is None or not table.resident:
             return 0
-        self._discharge(name)
-        if self.config.cold_tier != "mmap":
-            moved = table.used_bytes
-            self.swap_copy_bytes += moved
-            self._cached.pop(name, None)
-            table.release()
-            return moved
-        return table.demote(self._ensure_tier())
+        self.arena.storage_discard(f"sql:{name}")
+        return self._demote(table)
+
+    def _demote(self, table: PagedRelation) -> int:
+        # (disk_bytes 0: the engine's tier charges no I/O)
+        return self.cold_tier.demote_group(table.group_name,
+                                           table.detach(), 0)
 
     def _promote(self, name: str, table: PagedRelation) -> None:
-        if self._tier is None or table.tier_key is None:
-            raise SqlError(
-                f"cached table {name!r} has no cold-tier extent")
-        table.promote(self._tier, ledger=self.ledger)
+        self.cold_tier.promote_group(table.group_name, table.reattach(), 0)
         self._charge(name, table)
 
     def close(self) -> None:
         """Release every cached relation and the cold tier's file."""
         for name in list(self._cached):
             self.uncache_table(name)
-        if self._tier is not None:
-            self._tier.close()
-            self._tier = None
+        self.cold_tier.close()
 
     def __enter__(self) -> "SqlEngine":
         return self

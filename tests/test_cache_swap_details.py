@@ -154,9 +154,11 @@ class TestDropBlockReleasesPayloads:
         block = object_block(executor, rdd_id=3)
         store.put(block)
         store.swap_out(block.key)
-        assert block._disk_payload is not None
+        # The cold tier, not the block, holds the parked payload now.
+        name = store._cold_name(block)
+        assert executor.cold_tier.holds(name)
         store.remove_rdd(3)
-        assert block._disk_payload is None
+        assert not executor.cold_tier.holds(name)
         assert block.records is None
         assert block.blob is None
         assert block.page_group is None
@@ -167,7 +169,8 @@ class TestDropBlockReleasesPayloads:
         store.put(block)
         store.invalidate_all()
         assert block.records is None
-        assert block._disk_payload is None
+        # (a resident block never parked anything in the cold tier)
+        assert not executor.cold_tier.holds(store._cold_name(block))
 
 
 class TestResidentBytesCounter:
@@ -351,7 +354,7 @@ class TestMmapColdTier:
             executor.cache.swap_out(key)
         assert executor.serializer.swap_copy_bytes_total == 0
         assert executor.serializer.ser_ms_total == ser_before
-        assert executor.cold_tier.stats.bytes_moved_out == used > 0
+        assert executor.cold_tier.snapshot()["bytes_moved_out"] == used > 0
 
     def test_promotion_aliases_extent_and_reevict_moves_nothing(self):
         ctx, rdd, data = ctx_with_cached(ExecutionMode.DECA,
@@ -361,15 +364,15 @@ class TestMmapColdTier:
         key = next(iter(store.blocks))
         store.swap_out(key)
         tier = executor.cold_tier
-        moved = tier.stats.bytes_moved_out
+        moved = tier.snapshot()["bytes_moved_out"]
         block = store.swap_in(key)
         assert not block.on_disk
-        assert block._tier_resident
-        assert tier.has(store._tier_name(block))
+        # The promoted pages alias the extent, which the tier keeps.
+        assert tier.holds(store._cold_name(block))
         store.swap_out(key)
         # Warm re-eviction: the resident pages aliased the extent, so
         # demoting again moves zero bytes.
-        assert tier.stats.bytes_moved_out == moved
+        assert tier.snapshot()["bytes_moved_out"] == moved
         assert sorted(rdd.collect()) == sorted(data)
 
     def test_drop_releases_extents(self):
@@ -380,10 +383,10 @@ class TestMmapColdTier:
         for key in list(store.blocks):
             store.swap_out(key)
         tier = executor.cold_tier
-        assert tier.stats.extents_live > 0
+        assert tier.snapshot()["extents_live"] > 0
         store.invalidate_all()
-        assert tier.stats.extents_live == 0
-        assert tier.live_bytes == 0
+        assert tier.snapshot()["extents_live"] == 0
+        assert tier.extents.live_bytes == 0
 
     def test_run_metrics_capture_tier_stats(self):
         ctx, rdd, _ = ctx_with_cached(ExecutionMode.DECA,
@@ -402,7 +405,10 @@ class TestMmapColdTier:
         executor = ctx.executors[0]
         for key in list(executor.cache.blocks):
             executor.cache.swap_out(key)
-        assert executor.cold_tier is None
+        # The heap tier swapped every block but holds no file.
+        assert all(executor.cold_tier.holds(executor.cache._cold_name(b))
+                   for b in executor.cache.blocks.values())
+        assert executor.cold_tier.snapshot() == {}
         assert ctx.finish().tier == {}
 
     @pytest.mark.parametrize("drop", ["unpersist", "invalidate_all"])
@@ -417,7 +423,8 @@ class TestMmapColdTier:
         else:
             executor.cache.invalidate_all()
         assert not executor.cache.blocks
-        assert executor._cold_tier is None
+        # An mmap tier that never opened its file reports nothing.
+        assert executor.cold_tier.extents is None
         assert ctx.finish().tier == {}
 
 
@@ -450,7 +457,7 @@ class TestStreamedReadViewLifetime:
         # (the sanitizer's ledger keeps every view it tracks alive)
         ctx = self.stream_swapped_block(mode, how, sanitize=False)
         tier = ctx.executors[0].cold_tier
-        mapping = tier._mm
+        mapping = tier.extents._mm
         tier.close()
         # mmap.close() refuses (BufferError, swallowed by the tier) while
         # any export of the mapping is alive.

@@ -54,6 +54,16 @@ def expected_counts(records=2000, keys=50):
     return expected
 
 
+def hot_key_counts(ctx):
+    """One hot key: a single reduce partition receives ~all records,
+    making its result-stage task the straggler speculation duplicates."""
+    data = [("hot" if i % 10 else f"cold{i}", 1) for i in range(3000)]
+    counts = ctx.parallelize(data, 4, name="sp.pairs") \
+                .group_by_key(4, name="sp.groups") \
+                .map(lambda kv: (kv[0], len(kv[1])), name="sp.counts")
+    return dict(counts.collect())
+
+
 class TestFaultInjector:
     def test_disabled_by_default(self):
         injector = FaultInjector(FaultConfig())
@@ -295,15 +305,7 @@ class TestSpeculation:
 
     def test_straggler_duplicate_never_changes_results(self):
         ctx = self._skewed_ctx()
-        # One hot key: a single reduce partition receives ~all records,
-        # making its result-stage task the straggler.
-        data = [("hot" if i % 10 else f"cold{i}", 1)
-                for i in range(3000)]
-        counts = ctx.parallelize(data, 4, name="sp.pairs") \
-                    .group_by_key(4, name="sp.groups") \
-                    .map(lambda kv: (kv[0], len(kv[1])),
-                         name="sp.counts")
-        result = dict(counts.collect())
+        result = hot_key_counts(ctx)
         assert result["hot"] == 2700
         assert sum(result.values()) == 3000
         run = ctx.finish()
@@ -339,24 +341,33 @@ class TestSpeculation:
 
 class TestDeterminism:
     @staticmethod
-    def _run_once():
+    def _wordcount():
         faults = FaultConfig(seed=11, task_kill_prob=0.2,
                              fetch_corruption_prob=0.05)
         ctx = make_ctx(faults)
-        result = wordcount(ctx)
-        return result, ctx.finish()
-
-    def test_same_seed_runs_are_byte_identical(self):
-        result_a, run_a = self._run_once()
-        result_b, run_b = self._run_once()
-        assert result_a == expected_counts()
-        assert result_a == result_b
-        json_a = json.dumps(run_a.to_dict(), sort_keys=True)
-        json_b = json.dumps(run_b.to_dict(), sort_keys=True)
-        assert json_a == json_b
+        assert wordcount(ctx) == expected_counts()
+        run = ctx.finish()
         # The seed really injected failures (the comparison is not
         # trivially between two clean runs).
-        assert run_a.recovery.task_failures > 0
+        assert run.recovery.task_failures > 0
+        return run
+
+    @staticmethod
+    def _hot_key():
+        ctx = make_ctx(FaultConfig(speculation=True))
+        assert hot_key_counts(ctx)["hot"] == 2700
+        run = ctx.finish()
+        # The straggler really ran a duplicate attempt, so the
+        # speculative path is byte-checked too.
+        assert run.recovery.speculative_tasks >= 1
+        return run
+
+    @pytest.mark.parametrize("job", ["wordcount", "hot_key"])
+    def test_same_seed_runs_are_byte_identical(self, job):
+        run = getattr(self, f"_{job}")
+        json_a = json.dumps(run().to_dict(), sort_keys=True)
+        json_b = json.dumps(run().to_dict(), sort_keys=True)
+        assert json_a == json_b
 
     def test_spark_package_has_no_wall_clock_or_unseeded_rng(self):
         # Determinism audit: every millisecond comes from a SimClock and

@@ -1,9 +1,10 @@
-"""The mmap cold tier: extents, free-list reuse, crash safety.
+"""The cold tier: extents, free-list reuse, crash safety, one swap path.
 
 Covers :mod:`repro.memory.tier` directly — byte-exact round trips,
 zero-copy promotion views, extent conservation under random
 swap/promote/drop scripts, and the startup truncation of tier files a
-killed run left behind.
+killed run left behind — and both :class:`~repro.memory.tier.ColdTier`
+implementations driven through a cache block and a SQL relation.
 """
 
 import os
@@ -11,6 +12,9 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.logistic_regression import labeled_point_udt_info
+from repro.config import MB, DecaConfig, ExecutionMode
+from repro.data import rankings_table
 from repro.errors import PageError
 from repro.memory.tier import (
     PageStoreTier,
@@ -18,6 +22,9 @@ from repro.memory.tier import (
     default_tier_path,
 )
 from repro.obs import Tracer
+from repro.spark import DecaContext
+from repro.sql import SqlEngine, select
+from repro.sql.schema import RANKINGS_SCHEMA
 
 
 @pytest.fixture
@@ -213,3 +220,81 @@ def test_extents_conserve_bytes_and_never_overlap(tmp_path_factory, script):
             assert [bytes(v) for v in tier.views(name)] == chunks
     finally:
         tier.close()
+
+
+# -- one demote/promote path for cache blocks and SQL relations --------------
+
+def _no_file_yet(tier):
+    """Nothing has opened a tier file: the snapshot reports nothing."""
+    return tier.snapshot() == {} and getattr(tier, "extents", None) is None
+
+
+@pytest.mark.parametrize("cold_tier", ["heap", "mmap"])
+def test_cache_blocks_and_sql_relations_share_one_swap_path(cold_tier):
+    """A Deca cache block and a columnar SQL relation go through the same
+    page-group demote/promote of the same tier: the heap tier counts
+    copies, charges simulated disk time and keeps no file; the mmap tier
+    copies nothing, opens its file on the first demote and moves no byte
+    on a re-demote of promoted pages."""
+    heap = cold_tier == "heap"
+    # A cache block: demote, stream, promote, re-demote, spill, drop.
+    ctx = DecaContext(DecaConfig(mode=ExecutionMode.DECA, heap_bytes=32 * MB,
+                                 num_executors=1, tasks_per_executor=2,
+                                 cold_tier=cold_tier))
+    data = [(1.0, tuple(float(d) for d in range(10))) for _ in range(400)]
+    rdd = ctx.parallelize(data, 2).map(
+        lambda r: r, udt_info=labeled_point_udt_info(10)).cache()
+    rdd.count()
+    executor = ctx.executors[0]
+    tier, store = executor.cold_tier, executor.cache
+    key = next(iter(store.blocks))
+    name = store._cold_name(store.blocks[key])
+    used = store.blocks[key].page_group.used_bytes
+    assert _no_file_yet(tier)
+    store.swap_out(key)
+    assert tier.holds(name)
+    assert len(list(store.read_records(key))) \
+        == store.blocks[key].record_count
+    assert not store.swap_in(key).on_disk
+    store.swap_out(key)
+    tier.spill(1000)
+    rdd.unpersist()
+    assert not tier.holds(name)
+    copies = executor.serializer.swap_copy_bytes_total
+    if heap:
+        # Drain, copy back, drain again: three passes of counted copies.
+        assert copies == 3 * used
+        assert executor.disk_ms_total > 0 and executor.tier_ms_total == 0
+        assert tier.snapshot() == {}
+    else:
+        stats = tier.snapshot()
+        assert copies == 0
+        # The re-demote moved nothing: the promoted pages aliased the
+        # extent the first demote wrote.
+        assert stats["bytes_moved_out"] == stats["bytes_moved_in"] == used
+        assert stats["spill_bytes"] == 1000 and stats["extents_live"] == 0
+        assert executor.tier_ms_total > 0
+    assert sorted(rdd.collect()) == sorted(data)
+    ctx.finish()
+
+    # A SQL relation: demote, promote (by query), re-demote, drop.
+    engine = SqlEngine(DecaConfig(heap_bytes=64 * MB, cold_tier=cold_tier))
+    engine.register_table("rankings", RANKINGS_SCHEMA, rankings_table(200))
+    query = select(["pageURL", "pageRank"], "rankings",
+                   where=("pageRank", ">", 100))
+    resident = engine.run(query).rows
+    assert _no_file_yet(engine.cold_tier)
+    moved = engine.demote_table("rankings")
+    assert moved > 0 and engine.cached_bytes == 0
+    assert engine.run(query).rows == resident       # promoted back
+    redemoted = engine.demote_table("rankings")
+    engine.uncache_table("rankings")
+    assert not engine.cold_tier.holds("sql:rankings")
+    if heap:
+        assert redemoted == moved
+        assert engine.swap_copy_bytes == 3 * moved
+        assert engine.tier_stats == {}
+    else:
+        assert redemoted == 0 and engine.swap_copy_bytes == 0
+        assert engine.tier_stats["bytes_moved_out"] == moved
+    engine.close()

@@ -346,7 +346,8 @@ class TestColdTierSwap:
             data.clear()  # BufferError while a view is exported
         assert engine.run(query).rows == resident
         assert table._view_cache
-        mapping = engine._tier._mm
+        # The mmap tier's extent store, opened by the first demote.
+        mapping = engine.cold_tier.extents._mm
         # Promoted pages alias the extent: nothing left to move.
         assert engine.demote_table(query.table) == 0
         assert engine.swap_copy_bytes == 0
