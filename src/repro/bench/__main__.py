@@ -233,10 +233,11 @@ def _cmd_experiment(args) -> int:
 def _cmd_sanitize(args) -> int:
     """The ``sanitize`` subcommand: prove every DECA30x/40x rule live.
 
-    Two halves: (1) each seeded-bug fixture must trip its runtime checker
-    with exactly its violation slug; (2) the ``sanitize`` experiment row —
-    clean WC and PageRank on both backends under ``sanitize=True`` with
-    ``cold_tier="mmap"`` — must record zero violations.
+    Two halves: (1) each seeded-bug fixture must trip the runtime
+    sanitizer with exactly its violation slug; (2) the ``sanitize``
+    experiment row — clean WC and PageRank on both backends under
+    ``sanitize=True`` with ``cold_tier="mmap"`` — must record zero
+    violations.
     """
     from ..lint.fixtures.drivers import run_fixtures
 
@@ -244,14 +245,12 @@ def _cmd_sanitize(args) -> int:
         raise SystemExit("sanitize: --json records the clean runs; "
                          "drop --fixtures-only")
     missed = 0
-    for title, family in (("seeded-bug fixtures", "DECA3"),
-                          ("seeded race fixtures (vclock)", "DECA4")):
-        print(f"repro.bench sanitize · {title}")
-        for row in run_fixtures(family):
-            verdict = "fired" if row["fired"] else "MISSED"
-            print(f"  {row['rule']} {row['slug']:<28} "
-                  f"violations={row['violations']:>2}  {verdict}")
-            missed += not row["fired"]
+    print("repro.bench sanitize · seeded-bug fixtures")
+    for row in run_fixtures():
+        verdict = "fired" if row["fired"] else "MISSED"
+        print(f"  {row['rule']} {row['slug']:<28} "
+              f"violations={row['violations']:>2}  {verdict}")
+        missed += not row["fired"]
     failed = [] if args.fixtures_only else run_experiment(
         args.row, check=args.check, json_name=args.json)
     if missed or failed:

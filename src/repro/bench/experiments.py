@@ -101,7 +101,8 @@ def swap_pays_copies(swap: Cell) -> bool:
 
 def roundtrip_is_clean(swap: Cell) -> bool:
     """SQL demote/promote: bytes left, every query reproduced its
-    resident digest, and the provenance ledger saw nothing."""
+    resident digest, and the engine's sanitizer counted no violation
+    (``ledger_violations``)."""
     return (swap["bytes_moved_out"] > 0
             and swap["resident_digests"] == swap["promoted_digests"]
             and swap["ledger_violations"] == 0)
@@ -119,11 +120,10 @@ def pickles_no_records(stats: Cell) -> bool:
     return stats["bytes_pickled_records"] == 0
 
 
-def sanitizers_silent(cell: Cell) -> bool:
-    """Both runtime sanitizers ran (non-empty summaries) and recorded
-    zero violations."""
-    return all(cell[name] and cell[name]["violations"] == 0
-               for name in ("sanitize", "race"))
+def sanitizer_silent(cell: Cell) -> bool:
+    """The runtime sanitizer ran (a non-empty summary) and recorded zero
+    violations."""
+    return bool(cell["sanitize"]) and cell["sanitize"]["violations"] == 0
 
 
 def over(predicate: Callable[[Cell], bool],
@@ -292,7 +292,7 @@ SQL = Experiment(
         Gate("the columnar cache is no larger than the row cache",
              lambda cells: cells["columnar"]["cached_bytes"]
              <= cells["row"]["cached_bytes"]),
-        Gate("mmap round trip reproduces every digest, ledger clean",
+        Gate("mmap round trip reproduces every digest, sanitizer clean",
              over(roundtrip_is_clean, "swap_roundtrip")),
         Gate("mmap round trip demotes raw bytes with zero serializer copies",
              over(swap_moves_bytes, "swap_roundtrip")),
@@ -365,7 +365,7 @@ BACKEND = Experiment(
 )
 
 
-# -- sanitize — clean WC / PageRank runs under both runtime sanitizers -------
+# -- sanitize — clean WC / PageRank runs under the runtime sanitizer ---------
 
 def _sanitize_cells() -> Cells:
     inputs = cell_inputs()
@@ -376,14 +376,13 @@ def _sanitize_cells() -> Cells:
                                 execution_backend=backend,
                                 cold_tier="mmap", sanitize=True)
             cell: Cell = {"app": app, "backend": backend,
-                          "sanitize": {}, "race": {}, "verdict": "clean"}
+                          "sanitize": {}, "verdict": "clean"}
             try:
                 _, run = run_cell(app, inputs, config)
             except SanitizerError as exc:
                 cell["verdict"] = str(exc)
             else:
                 cell["sanitize"] = dict(run.metrics.sanitize)
-                cell["race"] = dict(run.metrics.race)
             cells[f"{app}/{backend}"] = cell
     return cells
 
@@ -391,7 +390,7 @@ def _sanitize_cells() -> Cells:
 SANITIZE = Experiment(
     name="sanitize",
     element="seeded DECA30x/40x fixtures, then clean WC + PageRank under "
-            "the provenance and vclock sanitizers",
+            "the runtime sanitizer",
     clock="sim",
     result="sanitize_clean_runs",
     title="Clean runs under sanitize=True (deca mode, cold_tier=mmap)",
@@ -401,12 +400,10 @@ SANITIZE = Experiment(
              ("frees", lambda cell: cell["sanitize"].get("frees", 0)),
              ("violations",
               lambda cell: cell["sanitize"].get("violations", "-")),
-             ("race_violations",
-              lambda cell: cell["race"].get("violations", "-")),
              ("verdict", "verdict")),
     gates=(
-        Gate("both sanitizers ran on every cell and stayed silent",
-             over(sanitizers_silent)),
+        Gate("the sanitizer ran on every cell and stayed silent",
+             over(sanitizer_silent)),
     ),
 )
 

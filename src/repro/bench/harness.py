@@ -552,7 +552,7 @@ def run_sql_swap_roundtrip(rankings_rows: int = 4_000,
     On the mmap tier (the default here) the cached relations swap out
     as raw page bytes, swap back in as adopted pages, and every query
     must reproduce its resident digest — with ``swap_copy_bytes == 0``
-    (no serializer pass anywhere) and the provenance ledger clean.
+    (no serializer pass anywhere) and the engine's sanitizer clean.
     With ``cold_tier="heap"`` the pages drain into heap copies and are
     copied back: same digests, ``swap_copy_bytes > 0``.
     """
@@ -580,8 +580,8 @@ def run_sql_swap_roundtrip(rankings_rows: int = 4_000,
     finally:
         engine.close()
     violations = 0
-    if engine.ledger is not None:
-        violations = int(engine.ledger.check_finish()["violations"])
+    if engine.sanitizer is not None:
+        violations = engine.sanitizer.check_finish()["violations"]
     return {
         "resident_digests": resident,
         "promoted_digests": promoted,

@@ -256,12 +256,14 @@ class DecaConfig:
     # extents promoted back zero-copy: no copies, no serializer charge.
     cold_tier: str = "heap"
 
-    # --- runtime alias sanitizer (docs/static_analysis.md) ----------------
-    # When on, every executor carries a ProvenanceLedger that records each
-    # exported zero-copy view with its backing (extent / shm segment /
-    # adopting page group), poisons freed extents with a sentinel fill and
-    # raises repro.errors.SanitizerError from ``ctx.finish()`` on any
-    # violation.  Off (the default) adds zero work to the hot paths.
+    # --- runtime sanitizer (docs/static_analysis.md) ----------------------
+    # When on, the run has one repro.obs.sanitizer.Sanitizer that records
+    # each exported zero-copy view with its backing (extent / shm segment
+    # / adopting page group), poisons freed extents with a sentinel fill,
+    # checks the happens-before edges between the driver and the mp
+    # workers, and raises repro.errors.SanitizerError from
+    # ``ctx.finish()`` on any violation.  Off (the default) adds zero work
+    # to the hot paths.
     sanitize: bool = False
 
     # --- Deca page geometry (§4.3.1) --------------------------------------

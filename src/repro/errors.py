@@ -131,21 +131,24 @@ class CacheError(ExecutionError):
 
 
 class SanitizerError(DecaError):
-    """The runtime alias sanitizer observed at least one provenance
-    violation (use-after-free extent, use-after-unlink segment, escaped
-    adoption, leaked transient borrow, ...).
+    """The runtime sanitizer observed at least one violation: a borrow
+    one (DECA30x: use-after-free extent, use-after-unlink segment,
+    escaped adoption, leaked transient borrow, ...) or a race (DECA40x:
+    an access with no happens-before edge to a reclaim, a refcount
+    change outside the lock, a result consumed before its barrier, ...).
 
     Raised from ``DecaContext.finish()`` when ``DecaConfig.sanitize`` is
-    on, so corrupting aliasing bugs fail the run loudly instead of
-    yielding silently wrong results.  The per-rule violation counts are
-    attached as :attr:`summary`.
+    on, so aliasing and ordering bugs fail the run loudly instead of
+    yielding silently wrong results.  The per-rule violation counts of
+    both families are attached as :attr:`summary`; the message lists
+    every non-zero one.
     """
 
     def __init__(self, summary: dict[str, int]) -> None:
         shown = ", ".join(
             f"{name}={count}" for name, count in sorted(summary.items())
             if count)
-        super().__init__(f"sanitizer detected provenance violations: {shown}")
+        super().__init__(f"sanitizer detected violations: {shown}")
         self.summary = summary
 
 

@@ -190,7 +190,7 @@ class _Executor:
     worker_id: int
     proc: "BaseProcess"
     conn: "connection.Connection"
-    # Race-sanitizer actor name (unique per fork).
+    # Sanitizer actor name (unique per fork).
     actor: str
     # How much of the job's delta log this worker has been sent.
     cursor: int
@@ -232,11 +232,10 @@ class MpBackend(ExecutionBackend):
         self.run_tag = f"{SEGMENT_PREFIX}-{os.getpid()}-{next(_RUN_IDS)}"
         self.num_workers = (ctx.config.mp_workers
                             or ctx.config.num_executors)
-        # The driver's provenance ledger (if sanitize mode is on) audits
-        # segment register/release — unlink with readers is a violation.
+        # The driver's sanitizer (if sanitize mode is on) audits segment
+        # register/release — unlink with readers is a violation.
         self.registry = ShmSegmentRegistry(on_unlink=self._segment_unlinked,
-                                           ledger=ctx.ledger,
-                                           vclock=ctx.vclock)
+                                           sanitizer=ctx.sanitizer)
         self.cache_blocks: dict[tuple[int, int], CacheEntry] = {}
         self._cache_segments: dict[int, list[str]] = {}
         self._segment_owner: dict[str, int] = {}
@@ -323,10 +322,10 @@ class MpBackend(ExecutionBackend):
         ctx = self.ctx
         actor = f"w{self.stats.workers_forked}"
         seed = None
-        if ctx.vclock is not None:
-            # Fork edge: the worker's checker starts from a snapshot of
+        if ctx.sanitizer is not None:
+            # Fork edge: the worker's sanitizer starts from a snapshot of
             # the driver clock taken before the fork.
-            seed = {"actor": actor, "clock": ctx.vclock.fork(actor)}
+            seed = {"actor": actor, "clock": ctx.sanitizer.fork(actor)}
         driver_end, worker_end = self._mp.Pipe()
         # The child must not hold the driver's pipe ends (its own or its
         # siblings'), or it would never see the driver hang up.
@@ -366,15 +365,15 @@ class MpBackend(ExecutionBackend):
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-        if ctx.vclock is not None:
+        if ctx.sanitizer is not None:
             # Death confirmed (joined corpse): the actor leaves the live
             # set before any orphan sweep.
-            ctx.vclock.exit_actor(worker.actor)
+            ctx.sanitizer.exit_actor(worker.actor)
         for split, attempt in sorted(worker.outstanding.items()):
             prefix = self._attempt_prefix(worker.stage_id, split, attempt)
             sweep_segments(prefix)
-            if ctx.vclock is not None:
-                ctx.vclock.note_sweep(prefix, owner=worker.actor)
+            if ctx.sanitizer is not None:
+                ctx.sanitizer.note_sweep(prefix, owner=worker.actor)
         exitcode: int | None = proc.exitcode
         worker.conn.close()
         proc.close()
@@ -403,10 +402,10 @@ class MpBackend(ExecutionBackend):
         for split in range(stage.num_tasks):
             out = outputs[split]
             assert out.result_blob is not None
-            if ctx.vclock is not None:
+            if ctx.sanitizer is not None:
                 # The producer's notes were absorbed at the barrier in
                 # _run_stage, so this consume has its edge.
-                ctx.vclock.note_result_consumed(
+                ctx.sanitizer.note_result_consumed(
                     f"t{stage.stage_id}.{split}.{out.attempt}")
             self.stats.bytes_pickled_results += len(out.result_blob)
             results.append(pickle.loads(out.result_blob))
@@ -419,7 +418,7 @@ class MpBackend(ExecutionBackend):
         assert job is not None
         job.state.register(stage.stage_id, out, owner=self)
         job.delta.append((stage.stage_id, dataclasses.replace(
-            out, result_blob=None, events=[], vclock_notes=None)))
+            out, result_blob=None, events=[], sanitizer_notes=None)))
 
     def unpersist_rdd(self, rdd_id: int) -> None:
         for key in [k for k in self.cache_blocks if k[0] == rdd_id]:
@@ -481,8 +480,9 @@ class MpBackend(ExecutionBackend):
                     delta=job.delta[worker.cursor:],
                     # Send edge: what the driver did before this order
                     # happens-before everything the worker does under it.
-                    vclock=(ctx.vclock.send()
-                            if ctx.vclock is not None else None))
+                    sanitizer_clock=(ctx.sanitizer.send()
+                                     if ctx.sanitizer is not None
+                                     else None))
                 worker.cursor = len(job.delta)
                 worker.stage_id = stage.stage_id
                 worker.outstanding = dict(order.attempts)
@@ -497,10 +497,11 @@ class MpBackend(ExecutionBackend):
             self.stats.worker_deaths += deaths
             self.stats.mp_tasks += len(oks) + len(fails)
             for out in oks:
-                if ctx.vclock is not None and out.vclock_notes is not None:
+                if ctx.sanitizer is not None \
+                        and out.sanitizer_notes is not None:
                     # Receive edge: replay the worker's segment accesses
                     # and join its clock into the driver's.
-                    ctx.vclock.absorb(out.vclock_notes)
+                    ctx.sanitizer.absorb(out.sanitizer_notes)
                 outputs[out.split] = out
                 attempt = pending.pop(out.split)
                 reports.append(out)
@@ -508,9 +509,9 @@ class MpBackend(ExecutionBackend):
                     recovery.task_retries += attempt
             for fail in sorted(fails, key=lambda f: f.split):
                 split = fail.split
-                if ctx.vclock is not None \
-                        and fail.vclock_notes is not None:
-                    ctx.vclock.absorb(fail.vclock_notes)
+                if ctx.sanitizer is not None \
+                        and fail.sanitizer_notes is not None:
+                    ctx.sanitizer.absorb(fail.sanitizer_notes)
                 reports.append(fail)
                 recovery.task_failures += 1
                 failures[split] += 1
@@ -562,9 +563,9 @@ class MpBackend(ExecutionBackend):
                 # them at the stage's driver timestamp.  The pid is the
                 # worker-assigned executor trace pid, same numbering the
                 # sim backend uses — traces stay single-file.
-                if ctx.vclock is not None:
-                    ctx.vclock.note_relay(stage_start + event.ts_ms,
-                                          stage_start, pid=event.pid)
+                if ctx.sanitizer is not None:
+                    ctx.sanitizer.note_relay(stage_start + event.ts_ms,
+                                             stage_start, pid=event.pid)
                 ctx.tracer.emit(dataclasses.replace(
                     event, ts_ms=stage_start + event.ts_ms))
         ctx.tracer.instant(
@@ -640,11 +641,11 @@ class MpBackend(ExecutionBackend):
 
 def _worker_entry(state: JobState, worker_id: int,
                   conn: "connection.Connection",
-                  vclock_seed: dict[str, Any] | None,
+                  sanitizer_seed: dict[str, Any] | None,
                   inherited: "list[connection.Connection]") -> None:
     """What a forked executor process runs."""
     for driver_end in inherited:
         driver_end.close()
     # Looked up now, in the child: whoever wrapped ``worker_main`` in
     # this module (benchmarks/perf's traced run) is what runs.
-    worker_main(state, worker_id, conn, vclock_seed)
+    worker_main(state, worker_id, conn, sanitizer_seed)

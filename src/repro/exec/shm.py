@@ -40,8 +40,7 @@ from ..core.plan import ContainerPlan
 from ..errors import PageError
 from ..memory.layout import Schema
 from ..memory.page import Page, PageGroup
-from ..memory.provenance import ProvenanceLedger
-from ..obs.vclock import VClockChecker
+from ..obs.sanitizer import Sanitizer
 
 try:  # pragma: no cover - the stdlib ships both on every target platform
     from multiprocessing import resource_tracker, shared_memory
@@ -190,8 +189,7 @@ def pack_records_segment(name: str, schema: Schema, values: list,
 
 
 def attach_page_group(ref: SegmentRef, group_name: str | None = None,
-                      ledger: ProvenanceLedger | None = None,
-                      vclock: VClockChecker | None = None) -> PageGroup:
+                      sanitizer: Sanitizer | None = None) -> PageGroup:
     """Attach *ref* as a single-page read-side :class:`PageGroup`.
 
     The group's pages alias the shared mapping (zero-copy); reclaiming
@@ -207,10 +205,10 @@ def attach_page_group(ref: SegmentRef, group_name: str | None = None,
         # Release the pages' views first so the mapping has no exported
         # pointers left — otherwise ``close`` (and later the handle's
         # finalizer) would trip over BufferError.
-        if vclock is not None:
+        if sanitizer is not None:
             # Consumers attach read-only: prove no write leaked through
             # the shared mapping while the group was mounted (DECA408).
-            vclock.verify_readonly("segment", ref.name or "")
+            sanitizer.verify_readonly("segment", ref.name or "")
         for page in group.pages:
             if isinstance(page.data, memoryview):
                 try:
@@ -226,14 +224,12 @@ def attach_page_group(ref: SegmentRef, group_name: str | None = None,
     page = Page(0, ref.nbytes, buffer=segment.view(ref.nbytes))
     page.used = ref.nbytes
     group.pages.append(page)
-    if ledger is not None:
-        # Sanitize mode: the mounted view is a borrow of the segment;
-        # reclaiming the group must detach it (checked at finish).
-        ledger.borrow("segment", ref.name, view=page.data, transient=False)
-        group.ledger = ledger
-    if vclock is not None:
-        vclock.note_attach("segment", ref.name)
-        vclock.adopt_readonly("segment", ref.name, page.data)
+    if sanitizer is not None:
+        # Sanitize mode: the mounted view is a read-only borrow of the
+        # segment; reclaiming the group must detach it (checked at finish).
+        sanitizer.export("segment", ref.name, [page.data], transient=False,
+                         group=group, readonly=True)
+        group.sanitizer = sanitizer
     return group
 
 
@@ -376,8 +372,7 @@ class ShmSegmentRegistry:
     """
 
     def __init__(self, on_unlink: Callable[[str, int], None] | None = None,
-                 ledger: ProvenanceLedger | None = None,
-                 vclock: VClockChecker | None = None) -> None:
+                 sanitizer: Sanitizer | None = None) -> None:
         # Every refcount mutation runs under this lock: the registry is
         # driver-side today, but a speculative-execution thread touching
         # it concurrently must not lose a count (DECA402's subject).
@@ -386,10 +381,9 @@ class ShmSegmentRegistry:
         self._nbytes: dict[str, int] = {}
         self.on_unlink = on_unlink
         # Sanitize mode: segment register/unlink transitions are checked
-        # against the driver-side provenance ledger (None = no-op).
-        self.ledger = ledger
-        # Race sanitizer: unlink ordering vs attaches (None = off).
-        self.vclock = vclock
+        # against the driver's sanitizer — borrows and attach ordering
+        # (None = no-op).
+        self.sanitizer = sanitizer
         self.created_total = 0
         self.bytes_total = 0
         _arm_atexit()
@@ -412,10 +406,8 @@ class ShmSegmentRegistry:
             self._nbytes[ref.name] = ref.nbytes
             self.created_total += 1
             self.bytes_total += ref.nbytes
-        if self.ledger is not None:
-            self.ledger.note_alloc("segment", ref.name)
-        if self.vclock is not None:
-            self.vclock.note_create("segment", ref.name)
+        if self.sanitizer is not None:
+            self.sanitizer.create("segment", ref.name)
         _journal("+", ref.name)
 
     def acquire(self, name: str) -> None:
@@ -430,20 +422,18 @@ class ShmSegmentRegistry:
             count = self._refs.get(name)
             if count is None:
                 return
-            if self.vclock is not None:
-                self.vclock.note_refdec(name, locked=True)
+            if self.sanitizer is not None:
+                self.sanitizer.note_refdec(name, locked=True)
             if count > 1:
                 self._refs[name] = count - 1
                 return
             del self._refs[name]
             nbytes = self._nbytes.pop(name, 0)
-        if self.ledger is not None:
+        if self.sanitizer is not None:
             # The last reference is gone: any borrow still live over the
             # segment is a use-after-unlink in the making.
-            self.ledger.note_free("segment", name)
+            self.sanitizer.free("segment", name)
         unlink_segment(name)
-        if self.vclock is not None:
-            self.vclock.note_reclaim("segment", name)
         _journal("-", name)
         if self.on_unlink is not None:
             self.on_unlink(name, nbytes)

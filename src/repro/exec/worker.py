@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterator, TypeVar, TYPE_CHECKING
 from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import TaskKilledError
 from ..obs.tracer import TraceEvent, Tracer
-from ..obs.vclock import VClockChecker
+from ..obs.sanitizer import Sanitizer
 from ..spark.faults import EXECUTOR_CRASH, TASK_KILL, TaskFaultPlan
 from ..spark.metrics import TaskMetrics
 from ..spark.scheduler import TaskContext
@@ -70,8 +70,8 @@ class StageOrder:
     # What the driver registered since this worker last heard, oldest
     # first: ``(stage_id, TaskOutput)`` for a task of an earlier stage.
     delta: list[tuple[int, TaskOutput]]
-    # Send edge (race sanitizer): the driver clock as of this order.
-    vclock: dict[str, int] | None = None
+    # Send edge (sanitize mode): the driver clock as of this order.
+    sanitizer_clock: dict[str, int] | None = None
 
 
 @dataclass
@@ -113,9 +113,9 @@ class TaskOutput:
     cache_blocks: list[CacheBlockOut] = field(default_factory=list)
     result_blob: bytes | None = None
     events: list[TraceEvent] = field(default_factory=list)
-    # Race-sanitizer notes (vclock export, sanitize mode only): the
-    # worker's clock plus its recorded segment accesses for this task.
-    vclock_notes: dict | None = None
+    # Sanitizer notes (sanitize mode only): the worker's clock plus its
+    # recorded segment accesses for this task.
+    sanitizer_notes: dict | None = None
 
 
 @dataclass
@@ -130,7 +130,7 @@ class TaskFailure:
     duration_ms: float = 0.0
     records_read: int = 0
     events: list[TraceEvent] = field(default_factory=list)
-    vclock_notes: dict | None = None
+    sanitizer_notes: dict | None = None
 
 
 _Outcome = TypeVar("_Outcome", TaskOutput, TaskFailure)
@@ -295,7 +295,7 @@ class _WorkerRuntime:
     """Per-process state of one forked job executor."""
 
     def __init__(self, state: "JobState", worker_id: int,
-                 vclock_seed: dict[str, Any] | None) -> None:
+                 sanitizer_seed: dict[str, Any] | None) -> None:
         self.state = state
         self.worker_id = worker_id
         self.clock = _WallClock()
@@ -312,13 +312,13 @@ class _WorkerRuntime:
         self.created: list[str] = []
         self.current_out: TaskOutput | None = None
         self.attempt_tag = ""
-        # Race sanitizer: a worker-local checker seeded from the driver's
-        # fork snapshot; its notes ship home with every task outcome.
-        self.vclock: VClockChecker | None = None
-        if vclock_seed is not None:
-            self.vclock = VClockChecker(
-                actor=str(vclock_seed["actor"]),
-                snapshot=dict(vclock_seed["clock"]))
+        # Sanitize mode: this process's sanitizer, seeded from the
+        # driver's fork snapshot; its notes ship home with every outcome.
+        self.sanitizer: Sanitizer | None = None
+        if sanitizer_seed is not None:
+            self.sanitizer = Sanitizer(
+                actor=str(sanitizer_seed["actor"]),
+                snapshot=dict(sanitizer_seed["clock"]))
         # Reroute cache materialization through this worker: blocks come
         # from (or go to) the backend's cross-process tables instead of
         # the simulated per-executor CacheStore.
@@ -328,8 +328,8 @@ class _WorkerRuntime:
     def begin_stage(self, order: StageOrder) -> None:
         """Catch up with the driver, then point at the ordered stage."""
         state = self.state
-        if self.vclock is not None and order.vclock is not None:
-            self.vclock.join("driver", order.vclock)
+        if self.sanitizer is not None and order.sanitizer_clock is not None:
+            self.sanitizer.join("driver", order.sanitizer_clock)
         for stage_id, out in order.delta:
             state.register(stage_id, out)
             for cb in out.cache_blocks:
@@ -352,9 +352,9 @@ class _WorkerRuntime:
                 raise RuntimeError(
                     f"mp fetch: missing map output "
                     f"({shuffle_id}, {map_part}, {reduce_part})")
-            if (self.vclock is not None and block.shm_ref is not None
+            if (self.sanitizer is not None and block.shm_ref is not None
                     and block.shm_ref.name is not None):
-                self.vclock.note_access("segment", block.shm_ref.name)
+                self.sanitizer.export("segment", block.shm_ref.name)
             yield from block.read()
 
     # -- cache shim ----------------------------------------------------------
@@ -367,9 +367,9 @@ class _WorkerRuntime:
             return
         entry = self.state.cache_blocks.get(key)
         if entry is not None:
-            if (self.vclock is not None and entry.ref is not None
+            if (self.sanitizer is not None and entry.ref is not None
                     and entry.ref.name is not None):
-                self.vclock.note_access("segment", entry.ref.name)
+                self.sanitizer.export("segment", entry.ref.name)
             records = list(entry.read())
             self.local_cache[key] = records
             yield from records
@@ -458,8 +458,8 @@ class _WorkerRuntime:
             # exactly the orphan state its sweep must clean up.
             os._exit(CRASH_EXIT_CODE)
         out.records_read = task.metrics.records_read
-        if self.vclock is not None:
-            self.vclock.note_result_produced(
+        if self.sanitizer is not None:
+            self.sanitizer.note_result_produced(
                 f"t{stage.stage_id}.{split}.{attempt}")
         return self._seal(out, executor, start_ms)
 
@@ -477,8 +477,8 @@ class _WorkerRuntime:
             task_id=outcome.split, attempt=outcome.attempt,
             status=outcome.status, backend="mp", worker_pid=os.getpid())
         outcome.events = list(executor.tracer.events)
-        if self.vclock is not None:
-            outcome.vclock_notes = self.vclock.export_notes(drain=True)
+        if self.sanitizer is not None:
+            outcome.sanitizer_notes = self.sanitizer.export_notes(drain=True)
         self.current_out = None
         return outcome
 
@@ -524,7 +524,7 @@ class _WorkerRuntime:
 
 
 def worker_main(state: "JobState", worker_id: int, conn: "Connection",
-                vclock_seed: dict[str, Any] | None = None) -> None:
+                sanitizer_seed: dict[str, Any] | None = None) -> None:
     """Entry point of one forked job executor.
 
     Serves :class:`StageOrder` messages from *conn* until the driver
@@ -534,7 +534,7 @@ def worker_main(state: "JobState", worker_id: int, conn: "Connection",
     Returns normally — the interpreter then exits without running the
     atexit hooks it inherited from the driver.
     """
-    runtime = _WorkerRuntime(state, worker_id, vclock_seed)
+    runtime = _WorkerRuntime(state, worker_id, sanitizer_seed)
     while True:
         try:
             order = conn.recv()

@@ -14,13 +14,13 @@ Two layers over the Deca lifetime analysis (see ``docs/static_analysis.md``):
   (``docs/closure_analysis.md``);
 * **borrow rules** (``DECA301``–``DECA308``) — the zero-copy borrow
   checker over the engine's own mmap/shm plumbing, reported under the
-  ``engine`` pseudo-app; the runtime counterpart is the alias sanitizer
-  (``DecaConfig(sanitize=True)``, :mod:`repro.memory.provenance`);
+  ``engine`` pseudo-app; the runtime counterpart is the sanitizer's
+  borrow half (``DecaConfig(sanitize=True)``, :mod:`repro.obs.sanitizer`);
 * **race rules** (``DECA401``–``DECA410``) — the happens-before race
   detector over the engine's concurrency surface (mp backend, shm
   protocol, scheduler, arena, cold tier), reported under the ``race``
-  pseudo-app; the runtime counterpart is the vector-clock sanitizer
-  (:mod:`repro.obs.vclock`).
+  pseudo-app; the runtime counterpart is the same sanitizer's vector
+  clocks.
 
 Entry points: :func:`run_lint` (library) and ``python -m repro.bench lint``
 (CLI, with text/JSON/SARIF output and a committed baseline checked in CI).

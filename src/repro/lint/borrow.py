@@ -1,7 +1,7 @@
 """The zero-copy borrow checker (``DECA301``–``DECA308``).
 
-The static half of the provenance sanitizer (the dynamic half is
-:mod:`repro.memory.provenance`).  It parses the engine's zero-copy
+The static half of the runtime sanitizer's borrow checks (the dynamic
+half is :mod:`repro.obs.sanitizer`).  It parses the engine's zero-copy
 modules with :mod:`ast`, lowers every function into the analysis mini-IR
 (:mod:`repro.analysis.ir`) — each recognized lifecycle operation becomes
 a ``Call`` to a synthetic ``op:*`` leaf method, branches become ``If``,
@@ -10,7 +10,7 @@ be walked with :class:`repro.analysis.callgraph.CallGraph` — and then
 enumerates bounded control-flow paths per function, running a borrow
 state machine over each path.
 
-The lifecycle model mirrors the runtime ledger's:
+The lifecycle model mirrors the runtime sanitizer's:
 
 * **exports** — ``tier.views(name)`` / ``tier.swap_in(name)`` /
   ``segment.view(..)`` / ``segment.allocate(..)`` hand out a
@@ -59,6 +59,10 @@ from .findings import Finding, make_finding, sort_findings
 PATH_LIMIT = 256
 #: Intra-module call inlining depth during path enumeration.
 INLINE_DEPTH = 3
+
+#: The name engine code gives the runtime sanitizer; a call on a receiver
+#: containing it is instrumentation, not a lifecycle or protocol op.
+SANITIZER = "sanitizer"
 
 #: The engine modules whose zero-copy plumbing the checker audits,
 #: relative to the ``repro`` package root.  ``exec/worker.py`` is
@@ -244,8 +248,8 @@ class _Lowerer:
             return out
         recv = _text(func.value)
         meth = func.attr
-        if "ledger" in recv:
-            return out  # sanitizer instrumentation is not a lifecycle op
+        if SANITIZER in recv:
+            return out
         if meth in ("views", "swap_in"):
             resource = f"extent:{self._token(call)}"
             out.append(_op(EXPORT, resource, line))

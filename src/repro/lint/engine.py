@@ -119,7 +119,7 @@ def lint_race() -> AppLintResult:
     Like :func:`lint_engine`, the target is the engine source itself —
     the mp backend, the shm protocol, the scheduler/shuffle pair, the
     arena and the cold tier.  No shadow run; the dynamic counterpart is
-    the vector-clock sanitizer (:mod:`repro.obs.vclock`).
+    the runtime sanitizer's vector clocks (:mod:`repro.obs.sanitizer`).
     """
     findings, summary = run_race_rules(target=RACE_APP)
     return AppLintResult(

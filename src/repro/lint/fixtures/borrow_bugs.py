@@ -3,13 +3,13 @@
 Every function here is WRONG ON PURPOSE.  Each exhibits exactly one
 borrow violation: the static checker (:mod:`repro.lint.borrow`) must
 report precisely that rule against it, and when driven against a live
-``PageStoreTier`` / ``ShmSegmentRegistry`` / ``ProvenanceLedger`` by
+``PageStoreTier`` / ``ShmSegmentRegistry`` / ``Sanitizer`` by
 ``python -m repro.bench sanitize``, the runtime sanitizer must record
 the matching violation slug.
 
 The drivers (:mod:`repro.lint.fixtures.drivers`) own all setup —
-pre-populating extents, creating segments, wiring ledgers — so each
-fixture body is the minimal buggy interaction.
+pre-populating extents, creating segments, wiring the sanitizer — so
+each fixture body is the minimal buggy interaction.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def bug_use_after_free_extent(tier: Any) -> memoryview:
     return first
 
 
-def bug_use_after_unlink_segment(registry: Any, ledger: Any,
+def bug_use_after_unlink_segment(registry: Any, sanitizer: Any,
                                  name: str) -> memoryview:
     """DECA302: the segment is released/unlinked under a live view.
 
@@ -56,7 +56,7 @@ def bug_use_after_unlink_segment(registry: Any, ledger: Any,
     """
     segment = SharedPageSegment(name, 4096)
     view = segment.view(64)
-    ledger.borrow("segment", name, view=view, nbytes=64, transient=False)
+    sanitizer.export("segment", name, [view], transient=False)
     registry.release(name)
     SINK.append(segment)   # keep the mapping alive under the view
     return view
@@ -68,7 +68,8 @@ def bug_double_free(tier: Any) -> None:
     tier.drop("fx-df")
 
 
-def bug_view_escapes_adoption(tier: Any, group: Any, ledger: Any) -> None:
+def bug_view_escapes_adoption(tier: Any, group: Any,
+                              sanitizer: Any) -> None:
     """DECA304: a second handle outlives the page group's adoption.
 
     After ``adopt_page`` the group owns the view's lifetime; the slice
@@ -76,17 +77,16 @@ def bug_view_escapes_adoption(tier: Any, group: Any, ledger: Any) -> None:
     behind the refcount protocol's back — reclaim releases the adopted
     parents, but the escaped slice still aliases the recycled bytes.
     """
-    views = tier.swap_in("fx-esc")
+    views = tier.swap_in("fx-esc", group)
     for view in views:
         group.adopt_page(view)
     keep = views[0][:4]
-    ledger.borrow("extent", "fx-esc", view=keep, transient=False)
+    sanitizer.export("extent", "fx-esc", [keep], group=group)
     SINK.append(keep)
-    ledger.retain("extent", "fx-esc", group=group.name)
     group.reclaim()
 
 
-def bug_remap_invalidates_export(tier: Any, ledger: Any,
+def bug_remap_invalidates_export(tier: Any, sanitizer: Any,
                                  scratch: Any) -> list[memoryview]:
     """DECA305: a grow path resizes the mapping under exported views.
 
@@ -95,7 +95,7 @@ def bug_remap_invalidates_export(tier: Any, ledger: Any,
     """
     views = tier.views("fx-remap")
     scratch.resize(8192)
-    ledger.note_remap("extent", ["fx-remap"], retired=False)
+    sanitizer.note_remap("extent", ["fx-remap"], retired=False)
     return views
 
 
@@ -114,7 +114,7 @@ def bug_leak_at_finish(tier: Any, stop_early: bool) -> Any:
     return None
 
 
-def bug_unreleased_drain_copy(group: Any, ledger: Any) -> list[bytes]:
+def bug_unreleased_drain_copy(group: Any) -> list[bytes]:
     """DECA308: the drain's transient copies are never shrunk or freed.
 
     ``drain()`` charges a double-buffer copy per page; nothing here ever

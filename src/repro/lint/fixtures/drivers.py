@@ -1,4 +1,4 @@
-"""Drivers that run every seeded bug against a live runtime checker.
+"""Drivers that run every seeded bug against a live runtime sanitizer.
 
 The fixtures in :mod:`.borrow_bugs` (DECA30x) and :mod:`.race_bugs`
 (DECA40x) are minimal buggy interactions; each driver here owns the
@@ -19,124 +19,127 @@ import queue
 import tempfile
 import types
 from multiprocessing import shared_memory
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from ...exec.shm import SegmentRef, SharedPageSegment, ShmSegmentRegistry
 from ...memory.page import PageGroup
-from ...memory.provenance import ProvenanceLedger
 from ...memory.tier import PageStoreTier
+from ...obs.sanitizer import Sanitizer
 from ...obs.tracer import TraceEvent, Tracer
-from ...obs.vclock import VClockChecker
 from . import borrow_bugs, race_bugs
 
-#: ``drive(checker, tmp)``: *tmp* is a scratch directory that outlives the
-#: call; returns the views the runner must release before it goes away.
-Drive = Callable[[Any, str], "Iterable[memoryview] | None"]
+#: ``drive(sanitizer, tmp)``: *tmp* is a scratch directory that outlives
+#: the call; returns the views the runner must release before it goes
+#: away.
+Drive = Callable[[Sanitizer, str], "Iterable[memoryview] | None"]
 
 
-def _tier(tmp: str, name: str, group: str, ledger: Any = None) -> PageStoreTier:
+def _tier(tmp: str, name: str, group: str,
+          sanitizer: Sanitizer) -> PageStoreTier:
     """A mmap tier holding one 64-byte extent under *group*."""
-    tier = PageStoreTier(f"{tmp}/{name}.bin", ledger=ledger)
+    tier = PageStoreTier(f"{tmp}/{name}.bin", sanitizer=sanitizer)
     tier.swap_out(group, [b"\xaa" * 64])
     return tier
 
 
-# -- DECA30x: zero-copy lifetime bugs against a provenance ledger -----------
+# -- DECA30x: zero-copy lifetime bugs ---------------------------------------
 
-def drive_301(ledger, tmp):
-    tier = _tier(tmp, "t301", "fx-uaf", ledger)
+def drive_301(sanitizer, tmp):
+    tier = _tier(tmp, "t301", "fx-uaf", sanitizer)
     held = [borrow_bugs.bug_use_after_free_extent(tier)]
     tier.close()
     return held
 
 
-def drive_302(ledger, tmp):
+def drive_302(sanitizer, tmp):
     name = "repro-fx-302"
-    registry = ShmSegmentRegistry(ledger=ledger)
+    registry = ShmSegmentRegistry(sanitizer=sanitizer)
     seed = SharedPageSegment(name, 4096, create=True)
     registry.register(SegmentRef(name=name, nbytes=4096, count=0))
-    held = [borrow_bugs.bug_use_after_unlink_segment(registry, ledger, name)]
+    held = [borrow_bugs.bug_use_after_unlink_segment(registry, sanitizer,
+                                                     name)]
     seed.close()
     return held
 
 
-def drive_303(ledger, tmp):
-    tier = _tier(tmp, "t303", "fx-df", ledger)
+def drive_303(sanitizer, tmp):
+    tier = _tier(tmp, "t303", "fx-df", sanitizer)
     borrow_bugs.bug_double_free(tier)
     tier.close()
 
 
-def drive_304(ledger, tmp):
-    tier = _tier(tmp, "t304", "fx-esc", ledger)
+def drive_304(sanitizer, tmp):
+    tier = _tier(tmp, "t304", "fx-esc", sanitizer)
     group = PageGroup("fx-esc", page_bytes=4096)
-    group.ledger = ledger
-    borrow_bugs.bug_view_escapes_adoption(tier, group, ledger)
+    group.sanitizer = sanitizer
+    borrow_bugs.bug_view_escapes_adoption(tier, group, sanitizer)
 
 
-def drive_305(ledger, tmp):
-    tier = _tier(tmp, "t305", "fx-remap", ledger)
+def drive_305(sanitizer, tmp):
+    tier = _tier(tmp, "t305", "fx-remap", sanitizer)
     scratch = types.SimpleNamespace(resize=lambda nbytes: None)
-    return borrow_bugs.bug_remap_invalidates_export(tier, ledger, scratch)
+    return borrow_bugs.bug_remap_invalidates_export(tier, sanitizer,
+                                                    scratch)
 
 
-def drive_306(ledger, tmp):
-    tier = _tier(tmp, "t306", "fx-leak", ledger)
+def drive_306(sanitizer, tmp):
+    tier = _tier(tmp, "t306", "fx-leak", sanitizer)
     return borrow_bugs.bug_leak_at_finish(tier, stop_early=True)
 
 
-def drive_308(ledger, tmp):
+def drive_308(sanitizer, tmp):
     group = PageGroup("fx-drain", page_bytes=4096)
     group.append_bytes(b"\xaa" * 48)
-    group.ledger = ledger
-    borrow_bugs.bug_unreleased_drain_copy(group, ledger)
+    group.sanitizer = sanitizer
+    borrow_bugs.bug_unreleased_drain_copy(group)
 
 
-# -- DECA40x: protocol races against a vector-clock checker -----------------
-# Real engine objects where the protocol needs them (a mmap tier, a shm
-# segment, a tracer), stubs where only the protocol edge matters.
+# -- DECA40x: protocol races ------------------------------------------------
+# Real engine objects where the protocol needs them (a shm segment, a
+# tracer), stubs where only the protocol edge matters.
 
-def drive_401(checker, tmp):
-    race_bugs.unlink_races_attach(checker, "repro-racefx-401")
+def drive_401(sanitizer, tmp):
+    race_bugs.unlink_races_attach(sanitizer, "repro-racefx-401")
 
 
-def drive_402(checker, tmp):
+def drive_402(sanitizer, tmp):
     registry = race_bugs.RacyRegistry()
     registry.register("seg")
-    registry.release_unlocked(checker, "seg")
+    registry.release_unlocked(sanitizer, "seg")
 
 
-def drive_404(checker, tmp):
+def drive_404(sanitizer, tmp):
     arena = types.SimpleNamespace(free_bytes=128,
                                   execution_acquire=lambda n: None)
     pending: queue.Queue = queue.Queue()
     pending.put(1)
-    race_bugs.stale_pool_write(checker, arena, pending)
+    race_bugs.stale_pool_write(sanitizer, arena, pending)
 
 
-def drive_405(checker, tmp):
-    checker.fork("worker0")
-    checker.note_result_produced("t0", actor="worker0")
+def drive_405(sanitizer, tmp):
+    sanitizer.fork("worker0")
+    sanitizer.note_result_produced("t0", actor="worker0")
     outcome = types.SimpleNamespace(result_blob=pickle.dumps([1, 2]))
     worker = types.SimpleNamespace(join=lambda: None)
-    race_bugs.consume_before_join(checker, outcome, worker)
+    race_bugs.consume_before_join(sanitizer, outcome, worker)
 
 
-def drive_406(checker, tmp):
-    checker.fork("w-live")
-    race_bugs.sweep_live_worker(checker, "repro-racefx-none-")
+def drive_406(sanitizer, tmp):
+    sanitizer.fork("w-live")
+    race_bugs.sweep_live_worker(sanitizer, "repro-racefx-none-")
 
 
-def drive_407(checker, tmp):
+def drive_407(sanitizer, tmp):
     store = types.SimpleNamespace(pick_victim=lambda: "b1",
                                   swap_out=lambda key: None)
-    race_bugs.respill_inflight_victim(checker, store, "b1")
+    race_bugs.respill_inflight_victim(sanitizer, store, "b1")
 
 
-def drive_408(checker, tmp):
+def drive_408(sanitizer, tmp):
     seg = shared_memory.SharedMemory(name="repro-racefx-408",
                                      create=True, size=64)
     try:
-        race_bugs.write_through_attach(checker, "repro-racefx-408",
+        race_bugs.write_through_attach(sanitizer, "repro-racefx-408",
                                        b"\xff" * 8)
     finally:
         race_bugs.reset()      # drop the parked attach before the unlink
@@ -144,14 +147,14 @@ def drive_408(checker, tmp):
         seg.unlink()
 
 
-def drive_409(checker, tmp):
+def drive_409(sanitizer, tmp):
     event = TraceEvent(name="x", category="task", phase="i", ts_ms=1.0)
-    race_bugs.relay_unanchored(checker, Tracer(), event, 100.0)
+    race_bugs.relay_unanchored(sanitizer, Tracer(), event, 100.0)
 
 
-def drive_410(checker, tmp):
+def drive_410(sanitizer, tmp):
     arena = types.SimpleNamespace(grant=lambda task: None)
-    race_bugs.double_grant(checker, arena, "7")
+    race_bugs.double_grant(sanitizer, arena, "7")
 
 
 FIXTURES: tuple[tuple[str, str, Drive], ...] = (
@@ -176,24 +179,22 @@ FIXTURES: tuple[tuple[str, str, Drive], ...] = (
 
 def run_fixtures(family: str = "DECA") -> list[dict]:
     """Drive every fixture whose rule id starts with *family*, each
-    against a fresh checker — a ``ProvenanceLedger`` for DECA30x, a
-    ``VClockChecker`` for DECA40x.  A fixture *fired* when the checker
-    counted a violation under exactly the slug its rule maps to; one
-    ``{"rule", "slug", "violations", "fired"}`` row per fixture.
+    against a fresh :class:`Sanitizer`.  A fixture *fired* when the
+    sanitizer counted a violation under exactly the slug its rule maps
+    to, by the end of its :meth:`~Sanitizer.check_finish` (leaks count
+    at the boundary); one ``{"rule", "slug", "violations", "fired"}``
+    row per fixture.
     """
     rows = []
     for rule, slug, drive in FIXTURES:
         if not rule.startswith(family):
             continue
-        borrow = rule.startswith("DECA3")
-        checker = ProvenanceLedger() if borrow else VClockChecker()
+        sanitizer = Sanitizer()
         held: Iterable[memoryview] = ()
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                held = drive(checker, tmp) or ()
-                if borrow:
-                    checker.check_finish()     # leaks count at the boundary
-                count = checker.counters.get(slug, 0)
+                held = drive(sanitizer, tmp) or ()
+                count = sanitizer.check_finish()[slug]
             finally:
                 for view in held:
                     try:

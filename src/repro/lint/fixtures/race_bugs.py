@@ -5,11 +5,11 @@ things at once:
 
 * **statically** it contains exactly the protocol violation its rule
   describes, so ``repro.lint.race`` fires exactly one finding on it;
-* **dynamically** it annotates a live :class:`~repro.obs.vclock.
-  VClockChecker` (always passed as the ``vclock`` parameter — the
-  static lowerer skips ``vclock``/``ledger`` receivers, exactly like
-  the borrow fixtures skip ledger instrumentation) so the runtime
-  sanitizer trips the matching slug when the function is executed.
+* **dynamically** it annotates a live
+  :class:`~repro.obs.sanitizer.Sanitizer` (always passed as the
+  ``sanitizer`` parameter — the static lowerers skip that receiver, in
+  these fixtures as in the engine) so the runtime sanitizer trips the
+  matching slug when the function is executed.
 
 ``repro.bench sanitize`` drives every function here (through
 :mod:`repro.lint.fixtures.drivers`) against real engine objects (a shm
@@ -26,7 +26,7 @@ from multiprocessing import shared_memory
 from typing import Any
 
 from ...exec.shm import sweep_segments, unlink_segment
-from ...obs.vclock import VClockChecker
+from ...obs.sanitizer import Sanitizer
 
 #: Handles parked here survive the fixture call (and are closed by
 #: :func:`reset`), so segment mappings outlive their misuse on purpose.
@@ -46,18 +46,18 @@ def reset() -> None:
 
 
 # -- DECA401 ----------------------------------------------------------------
-def unlink_races_attach(vclock: VClockChecker, name: str) -> None:
+def unlink_races_attach(sanitizer: Sanitizer, name: str) -> None:
     """WRONG: recycles a deterministic segment name while a concurrent
     attacher (forked before the unlink) maps it — the TOCTOU window."""
-    vclock.note_create("segment", name)
-    vclock.fork("attacker")
+    sanitizer.create("segment", name)
+    sanitizer.fork("attacker")
     unlink_segment(name)
-    vclock.note_reclaim("segment", name)
+    sanitizer.free("segment", name)
     try:
         seg = shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
         seg = None
-    vclock.note_attach("segment", name, actor="attacker")
+    sanitizer.export("segment", name, actor="attacker")
     if seg is not None:
         SINK.append(seg)
 
@@ -75,83 +75,84 @@ class RacyRegistry:
         with self._lock:
             self._refs[name] = 1
 
-    def release_unlocked(self, vclock: VClockChecker, name: str) -> None:
+    def release_unlocked(self, sanitizer: Sanitizer, name: str) -> None:
         count = self._refs.get(name, 0)
         self._refs[name] = count - 1
-        vclock.note_refdec(name, locked=False)
+        sanitizer.note_refdec(name, locked=False)
 
 
 # -- DECA404 ----------------------------------------------------------------
-def stale_pool_write(vclock: VClockChecker, arena: Any,
+def stale_pool_write(sanitizer: Sanitizer, arena: Any,
                      queue: Any) -> None:
     """WRONG: samples the pool level, blocks on the result queue, then
     feeds the stale sample back into a pool transition."""
-    version = vclock.pool_read("execution")
+    version = sanitizer.pool_read("execution")
     level = arena.free_bytes
     queue.get()
-    vclock.pool_write("execution")  # the concurrent evictor's write
+    sanitizer.pool_write("execution")  # the concurrent evictor's write
     arena.execution_acquire(level)
-    vclock.pool_write("execution", based_on=version)
+    sanitizer.pool_write("execution", based_on=version)
 
 
 # -- DECA405 ----------------------------------------------------------------
-def consume_before_join(vclock: VClockChecker, outcome: Any,
+def consume_before_join(sanitizer: Sanitizer, outcome: Any,
                         worker: Any) -> Any:
     """WRONG: reads the result bytes before the wave barrier — the
     producing worker may still be writing them."""
     records = pickle.loads(outcome.result_blob)
-    vclock.note_result_consumed("t0")
+    sanitizer.note_result_consumed("t0")
     worker.join()
     return records
 
 
 # -- DECA406 ----------------------------------------------------------------
-def sweep_live_worker(vclock: VClockChecker, prefix: str) -> None:
+def sweep_live_worker(sanitizer: Sanitizer, prefix: str) -> None:
     """WRONG: sweeps an attempt's segments with no death confirmation —
     the owning worker is still live."""
     sweep_segments(prefix)
-    vclock.note_sweep(prefix, owner="w-live")
+    sanitizer.note_sweep(prefix, owner="w-live")
 
 
 # -- DECA407 ----------------------------------------------------------------
-def respill_inflight_victim(vclock: VClockChecker, store: Any,
+def respill_inflight_victim(sanitizer: Sanitizer, store: Any,
                             key: str) -> None:
     """WRONG: re-selects and swaps a victim with no in-flight guard —
     a re-entrant eviction drains the same pages twice."""
     victim = store.pick_victim()
     store.swap_out(victim)
-    vclock.swap_begin(key)
-    vclock.note_victim(key)
-    vclock.swap_end(key)
+    sanitizer.swap_begin(key)
+    sanitizer.note_victim(key)
+    sanitizer.swap_end(key)
 
 
 # -- DECA408 ----------------------------------------------------------------
-def write_through_attach(vclock: VClockChecker, name: str,
+def write_through_attach(sanitizer: Sanitizer, name: str,
                          payload: bytes) -> None:
     """WRONG: writes through a view attached read-only — the write
     races every other attacher of the same physical bytes."""
     seg = shared_memory.SharedMemory(name=name)
-    vclock.adopt_readonly("segment", name, seg.buf)
+    sanitizer.export("segment", name, [seg.buf], transient=False,
+                     readonly=True)
     seg.buf[0:len(payload)] = payload
-    vclock.verify_readonly("segment", name)
+    sanitizer.verify_readonly("segment", name)
     SINK.append(seg)
 
 
 # -- DECA409 ----------------------------------------------------------------
-def relay_unanchored(vclock: VClockChecker, tracer: Any, event: Any,
+def relay_unanchored(sanitizer: Sanitizer, tracer: Any, event: Any,
                      anchor_ms: float) -> None:
     """WRONG: forwards a worker-local timestamp onto the driver
     timeline without re-anchoring it to the stage start."""
     tracer.emit(event)
-    vclock.note_relay(event.ts_ms, anchor_ms)
+    sanitizer.note_relay(event.ts_ms, anchor_ms)
 
 
 # -- DECA410 ----------------------------------------------------------------
-def double_grant(vclock: VClockChecker, arena: Any,
+def double_grant(sanitizer: Sanitizer, arena: Any,
                  task_id: str) -> None:
     """WRONG: grants the same task slot twice with no release — both
     holders charge the same fair-share slot."""
     arena.grant(task_id)
-    vclock.note_grant(task_id)
+    sanitizer.note_grant(task_id)
     arena.grant(task_id)
-    vclock.note_grant(task_id)
+    sanitizer.note_grant(task_id)

@@ -2,14 +2,15 @@
 (``DECA401``–``DECA410``).
 
 The fourth pillar of the deca-lint suite (plan → closure → borrow →
-**concurrency**), and the static half of the vector-clock sanitizer
-(:mod:`repro.obs.vclock` is the dynamic half).  It parses the engine's
-concurrency surface — the mp backend, the shared-memory protocol, the
-worker runtime, the scheduler/shuffle wave machinery and the arena/tier
-accounting planes — with :mod:`ast`, lowers every function into the same
-mini-IR op stream the borrow checker uses (reusing its module lowering,
-bounded path enumeration, finding sink and module loop from
-:mod:`repro.lint.borrow`), and runs a *protocol model* over each path:
+**concurrency**), and the static half of the runtime sanitizer's vector
+clocks (:mod:`repro.obs.sanitizer` is the dynamic half).  It parses the
+engine's concurrency surface — the mp backend, the shared-memory
+protocol, the worker runtime, the scheduler/shuffle wave machinery and
+the arena/tier accounting planes — with :mod:`ast`, lowers every
+function into the same mini-IR op stream the borrow checker uses
+(reusing its module lowering, bounded path enumeration, finding sink and
+module loop from :mod:`repro.lint.borrow`), and runs a *protocol model*
+over each path:
 
 * **acquire edges** — registry ``acquire`` refcount transitions,
   refcount-table stores inside or outside ``with self._lock`` scopes,
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from ..analysis.ir import Call, Method
 from ..analysis.pointsto import ContainerKind, ContainerRef
 from .borrow import (
+    SANITIZER,
     FuncModel,
     PathOp,
     _audit,
@@ -210,8 +212,7 @@ class _RaceLowerer(_Lowerer):
             return out
         recv = _text(func.value)
         meth = func.attr
-        if "ledger" in recv or "vclock" in recv:
-            # Sanitizer instrumentation is not a protocol op.
+        if SANITIZER in recv:
             return out
         if meth == "unlink" and nargs == 0:
             resource = f"segment:{recv}"

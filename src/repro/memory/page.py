@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator
 from ..errors import PageError, PageOverflowError, PageReclaimedError
 
 if TYPE_CHECKING:
-    from .provenance import ProvenanceLedger
+    from ..obs.sanitizer import Sanitizer
 from ..jvm.heap import SimHeap
 from ..jvm.objects import AllocationGroup, Lifetime
 from ..jvm.sizing import array_bytes
@@ -127,10 +127,10 @@ class PageGroup:
         # memory arena tracks in-build page groups through this hook.
         self.on_resize = on_resize
         self._alloc_group: AllocationGroup | None = None
-        # Sanitize mode: the cache / shm layer points this at the
-        # executor's ProvenanceLedger once the group adopts zero-copy
-        # buffers, so reclamation and drains are checked (None = no-op).
-        self.ledger: ProvenanceLedger | None = None
+        # Sanitize mode: the cold tier points this at the run's
+        # Sanitizer once the group adopts zero-copy buffers or drains, so
+        # reclamation and drains are checked (None = no-op).
+        self.sanitizer: Sanitizer | None = None
         if heap is not None:
             self._alloc_group = heap.new_group(
                 f"pages:{name}", Lifetime.PINNED)
@@ -257,8 +257,8 @@ class PageGroup:
         """
         self._check_alive()
         for page in list(self.pages):
-            if self.ledger is not None:
-                self.ledger.note_drain_copy(self.name, page.used)
+            if self.sanitizer is not None:
+                self.sanitizer.note_drain_copy(self.name, page.used)
             yield bytes(memoryview(page.data)[:page.used])
             # The caller holds (and has accounted) the copy; the source
             # page's heap charge can go.
@@ -405,8 +405,8 @@ class PageGroup:
                 except BufferError:
                     pass
         self.pages.clear()
-        if self.ledger is not None:
-            self.ledger.note_reclaim(self.name)
+        if self.sanitizer is not None:
+            self.sanitizer.note_group_reclaim(self)
 
     def _check_alive(self) -> None:
         if self.reclaimed:

@@ -45,9 +45,8 @@ from typing import Any, Iterable
 from ..errors import PageError
 from ..jvm.objects import Lifetime
 from ..jvm.sizing import array_bytes
-from ..obs.vclock import VClockChecker
+from ..obs.sanitizer import Sanitizer
 from .page import PageGroup
-from .provenance import ProvenanceLedger, poison_fill
 
 #: Tier files are named ``repro-tier-<pid>-<seq>[-<tag>].bin`` in the
 #: temp dir; scripts/check_mp_leaks.py flags files whose pid is dead.
@@ -120,23 +119,23 @@ class PageStoreTier:
 
     ``tracer``/``clock``/``pid`` mirror the executor's trace wiring;
     every operation lands on the run's trace bus as a ``tier:*`` instant
-    event (see docs/memory_model.md).
+    event (see docs/memory_model.md).  The *tag* names the file and, for
+    the *sanitizer*, the extents: one sanitizer watches every executor's
+    tier, so extent ``x`` of tier ``e0`` is resource ``e0:x``.
     """
 
     def __init__(self, path: str | None = None, *, tracer: Any = None,
                  clock: Any = None, pid: int = 0, tag: str = "",
-                 ledger: ProvenanceLedger | None = None,
-                 vclock: Any = None) -> None:
+                 sanitizer: Sanitizer | None = None) -> None:
         self.path = path if path is not None else default_tier_path(tag)
         self.tracer = tracer
         self.clock = clock
         self.pid = pid
-        # Sanitize mode: every exported view is recorded as a borrow and
-        # checked when its extent is freed / remapped (None = no-op).
-        self.ledger = ledger
-        # Race sanitizer: extent promotions are recorded as accesses the
-        # eventual drop must happen-after (repro.obs.vclock; None = off).
-        self.vclock = vclock
+        # Sanitize mode: every exported view is a borrow checked when its
+        # extent is freed / remapped, and every export an access the
+        # drop must happen-after (None = off).
+        self.sanitizer = sanitizer
+        self._owner = f"{tag}:" if tag else ""
         self._creator_pid = os.getpid()
         self._closed = False
         try:
@@ -232,11 +231,12 @@ class PageStoreTier:
                 # Promoted views still reference the old mapping; it is
                 # released when the last of them is dropped.
                 self._retired.append(old)
-        if self.ledger is not None:
+        if self.sanitizer is not None:
             # The old mapping was retired, not resized in place, so every
             # exported view stays valid — the safe remap protocol.
-            self.ledger.note_remap("extent", sorted(self._extents),
-                                   retired=True)
+            self.sanitizer.note_remap(
+                "extent", [self._owner + name for name in self._extents],
+                retired=True)
         self._release(self._size, new_size - self._size)
         self._size = new_size
         self.stats.file_bytes = new_size
@@ -278,10 +278,8 @@ class PageStoreTier:
             mm[pos:pos + n] = chunk
             pos += n
         self._extents[name] = TierExtent(offset, length, sizes)
-        if self.ledger is not None:
-            self.ledger.note_alloc("extent", name)
-        if self.vclock is not None:
-            self.vclock.note_create("extent", name)
+        if self.sanitizer is not None:
+            self.sanitizer.create("extent", self._owner + name)
         self.stats.swap_out_count += 1
         self.stats.bytes_moved_out += total
         self.stats.extents_live = len(self._extents)
@@ -291,8 +289,11 @@ class PageStoreTier:
                    file_bytes=self._size)
         return total
 
-    def views(self, name: str) -> list[memoryview]:
-        """Writable zero-copy views over extent *name*, one per page."""
+    def views(self, name: str, group: PageGroup | None = None,
+              transient: bool = True) -> list[memoryview]:
+        """Writable zero-copy views over extent *name*, one per page;
+        the sanitizer holds them transient unless the caller keeps them
+        (*transient* false), adopted by *group* if one mounts them."""
         self._check_open()
         extent = self.extent_of(name)
         mm = self._mm
@@ -303,18 +304,18 @@ class PageStoreTier:
         for n in extent.chunks:
             out.append(base[pos:pos + n])
             pos += n
-        if self.ledger is not None:
-            for view in out:
-                self.ledger.borrow("extent", name, view=view)
-        if self.vclock is not None:
-            self.vclock.note_access("extent", name)
+        if self.sanitizer is not None:
+            self.sanitizer.export("extent", self._owner + name, out,
+                                  transient=transient, group=group)
         return out
 
-    def swap_in(self, name: str) -> list[memoryview]:
-        """Promote extent *name*: zero-copy views the caller mounts as
-        pages.  The extent stays reserved — a later swap-out of the same
-        group moves no bytes, and :meth:`drop` releases it."""
-        views = self.views(name)
+    def swap_in(self, name: str,
+                group: PageGroup | None = None) -> list[memoryview]:
+        """Promote extent *name*: zero-copy views the caller keeps, or
+        mounts as *group*'s pages.  The extent stays reserved — a later
+        swap-out of the same group moves no bytes, and :meth:`drop`
+        releases it."""
+        views = self.views(name, group, transient=False)
         used = self.extent_of(name).used_bytes
         self.stats.swap_in_count += 1
         self.stats.bytes_moved_in += used
@@ -326,20 +327,16 @@ class PageStoreTier:
         """Release extent *name* (idempotent); returns its used bytes."""
         extent = self._extents.pop(name, None)
         if extent is None:
-            if self.ledger is not None and name in self._dropped:
+            if self.sanitizer is not None and name in self._dropped:
                 # Second drop of an extent we saw die: double-free.
-                self.ledger.note_free("extent", name)
+                self.sanitizer.free("extent", self._owner + name)
             return 0
-        if self.ledger is not None:
+        if self.sanitizer is not None:
             self._dropped.add(name)
-            self.ledger.note_free("extent", name)
-            if self._mm is not None:
-                # Sentinel-fill the freed bytes so any alias that slipped
-                # past the borrow check reads poison, not stale data.
-                self.ledger.note_poison("extent", name, poison_fill(
-                    self._mm, extent.offset, extent.length))
-        if self.vclock is not None:
-            self.vclock.note_reclaim("extent", name)
+            # The freed bytes are poisoned, so any alias that slipped past
+            # the borrow check reads a sentinel, not stale data.
+            self.sanitizer.free("extent", self._owner + name, mm=self._mm,
+                                offset=extent.offset, length=extent.length)
         self._release(extent.offset, extent.length)
         self.stats.drop_count += 1
         self.stats.extents_live = len(self._extents)
@@ -390,8 +387,8 @@ class ColdTier:
     order, so every ``PagePointer`` stays valid.  Payloads and chunks
     are parked in a dict here (the heap tier's plane).  The *owner* (an
     executor, or the SQL engine, which has no charge methods and pays
-    nothing) supplies ``heap``, ``serializer``, ``ledger``, ``tracer``,
-    ``clock`` and the :attr:`charges` methods.
+    nothing) supplies ``heap``, ``serializer``, ``sanitizer``,
+    ``tracer``, ``clock`` and the :attr:`charges` methods.
     """
 
     #: The owner's ``(write, read)`` charge methods.
@@ -399,8 +396,6 @@ class ColdTier:
 
     def __init__(self, owner: Any) -> None:
         self.owner = owner
-        # Race sanitizer; set by the context when config.sanitize.
-        self.vclock: VClockChecker | None = None
         write, read = self.charges
         self._charge_write = getattr(owner, write, _no_charge)
         self._charge_read = getattr(owner, read, _no_charge)
@@ -468,10 +463,9 @@ class HeapColdTier(ColdTier):
         its source, so the double-buffer transient is bounded at one page
         (not ~2x the group); the copies are freed once the disk write has
         consumed them."""
-        heap, ledger = self.owner.heap, self.owner.ledger
+        heap, sanitizer = self.owner.heap, self.owner.sanitizer
         copy_group = heap.new_group(f"swap-copy:{name}", Lifetime.PINNED)
-        if ledger is not None:
-            group.ledger = ledger
+        group.sanitizer = sanitizer
         chunks: list[bytes] = []
         for chunk in group.drain():
             self.owner.serializer.note_swap_copy(len(chunk))
@@ -483,8 +477,8 @@ class HeapColdTier(ColdTier):
         self._charge_write(disk_bytes)
         if not copy_group.freed:
             heap.free_group(copy_group)
-        if ledger is not None:
-            ledger.release_drain(group.name)
+        if sanitizer is not None:
+            sanitizer.release_drain(group.name)
         return sum(len(chunk) for chunk in chunks)
 
     def promote_group(self, name: str, group: PageGroup,
@@ -513,7 +507,7 @@ class MmapColdTier(ColdTier):
             owner = self.owner
             self.extents = PageStoreTier(
                 tracer=owner.tracer, clock=owner.clock, pid=self._pid,
-                tag=self._tag, ledger=owner.ledger, vclock=self.vclock)
+                tag=self._tag, sanitizer=owner.sanitizer)
         return self.extents
 
     def _has_extent(self, name: str) -> bool:
@@ -539,23 +533,16 @@ class MmapColdTier(ColdTier):
         if not self._has_extent(name):
             return super().promote(name, disk_bytes)
         self._charge_read(disk_bytes)
-        views = self._open().swap_in(name)
-        if self.owner.ledger is not None:
-            # The promoted views outlive this call on purpose.
-            self.owner.ledger.retain("extent", name)
-        return views
+        return self._open().swap_in(name)
 
     def promote_group(self, name: str, group: PageGroup,
                       disk_bytes: int) -> None:
         self._charge_read(disk_bytes)
-        for view in self._open().swap_in(name):
+        # Adoption hands the views' lifetime to the page group: its
+        # reclaim must detach them (checked at finish).
+        group.sanitizer = self.owner.sanitizer
+        for view in self._open().swap_in(name, group):
             group.adopt_page(view)
-        ledger = self.owner.ledger
-        if ledger is not None:
-            # Adoption hands ownership to the page group; the ledger
-            # tracks the borrows until group.reclaim().
-            ledger.retain("extent", name, group=group.name)
-            group.ledger = ledger
 
     def stream(self, name: str, disk_bytes: int) -> Any:
         if not self._has_extent(name):

@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional, Protocol
 
 from ..config import DecaConfig
 from ..obs.tracer import Tracer
-from ..obs.vclock import VClockChecker
+from ..obs.sanitizer import Sanitizer
 from ..simtime import SimClock
 
 # Spark 1.6's defaults: the arena manages this fraction of the heap
@@ -103,7 +103,7 @@ class MemoryArena(Protocol):
     leaves unaccounted — task slots, reduce merges, pinned page-group
     growth, mp segments — is a no-op there."""
 
-    vclock: Optional[VClockChecker]
+    sanitizer: Optional[Sanitizer]
 
     def task_started(self) -> int:
         ...
@@ -206,8 +206,8 @@ class _ArenaBase:
         self.storage_used = 0
         self._entries: dict[str, _StorageEntry] = {}
         self._tick = 0
-        # Race sanitizer; set by the context when config.sanitize.
-        self.vclock: Optional[VClockChecker] = None
+        # The run's sanitizer; set by the executor when config.sanitize.
+        self.sanitizer: Optional[Sanitizer] = None
 
     def _emit(self, event: str, **args: object) -> None:
         ts = self.clock.now_ms if self.clock is not None else 0.0
@@ -303,8 +303,8 @@ class StaticMemoryArena(_ArenaBase):
     def _lru_victim(self) -> Optional[_StorageEntry]:
         victim = next((entry for entry in self._lru_entries()
                        if entry.name not in self._inflight), None)
-        if victim is not None and self.vclock is not None:
-            self.vclock.note_victim(str(victim.block))
+        if victim is not None and self.sanitizer is not None:
+            self.sanitizer.note_victim(str(victim.block))
         return victim
 
     def _evict(self, entry: _StorageEntry) -> int:
@@ -408,9 +408,9 @@ class UnifiedMemoryManager(_ArenaBase):
 
     def _pool_written(self, pool: str,
                       based_on: Optional[int] = None) -> None:
-        """Race sanitizer: one transition of *pool* (DECA404)."""
-        if self.vclock is not None:
-            self.vclock.pool_write(pool, based_on=based_on)
+        """Sanitize mode: one transition of *pool* (DECA404)."""
+        if self.sanitizer is not None:
+            self.sanitizer.pool_write(pool, based_on=based_on)
 
     def _note_borrow(self, side: str, before: int, after: int) -> None:
         """Count and trace *side* borrowing more of the other's region."""
@@ -452,14 +452,14 @@ class UnifiedMemoryManager(_ArenaBase):
         key = self._task_keys
         self._task_used[key] = 0
         self._task_stack.append(key)
-        if self.vclock is not None:
-            self.vclock.note_grant(f"arena:{self.pid}:{key}")
+        if self.sanitizer is not None:
+            self.sanitizer.note_grant(f"arena:{self.pid}:{key}")
         return key
 
     def task_finished(self, key: int) -> int:
         """Drop a task slot, force-releasing any leftover grants."""
-        if self.vclock is not None:
-            self.vclock.note_grant_release(f"arena:{self.pid}:{key}")
+        if self.sanitizer is not None:
+            self.sanitizer.note_grant_release(f"arena:{self.pid}:{key}")
         leftover = self._task_used.pop(key, 0)
         if key in self._task_stack:
             self._task_stack.remove(key)
@@ -521,8 +521,8 @@ class UnifiedMemoryManager(_ArenaBase):
             self._spill_siblings(want - self.free_bytes, consumer)
         # The grant derives from this last level read: no pool
         # transition may land before it is written (DECA404).
-        version = (self.vclock.pool_read("execution")
-                   if self.vclock is not None else None)
+        version = (self.sanitizer.pool_read("execution")
+                   if self.sanitizer is not None else None)
         granted = min(want, self.free_bytes)
         if granted <= 0:
             self.stats.denied_bytes += nbytes

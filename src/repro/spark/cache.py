@@ -148,14 +148,15 @@ class CacheStore:
             # same LRU).
             return 0
         self._inflight.add(key)
-        if self.executor.vclock is not None:
-            self.executor.vclock.swap_begin(str(key))
+        sanitizer = self.executor.sanitizer
+        if sanitizer is not None:
+            sanitizer.swap_begin(str(key))
         try:
             return self._swap_out(key, block)
         finally:
             self._inflight.discard(key)
-            if self.executor.vclock is not None:
-                self.executor.vclock.swap_end(str(key))
+            if sanitizer is not None:
+                sanitizer.swap_end(str(key))
 
     def _swap_out(self, key: BlockKey, block: CachedBlock) -> int:
         executor = self.executor

@@ -28,9 +28,8 @@ from ..errors import ExecutionError, MemoryLayoutError, SanitizerError
 from ..exec import create_backend
 from ..jvm.objects import Lifetime
 from ..memory.layout import build_schema
-from ..memory.provenance import VIOLATION_SLUGS, ProvenanceLedger
 from ..obs import Tracer
-from ..obs.vclock import RACE_SLUGS, VClockChecker
+from ..obs.sanitizer import SLUGS, Sanitizer
 from .cache import CachedBlock
 from .measure import RecordFootprint
 from .metrics import JobMetrics, RunMetrics
@@ -96,30 +95,20 @@ class DecaContext:
         self.fault_injector = FaultInjector(self.config.faults)
         # One trace buffer per run; every layer emits into it (repro.obs).
         self.tracer = Tracer()
+        # The run's one sanitizer (docs/static_analysis.md): every
+        # executor, arena, cold tier and the shm registry report to it;
+        # mp workers run forked replicas whose notes it absorbs with each
+        # result message.  None unless config.sanitize — zero overhead off.
+        self.sanitizer = (Sanitizer(tracer=self.tracer)
+                          if self.config.sanitize else None)
         self.executors = [
             Executor(i, self.config, self.shuffle_store,
-                     tracer=self.tracer)
+                     tracer=self.tracer, sanitizer=self.sanitizer)
             for i in range(self.config.num_executors)
         ]
         for executor in self.executors:
             executor.fault_injector = self.fault_injector
         self.scheduler = DAGScheduler(self)
-        # Driver-side alias sanitizer: audits shm segment ownership (the
-        # mp backend's registry); executors carry their own ledgers for
-        # mmap extents.  None unless config.sanitize — zero overhead off.
-        self.ledger: ProvenanceLedger | None = None
-        # Vector-clock race sanitizer (docs/static_analysis.md): one
-        # driver-side checker per run; mp workers carry forked replicas
-        # whose notes are absorbed with each result message.
-        self.vclock: VClockChecker | None = None
-        if self.config.sanitize:
-            self.ledger = ProvenanceLedger(tracer=self.tracer)
-            self.vclock = VClockChecker(actor="driver",
-                                        tracer=self.tracer)
-            for executor in self.executors:
-                executor.vclock = self.vclock
-                executor.arena.vclock = self.vclock
-                executor.cold_tier.vclock = self.vclock
         # How stages execute: the sim backend declines every stage (the
         # scheduler's in-process loop runs); the mp backend runs them on
         # forked workers with shared-memory pages (repro.exec).
@@ -407,29 +396,13 @@ class DecaContext:
                 if nbytes:
                     run.cached_bytes[rdd.name] = \
                         run.cached_bytes.get(rdd.name, 0) + nbytes
-        if self.config.sanitize:
-            # Fold every ledger's end-of-run audit into one summary; any
-            # violation anywhere fails the run loudly — a silently wrong
-            # result is the failure mode the sanitizer exists to prevent.
-            ledgers = [e.ledger for e in self.executors
-                       if e.ledger is not None]
-            if self.ledger is not None:
-                ledgers.append(self.ledger)
-            for ledger in ledgers:
-                for name, count in ledger.check_finish().items():
-                    run.sanitize[name] = run.sanitize.get(name, 0) + count
-            if self.vclock is not None:
-                # The vclock audit runs after backend/tier teardown so
-                # shutdown-path races (orphan sweeps, late unlinks) are
-                # checked too.
-                for name, count in self.vclock.check_finish().items():
-                    run.race[name] = run.race.get(name, 0) + count
-            if run.sanitize.get("violations", 0):
-                raise SanitizerError({
-                    slug: run.sanitize.get(slug, 0)
-                    for slug in VIOLATION_SLUGS})
-            if run.race.get("violations", 0):
-                raise SanitizerError({
-                    slug: run.race.get(slug, 0)
-                    for slug in RACE_SLUGS})
+        if self.sanitizer is not None:
+            # The audit runs after backend/tier teardown, so shutdown-path
+            # bugs (orphan sweeps, late unlinks) are checked too; any
+            # violation fails the run loudly — a silently wrong result is
+            # the failure mode the sanitizer exists to prevent.
+            run.sanitize = self.sanitizer.check_finish()
+            if run.sanitize["violations"]:
+                raise SanitizerError({slug: run.sanitize[slug]
+                                      for slug in SLUGS})
         return run

@@ -17,11 +17,10 @@ from ..jvm.heap import SimHeap
 from ..jvm.objects import AllocationGroup, Lifetime
 from ..jvm.stats import GcEvent
 from ..memory.manager import DecaMemoryManager
-from ..memory.provenance import ProvenanceLedger
 from ..memory.tier import ColdTier, cold_tier_for
 from ..memory.unified import create_memory_arena
 from ..obs import Tracer
-from ..obs.vclock import VClockChecker
+from ..obs.sanitizer import Sanitizer
 from ..simtime import SimClock
 from .cache import CacheStore
 from .faults import EXECUTOR_CRASH, FaultInjector, TaskFaultPlan
@@ -38,7 +37,8 @@ class Executor:
 
     def __init__(self, executor_id: int, config: DecaConfig,
                  shuffle_store: ShuffleBlockStore,
-                 tracer: Tracer | None = None) -> None:
+                 tracer: Tracer | None = None,
+                 sanitizer: Sanitizer | None = None) -> None:
         self.executor_id = executor_id
         self.config = config
         self.clock = SimClock()
@@ -55,22 +55,15 @@ class Executor:
         self.arena = create_memory_arena(
             config, clock=self.clock, tracer=self.tracer,
             pid=executor_id + 1)
+        # The run's sanitizer (None unless config.sanitize, so the hot
+        # paths pay a single ``is None`` test): the arena, the cache and
+        # the cold tier report to it.
+        self.sanitizer = self.arena.sanitizer = sanitizer
         self.memory_manager = DecaMemoryManager(config, self.heap,
                                                 self.arena)
         self.serializer = SerializerModel(
             config.serializer, self.clock,
             parallelism=config.tasks_per_executor)
-        # Runtime alias sanitizer: one provenance ledger per executor
-        # records every exported zero-copy view (None when off, so the
-        # hot paths pay a single ``is None`` test).
-        self.ledger: ProvenanceLedger | None = None
-        if config.sanitize:
-            self.ledger = ProvenanceLedger(
-                tracer=self.tracer, clock=self.clock, pid=self.trace_pid)
-        # Vector-clock race sanitizer: set by the context (one shared
-        # driver checker per run), threaded into the cold tier and the
-        # arena.  None unless config.sanitize.
-        self.vclock: VClockChecker | None = None
         self.cache = CacheStore(self)
         self.serializer.on_charge = self._attribute_serializer_time
         self.shuffle_store = shuffle_store

@@ -162,12 +162,10 @@ class RunMetrics:
     # Cold-tier counters (each executor's ColdTier.snapshot(), summed):
     # empty on the heap tier and when no mmap tier opened its file.
     tier: dict[str, "int | str"] = field(default_factory=dict)
-    # Runtime alias-sanitizer counters (repro.memory.provenance), summed
-    # across executor ledgers at finish(); empty unless config.sanitize.
+    # The run's sanitizer summary (repro.obs.sanitizer): borrow and
+    # vector-clock counters plus one count per rule slug, taken at
+    # finish(); empty unless config.sanitize.
     sanitize: dict[str, int] = field(default_factory=dict)
-    # Vector-clock race-sanitizer counters (repro.obs.vclock), folded in
-    # at finish(); empty unless config.sanitize.
-    race: dict[str, int] = field(default_factory=dict)
 
     @property
     def gc_pause_ms(self) -> float:
@@ -249,6 +247,4 @@ class RunMetrics:
             # Only present when the sanitizer ran: keeps baselines for
             # plain runs byte-identical (determinism CI).
             out["sanitize"] = dict(sorted(self.sanitize.items()))
-        if self.race:
-            out["race"] = dict(sorted(self.race.items()))
         return out

@@ -7,7 +7,7 @@ reproduces that baseline fused onto Deca's decomposition layer: cached
 relations are lifetime-grouped page groups (one contiguous page run per
 column), query operators are batch kernels over typed zero-copy views,
 and the caches are charged to the unified arena, swappable to the mmap
-cold tier and audited by the provenance sanitizer like any other page
+cold tier and audited by the runtime sanitizer like any other page
 group.  See ``docs/sql_engine.md``.
 
 Example::

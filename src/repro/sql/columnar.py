@@ -17,7 +17,7 @@ Because both are plain page groups, everything built for Deca pages
 applies to SQL caches for free: the unified arena charges them, the cold
 tier demotes and promotes them through the page-group path cache blocks
 use (raw bytes moved, zero serializer bytes, on the mmap tier), and the
-provenance ledger tracks promoted extents as borrows.
+sanitizer tracks promoted extents as borrows.
 """
 
 from __future__ import annotations

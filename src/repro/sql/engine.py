@@ -21,7 +21,7 @@ engine's :class:`~repro.memory.unified.UnifiedMemoryManager` (with
 ``memory:acquire``/``memory:release`` trace events) and swap through the
 cold tier's page-group path cache blocks use — on the mmap tier as raw
 bytes (zero serializer bytes) adopted back zero-copy, audited by the
-provenance ledger in sanitize mode; on the heap tier as counted copies.
+engine's sanitizer in sanitize mode; on the heap tier as counted copies.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from ..errors import SqlError
 from ..jvm.heap import SimHeap
 from ..jvm.objects import Lifetime
 from ..memory.manager import DecaMemoryManager
-from ..memory.provenance import ProvenanceLedger
 from ..memory.tier import cold_tier_for
 from ..memory.unified import UnifiedMemoryManager
+from ..obs.sanitizer import Sanitizer
 from ..obs.tracer import Tracer
 from ..simtime import SimClock
 from ..spark.serializer import SerializerModel
@@ -165,10 +165,10 @@ class SqlEngine:
         # the static split's storage budget would move Table 6.
         self.arena = UnifiedMemoryManager(self.config, clock=self.clock,
                                           tracer=self.tracer)
-        self.ledger: ProvenanceLedger | None = None
-        if self.config.sanitize:
-            self.ledger = ProvenanceLedger(tracer=self.tracer,
-                                           clock=self.clock)
+        # The engine's own sanitizer (it shares no process state with a
+        # DecaContext); None unless config.sanitize.
+        self.sanitizer = (Sanitizer(tracer=self.tracer, clock=self.clock)
+                          if self.config.sanitize else None)
         self.memory_manager = DecaMemoryManager(self.config,
                                                 heap=self.heap,
                                                 arena=self.arena)

@@ -177,8 +177,7 @@ _DIGESTS = {"scan": "aa", "filter": "bb", "groupby": "cc", "topk": "dd"}
 _MEM = dict(equivalent=True, spilled_bytes=0, borrows=0, evicts=0, rejects=0)
 _MP = dict(equivalent=True, bytes_shared=4096, bytes_pickled_records=0)
 _SIM = dict(equivalent=True, bytes_shared=0, bytes_pickled_records=0)
-_QUIET = dict(sanitize={"violations": 0, "frees": 16},
-              race={"violations": 0, "forks": 2})
+_QUIET = dict(sanitize={"violations": 0, "frees": 16, "forks": 2})
 
 PASSING = {
     "memory": {
@@ -227,8 +226,8 @@ BREAKS = [
      dict(scan=.006, filter=.049, groupby=.248)),
     ("sql", "no larger than the row cache", "columnar", "cached_bytes",
      1485801),
-    ("sql", "ledger clean", "swap_roundtrip", "ledger_violations", 1),
-    ("sql", "ledger clean", "swap_roundtrip", "promoted_digests",
+    ("sql", "sanitizer clean", "swap_roundtrip", "ledger_violations", 1),
+    ("sql", "sanitizer clean", "swap_roundtrip", "promoted_digests",
      {**_DIGESTS, "scan": "ee"}),
     ("sql", "demotes raw bytes", "swap_roundtrip", "swap_copy_bytes", 1),
     ("sql", "promotes the bytes back", "swap_roundtrip", "tier",
@@ -237,7 +236,7 @@ BREAKS = [
     ("backend", "without pickling a record", "wc/mp",
      "bytes_pickled_records", 8),
     ("backend", "shared pages", "pr/mp", "bytes_shared", 0),
-    ("sanitize", "stayed silent", "pr/mp", "race", {"violations": 1}),
+    ("sanitize", "stayed silent", "pr/mp", "sanitize", {"violations": 1}),
     ("sanitize", "stayed silent", "wc/sim", "sanitize", {}),
 ]
 

@@ -454,7 +454,7 @@ class TestStreamedReadViewLifetime:
         return ctx
 
     def test_extent_can_be_dropped_and_tier_closed(self, mode, how):
-        # (the sanitizer's ledger keeps every view it tracks alive)
+        # (the sanitizer keeps every view it tracks alive)
         ctx = self.stream_swapped_block(mode, how, sanitize=False)
         tier = ctx.executors[0].cold_tier
         mapping = tier.extents._mm

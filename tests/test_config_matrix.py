@@ -8,13 +8,13 @@ ROADMAP in one place: every cell of
     mode {spark, spark-ser, deca} x backend {sim, mp}
          x cold_tier {heap, mmap} x memory_mode {static, unified}
 
-runs every :mod:`repro.apps` workload with both runtime sanitizers on and
+runs every :mod:`repro.apps` workload with the runtime sanitizer on and
 is compared with **one reference cell** — spark mode on sim / heap /
-static with the sanitizers off.  A cell passes when
+static with the sanitizer off.  A cell passes when
 
 * its result digest equals the reference's (no axis changes an answer);
-* the provenance ledger and the vector-clock checker both ran and
-  recorded zero violations;
+* the sanitizer ran — borrows and vector clocks — and recorded zero
+  violations;
 * the zero-copy counters say what the axis promises — the Deca swap on
   the mmap tier is a byte move (no serializer copies, bytes in the
   tier), and Deca data crosses processes in shared pages (WordCount
@@ -51,7 +51,7 @@ from repro.bench.experiments import (
     MEMORY_MODES,
     pickles_no_records,
     roundtrip_is_clean,
-    sanitizers_silent,
+    sanitizer_silent,
     shares_pages,
     swap_moves_bytes,
     swap_pays_copies,
@@ -152,10 +152,9 @@ def test_cell_matches_reference(app, mode, backend, cold_tier, memory_mode,
     metrics = cell.metrics
 
     assert digest == reference(app)
-    # What `repro.bench sanitize` gates: both sanitizers ran (non-empty
-    # summaries) and stayed silent.
-    assert sanitizers_silent({"sanitize": metrics.sanitize,
-                              "race": metrics.race})
+    # What `repro.bench sanitize` gates: the sanitizer ran (a non-empty
+    # summary) and stayed silent.
+    assert sanitizer_silent({"sanitize": metrics.sanitize})
 
     deca = mode is ExecutionMode.DECA
     if deca and backend == "sim" and app == "lr":
@@ -194,7 +193,7 @@ def test_sql_cell_matches_reference(cold_tier, sanitize,
 
     assert cell["resident_digests"] == expected
     # What `repro.bench sql --check` gates: bytes left, every promoted
-    # digest equals its resident one, the ledger is clean — and on the
+    # digest equals its resident one, the sanitizer is clean — and on the
     # mmap tier the trip is raw bytes out and back.
     assert roundtrip_is_clean(cell), cell
     if cold_tier == "mmap":

@@ -15,7 +15,7 @@ design has to get right:
   outlives it.
 
 Every context runs with ``sanitize=True``: ``ctx.finish()`` raises on any
-provenance or vector-clock violation.
+borrow or vector-clock violation.
 """
 
 import gc
@@ -59,10 +59,9 @@ def add(a, b):
 
 
 def finish_clean(ctx):
-    """finish() with both sanitizers' verdicts checked explicitly."""
+    """finish() with the sanitizer's verdict checked explicitly."""
     metrics = ctx.finish()
     assert metrics.sanitize["violations"] == 0
-    assert metrics.race["violations"] == 0
     return metrics
 
 
@@ -116,12 +115,11 @@ class TestOneForkPerWorkerPerJob:
         assert stats["worker_deaths"] == 0
         assert result_digest(sorted(run.result.items())) == \
             result_digest(sorted(sim.result.items()))
-        assert run.metrics.race["violations"] == 0
         assert run.metrics.sanitize["violations"] == 0
         # One fork edge per worker, one send edge per order, one receive
         # edge per task outcome.
-        assert run.metrics.race["forks"] == WORKERS
-        assert run.metrics.race["joins"] >= stats["mp_tasks"]
+        assert run.metrics.sanitize["forks"] == WORKERS
+        assert run.metrics.sanitize["joins"] >= stats["mp_tasks"]
 
     def test_every_job_gets_fresh_workers(self):
         ctx = DecaContext(config())
@@ -287,7 +285,6 @@ class TestNothingOutlivesTheJob:
         assert stats["mp_tasks"] == 4 * (2 + 3) + failures
         assert stats["worker_deaths"] == (kind == "executor-crash")
         assert stats["segments_live"] == 0
-        assert run.metrics.race["violations"] == 0
         assert run.metrics.sanitize["violations"] == 0
         assert residue() == before
 

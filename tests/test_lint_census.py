@@ -8,11 +8,12 @@ A rule earns its lines through at least one of two things:
   function itself contributes to its enumerated paths, or a function
   flag), counted with the lint's own lowerers and path enumeration;
 * **runtime checkpoints** — engine call sites, outside ``repro.lint``,
-  of a method of the rule's runtime twin (``ProvenanceLedger`` for
-  DECA30x, ``VClockChecker`` for DECA40x) that can record its slug.
+  of a method of the runtime :class:`~repro.obs.sanitizer.Sanitizer`
+  (receiver ``sanitizer``, the name the lowerers skip) that can record
+  its slug.
 
 A rule with neither fires only on its seeded fixture, so it is deleted
-together with the fixture and the twin.  A rule with no row in
+together with the fixture and its sanitizer check.  A rule with no row in
 :data:`CENSUS` has no recorded subject and fails the same way: a new rule
 arrives with its row.  ``docs/static_analysis.md`` ("Rule census")
 carries the counts.
@@ -26,12 +27,16 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.lint.borrow import ENGINE_MODULES, _enumerate_paths, lower_module
+from repro.lint.borrow import (
+    ENGINE_MODULES,
+    SANITIZER,
+    _enumerate_paths,
+    lower_module,
+)
 from repro.lint.findings import RULES, RULES_BY_ID
 from repro.lint.fixtures.drivers import FIXTURES
 from repro.lint.race import RACE_MODULES, lower_race_module
-from repro.memory.provenance import VIOLATION_SLUGS, ProvenanceLedger
-from repro.obs.vclock import RACE_SLUGS, VClockChecker
+from repro.obs.sanitizer import BORROW_SLUGS, RACE_SLUGS, Sanitizer
 
 ROOT = Path(repro.__file__).resolve().parent
 
@@ -46,17 +51,16 @@ def _op(*kinds):
 
 
 #: rule -> (static precondition over ``(model, own op kinds)``, the
-#: twin's checking methods).
+#: sanitizer's checking methods).
 CENSUS = {
-    "DECA301": (_op("EXPORT"), ("borrow", "note_free")),
-    "DECA302": (_op("EXPORT"), ("borrow", "note_free")),
-    "DECA303": (_op("FREE", "UNLINK", "SEGRELEASE"), ("note_free",)),
+    "DECA301": (_op("EXPORT"), ("export", "free")),
+    "DECA302": (_op("EXPORT"), ("export", "free")),
+    "DECA303": (_op("FREE", "UNLINK", "SEGRELEASE"), ("free",)),
     "DECA304": (_op("ADOPT"), ("check_finish",)),
     "DECA305": (lambda model, ops: model.growlike, ("note_remap",)),
     "DECA306": (lambda model, ops: model.is_teardown, ("check_finish",)),
     "DECA308": (_op("DRAIN"), ("check_finish",)),
-    "DECA401": (_op("UNLINK", "ATTACH"),
-                ("note_attach", "note_access", "note_reclaim", "absorb")),
+    "DECA401": (_op("UNLINK", "ATTACH"), ("export", "free", "absorb")),
     "DECA402": (lambda race, ops: race.class_uses_lock and not ops.isdisjoint(
         {"REFMUT_LOCKED", "REFMUT_UNLOCKED"}), ("note_refdec",)),
     "DECA404": (_op("POOL_READ"), ("pool_write",)),
@@ -71,13 +75,6 @@ CENSUS = {
 }
 
 
-def _twin(rule_id: str):
-    """The runtime twin's class and the receiver name engine code uses."""
-    if rule_id.startswith("DECA3"):
-        return ProvenanceLedger, "ledger"
-    return VClockChecker, "vclock"
-
-
 def _own_ops(body) -> set[str]:
     return {op.kind for ops, _term in _enumerate_paths(body)
             for op in ops if op.depth == 0}
@@ -89,8 +86,8 @@ def _lowered(modules, lower):
 
 
 def _engine_calls() -> Counter:
-    """``(receiver, method)`` -> call sites in ``src/repro`` outside
-    ``repro.lint``, where the receiver is a ``ledger`` / ``vclock``."""
+    """method -> call sites in ``src/repro`` outside ``repro.lint`` on
+    a ``sanitizer`` receiver."""
     calls: Counter = Counter()
     for path in sorted(ROOT.rglob("*.py")):
         if (ROOT / "lint") in path.parents:
@@ -102,8 +99,8 @@ def _engine_calls() -> Counter:
             recv = node.func.value
             name = (recv.attr if isinstance(recv, ast.Attribute)
                     else getattr(recv, "id", None))
-            if name in ("ledger", "vclock"):
-                calls[name, node.func.attr] += 1
+            if name == SANITIZER:
+                calls[node.func.attr] += 1
     return calls
 
 
@@ -122,10 +119,9 @@ def count_census() -> dict[str, tuple[int, int]]:
             continue
         precondition, methods = CENSUS[rule_id]
         models = borrow if rule_id.startswith("DECA3") else race
-        receiver = _twin(rule_id)[1]
         counts[rule_id] = (
             sum(1 for model, ops in models if precondition(model, ops)),
-            sum(calls[receiver, method] for method in methods))
+            sum(calls[method] for method in methods))
     return counts
 
 
@@ -146,9 +142,8 @@ def test_rule_has_a_subject(rule_id, census):
 def test_checking_methods_can_record_the_rules_slug():
     slugs = dict((rule, slug) for rule, slug, _drive in FIXTURES)
     for rule_id, (_precondition, methods) in CENSUS.items():
-        twin = _twin(rule_id)[0]
         for method in methods:
-            source = inspect.getsource(getattr(twin, method))
+            source = inspect.getsource(getattr(Sanitizer, method))
             assert f'"{slugs[rule_id]}"' in source, (rule_id, method)
 
 
@@ -157,7 +152,7 @@ def test_fixtures_list_exactly_the_audited_rules_in_order():
     assert [rule for rule, _slug, _drive in FIXTURES] == list(AUDITED)
     for rule, slug, _drive in FIXTURES:
         assert slug == RULES_BY_ID[rule].name
-    by_family = {"DECA3": VIOLATION_SLUGS, "DECA4": RACE_SLUGS}
+    by_family = {"DECA3": BORROW_SLUGS, "DECA4": RACE_SLUGS}
     for family, slugs in by_family.items():
         assert tuple(slug for rule, slug, _drive in FIXTURES
                      if rule.startswith(family)) == slugs

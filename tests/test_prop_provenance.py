@@ -6,7 +6,7 @@ file growth each large alloc can force — must uphold two invariants:
 
 * a live borrow never sits over a poisoned byte range: every path that
   frees an extent releases its exported views first (the protocol the
-  DECA301 rule enforces statically), and the ledger records zero
+  DECA301 rule enforces statically), and the sanitizer records zero
   violations for the whole run;
 * poison never leaks into promoted bytes: whatever holes an extent is
   packed into, swap-in / views always return exactly the bytes swapped
@@ -15,8 +15,8 @@ file growth each large alloc can force — must uphold two invariants:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.provenance import POISON_BYTE, ProvenanceLedger
 from repro.memory.tier import PageStoreTier
+from repro.obs.sanitizer import POISON_BYTE, Sanitizer
 
 #: One random step: (verb, group index, size seed).
 STEP = st.tuples(
@@ -36,9 +36,9 @@ class TierMachine:
     """Applies one random script to a fresh tier, checking invariants."""
 
     def __init__(self, tmp_path) -> None:
-        self.ledger = ProvenanceLedger()
+        self.sanitizer = Sanitizer()
         self.tier = PageStoreTier(str(tmp_path / "prop.bin"),
-                                  ledger=self.ledger)
+                                  sanitizer=self.sanitizer)
         self.contents: dict[str, bytes] = {}
         self.held: dict[str, list] = {}
         self.grow_serial = 0
@@ -78,12 +78,12 @@ class TierMachine:
 
     def check_invariants(self) -> None:
         # No violation of any slug, ever — the protocol above is safe.
-        assert self.ledger.summary()["violations"] == 0
+        assert self.sanitizer.summary()["violations"] == 0
         # A live borrow never overlaps a poisoned (freed) range: every
         # held view belongs to a live extent, and its bytes are intact.
         for name, views in self.held.items():
             assert name in self.contents
-            assert self.ledger.live_borrows("extent", name) >= 0
+            assert self.sanitizer.live_borrows("extent", name) >= 0
             got = b"".join(bytes(v) for v in views)
             expected = self.contents[name]
             assert len(got) % len(expected) == 0
@@ -94,8 +94,8 @@ class TierMachine:
             for view in views:
                 view.release()
         self.held.clear()
-        # Everything released: the end-of-run ledger check is clean.
-        assert self.ledger.check_finish()["violations"] == 0
+        # Everything released: the end-of-run check is clean.
+        assert self.sanitizer.check_finish()["violations"] == 0
         self.tier.close()
 
 
@@ -118,10 +118,10 @@ def test_random_interleavings_never_alias_poison(tmp_path_factory,
 def test_poison_never_leaks_into_promoted_bytes(tmp_path_factory, sizes,
                                                 churn):
     """Drop/reuse churn: every re-promotion returns pristine bytes."""
-    ledger = ProvenanceLedger()
+    sanitizer = Sanitizer()
     tier = PageStoreTier(
         str(tmp_path_factory.mktemp("tier-poison") / "t.bin"),
-        ledger=ledger)
+        sanitizer=sanitizer)
     try:
         for round_no, size in enumerate(sizes):
             victim = f"v{round_no}"
@@ -135,6 +135,6 @@ def test_poison_never_leaks_into_promoted_bytes(tmp_path_factory, sizes,
             got = b"".join(bytes(v) for v in tier.swap_in(tenant))
             assert POISON_BYTE not in got
             assert got == payload
-        assert ledger.summary()["violations"] == 0
+        assert sanitizer.summary()["violations"] == 0
     finally:
         tier.close()

@@ -1,4 +1,5 @@
-"""Property-based tests: the vector-clock race sanitizer on real paths.
+"""Property-based tests: the runtime sanitizer's vector clocks on real
+paths.
 
 Two invariants, mirroring the DECA30x provenance properties one
 protocol layer up:
@@ -9,7 +10,7 @@ protocol layer up:
   alloc/view/grow/free on a real
   :class:`~repro.memory.tier.PageStoreTier`, arena pool CAS
   transitions, grant/release pairs and worker fork→access→absorb→exit
-  cycles — never record a single vclock violation.  The protocol the
+  cycles — never record a single violation.  The protocol the
   engine actually follows is race-free by construction, and the
   sanitizer must agree on every schedule;
 * every seeded DECA40x bug fixture always trips the sanitizer with
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.exec.shm import SegmentRef, ShmSegmentRegistry
 from repro.lint.fixtures.drivers import run_fixtures
 from repro.memory.tier import PageStoreTier
-from repro.obs.vclock import RACE_SLUGS, VClockChecker
+from repro.obs.sanitizer import RACE_SLUGS, Sanitizer
 
 #: One random step: (verb, resource index, payload seed).
 STEP = st.tuples(
@@ -45,10 +46,10 @@ class ProtocolMachine:
     """
 
     def __init__(self, tmp_path) -> None:
-        self.checker = VClockChecker()
-        self.registry = ShmSegmentRegistry(vclock=self.checker)
+        self.checker = Sanitizer()
+        self.registry = ShmSegmentRegistry(sanitizer=self.checker)
         self.tier = PageStoreTier(str(tmp_path / "prop.bin"),
-                                  vclock=self.checker)
+                                  sanitizer=self.checker)
         self.seg_refs: dict[str, int] = {}
         self.extents: set[str] = set()
         self.held: dict[str, list] = {}
@@ -105,13 +106,13 @@ class ProtocolMachine:
         actor = f"w{self.worker_serial}"
         self.worker_serial += 1
         snapshot = self.checker.fork(actor)
-        worker = VClockChecker(actor=actor, snapshot=snapshot)
+        worker = Sanitizer(actor=actor, snapshot=snapshot)
         for offset, seg in enumerate(sorted(self.seg_refs)):
             if (seed + offset) % 2:
-                worker.note_attach("segment", seg)
+                worker.export("segment", seg)
         for offset, ext in enumerate(sorted(self.extents)):
             if (seed + offset) % 2:
-                worker.note_access("extent", ext)
+                worker.export("extent", ext)
         # Absorb *before* any later reclaim: the wave-barrier ordering
         # the mp driver keeps, and exactly what makes the schedule
         # race-free.
@@ -155,7 +156,7 @@ def test_result_handoff_safe_iff_joined(join_first, tasks):
     join edge (queue get / process join); consuming before that edge
     is exactly DECA405, and it fires for every task in the wave.
     """
-    checker = VClockChecker()
+    checker = Sanitizer()
     checker.fork("w0")
     for task in range(tasks):
         checker.note_result_produced(f"t{task}", actor="w0")
@@ -175,5 +176,5 @@ def test_every_race_fixture_always_fires():
     rows = run_fixtures("DECA4")
     assert len(rows) == len(RACE_SLUGS)
     for row in rows:
-        assert row["fired"], f"{row['rule']} did not trip the vclock"
+        assert row["fired"], f"{row['rule']} did not trip the sanitizer"
         assert row["violations"] >= 1

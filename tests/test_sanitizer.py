@@ -1,7 +1,7 @@
-"""The runtime alias sanitizer: ledger triggers, engine wiring, and the
-zero-copy regression scenarios the DECA30x rules exist for.
+"""The runtime sanitizer's borrow half: its triggers, engine wiring, and
+the zero-copy regression scenarios the DECA30x rules exist for.
 
-Includes the two regression tests this PR hardens the engine against:
+Includes the regression tests the engine is hardened against:
 
 * dangling promoted views — CacheStore swap/drop paths must release a
   superseded promotion blob *before* the backing extent is freed (the
@@ -15,12 +15,9 @@ import pytest
 
 from repro.config import MB, DecaConfig, ExecutionMode
 from repro.errors import SanitizerError
-from repro.memory.provenance import (
-    POISON_BYTE,
-    VIOLATION_SLUGS,
-    ProvenanceLedger,
-)
+from repro.memory.page import PageGroup
 from repro.memory.tier import PageStoreTier
+from repro.obs.sanitizer import BORROW_SLUGS, POISON_BYTE, RACE_SLUGS, Sanitizer
 from repro.spark import DecaContext
 from repro.spark.cache import StorageStrategy
 from repro.apps.logistic_regression import labeled_point_udt_info
@@ -44,130 +41,193 @@ def cache_one_rdd(ctx, records=400):
 
 
 class TestLedgerTriggers:
-    """Each DECA30x violation slug has a direct ledger trigger."""
+    """Each DECA30x violation slug has a direct sanitizer trigger."""
 
     def test_free_under_live_borrow_extent(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("extent", "g", view=view)
-        ledger.note_free("extent", "g")
-        assert ledger.counters["use-after-free-extent"] == 1
+        sanitizer.export("extent", "g", [view])
+        sanitizer.free("extent", "g")
+        assert sanitizer.counters["use-after-free-extent"] == 1
         assert view.nbytes == 16  # trigger fired, view untouched
 
     def test_free_under_live_borrow_segment(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("segment", "s", view=view)
-        ledger.note_free("segment", "s")
-        assert ledger.counters["use-after-unlink-segment"] == 1
+        sanitizer.export("segment", "s", [view])
+        sanitizer.free("segment", "s")
+        assert sanitizer.counters["use-after-unlink-segment"] == 1
 
     def test_released_borrow_does_not_trip_free(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("extent", "g", view=view)
+        sanitizer.export("extent", "g", [view])
         view.release()
-        ledger.note_free("extent", "g")
-        assert ledger.counters["use-after-free-extent"] == 0
+        sanitizer.free("extent", "g")
+        assert sanitizer.counters["use-after-free-extent"] == 0
 
     def test_double_free(self):
-        ledger = ProvenanceLedger()
-        ledger.note_free("extent", "g")
-        ledger.note_free("extent", "g")
-        assert ledger.counters["double-free"] == 1
+        sanitizer = Sanitizer()
+        sanitizer.free("extent", "g")
+        sanitizer.free("extent", "g")
+        assert sanitizer.counters["double-free"] == 1
 
     def test_realloc_resets_double_free(self):
-        ledger = ProvenanceLedger()
-        ledger.note_free("extent", "g")
-        ledger.note_alloc("extent", "g")
-        ledger.note_free("extent", "g")
-        assert ledger.counters["double-free"] == 0
+        sanitizer = Sanitizer()
+        sanitizer.free("extent", "g")
+        sanitizer.create("extent", "g")
+        sanitizer.free("extent", "g")
+        assert sanitizer.counters["double-free"] == 0
 
     def test_unretired_remap_under_live_borrow(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("extent", "g", view=view)
-        ledger.note_remap("extent", ["g"], retired=False)
-        assert ledger.counters["remap-invalidates-export"] == 1
+        sanitizer.export("extent", "g", [view])
+        sanitizer.note_remap("extent", ["g"], retired=False)
+        assert sanitizer.counters["remap-invalidates-export"] == 1
 
     def test_retired_remap_is_clean(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("extent", "g", view=view)
-        ledger.note_remap("extent", ["g"], retired=True)
-        assert ledger.counters["remap-invalidates-export"] == 0
+        sanitizer.export("extent", "g", [view])
+        sanitizer.note_remap("extent", ["g"], retired=True)
+        assert sanitizer.counters["remap-invalidates-export"] == 0
 
     def test_escaped_adoption_at_finish(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("extent", "g", view=view, transient=False)
-        ledger.retain("extent", "g", group="pg")
-        ledger.note_reclaim("pg")
-        ledger.check_finish()
-        assert ledger.counters["view-escapes-adoption"] == 1
+        group = PageGroup("pg", page_bytes=16)
+        sanitizer.export("extent", "g", [view], group=group)
+        sanitizer.note_group_reclaim(group)
+        sanitizer.check_finish()
+        assert sanitizer.counters["view-escapes-adoption"] == 1
+
+    def test_adopted_view_is_not_a_leak_before_its_reclaim(self):
+        sanitizer = Sanitizer()
+        view = memoryview(bytearray(16))
+        group = PageGroup("pg", page_bytes=16)
+        sanitizer.export("extent", "g", [view], group=group)
+        assert sanitizer.check_finish()["violations"] == 0
 
     def test_leak_at_finish(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("extent", "g", view=view)
-        ledger.check_finish()
-        assert ledger.counters["leak-at-finish"] == 1
+        sanitizer.export("extent", "g", [view])
+        sanitizer.check_finish()
+        assert sanitizer.counters["leak-at-finish"] == 1
         view.release()
 
     def test_released_transient_is_not_a_leak(self):
-        ledger = ProvenanceLedger()
+        sanitizer = Sanitizer()
         buf = bytearray(16)
         view = memoryview(buf)
-        ledger.borrow("extent", "g", view=view)
+        sanitizer.export("extent", "g", [view])
         view.release()
-        ledger.check_finish()
-        assert ledger.counters["leak-at-finish"] == 0
+        sanitizer.check_finish()
+        assert sanitizer.counters["leak-at-finish"] == 0
 
     def test_use_after_free_on_use(self):
-        ledger = ProvenanceLedger()
-        ledger.note_free("extent", "g")
-        ledger.borrow("extent", "g", nbytes=16)
-        assert ledger.counters["use-after-free-extent"] == 1
+        sanitizer = Sanitizer()
+        sanitizer.free("extent", "g")
+        sanitizer.export("extent", "g")
+        assert sanitizer.counters["use-after-free-extent"] == 1
+        # The free happened-before the read: a use-after-free, no race.
+        assert sanitizer.summary()["violations"] == 1
 
     def test_unreleased_drain_copy_at_finish(self):
-        ledger = ProvenanceLedger()
-        ledger.note_drain_copy("pg", 64)
-        ledger.check_finish()
-        assert ledger.counters["unreleased-drain-copy"] == 1
+        sanitizer = Sanitizer()
+        sanitizer.note_drain_copy("pg", 64)
+        sanitizer.check_finish()
+        assert sanitizer.counters["unreleased-drain-copy"] == 1
 
     def test_released_drain_is_clean(self):
-        ledger = ProvenanceLedger()
-        ledger.note_drain_copy("pg", 64)
-        ledger.release_drain("pg")
-        ledger.check_finish()
-        assert ledger.counters["unreleased-drain-copy"] == 0
+        sanitizer = Sanitizer()
+        sanitizer.note_drain_copy("pg", 64)
+        sanitizer.release_drain("pg")
+        sanitizer.check_finish()
+        assert sanitizer.counters["unreleased-drain-copy"] == 0
 
     def test_summary_counts_total_violations(self):
-        ledger = ProvenanceLedger()
-        ledger.note_free("extent", "g")
-        ledger.note_free("extent", "g")
-        assert ledger.summary()["violations"] == 1
-        assert set(VIOLATION_SLUGS) <= set(ledger.summary())
+        sanitizer = Sanitizer()
+        sanitizer.free("extent", "g")
+        sanitizer.free("extent", "g")
+        assert sanitizer.summary()["violations"] == 1
+        assert set(BORROW_SLUGS) <= set(sanitizer.summary())
+
+    def test_free_poisons_the_range(self):
+        sanitizer = Sanitizer()
+        backing = bytearray(b"\x11" * 32)
+        sanitizer.free("extent", "g", mm=backing, offset=8, length=16)
+        assert backing == (b"\x11" * 8 + bytes([POISON_BYTE]) * 16
+                           + b"\x11" * 8)
+        assert sanitizer.counters["poisoned_bytes"] == 16
 
 
 class TestContextWiring:
     def test_disabled_means_no_ledgers_anywhere(self):
         ctx = make_ctx(ExecutionMode.DECA, sanitize=False)
-        try:
-            assert ctx.ledger is None
-            assert all(e.ledger is None for e in ctx.executors)
-            cache_one_rdd(ctx)
-            run = ctx.finish()
-        finally:
-            pass
+        assert ctx.sanitizer is None
+        assert all(e.sanitizer is None and e.arena.sanitizer is None
+                   for e in ctx.executors)
+        cache_one_rdd(ctx)
+        run = ctx.finish()
         assert "sanitize" not in run.to_dict()
         assert run.sanitize == {}
+
+    def test_one_sanitizer_per_run(self):
+        ctx = make_ctx(ExecutionMode.DECA, num_executors=2)
+        assert ctx.sanitizer is not None
+        for executor in ctx.executors:
+            assert executor.sanitizer is ctx.sanitizer
+            assert executor.arena.sanitizer is ctx.sanitizer
+        cache_one_rdd(ctx)
+        run = ctx.finish()
+        assert run.sanitize == ctx.sanitizer.summary()
+        assert set(BORROW_SLUGS + RACE_SLUGS) <= set(run.sanitize)
+
+    def test_two_tiers_reuse_an_extent_name_cleanly(self):
+        """One sanitizer watches every executor's tier, so an extent is
+        keyed by its tier too: executor 0 dropping its ``cache:x`` must
+        not see executor 1's live views of its own ``cache:x`` (a
+        use-after-free), nor executor 1's drop read as a double free."""
+        ctx = make_ctx(ExecutionMode.DECA, num_executors=2)
+        tiers = [executor.cold_tier for executor in ctx.executors]
+        for fill, tier in enumerate(tiers, start=1):
+            assert tier.demote("cache:x", [bytes([fill]) * 64], 64) == 64
+        held = [tier.promote("cache:x", 64) for tier in tiers]
+        assert [bytes(views[0]) for views in held] == \
+            [b"\x01" * 64, b"\x02" * 64]
+        for tier, views in zip(tiers, held):
+            for view in views:
+                view.release()
+            tier.drop("cache:x")
+        run = ctx.finish()
+        assert run.sanitize["violations"] == 0
+        assert (run.sanitize["allocs"], run.sanitize["borrows"],
+                run.sanitize["frees"]) == (2, 2, 2)
+
+    def test_finish_reports_both_rule_families(self):
+        """A borrow violation must not hide a race violation: one
+        ``finish()`` raises with every non-zero slug of both families."""
+        ctx = make_ctx(ExecutionMode.DECA)
+        cache_one_rdd(ctx)
+        sanitizer = ctx.sanitizer
+        sanitizer.free("extent", "twice")
+        sanitizer.free("extent", "twice")                # DECA303
+        sanitizer.note_refdec("segment", locked=False)   # DECA402
+        with pytest.raises(SanitizerError) as err:
+            ctx.finish()
+        assert "double-free=1" in str(err.value)
+        assert "refcount-outside-lock=1" in str(err.value)
+        assert {slug for slug, count in err.value.summary.items()
+                if count} == {"double-free", "refcount-outside-lock"}
 
     @pytest.mark.parametrize("mode", [ExecutionMode.SPARK_SER,
                                       ExecutionMode.DECA],
@@ -190,8 +250,8 @@ class TestContextWiring:
         cache_one_rdd(ctx)
         buf = bytearray(32)
         view = memoryview(buf)
-        assert ctx.ledger is not None
-        ctx.ledger.borrow("extent", "injected", view=view)
+        assert ctx.sanitizer is not None
+        ctx.sanitizer.export("extent", "injected", [view])
         with pytest.raises(SanitizerError) as err:
             ctx.finish()
         assert "leak-at-finish" in str(err.value)
@@ -269,8 +329,8 @@ class TestGrowByRemapRegression:
     """Exported views survive tier file growth, byte for byte."""
 
     def test_views_stay_valid_across_grows(self, tmp_path):
-        ledger = ProvenanceLedger()
-        tier = PageStoreTier(str(tmp_path / "grow.bin"), ledger=ledger)
+        sanitizer = Sanitizer()
+        tier = PageStoreTier(str(tmp_path / "grow.bin"), sanitizer=sanitizer)
         payload = bytes(range(256)) * 4
         tier.swap_out("pinned", [payload])
         views = tier.views("pinned")
@@ -281,9 +341,9 @@ class TestGrowByRemapRegression:
             tier.swap_out(f"fill-{round_no}",
                           [b"\x5a" * (1 << (14 + round_no))])
             assert b"".join(bytes(v) for v in held) == payload
-        assert ledger.counters["remaps"] > 0
-        assert ledger.counters["remap-invalidates-export"] == 0
-        assert ledger.summary()["violations"] == 0
+        assert sanitizer.counters["remaps"] > 0
+        assert sanitizer.counters["remap-invalidates-export"] == 0
+        assert sanitizer.summary()["violations"] == 0
         for view in held:
             view.release()
         tier.close()
@@ -291,8 +351,8 @@ class TestGrowByRemapRegression:
     def test_grow_under_reentrant_swap_pressure(self, tmp_path):
         """Interleaved drop/swap churn (extent reuse + growth) while
         promoted views from every earlier round stay pinned."""
-        ledger = ProvenanceLedger()
-        tier = PageStoreTier(str(tmp_path / "churn.bin"), ledger=ledger)
+        sanitizer = Sanitizer()
+        tier = PageStoreTier(str(tmp_path / "churn.bin"), sanitizer=sanitizer)
         pinned = {}
         held = {}
         for round_no in range(8):
@@ -308,16 +368,16 @@ class TestGrowByRemapRegression:
             for past, payload in pinned.items():
                 got = b"".join(bytes(v) for v in held[past])
                 assert got == payload, f"{past} corrupted at {round_no}"
-        assert ledger.counters["remaps"] > 0
-        assert ledger.summary()["violations"] == 0
+        assert sanitizer.counters["remaps"] > 0
+        assert sanitizer.summary()["violations"] == 0
         for views in held.values():
             for view in views:
                 view.release()
         tier.close()
 
     def test_promoted_bytes_never_poisoned(self, tmp_path):
-        ledger = ProvenanceLedger()
-        tier = PageStoreTier(str(tmp_path / "poison.bin"), ledger=ledger)
+        sanitizer = Sanitizer()
+        tier = PageStoreTier(str(tmp_path / "poison.bin"), sanitizer=sanitizer)
         tier.swap_out("victim", [b"\x11" * 4096])
         for view in tier.views("victim"):
             view.release()
@@ -326,5 +386,5 @@ class TestGrowByRemapRegression:
         got = b"".join(bytes(v) for v in tier.swap_in("tenant"))
         assert POISON_BYTE not in got
         assert got == b"\x22" * 4096
-        assert ledger.summary()["violations"] == 0
+        assert sanitizer.summary()["violations"] == 0
         tier.close()

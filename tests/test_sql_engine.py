@@ -308,7 +308,7 @@ class TestColdTierSwap:
         # The mmap tier moves raw page bytes: no serializer anywhere.
         assert engine.swap_copy_bytes == 0
         engine.close()
-        assert engine.ledger.check_finish()["violations"] == 0
+        assert engine.sanitizer.check_finish()["violations"] == 0
 
     def test_redemote_of_promoted_pages_moves_nothing(self):
         engine = self.make_engine()
@@ -319,7 +319,7 @@ class TestColdTierSwap:
         # valid and a re-demote moves zero bytes.
         assert engine.demote_table("rankings") == 0
         engine.close()
-        assert engine.ledger.check_finish()["violations"] == 0
+        assert engine.sanitizer.check_finish()["violations"] == 0
 
     @pytest.mark.parametrize("shape", [name for name, _ in suite_queries()])
     def test_bulk_kernels_leave_no_view_behind(self, shape):
@@ -353,8 +353,8 @@ class TestColdTierSwap:
         assert engine.swap_copy_bytes == 0
         engine.close()
         assert mapping.closed
-        assert engine.ledger.violations == []
-        assert engine.ledger.check_finish()["violations"] == 0
+        assert engine.sanitizer.violations == []
+        assert engine.sanitizer.check_finish()["violations"] == 0
 
     def test_uncache_drops_extent(self):
         engine = self.make_engine()

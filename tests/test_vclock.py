@@ -1,4 +1,5 @@
-"""Unit tests for the vector-clock race sanitizer (repro.obs.vclock).
+"""Unit tests for the runtime sanitizer's vector clocks
+(repro.obs.sanitizer).
 
 One clean/racy pair per DECA40x rule, plus the cross-process protocol:
 fork snapshots, per-task note draining, driver-side absorption and the
@@ -9,9 +10,9 @@ import pytest
 
 from repro.errors import SanitizerError
 from repro.obs.tracer import Tracer
-from repro.obs.vclock import (
+from repro.obs.sanitizer import (
     RACE_SLUGS,
-    VClockChecker,
+    Sanitizer,
     clock_leq,
     clock_merge,
 )
@@ -37,36 +38,39 @@ class TestClockAlgebra:
 
 class TestSegmentLifecycle:
     def test_sequential_create_attach_reclaim_is_clean(self):
-        checker = VClockChecker()
-        checker.note_create("segment", "s")
-        checker.note_attach("segment", "s")
-        checker.note_reclaim("segment", "s")
+        checker = Sanitizer()
+        checker.create("segment", "s")
+        checker.export("segment", "s")
+        checker.free("segment", "s")
         assert checker.summary()["violations"] == 0
 
     def test_concurrent_attach_after_reclaim_fires_401(self):
-        checker = VClockChecker()
-        checker.note_create("segment", "s")
+        checker = Sanitizer()
+        checker.create("segment", "s")
         checker.fork("attacker")
-        checker.note_reclaim("segment", "s")
-        checker.note_attach("segment", "s", actor="attacker")
+        checker.free("segment", "s")
+        checker.export("segment", "s", actor="attacker")
         assert checker.counters["unlink-concurrent-with-attach"] == 1
+        # Unordered with the free, the read is a race, not a sequential
+        # use-after-unlink.
+        assert checker.summary()["violations"] == 1
 
     def test_rebirth_clears_the_window(self):
-        checker = VClockChecker()
-        checker.note_create("segment", "s")
+        checker = Sanitizer()
+        checker.create("segment", "s")
         checker.fork("attacker")
-        checker.note_reclaim("segment", "s")
-        checker.note_create("segment", "s")
-        checker.note_attach("segment", "s", actor="attacker")
+        checker.free("segment", "s")
+        checker.create("segment", "s")
+        checker.export("segment", "s", actor="attacker")
         # The re-create killed the reclaim record: no stale mapping.
         assert checker.summary()["violations"] == 0
 
     def test_reclaim_concurrent_with_access_fires(self):
-        checker = VClockChecker()
-        checker.note_create("extent", "e")
+        checker = Sanitizer()
+        checker.create("extent", "e")
         checker.fork("reader")
-        checker.note_access("extent", "e", actor="reader")
-        checker.note_reclaim("extent", "e")
+        checker.export("extent", "e", actor="reader")
+        checker.free("extent", "e")
         # An extent read across its reclaim is DECA401's happens-before
         # check on a second resource kind; the record keeps the kind.
         assert checker.counters["unlink-concurrent-with-attach"] == 1
@@ -75,7 +79,7 @@ class TestSegmentLifecycle:
 
 class TestRefcountsAndTransitions:
     def test_locked_refdec_clean_unlocked_fires_402(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.note_refdec("s", locked=True)
         assert checker.summary()["violations"] == 0
         checker.note_refdec("s", locked=False)
@@ -84,27 +88,27 @@ class TestRefcountsAndTransitions:
 
 class TestPoolsAndGrants:
     def test_cas_write_with_current_version_clean(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         version = checker.pool_read("execution")
         checker.pool_write("execution", based_on=version)
         assert checker.summary()["violations"] == 0
 
     def test_stale_based_on_fires_404(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         version = checker.pool_read("execution")
         checker.pool_write("execution")  # the concurrent transition
         checker.pool_write("execution", based_on=version)
         assert checker.counters["borrow-evict-lost-update"] == 1
 
     def test_grant_release_grant_clean(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.note_grant("t1")
         checker.note_grant_release("t1")
         checker.note_grant("t1")
         assert checker.summary()["violations"] == 0
 
     def test_double_grant_fires_410(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.note_grant("t1")
         checker.note_grant("t1")
         assert checker.counters["double-grant"] == 1
@@ -112,14 +116,14 @@ class TestPoolsAndGrants:
 
 class TestBarriersSweepsSpills:
     def test_consume_without_join_fires_405(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.fork("w0")
         checker.note_result_produced("t0", actor="w0")
         checker.note_result_consumed("t0")
         assert checker.counters["wave-barrier-bypass"] == 1
 
     def test_consume_after_join_clean(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.fork("w0")
         checker.note_result_produced("t0", actor="w0")
         checker.join("w0")
@@ -127,7 +131,7 @@ class TestBarriersSweepsSpills:
         assert checker.summary()["violations"] == 0
 
     def test_sweep_of_dead_owner_clean_live_fires_406(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.fork("w0")
         checker.exit_actor("w0")
         checker.note_sweep("repro-mp-x-", owner="w0")
@@ -137,7 +141,7 @@ class TestBarriersSweepsSpills:
         assert checker.counters["orphan-sweep-live-worker"] == 1
 
     def test_victim_outside_swap_clean_inside_fires_407(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.note_victim("b1")
         checker.swap_begin("b1")
         checker.swap_end("b1")
@@ -149,22 +153,25 @@ class TestBarriersSweepsSpills:
 
 class TestReadonlyAndRelay:
     def test_untouched_adoption_clean(self):
-        checker = VClockChecker()
-        view = bytearray(b"abcd")
-        checker.adopt_readonly("segment", "s", view)
+        checker = Sanitizer()
+        view = memoryview(bytearray(b"abcd"))
+        checker.export("segment", "s", [view], transient=False,
+                       readonly=True)
         checker.verify_readonly("segment", "s")
         assert checker.summary()["violations"] == 0
+        assert checker.counters["adopts"] == 1
 
     def test_write_through_adoption_fires_408(self):
-        checker = VClockChecker()
-        view = bytearray(b"abcd")
-        checker.adopt_readonly("segment", "s", view)
-        view[0] = 0xFF
+        checker = Sanitizer()
+        buf = bytearray(b"abcd")
+        checker.export("segment", "s", [memoryview(buf)], transient=False,
+                       readonly=True)
+        buf[0] = 0xFF
         checker.verify_readonly("segment", "s")
         assert checker.counters["readonly-page-write"] == 1
 
     def test_anchored_relay_clean_unanchored_fires_409(self):
-        checker = VClockChecker()
+        checker = Sanitizer()
         checker.note_relay(105.0, 100.0)
         assert checker.summary()["violations"] == 0
         checker.note_relay(1.0, 100.0)
@@ -173,17 +180,17 @@ class TestReadonlyAndRelay:
 
 class TestCrossProcessProtocol:
     def test_fork_snapshot_seeds_the_worker(self):
-        driver = VClockChecker()
+        driver = Sanitizer()
         snapshot = driver.fork("w0")
-        worker = VClockChecker(actor="w0", snapshot=snapshot)
+        worker = Sanitizer(actor="w0", snapshot=snapshot)
         clock = worker.export_notes()["clock"]
         assert clock_leq(snapshot, clock) or clock == dict(
             snapshot, w0=0)
 
     def test_absorb_folds_worker_violations_and_counters(self):
-        driver = VClockChecker()
+        driver = Sanitizer()
         snapshot = driver.fork("w0")
-        worker = VClockChecker(actor="w0", snapshot=snapshot)
+        worker = Sanitizer(actor="w0", snapshot=snapshot)
         worker.note_refdec("s", locked=False)
         driver.absorb(worker.export_notes(drain=True))
         assert driver.counters["refcount-outside-lock"] == 1
@@ -191,10 +198,10 @@ class TestCrossProcessProtocol:
         assert driver.counters["refdecs"] == 1
 
     def test_drain_ships_deltas_never_double_counts(self):
-        driver = VClockChecker()
+        driver = Sanitizer()
         snapshot = driver.fork("w0")
-        worker = VClockChecker(actor="w0", snapshot=snapshot)
-        worker.note_access("extent", "e")
+        worker = Sanitizer(actor="w0", snapshot=snapshot)
+        worker.export("extent", "e")
         first = worker.export_notes(drain=True)
         second = worker.export_notes(drain=True)
         assert len(first["accesses"]) == 1
@@ -207,23 +214,23 @@ class TestCrossProcessProtocol:
         assert driver.counters["accesses"] == 1
 
     def test_absorb_before_reclaim_is_the_safe_order(self):
-        driver = VClockChecker()
-        driver.note_create("segment", "s")
+        driver = Sanitizer()
+        driver.create("segment", "s")
         snapshot = driver.fork("w0")
-        worker = VClockChecker(actor="w0", snapshot=snapshot)
-        worker.note_attach("segment", "s")
+        worker = Sanitizer(actor="w0", snapshot=snapshot)
+        worker.export("segment", "s")
         driver.absorb(worker.export_notes(drain=True))
         driver.exit_actor("w0")
-        driver.note_reclaim("segment", "s")
+        driver.free("segment", "s")
         assert driver.summary()["violations"] == 0
 
     def test_reclaim_before_absorb_fires(self):
-        driver = VClockChecker()
-        driver.note_create("segment", "s")
+        driver = Sanitizer()
+        driver.create("segment", "s")
         snapshot = driver.fork("w0")
-        worker = VClockChecker(actor="w0", snapshot=snapshot)
-        worker.note_access("segment", "s")
-        driver.note_reclaim("segment", "s")
+        worker = Sanitizer(actor="w0", snapshot=snapshot)
+        worker.export("segment", "s")
+        driver.free("segment", "s")
         driver.absorb(worker.export_notes(drain=True))
         assert driver.counters["unlink-concurrent-with-attach"] == 1
 
@@ -233,13 +240,13 @@ class TestCrossProcessProtocol:
             self, send_edge):
         """A worker forked at job start knows nothing of what the driver
         did since — unless the order it is serving carried the clock."""
-        driver = VClockChecker()
-        worker = VClockChecker(actor="w0", snapshot=driver.fork("w0"))
-        driver.note_create("segment", "s")
-        driver.note_reclaim("segment", "s")
+        driver = Sanitizer()
+        worker = Sanitizer(actor="w0", snapshot=driver.fork("w0"))
+        driver.create("segment", "s")
+        driver.free("segment", "s")
         if send_edge:
             worker.join("driver", driver.send())
-        worker.note_attach("segment", "s")
+        worker.export("segment", "s")
         driver.absorb(worker.export_notes(drain=True))
         assert driver.counters["unlink-concurrent-with-attach"] == \
             (0 if send_edge else 1)
@@ -247,14 +254,14 @@ class TestCrossProcessProtocol:
 
 class TestReporting:
     def test_summary_has_every_slug(self):
-        summary = VClockChecker().summary()
+        summary = Sanitizer().summary()
         for slug in RACE_SLUGS:
             assert summary[slug] == 0
         assert summary["violations"] == 0
 
     def test_violations_reach_the_tracer(self):
         tracer = Tracer()
-        checker = VClockChecker(tracer=tracer)
+        checker = Sanitizer(tracer=tracer)
         checker.note_grant("t")
         checker.note_grant("t")
         names = [event.name for event in tracer.events]
@@ -266,10 +273,10 @@ class TestReporting:
 
         cfg = DecaConfig(mode=ExecutionMode.DECA, sanitize=True)
         ctx = DecaContext(cfg)
-        assert ctx.vclock is not None
+        assert ctx.sanitizer is not None
         ctx.parallelize([1, 2, 3], 2).count()
         # Seed a violation directly: the finish gate must raise.
-        ctx.vclock.note_grant("t")
-        ctx.vclock.note_grant("t")
+        ctx.sanitizer.note_grant("t")
+        ctx.sanitizer.note_grant("t")
         with pytest.raises(SanitizerError):
             ctx.finish()
