@@ -219,15 +219,16 @@ class MpBackend(ExecutionBackend):
         super().__init__(ctx)
         if not shm_available():
             raise ExecutionError(
-                "execution_backend='mp' needs multiprocessing.shared_memory")
+                "execution_backend='mp' needs POSIX shared memory")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutionError(
                 "execution_backend='mp' needs the fork start method")
         self._mp = multiprocessing.get_context("fork")
-        # The driver owns the one resource tracker and every worker
-        # inherits it.  A worker forked before the driver has one finds
-        # nothing to inherit and fork+execs an interpreter of its own on
-        # its first segment, on the job's clock.
+        # Segments never touch the stdlib resource tracker (see
+        # ``shm``), but UDF code may use stdlib shared memory or
+        # semaphores in a worker: start the tracker here so every worker
+        # inherits the driver's, instead of fork+exec'ing an interpreter
+        # of its own on the job's clock.
         resource_tracker.ensure_running()
         self.run_tag = f"{SEGMENT_PREFIX}-{os.getpid()}-{next(_RUN_IDS)}"
         self.num_workers = (ctx.config.mp_workers

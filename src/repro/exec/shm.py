@@ -2,22 +2,24 @@
 
 A decomposed container that must cross a process boundary — a shuffle map
 output or a cached block under the mp backend — is packed once into a
-``multiprocessing.shared_memory`` segment and read **in place** by every
-consumer process through schema accessors over a ``memoryview``.  No
-pickle, no copy of the byte stream: the segment *is* the Deca page group,
-exactly the property §4.3 claims for decomposed data.
+POSIX shared-memory segment and read **in place** by every consumer
+process through schema accessors over a ``memoryview``.  No pickle, no
+copy of the byte stream: the segment *is* the Deca page group, exactly
+the property §4.3 claims for decomposed data.
 
 Lifecycle rules (mirroring page-info reference counting, §4.3.3):
 
 * the **worker that runs the producing task creates** the segment, packs
-  the records and immediately detaches; it also unregisters the segment
-  from the stdlib ``resource_tracker`` (which would otherwise unlink it
-  when the transient worker exits — the owner of a segment's lifetime is
-  the *driver*, not whichever process happened to create it);
+  the records and immediately detaches.  Segments are **untracked**: a
+  mapping is ``shm_open`` + ``mmap`` and nothing else, with no round
+  trip to the stdlib resource tracker, so no process but the driver ever
+  unlinks one — the owner of a segment's lifetime is the *driver*, not
+  whichever process happened to create or attach it;
 * the **driver registers** the segment in a :class:`ShmSegmentRegistry`
   with a reference count; consumers attach/detach without touching the
   count, while logical owners (a shuffle's blocks, a cached RDD) hold
-  references — the segment is unlinked when the last one is released;
+  references — the segment is unlinked, by name, when the last one is
+  released;
 * segment names are **deterministic** (``repro-mp-<pid>-<run>-...``), so
   after a worker dies mid-task the driver can sweep the attempt's
   leftover segments from ``/dev/shm`` by prefix without any cooperation
@@ -30,6 +32,7 @@ Lifecycle rules (mirroring page-info reference counting, §4.3.3):
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import tempfile
 import threading
@@ -42,11 +45,10 @@ from ..memory.layout import Schema
 from ..memory.page import Page, PageGroup
 from ..obs.sanitizer import Sanitizer
 
-try:  # pragma: no cover - the stdlib ships both on every target platform
-    from multiprocessing import resource_tracker, shared_memory
+try:  # pragma: no cover - the stdlib builds it on every POSIX platform
+    import _posixshmem
 except ImportError:  # pragma: no cover
-    resource_tracker = None  # type: ignore[assignment]
-    shared_memory = None  # type: ignore[assignment]
+    _posixshmem = None  # type: ignore[assignment]
 
 #: Every segment of every run starts with this, so the leak guard (and the
 #: orphan sweep after a worker death) can recognise ours by name alone.
@@ -59,23 +61,26 @@ _SHM_DIR = "/dev/shm"
 
 def shm_available() -> bool:
     """Whether this platform can back Deca pages with shared memory."""
-    return shared_memory is not None
+    return _posixshmem is not None
 
 
-def _untrack(shm: "shared_memory.SharedMemory") -> None:
-    """Opt this handle out of the stdlib resource tracker.
+def _map_segment(name: str, nbytes: int, create: bool) -> mmap.mmap:
+    """Map segment *name*, creating it with *nbytes* if *create*.
 
-    Python 3.11 registers the segment with the tracker on *every*
-    construction — attach included — so without this, the first process
-    to exit would have the tracker unlink a segment other processes (and
-    the driver's registry) still own.
+    The fd is closed once mapped (the mapping keeps its own duplicate).
     """
-    if resource_tracker is None:
-        return
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
     try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+        if create:
+            os.ftruncate(fd, nbytes)
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    except OSError:
+        if create:
+            unlink_segment(name)
+        raise
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -99,41 +104,38 @@ class SharedPageSegment:
 
     Writers bump-allocate page buffers out of the mapping; readers wrap
     the used span as one :class:`~repro.memory.page.Page`.  ``close``
-    drops this process's mapping only; ``unlink`` removes the segment
-    from the system (driver-side, via the registry).
+    drops this process's mapping only; :func:`unlink_segment` removes the
+    segment from the system (driver-side, via the registry).
     """
 
     def __init__(self, name: str, nbytes: int = 0,
                  create: bool = False) -> None:
-        if shared_memory is None:  # pragma: no cover
+        if _posixshmem is None:  # pragma: no cover
             raise PageError("shared memory is unavailable on this platform")
         if create and nbytes <= 0:
             raise PageError(f"segment {name!r} needs a positive size")
         self.name = name
-        self.nbytes = nbytes
-        self._shm = shared_memory.SharedMemory(
-            name=name, create=create, size=nbytes if create else 0)
-        _untrack(self._shm)
-        if not create and nbytes == 0:
-            # Attach side: trust the mapping (it is page-rounded, so the
-            # logical byte count still comes from the SegmentRef).
-            self.nbytes = self._shm.size
+        self._shm = _map_segment(name, nbytes, create)
+        # Attach side with no size given: the mapping is exactly the
+        # creator's ``ftruncate`` size (``fstat`` does not page-round).
+        self.nbytes = nbytes or len(self._shm)
         self._offset = 0
         self.closed = False
 
     def allocate(self, nbytes: int) -> memoryview:
         """Bump-allocate a writable page buffer from the mapping."""
-        if self._offset + nbytes > self._shm.size:
+        size = len(self._shm)
+        if self._offset + nbytes > size:
             raise PageError(
                 f"segment {self.name!r} overflow: "
-                f"{self._offset} + {nbytes} > {self._shm.size}")
-        view = self._shm.buf[self._offset:self._offset + nbytes]
+                f"{self._offset} + {nbytes} > {size}")
+        view = memoryview(self._shm)[self._offset:self._offset + nbytes]
         self._offset += nbytes
         return view
 
     def view(self, nbytes: int) -> memoryview:
         """The first *nbytes* of the mapping (reader side)."""
-        return self._shm.buf[:nbytes]
+        return memoryview(self._shm)[:nbytes]
 
     def close(self) -> None:
         """Detach this process's mapping (tolerates live page views:
@@ -146,20 +148,6 @@ class SharedPageSegment:
         except BufferError:
             # A page view is still exported somewhere (e.g. a suspended
             # reader generator); the mapping lives until it is collected.
-            pass
-
-    def unlink(self) -> None:
-        if resource_tracker is not None:
-            # ``SharedMemory.unlink`` sends a tracker *unregister*; the
-            # constructor untracked this handle, so re-register first to
-            # keep the tracker's books balanced (else it logs KeyErrors).
-            try:
-                resource_tracker.register(self._shm._name, "shared_memory")
-            except Exception:
-                pass
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
             pass
 
 
@@ -317,23 +305,11 @@ def _arm_atexit() -> None:
 
 def unlink_segment(name: str) -> bool:
     """Best-effort unlink of segment *name*; True if it existed."""
-    if shared_memory is None:  # pragma: no cover
+    if _posixshmem is None:  # pragma: no cover
         return False
     try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    except OSError:
-        return False
-    # No _untrack here: ``unlink()`` below sends its own tracker
-    # unregister, which balances the register this attach just made.
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - fresh attach has no views
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
+        _posixshmem.shm_unlink("/" + name)
+    except OSError:  # FileNotFoundError included: already gone
         return False
     return True
 

@@ -58,7 +58,7 @@ class Page:
 
     The payload is a process-private ``bytearray`` by default; a page can
     instead wrap an externally owned writable *buffer* (a ``memoryview``
-    into a ``multiprocessing.shared_memory`` segment), which is how Deca
+    into a POSIX shared-memory segment), which is how Deca
     pages cross process boundaries without a serialization step — the
     accessors below work identically on both.
     """
