@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-baseline", metavar="PATH",
                    help="write the canonical payload to PATH and exit")
     p.add_argument("--no-shadow", action="store_true",
-                   help="skip the instrumented shadow runs "
+                   help="skip the sanitized shadow runs "
                         "(static rules only)")
     p.add_argument("--rules", nargs="*", default=[], metavar="PREFIX",
                    help="keep only findings whose rule id starts with "

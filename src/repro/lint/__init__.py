@@ -5,9 +5,10 @@ Two layers over the Deca lifetime analysis (see ``docs/static_analysis.md``):
 * **static rules** (``DECA001``–``DECA007``) — walk the UDT models, method
   IR, call graphs, symbolized-constant facts and optimizer plans, flagging
   patterns that force object form or undermine the analysis' assumptions;
-* **shadow validation** (``DECA101``/``DECA102``) — instrument the runtime
-  during a real DECA-mode run and differentially compare observed record
-  sizes and accessor writes against the static classification;
+* **shadow validation** (``DECA101``/``DECA102``) — run the app in DECA
+  mode with ``sanitize=True``, then differentially compare the record
+  sizes in the sanitizer's lifetime book and the arena bytes in the trace
+  against the static classification;
 * **closure rules** (``DECA201``–``DECA206``, ``DECA211``/``DECA212``) —
   run the bytecode-level closure analyzer over every UDF the shadow run
   registered, then double-run a sampled task and diff the outputs
@@ -39,15 +40,8 @@ from .engine import (
     lint_race,
     run_lint,
 )
-from .findings import (
-    Finding,
-    Rule,
-    RULES,
-    RULES_BY_ID,
-    Severity,
-    make_finding,
-    sort_findings,
-)
+from ..obs.rules import RULES, RULES_BY_ID, Rule, Severity
+from .findings import Finding, make_finding, sort_findings
 from .output import (
     baseline_diff,
     filter_report,
@@ -59,9 +53,6 @@ from .output import (
 from .race import RACE_MODULES, analyze_race_source, run_race_rules
 from .rules import LintTarget, run_plan_rules, run_static_rules
 from .shadow import (
-    ArenaEvent,
-    PageAppend,
-    ShadowRecorder,
     check_arena_accounting,
     check_imprecision,
     check_observations,
@@ -71,7 +62,6 @@ from .targets import LINT_APPS, LINT_APPS_BY_NAME, LintApp
 
 __all__ = [
     "AppLintResult",
-    "ArenaEvent",
     "ENGINE_APP",
     "ENGINE_MODULES",
     "Finding",
@@ -81,14 +71,12 @@ __all__ = [
     "LintReport",
     "LintTarget",
     "PSEUDO_APPS",
-    "PageAppend",
     "RACE_APP",
     "RACE_MODULES",
     "RULES",
     "RULES_BY_ID",
     "Rule",
     "Severity",
-    "ShadowRecorder",
     "analyze_race_source",
     "analyze_source",
     "app_sites",

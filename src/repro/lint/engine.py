@@ -2,9 +2,9 @@
 
 ``lint_app`` audits one registered application: it runs every static rule
 over the app's targets, then (unless disabled) executes the app's shadow
-run with the runtime instrumented, checks the optimizer's decomposition
-plans and the observed memory behaviour, and folds everything into one
-deterministic :class:`AppLintResult`.
+run under ``sanitize=True``, checks the optimizer's decomposition plans
+against the sanitizer's lifetime book and the run's trace, and folds
+everything into one deterministic :class:`AppLintResult`.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from .borrow import run_borrow_rules
 from .closure_rules import run_closure_rules
 from .race import run_race_rules
-from .findings import Finding, Severity, sort_findings
+from ..obs.rules import Severity
+from .findings import Finding, sort_findings
 from .rules import run_plan_rules, run_static_rules
 from .shadow import (
-    ShadowRecorder,
     check_arena_accounting,
     check_imprecision,
     check_observations,
@@ -57,7 +57,7 @@ class LintReport:
 
 
 def lint_app(app: LintApp, shadow: bool = True) -> AppLintResult:
-    """Audit one application; *shadow* disables the instrumented run."""
+    """Audit one application; ``shadow=False`` skips the shadow run."""
     targets = app.make_targets()
     findings: list[Finding] = []
     for target in targets:
@@ -65,18 +65,22 @@ def lint_app(app: LintApp, shadow: bool = True) -> AppLintResult:
 
     summary: dict[str, object] = {"shadow": shadow}
     if shadow:
-        with ShadowRecorder() as recorder:
-            ctx = app.shadow_run()
+        ctx = app.shadow_run()
+        sanitizer = ctx.sanitizer
+        if sanitizer is None:
+            raise ValueError(
+                f"shadow run of {app.name!r} ran without sanitize=True")
         optimizer = ctx._optimizer
         plans = tuple(optimizer.reports) if optimizer is not None else ()
         findings.extend(run_plan_rules(app.name, plans, targets))
-        findings.extend(check_observations(app.name, recorder, plans))
-        findings.extend(check_arena_accounting(app.name, recorder, plans))
+        findings.extend(check_observations(app.name, sanitizer, plans))
+        findings.extend(check_arena_accounting(app.name, sanitizer,
+                                               ctx.tracer, plans))
         findings.extend(check_imprecision(app.name, ctx, plans))
-        summary.update(shadow_summary(recorder, plans))
+        summary.update(shadow_summary(sanitizer, plans))
         # Closure rules go last: the differential double-run replays
         # tasks on the finished context, which must not perturb the
-        # recorder-based checks above.
+        # book- and trace-based checks above.
         closure_findings, closure_summary = run_closure_rules(app.name,
                                                               ctx)
         findings.extend(closure_findings)

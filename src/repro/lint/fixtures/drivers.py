@@ -4,8 +4,9 @@ The fixtures in :mod:`.borrow_bugs` (DECA30x) and :mod:`.race_bugs`
 (DECA40x) are minimal buggy interactions; each driver here owns the
 setup its fixture needs (a pre-populated mmap tier, a registered shm
 segment, a page group, an arena stub).  :data:`FIXTURES` is the one
-``(rule, slug, drive)`` table and :func:`run_fixtures` the one runner,
-behind ``python -m repro.bench sanitize`` and the tier-1 tests.
+``(rule id, drive)`` table — each rule's slug comes from the rule table,
+:mod:`repro.obs.rules` — and :func:`run_fixtures` the one runner, behind
+``python -m repro.bench sanitize`` and the tier-1 tests.
 
 A separate module on purpose: the static checkers must keep reporting
 exactly one finding per function of the two ``*_bugs`` modules, so
@@ -24,6 +25,7 @@ from typing import Callable, Iterable
 from ...exec.shm import SegmentRef, SharedPageSegment, ShmSegmentRegistry
 from ...memory.page import PageGroup
 from ...memory.tier import PageStoreTier
+from ...obs.rules import RULES_BY_ID
 from ...obs.sanitizer import Sanitizer
 from ...obs.tracer import TraceEvent, Tracer
 from . import borrow_bugs, race_bugs
@@ -157,23 +159,23 @@ def drive_410(sanitizer, tmp):
     race_bugs.double_grant(sanitizer, arena, "7")
 
 
-FIXTURES: tuple[tuple[str, str, Drive], ...] = (
-    ("DECA301", "use-after-free-extent", drive_301),
-    ("DECA302", "use-after-unlink-segment", drive_302),
-    ("DECA303", "double-free", drive_303),
-    ("DECA304", "view-escapes-adoption", drive_304),
-    ("DECA305", "remap-invalidates-export", drive_305),
-    ("DECA306", "leak-at-finish", drive_306),
-    ("DECA308", "unreleased-drain-copy", drive_308),
-    ("DECA401", "unlink-concurrent-with-attach", drive_401),
-    ("DECA402", "refcount-outside-lock", drive_402),
-    ("DECA404", "borrow-evict-lost-update", drive_404),
-    ("DECA405", "wave-barrier-bypass", drive_405),
-    ("DECA406", "orphan-sweep-live-worker", drive_406),
-    ("DECA407", "reentrant-spill-victim", drive_407),
-    ("DECA408", "readonly-page-write", drive_408),
-    ("DECA409", "trace-relay-reorder", drive_409),
-    ("DECA410", "double-grant", drive_410),
+FIXTURES: tuple[tuple[str, Drive], ...] = (
+    ("DECA301", drive_301),
+    ("DECA302", drive_302),
+    ("DECA303", drive_303),
+    ("DECA304", drive_304),
+    ("DECA305", drive_305),
+    ("DECA306", drive_306),
+    ("DECA308", drive_308),
+    ("DECA401", drive_401),
+    ("DECA402", drive_402),
+    ("DECA404", drive_404),
+    ("DECA405", drive_405),
+    ("DECA406", drive_406),
+    ("DECA407", drive_407),
+    ("DECA408", drive_408),
+    ("DECA409", drive_409),
+    ("DECA410", drive_410),
 )
 
 
@@ -186,9 +188,10 @@ def run_fixtures(family: str = "DECA") -> list[dict]:
     row per fixture.
     """
     rows = []
-    for rule, slug, drive in FIXTURES:
+    for rule, drive in FIXTURES:
         if not rule.startswith(family):
             continue
+        slug = RULES_BY_ID[rule].name
         sanitizer = Sanitizer()
         held: Iterable[memoryview] = ()
         with tempfile.TemporaryDirectory() as tmp:

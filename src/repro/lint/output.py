@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from .engine import AppLintResult, LintReport
-from .findings import RULES, Severity
+from ..obs.rules import RULES, Severity
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://json.schemastore.org/sarif-2.1.0.json")

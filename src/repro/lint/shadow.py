@@ -3,33 +3,35 @@
 The static analysis makes two kinds of promise (§3.1): a *soundness*
 promise — records in decomposed containers never change data-size — and a
 *precision* aspiration — object-form fallbacks happen only when sizes can
-really vary.  The shadow validator instruments the runtime (page-group
-appends via :mod:`repro.memory.page`, accessor writes via
-:mod:`repro.memory.sudt`), records what actually happened during a real
-run, and compares it against the optimizer's decomposition claims:
+really vary.  A shadow run is the app run with ``sanitize=True``; the
+validator then reads what the run left behind and compares it against
+the optimizer's decomposition claims:
+
+* the sanitizer's lifetime book (:meth:`repro.obs.sanitizer.Sanitizer.
+  note_append`): the packed size of every record appended to a page
+  group the memory manager created, by schema and by group;
+* the run's trace: the unified arena's ``memory:*`` instants that name a
+  storage entry (page groups use their name).
+
+Accessor writes need no observation: every attempt to resize a
+decomposed record or array raises ``PageOverflowError`` where it happens
+(:mod:`repro.memory.sudt`).
 
 * ``DECA101`` (soundness) — a container the analysis declared SFST shows
-  records of differing sizes, or any accessor attempted to resize a
-  decomposed record/array;
+  records of differing sizes, or a group's packed bytes exceed what the
+  arena ever accounted for it;
 * ``DECA102`` (imprecision) — a cache kept in object form as a VST, where
   every observed instance nevertheless had the same data-size.
-
-Observer lists are empty in normal runs, so the instrumented hot paths
-pay one truthiness check each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..analysis.size_type import SizeType
 from ..core.plan import ContainerPlan
-from ..memory import page as page_module
-from ..memory import sudt as sudt_module
-from ..memory import unified as unified_module
-from ..memory.page import PageGroup
-from ..memory.sudt import SudtMutation
+from ..obs.sanitizer import Sanitizer
+from ..obs.tracer import Tracer
 from .findings import Finding, make_finding
 
 if TYPE_CHECKING:
@@ -39,116 +41,62 @@ if TYPE_CHECKING:
 # every object of a large cache would dwarf the run under validation.
 IMPRECISION_SAMPLE = 64
 
-
-@dataclass(frozen=True)
-class PageAppend:
-    """One record packed into a page group."""
-
-    group: str
-    schema: str
-    size: int
+_ARENA_PREFIX = "memory:"
 
 
-@dataclass(frozen=True)
-class ArenaEvent:
-    """One storage-side accounting event from the unified arena."""
-
-    event: str    # acquire / grow / release / evict / reject
-    entry: str    # the storage-entry name (page groups use their name)
-    nbytes: int
+def _sfst_claims(plans: tuple[ContainerPlan, ...]) -> dict[str, SizeType]:
+    """Decomposed containers' global size-type claims, by UDT name."""
+    return {plan.udt: plan.global_size_type for plan in plans
+            if plan.decomposed and plan.udt
+            and plan.global_size_type is not None}
 
 
-class ShadowRecorder:
-    """Context manager that records runtime memory behaviour.
-
-    While active, every ``PageGroup.append_record``, every SUDT accessor
-    write, and (in unified memory mode) every arena ``memory.*`` event
-    anywhere in the process is appended to this recorder.
-    """
-
-    def __init__(self) -> None:
-        self.appends: list[PageAppend] = []
-        self.mutations: list[SudtMutation] = []
-        self.arena_events: list[ArenaEvent] = []
-
-    # -- observer callbacks -------------------------------------------------
-    def _on_record(self, group: PageGroup, schema: str, size: int) -> None:
-        self.appends.append(PageAppend(group=group.name, schema=schema,
-                                       size=size))
-
-    def _on_mutation(self, event: SudtMutation) -> None:
-        self.mutations.append(event)
-
-    def _on_memory(self, event: str, payload: dict[str, object]) -> None:
-        entry = payload.get("entry")
+def _arena_balances(tracer: Tracer
+                    ) -> tuple[dict[str, tuple[int, int]], int]:
+    """Per storage entry: ``(peak_bytes, final_bytes)`` as the arena
+    accounted them (acquire/grow add, release subtracts; an evict is
+    always followed by its discard's release), folded from the trace's
+    ``memory:*`` instants that name an entry; and how many such events
+    there were."""
+    current: dict[str, int] = {}
+    peak: dict[str, int] = {}
+    events = 0
+    for event in tracer.events:
+        if not event.name.startswith(_ARENA_PREFIX):
+            continue
+        entry = event.args.get("entry")
         if entry is None:
-            return  # execution-side events carry no storage entry
-        nbytes = payload.get("nbytes", 0)
-        self.arena_events.append(ArenaEvent(
-            event=event, entry=str(entry),
-            nbytes=nbytes if isinstance(nbytes, int) else 0))
-
-    # -- context management -------------------------------------------------
-    def __enter__(self) -> "ShadowRecorder":
-        page_module.add_record_observer(self._on_record)
-        sudt_module.add_mutation_observer(self._on_mutation)
-        unified_module.add_memory_observer(self._on_memory)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        page_module.remove_record_observer(self._on_record)
-        sudt_module.remove_mutation_observer(self._on_mutation)
-        unified_module.remove_memory_observer(self._on_memory)
-
-    # -- derived views ------------------------------------------------------
-    def sizes_by_schema(self) -> dict[str, list[int]]:
-        """Observed record sizes grouped by schema label."""
-        sizes: dict[str, list[int]] = {}
-        for append in self.appends:
-            sizes.setdefault(append.schema, []).append(append.size)
-        return sizes
-
-    def resize_attempts(self) -> list[SudtMutation]:
-        return [m for m in self.mutations if m.is_resize]
-
-    def arena_balances(self) -> dict[str, tuple[int, int]]:
-        """Per storage entry: ``(peak_bytes, final_bytes)`` as the
-        arena accounted them (acquire/grow add, release subtracts; an
-        evict is always followed by its discard's release)."""
-        current: dict[str, int] = {}
-        peak: dict[str, int] = {}
-        for event in self.arena_events:
-            if event.event in ("acquire", "grow"):
-                now = current.get(event.entry, 0) + event.nbytes
-            elif event.event == "release":
-                now = current.get(event.entry, 0) - event.nbytes
-            else:
-                continue  # evict/reject do not move the balance
-            current[event.entry] = now
-            peak[event.entry] = max(peak.get(event.entry, 0), now)
-        return {name: (peak[name], current[name]) for name in peak}
+            continue  # execution-side events carry no storage entry
+        events += 1
+        kind = event.name[len(_ARENA_PREFIX):]
+        nbytes = event.args.get("nbytes", 0)
+        nbytes = nbytes if isinstance(nbytes, int) else 0
+        name = str(entry)
+        if kind in ("acquire", "grow"):
+            now = current.get(name, 0) + nbytes
+        elif kind == "release":
+            now = current.get(name, 0) - nbytes
+        else:
+            continue  # evict/reject do not move the balance
+        current[name] = now
+        peak[name] = max(peak.get(name, 0), now)
+    return {name: (peak[name], current[name]) for name in peak}, events
 
 
-def check_observations(app: str, recorder: ShadowRecorder,
+def check_observations(app: str, sanitizer: Sanitizer,
                        plans: tuple[ContainerPlan, ...]) -> list[Finding]:
-    """``DECA101``: observed behaviour vs. the static claims.
+    """``DECA101``: observed record sizes vs. the static claims.
 
     Page-group record labels are schema names, and a schema's name is the
     UDT's name (:func:`repro.memory.layout.build_schema`), so observations
     join against the plans by UDT name.
     """
     findings: list[Finding] = []
-    claims: dict[str, SizeType] = {}
-    for plan in plans:
-        if plan.decomposed and plan.udt \
-                and plan.global_size_type is not None:
-            claims[plan.udt] = plan.global_size_type
-
-    for schema, sizes in sorted(recorder.sizes_by_schema().items()):
-        claim = claims.get(schema)
-        if claim is not SizeType.STATIC_FIXED:
+    claims = _sfst_claims(plans)
+    for schema, sizes in sorted(sanitizer.record_sizes.items()):
+        if claims.get(schema) is not SizeType.STATIC_FIXED:
             continue  # RFSTs may legally differ per record
-        distinct = sorted(set(sizes))
+        distinct = sorted(sizes)
         if len(distinct) <= 1:
             continue
         findings.append(make_finding(
@@ -157,35 +105,19 @@ def check_observations(app: str, recorder: ShadowRecorder,
             f"the same size), but the runtime packed records of "
             f"{len(distinct)} distinct sizes "
             f"({distinct[0]}..{distinct[-1]} bytes) into its pages",
-            why=(f"[shadow.pages] {len(sizes)} records observed with "
-                 f"sizes {distinct}",)))
-
-    seen: set[tuple[str, str, int, int]] = set()
-    for mutation in recorder.resize_attempts():
-        key = (mutation.schema, mutation.kind, mutation.old_size,
-               mutation.new_size)
-        if key in seen:
-            continue
-        seen.add(key)
-        findings.append(make_finding(
-            "DECA101", f"{app}/shadow", mutation.schema,
-            f"runtime attempted a {mutation.kind} on decomposed data "
-            f"({mutation.old_size} -> {mutation.new_size}); a decomposed "
-            "record's data-size must never change after construction "
-            "(§3.1)",
-            why=(f"[shadow.sudt] {mutation.kind} intercepted by the "
-                 "accessor layer",)))
+            why=(f"[shadow.pages] {sum(sizes.values())} records observed "
+                 f"with sizes {distinct}",)))
     return findings
 
 
-def check_arena_accounting(app: str, recorder: ShadowRecorder,
+def check_arena_accounting(app: str, sanitizer: Sanitizer, tracer: Tracer,
                            plans: tuple[ContainerPlan, ...]
                            ) -> list[Finding]:
-    """``DECA101``: arena-observed page-group bytes vs. static claims.
+    """``DECA101``: arena-accounted page-group bytes vs. static claims.
 
     In unified memory mode every page group's bytes flow through the
-    arena's storage ledger (``memory.acquire``/``grow``/``release``
-    events).  Two soundness obligations fall out:
+    arena's storage ledger (``memory:acquire``/``grow``/``release``
+    instants on the trace).  Two soundness obligations fall out:
 
     * the data packed into a group's pages can never exceed the bytes
       the arena accounted for it — if it does, the decomposed layout
@@ -194,41 +126,28 @@ def check_arena_accounting(app: str, recorder: ShadowRecorder,
     * every group's ledger must balance (an entry can't end negative).
     """
     findings: list[Finding] = []
-    balances = recorder.arena_balances()
+    balances, events = _arena_balances(tracer)
     if not balances:
-        return findings  # static mode: the arena observed nothing
+        return findings  # static mode: the arena accounted nothing
 
-    packed: dict[str, int] = {}
-    schema_of: dict[str, str] = {}
-    for append in recorder.appends:
-        packed[append.group] = packed.get(append.group, 0) + append.size
-        schema_of[append.group] = append.schema
-
-    claims: dict[str, SizeType] = {}
-    for plan in plans:
-        if plan.decomposed and plan.udt \
-                and plan.global_size_type is not None:
-            claims[plan.udt] = plan.global_size_type
-
-    for group in sorted(packed):
+    claims = _sfst_claims(plans)
+    for group, (schema, packed) in sorted(sanitizer.group_bytes.items()):
         if group not in balances:
             continue  # group never reached the arena (non-evictable)
         peak, final = balances[group]
-        schema = schema_of[group]
         claim = claims.get(schema)
-        if packed[group] > peak:
+        if packed > peak:
             claim_note = (f" (claimed {claim.name})"
                           if claim is not None else "")
             findings.append(make_finding(
                 "DECA101", f"{app}/shadow", schema,
-                f"the runtime packed {packed[group]} data bytes into "
+                f"the runtime packed {packed} data bytes into "
                 f"page group {group!r}, but the unified arena only ever "
                 f"accounted {peak} bytes for it — the decomposed layout "
                 f"derived from the size-type claim{claim_note} is "
                 "smaller than the records actually written",
                 why=(f"[shadow.arena] peak ledger {peak} B < packed "
-                     f"{packed[group]} B over "
-                     f"{len(recorder.arena_events)} arena events",)))
+                     f"{packed} B over {events} arena events",)))
         if final < 0:
             findings.append(make_finding(
                 "DECA101", f"{app}/shadow", schema,
@@ -296,21 +215,18 @@ def check_imprecision(app: str, ctx: "DecaContext",
     return findings
 
 
-def shadow_summary(recorder: ShadowRecorder,
+def shadow_summary(sanitizer: Sanitizer,
                    plans: tuple[ContainerPlan, ...]) -> dict[str, object]:
     """Integer-only observation summary (safe for byte-stable baselines)."""
     schemas: dict[str, dict[str, int]] = {}
-    for schema, sizes in sorted(recorder.sizes_by_schema().items()):
+    for schema, sizes in sorted(sanitizer.record_sizes.items()):
         schemas[schema] = {
-            "records": len(sizes),
+            "records": sum(sizes.values()),
             "min_bytes": min(sizes),
             "max_bytes": max(sizes),
         }
     return {
-        "page_records": len(recorder.appends),
+        "page_records": sum(entry["records"] for entry in schemas.values()),
         "schemas": schemas,
-        "sudt_writes": sum(1 for m in recorder.mutations
-                           if not m.is_resize),
-        "resize_attempts": len(recorder.resize_attempts()),
         "plans": [plan.to_dict() for plan in plans],
     }

@@ -2,10 +2,11 @@
 
 Each :class:`LintApp` bundles the static lint targets (the UDT-bearing
 containers the app creates) with a small, fully seeded *shadow run* — the
-app executed in DECA mode on a miniature dataset so the shadow validator
-can observe the runtime's actual memory behaviour.  Everything here is
-deterministic: the data generators take fixed seeds and the run emits no
-wall-clock values, so two lint runs produce byte-identical JSON.
+app executed in DECA mode with ``sanitize=True`` on a miniature dataset,
+so the shadow validator can read the runtime's actual memory behaviour.
+Everything here is deterministic: the data generators take fixed seeds
+and the run emits no wall-clock values, so two lint runs produce
+byte-identical JSON.
 
 The targets rebuild their UDT models locally instead of reusing the app
 modules' ``*_udt_info()`` helpers where phase information is needed: the
@@ -61,12 +62,13 @@ class LintApp:
 
 
 def _shadow_config(heap_mb: int = 32) -> DecaConfig:
-    # Shadow runs use the unified arena so the DECA101 soundness check
-    # can compare arena-observed page-group bytes against the static
-    # size-type claims (check_arena_accounting).
+    # Shadow runs keep the sanitizer's lifetime book (every page-group
+    # append) and use the unified arena, whose storage ledger the trace
+    # records, so the DECA101 checks can compare both against the static
+    # size-type claims (repro.lint.shadow).
     return DecaConfig(mode=ExecutionMode.DECA, heap_bytes=heap_mb * MB,
                       num_executors=2, tasks_per_executor=2,
-                      memory_mode="unified")
+                      memory_mode="unified", sanitize=True)
 
 
 # -- per-app target builders -------------------------------------------------

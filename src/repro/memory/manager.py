@@ -54,6 +54,7 @@ class DecaMemoryManager:
             on_reclaim=self._forget,
             on_resize=self._resized if evictable else None,
         )
+        group.sanitizer = self.arena.sanitizer
         self._groups[name] = group
         if evictable:
             self._evictable.add(name)

@@ -26,31 +26,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator
 
 from ..errors import PageError, PageOverflowError, PageReclaimedError
-
-if TYPE_CHECKING:
-    from ..obs.sanitizer import Sanitizer
 from ..jvm.heap import SimHeap
 from ..jvm.objects import AllocationGroup, Lifetime
 from ..jvm.sizing import array_bytes
-from .layout import Schema
+from .layout import RecordSchema, Schema
 
-# -- shadow-validation hooks ------------------------------------------------
-# ``repro.lint``'s shadow validator registers an observer here to record
-# every record appended to any page group (group name, schema label, packed
-# byte size).  The list is empty in normal runs, so the hot path pays one
-# truthiness check.
-RecordObserver = Callable[["PageGroup", str, int], None]
-_record_observers: list[RecordObserver] = []
-
-
-def add_record_observer(observer: RecordObserver) -> None:
-    """Register *observer* to be called on every ``append_record``."""
-    _record_observers.append(observer)
-
-
-def remove_record_observer(observer: RecordObserver) -> None:
-    """Unregister a previously added record observer."""
-    _record_observers.remove(observer)
+if TYPE_CHECKING:
+    from ..obs.sanitizer import Sanitizer
 
 
 class Page:
@@ -72,7 +54,8 @@ class Page:
                 f"external page buffer is {len(buffer)} B, "
                 f"expected {nbytes} B")
         self.index = index
-        self.data = bytearray(nbytes) if buffer is None else buffer
+        self.data: bytearray | memoryview = (
+            bytearray(nbytes) if buffer is None else buffer)
         self.used = 0
 
     @property
@@ -127,9 +110,11 @@ class PageGroup:
         # memory arena tracks in-build page groups through this hook.
         self.on_resize = on_resize
         self._alloc_group: AllocationGroup | None = None
-        # Sanitize mode: the cold tier points this at the run's
-        # Sanitizer once the group adopts zero-copy buffers or drains, so
-        # reclamation and drains are checked (None = no-op).
+        # Sanitize mode: the run's Sanitizer (None = no-op).  The memory
+        # manager sets it on every group it creates, so appends reach the
+        # sanitizer's lifetime book; the cold tier and the shm layer set
+        # it on the groups they drain or mount, so reclamation and drains
+        # are checked.
         self.sanitizer: Sanitizer | None = None
         if heap is not None:
             self._alloc_group = heap.new_group(
@@ -200,15 +185,15 @@ class PageGroup:
         page.used = len(data)
         return PagePointer(page.index, 0, len(data))
 
-    def append_record(self, schema: Schema, value) -> PagePointer:
+    def append_record(self, schema: Schema, value: Any) -> PagePointer:
         """Pack *value* (per *schema*) directly into the page group."""
         size = schema.size_of(value)
         page, offset = self.reserve(size)
         schema.pack_into(page.data, offset, value)
-        if _record_observers:
-            label = getattr(schema, "name", type(schema).__name__)
-            for observer in list(_record_observers):
-                observer(self, label, size)
+        if self.sanitizer is not None:
+            self.sanitizer.note_append(
+                self.name, getattr(schema, "name", type(schema).__name__),
+                size)
         return PagePointer(page.index, offset, size)
 
     def _new_page(self, nbytes: int) -> Page:
@@ -311,7 +296,8 @@ class PageGroup:
             raise PageError(
                 f"page group {self.name!r} has no page #{index}") from None
 
-    def read(self, pointer: PagePointer) -> tuple[bytearray, int]:
+    def read(self, pointer: PagePointer
+             ) -> tuple[bytearray | memoryview, int]:
         """Resolve *pointer* to ``(buffer, offset)``."""
         page = self.page(pointer.page_index)
         if pointer.offset + pointer.length > page.used:
@@ -319,7 +305,8 @@ class PageGroup:
                 f"pointer {pointer} reads past the used bytes of {page}")
         return page.data, pointer.offset
 
-    def scan(self, schema: Schema) -> Iterator[tuple[bytearray, int]]:
+    def scan(self, schema: RecordSchema
+             ) -> Iterator[tuple[bytearray | memoryview, int]]:
         """Sequentially yield ``(buffer, offset)`` for every record.
 
         Walks the pages exactly as the transformed task loop of Appendix B

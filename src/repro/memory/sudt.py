@@ -19,8 +19,7 @@ accessor instead of allocating per record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from ..errors import MemoryLayoutError, PageOverflowError
 from .layout import (
@@ -31,47 +30,6 @@ from .layout import (
     Schema,
     VarArraySchema,
 )
-
-
-# -- shadow-validation hooks ------------------------------------------------
-@dataclass(frozen=True)
-class SudtMutation:
-    """One observed write through a synthesized accessor.
-
-    *kind* is ``element-write`` / ``record-overwrite`` for size-preserving
-    writes and ``array-resize`` / ``record-resize`` for attempts to change
-    a record's data-size — the writes §3.1's safety property forbids on
-    decomposed data (they raise ``PageOverflowError`` right after the
-    observer fires).
-    """
-
-    schema: str
-    kind: str
-    old_size: int
-    new_size: int
-
-    @property
-    def is_resize(self) -> bool:
-        return self.kind.endswith("-resize")
-
-
-MutationObserver = Callable[[SudtMutation], None]
-_mutation_observers: list[MutationObserver] = []
-
-
-def add_mutation_observer(observer: MutationObserver) -> None:
-    """Register *observer* to be called on every SUDT write."""
-    _mutation_observers.append(observer)
-
-
-def remove_mutation_observer(observer: MutationObserver) -> None:
-    """Unregister a previously added mutation observer."""
-    _mutation_observers.remove(observer)
-
-
-def _notify(event: SudtMutation) -> None:
-    for observer in list(_mutation_observers):
-        observer(event)
 
 
 class ArrayView:
@@ -112,11 +70,6 @@ class ArrayView:
     def __setitem__(self, index: int, value: Any) -> None:
         self._element.pack_into(self._buf, self._element_offset(index),
                                 value)
-        if _mutation_observers:
-            size = self._element.fixed_size or 0
-            _notify(SudtMutation(schema=type(self._schema).__name__,
-                                 kind="element-write",
-                                 old_size=size, new_size=size))
 
     def __iter__(self) -> Iterator[Any]:
         for i in range(self._length):
@@ -150,11 +103,6 @@ class ArrayView:
         page (the safety property of §3.1).
         """
         if len(values) != self._length:
-            if _mutation_observers:
-                _notify(SudtMutation(
-                    schema=type(self._schema).__name__,
-                    kind="array-resize",
-                    old_size=self._length, new_size=len(values)))
             raise PageOverflowError(
                 f"cannot resize decomposed array from {self._length} to "
                 f"{len(values)} elements")
@@ -203,18 +151,10 @@ class SudtClass:
         size = schema.size_of(value)
         old_size = self.data_size()
         if size != old_size:
-            if _mutation_observers:
-                _notify(SudtMutation(schema=schema.name,
-                                     kind="record-resize",
-                                     old_size=old_size, new_size=size))
             raise PageOverflowError(
                 f"record size change {old_size} -> {size} would "
                 "damage the page layout")
         schema.pack_into(self._buf, self._off, value)
-        if _mutation_observers:
-            _notify(SudtMutation(schema=schema.name,
-                                 kind="record-overwrite",
-                                 old_size=old_size, new_size=size))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(off={self._off})"

@@ -24,9 +24,9 @@ page groups ask it for memory and it decides who is evicted.
   (concurrent writers used to oversubscribe the shuffle budget K-fold).
 
 Every unified-mode transition emits a ``memory:*`` event on the run's
-:class:`~repro.obs.tracer.Tracer` bus and notifies the module-level
-observers below (how the deca-lint shadow validator cross-checks arena
-bytes against the static size-type claims).
+:class:`~repro.obs.tracer.Tracer` bus; the deca-lint shadow validator
+folds the storage-entry events of that trace to cross-check arena bytes
+against the static size-type claims.
 """
 
 from __future__ import annotations
@@ -45,24 +45,6 @@ from ..simtime import SimClock
 # execution borrows (``spark.memory.storageFraction``).
 MEMORY_FRACTION = 0.75
 STORAGE_REGION_FRACTION = 0.5
-
-# -- shadow-validation hooks ------------------------------------------------
-# ``repro.lint``'s shadow validator registers an observer here to record
-# every arena transition (event name plus its integer/string payload).
-# The list is empty in normal runs, so the hot path pays one truthiness
-# check per event.
-MemoryObserver = Callable[[str, dict[str, object]], None]
-_memory_observers: list[MemoryObserver] = []
-
-
-def add_memory_observer(observer: MemoryObserver) -> None:
-    """Register *observer* to be called on every arena event."""
-    _memory_observers.append(observer)
-
-
-def remove_memory_observer(observer: MemoryObserver) -> None:
-    """Unregister a previously added memory observer."""
-    _memory_observers.remove(observer)
 
 
 class MemoryConsumer(Protocol):
@@ -214,10 +196,6 @@ class _ArenaBase:
         if self.tracer is not None:
             self.tracer.instant(f"memory:{event}", "memory", ts_ms=ts,
                                 pid=self.pid, **args)
-        if _memory_observers:
-            payload = dict(args)
-            for observer in list(_memory_observers):
-                observer(event, payload)
 
     def _next_tick(self) -> int:
         self._tick += 1

@@ -1,4 +1,5 @@
-"""The runtime sanitizer: the dynamic half of ``DECA301``–``DECA308``
+"""The runtime sanitizer: the dynamic half of ``DECA101``
+(:mod:`repro.lint.shadow`), ``DECA301``–``DECA308``
 (:mod:`repro.lint.borrow`) and ``DECA401``–``DECA410``
 (:mod:`repro.lint.race`).
 
@@ -8,7 +9,8 @@ mmap extent or a :class:`repro.exec.shm.SharedPageSegment` — and the mp
 backend lets several processes touch those bytes.  Nothing in CPython
 ties a view to the lifecycle of its backing, or orders one process's
 reclaim after another's read.  Under ``DecaConfig.sanitize`` one
-:class:`Sanitizer` per process watches both:
+:class:`Sanitizer` per process watches both, and keeps a book of what
+the page groups hold:
 
 * **borrows** — each exported view is recorded with its backing resource
   (``("extent", "<tier tag>:<name>")`` or ``("segment", name)``) and the
@@ -26,6 +28,12 @@ reclaim after another's read.  Under ``DecaConfig.sanitize`` one
   is a violation: a read of a resource reclaimed by a clock the reader
   never saw, a result consumed before its producer was joined, a sweep
   while the owner is live.
+* **the lifetime book** — every record appended to a page group that
+  reports to the sanitizer is counted by schema and packed size, and
+  its bytes by group (:meth:`Sanitizer.note_append`).  The book raises
+  nothing itself: the lint shadow validator reads it after the run and
+  checks it against the optimizer's size-type claims.  It stays in its
+  process (a worker's book is not shipped home).
 
 The three lifecycle checkpoints both halves share are one call each:
 :meth:`~Sanitizer.create`, :meth:`~Sanitizer.export` and
@@ -54,6 +62,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
+from .rules import slugs
 from .tracer import DRIVER_PID, Tracer
 
 #: Sentinel byte written over every freed extent (0xDB ~ "dead bytes"):
@@ -61,30 +70,9 @@ from .tracer import DRIVER_PID, Tracer
 #: the next tenant wrote.
 POISON_BYTE = 0xDB
 
-#: One slug per DECA30x rule, in rule order.
-BORROW_SLUGS: tuple[str, ...] = (
-    "use-after-free-extent",           # DECA301
-    "use-after-unlink-segment",        # DECA302
-    "double-free",                     # DECA303
-    "view-escapes-adoption",           # DECA304
-    "remap-invalidates-export",        # DECA305
-    "leak-at-finish",                  # DECA306
-    "unreleased-drain-copy",           # DECA308
-)
-
-#: One slug per DECA40x rule, in rule order.
-RACE_SLUGS: tuple[str, ...] = (
-    "unlink-concurrent-with-attach",   # DECA401
-    "refcount-outside-lock",           # DECA402
-    "borrow-evict-lost-update",        # DECA404
-    "wave-barrier-bypass",             # DECA405
-    "orphan-sweep-live-worker",        # DECA406
-    "reentrant-spill-victim",          # DECA407
-    "readonly-page-write",             # DECA408
-    "trace-relay-reorder",             # DECA409
-    "double-grant",                    # DECA410
-)
-
+#: One slug per DECA30x (borrow) and DECA40x (race) rule, in rule order.
+BORROW_SLUGS = slugs("DECA3")
+RACE_SLUGS = slugs("DECA4")
 SLUGS = BORROW_SLUGS + RACE_SLUGS
 
 #: A vector clock: actor id -> event count.
@@ -169,6 +157,11 @@ class Sanitizer:
         self._checksums: dict[Key, list[tuple[int, memoryview]]] = {}
         # task tokens holding an active arena grant.
         self._grants: set[str] = set()
+        # The lifetime book (DECA101's runtime half, read by the lint
+        # shadow validator): schema -> packed record size -> count, and
+        # group name -> (schema, packed bytes).
+        self.record_sizes: dict[str, dict[int, int]] = {}
+        self.group_bytes: dict[str, tuple[str, int]] = {}
 
     # -- liveness -------------------------------------------------------------
     def _is_attached(self, borrow: Borrow) -> bool:
@@ -375,6 +368,15 @@ class Sanitizer:
     def release_drain(self, group: str) -> None:
         """All drain copies of *group* were consumed and freed."""
         self._drains.pop(group, None)
+
+    # -- the lifetime book (DECA101) -----------------------------------------
+    def note_append(self, group: str, schema: str, size: int) -> None:
+        """One record of *schema*, *size* bytes packed, was appended to
+        page group *group*."""
+        sizes = self.record_sizes.setdefault(schema, {})
+        sizes[size] = sizes.get(size, 0) + 1
+        packed = self.group_bytes.get(group, (schema, 0))[1]
+        self.group_bytes[group] = (schema, packed + size)
 
     # -- refcounts (DECA402) --------------------------------------------------
     def note_refdec(self, name: str, *, locked: bool = True) -> None:

@@ -17,6 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
+import enum
 import itertools
 import zlib
 from typing import Any, Callable, Iterable, Iterator
@@ -50,11 +51,12 @@ def stable_hash(key: Any) -> int:
     """A hash for partitioning.
 
     Process-independent for ``None``, ``bool``, ``int``, ``float``,
-    ``str`` and ``bytes`` (subclasses included) and for tuples of those,
-    so a key lands in the same partition in every run.  Any other key
-    falls back to ``hash()``, which is process-local wherever that is:
-    address-based for plain objects, salted for a ``frozenset`` of
-    strings, by member name for a non-``int`` enum.
+    ``str`` and ``bytes`` (subclasses included), for enum members (an
+    ``int`` or ``str`` enum hashes as its value, any other by its type's
+    qualified name and member name) and for tuples and frozensets of
+    those, so a key lands in the same partition in every run.  Any other
+    key falls back to ``hash()``, which is process-local wherever that
+    is: address-based for plain objects.
     """
     # The two everyday key types first, by exact type (``bool`` is not
     # ``int`` here, so ``True`` still takes the branch below).
@@ -82,6 +84,12 @@ def stable_hash(key: Any) -> int:
         for item in key:
             acc = (acc * 31 + stable_hash(item)) & 0x7FFFFFFF
         return acc
+    if isinstance(key, enum.Enum):
+        # ``hash()`` of a member is its name's salted string hash.
+        return stable_hash((type(key).__qualname__, key.name))
+    if isinstance(key, frozenset):
+        # Iteration order is salted too; a sum does not depend on it.
+        return sum(stable_hash(item) for item in key) & 0x7FFFFFFF
     return hash(key) & 0x7FFFFFFF
 
 

@@ -125,7 +125,7 @@ class TestExperimentCommands:
     def test_sanitize_fixtures_all_fire(self, capsys):
         assert main(["sanitize", "--fixtures-only"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        rules = [rule for rule, _slug, _drive in FIXTURES]
+        rules = [rule for rule, _drive in FIXTURES]
         fired = [line.split()[0] for line in lines
                  if line.rstrip().endswith("fired")]
         assert fired == rules

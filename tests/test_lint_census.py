@@ -33,9 +33,9 @@ from repro.lint.borrow import (
     _enumerate_paths,
     lower_module,
 )
-from repro.lint.findings import RULES, RULES_BY_ID
 from repro.lint.fixtures.drivers import FIXTURES
 from repro.lint.race import RACE_MODULES, lower_race_module
+from repro.obs.rules import RULES, RULES_BY_ID
 from repro.obs.sanitizer import BORROW_SLUGS, RACE_SLUGS, Sanitizer
 
 ROOT = Path(repro.__file__).resolve().parent
@@ -140,19 +140,17 @@ def test_rule_has_a_subject(rule_id, census):
 
 
 def test_checking_methods_can_record_the_rules_slug():
-    slugs = dict((rule, slug) for rule, slug, _drive in FIXTURES)
     for rule_id, (_precondition, methods) in CENSUS.items():
+        slug = RULES_BY_ID[rule_id].name
         for method in methods:
             source = inspect.getsource(getattr(Sanitizer, method))
-            assert f'"{slugs[rule_id]}"' in source, (rule_id, method)
+            assert f'"{slug}"' in source, (rule_id, method)
 
 
 def test_fixtures_list_exactly_the_audited_rules_in_order():
     """A rule cannot be added or dropped without its runtime fixture."""
-    assert [rule for rule, _slug, _drive in FIXTURES] == list(AUDITED)
-    for rule, slug, _drive in FIXTURES:
-        assert slug == RULES_BY_ID[rule].name
+    assert [rule for rule, _drive in FIXTURES] == list(AUDITED)
     by_family = {"DECA3": BORROW_SLUGS, "DECA4": RACE_SLUGS}
     for family, slugs in by_family.items():
-        assert tuple(slug for rule, slug, _drive in FIXTURES
+        assert tuple(RULES_BY_ID[rule].name for rule, _drive in FIXTURES
                      if rule.startswith(family)) == slugs

@@ -1,18 +1,14 @@
-"""Shadow validator tests: observation capture and differential checks."""
+"""Shadow validator tests: the sanitizer's lifetime book, the trace's
+arena ledger and the differential checks that read them."""
 
 from types import SimpleNamespace
-
-import pytest
 
 from repro.analysis import ArrayType, ClassType, Field, LONG, SizeType
 from repro.apps.logistic_regression import labeled_point_udt_info
 from repro.apps.wordcount import wordcount_udt_info
+from repro.config import DecaConfig, ExecutionMode, MB
 from repro.core.plan import ContainerPlan
-from repro.errors import PageOverflowError
 from repro.lint import (
-    ArenaEvent,
-    PageAppend,
-    ShadowRecorder,
     check_arena_accounting,
     check_imprecision,
     check_observations,
@@ -20,7 +16,9 @@ from repro.lint import (
 )
 from repro.memory.layout import build_schema
 from repro.memory.page import PageGroup
-from repro.memory.sudt import bind_accessor
+from repro.obs import Tracer
+from repro.obs.sanitizer import Sanitizer
+from repro.spark import DecaContext
 
 
 def _record_schema():
@@ -39,128 +37,135 @@ def _sfst_report(udt: str) -> ContainerPlan:
                          decomposed=True, reason="decomposed")
 
 
-class TestShadowRecorder:
-    def test_captures_page_appends_only_while_active(self):
-        schema = _record_schema()
-        group = PageGroup("shadow-test", 4096)
-        with ShadowRecorder() as recorder:
-            group.append_record(schema, (1, (10, 20, 30)))
-            group.append_record(schema, (2, (40,)))
-        group.append_record(schema, (3, (50, 60)))  # not recorded
+def _book(*appends: tuple[str, str, int]) -> Sanitizer:
+    """A sanitizer whose lifetime book holds *appends*
+    (``(group, schema, size)`` each)."""
+    sanitizer = Sanitizer()
+    for group, schema, size in appends:
+        sanitizer.note_append(group, schema, size)
+    return sanitizer
 
-        assert len(recorder.appends) == 2
-        assert recorder.appends[0].group == "shadow-test"
-        assert recorder.appends[0].schema == "Rec"
-        assert recorder.appends[0].size == schema.size_of((1, (10, 20, 30)))
 
-    def test_captures_resize_attempts_through_accessors(self):
-        schema = _record_schema()
-        group = PageGroup("shadow-test", 4096)
-        pointer = group.append_record(schema, (1, (10, 20, 30)))
-        buf, off = group.read(pointer)
-        with ShadowRecorder() as recorder:
-            accessor = bind_accessor(schema, buf, off)
-            accessor.xs[0] = 99                      # size-preserving
-            with pytest.raises(PageOverflowError):
-                accessor.xs.replace((1, 2))          # grows: forbidden
-        kinds = [m.kind for m in recorder.mutations]
-        assert "element-write" in kinds
-        assert "array-resize" in kinds
-        assert len(recorder.resize_attempts()) == 1
+def _ledger(*events: tuple[str, str, int]) -> Tracer:
+    """A trace holding the arena's ``memory:<event>`` instants
+    (``(event, entry, nbytes)`` each)."""
+    tracer = Tracer()
+    for event, entry, nbytes in events:
+        tracer.instant(f"memory:{event}", "memory", 0.0, entry=entry,
+                       nbytes=nbytes)
+    return tracer
 
-    def test_captures_whole_record_overwrites(self):
+
+def _cache_points(ctx: DecaContext, count: int) -> None:
+    data = [(1.0, tuple(float(d) for d in range(4)))] * count
+    ctx.parallelize(data, 2).map(
+        lambda r: r, udt_info=labeled_point_udt_info(4)).cache().count()
+
+
+class TestLifetimeBook:
+    def test_counts_appends_of_sanitized_groups_only(self):
         schema = _record_schema()
+        sanitizer = Sanitizer()
         group = PageGroup("shadow-test", 4096)
-        pointer = group.append_record(schema, (1, (10, 20, 30)))
-        buf, off = group.read(pointer)
-        with ShadowRecorder() as recorder:
-            accessor = bind_accessor(schema, buf, off)
-            accessor.write((7, (1, 2, 3)))           # same size: fine
-            with pytest.raises(PageOverflowError):
-                accessor.write((7, (1, 2, 3, 4)))    # resize: forbidden
-        kinds = [m.kind for m in recorder.mutations]
-        assert "record-overwrite" in kinds
-        assert "record-resize" in kinds
+        group.sanitizer = sanitizer
+        group.append_record(schema, (1, (10, 20, 30)))
+        group.append_record(schema, (2, (40,)))
+        PageGroup("plain", 4096).append_record(schema, (3, (50, 60)))
+
+        big, small = (schema.size_of((1, (10, 20, 30))),
+                      schema.size_of((2, (40,))))
+        assert sanitizer.record_sizes == {"Rec": {big: 1, small: 1}}
+        assert sanitizer.group_bytes == {"shadow-test": ("Rec",
+                                                         big + small)}
+        # The book is not a sanitizer counter: the run summary (and
+        # every committed RunMetrics.sanitize) does not move.
+        assert sanitizer.summary() == Sanitizer().summary()
+
+    def test_two_contexts_keep_separate_books(self):
+        """Only the sanitized context's own appends reach its book, even
+        with a second context caching in the same interpreter between
+        its jobs."""
+        config = dict(mode=ExecutionMode.DECA, heap_bytes=32 * MB,
+                      num_executors=1, tasks_per_executor=2)
+        sanitized = DecaContext(DecaConfig(sanitize=True, **config))
+        plain = DecaContext(DecaConfig(**config))
+        _cache_points(plain, 300)
+        _cache_points(sanitized, 40)
+        _cache_points(plain, 300)
+        book = sanitized.sanitizer.record_sizes
+        assert sum(sum(sizes.values()) for sizes in book.values()) == 40
+        assert all(executor.arena.sanitizer is None
+                   for executor in plain.executors)
+        sanitized.finish()
+        plain.finish()
 
 
 class TestCheckObservations:
     def test_clean_when_sfst_records_share_one_size(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Point", 40)] * 3
-        assert check_observations("app", recorder,
+        sanitizer = _book(*[("g", "Point", 40)] * 3)
+        assert check_observations("app", sanitizer,
                                   (_sfst_report("Point"),)) == []
 
     def test_flags_sfst_claims_with_varying_sizes(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Point", 40),
-                            PageAppend("g", "Point", 48)]
-        findings = check_observations("app", recorder,
+        sanitizer = _book(("g", "Point", 40), ("g", "Point", 48))
+        findings = check_observations("app", sanitizer,
                                       (_sfst_report("Point"),))
         assert [f.rule_id for f in findings] == ["DECA101"]
         assert "SFST" in findings[0].message
+        assert "2 records observed" in findings[0].why[0]
 
     def test_rfst_claims_may_vary_per_record(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Rec", 40),
-                            PageAppend("g", "Rec", 48)]
+        sanitizer = _book(("g", "Rec", 40), ("g", "Rec", 48))
         report = ContainerPlan(target="cache:Rec", udt="Rec",
                                local_size_type=SizeType.VARIABLE,
                                global_size_type=SizeType.RUNTIME_FIXED,
                                decomposed=True, reason="decomposed")
-        assert check_observations("app", recorder, (report,)) == []
-
-    def test_flags_resize_attempts(self):
-        schema = _record_schema()
-        group = PageGroup("g", 4096)
-        pointer = group.append_record(schema, (1, (10, 20, 30)))
-        buf, off = group.read(pointer)
-        with ShadowRecorder() as recorder:
-            with pytest.raises(PageOverflowError):
-                bind_accessor(schema, buf, off).xs.replace(())
-        findings = check_observations("app", recorder, ())
-        assert [f.rule_id for f in findings] == ["DECA101"]
-        assert "array-resize" in findings[0].message
+        assert check_observations("app", sanitizer, (report,)) == []
 
 
 class TestCheckArenaAccounting:
     def test_silent_in_static_mode(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Point", 40)]
+        sanitizer = _book(("g", "Point", 40))
         assert check_arena_accounting(
-            "app", recorder, (_sfst_report("Point"),)) == []
+            "app", sanitizer, Tracer(), (_sfst_report("Point"),)) == []
 
     def test_clean_when_arena_covers_packed_bytes(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Point", 40)] * 3
-        recorder.arena_events = [ArenaEvent("grow", "g", 4096)]
+        sanitizer = _book(*[("g", "Point", 40)] * 3)
         assert check_arena_accounting(
-            "app", recorder, (_sfst_report("Point"),)) == []
+            "app", sanitizer, _ledger(("grow", "g", 4096)),
+            (_sfst_report("Point"),)) == []
 
     def test_flags_packed_bytes_beyond_arena_ledger(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Point", 40)] * 3
-        recorder.arena_events = [ArenaEvent("acquire", "g", 64)]
+        sanitizer = _book(*[("g", "Point", 40)] * 3)
         findings = check_arena_accounting(
-            "app", recorder, (_sfst_report("Point"),))
+            "app", sanitizer, _ledger(("acquire", "g", 64)),
+            (_sfst_report("Point"),))
         assert [f.rule_id for f in findings] == ["DECA101"]
         assert "only ever accounted 64 bytes" in findings[0].message
         assert "STATIC_FIXED" in findings[0].message
 
     def test_flags_negative_ledger(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Point", 40)]
-        recorder.arena_events = [ArenaEvent("grow", "g", 4096),
-                                 ArenaEvent("release", "g", 5000)]
-        findings = check_arena_accounting("app", recorder, ())
+        sanitizer = _book(("g", "Point", 40))
+        ledger = _ledger(("grow", "g", 4096), ("release", "g", 5000))
+        findings = check_arena_accounting("app", sanitizer, ledger, ())
         assert [f.rule_id for f in findings] == ["DECA101"]
         assert "negative" in findings[0].message
+
+    def test_ignores_events_without_a_storage_entry(self):
+        sanitizer = _book(*[("g", "Point", 40)] * 3)
+        tracer = _ledger(("acquire", "g", 64))
+        tracer.instant("memory:acquire", "memory", 0.0, task=1,
+                       nbytes=4096)
+        findings = check_arena_accounting("app", sanitizer, tracer, ())
+        assert "over 1 arena events" in findings[0].why[0]
 
     def test_recorded_end_to_end_by_shadow_run(self):
         from repro.lint import LINT_APPS_BY_NAME, lint_app
 
-        result = lint_app(LINT_APPS_BY_NAME["wordcount"], shadow=True)
-        # The unified-mode shadow run produced arena traffic and the
+        result = lint_app(LINT_APPS_BY_NAME["lr"], shadow=True)
+        # The shadow run's book saw every cached point, and the
         # accounting check stayed clean on the healthy app.
+        assert result.summary["page_records"] == 600
         assert not [f for f in result.findings
                     if f.rule_id == "DECA101"]
 
@@ -208,15 +213,11 @@ class TestCheckImprecision:
 
 class TestShadowSummary:
     def test_summary_is_integer_only(self):
-        recorder = ShadowRecorder()
-        recorder.appends = [PageAppend("g", "Rec", 40),
-                            PageAppend("g", "Rec", 48)]
-        summary = shadow_summary(recorder, (_sfst_report("Rec"),))
+        sanitizer = _book(("g", "Rec", 40), ("g", "Rec", 48))
+        summary = shadow_summary(sanitizer, (_sfst_report("Rec"),))
         assert summary["page_records"] == 2
         assert summary["schemas"]["Rec"] == {
             "records": 2, "min_bytes": 40, "max_bytes": 48}
-        assert summary["sudt_writes"] == 0
-        assert summary["resize_attempts"] == 0
         assert summary["plans"][0]["udt"] == "Rec"
 
         def only_safe_values(value):

@@ -151,6 +151,24 @@ class TestDataSize:
         assert acc.label == 5.0
         assert acc.features.data.to_tuple() == (9.0, 8.0, 7.0, 6.0)
 
+    def test_whole_record_resize_is_forbidden(self):
+        # Two records back to back in one page: growing the first would
+        # overwrite the second (§3.1), so the write must fail before it
+        # touches a byte.
+        schema = RecordSchema("S", [
+            ("chars", VarArraySchema(PrimitiveSlot(CHAR))),
+        ])
+        group = PageGroup("resize", 4096)
+        first = group.append_record(schema, ((1, 2),))
+        group.append_record(schema, ((3, 4),))
+        buf, off = group.read(first)
+        before = bytes(buf[:group.used_bytes])
+        acc = synthesize_sudt(schema)(buf, off)
+        with pytest.raises(PageOverflowError):
+            acc.write(((5, 6, 7),))
+        assert bytes(buf[:group.used_bytes]) == before
+        assert acc.to_tuple() == ((1, 2),)
+
 
 class TestTypedArrayView:
     def test_typed_view_casts_primitive_array(self):

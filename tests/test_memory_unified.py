@@ -19,9 +19,7 @@ from repro.memory.unified import (
     STORAGE_REGION_FRACTION,
     StaticMemoryArena,
     UnifiedMemoryManager,
-    add_memory_observer,
     create_memory_arena,
-    remove_memory_observer,
 )
 from repro.spark import DecaContext
 from repro.spark.cache import CachedBlock, StorageStrategy
@@ -216,20 +214,13 @@ class TestStoragePool:
         assert order == ["b"]
 
     def test_oversized_claim_rejected(self):
-        arena = unified()
-        observed = []
-
-        def observer(event, payload):
-            observed.append((event, dict(payload)))
-
-        add_memory_observer(observer)
-        try:
-            assert not arena.storage_acquire("huge", arena.total + 1)
-        finally:
-            remove_memory_observer(observer)
+        tracer = Tracer()
+        arena = UnifiedMemoryManager(config(), tracer=tracer)
+        assert not arena.storage_acquire("huge", arena.total + 1)
         assert arena.storage_used == 0
         assert arena.stats.reject_events == 1
-        assert observed and observed[0][0] == "reject"
+        assert [event.name for event in tracer.events] == ["memory:reject"]
+        assert tracer.events[0].args["entry"] == "huge"
 
     def test_pinned_entries_cannot_be_evicted(self):
         arena = unified()

@@ -2,9 +2,10 @@
 
 Strategy: generate a random (but well-formed) UDT whose fields are
 primitives and primitive arrays, run the *real* pipeline — global
-classification, schema construction, page-group appends, accessor
-writes — and assert the differential checker reports zero DECA101
-soundness violations.  The engine and the linter implement the same §3.1
+classification, schema construction, page-group appends into a group
+that reports to a sanitizer's lifetime book, accessor writes — and
+assert the differential checker reports zero DECA101 soundness
+violations.  The engine and the linter implement the same §3.1
 safety property independently; any disagreement is a bug in one of them.
 """
 
@@ -31,10 +32,11 @@ from repro.analysis import (
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.global_refine import GlobalClassifier
 from repro.core.plan import ContainerPlan
-from repro.lint import ShadowRecorder, check_observations
+from repro.lint import check_observations
 from repro.memory.layout import build_schema
 from repro.memory.page import PageGroup
 from repro.memory.sudt import bind_accessor
+from repro.obs.sanitizer import Sanitizer
 
 PRIMITIVES = (INT, LONG, DOUBLE)
 
@@ -123,14 +125,15 @@ def test_sound_decompositions_never_trigger_deca101(specs, num_records):
                            global_size_type=size_type,
                            decomposed=True, reason="property test")
 
-    with ShadowRecorder() as recorder:
-        group = PageGroup("prop", 1024)
-        pointers = [group.append_record(schema, record)
-                    for record in records]
-        # Size-preserving accessor writes are part of normal operation
-        # (e.g. shuffle segment reuse) and must stay silent too.
-        buf, off = group.read(pointers[0])
-        bind_accessor(schema, buf, off).write(records[0])
+    sanitizer = Sanitizer()
+    group = PageGroup("prop", 1024)
+    group.sanitizer = sanitizer
+    pointers = [group.append_record(schema, record) for record in records]
+    # Size-preserving accessor writes are part of normal operation (e.g.
+    # shuffle segment reuse) and must stay silent too.
+    buf, off = group.read(pointers[0])
+    bind_accessor(schema, buf, off).write(records[0])
 
-    findings = check_observations("prop", recorder, (report,))
+    assert sum(sanitizer.record_sizes[cls.name].values()) == num_records
+    findings = check_observations("prop", sanitizer, (report,))
     assert findings == [], [f.message for f in findings]

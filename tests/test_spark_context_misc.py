@@ -3,6 +3,9 @@ transformed-stage detection, run metrics and the simulated clock."""
 
 import dataclasses
 import enum
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -110,6 +113,34 @@ class TestStableHash:
     def test_spread_over_partitions(self):
         buckets = {stable_hash(f"key{i}") % 8 for i in range(1000)}
         assert len(buckets) == 8
+
+    def test_enums_and_frozensets_are_process_independent(self):
+        # ``hash()`` of a plain enum member or of a frozenset of strings
+        # is salted per process: two hash seeds must still agree.
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c", _HASH_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
+
+_HASH_SCRIPT = """
+import enum
+from repro.spark.context import stable_hash
+
+class Suit(enum.Enum):
+    HEARTS = "h"
+    SPADES = 2.5
+
+keys = (Suit.HEARTS, Suit.SPADES, frozenset({"a", "b", "c", "d"}),
+        (Suit.HEARTS, frozenset({"x", 1, ("y", None)})))
+print([stable_hash(key) for key in keys])
+"""
 
 
 class TestPlanDispatch:
