@@ -22,8 +22,10 @@ arrays instead of a million records.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from ..errors import PageError, PageOverflowError, PageReclaimedError
 from ..jvm.heap import SimHeap
@@ -150,16 +152,21 @@ class PageGroup:
         Returns the page and start offset; the caller packs the record
         bytes directly into ``page.data`` (no intermediate copy).
         """
+        page = self._tail_page(nbytes)
+        offset = page.used
+        page.used += nbytes
+        return page, offset
+
+    def _tail_page(self, nbytes: int) -> Page:
+        """The page the next *nbytes*-byte segment goes to: the last page
+        if it has room, else a fresh one (oversized for a record larger
+        than the page size).  Nothing is committed to ``page.used``."""
         self._check_alive()
         if nbytes < 0:
             raise PageError(f"negative reservation: {nbytes}")
         if self.pages and self.pages[-1].free >= nbytes:
-            page = self.pages[-1]
-        else:
-            page = self._new_page(max(nbytes, self.page_bytes))
-        offset = page.used
-        page.used += nbytes
-        return page, offset
+            return self.pages[-1]
+        return self._new_page(max(nbytes, self.page_bytes))
 
     def append_bytes(self, data: bytes | bytearray | memoryview
                      ) -> PagePointer:
@@ -186,15 +193,73 @@ class PageGroup:
         return PagePointer(page.index, 0, len(data))
 
     def append_record(self, schema: Schema, value: Any) -> PagePointer:
-        """Pack *value* (per *schema*) directly into the page group."""
+        """Pack *value* (per *schema*) directly into the page group.
+
+        ``page.used`` moves only once the pack succeeded, so a value the
+        schema rejects leaves no half-written record behind.
+        """
         size = schema.size_of(value)
-        page, offset = self.reserve(size)
+        page = self._tail_page(size)
+        offset = page.used
         schema.pack_into(page.data, offset, value)
+        page.used = offset + size
         if self.sanitizer is not None:
             self.sanitizer.note_append(
                 self.name, getattr(schema, "name", type(schema).__name__),
                 size)
         return PagePointer(page.index, offset, size)
+
+    def append_records(self, schema: Schema, values: Iterable[Any]) -> int:
+        """Pack every value of *values* (per *schema*); returns the count.
+
+        The bulk build of a sealed container (§4.3.1).  A fixed-size
+        schema fills the group a page at a time: ``free // size`` records
+        are packed by the schema's compiled codec at consecutive offsets,
+        then ``page.used`` is committed and the sanitizer told once for
+        the run.  Pages are opened exactly where :meth:`append_record`
+        would open them, so the bytes, the heap allocations and the
+        ``on_resize`` deltas are those of a per-record loop.  A value the
+        codec cannot vouch for goes through ``schema.pack_into``, which
+        raises the per-field error; the records before it stay and it
+        leaves nothing.  A per-instance-size schema (length-prefixed
+        arrays) appends record by record.
+        """
+        size = schema.fixed_size
+        if not size:
+            count = 0
+            for value in values:
+                self.append_record(schema, value)
+                count += 1
+            return count
+        codec = schema.flat_codec()
+        flatten, pack = codec.flatten, codec.struct.pack_into
+        name = getattr(schema, "name", type(schema).__name__)
+        count = 0
+        pending = iter(values)
+        for first in pending:
+            page = self._tail_page(size)
+            data = page.data
+            start = end = page.used
+            try:
+                for value in chain(
+                        (first,), islice(pending, page.free // size - 1)):
+                    flat = flatten(value)
+                    if flat is not None:
+                        try:
+                            pack(data, end, *flat)
+                            end += size
+                            continue
+                        except (struct.error, TypeError, OverflowError):
+                            pass    # the walker raises the per-field error
+                    schema.pack_into(data, end, value)
+                    end += size
+            finally:
+                page.used = end
+                run = (end - start) // size
+                count += run
+                if run and self.sanitizer is not None:
+                    self.sanitizer.note_append(self.name, name, size, run)
+        return count
 
     def _new_page(self, nbytes: int) -> Page:
         page = Page(len(self.pages), nbytes)

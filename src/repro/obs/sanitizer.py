@@ -370,13 +370,14 @@ class Sanitizer:
         self._drains.pop(group, None)
 
     # -- the lifetime book (DECA101) -----------------------------------------
-    def note_append(self, group: str, schema: str, size: int) -> None:
-        """One record of *schema*, *size* bytes packed, was appended to
-        page group *group*."""
+    def note_append(self, group: str, schema: str, size: int,
+                    count: int = 1) -> None:
+        """*count* records of *schema*, *size* bytes packed each, were
+        appended to page group *group*."""
         sizes = self.record_sizes.setdefault(schema, {})
-        sizes[size] = sizes.get(size, 0) + 1
+        sizes[size] = sizes.get(size, 0) + count
         packed = self.group_bytes.get(group, (schema, 0))[1]
-        self.group_bytes[group] = (schema, packed + size)
+        self.group_bytes[group] = (schema, packed + size * count)
 
     # -- refcounts (DECA402) --------------------------------------------------
     def note_refdec(self, name: str, *, locked: bool = True) -> None:

@@ -242,13 +242,21 @@ class DecaContext:
                      task: TaskContext) -> CachedBlock:
         executor = task.executor
         plan = self.plan_cache(rdd)
-        objects = object_bytes = data_bytes = 0
-        for record in records:
-            measured = rdd.measure_record(record)
-            objects += measured.objects
-            object_bytes += measured.object_bytes
-            data_bytes += measured.data_bytes
-        footprint = RecordFootprint(objects, object_bytes, data_bytes)
+        info = rdd.udt_info
+        if records and info is not None and info.constant_footprint:
+            # Every record measures the same: one measure, times the count.
+            one = rdd.measure_record(records[0])
+            footprint = RecordFootprint(
+                one.objects * len(records), one.object_bytes * len(records),
+                one.data_bytes * len(records))
+        else:
+            objects = object_bytes = data_bytes = 0
+            for record in records:
+                measured = rdd.measure_record(record)
+                objects += measured.objects
+                object_bytes += measured.object_bytes
+                data_bytes += measured.data_bytes
+            footprint = RecordFootprint(objects, object_bytes, data_bytes)
         if plan.strategy is StorageStrategy.OBJECTS:
             group = executor.heap.new_group(f"cache:{key}", Lifetime.PINNED)
             # Records were allocated one by one while the UDF produced
@@ -288,8 +296,7 @@ class DecaContext:
                 f"Deca page plan for {rdd.name!r} lacks a schema")
         group = executor.memory_manager.new_page_group(
             f"cache:{key}", evictable=True)
-        for value in plan.encoded(records):
-            group.append_record(plan.schema, value)
+        group.append_records(plan.schema, plan.encoded(records))
         group.trim()  # sealed block: give the last page's tail back
         executor.serializer.deca_write(len(records), group.used_bytes)
         return CachedBlock(

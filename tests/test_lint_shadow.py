@@ -4,10 +4,14 @@ arena ledger and the differential checks that read them."""
 from types import SimpleNamespace
 
 from repro.analysis import ArrayType, ClassType, Field, LONG, SizeType
-from repro.apps.logistic_regression import labeled_point_udt_info
+from repro.apps.logistic_regression import (labeled_point_udt_info,
+                                            run_logistic_regression)
+from repro.apps.pagerank import run_pagerank
 from repro.apps.wordcount import wordcount_udt_info
 from repro.config import DecaConfig, ExecutionMode, MB
 from repro.core.plan import ContainerPlan
+from repro.data.graphs import power_law_graph
+from repro.data.vectors import labeled_points
 from repro.lint import (
     check_arena_accounting,
     check_imprecision,
@@ -99,6 +103,31 @@ class TestLifetimeBook:
         sanitized.finish()
         plain.finish()
 
+    def test_bulk_built_blocks_keep_the_per_record_book(self):
+        """Cache blocks are built a page at a time (LR, fixed-size) or
+        record by record (PageRank's adjacency lists, length-prefixed);
+        either way the book holds what one note per record gave."""
+        config = dict(mode=ExecutionMode.DECA, heap_bytes=32 * MB,
+                      num_executors=2, tasks_per_executor=2,
+                      sanitize=True, page_bytes=4096)
+        lr = run_logistic_regression(
+            labeled_points(300, dimensions=6), DecaConfig(**config),
+            iterations=2, num_partitions=3).ctx.sanitizer
+        # 100 records of 68 B per block: each block spans two pages.
+        assert lr.record_sizes == {"LabeledPoint": {68: 300}}
+        assert lr.group_bytes == {
+            f"cache:(1, {split})": ("LabeledPoint", 6800)
+            for split in range(3)}
+        pr = run_pagerank(power_law_graph(60, 240), DecaConfig(**config),
+                          iterations=2, num_partitions=3).ctx.sanitizer
+        assert pr.record_sizes == {"AdjacencyList": {
+            20: 3, 28: 6, 36: 17, 44: 15, 52: 9, 60: 4, 68: 4, 76: 1,
+            84: 1}}
+        assert pr.group_bytes == {
+            "cache:(2, 0)": ("AdjacencyList", 912),
+            "cache:(2, 1)": ("AdjacencyList", 904),
+            "cache:(2, 2)": ("AdjacencyList", 824)}
+
 
 class TestCheckObservations:
     def test_clean_when_sfst_records_share_one_size(self):
@@ -168,6 +197,14 @@ class TestCheckArenaAccounting:
         assert result.summary["page_records"] == 600
         assert not [f for f in result.findings
                     if f.rule_id == "DECA101"]
+
+    def test_variable_size_blocks_recorded_by_shadow_run(self):
+        from repro.lint import LINT_APPS_BY_NAME, lint_app
+
+        result = lint_app(LINT_APPS_BY_NAME["pr"], shadow=True)
+        assert result.summary["page_records"] == 200
+        assert not [f for f in result.findings
+                    if f.rule_id in ("DECA101", "DECA102")]
 
 
 class TestCheckImprecision:

@@ -1,14 +1,18 @@
 """Tests for repro.memory.page and repro.memory.manager."""
 
+import struct
+
 import pytest
 
 from repro.config import DecaConfig, MB
-from repro.errors import PageError, PageOverflowError, PageReclaimedError
+from repro.errors import (MemoryLayoutError, PageError, PageOverflowError,
+                          PageReclaimedError)
 from repro.jvm import SimHeap
 from repro.memory import DecaMemoryManager, PageGroup, PagePointer, \
     StaticMemoryArena, UnifiedMemoryManager
-from repro.memory.layout import PrimitiveSlot, RecordSchema
+from repro.memory.layout import PrimitiveSlot, RecordSchema, VarArraySchema
 from repro.analysis import DOUBLE, INT
+from repro.obs.sanitizer import Sanitizer
 from repro.simtime import SimClock
 
 
@@ -75,6 +79,50 @@ class TestPageGroupAppend:
     def test_zero_page_size_rejected(self):
         with pytest.raises(PageError):
             PageGroup("g", page_bytes=0)
+
+
+class TestFailedAppend:
+    """A value the schema rejects leaves no record behind: ``page.used``
+    moves only once the pack succeeded."""
+
+    def test_append_record_leaves_no_phantom(self):
+        group = PageGroup("g", page_bytes=64)
+        schema = point_schema()
+        group.append_record(schema, (2.0, 2))
+        with pytest.raises(struct.error):
+            group.append_record(schema, (1.0, "x"))
+        assert group.used_bytes == 12
+        assert list(group.records(schema)) == [(2.0, 2)]
+
+    def test_append_records_keeps_the_records_before_the_bad_one(self):
+        group = PageGroup("g", page_bytes=64)
+        sanitizer = Sanitizer()
+        group.sanitizer = sanitizer
+        schema = point_schema()
+        group.append_record(schema, (2.0, 2))
+        with pytest.raises(struct.error):
+            group.append_records(
+                schema, [(3.0, 3), (4.0, 4), (1.0, "x"), (5.0, 5)])
+        assert group.used_bytes == 36
+        assert list(group.records(schema)) == [(2.0, 2), (3.0, 3), (4.0, 4)]
+        assert sanitizer.record_sizes == {"Point": {12: 3}}
+        assert sanitizer.group_bytes == {"g": ("Point", 36)}
+
+    def test_rejected_arity_raises_the_walkers_error(self):
+        group = PageGroup("g", page_bytes=64)
+        with pytest.raises(MemoryLayoutError, match="expects 2 values"):
+            group.append_records(point_schema(), [(1.0, 1), (1.0,)])
+        assert group.used_bytes == 12
+
+    def test_length_prefixed_batch_leaves_no_phantom(self):
+        group = PageGroup("g", page_bytes=64)
+        schema = RecordSchema("Adj", [("vid", PrimitiveSlot(INT)),
+                                      ("xs", VarArraySchema(
+                                          PrimitiveSlot(INT)))])
+        with pytest.raises(struct.error):
+            group.append_records(schema, [(1, (2, 3)), (4, ("y",))])
+        assert list(group.records(schema)) == [(1, (2, 3))]
+        assert group.used_bytes == schema.size_of((1, (2, 3)))
 
 
 def _consume(records, how, expected):
