@@ -521,12 +521,14 @@ class MpBackend(ExecutionBackend):
                     # sim path (which only retries injected fault kinds).
                     self._flush(scheduler, stage_metrics, reports,
                                 stage_start, real_start, waves)
+                    self._abandon(outputs)
                     raise ExecutionError(
                         f"mp task {stage.stage_id}.{split} "
                         f"(attempt {fail.attempt}) failed: {fail.message}")
                 if failures[split] >= MAX_TASK_FAILURES:
                     self._flush(scheduler, stage_metrics, reports,
                                 stage_start, real_start, waves)
+                    self._abandon(outputs)
                     raise StageAbortError(
                         stage.stage_id, split, failures[split],
                         TaskKilledError(stage.stage_id, split,
@@ -539,6 +541,20 @@ class MpBackend(ExecutionBackend):
     def _attempt_prefix(self, stage_id: int, split: int,
                         attempt: int) -> str:
         return f"{self.run_tag}-t{stage_id}p{split}a{attempt}-"
+
+    def _abandon(self, outputs: dict[int, TaskOutput]) -> None:
+        """Unlink the segments of an aborting stage's successful attempts.
+
+        An aborted stage registers nothing, so those segments have no
+        owner left.  The rest of the stage cleaned up after itself: a
+        failed attempt unlinks what it packed, and a dead worker's
+        attempts are swept by prefix once it is confirmed dead.  These
+        are unlinked by name, not swept, because their workers are alive.
+        """
+        for out in outputs.values():
+            for block in (*out.map_blocks, *out.cache_blocks):
+                if block.ref is not None and block.ref.name is not None:
+                    unlink_segment(block.ref.name)
 
     def _flush(self, scheduler: "DAGScheduler",
                stage_metrics: "StageMetrics",

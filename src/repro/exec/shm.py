@@ -34,6 +34,7 @@ from __future__ import annotations
 import atexit
 import mmap
 import os
+import struct
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -155,24 +156,53 @@ def pack_records_segment(name: str, schema: Schema, values: list,
                          ) -> SegmentRef:
     """Pack encoded *values* into a fresh segment named *name*.
 
-    One sizing pass then one in-place pack straight into the shared
+    One sizing step then one in-place pack straight into the shared
     mapping — the only full traversal of the bytes; every subsequent
-    reader works on the same physical pages.
+    reader works on the same physical pages.  A fixed-size schema is
+    sized as ``count × fixed_size`` and packed by its compiled codec at
+    consecutive offsets, as :meth:`PageGroup.append_records` fills a
+    page; a value the codec cannot vouch for goes through
+    ``schema.pack_into``, which raises the per-field error.  A segment
+    whose pack raises is unlinked here: its name never reaches the
+    caller, so nothing else could.
     """
     if not values:
         return EMPTY_SEGMENT
-    total = sum(schema.size_of(value) for value in values)
+    size = schema.fixed_size
+    if size is None:
+        total = sum(schema.size_of(value) for value in values)
+    else:
+        total = size * len(values)
     if total <= 0:
         return EMPTY_SEGMENT
     segment = SharedPageSegment(name, total, create=True)
+    buf = segment.view(total)
     try:
-        buf = segment.view(total)
         offset = 0
-        for value in values:
-            offset = schema.pack_into(buf, offset, value)
-        del buf
-    finally:
+        if size is None:
+            for value in values:
+                offset = schema.pack_into(buf, offset, value)
+        else:
+            codec = schema.flat_codec()
+            flatten, pack = codec.flatten, codec.struct.pack_into
+            for value in values:
+                flat = flatten(value)
+                if flat is not None:
+                    try:
+                        pack(buf, offset, *flat)
+                        offset += size
+                        continue
+                    except (struct.error, TypeError, OverflowError):
+                        pass    # the walker raises the per-field error
+                schema.pack_into(buf, offset, value)
+                offset += size
+    except BaseException:
+        buf.release()
         segment.close()
+        unlink_segment(name)
+        raise
+    buf.release()
+    segment.close()
     return SegmentRef(name=name, nbytes=total, count=len(values))
 
 

@@ -312,6 +312,10 @@ class _WorkerRuntime:
         self.created: list[str] = []
         self.current_out: TaskOutput | None = None
         self.attempt_tag = ""
+        # The current map stage's task body (built by `begin_stage`) and
+        # the store it writes into, emptied after every task.
+        self.map_store = ShuffleBlockStore()
+        self.map_body: Callable[[TaskContext, int], None] | None = None
         # Sanitize mode: this process's sanitizer, seeded from the
         # driver's fork snapshot; its notes ship home with every outcome.
         self.sanitizer: Sanitizer | None = None
@@ -337,7 +341,12 @@ class _WorkerRuntime:
                 # computed records included): later stages decode the
                 # registered bytes, exactly what a sim cache read yields.
                 self.local_cache.pop((cb.rdd_id, cb.split), None)
-        self.stage, _ = state.stages[order.stage_id]
+        self.stage, plan = state.stages[order.stage_id]
+        if plan is not None:
+            # One map-task body per stage, over the plan the fork
+            # inherited.
+            self.map_body = state.ctx.scheduler._map_task_body(
+                self.stage, self.map_store, plan)
         self.fault_plans = order.fault_plans
         # Task timestamps are relative to the order's arrival; the driver
         # re-anchors them at its own stage start.
@@ -503,24 +512,27 @@ class _WorkerRuntime:
         """The sim engine's map task against a task-local store, then the
         store's blocks leave as segments (decomposed) or pickles."""
         dep = self.stage.shuffle_dep
-        assert dep is not None
-        local_store = ShuffleBlockStore()
-        self.state.ctx.scheduler._map_task_body(
-            self.stage, local_store)(task, split)
-        for reduce_part in range(dep.num_reduce):
-            block = local_store.fetch(dep.shuffle_id, split, reduce_part)
-            assert block is not None and block.records is not None
-            mb = MapBlockOut(
-                reduce_part=reduce_part, count=len(block.records),
-                nbytes=block.nbytes, objects=block.objects,
-                merge_penalty_bytes=block.merge_penalty_bytes)
-            if block.plan.schema is not None:
-                mb.ref = self._pack_segment(
-                    f"s{dep.shuffle_id}r{reduce_part}", block.plan,
-                    block.records)
-            else:
-                mb.blob = pickle.dumps(block.records)
-            out.map_blocks.append(mb)
+        assert dep is not None and self.map_body is not None
+        store = self.map_store
+        try:
+            self.map_body(task, split)
+            for reduce_part in range(dep.num_reduce):
+                block = store.fetch(dep.shuffle_id, split, reduce_part)
+                assert block is not None and block.records is not None
+                mb = MapBlockOut(
+                    reduce_part=reduce_part, count=len(block.records),
+                    nbytes=block.nbytes, objects=block.objects,
+                    merge_penalty_bytes=block.merge_penalty_bytes)
+                if block.plan.schema is not None:
+                    mb.ref = self._pack_segment(
+                        f"s{dep.shuffle_id}r{reduce_part}", block.plan,
+                        block.records)
+                else:
+                    mb.blob = pickle.dumps(block.records)
+                out.map_blocks.append(mb)
+        finally:
+            # The blocks have left (or the attempt failed): drop them.
+            store.remove_shuffle(dep.shuffle_id)
 
 
 def worker_main(state: "JobState", worker_id: int, conn: "Connection",

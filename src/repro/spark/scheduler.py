@@ -48,6 +48,7 @@ from .rdd import Dependency, RDD, ShuffleDependency
 from .shuffle import MapSideWriter, ShuffleBlockStore
 
 if TYPE_CHECKING:
+    from ..core.plan import ContainerPlan
     from .context import DecaContext
     from .executor import Executor
 
@@ -197,13 +198,18 @@ class DAGScheduler:
         return order
 
     # -- task bodies ---------------------------------------------------------------
-    def _map_task_body(self, stage: Stage,
-                       store: ShuffleBlockStore) -> TaskBody:
-        """The work of one shuffle-map task: write partitioned outputs."""
+    def _map_task_body(self, stage: Stage, store: ShuffleBlockStore,
+                       plan: ContainerPlan | None = None) -> TaskBody:
+        """The work of one shuffle-map task: write partitioned outputs.
+
+        *plan* is the shuffle's plan when the caller already holds it
+        (an mp worker inherits every plan of the job); otherwise it is
+        asked for here, once per body."""
         dep = stage.shuffle_dep
         assert dep is not None
         ctx = self.ctx
-        plan = ctx.plan_shuffle(dep)
+        if plan is None:
+            plan = ctx.plan_shuffle(dep)
 
         def body(task: TaskContext, split: int) -> None:
             writer = MapSideWriter(

@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 from ..core.plan import ContainerPlan
 from ..errors import AllocationError, FetchFailedError, ShuffleError
 from ..jvm.objects import Lifetime
+from .measure import KRYO_TAG_BYTES
 # Re-exported: benchmarks/perf's wrapper self-test reads this module's
 # binding of the generic measurer.
 from .measure import measure_generic as measure_generic
@@ -157,6 +158,16 @@ class MapSideWriter:
         self._combine: list[dict[Any, Any]] = [dict()
                                                for _ in range(num_reduce)]
         self._append: list[list] = [[] for _ in range(num_reduce)]
+        # Flush's per-partition (objects, serialized bytes), summed as
+        # records enter the buffer.  Exact for every append kind and for
+        # a combine whose SFST value is merged in place, whose entries
+        # keep the footprint they were inserted with; an object-form
+        # combine's merges replace values, so its flush measures.
+        self._totals_at_write = (
+            kind is not ShuffleKind.COMBINE
+            or (plan.decomposed and plan.value_segment_reuse))
+        self._written_objects = [0] * num_reduce
+        self._written_bytes = [0] * num_reduce
         self._buffer_group = executor.heap.new_group(
             f"shuffle-buf:{shuffle_id}:{map_part}", Lifetime.PINNED)
         self._buffer_bytes = 0
@@ -176,65 +187,111 @@ class MapSideWriter:
 
     # -- write path -----------------------------------------------------------
     def write_all(self, records: Iterable[tuple[Any, Any]]) -> None:
-        cpu = self.executor.config.cpu
-        if self.kind is ShuffleKind.COMBINE:
-            for key, value in records:
-                self._write_combine(key, value, cpu)
-        else:
-            for key, value in records:
-                self._write_append(key, value, cpu)
+        """Write one map task's records: one loop per shuffle kind.
 
-    def _write_combine(self, key, value, cpu) -> None:
-        part = self.partitioner(key) % self.num_reduce
-        bucket = self._combine[part]
-        self.executor.charge_compute(cpu.hash_probe_ms)
-        old = bucket.get(key, _NO_ENTRY)
-        if old is _NO_ENTRY:
-            bucket[key] = value
-            footprint = self.measure((key, value))
-            if self.plan.decomposed:
-                # Decompose the fresh entry straight into buffer bytes.
-                self.executor.serializer.deca_write(1, footprint.data_bytes)
-                self._account_decomposed(footprint.data_bytes)
-            else:
-                self.executor.charge_compute(
-                    cpu.object_alloc_ms * footprint.objects
-                    + cpu.boxing_ms)
-                self._account_buffer(footprint.objects,
-                                     footprint.object_bytes)
-        else:
-            merged = self.merge_value(old, value)
-            bucket[key] = merged
-            if self.plan.decomposed and self.plan.value_segment_reuse:
-                # SFST value: overwrite the old segment in place — no
-                # allocation, no dead object (§4.3.2).
-                self.executor.charge_compute(cpu.page_access_ms)
-            else:
-                # A new Value object replaces the old one: allocation plus
-                # a short-lived temporary for the collector to chase.
-                footprint = self.measure((key, merged))
-                self.executor.charge_compute(
-                    cpu.object_alloc_ms + cpu.boxing_ms)
-                self.executor.alloc_temp(max(1, footprint.objects - 1),
-                                         footprint.object_bytes // 2)
-        self.records_written += 1
-        self._buffer_records += 1
-        self._maybe_spill()
+        What cannot change while the task runs — the partitioner, the
+        measurer, the executor's charge and serializer entry points, the
+        cost constants — is bound once here.  The buffer state (group,
+        bytes, arena charge, epoch record count) is read through ``self``
+        on every record, because a spill — from this loop or, under the
+        unified arena, cooperatively from a heap allocation — replaces it
+        mid-task.
 
-    def _write_append(self, key, value, cpu) -> None:
-        part = self.partitioner(key) % self.num_reduce
-        self._append[part].append((key, value))
-        footprint = self.measure((key, value))
-        if self.plan.decomposed:
-            self.executor.serializer.deca_write(1, footprint.data_bytes)
-            self._account_decomposed(footprint.data_bytes)
-        else:
-            self.executor.charge_compute(
-                cpu.object_alloc_ms * footprint.objects)
-            self._account_buffer(footprint.objects, footprint.object_bytes)
-        self.records_written += 1
-        self._buffer_records += 1
-        self._maybe_spill()
+        The arena is asked only when a record grew ``_buffer_bytes`` past
+        what it already holds.  A zero delta cannot answer "spill": the
+        static pool has not moved since this writer's last check (only a
+        live map-side writer moves it, and one runs per executor at a
+        time), the unified arena returns ``(0, False)`` for
+        ``nbytes <= 0``, and an mp worker's arena is null.  So an eager
+        merge — in place for an SFST value (§4.3.2), a temporary for an
+        object-form one — never calls it.
+        """
+        executor = self.executor
+        cpu = executor.config.cpu
+        partitioner, num_reduce = self.partitioner, self.num_reduce
+        charge_compute = executor.charge_compute
+        deca_write = executor.serializer.deca_write
+        measure = self.measure
+        account = self._account_buffer
+        account_decomposed = self._account_decomposed
+        decomposed = self.plan.decomposed
+        object_alloc_ms = cpu.object_alloc_ms
+        # Per-partition flush totals, kept where flush can trust them.
+        written_objects, written_bytes = (self._written_objects,
+                                          self._written_bytes)
+        written = 0
+        try:
+            if self.kind is ShuffleKind.COMBINE:
+                buckets = self._combine
+                merge_value = self.merge_value
+                reuse = self._totals_at_write
+                alloc_temp = executor.alloc_temp
+                hash_probe_ms = cpu.hash_probe_ms
+                page_access_ms = cpu.page_access_ms
+                boxing_ms = cpu.boxing_ms
+                temp_ms = object_alloc_ms + boxing_ms
+                for key, value in records:
+                    part = partitioner(key) % num_reduce
+                    bucket = buckets[part]
+                    charge_compute(hash_probe_ms)
+                    old = bucket.get(key, _NO_ENTRY)
+                    if old is not _NO_ENTRY:
+                        merged = merge_value(old, value)
+                        bucket[key] = merged
+                        if reuse:
+                            # SFST value: overwrite the old segment in
+                            # place — no allocation, no dead object
+                            # (§4.3.2).
+                            charge_compute(page_access_ms)
+                        else:
+                            # A new Value object replaces the old one:
+                            # allocation plus a short-lived temporary.
+                            objects, object_bytes, _ = measure((key, merged))
+                            charge_compute(temp_ms)
+                            alloc_temp(max(1, objects - 1),
+                                       object_bytes // 2)
+                        written += 1
+                        self._buffer_records += 1
+                        continue
+                    bucket[key] = value
+                    objects, object_bytes, data_bytes = measure((key, value))
+                    if decomposed:
+                        # Decompose the fresh entry straight into buffer
+                        # bytes.
+                        deca_write(1, data_bytes)
+                        account_decomposed(data_bytes)
+                        if reuse:
+                            # Merges never resize an SFST entry.
+                            written_objects[part] += objects
+                            written_bytes[part] += data_bytes + KRYO_TAG_BYTES
+                    else:
+                        charge_compute(object_alloc_ms * objects + boxing_ms)
+                        account(objects, object_bytes)
+                    written += 1
+                    self._buffer_records += 1
+                    if self._buffer_bytes > self._charged:
+                        self._maybe_spill()
+            else:
+                appends = self._append
+                for key, value in records:
+                    part = partitioner(key) % num_reduce
+                    record = (key, value)
+                    appends[part].append(record)
+                    objects, object_bytes, data_bytes = measure(record)
+                    if decomposed:
+                        deca_write(1, data_bytes)
+                        account_decomposed(data_bytes)
+                    else:
+                        charge_compute(object_alloc_ms * objects)
+                        account(objects, object_bytes)
+                    written_objects[part] += objects
+                    written_bytes[part] += data_bytes + KRYO_TAG_BYTES
+                    written += 1
+                    self._buffer_records += 1
+                    if self._buffer_bytes > self._charged:
+                        self._maybe_spill()
+        finally:
+            self.records_written += written
 
     def _account_decomposed(self, nbytes: int) -> None:
         """Account decomposed buffer bytes at page granularity.
@@ -315,7 +372,10 @@ class MapSideWriter:
         return self._arena.buffer_release(self, charged)
 
     def _maybe_spill(self) -> None:
-        """Charge the record's buffer growth; spill if the arena says so."""
+        """Charge the buffer's growth; spill if the arena says so.
+
+        Called only when ``_buffer_bytes`` outgrew ``_charged`` (see
+        :meth:`write_all` for why a zero delta need not ask)."""
         charged, spill = self._arena.buffer_charge(
             self, self._buffer_bytes - self._charged)
         self._charged += charged
@@ -341,12 +401,16 @@ class MapSideWriter:
                     self.executor.charge_compute(
                         cpu.sort_per_record_ms * len(records))
                     records = sorted(records, key=lambda kv: kv[0])
-            objects = 0
-            nbytes = 0
-            for record in records:
-                footprint = self.measure(record)
-                objects += footprint.objects
-                nbytes += footprint.serialized_bytes
+            if self._totals_at_write:
+                objects = self._written_objects[part]
+                nbytes = self._written_bytes[part]
+            else:
+                objects = 0
+                nbytes = 0
+                for record in records:
+                    footprint = self.measure(record)
+                    objects += footprint.objects
+                    nbytes += footprint.serialized_bytes
             if self.plan.decomposed:
                 # The pages already are the wire format.
                 self.executor.charge_disk_write(nbytes)

@@ -31,7 +31,7 @@ import pytest
 
 import repro.exec.mp as mp_mod
 from repro.apps.logistic_regression import labeled_point_udt_info
-from repro.apps.pagerank import run_pagerank
+from repro.apps.pagerank import message_udt_info, run_pagerank
 from repro.bench.harness import cell_inputs, result_digest
 from repro.config import DecaConfig, ExecutionMode, FaultConfig, \
     ScriptedFault
@@ -322,6 +322,21 @@ class TestNothingOutlivesTheJob:
         assert not multiprocessing.active_children()
         # The context is still usable: the next job forks its own workers.
         assert nums.map(lambda x: x + 1).collect() == list(range(1, 9))
+
+    def test_task_error_abort(self, clean_ctx):
+        """A UDF error aborts the job in its first stage.  The three map
+        tasks that finished packed their blocks, which the driver never
+        registers; the failing attempt had half packed one more, whose
+        name never reached its worker's list.  None may stay linked."""
+        ctx = clean_ctx()
+        pairs = [(i % 50, float(i)) for i in range(400)]
+        pairs[-1] = ("x", 1.0)      # a str where RankMessage has a long
+        messages = ctx.parallelize(pairs, 4, name="lc.messages") \
+                      .with_udt(message_udt_info())
+        with pytest.raises(ExecutionError, match="not an integer"):
+            messages.reduce_by_key(add, 4, name="lc.sum").collect()
+        assert ctx.backend.stats.segments_created == 0
+        assert residue()[1] == []
 
     def test_keyboard_interrupt_in_the_driver(self, clean_ctx, monkeypatch):
         """Ctrl-C lands where the driver spends its time — blocked in the

@@ -26,9 +26,9 @@ from repro.data.graphs import power_law_graph
 from repro.data.tables import rankings_table, uservisits_table
 from repro.data.text import random_words
 from repro.data.vectors import clustered_points, labeled_points
-from repro.exec.shm import (attach_page_group, pack_records_segment,
-                            read_segment_records, shm_available,
-                            unlink_segment)
+from repro.exec.shm import (attach_page_group, list_segments,
+                            pack_records_segment, read_segment_records,
+                            shm_available, unlink_segment)
 from repro.memory.layout import (FixedArraySchema, PrimitiveSlot,
                                  RecordSchema, VarArraySchema)
 from repro.memory.page import PageGroup
@@ -169,3 +169,74 @@ def test_every_carrier_returns_the_records_that_went_in(
 def test_an_empty_container_reads_back_empty(plan_id, tmp_path):
     assert PLANS[plan_id].pack([]) == b""
     check_carriers(PLANS[plan_id], [], tmp_path)
+
+
+# -- the shared-segment pack's codec path -------------------------------------
+
+FIXED_SIZE = sorted(plan_id for plan_id, plan in PLANS.items()
+                    if plan.schema.fixed_size)
+
+
+def walked(schema, values):
+    """*values* packed back to back by the per-field walker."""
+    out = bytearray(schema.fixed_size * len(values))
+    offset = 0
+    for value in values:
+        offset = schema._pack_fields(out, offset, value)
+    return bytes(out)
+
+
+def test_the_apps_produce_fixed_size_schemas():
+    assert len(FIXED_SIZE) >= 4
+
+
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+@pytest.mark.parametrize("plan_id", FIXED_SIZE)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_the_segment_pack_writes_the_walkers_bytes(plan_id, data):
+    schema = PLANS[plan_id].schema
+    values = data.draw(st.lists(schema_values(schema), min_size=1,
+                                max_size=12))
+    name = f"repro-mp-test-{os.getpid()}-fixed"
+    ref = pack_records_segment(name, schema, values)
+    try:
+        assert ref.nbytes == schema.fixed_size * len(values)
+        group = attach_page_group(ref)
+        info = group.new_page_info()
+        try:
+            page = group.pages[0]
+            assert bytes(page.data[:page.used]) == walked(schema, values)
+        finally:
+            info.close()
+    finally:
+        unlink_segment(name)
+
+
+def _spoiled(value):
+    """*value* with its first primitive replaced by a string."""
+    if isinstance(value, tuple):
+        return (_spoiled(value[0]),) + value[1:]
+    return "x"
+
+
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+@pytest.mark.parametrize("plan_id", FIXED_SIZE)
+@pytest.mark.parametrize("spoil", ["type", "arity"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_rejected_value_raises_the_walkers_error_and_leaves_no_segment(
+        plan_id, spoil, data):
+    schema = PLANS[plan_id].schema
+    values = data.draw(st.lists(schema_values(schema), min_size=1,
+                                max_size=6))
+    at = data.draw(st.integers(0, len(values) - 1))
+    bad = _spoiled(values[at]) if spoil == "type" else values[at] + (0,)
+    values[at] = bad
+    with pytest.raises(Exception) as walker:
+        schema._pack_fields(bytearray(schema.fixed_size), 0, bad)
+    name = f"repro-mp-test-{os.getpid()}-rejected"
+    with pytest.raises(type(walker.value)) as packed:
+        pack_records_segment(name, schema, values)
+    assert str(packed.value) == str(walker.value)
+    assert list_segments(name) == []
