@@ -552,7 +552,7 @@ def run_sql_swap_roundtrip(rankings_rows: int = 4_000,
     On the mmap tier (the default here) the cached relations swap out
     as raw page bytes, swap back in as adopted pages, and every query
     must reproduce its resident digest — with ``swap_copy_bytes == 0``
-    (no serializer pass anywhere) and the engine's sanitizer clean.
+    (no serializer pass anywhere) and the run's sanitizer clean.
     With ``cold_tier="heap"`` the pages drain into heap copies and are
     copied back: same digests, ``swap_copy_bytes > 0``.
     """
@@ -575,13 +575,10 @@ def run_sql_swap_roundtrip(rankings_rows: int = 4_000,
         # run() promotes each relation back from the tier on demand.
         promoted = {name: result_digest(engine.run(query).rows)
                     for name, query in queries}
-        tier_stats = dict(engine.tier_stats or {})
+        tier_stats = dict(engine.tier_stats)
         swap_copy_bytes = engine.swap_copy_bytes
     finally:
-        engine.close()
-    violations = 0
-    if engine.sanitizer is not None:
-        violations = engine.sanitizer.check_finish()["violations"]
+        run = engine.close()
     return {
         "resident_digests": resident,
         "promoted_digests": promoted,
@@ -589,7 +586,7 @@ def run_sql_swap_roundtrip(rankings_rows: int = 4_000,
         "bytes_moved_out": moved_out,
         "bytes_moved_in": tier_stats.get("bytes_moved_in", 0),
         "swap_copy_bytes": swap_copy_bytes,
-        "ledger_violations": violations,
+        "ledger_violations": run.sanitize.get("violations", 0),
         "tier": tier_stats,
     }
 

@@ -41,6 +41,7 @@ from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import TaskKilledError
 from ..obs.tracer import TraceEvent, Tracer
 from ..obs.sanitizer import Sanitizer
+from ..spark.executor import FaultCountdown
 from ..spark.faults import EXECUTOR_CRASH, TASK_KILL, TaskFaultPlan
 from ..spark.metrics import TaskMetrics
 from ..spark.scheduler import TaskContext
@@ -211,7 +212,7 @@ class _WallClock:
         pass
 
 
-class WorkerExecutor:
+class WorkerExecutor(FaultCountdown):
     """The executor a task sees inside an mp worker.
 
     Same interface as :class:`repro.spark.executor.Executor` where the
@@ -237,28 +238,6 @@ class WorkerExecutor:
         self._fault_plan: TaskFaultPlan | None = None
         self._fault_countdown = 0
         self._current_task: TaskContext | None = None
-
-    # -- fault injection (task-kill only; crashes are handled by the task
-    # runner because they must kill the whole process) ----------------------
-    def arm_fault(self, plan: TaskFaultPlan) -> None:
-        self._fault_plan = plan
-        self._fault_countdown = plan.after_ops
-
-    def disarm_fault(self) -> None:
-        self._fault_plan = None
-        self._fault_countdown = 0
-
-    def _tick_fault(self) -> None:
-        if self._fault_countdown > 0:
-            self._fault_countdown -= 1
-            return
-        self.disarm_fault()
-        metrics = (self._current_task.metrics
-                   if self._current_task is not None else None)
-        raise TaskKilledError(
-            metrics.stage_id if metrics else -1,
-            metrics.task_id if metrics else -1,
-            metrics.attempt if metrics else 0)
 
     # -- charges (no-ops; the wall clock is the cost model) ------------------
     def charge_compute(self, ms: float) -> None:

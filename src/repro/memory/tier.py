@@ -372,10 +372,6 @@ class PageStoreTier:
 
 # -- the cold tier callers use --------------------------------------------------
 
-def _no_charge(nbytes: int) -> None:
-    """The I/O charge of an owner without a clock to charge."""
-
-
 class ColdTier:
     """What a cold tier offers its callers, written down once.
 
@@ -386,9 +382,10 @@ class ColdTier:
     ``promote_group`` mounts one page per chunk into an empty group, in
     order, so every ``PagePointer`` stays valid.  Payloads and chunks
     are parked in a dict here (the heap tier's plane).  The *owner* (an
-    executor, or the SQL engine, which has no charge methods and pays
-    nothing) supplies ``heap``, ``serializer``, ``sanitizer``,
-    ``tracer``, ``clock`` and the :attr:`charges` methods.
+    executor) supplies ``heap``, ``serializer``, ``sanitizer``,
+    ``tracer``, ``clock``, ``tier_ms_total`` and the :attr:`charges`
+    methods; the mmap tier names its file and events after its
+    ``executor_id`` and ``trace_pid``.
     """
 
     #: The owner's ``(write, read)`` charge methods.
@@ -397,8 +394,8 @@ class ColdTier:
     def __init__(self, owner: Any) -> None:
         self.owner = owner
         write, read = self.charges
-        self._charge_write = getattr(owner, write, _no_charge)
-        self._charge_read = getattr(owner, read, _no_charge)
+        self._charge_write = getattr(owner, write)
+        self._charge_read = getattr(owner, read)
         self._parked: dict[str, Any] = {}
 
     def _open(self) -> object:
@@ -496,18 +493,16 @@ class MmapColdTier(ColdTier):
 
     charges = ("charge_tier_write", "charge_tier_read")
 
-    def __init__(self, owner: Any, tag: str, pid: int) -> None:
+    def __init__(self, owner: Any) -> None:
         super().__init__(owner)
-        self._tag = tag
-        self._pid = pid
         self.extents: PageStoreTier | None = None
 
     def _open(self) -> PageStoreTier:
         if self.extents is None:
             owner = self.owner
             self.extents = PageStoreTier(
-                tracer=owner.tracer, clock=owner.clock, pid=self._pid,
-                tag=self._tag, sanitizer=owner.sanitizer)
+                tracer=owner.tracer, clock=owner.clock, pid=owner.trace_pid,
+                tag=f"e{owner.executor_id}", sanitizer=owner.sanitizer)
         return self.extents
 
     def _has_extent(self, name: str) -> bool:
@@ -573,8 +568,7 @@ class MmapColdTier(ColdTier):
         if self.extents is None:
             return {}
         stats = self.extents.stats.to_dict()
-        if self._charge_write is not _no_charge:  # an owner that pays
-            stats["tier_ms"] = round(self.owner.tier_ms_total, 3)
+        stats["tier_ms"] = round(self.owner.tier_ms_total, 3)
         return stats
 
     def close(self) -> None:
@@ -582,9 +576,9 @@ class MmapColdTier(ColdTier):
             self.extents.close()
 
 
-def cold_tier_for(owner: Any, tag: str, pid: int = 0) -> ColdTier:
-    """Build *owner*'s tier from ``owner.config.cold_tier`` — the one
-    place that reads it (*tag*, *pid*: the mmap file's name, events)."""
+def cold_tier_for(owner: Any) -> ColdTier:
+    """Build executor *owner*'s tier from ``owner.config.cold_tier`` —
+    the one place that reads it."""
     if owner.config.cold_tier == "mmap":
-        return MmapColdTier(owner, tag, pid)
+        return MmapColdTier(owner)
     return HeapColdTier(owner)

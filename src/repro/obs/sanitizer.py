@@ -117,11 +117,9 @@ class Sanitizer:
 
     def __init__(self, *, actor: str = "driver",
                  snapshot: Optional[Clock] = None,
-                 tracer: Optional[Tracer] = None,
-                 clock: Any = None) -> None:
+                 tracer: Optional[Tracer] = None) -> None:
         self.actor = actor
         self.tracer = tracer
-        self.clock = clock
         init: Clock = dict(snapshot) if snapshot else {}
         init.setdefault(actor, 0)
         self.clocks: dict[str, Clock] = {actor: init}
@@ -238,8 +236,7 @@ class Sanitizer:
                                 "resource": resource, "detail": detail})
         if self.tracer is not None:
             family = "sanitize" if slug in BORROW_SLUGS else "race"
-            ts = self.clock.now_ms if self.clock is not None else 0.0
-            self.tracer.instant(f"{family}:{slug}", family, ts_ms=ts,
+            self.tracer.instant(f"{family}:{slug}", family, ts_ms=0.0,
                                 pid=DRIVER_PID, kind=kind, resource=resource,
                                 detail=detail)
 

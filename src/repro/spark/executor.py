@@ -32,7 +32,52 @@ if TYPE_CHECKING:
     from .scheduler import TaskContext
 
 
-class Executor:
+class FaultCountdown:
+    """An armed attempt's countdown, shared by the sim ``Executor`` and
+    the mp ``WorkerExecutor``: each ``charge_compute`` ticks it while a
+    plan is armed.  Workers arm task kills only (their task runner
+    crashes the process), so the crash branch runs in the sim alone."""
+
+    executor_id: int
+    alive: bool
+    _current_task: "TaskContext | None"
+    _fault_plan: TaskFaultPlan | None
+    _fault_countdown: int
+
+    def arm_fault(self, plan: TaskFaultPlan) -> None:
+        """Schedule the current task attempt to fail.
+
+        The failure strikes after ``plan.after_ops`` compute charges, so a
+        non-zero countdown kills the attempt *mid-computation*, leaving
+        partial heap/buffer state for the recovery path to clean up.
+        """
+        self._fault_plan = plan
+        self._fault_countdown = plan.after_ops
+
+    def disarm_fault(self) -> None:
+        self._fault_plan = None
+        self._fault_countdown = 0
+
+    def _tick_fault(self) -> None:
+        """One compute charge of an armed attempt (``charge_compute``
+        calls this only while a plan is armed)."""
+        plan = self._fault_plan
+        if self._fault_countdown > 0:
+            self._fault_countdown -= 1
+            return
+        self.disarm_fault()
+        if plan.kind == EXECUTOR_CRASH:
+            self.alive = False
+            raise ExecutorLostError(self.executor_id)
+        metrics = (self._current_task.metrics
+                   if self._current_task is not None else None)
+        raise TaskKilledError(
+            metrics.stage_id if metrics else -1,
+            metrics.task_id if metrics else -1,
+            metrics.attempt if metrics else 0)
+
+
+class Executor(FaultCountdown):
     """One worker process with its own heap and clock."""
 
     def __init__(self, executor_id: int, config: DecaConfig,
@@ -83,8 +128,7 @@ class Executor:
         self.spilled_shuffle_bytes = 0
         # Where swapped cache blocks and shuffle spills go; it charges
         # its I/O back to this executor (docs/memory_model.md).
-        self.cold_tier: ColdTier = cold_tier_for(
-            self, f"e{executor_id}", self.trace_pid)
+        self.cold_tier: ColdTier = cold_tier_for(self)
         # -- fault tolerance state --
         self.alive = True
         self.lost_count = 0
@@ -137,39 +181,6 @@ class Executor:
     def _sample(self) -> None:
         if self.profiler is not None:
             self.profiler.maybe_sample()
-
-    # -- fault injection ---------------------------------------------------------
-    def arm_fault(self, plan: TaskFaultPlan) -> None:
-        """Schedule the current task attempt to fail.
-
-        The failure strikes after ``plan.after_ops`` compute charges, so a
-        non-zero countdown kills the attempt *mid-computation*, leaving
-        partial heap/buffer state for the recovery path to clean up.
-        """
-        self._fault_plan = plan
-        self._fault_countdown = plan.after_ops
-
-    def disarm_fault(self) -> None:
-        self._fault_plan = None
-        self._fault_countdown = 0
-
-    def _tick_fault(self) -> None:
-        """One compute charge of an armed attempt (``charge_compute``
-        calls this only while a plan is armed)."""
-        plan = self._fault_plan
-        if self._fault_countdown > 0:
-            self._fault_countdown -= 1
-            return
-        self.disarm_fault()
-        if plan.kind == EXECUTOR_CRASH:
-            self.alive = False
-            raise ExecutorLostError(self.executor_id)
-        metrics = (self._current_task.metrics
-                   if self._current_task is not None else None)
-        raise TaskKilledError(
-            metrics.stage_id if metrics else -1,
-            metrics.task_id if metrics else -1,
-            metrics.attempt if metrics else 0)
 
     # -- cost charging -------------------------------------------------------------
     def charge_compute(self, ms: float) -> None:

@@ -6,9 +6,10 @@ a handful of column arrays regardless of row count.  This package
 reproduces that baseline fused onto Deca's decomposition layer: cached
 relations are lifetime-grouped page groups (one contiguous page run per
 column), query operators are batch kernels over typed zero-copy views,
-and the caches are charged to the unified arena, swappable to the mmap
-cold tier and audited by the runtime sanitizer like any other page
-group.  See ``docs/sql_engine.md``.
+and the engine runs on one executor of its own ``DecaContext``: the
+caches are charged to its arena, swappable to its cold tier and audited
+by the run's sanitizer like any other page group, and ``close()``
+returns the run's ``RunMetrics``.  See ``docs/sql_engine.md``.
 
 Example::
 

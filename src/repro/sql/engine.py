@@ -16,12 +16,12 @@ The optimizer (:func:`repro.core.optimizer.plan_sql_layout`) picks the
 layout per relation; opaque relations fall back to row-major kernels
 that pay the record-reconstruction cost on every read.
 
-Cached relations are ordinary Deca page groups: they are charged to the
-engine's :class:`~repro.memory.unified.UnifiedMemoryManager` (with
-``memory:acquire``/``memory:release`` trace events) and swap through the
-cold tier's page-group path cache blocks use — on the mmap tier as raw
-bytes (zero serializer bytes) adopted back zero-copy, audited by the
-engine's sanitizer in sanitize mode; on the heap tier as counted copies.
+The engine runs on the first executor of its own ``DecaContext``.
+Cached relations are ordinary Deca page groups: they are charged to its
+arena (per ``memory_mode``) and swap through its cold tier between
+queries — on the mmap tier as raw bytes adopted back zero-copy, audited
+by the run's sanitizer; on the heap tier as counted copies.
+:meth:`SqlEngine.close` returns the run's ``RunMetrics``.
 """
 
 from __future__ import annotations
@@ -30,16 +30,10 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..config import DecaConfig
-from ..errors import SqlError
-from ..jvm.heap import SimHeap
+from ..errors import SchemaError, SqlError
 from ..jvm.objects import Lifetime
-from ..memory.manager import DecaMemoryManager
-from ..memory.tier import cold_tier_for
-from ..memory.unified import UnifiedMemoryManager
-from ..obs.sanitizer import Sanitizer
-from ..obs.tracer import Tracer
-from ..simtime import SimClock
-from ..spark.serializer import SerializerModel
+from ..spark.context import DecaContext
+from ..spark.metrics import RunMetrics
 from .columnar import SELECTORS, ColumnarTable, PagedRelation, RowMajorTable
 from .schema import ColumnType, TableSchema
 
@@ -60,6 +54,7 @@ class Filter:
 
 
 _AGGREGATE_FUNCS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
+_NON_NUMERIC = (ColumnType.STRING, ColumnType.OPAQUE)
 
 
 @dataclass(frozen=True)
@@ -152,33 +147,51 @@ class QueryResult:
     cached_bytes: int
 
 
+def _check_types(schema: TableSchema, query: Query) -> None:
+    """Reject what the kernels would fail on or answer wrongly: a WHERE
+    literal of another type than its column, SUM/AVG over text, SUBSTR
+    of a non-string key."""
+    where = query.where
+    if where is not None:
+        ctype = schema.column(where.column).ctype
+        try:
+            ctype.validate(where.literal)
+        except SchemaError as exc:
+            raise SqlError(f"WHERE {where.column}: {exc}") from None
+    agg = query.aggregation
+    if agg is None:
+        return
+    if agg.func in ("SUM", "AVG") \
+            and schema.column(agg.value_column).ctype in _NON_NUMERIC:
+        raise SqlError(f"{agg.func} needs a numeric column, "
+                       f"not {agg.value_column!r}")
+    if agg.key_prefix is not None \
+            and schema.column(agg.key_column).ctype is not ColumnType.STRING:
+        raise SqlError(f"SUBSTR needs a string column, "
+                       f"not {agg.key_column!r}")
+
+
 class SqlEngine:
     """The Spark SQL stand-in: paged relation cache + batch operators."""
 
     def __init__(self, config: DecaConfig | None = None) -> None:
-        self.config = config or DecaConfig()
-        self.clock = SimClock()
-        self.tracer = Tracer()
-        self.heap = SimHeap(self.config, self.clock, "sql-engine")
-        # Cached relations are charged to a unified arena regardless of
-        # memory_mode: unaccounted SQL caches were this engine's bug, and
-        # the static split's storage budget would move Table 6.
-        self.arena = UnifiedMemoryManager(self.config, clock=self.clock,
-                                          tracer=self.tracer)
-        # The engine's own sanitizer (it shares no process state with a
-        # DecaContext); None unless config.sanitize.
-        self.sanitizer = (Sanitizer(tracer=self.tracer, clock=self.clock)
-                          if self.config.sanitize else None)
-        self.memory_manager = DecaMemoryManager(self.config,
-                                                heap=self.heap,
-                                                arena=self.arena)
+        self.context = DecaContext(config)
+        self.config = self.context.config
+        executor = self.context.executors[0]
+        # Queries advance this clock directly: the executor's
+        # charge_compute would divide their costs by its task slots.
+        self.clock = executor.clock
+        self.tracer = executor.tracer
+        self.heap = executor.heap
+        self.arena = executor.arena
+        self.sanitizer = executor.sanitizer
+        self.memory_manager = executor.memory_manager
+        self.serializer = executor.serializer
+        self.cold_tier = executor.cold_tier
         self._tables: dict[str, tuple[TableSchema, list]] = {}
         self._cached: dict[str, PagedRelation] = {}
-        # Counts the heap tier's swap copies.  With no I/O charge methods
-        # the engine pays no swap time (none runs inside a query).
-        self.serializer = SerializerModel(self.config.serializer,
-                                          self.clock)
-        self.cold_tier = cold_tier_for(self, "sql")
+        self._closed = False
+        self._run: RunMetrics | None = None
 
     # -- catalog --------------------------------------------------------------
     def register_table(self, name: str, schema: TableSchema,
@@ -192,10 +205,11 @@ class SqlEngine:
         """Materialize a table into the paged in-memory cache.
 
         *layout* is ``auto`` (ask the optimizer), ``columnar`` or
-        ``row``.  The cached bytes are acquired from the unified arena
-        (``memory:acquire``); under pressure the arena evicts relations
+        ``row``.  The cached bytes are acquired from the executor's
+        arena as storage; under pressure the arena evicts relations
         LRU-first through :meth:`_evict_for_arena`.
         """
+        self._check_open()
         schema, rows = self._lookup(name)
         if layout not in _LAYOUTS:
             raise SqlError(f"unknown layout {layout!r}; "
@@ -232,6 +246,10 @@ class SqlEngine:
             return self._tables[name]
         except KeyError:
             raise SqlError(f"unknown table {name!r}") from None
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SqlError("the engine is closed")
 
     @property
     def cached_bytes(self) -> int:
@@ -277,6 +295,7 @@ class SqlEngine:
         (0 when a promoted relation still aliases its extent); on the
         heap tier they are drained into counted serializer copies.
         """
+        self._check_open()
         table = self._cached.get(name)
         if table is None or not table.resident:
             return 0
@@ -284,7 +303,6 @@ class SqlEngine:
         return self._demote(table)
 
     def _demote(self, table: PagedRelation) -> int:
-        # (disk_bytes 0: the engine's tier charges no I/O)
         return self.cold_tier.demote_group(table.group_name,
                                            table.detach(), 0)
 
@@ -292,11 +310,16 @@ class SqlEngine:
         self.cold_tier.promote_group(table.group_name, table.reattach(), 0)
         self._charge(name, table)
 
-    def close(self) -> None:
-        """Release every cached relation and the cold tier's file."""
-        for name in list(self._cached):
-            self.uncache_table(name)
-        self.cold_tier.close()
+    def close(self) -> RunMetrics:
+        """Uncache every relation and finish the context: the run's
+        metrics (tier snapshot, sanitizer audit), the same on every
+        call.  A closed engine refuses to cache, demote or run."""
+        if self._run is None:
+            self._closed = True
+            for name in list(self._cached):
+                self.uncache_table(name)
+            self._run = self.context.finish()
+        return self._run
 
     def __enter__(self) -> "SqlEngine":
         return self
@@ -311,7 +334,8 @@ class SqlEngine:
 
     # -- execution --------------------------------------------------------------
     def run(self, query: Query) -> QueryResult:
-        self._lookup(query.table)
+        self._check_open()
+        _check_types(self._lookup(query.table)[0], query)
         table = self._cached.get(query.table)
         if table is not None and not table.resident:
             self._promote(query.table, table)
@@ -389,10 +413,6 @@ class SqlEngine:
         cpu = self.config.cpu
         key_col = table.column(agg.key_column)
         value_col = table.column(agg.value_column)
-        key_type = table.schema.column(agg.key_column).ctype
-        if agg.key_prefix is not None \
-                and key_type is not ColumnType.STRING:
-            raise SqlError("SUBSTR needs a string column")
         # One zipped pass over the key and value columns; the
         # aggregation buffer holds primitive accumulators
         # (Tungsten-style), not boxed objects.

@@ -30,11 +30,11 @@ their caches in every mode on the sim backend (the reference LR run's
 ``swapped_cache_bytes`` is asserted; mp keeps cache blocks in shared
 segments), and minor and full collections run throughout.
 
-The §6.6 SQL suite gets its own, smaller product: ``SqlEngine`` ignores
-the backend and always charges a unified arena, so it is run over the
-two axes it reads, ``cold_tier`` x ``sanitize``, with a forced
-demote/promote round trip.  See docs/memory_model.md ("The configuration
-matrix") for the table of axes.
+The §6.6 SQL suite gets its own, smaller product: ``SqlEngine`` runs on
+one executor of a context that never runs a stage, so it is run over the
+three axes it reads, ``memory_mode`` x ``cold_tier`` x ``sanitize``, with
+a forced demote/promote round trip.  See docs/memory_model.md ("The
+configuration matrix") for the table of axes.
 """
 
 import glob
@@ -177,19 +177,29 @@ def test_cell_matches_reference(app, mode, backend, cold_tier, memory_mode,
             == json.dumps(metrics.to_dict(), sort_keys=True)
 
 
+#: The axes ``SqlEngine`` reads; an id names the arena only when it is
+#: not the reference's.
+SQL_CELLS = list(itertools.product(MEMORY_MODES, COLD_TIERS))
+
+
 @cache
-def sql_roundtrip(cold_tier, sanitize):
+def sql_roundtrip(cold_tier, memory_mode, sanitize):
     return run_sql_swap_roundtrip(rankings_rows=400, uservisits_rows=800,
-                                  cold_tier=cold_tier, sanitize=sanitize)
+                                  cold_tier=cold_tier,
+                                  memory_mode=memory_mode,
+                                  sanitize=sanitize)
 
 
 @pytest.mark.parametrize("sanitize", [False, True],
                          ids=["plain", "sanitize"])
-@pytest.mark.parametrize("cold_tier", COLD_TIERS)
-def test_sql_cell_matches_reference(cold_tier, sanitize,
+@pytest.mark.parametrize(
+    "memory_mode,cold_tier", SQL_CELLS,
+    ids=[tier if memory_mode == REFERENCE["memory_mode"]
+         else f"{tier}-{memory_mode}" for memory_mode, tier in SQL_CELLS])
+def test_sql_cell_matches_reference(memory_mode, cold_tier, sanitize,
                                     leaves_nothing_behind):
-    expected = sql_roundtrip("heap", False)["resident_digests"]
-    cell = sql_roundtrip(cold_tier, sanitize)
+    expected = sql_roundtrip("heap", "static", False)["resident_digests"]
+    cell = sql_roundtrip(cold_tier, memory_mode, sanitize)
 
     assert cell["resident_digests"] == expected
     # What `repro.bench sql --check` gates: bytes left, every promoted

@@ -13,6 +13,7 @@ from repro.sql import (
     ColumnarTable,
     SqlEngine,
     TableSchema,
+    groupby_agg,
     groupby_sum,
     select,
     top_k,
@@ -163,6 +164,57 @@ class TestQueries:
             engine.run(groupby_sum("rankings", "pageRank", "avgDuration",
                                    key_prefix=3))
 
+    @pytest.mark.parametrize("layout", ["columnar", "row"])
+    @pytest.mark.parametrize("statement, column", [
+        ("SELECT pageURL FROM rankings WHERE pageRank > 'abc'",
+         "pageRank"),
+        ("SELECT pageURL FROM rankings WHERE pageURL = 7", "pageURL"),
+        ("SELECT pageRank, SUM(pageURL) FROM rankings GROUP BY pageRank",
+         "pageURL"),
+        ("SELECT pageRank, AVG(pageURL) FROM rankings GROUP BY pageRank",
+         "pageURL"),
+    ], ids=["where-int-str", "where-str-int", "sum-str", "avg-str"])
+    def test_ill_typed_query_rejected(self, layout, statement, column):
+        """A WHERE literal must fit its column and SUM/AVG need numbers:
+        the kernels would raise a bare TypeError or, for SUM over
+        strings, concatenate them into a wrong answer."""
+        engine = self.make_engine(rankings=20)
+        engine.cache_table("rankings", layout=layout)
+        with pytest.raises(SqlError, match=column):
+            engine.sql(statement)
+
+    def test_ill_typed_query_api_rejected(self):
+        engine = self.make_engine(rankings=20)
+        with pytest.raises(SqlError, match="pageRank"):
+            engine.run(select(["pageURL"], "rankings",
+                              where=("pageRank", ">", "abc")))
+        for func in ("SUM", "AVG"):
+            with pytest.raises(SqlError, match="sourceIP"):
+                engine.run(groupby_agg("uservisits", func, "destURL",
+                                       "sourceIP"))
+        # Only SUM/AVG need numbers: MAX orders strings.
+        assert engine.run(groupby_agg("uservisits", "MAX", "destURL",
+                                      "sourceIP")).rows
+
+    def test_closed_engine_refuses_work(self):
+        """After close() the context is finished and its tier closed: a
+        query must not re-cache into it, nor a demote empty a relation
+        it then cannot swap out."""
+        engine = SqlEngine(DecaConfig(heap_bytes=64 * MB, cold_tier="mmap"))
+        engine.register_table("rankings", RANKINGS_SCHEMA,
+                              rankings_table(20))
+        query = select(["pageURL"], "rankings")
+        engine.run(query)
+        engine.demote_table("rankings")
+        engine.close()
+        for call in (lambda: engine.run(query),
+                     lambda: engine.cache_table("rankings"),
+                     lambda: engine.demote_table("rankings")):
+            with pytest.raises(SqlError, match="closed"):
+                call()
+        assert engine.cached_bytes == 0
+        assert engine.arena.storage_used == 0
+
     def test_uncache_releases(self):
         engine = self.make_engine()
         engine.cache_table("rankings")
@@ -180,35 +232,40 @@ class TestQueries:
         assert [r[1] for r in result.rows] == [e[1] for e in expected]
 
 
+@pytest.mark.parametrize("memory_mode", ["static", "unified"])
 class TestArenaAccounting:
     """Regression: SQL caches used to escape memory accounting.
 
     The old engine summed a private ``cached_bytes`` counter and never
-    told the unified arena anything — cached relations were invisible
-    to eviction and to the ``memory:*`` trace stream.
+    told the arena anything — cached relations were invisible to
+    eviction and to the ``memory:*`` trace stream.  The engine's arena
+    follows ``memory_mode``; the unified one traces its storage moves.
     """
 
-    def make_engine(self):
-        engine = SqlEngine(DecaConfig(heap_bytes=64 * MB))
+    def make_engine(self, memory_mode):
+        engine = SqlEngine(DecaConfig(heap_bytes=64 * MB,
+                                      memory_mode=memory_mode))
         engine.register_table("rankings", RANKINGS_SCHEMA,
                               rankings_table(200))
         return engine
 
-    def test_cache_charges_unified_arena(self):
-        engine = self.make_engine()
+    def test_cache_charges_arena(self, memory_mode):
+        engine = self.make_engine(memory_mode)
         engine.cache_table("rankings")
         assert engine.cached_bytes > 0
         assert engine.arena.storage_used == engine.cached_bytes
-        events = [e.name for e in engine.tracer.by_category("memory")]
-        assert "memory:acquire" in events
+        if memory_mode == "unified":
+            events = [e.name for e in engine.tracer.by_category("memory")]
+            assert "memory:acquire" in events
 
-    def test_uncache_discharges_arena(self):
-        engine = self.make_engine()
+    def test_uncache_discharges_arena(self, memory_mode):
+        engine = self.make_engine(memory_mode)
         engine.cache_table("rankings")
         engine.uncache_table("rankings")
         assert engine.arena.storage_used == 0
-        events = [e.name for e in engine.tracer.by_category("memory")]
-        assert "memory:release" in events
+        if memory_mode == "unified":
+            events = [e.name for e in engine.tracer.by_category("memory")]
+            assert "memory:release" in events
 
 
 class TestLayoutPlanning:
@@ -355,6 +412,22 @@ class TestColdTierSwap:
         assert mapping.closed
         assert engine.sanitizer.violations == []
         assert engine.sanitizer.check_finish()["violations"] == 0
+
+    def test_close_reports_the_run(self):
+        """close() finishes the engine's context: the sanitizer summary
+        and the tier's snapshot (its I/O charged to the executor) land
+        in one RunMetrics, returned again by a second close()."""
+        engine = self.make_engine()
+        query = select(["pageURL", "pageRank"], "rankings")
+        resident = engine.run(query).rows
+        assert engine.demote_table("rankings") > 0
+        assert engine.run(query).rows == resident
+        run = engine.close()
+        assert run.sanitize["borrows"] > 0
+        assert run.sanitize["violations"] == 0
+        assert run.tier["tier_ms"] > 0
+        assert run.tier["bytes_moved_in"] > 0
+        assert engine.close() is run
 
     def test_uncache_drops_extent(self):
         engine = self.make_engine()
