@@ -1,0 +1,261 @@
+#!/usr/bin/env python
+"""Paired, alternating real-clock runs of a change against a parent commit.
+
+Extracts the committed files of ``--parent`` into a scratch directory
+(``git archive``: no worktree is registered, so an interrupted run
+leaves nothing in ``.git``), then runs the unchanged
+``benchmarks/perf/run.py`` of both trees, one workload and one seed at a
+time, with ``PYTHONPATH`` unset:
+
+    python3 benchmarks/perf/run.py --workload W --seed s --seconds S --trace 0
+
+Pair *i* (seed ``--seed-base + i``) runs the parent first when *i* is
+even (the 1st, 3rd, ... pair) and the change first otherwise, so a
+drifting machine favours neither side.  The raw values are written in
+the schema of the committed ``benchmarks/results/BENCH_perf_pairs_*.json``
+files (``clock``, ``jobs``, ``runs``, ``seeds``, ``what``; list index *i*
+of every metric is the *i*-th seed of its workload), and for every
+end-to-end metric of ``BENCHMARK.json`` the script prints the two
+medians, their ratio, the parent's inter-quartile range, the pairs the
+change won and a one-sided sign-test p.
+
+Usage (from the change's checkout):
+
+    python scripts/perf_pairs.py --parent HEAD~1 --workload lr-cache-scan \\
+        --pairs 10 --seconds 12 --seed-base 101 \\
+        --out benchmarks/results/BENCH_perf_pairs_x.json --what "..."
+
+``--merge`` folds the runs into an existing ``--out`` file (a second
+invocation with other workloads or pair counts).  Exit status 1 if any
+run failed, printed no result or came out incorrect.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Any, Iterable
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNNER = os.path.join("benchmarks", "perf", "run.py")
+SIDES = ("parent", "change")
+CLOCK = ("real (time.perf_counter / process CPU), calibrated reference "
+         "seconds as benchmarks/perf reports them")
+
+
+# -- the fold and the statistics (pure; the tier-1 test drives these) --------
+def pair_order(index: int) -> tuple[str, str]:
+    """Which side runs first in pair *index* (0-based)."""
+    return SIDES if index % 2 == 0 else SIDES[::-1]
+
+
+def fold(records: Iterable[dict[str, Any]],
+         what: str) -> dict[str, Any]:
+    """Runs → the pairs-file payload.
+
+    Each record is ``{"workload", "seed", "side", "attempted", "failed",
+    "metrics": {name: value}}``; records of one workload arrive in seed
+    order, and a metric list holds one value per seed.
+    """
+    jobs: dict[str, Any] = {}
+    runs: dict[str, Any] = {}
+    seeds: dict[str, list[int]] = {}
+    for record in records:
+        workload, side = record["workload"], record["side"]
+        seen = seeds.setdefault(workload, [])
+        if record["seed"] not in seen:
+            seen.append(record["seed"])
+        tally = jobs.setdefault(workload, {}).setdefault(
+            side, {"attempted": 0, "failed": 0})
+        tally["attempted"] += record["attempted"]
+        tally["failed"] += record["failed"]
+        for name, value in record["metrics"].items():
+            runs.setdefault(workload, {}).setdefault(name, {}) \
+                .setdefault(side, []).append(value)
+    return {"clock": CLOCK, "jobs": jobs, "runs": runs, "seeds": seeds,
+            "what": what}
+
+
+def merge(old: dict[str, Any], new: dict[str, Any]) -> dict[str, Any]:
+    """*new*'s workloads replace or join *old*'s; the two texts join."""
+    payload = {key: dict(old[key]) for key in ("jobs", "runs", "seeds")}
+    for key in payload:
+        payload[key].update(new[key])
+    payload["clock"] = old.get("clock", new["clock"])
+    payload["what"] = " ".join(t for t in (old.get("what"), new["what"])
+                               if t)
+    return payload
+
+
+def sign_test_p(wins: int, trials: int) -> float:
+    """One-sided P(at least *wins* of *trials* fair coin flips)."""
+    if trials == 0:
+        return 1.0
+    return sum(math.comb(trials, k)
+               for k in range(wins, trials + 1)) / 2 ** trials
+
+
+def iqr(values: list[float]) -> float:
+    """Q3 − Q1 as ``statistics.quantiles`` (the exclusive method)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(sides: dict[str, list[float]],
+              better: str = "lower") -> dict[str, Any]:
+    """Medians, ratio, parent IQR, pairs won and the sign test of one
+    metric; a pair is won when the change is strictly better, and a tie
+    is dropped from the test."""
+    parent, change = sides["parent"], sides["change"]
+    if len(parent) != len(change):
+        raise ValueError("a metric needs one parent and one change value "
+                         "per pair")
+    sign = 1.0 if better == "lower" else -1.0
+    deltas = [sign * (p - c) for p, c in zip(parent, change)]
+    wins = sum(d > 0 for d in deltas)
+    trials = sum(d != 0 for d in deltas)
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    spread = iqr(parent)
+    return {"pairs": len(parent), "parent_median": med_p,
+            "change_median": med_c,
+            "ratio": med_c / med_p if med_p else math.nan,
+            "parent_iqr": spread, "wins": wins,
+            "p": sign_test_p(wins, trials),
+            "beyond_iqr": sign * (med_p - med_c) > spread}
+
+
+def report(payload: dict[str, Any],
+           metrics: dict[str, str]) -> list[str]:
+    """One printable line per workload × end-to-end metric."""
+    lines = [f"{'workload':<24} {'metric':<12} {'parent':>9} {'change':>9} "
+             f"{'ratio':>6} {'p.IQR':>8} {'won':>6} {'sign p':>7}  gap>IQR"]
+    for workload, by_metric in payload["runs"].items():
+        for name, better in metrics.items():
+            if name not in by_metric:
+                continue
+            try:
+                s = summarize(by_metric[name], better)
+            except ValueError:
+                lines.append(f"{workload:<24} {name:<12} unpaired "
+                             "(a run failed)")
+                continue
+            lines.append(
+                f"{workload:<24} {name:<12} {s['parent_median']:>9.4g} "
+                f"{s['change_median']:>9.4g} {s['ratio']:>6.3f} "
+                f"{s['parent_iqr']:>8.3g} {s['wins']:>3}/{s['pairs']:<2} "
+                f"{s['p']:>7.4f}  {'yes' if s['beyond_iqr'] else 'no'}")
+    return lines
+
+
+def end_to_end_metrics(root: str) -> dict[str, str]:
+    """``BENCHMARK.json``'s end-to-end metric names → better direction."""
+    with open(os.path.join(root, "BENCHMARK.json")) as handle:
+        spec = json.load(handle)
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+# -- running -------------------------------------------------------------------
+def extract(rev: str, scratch: str) -> str:
+    """The committed files of *rev* in a fresh directory under *scratch*."""
+    tree = tempfile.mkdtemp(prefix="perf_pairs_parent_", dir=scratch)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+    return tree
+
+
+def run_once(tree: str, workload: str, seed: int,
+             seconds: float) -> dict[str, Any]:
+    """One run of *tree*'s perf runner; a failure is a record with
+    ``ok`` false."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, RUNNER, "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    result: dict[str, Any] = {}
+    lines = done.stdout.strip().splitlines()
+    if lines:
+        try:
+            result = json.loads(lines[-1])
+        except ValueError:
+            result = {}
+    ok = (done.returncode == 0 and result.get("correct") is True
+          and not result.get("failed"))
+    return {"ok": ok, "attempted": result.get("attempted", 1),
+            "failed": result.get("failed", 0 if ok else 1),
+            "metrics": {name: entry["value"] for name, entry
+                        in result.get("metrics", {}).items()},
+            "stderr": done.stderr[-2000:]}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, metavar="REV")
+    parser.add_argument("--workload", required=True, nargs="+",
+                        metavar="W")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--out", required=True, metavar="FILE")
+    parser.add_argument("--what", required=True, metavar="TEXT")
+    parser.add_argument("--merge", action="store_true",
+                        help="fold into an existing --out file")
+    parser.add_argument("--scratch", default=None, metavar="DIR",
+                        help="where the parent tree is extracted "
+                             "(default: the system temp directory)")
+    options = parser.parse_args(argv)
+
+    metrics = end_to_end_metrics(ROOT)
+    parent_tree = extract(options.parent, options.scratch
+                          or tempfile.gettempdir())
+    trees = {"parent": parent_tree, "change": ROOT}
+    records: list[dict[str, Any]] = []
+    bad = 0
+    try:
+        for index in range(options.pairs):
+            seed = options.seed_base + index
+            for workload in options.workload:
+                for side in pair_order(index):
+                    run = run_once(trees[side], workload, seed,
+                                   options.seconds)
+                    wall = run["metrics"].get("job_wall_s", math.nan)
+                    print(f"pair {index + 1}/{options.pairs} {workload} "
+                          f"seed {seed} {side:<6} job_wall_s {wall:.4f}"
+                          f"{'' if run['ok'] else '  FAILED'}",
+                          flush=True)
+                    if not run["ok"]:
+                        bad += 1
+                        print(run["stderr"], file=sys.stderr)
+                    records.append(dict(run, workload=workload, seed=seed,
+                                        side=side))
+    finally:
+        shutil.rmtree(parent_tree, ignore_errors=True)
+
+    # Pairs are folded per workload in seed order, parent before change
+    # within a seed, whichever ran first.
+    records.sort(key=lambda r: (options.workload.index(r["workload"]),
+                                r["seed"], SIDES.index(r["side"])))
+    payload = fold(records, options.what)
+    if options.merge and os.path.exists(options.out):
+        with open(options.out) as handle:
+            payload = merge(json.load(handle), payload)
+    with open(options.out, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("\n".join(report(payload, metrics)))
+    print(f"wrote {options.out}; {bad} failed or incorrect run(s)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -92,6 +92,16 @@ _DETERMINISTIC_MODULES = frozenset((
     "enum", "abc", "copy",
 ))
 
+# C accelerator modules, by the public module that re-exports them: a
+# builtin reports the accelerator as its ``__module__`` (``operator.add``
+# is ``_operator.add``), while the allowlist above names the public one.
+_ACCELERATOR_MODULES = {
+    "_operator": "operator", "_functools": "functools", "_heapq": "heapq",
+    "_bisect": "bisect", "_collections": "collections", "_json": "json",
+    "_struct": "struct", "_statistics": "statistics", "_decimal": "decimal",
+    "_sre": "re", "_abc": "abc",
+}
+
 # Modules (or specific attributes of them) whose results vary between
 # runs or attempts.  ``None`` marks the whole module nondeterministic.
 _NONDET_MODULE_ATTRS: dict[str, Optional[frozenset[str]]] = {
@@ -283,6 +293,12 @@ def _as_function(value: Any) -> Optional[types.FunctionType]:
             isinstance(value.__func__, types.FunctionType):
         return value.__func__
     return None
+
+
+def _owner_module(value: Any) -> str:
+    """The top-level public module *value* was defined in ('' if none)."""
+    owner = (getattr(value, "__module__", "") or "").split(".")[0]
+    return _ACCELERATOR_MODULES.get(owner, owner)
 
 
 def _is_engine_handle(value: Any) -> bool:
@@ -526,7 +542,10 @@ def _classify_global_load(name: str, fn: types.FunctionType, scan: _Scan,
         return _Ref("global", name, value)
 
     if isinstance(value, type):
-        if issubclass(value, BaseException):
+        # An exception, or an ``itertools`` iterator (``repeat``,
+        # ``chain``, ...): constructing one runs no user code.
+        if issubclass(value, BaseException) or \
+                _owner_module(value) == "itertools":
             return _Ref("value", name, value)
         # Instantiating an arbitrary class may do anything; stay honest.
         scan.unresolved.append(f"{name} (class)")
@@ -545,10 +564,10 @@ def _classify_global_load(name: str, fn: types.FunctionType, scan: _Scan,
     if callable(value):
         # A builtin from a known-deterministic module (e.g. an
         # ``operator`` function bound at module scope) is fine.
-        owner = getattr(value, "__module__", "") or ""
-        if owner.split(".")[0] in _DETERMINISTIC_MODULES:
+        owner = _owner_module(value)
+        if owner in _DETERMINISTIC_MODULES:
             return _Ref("value", name, value)
-        reason = _module_attr_hazard(owner.split(".")[0] or "<unknown>",
+        reason = _module_attr_hazard(owner or "<unknown>",
                                      getattr(value, "__name__", name))
         if reason is not None:
             scan.hazard(RULE_NONDETERMINISM, reason, "LOAD_GLOBAL",
@@ -885,7 +904,7 @@ def analyze_value(value: Any, *,
     if not callable(value):
         return None
     name = getattr(value, "__name__", type(value).__name__)
-    owner = (getattr(value, "__module__", "") or "").split(".")[0]
+    owner = _owner_module(value)
     clean = (name in _PURE_BUILTINS and owner in ("builtins", "")) \
         or owner in _DETERMINISTIC_MODULES
     return ClosureReport(

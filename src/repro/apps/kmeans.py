@@ -9,6 +9,9 @@ the cache decomposition and the shuffle segment reuse therefore apply.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, sub, truediv
+
 from ..analysis import (
     Assign,
     ArrayType,
@@ -102,14 +105,21 @@ def point_udt_info(dimensions: int) -> UdtInfo:
 
 
 def _closest(point: Point, centers: list[Point]) -> int:
+    # An explicit argmin: ``min(range(k), key=...)`` would pick a center
+    # whose distance is NaN when it comes first; this loop never does.
     best_index = 0
     best_distance = float("inf")
     for index, center in enumerate(centers):
-        distance = sum((x - c) * (x - c) for x, c in zip(point, center))
+        diff = list(map(sub, point, center))
+        distance = sum(map(mul, diff, diff))
         if distance < best_distance:
             best_distance = distance
             best_index = index
     return best_index
+
+
+def _center(vector_sum: Point, count: int) -> Point:
+    return tuple(map(truediv, vector_sum, repeat(count)))
 
 
 def run_kmeans(points: list[Point], k: int = 8,
@@ -147,8 +157,7 @@ def run_kmeans(points: list[Point], k: int = 8,
 
         def merge(a, b):
             (sum_a, count_a), (sum_b, count_b) = a, b
-            return (tuple(x + y for x, y in zip(sum_a, sum_b)),
-                    count_a + count_b)
+            return tuple(map(add, sum_a, sum_b)), count_a + count_b
 
         sums = cached.map(assign, name="km.assign",
                           record_cost_ms=assign_cost,
@@ -158,7 +167,7 @@ def run_kmeans(points: list[Point], k: int = 8,
                      .collect()
         new_centers = list(centers)
         for index, (vector_sum, count) in sums:
-            new_centers[index] = tuple(x / count for x in vector_sum)
+            new_centers[index] = _center(vector_sum, count)
         centers = new_centers
 
     metrics = ctx.finish()

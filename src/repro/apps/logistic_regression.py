@@ -11,7 +11,9 @@ the whole dataset as a few pages.
 
 from __future__ import annotations
 
-import math
+from itertools import repeat
+from math import exp
+from operator import add, mul
 
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
@@ -59,17 +61,24 @@ def run_logistic_regression(points: list[LabeledPoint],
     for _ in range(iterations):
         frozen = tuple(weights)
 
+        # C-level map/operator kernels, not generator expressions.  Each
+        # float operation is the per-element form's, on the same operands
+        # in the same order (the margin still goes through builtins.sum),
+        # and the two conditionals are max(-30.0, min(30.0, m)) exactly
+        # (NaN -> 30.0, -0.0 kept), so the weights are bit-identical to
+        # the generator form tests/test_prop_app_kernels.py keeps as its
+        # oracle.
         def gradient(point, w=frozen):
             label, features = point
-            margin = sum(wi * x for wi, x in zip(w, features))
-            margin = max(-30.0, min(30.0, -label * margin))
-            factor = (1.0 / (1.0 + math.exp(margin)) - 1.0) * label
-            return tuple(x * factor for x in features)
+            margin = -label * sum(map(mul, w, features))
+            margin = margin if margin < 30.0 else 30.0
+            margin = margin if margin > -30.0 else -30.0
+            factor = (1.0 / (1.0 + exp(margin)) - 1.0) * label
+            return tuple(map(mul, features, repeat(factor)))
 
         total = cached.map(gradient, name="lr.gradient",
                            record_cost_ms=dim_cost) \
-                      .reduce(lambda a, b: tuple(
-                          x + y for x, y in zip(a, b)))
+                      .reduce(lambda a, b: tuple(map(add, a, b)))
         weights = [w - g / count for w, g in zip(weights, total)]
 
     metrics = ctx.finish()

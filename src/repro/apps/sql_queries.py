@@ -29,11 +29,11 @@ from .udts import make_ranking_model, make_uservisit_model
 
 
 def _chars(s: str) -> tuple:
-    return (tuple(ord(c) for c in s),)
+    return (tuple(map(ord, s)),)
 
 
 def _string(v: tuple) -> str:
-    return "".join(chr(c) for c in v[0])
+    return "".join(map(chr, v[0]))
 
 
 def ranking_udt_info() -> UdtInfo:

@@ -47,6 +47,10 @@ from .executor import Executor
 from .shuffle import ShuffleBlockStore
 
 
+# ``Double.hashCode`` of 0x7ff8000000000000: high word ^ low word.
+_NAN_HASH = 0x7FF80000
+
+
 def stable_hash(key: Any) -> int:
     """A hash for partitioning.
 
@@ -74,6 +78,11 @@ def stable_hash(key: Any) -> int:
     if isinstance(key, int):
         return key & 0x7FFFFFFF
     if isinstance(key, float):
+        if key != key:
+            # ``hash(nan)`` is the object's address since Python 3.10;
+            # every NaN hashes as the JVM's canonical NaN does
+            # (``Double.hashCode(Double.NaN)``).
+            return _NAN_HASH
         return hash(key) & 0x7FFFFFFF
     if isinstance(key, str):
         return zlib.crc32(key.encode("utf-8"))
@@ -151,7 +160,7 @@ class DecaContext:
                   name: str = "textFile") -> RDD:
         """A text dataset, charged like reading one HDFS split per task."""
         data = list(lines)
-        avg_bytes = (sum(len(line) for line in data) / len(data)
+        avg_bytes = (sum(map(len, data)) / len(data)
                      if data else 0.0)
         read_ms = self.config.io.disk_read_per_byte_ms * avg_bytes
         return ParallelCollectionRDD(self, data, num_partitions, name=name,

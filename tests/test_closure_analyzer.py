@@ -6,9 +6,15 @@ suppression and the ``analyze_value`` builtin handling are pinned too,
 and so is the lint consumer's static-plus-differential detection.
 """
 
+import functools
+import itertools
+import math
+import operator
 import os
 import random
 import time
+from itertools import repeat
+from operator import add, mul
 
 import pytest
 
@@ -21,6 +27,13 @@ from repro.analysis.closures import (
 from repro.config import DecaConfig, ExecutionMode, MB
 from repro.lint import run_closure_rules
 from repro.spark import DecaContext
+
+
+_draw = random.random
+
+
+def _jitter(x):
+    return x + _draw()
 
 
 def rules_of(fn, **kwargs):
@@ -248,6 +261,37 @@ class TestAnalyzeValue:
     def test_unknown_callable_is_honestly_unresolved(self):
         report = analyze_value(random.random)
         assert report is not None
+        assert report.determinism != "deterministic"
+
+    @pytest.mark.parametrize("fn", [operator.add, operator.mul,
+                                    functools.reduce, itertools.repeat])
+    def test_accelerated_stdlib_builtin_is_deterministic(self, fn):
+        # ``operator.add.__module__`` is ``"_operator"``: the C
+        # accelerator counts as the public module it backs.
+        report = analyze_value(fn)
+        assert report.determinism == "deterministic"
+        assert report.unresolved == ()
+
+    def test_map_operator_kernels_stay_deterministic(self):
+        # LR's gradient as the app writes it: module-level ``mul`` and an
+        # ``itertools.repeat`` built per record.
+        def gradient(point, w=(0.5, -0.25)):
+            label, features = point
+            margin = -label * sum(map(mul, w, features))
+            margin = margin if margin < 30.0 else 30.0
+            margin = margin if margin > -30.0 else -30.0
+            factor = (1.0 / (1.0 + math.exp(margin)) - 1.0) * label
+            return tuple(map(mul, features, repeat(factor)))
+
+        report = analyze_closure(gradient)
+        assert report.unresolved == ()
+        assert report.determinism == "deterministic"
+        combine = analyze_closure(lambda a, b: tuple(map(add, a, b)))
+        assert combine.determinism == "deterministic"
+
+    def test_random_stays_unresolved_through_a_global(self):
+        report = analyze_closure(_jitter)
+        assert report.unresolved == ("_draw",)
         assert report.determinism != "deterministic"
 
     def test_non_callable_returns_none(self):

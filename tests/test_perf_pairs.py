@@ -1,0 +1,107 @@
+"""``scripts/perf_pairs.py``: the fold into the pairs-file schema and the
+paired statistics, on canned runs and on a committed pairs file."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SPEC = importlib.util.spec_from_file_location(
+    "perf_pairs", os.path.join(ROOT, "scripts", "perf_pairs.py"))
+perf_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perf_pairs)
+
+
+def _run(workload, seed, side, wall, attempted=5, failed=0):
+    return {"workload": workload, "seed": seed, "side": side,
+            "attempted": attempted, "failed": failed,
+            "metrics": {"job_wall_s": wall, "peak_rss_mb": 30.0}}
+
+
+CANNED = [
+    _run("lr", 1, "parent", 0.80), _run("lr", 1, "change", 0.50),
+    _run("lr", 2, "parent", 0.70), _run("lr", 2, "change", 0.55),
+    _run("lr", 3, "parent", 0.90), _run("lr", 3, "change", 0.95,
+                                        attempted=4, failed=1),
+    _run("wc", 7, "parent", 0.20), _run("wc", 7, "change", 0.20),
+]
+
+
+class TestFold:
+    def test_schema_and_order(self):
+        payload = perf_pairs.fold(CANNED, "canned")
+        assert sorted(payload) == ["clock", "jobs", "runs", "seeds", "what"]
+        assert payload["what"] == "canned"
+        assert payload["seeds"] == {"lr": [1, 2, 3], "wc": [7]}
+        assert payload["runs"]["lr"]["job_wall_s"] == {
+            "parent": [0.80, 0.70, 0.90], "change": [0.50, 0.55, 0.95]}
+        assert payload["jobs"]["lr"] == {
+            "parent": {"attempted": 15, "failed": 0},
+            "change": {"attempted": 14, "failed": 1}}
+
+    def test_merge_keeps_old_workloads(self):
+        old = perf_pairs.fold(CANNED[:6], "first")
+        new = perf_pairs.fold(CANNED[6:], "second")
+        merged = perf_pairs.merge(old, new)
+        assert sorted(merged["runs"]) == ["lr", "wc"]
+        assert merged["what"] == "first second"
+
+    def test_alternating_order(self):
+        assert [perf_pairs.pair_order(i)[0] for i in range(4)] == \
+            ["parent", "change", "parent", "change"]
+
+
+class TestStatistics:
+    def test_summary(self):
+        runs = perf_pairs.fold(CANNED, "")["runs"]
+        s = perf_pairs.summarize(runs["lr"]["job_wall_s"])
+        assert s["pairs"] == 3 and s["wins"] == 2
+        assert s["parent_median"] == 0.80 and s["change_median"] == 0.55
+        assert s["ratio"] == pytest.approx(0.6875)
+        assert s["p"] == pytest.approx(0.5)     # P(X >= 2 | n=3)
+        # quantiles(n=4) of [0.7, 0.8, 0.9] (exclusive): 0.7 and 0.9.
+        assert s["parent_iqr"] == pytest.approx(0.2)
+        assert s["beyond_iqr"] is True
+
+    def test_ties_leave_the_sign_test(self):
+        runs = perf_pairs.fold(CANNED, "")["runs"]
+        s = perf_pairs.summarize(runs["wc"]["job_wall_s"])
+        assert s["wins"] == 0 and s["p"] == 1.0
+
+    def test_higher_is_better(self):
+        s = perf_pairs.summarize({"parent": [1.0, 2.0], "change": [3.0, 1.5]},
+                                 better="higher")
+        assert s["wins"] == 1
+
+    def test_sign_test(self):
+        assert perf_pairs.sign_test_p(10, 10) == pytest.approx(1 / 1024)
+        assert perf_pairs.sign_test_p(9, 10) == pytest.approx(11 / 1024)
+        assert perf_pairs.sign_test_p(0, 0) == 1.0
+
+    def test_unpaired_metric_is_reported_not_summarized(self):
+        payload = perf_pairs.fold(CANNED[:3], "")
+        lines = perf_pairs.report(payload, {"job_wall_s": "lower"})
+        assert "unpaired" in lines[-1]
+
+
+def test_rereads_a_committed_pairs_file():
+    path = os.path.join(ROOT, "benchmarks", "results",
+                        "BENCH_perf_pairs_shuffle_write.json")
+    with open(path) as handle:
+        payload = json.load(handle)
+    metrics = perf_pairs.end_to_end_metrics(ROOT)
+    assert sorted(metrics) == ["job_cpu_s", "job_wall_s", "peak_rss_mb",
+                               "setup_s"]
+    lines = perf_pairs.report(payload, metrics)
+    assert len(lines) == 1 + 4 * len(payload["runs"])
+    s = perf_pairs.summarize(payload["runs"]["lr-cache-scan"]["job_wall_s"])
+    assert (s["pairs"], s["wins"]) == (4, 4)
+    assert s["p"] == pytest.approx(1 / 16)
+    assert s["ratio"] == pytest.approx(0.7121 / 0.7664, abs=1e-4)
+    for workload, seeds in payload["seeds"].items():
+        for sides in payload["runs"][workload].values():
+            assert len(sides["parent"]) == len(sides["change"]) == len(seeds)

@@ -1,0 +1,283 @@
+"""The apps' C-level ``map``/``operator`` kernels against their
+per-element generator forms.
+
+LR's gradient and combiner, KMeans's assignment, merge and center update
+and the char codecs of WordCount and ``sql_queries`` run as
+``map(mul, ...)`` / ``tuple(map(add, ...))`` / ``map(ord, ...)``
+kernels.  Each float operation is the one the generator form made, on
+the same operands and in the same order, so the results must match to
+the bit: equality is by ``float.hex``, with a NaN only required at the
+same position (its payload is not part of the contract).  The oracles
+below are the generator forms the kernels replaced; the apps' own UDFs
+are captured from a tiny run, so what is checked is what the apps ship.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.apps.common import make_context
+from repro.apps.kmeans import (
+    _center,
+    _closest,
+    cluster_stat_udt_info,
+    point_udt_info,
+    run_kmeans,
+)
+from repro.apps.logistic_regression import (
+    labeled_point_udt_info,
+    run_logistic_regression,
+)
+from repro.apps.sql_queries import _chars, _string
+from repro.apps.wordcount import wordcount_udt_info
+from repro.config import DecaConfig, ExecutionMode
+from repro.spark.rdd import RDD
+
+PROFILE = settings(max_examples=60, deadline=None, derandomize=True)
+DIM = 5
+
+
+# -- the oracles: the generator forms the kernels replaced --------------------
+def oracle_gradient(point, w):
+    label, features = point
+    margin = sum(wi * x for wi, x in zip(w, features))
+    margin = max(-30.0, min(30.0, -label * margin))
+    factor = (1.0 / (1.0 + math.exp(margin)) - 1.0) * label
+    return tuple(x * factor for x in features)
+
+
+def oracle_combine(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def oracle_closest(point, centers):
+    best_index = 0
+    best_distance = float("inf")
+    for index, center in enumerate(centers):
+        distance = sum((x - c) * (x - c) for x, c in zip(point, center))
+        if distance < best_distance:
+            best_distance = distance
+            best_index = index
+    return best_index
+
+
+def oracle_merge(a, b):
+    (sum_a, count_a), (sum_b, count_b) = a, b
+    return (tuple(x + y for x, y in zip(sum_a, sum_b)), count_a + count_b)
+
+
+def oracle_center(vector_sum, count):
+    return tuple(x / count for x in vector_sum)
+
+
+def oracle_chars(s):
+    return (tuple(ord(c) for c in s),)
+
+
+def oracle_string(v):
+    return "".join(chr(c) for c in v[0])
+
+
+# -- equality to the bit ------------------------------------------------------
+def assert_bits(got, want):
+    got, want = tuple(got), tuple(want)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        if isinstance(y, float) and math.isnan(y):
+            assert isinstance(x, float) and math.isnan(x)
+        elif isinstance(y, float):
+            assert isinstance(x, float) and x.hex() == y.hex()
+        else:
+            assert x == y and type(x) is type(y)
+
+
+# -- the apps' own UDFs, captured from one tiny run ---------------------------
+@functools.lru_cache(maxsize=None)
+def app_udfs() -> dict[str, object]:
+    """The functions the LR and KMeans runs hand to ``map`` / ``reduce``
+    / ``reduce_by_key``, by RDD name (``reduce`` has none: "reduce")."""
+    seen: dict[str, object] = {}
+    real_map, real_reduce, real_rbk = RDD.map, RDD.reduce, RDD.reduce_by_key
+
+    def map_(self, f, name=None, **kwargs):
+        seen.setdefault(name, f)
+        return real_map(self, f, name, **kwargs)
+
+    def reduce_(self, f):
+        seen.setdefault("reduce", f)
+        return real_reduce(self, f)
+
+    def reduce_by_key_(self, merge, num_partitions=None, name=None):
+        seen.setdefault(name, merge)
+        return real_rbk(self, merge, num_partitions, name)
+
+    RDD.map, RDD.reduce, RDD.reduce_by_key = map_, reduce_, reduce_by_key_
+    try:
+        run_logistic_regression([(1.0, (0.5,) * DIM), (-1.0, (0.25,) * DIM)],
+                                iterations=1, num_partitions=1)
+        run_kmeans([(0.0,) * DIM, (1.0,) * DIM], k=2, iterations=1,
+                   num_partitions=1)
+    finally:
+        RDD.map, RDD.reduce, RDD.reduce_by_key = \
+            real_map, real_reduce, real_rbk
+    return seen
+
+
+# -- strategies ---------------------------------------------------------------
+EDGE = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+        30.0, -30.0]
+floats = st.one_of(st.sampled_from(EDGE),
+                   st.floats(allow_nan=True, allow_infinity=True,
+                             allow_subnormal=True),
+                   st.floats(-100.0, 100.0))
+vectors = st.lists(floats, min_size=DIM, max_size=DIM).map(tuple)
+labels = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nan]),
+                   floats)
+
+
+class TestLogisticRegressionKernels:
+    @PROFILE
+    @given(label=labels, features=vectors, w=vectors)
+    def test_gradient(self, label, features, w):
+        gradient = app_udfs()["lr.gradient"]
+        assert_bits(gradient((label, features), w=w),
+                    oracle_gradient((label, features), w))
+
+    @PROFILE
+    @given(a=vectors, b=vectors)
+    def test_combiner(self, a, b):
+        assert_bits(app_udfs()["reduce"](a, b), oracle_combine(a, b))
+
+    @pytest.mark.parametrize("margin", [math.nan, -0.0, 0.0, 30.0, -30.0,
+                                        math.inf, -math.inf, 29.999])
+    def test_clamp_edges_through_the_gradient(self, margin):
+        # A margin of exactly *margin* (w = e1, features = margin * e1,
+        # label -1): NaN clamps to 30.0 in both forms.
+        features = (margin,) + (1.0,) * (DIM - 1)
+        w = (1.0,) + (0.0,) * (DIM - 1)
+        assert_bits(app_udfs()["lr.gradient"]((-1.0, features), w=w),
+                    oracle_gradient((-1.0, features), w))
+
+
+class TestKMeansKernels:
+    @PROFILE
+    @given(point=vectors, centers=st.lists(vectors, min_size=1, max_size=4))
+    def test_closest(self, point, centers):
+        assert _closest(point, centers) == oracle_closest(point, centers)
+
+    @PROFILE
+    @given(a=vectors, b=vectors, counts=st.tuples(st.integers(1, 10 ** 6),
+                                                   st.integers(1, 10 ** 6)))
+    def test_merge(self, a, b, counts):
+        merge = app_udfs()["km.update"]
+        got = merge((a, counts[0]), (b, counts[1]))
+        want = oracle_merge((a, counts[0]), (b, counts[1]))
+        assert_bits(got[0], want[0])
+        assert got[1] == want[1]
+
+    @PROFILE
+    @given(vector_sum=vectors, count=st.integers(1, 10 ** 9))
+    def test_center(self, vector_sum, count):
+        assert_bits(_center(vector_sum, count),
+                    oracle_center(vector_sum, count))
+
+
+class TestCharCodecs:
+    @PROFILE
+    @given(word=st.text(max_size=12), count=st.integers(0, 2 ** 31))
+    def test_wordcount(self, word, count):
+        info = wordcount_udt_info()
+        encoded = info.encode((word, count))
+        assert encoded == (oracle_chars(word), count)
+        assert info.decode(encoded) == (oracle_string(encoded[0]), count)
+        assert info.decode(encoded) == (word, count)
+
+    @PROFILE
+    @given(text=st.text(max_size=12))
+    def test_sql(self, text):
+        assert _chars(text) == oracle_chars(text)
+        assert _string(_chars(text)) == oracle_string(oracle_chars(text))
+
+
+# -- end to end: the same pipelines with the oracle UDFs ----------------------
+def oracle_lr(points, config, iterations, num_partitions):
+    """``run_logistic_regression``'s pipeline with the oracle UDFs."""
+    dimensions = len(points[0][1])
+    ctx = make_context(config)
+    cached = ctx.parallelize(points, num_partitions) \
+        .map(lambda rec: rec, udt_info=labeled_point_udt_info(dimensions)) \
+        .cache()
+    weights = [2.0 * ((i * 2654435761 % 97) / 97.0) - 1.0
+               for i in range(dimensions)]
+    count = float(len(points))
+    for _ in range(iterations):
+        frozen = tuple(weights)
+        total = cached.map(lambda p, w=frozen: oracle_gradient(p, w)) \
+                      .reduce(oracle_combine)
+        weights = [w - g / count for w, g in zip(weights, total)]
+    ctx.finish()
+    return tuple(weights)
+
+
+def oracle_kmeans(points, k, config, iterations, num_partitions):
+    """``run_kmeans``'s pipeline with the oracle UDFs."""
+    dimensions = len(points[0])
+    ctx = make_context(config)
+    cached = ctx.parallelize(points, num_partitions) \
+        .map(lambda p: p, udt_info=point_udt_info(dimensions)).cache()
+    stat_info = cluster_stat_udt_info(dimensions)
+    centers = [points[(i * 7919) % len(points)] for i in range(k)]
+    for _ in range(iterations):
+        frozen = tuple(centers)
+        sums = cached.map(lambda p, c=frozen: (oracle_closest(p, c), (p, 1)),
+                          udt_info=stat_info) \
+                     .reduce_by_key(oracle_merge, num_partitions).collect()
+        new_centers = list(centers)
+        for index, (vector_sum, count) in sums:
+            new_centers[index] = oracle_center(vector_sum, count)
+        centers = new_centers
+    ctx.finish()
+    return centers
+
+
+def _lr_points():
+    return [(1.0 if i % 3 else -1.0,
+             tuple(((i * 37 + d * 11) % 23) / 7.0 - 1.5 + (i % 5) * 1e-9
+                   for d in range(DIM)))
+            for i in range(160)]
+
+
+def _km_points():
+    return [tuple(((i * 13 + d * 29) % 31) / 3.0 + (i % 4) * 10.0
+                  for d in range(DIM)) for i in range(160)]
+
+
+CELLS = [pytest.param(DecaConfig(mode=mode), id=mode.value)
+         for mode in ExecutionMode] + [
+    pytest.param(DecaConfig(mode=ExecutionMode.DECA,
+                            execution_backend="mp", mp_workers=2),
+                 id="deca-mp")]
+
+
+@pytest.mark.parametrize("config", CELLS)
+def test_lr_matches_oracle_pipeline(config):
+    points = _lr_points()
+    got = run_logistic_regression(points, config, iterations=3,
+                                  num_partitions=4).result
+    assert_bits(got, oracle_lr(points, config, 3, 4))
+
+
+@pytest.mark.parametrize("config", CELLS)
+def test_kmeans_matches_oracle_pipeline(config):
+    points = _km_points()
+    got = run_kmeans(points, 3, config, iterations=3,
+                     num_partitions=4).result
+    want = oracle_kmeans(points, 3, config, 3, 4)
+    assert len(got) == len(want)
+    for center, expected in zip(got, want):
+        assert_bits(center, expected)

@@ -85,6 +85,9 @@ class TestStableHash:
         ((), 97),
         (_Color.RED, 5), (_Tag("spark"), 2635321133), (_Ratio(1.5), 1),
         (_Wide(2 ** 31 + 9), 9),
+        # Every NaN object hashes alike (``hash(nan)`` is its address).
+        (float("nan"), 2146959360), (-float("nan"), 2146959360),
+        ((1, float("nan")), 2147052608),
     ])
     def test_pinned_values(self, key, expected):
         hashed = stable_hash(key)
@@ -115,8 +118,8 @@ class TestStableHash:
         assert len(buckets) == 8
 
     def test_enums_and_frozensets_are_process_independent(self):
-        # ``hash()`` of a plain enum member or of a frozenset of strings
-        # is salted per process: two hash seeds must still agree.
+        # ``hash()`` of a plain enum member, of a frozenset of strings or
+        # of a NaN is salted per process: two hash seeds must still agree.
         outputs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -138,7 +141,8 @@ class Suit(enum.Enum):
     SPADES = 2.5
 
 keys = (Suit.HEARTS, Suit.SPADES, frozenset({"a", "b", "c", "d"}),
-        (Suit.HEARTS, frozenset({"x", 1, ("y", None)})))
+        (Suit.HEARTS, frozenset({"x", 1, ("y", None)})),
+        float("nan"), (1, float("nan")))
 print([stable_hash(key) for key in keys])
 """
 
