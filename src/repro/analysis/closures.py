@@ -330,6 +330,29 @@ def _module_attr_hazard(module: str, attr: str) -> Optional[str]:
     return None
 
 
+def _captured_nondet_reason(name: str, value: Any) -> Optional[str]:
+    """A reason string when captured *value* is a nondeterminism source:
+    a ``random`` instance, or a function or bound method whose owner is
+    in :data:`_NONDET_MODULE_ATTRS`.  A bound builtin's type is
+    ``builtins``, so the owner is its ``__module__`` or its receiver's
+    (``random.random`` is a method of the module's hidden
+    ``random.Random``; ``datetime.now`` of the ``datetime`` class)."""
+    if type(value).__module__ == "random":
+        return f"captures {name!r}, a random.{_type_name(value)} instance"
+    if isinstance(value, type) or not callable(value):
+        return None
+    receiver = getattr(value, "__self__", None)
+    owners = (_owner_module(value),
+              _owner_module(receiver if isinstance(receiver, type)
+                            else type(receiver)))
+    attr = getattr(value, "__name__", name)
+    for owner in owners:
+        reason = _module_attr_hazard(owner, attr)
+        if reason is not None:
+            return f"captures {name!r}, which {reason}"
+    return None
+
+
 def _pragma_allows(fn: types.FunctionType) -> frozenset[str]:
     """Rule ids suppressed by ``# deca: allow(...)`` pragmas in *fn*."""
     try:
@@ -472,12 +495,11 @@ def _inspect_capture(name: str, kind: str, value: Any,
             line, via)
         return
 
-    module = type(value).__module__
-    if module == "random":
-        scan.hazard(
-            RULE_NONDETERMINISM,
-            f"captures {name!r}, a random.{_type_name(value)} instance",
-            "LOAD_DEREF" if kind == "cell" else "LOAD_CONST", line, via)
+    reason = _captured_nondet_reason(name, value)
+    if reason is not None:
+        scan.hazard(RULE_NONDETERMINISM, reason,
+                    "LOAD_DEREF" if kind == "cell" else "LOAD_CONST",
+                    line, via)
     if isinstance(value, (set, frozenset)):
         scan.hazard(
             RULE_ITERATION_ORDER,

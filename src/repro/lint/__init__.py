@@ -13,15 +13,16 @@ Two layers over the Deca lifetime analysis (see ``docs/static_analysis.md``):
   run the bytecode-level closure analyzer over every UDF the shadow run
   registered, then double-run a sampled task and diff the outputs
   (``docs/closure_analysis.md``);
-* **borrow rules** (``DECA301``–``DECA308``) — the zero-copy borrow
-  checker over the engine's own mmap/shm plumbing, reported under the
-  ``engine`` pseudo-app; the runtime counterpart is the sanitizer's
-  borrow half (``DecaConfig(sanitize=True)``, :mod:`repro.obs.sanitizer`);
-* **race rules** (``DECA401``–``DECA410``) — the happens-before race
-  detector over the engine's concurrency surface (mp backend, shm
-  protocol, scheduler, arena, cold tier), reported under the ``race``
-  pseudo-app; the runtime counterpart is the same sanitizer's vector
-  clocks.
+* **borrow rules** (``DECA301``–``DECA303``, ``DECA306``) — the
+  zero-copy borrow checker over the engine's own mmap/shm plumbing,
+  reported under the ``engine`` pseudo-app; the runtime counterpart is
+  the sanitizer's borrow half (``DecaConfig(sanitize=True)``,
+  :mod:`repro.obs.sanitizer`), which alone checks DECA304/305/308;
+* **race rules** (``DECA401``/``DECA402``, ``DECA404``/``DECA405``) —
+  the happens-before race detector over the engine's concurrency
+  surface (mp backend, shm protocol, scheduler, arena, cold tier),
+  reported under the ``race`` pseudo-app; the runtime counterpart is
+  the same sanitizer's vector clocks, which alone check DECA406–410.
 
 Entry points: :func:`run_lint` (library) and ``python -m repro.bench lint``
 (CLI, with text/JSON/SARIF output and a committed baseline checked in CI).

@@ -1,14 +1,18 @@
-"""The zero-copy borrow checker (``DECA301``–``DECA308``).
+"""The zero-copy borrow checker (``DECA301``–``DECA303``, ``DECA306``).
 
 The static half of the runtime sanitizer's borrow checks (the dynamic
-half is :mod:`repro.obs.sanitizer`).  It parses the engine's zero-copy
-modules with :mod:`ast`, lowers every function into the analysis mini-IR
-(:mod:`repro.analysis.ir`) — each recognized lifecycle operation becomes
-a ``Call`` to a synthetic ``op:*`` leaf method, branches become ``If``,
-loops become ``Loop``, intra-module calls stay as calls so the scope can
-be walked with :class:`repro.analysis.callgraph.CallGraph` — and then
-enumerates bounded control-flow paths per function, running a borrow
-state machine over each path.
+half is :mod:`repro.obs.sanitizer`).  DECA304, DECA305 and DECA308 had
+one engine subject each and are checked at runtime only, by the
+sanitizer and by a test that fails on their bug seeded into that
+subject (``docs/static_analysis.md``, "Rule census").  It parses the
+engine's zero-copy modules with :mod:`ast`, lowers every function into
+the analysis mini-IR (:mod:`repro.analysis.ir`) — each recognized
+lifecycle operation becomes a ``Call`` to a synthetic ``op:*`` leaf
+method, branches become ``If``, loops become ``Loop``, intra-module
+calls stay as calls so the scope can be walked with
+:class:`repro.analysis.callgraph.CallGraph` — and then enumerates
+bounded control-flow paths per function, running a borrow state machine
+over each path.
 
 The lifecycle model mirrors the runtime sanitizer's:
 
@@ -17,13 +21,7 @@ The lifecycle model mirrors the runtime sanitizer's:
   ``memoryview`` borrowing the named backing resource;
 * **releases** — ``view.release()`` / ``obj._release()`` / ``del view``
   end a borrow; ``registry.release(name)`` / ``unlink_segment(name)``
-  and ``tier.drop(name)`` end the *backing*;
-* **adoption** — ``group.adopt_page(view)`` transfers ownership to the
-  page group; any second handle kept past that point escapes the
-  refcount protocol (§4.3);
-* **remap** — a grow/remap function must retire the old mapping (the
-  ``try: close() except BufferError: retire`` protocol) rather than
-  ``resize``/close it in place.
+  and ``tier.drop(name)`` end the *backing*.
 
 Matching is textual on the resource expression (the extent/segment name
 argument), which is exactly as precise as one function's view of its own
@@ -39,20 +37,12 @@ Everything here is deterministic: modules are visited in a fixed order,
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.ir import Call, If, Loop, Method, Return, Stmt
-from ..analysis.pointsto import (
-    ContainerKind,
-    ContainerRef,
-    CreationSite,
-    PointsToBinding,
-    assign_ownership,
-)
-from ..analysis.udt import ClassType
 from .findings import Finding, make_finding, sort_findings
 
 #: Bound on enumerated control-flow paths per function.
@@ -84,13 +74,8 @@ RELEASE = "RELEASE"
 SEGRELEASE = "SEGRELEASE"
 FREE = "FREE"
 RECLAIM = "RECLAIM"
-ADOPT = "ADOPT"
-ESCAPE = "ESCAPE"
 UNLINK = "UNLINK"
-DRAIN = "DRAIN"
 RELEASE_COPY = "RELEASE_COPY"
-REMAP_SAFE = "REMAP_SAFE"
-REMAP_UNSAFE = "REMAP_UNSAFE"
 DETACH = "DETACH"
 GUARD = "GUARD"
 RETURN = "RETURN"
@@ -149,9 +134,7 @@ class FuncModel:
     lineno: int
     end_lineno: int
     method: Method
-    growlike: bool = False
     is_teardown: bool = False
-    escapes: list[tuple[str, int]] = dc_field(default_factory=list)
 
 
 def _text(node: ast.AST) -> str:
@@ -169,17 +152,12 @@ def _is_teardown_name(name: str) -> bool:
 class _Lowerer:
     """Lowers one Python function body into the mini-IR op stream."""
 
-    def __init__(self, model: FuncModel,
-                 module_methods: dict[str, Method]) -> None:
-        self.model = model
+    def __init__(self, module_methods: dict[str, Method]) -> None:
         self.module_methods = module_methods
         # var name -> resource token ("extent:<expr>" / "segment:<expr>")
         self.aliases: dict[str, str] = {}
         # var name -> segment resource, for SharedPageSegment handles
         self.seg_handles: dict[str, str] = {}
-        # vars whose views were adopted into a page group
-        self.adopted: set[str] = set()
-        self._buffer_guard_depth = 0
 
     # -- helpers ------------------------------------------------------------
     def _token(self, call: ast.Call) -> str:
@@ -205,24 +183,8 @@ class _Lowerer:
         if isinstance(target, ast.Name):
             if name in self.aliases:
                 self.aliases[target.id] = self.aliases[name]
-            if name in self.adopted:
-                self.adopted.add(target.id)
             if name in self.seg_handles:
                 self.seg_handles[target.id] = self.seg_handles[name]
-        elif isinstance(target, ast.Attribute) and name in self.adopted:
-            # self.attr = adopted-view — the handle escapes the adoption.
-            self.model.escapes.append(
-                (self.aliases.get(name, f"extent:{name}"), target.lineno))
-
-    def _escape_if_adopted(self, node: ast.expr | None, line: int) -> bool:
-        base = node
-        while isinstance(base, ast.Subscript):
-            base = base.value
-        if isinstance(base, ast.Name) and base.id in self.adopted:
-            self.model.escapes.append(
-                (self.aliases.get(base.id, f"extent:{base.id}"), line))
-            return True
-        return False
 
     # -- call recognition ---------------------------------------------------
     def _call_ops(self, call: ast.Call,
@@ -235,7 +197,7 @@ class _Lowerer:
             if func.id == "unlink_segment" and nargs >= 1:
                 out.append(_op(UNLINK, f"segment:{self._token(call)}",
                                line))
-            elif func.id in ("SharedPageSegment", "SharedMemory"):
+            elif func.id == "SharedPageSegment":
                 self._bind(target, f"segment:{self._token(call)}")
                 if isinstance(target, ast.Name):
                     self.seg_handles[target.id] = \
@@ -284,46 +246,20 @@ class _Lowerer:
             out.append(_op(FREE, f"extent:{self._token(call)}", line))
         elif meth == "reclaim" and nargs == 0:
             out.append(_op(RECLAIM, recv, line))
-        elif meth == "adopt_page" and nargs >= 1:
-            arg = call.args[0]
-            resource = "extent:?"
-            if isinstance(arg, ast.Name):
-                resource = self.aliases.get(arg.id, resource)
-                self.adopted.add(arg.id)
-                # every alias of the same resource is now group-owned
-                for var, res in self.aliases.items():
-                    if res == resource:
-                        self.adopted.add(var)
-            out.append(_op(ADOPT, resource, line))
         elif meth == "unlink" and nargs == 0:
             resource = f"segment:{recv}"
             if isinstance(func.value, ast.Name):
                 resource = self.seg_handles.get(func.value.id, resource)
             out.append(_op(UNLINK, resource, line))
-        elif meth == "drain" and nargs == 0:
-            out.append(_op(DRAIN, recv, line))
         elif meth in ("shrink", "free_group"):
             out.append(_op(RELEASE_COPY, recv, line))
         elif meth == "register" and nargs >= 1:
             out.append(_op(ALLOC, f"segment:{self._token(call)}", line))
-        elif meth == "resize":
-            kind = (REMAP_SAFE if self._buffer_guard_depth > 0
-                    else REMAP_UNSAFE)
-            out.append(_op(kind, recv, line))
         elif meth == "close" and nargs == 0:
-            if self.model.growlike:
-                kind = (REMAP_SAFE if self._buffer_guard_depth > 0
-                        else REMAP_UNSAFE)
-                out.append(_op(kind, recv, line))
-            else:
-                out.append(_op(DETACH, recv, line))
+            out.append(_op(DETACH, recv, line))
         elif isinstance(func.value, ast.Name) and func.value.id == "self" \
                 and meth in self.module_methods:
             out.append(Call(target=None, method=self.module_methods[meth]))
-        elif meth == "append" and nargs == 1:
-            self._escape_if_adopted(call.args[0], line)
-            if self.model.escapes and self.model.escapes[-1][1] == line:
-                out.append(_op(ESCAPE, self.model.escapes[-1][0], line))
         return out
 
     def _calls_in(self, node: ast.AST) -> list[Stmt]:
@@ -345,10 +281,6 @@ class _Lowerer:
     def _lower_stmt(self, stmt: ast.stmt) -> list[Stmt]:
         if isinstance(stmt, ast.Expr):
             ops = []
-            if isinstance(stmt.value, ast.Yield):
-                if self._escape_if_adopted(stmt.value.value, stmt.lineno):
-                    ops.append(_op(ESCAPE, self.model.escapes[-1][0],
-                                   stmt.lineno))
             if isinstance(stmt.value, ast.Call):
                 ops.extend(self._call_ops(stmt.value))
                 for arg in stmt.value.args:
@@ -361,9 +293,6 @@ class _Lowerer:
         if isinstance(stmt, ast.Return):
             ops = []
             if stmt.value is not None:
-                if self._escape_if_adopted(stmt.value, stmt.lineno):
-                    ops.append(_op(ESCAPE, self.model.escapes[-1][0],
-                                   stmt.lineno))
                 ops.extend(self._calls_in(stmt.value))
             ops.append(_op(RETURN, "", stmt.lineno))
             ops.append(Return())
@@ -418,11 +347,6 @@ class _Lowerer:
             ops.extend(self._calls_in(value))
             for target in targets:
                 self._propagate(target, value)
-                if (isinstance(target, ast.Attribute)
-                        and self.model.escapes
-                        and self.model.escapes[-1][1] == stmt.lineno):
-                    ops.append(_op(ESCAPE, self.model.escapes[-1][0],
-                                   stmt.lineno))
         return ops
 
     def _lower_if(self, stmt: ast.If) -> list[Stmt]:
@@ -448,23 +372,13 @@ class _Lowerer:
                                                          ast.Name):
                 if base.id in self.aliases:
                     self.aliases[stmt.target.id] = self.aliases[base.id]
-                if base.id in self.adopted:
-                    self.adopted.add(stmt.target.id)
         body = self.lower(stmt.body)
         ops.append(Loop(body=body))
         ops.extend(self.lower(stmt.orelse))
         return ops
 
     def _lower_try(self, stmt: ast.Try) -> list[Stmt]:
-        guards_buffer = any(
-            handler.type is not None and "BufferError" in _text(handler.type)
-            for handler in stmt.handlers)
-        if guards_buffer:
-            self._buffer_guard_depth += 1
-        body = list(self.lower(stmt.body))
-        if guards_buffer:
-            self._buffer_guard_depth -= 1
-        out: list[Stmt] = body
+        out: list[Stmt] = list(self.lower(stmt.body))
         for handler in stmt.handlers:
             handler_body = self.lower(handler.body)
             if handler_body:
@@ -484,13 +398,11 @@ def _collect_functions(tree: ast.Module, module: str,
     def add(node: ast.FunctionDef | ast.AsyncFunctionDef,
             cls: str | None) -> None:
         qualname = f"{cls}.{node.name}" if cls else node.name
-        name_l = node.name.lower()
         models.append(FuncModel(
             module=module, relpath=relpath, qualname=qualname, cls=cls,
             name=node.name, lineno=node.lineno,
             end_lineno=node.end_lineno or node.lineno,
             method=Method(name=f"{module}.{qualname}"),
-            growlike=("grow" in name_l or "remap" in name_l),
             is_teardown=_is_teardown_name(node.name)))
 
     for node in tree.body:
@@ -521,7 +433,7 @@ def _lower(source: str, module: str, relpath: str,
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     for model in models:
         scope = {**by_name, **by_class[model.cls]}
-        model.method.body = lowerer(model, scope).lower(
+        model.method.body = lowerer(scope).lower(
             node_at[model.lineno].body)
     return tree, models
 
@@ -618,60 +530,15 @@ def _emitter(model: FuncModel,
     return findings, emit
 
 
-def _ownership_why(resource: str, udt: str, owner: ContainerRef,
-                   holder: str, consequence: str) -> str:
-    """A why-chain step naming *resource*'s primary container under the
-    §4.3 ownership rules while *holder* keeps a second handle to it."""
-    binding = PointsToBinding(
-        CreationSite(name=resource, udt=ClassType(udt), stage_id=0))
-    binding.bind(owner)
-    binding.bind(ContainerRef(ContainerKind.UDF_VARIABLES, holder, 0, 1))
-    primary = assign_ownership(binding).primary
-    return (f"ownership: primary container is {primary.name!r} "
-            f"(kind {primary.kind.value}); {consequence}")
-
-
 def check_function(model: FuncModel, target: str) -> list[Finding]:
     """Run every DECA30x predicate over one function's paths."""
     findings, emit = _emitter(model, target)
     paths = _enumerate_paths(model.method.body)
-    all_ops = [op for ops, _term in paths for op in ops]
 
-    # DECA305: function-level — any unretired remap in a grow/remap path.
-    if model.growlike:
-        for op in all_ops:
-            if op.kind == REMAP_UNSAFE and op.depth == 0:
-                emit("DECA305",
-                     f"{model.qualname} replaces the backing mapping in "
-                     "place (no retire-on-BufferError protocol); every "
-                     "exported view dangles",
-                     op.line, model.qualname, (
-                         f"remap: in-place mapping change at line "
-                         f"{op.line}",
-                         "protocol: grow must keep the old mapping alive "
-                         "while views are exported (tier._retired)"))
-                break
-
-    # DECA308: function-level — a drain whose copies nothing later frees.
-    drains = [op for op in all_ops if op.kind == DRAIN and op.depth == 0]
-    if drains:
-        first = min(drains, key=lambda op: op.line)
-        released = any(op.kind == RELEASE_COPY and op.line >= first.line
-                       for op in all_ops)
-        if not released:
-            emit("DECA308",
-                 f"{model.qualname} drains {first.resource!r} but never "
-                 "shrinks or frees the transient copies",
-                 first.line, model.qualname, (
-                     f"drain: transient copies charged at line "
-                     f"{first.line}",
-                     "no shrink()/free_group() follows on any path"))
-
-    for ops, terminated in paths:
+    for ops, _terminated in paths:
         # DECA301/302: an export whose backing dies before any release.
         live: dict[str, int] = {}
         freed: set[str] = set()
-        adopted_res: set[str] = set()
         for op in ops:
             if op.kind == EXPORT:
                 live[op.resource] = op.line
@@ -680,8 +547,6 @@ def check_function(model: FuncModel, target: str) -> list[Finding]:
                 live.pop(op.resource, None)
             elif op.kind == ALLOC:
                 freed.discard(op.resource)
-            elif op.kind == ADOPT:
-                adopted_res.add(op.resource)
             elif op.kind in (FREE, SEGRELEASE, UNLINK):
                 resource = op.resource
                 export_line = live.get(resource)
@@ -710,24 +575,6 @@ def check_function(model: FuncModel, target: str) -> list[Finding]:
                                  f"{op.line}",
                                  "no reallocation between the frees"))
                     freed.add(resource)
-
-        # DECA304: an adopted view's second handle escapes the function.
-        for op in ops:
-            if op.kind == ESCAPE and op.resource in adopted_res:
-                emit("DECA304",
-                     f"a view of {op.resource!r} escapes at line "
-                     f"{op.line} after its adoption; the handle "
-                     "outlives the group's reclaim",
-                     op.line, f"{model.qualname}:{op.resource}", (
-                         f"adopt: group takes ownership of {op.resource}",
-                         f"escape: second handle kept at line {op.line}",
-                         _ownership_why(
-                             op.resource, "memoryview",
-                             ContainerRef(ContainerKind.CACHE_BLOCK,
-                                          "page-group", 0, 0),
-                             "escaped-handle",
-                             "the escaped handle is a secondary holder "
-                             "the reclaim protocol never sees")))
 
     # DECA306: a teardown path returns early past its siblings' cleanup.
     if model.is_teardown:

@@ -91,10 +91,10 @@ def lint_app(app: LintApp, shadow: bool = True) -> AppLintResult:
                          summary=summary)
 
 
-#: Name of the pseudo-app auditing the engine itself (DECA301–308).
+#: Name of the pseudo-app auditing the engine itself (DECA301–303/306).
 ENGINE_APP = "engine"
 
-#: Name of the pseudo-app race-checking the engine (DECA401–410).
+#: Name of the pseudo-app race-checking the engine (DECA401–402/404–405).
 RACE_APP = "race"
 
 #: Pseudo-apps ride along with the full registry, in this order.
@@ -102,33 +102,36 @@ PSEUDO_APPS = (ENGINE_APP, RACE_APP)
 
 
 def lint_engine() -> AppLintResult:
-    """Borrow-check the engine's zero-copy modules (DECA301–DECA308).
+    """Borrow-check the engine's zero-copy modules (DECA301–303, 306).
 
     Unlike the registered apps, the target here is the engine source
     itself: the mmap tier, page groups, cache store and shm plumbing.
     There is no shadow run — the dynamic counterpart is the runtime
     sanitizer (``DecaConfig(sanitize=True)``; every configuration cell
-    runs under it in tests/test_config_matrix.py).
+    runs under it in tests/test_config_matrix.py), the only checker of
+    DECA304, DECA305 and DECA308.
     """
     findings, summary = run_borrow_rules(target=ENGINE_APP)
     return AppLintResult(
         app=ENGINE_APP,
-        title="Engine zero-copy borrow audit (DECA301–308)",
+        title="Engine zero-copy borrow audit (DECA301–303, 306)",
         findings=findings, summary=summary)
 
 
 def lint_race() -> AppLintResult:
-    """Race-check the engine's concurrency surface (DECA401–DECA410).
+    """Race-check the engine's concurrency surface (DECA401, 402, 404,
+    405).
 
     Like :func:`lint_engine`, the target is the engine source itself —
     the mp backend, the shm protocol, the scheduler/shuffle pair, the
     arena and the cold tier.  No shadow run; the dynamic counterpart is
-    the runtime sanitizer's vector clocks (:mod:`repro.obs.sanitizer`).
+    the runtime sanitizer's vector clocks (:mod:`repro.obs.sanitizer`),
+    the only checker of DECA406–DECA410.
     """
     findings, summary = run_race_rules(target=RACE_APP)
     return AppLintResult(
         app=RACE_APP,
-        title="Engine concurrency race audit (DECA401–410)",
+        title="Engine concurrency race audit (DECA401–402, 404–405)",
         findings=findings, summary=summary)
 
 

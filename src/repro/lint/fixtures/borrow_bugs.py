@@ -2,10 +2,11 @@
 
 Every function here is WRONG ON PURPOSE.  Each exhibits exactly one
 borrow violation: the static checker (:mod:`repro.lint.borrow`) must
-report precisely that rule against it, and when driven against a live
-``PageStoreTier`` / ``ShmSegmentRegistry`` / ``Sanitizer`` by
-``python -m repro.bench sanitize``, the runtime sanitizer must record
-the matching violation slug.
+report precisely that rule against it if the rule keeps a static
+predicate (DECA301–303, 306) and nothing otherwise, and when driven
+against a live ``PageStoreTier`` / ``ShmSegmentRegistry`` /
+``Sanitizer`` by ``python -m repro.bench sanitize``, the runtime
+sanitizer must record the matching violation slug.
 
 The drivers (:mod:`repro.lint.fixtures.drivers`) own all setup —
 pre-populating extents, creating segments, wiring the sanitizer — so

@@ -8,9 +8,10 @@ segment, a page group, an arena stub).  :data:`FIXTURES` is the one
 :mod:`repro.obs.rules` — and :func:`run_fixtures` the one runner, behind
 ``python -m repro.bench sanitize`` and the tier-1 tests.
 
-A separate module on purpose: the static checkers must keep reporting
-exactly one finding per function of the two ``*_bugs`` modules, so
-nothing but the bugs themselves lives there.
+A separate module on purpose: the static checkers must report exactly
+one finding per fixture of a rule with a static predicate and none
+elsewhere in the two ``*_bugs`` modules, so nothing but the bugs
+themselves lives there.
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ import pickle
 import queue
 import tempfile
 import types
-from multiprocessing import shared_memory
 from typing import Callable, Iterable
 
-from ...exec.shm import SegmentRef, SharedPageSegment, ShmSegmentRegistry
+from ...exec.shm import (
+    SegmentRef,
+    SharedPageSegment,
+    ShmSegmentRegistry,
+    unlink_segment,
+)
 from ...memory.page import PageGroup
 from ...memory.tier import PageStoreTier
 from ...obs.rules import RULES_BY_ID
@@ -138,15 +143,14 @@ def drive_407(sanitizer, tmp):
 
 
 def drive_408(sanitizer, tmp):
-    seg = shared_memory.SharedMemory(name="repro-racefx-408",
-                                     create=True, size=64)
+    name = "repro-racefx-408"
+    seg = SharedPageSegment(name, 64, create=True)
     try:
-        race_bugs.write_through_attach(sanitizer, "repro-racefx-408",
-                                       b"\xff" * 8)
+        race_bugs.write_through_attach(sanitizer, name, b"\xff" * 8)
     finally:
         race_bugs.reset()      # drop the parked attach before the unlink
         seg.close()
-        seg.unlink()
+        unlink_segment(name)
 
 
 def drive_409(sanitizer, tmp):

@@ -4,7 +4,9 @@ One minimal buggy function per DECA40x rule.  Each function does two
 things at once:
 
 * **statically** it contains exactly the protocol violation its rule
-  describes, so ``repro.lint.race`` fires exactly one finding on it;
+  describes, so ``repro.lint.race`` fires exactly one finding on it if
+  the rule keeps a static predicate (DECA401, 402, 404, 405) and none
+  otherwise;
 * **dynamically** it annotates a live
   :class:`~repro.obs.sanitizer.Sanitizer` (always passed as the
   ``sanitizer`` parameter — the static lowerers skip that receiver, in
@@ -13,7 +15,7 @@ things at once:
 
 ``repro.bench sanitize`` drives every function here (through
 :mod:`repro.lint.fixtures.drivers`) against real engine objects (a shm
-segment, a mmap tier, an arena stub) and asserts the per-rule counters;
+segment, a tracer, an arena stub) and asserts the per-rule counters;
 ``tests/test_lint_race.py`` asserts the static findings.  None of this
 module is imported by the engine.
 """
@@ -22,10 +24,9 @@ from __future__ import annotations
 
 import pickle
 import threading
-from multiprocessing import shared_memory
 from typing import Any
 
-from ...exec.shm import sweep_segments, unlink_segment
+from ...exec.shm import SharedPageSegment, sweep_segments, unlink_segment
 from ...obs.sanitizer import Sanitizer
 
 #: Handles parked here survive the fixture call (and are closed by
@@ -34,14 +35,13 @@ SINK: list[Any] = []
 
 
 def reset() -> None:
-    """Close every parked handle so fixtures can run repeatedly."""
+    """Release every parked view and close every parked segment handle
+    (views first: they pin the mapping) so fixtures can run repeatedly."""
     for item in SINK:
-        close = getattr(item, "close", None)
-        if close is not None:
-            try:
-                close()
-            except (BufferError, OSError):
-                pass
+        try:
+            (getattr(item, "release", None) or item.close)()
+        except (BufferError, OSError):
+            pass
     SINK.clear()
 
 
@@ -54,7 +54,7 @@ def unlink_races_attach(sanitizer: Sanitizer, name: str) -> None:
     unlink_segment(name)
     sanitizer.free("segment", name)
     try:
-        seg = shared_memory.SharedMemory(name=name)
+        seg = SharedPageSegment(name)
     except FileNotFoundError:
         seg = None
     sanitizer.export("segment", name, actor="attacker")
@@ -130,12 +130,13 @@ def write_through_attach(sanitizer: Sanitizer, name: str,
                          payload: bytes) -> None:
     """WRONG: writes through a view attached read-only — the write
     races every other attacher of the same physical bytes."""
-    seg = shared_memory.SharedMemory(name=name)
-    sanitizer.export("segment", name, [seg.buf], transient=False,
+    seg = SharedPageSegment(name)
+    view = seg.view(seg.nbytes)
+    sanitizer.export("segment", name, [view], transient=False,
                      readonly=True)
-    seg.buf[0:len(payload)] = payload
+    view[0:len(payload)] = payload
     sanitizer.verify_readonly("segment", name)
-    SINK.append(seg)
+    SINK.extend((view, seg))
 
 
 # -- DECA409 ----------------------------------------------------------------

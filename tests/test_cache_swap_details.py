@@ -8,6 +8,7 @@ from repro.analysis.udt import DOUBLE, ArrayType, ClassType, Field
 from repro.config import DecaConfig, ExecutionMode, MB
 from repro.core.plan import ContainerPlan
 from repro.jvm.objects import Lifetime
+from repro.memory.unified import StaticMemoryArena
 from repro.spark import DecaContext
 from repro.spark.cache import CachedBlock, StorageStrategy
 from repro.spark.measure import RecordFootprint
@@ -269,6 +270,32 @@ class TestReentrantEvictionGuard:
         # still matches ground truth (the double-drain corrupted it).
         assert store.memory_bytes == store.recompute_memory_bytes()
         assert sorted(rdd.collect()) == sorted(data)
+
+    def test_reentrant_admission_cannot_revictimize_the_evicting_entry(self):
+        """``_make_room``'s half of the guard: an admission that re-enters
+        the arena from inside a victim's eviction picks another victim,
+        never the entry already being evicted."""
+        arena = StaticMemoryArena(DecaConfig(heap_bytes=32 * MB))
+        half = arena.storage_budget // 2
+        evicted = []
+
+        def evict(name):
+            def run():
+                evicted.append(name)
+                if name == "a" and evicted.count("a") == 1:
+                    arena.storage_acquire("c", half, evict=evict("c"),
+                                          block=(3, 0))
+                return half
+            return run
+
+        for rdd_id, name in enumerate("ab", start=1):
+            arena.storage_acquire(name, half, evict=evict(name),
+                                  block=(rdd_id, 0))
+        assert arena.storage_acquire("d", half, evict=evict("d"),
+                                     block=(4, 0))
+        assert evicted == ["a", "b"]
+        assert sorted(arena._entries) == ["c", "d"]
+        assert arena.storage_used == 2 * half
 
     def test_lru_victim_skips_inflight_keys(self):
         executor, store = bare_store()

@@ -130,6 +130,30 @@ class TestNondeterminism:
 
         assert "DECA202" in rules_of(draw)
 
+    @pytest.mark.parametrize("source", [
+        random.random, random.Random(17).random, time.time])
+    @pytest.mark.parametrize("kind", ["cell", "default"])
+    def test_captured_nondeterministic_builtin_flags_deca202(self, source,
+                                                             kind):
+        # A bound builtin's type is ``builtins``: ``random.random`` is a
+        # method of the module's hidden ``random.Random``.
+        if kind == "cell":
+            d = source
+            udf = lambda x: (x, d())  # noqa: E731
+        else:
+            def udf(x, d=source):
+                return x, d()
+
+        assert "DECA202" in rules_of(udf)
+        assert analyze_closure(udf).determinism == "nondeterministic"
+
+    def test_captured_deterministic_builtin_stays_clean(self):
+        def mk():
+            m = operator.mul
+            return lambda x: m(x, 2)
+
+        assert analyze_closure(mk()).determinism == "deterministic"
+
     def test_hazard_found_through_helper_carries_via_chain(self):
         def helper():
             return random.random()

@@ -1,7 +1,9 @@
-"""The zero-copy borrow checker: DECA301-308 static rules.
+"""The zero-copy borrow checker: the DECA301-303 and DECA306 static
+rules.
 
 Three contracts: the engine's own zero-copy modules are clean (zero
-findings), every seeded-bug fixture fires exactly its rule, and the
+findings), every seeded-bug fixture of a static rule fires exactly its
+rule (the DECA304/305/308 fixtures fire at runtime only), and the
 ``engine`` pseudo-app integrates with the lint driver/report pipeline
 deterministically.
 """
@@ -26,6 +28,8 @@ FIXTURE_PATH = (Path(__file__).resolve().parent.parent / "src" / "repro"
                 / "lint" / "fixtures" / "borrow_bugs.py")
 BORROW_RULES = ("DECA301", "DECA302", "DECA303", "DECA304", "DECA305",
                 "DECA306", "DECA308")
+#: The rules with a static predicate; the rest are runtime-only.
+STATIC_RULES = ("DECA301", "DECA302", "DECA303", "DECA306")
 
 
 def fixture_findings():
@@ -77,7 +81,7 @@ class TestEngineIsClean:
 class TestFixturesFireExactly:
     def test_one_finding_per_rule(self):
         rules = sorted(f.rule_id for f in fixture_findings())
-        assert rules == sorted(BORROW_RULES)
+        assert rules == sorted(STATIC_RULES)
 
     def test_findings_point_into_the_fixture_file(self):
         for finding in fixture_findings():
@@ -96,19 +100,7 @@ class TestFixturesFireExactly:
         assert by_rule["DECA302"].subject.endswith(
             "bug_use_after_unlink_segment")
         assert by_rule["DECA303"].subject.endswith("bug_double_free")
-        assert by_rule["DECA304"].subject.endswith(
-            "bug_view_escapes_adoption")
-        assert by_rule["DECA305"].subject.endswith(
-            "bug_remap_invalidates_export")
         assert by_rule["DECA306"].subject.endswith("bug_leak_at_finish")
-        assert by_rule["DECA308"].subject.endswith(
-            "bug_unreleased_drain_copy")
-
-    def test_escape_why_chain_carries_pointsto_ownership(self):
-        by_rule = {f.rule_id: f for f in fixture_findings()}
-        why = " ".join(by_rule["DECA304"].why)
-        assert "ownership" in why
-        assert "primary container" in why
 
 
 class TestEnginePseudoApp:
@@ -177,15 +169,6 @@ class TestPathSensitivity:
             "    tier.drop('g')\n")
         assert findings == []
 
-    def test_buffer_guarded_resize_is_safe_remap(self):
-        findings = self.check(
-            "def grow_mapping(mm):\n"
-            "    try:\n"
-            "        mm.resize(8192)\n"
-            "    except BufferError:\n"
-            "        pass\n")
-        assert findings == []
-
     def test_idempotent_close_guard_is_not_a_leak(self):
         findings = self.check(
             "def close(self):\n"
@@ -193,12 +176,4 @@ class TestPathSensitivity:
             "        return\n"
             "    self._closed = True\n"
             "    self._view.release()\n")
-        assert findings == []
-
-    def test_drain_followed_by_shrink_is_clean(self):
-        findings = self.check(
-            "def swap(group, arena):\n"
-            "    for chunk in group.drain():\n"
-            "        consume(chunk)\n"
-            "    arena.free_group(g)\n")
         assert findings == []

@@ -1,8 +1,9 @@
-"""The concurrency race lint: DECA401-410 static rules.
+"""The concurrency race lint: the DECA401/402/404/405 static rules.
 
 Same three contracts as the borrow suite one layer down: the engine's
 own concurrency surface is clean (zero findings), every seeded-bug
-fixture fires exactly its rule, and the ``race`` pseudo-app integrates
+fixture of a static rule fires exactly its rule (the DECA406-410
+fixtures fire at runtime only), and the ``race`` pseudo-app integrates
 with the lint driver/report pipeline deterministically.
 """
 
@@ -26,6 +27,8 @@ FIXTURE_PATH = (Path(__file__).resolve().parent.parent / "src" / "repro"
                 / "lint" / "fixtures" / "race_bugs.py")
 RACE_RULES = ("DECA401", "DECA402", "DECA404", "DECA405", "DECA406",
               "DECA407", "DECA408", "DECA409", "DECA410")
+#: The rules with a static predicate; the rest are runtime-only.
+STATIC_RULES = ("DECA401", "DECA402", "DECA404", "DECA405")
 
 
 def fixture_findings():
@@ -85,7 +88,7 @@ class TestEngineIsClean:
 class TestFixturesFireExactly:
     def test_one_finding_per_rule(self):
         rules = sorted(f.rule_id for f in fixture_findings())
-        assert rules == sorted(RACE_RULES)
+        assert rules == sorted(STATIC_RULES)
 
     def test_findings_point_into_the_fixture_file(self):
         for finding in fixture_findings():
@@ -104,12 +107,6 @@ class TestFixturesFireExactly:
             "RacyRegistry.release_unlocked")
         assert by_rule["DECA404"].subject.endswith("stale_pool_write")
         assert by_rule["DECA405"].subject.endswith("consume_before_join")
-        assert by_rule["DECA406"].subject.endswith("sweep_live_worker")
-        assert by_rule["DECA407"].subject.endswith(
-            "respill_inflight_victim")
-        assert by_rule["DECA408"].subject.endswith("write_through_attach")
-        assert by_rule["DECA409"].subject.endswith("relay_unanchored")
-        assert by_rule["DECA410"].subject.endswith("double_grant")
 
     def test_toctou_why_chain_carries_pointsto_ownership(self):
         by_rule = {f.rule_id: f for f in fixture_findings()}
@@ -193,19 +190,4 @@ class TestPathSensitivity:
             "    out = queue.get()\n"
             "    records = pickle.loads(out.result_blob)\n"
             "    return records\n")
-        assert findings == []
-
-    def test_guarded_sweep_is_clean(self):
-        findings = self.check(
-            "def reap(proc, prefix):\n"
-            "    if proc.is_alive():\n"
-            "        return\n"
-            "    sweep_segments(prefix)\n")
-        assert findings == []
-
-    def test_anchored_relay_is_clean(self):
-        findings = self.check(
-            "def relay(tracer, event, stage_start):\n"
-            "    tracer.emit(event.replace(ts_ms=stage_start + "
-            "event.ts_ms))\n")
         assert findings == []

@@ -78,6 +78,18 @@ assert not loaded, loaded
 print("ok")
 """
 
+FIXTURES_SCRIPT = """
+import sys
+from repro.lint.fixtures.drivers import run_fixtures
+
+rows = run_fixtures()
+assert all(row["fired"] for row in rows), rows
+loaded = sorted({"multiprocessing.shared_memory",
+                 "multiprocessing.resource_tracker"} & set(sys.modules))
+assert not loaded, loaded
+print("ok", len(rows))
+"""
+
 
 def run_script(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -99,3 +111,12 @@ def test_mp_job_loads_neither_stdlib_shared_memory_nor_openssl():
     ``multiprocessing.shared_memory`` nor the ``_hashlib`` it drags in."""
     done = run_script(MODULES_SCRIPT)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_seeded_fixtures_use_the_engines_untracked_segments():
+    """The DECA401/DECA408 fixtures map their segments with
+    ``repro.exec.shm`` like the engine does: driving every fixture
+    neither imports the stdlib's shared memory nor starts its tracker."""
+    done = run_script(FIXTURES_SCRIPT)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("ok")
