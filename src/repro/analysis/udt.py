@@ -24,10 +24,13 @@ Example — the paper's running LR example (Fig. 1/Fig. 3)::
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import TypeGraphError
 from ..jvm import sizing
+
+if TYPE_CHECKING:
+    from .ir import Method
 
 
 # The type-graph epoch: bumped by every edit that can change a footprint
@@ -154,6 +157,9 @@ class ClassType(DataType):
         self.name = name
         self._fields: list[Field] = []
         self._by_name: dict[str, Field] = {}
+        # The ``<init>`` body, when the class is declared with one
+        # (``repro.apps.udts.record``); ``NewObject`` sites run it.
+        self.constructor: Method | None = None
         for field in fields or ():
             self.add_field(field)
 

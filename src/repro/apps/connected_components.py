@@ -12,24 +12,18 @@ from __future__ import annotations
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
 from .common import AppRun, make_context
-from .pagerank import build_adjacency
-from .udts import make_graph_model
+from .pagerank import EdgePair, build_adjacency
+from .udts import Edge, GRAPH_ITERATE
 
 
 def label_message_udt_info() -> UdtInfo:
     """CC's ``(vertex: Long, label: Long)`` message — an SFST pair, so
     the min-label aggregation buffers decompose with segment reuse."""
-    model = make_graph_model()
-    return UdtInfo(
-        udt=model.edge,  # two longs: structurally identical to Edge
-        entry_method=model.iterate_stage_entry,
-        constant_footprint=True,
-    )
-
-Edge = tuple[int, int]
+    # Two longs: structurally identical to Edge.
+    return UdtInfo(udt=Edge, entry_method=GRAPH_ITERATE)
 
 
-def run_connected_components(edges: list[Edge],
+def run_connected_components(edges: list[EdgePair],
                              config: DecaConfig | None = None,
                              iterations: int = 10,
                              num_partitions: int = 8) -> AppRun:

@@ -12,26 +12,16 @@ from __future__ import annotations
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from ..analysis import (
-    Assign,
-    ArrayType,
-    ClassType,
-    DOUBLE,
-    Field,
-    INT,
-    Local,
-    Loop,
-    Method,
-    NewArray,
-    NewObject,
-    Return,
-    StoreField,
-    SymInput,
-)
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
 from .common import AppRun, make_context
-from .udts import make_labeled_point_model
+from .udts import (
+    CLUSTER_STAT_OBJECTS,
+    ClusterStat,
+    KM_ASSIGN_STAGE,
+    LR_STAGE,
+    LabeledPoint,
+)
 
 Point = tuple[float, ...]
 
@@ -41,50 +31,16 @@ def cluster_stat_udt_info(dimensions: int) -> UdtInfo:
 
     All sum arrays share the dataset dimension, so the record is an SFST
     — the eager-aggregation buffer decomposes with in-place segment reuse
-    on every merge (§4.3.2).
+    on every merge (§4.3.2).  Spark's records are measured as the
+    ``Tuple2`` graph it allocates.
     """
-    double_array = ArrayType(DOUBLE)
-    sum_field = Field("sum", double_array, final=True)
-    stat = ClassType("ClusterStat", [
-        Field("cluster", INT), sum_field, Field("count", INT)])
-    ctor = Method(
-        "<init>", params=("cluster", "sum", "count"),
-        body=(
-            StoreField("this", stat.field("cluster"), Local("cluster")),
-            StoreField("this", sum_field, Local("sum")),
-            StoreField("this", stat.field("count"), Local("count")),
-        ),
-        owner=stat, is_constructor=True)
-    entry = Method(
-        name="km.assignStage",
-        body=(
-            Assign("D", SymInput("D")),
-            Loop((
-                NewArray("sum", double_array, Local("D")),
-                NewObject("stat", stat, ctor=ctor,
-                          args=(SymInput("cluster"), Local("sum"),
-                                SymInput("count"))),
-            )),
-            Return(),
-        ))
-    # What Spark actually allocates per record: Tuple2(Integer,
-    # Tuple2(DenseVector, Integer)) — wrappers and boxes included.
-    boxed_int = ClassType("Integer", [Field("value", INT)])
-    dense = ClassType("DenseVector", [
-        Field("data", double_array, final=True),
-        Field("offset", INT), Field("stride", INT), Field("length", INT)])
-    inner = ClassType("Tuple2$inner", [
-        Field("_1", dense, final=True), Field("_2", boxed_int, final=True)])
-    outer = ClassType("Tuple2$outer", [
-        Field("_1", boxed_int, final=True), Field("_2", inner, final=True)])
     return UdtInfo(
-        udt=stat,
-        entry_method=entry,
+        udt=ClusterStat,
+        entry_method=KM_ASSIGN_STAGE,
         encode=lambda kv: (kv[0], tuple(kv[1][0]), kv[1][1]),
         decode=lambda v: (v[0], (tuple(v[1]), v[2])),
         runtime_symbols={"D": dimensions},
-        constant_footprint=True,
-        object_model=outer,
+        object_model=CLUSTER_STAT_OBJECTS,
         measure_encode=lambda kv: (
             (kv[0],), (((tuple(kv[1][0]), 0, 1, len(kv[1][0])),
                         (kv[1][1],)))),
@@ -93,14 +49,12 @@ def cluster_stat_udt_info(dimensions: int) -> UdtInfo:
 
 def point_udt_info(dimensions: int) -> UdtInfo:
     """KMeans reuses the LR vector model with a constant label slot."""
-    model = make_labeled_point_model(dimensions=None)
     return UdtInfo(
-        udt=model.labeled_point,
-        entry_method=model.stage_entry,
+        udt=LabeledPoint,
+        entry_method=LR_STAGE,
         encode=lambda p: (0.0, (p, 0, 1, len(p))),
         decode=lambda v: tuple(v[1][0]),
-        runtime_symbols={"D": dimensions, "D2": dimensions},
-        constant_footprint=True,
+        runtime_symbols={"D": dimensions},
     )
 
 

@@ -18,25 +18,24 @@ from operator import add, mul
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
 from .common import AppRun, make_context
-from .udts import make_labeled_point_model
+from .udts import LR_STAGE, LabeledPoint
 
-LabeledPoint = tuple[float, tuple[float, ...]]
+#: One training sample as the engine holds it: ``(label, features)``.
+Sample = tuple[float, tuple[float, ...]]
 
 
 def labeled_point_udt_info(dimensions: int) -> UdtInfo:
     """The Fig. 1 type model with the runtime dimension bound."""
-    model = make_labeled_point_model(dimensions=None)
     return UdtInfo(
-        udt=model.labeled_point,
-        entry_method=model.stage_entry,
+        udt=LabeledPoint,
+        entry_method=LR_STAGE,
         encode=lambda rec: (rec[0], (rec[1], 0, 1, len(rec[1]))),
         decode=lambda v: (v[0], tuple(v[1][0])),
-        runtime_symbols={"D": dimensions, "D2": dimensions},
-        constant_footprint=True,
+        runtime_symbols={"D": dimensions},
     )
 
 
-def run_logistic_regression(points: list[LabeledPoint],
+def run_logistic_regression(points: list[Sample],
                             config: DecaConfig | None = None,
                             iterations: int = 10,
                             num_partitions: int = 8,

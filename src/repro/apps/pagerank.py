@@ -13,25 +13,31 @@ partially-decomposable pattern of Fig. 7(b).
 
 from __future__ import annotations
 
-from ..analysis import ClassType, Field, LONG
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
 from .common import AppRun, make_context
-from .udts import make_graph_model
+from .udts import (
+    AdjacencyList,
+    EDGE_OBJECTS,
+    Edge,
+    GRAPH_BUILD,
+    GRAPH_ITERATE,
+    RankMessage,
+)
 
-Edge = tuple[int, int]
+#: One directed edge as the engine holds it: ``(src, dst)``.
+EdgePair = tuple[int, int]
 
 
 def adjacency_udt_info() -> UdtInfo:
     """The AdjacencyList model: RFST in the phases that read the cache."""
-    model = make_graph_model()
     return UdtInfo(
-        udt=model.adjacency,
-        entry_method=model.iterate_stage_entry,
-        known_types=(model.adjacency,),
+        udt=AdjacencyList,
+        entry_method=GRAPH_ITERATE,
+        known_types=(AdjacencyList,),
         encode=lambda rec: (rec[0], tuple(rec[1])),
         decode=lambda v: (v[0], tuple(v[1])),
-        assume_init_only=(model.neighbors_field,),
+        assume_init_only=(AdjacencyList.field("neighbors"),),
     )
 
 
@@ -39,32 +45,22 @@ def message_udt_info() -> UdtInfo:
     """The ``RankMessage(target: Long, rank: Double)`` model — an SFST,
     so Deca decomposes the aggregation buffers and reuses the value
     segment on every combine (§4.3.2)."""
-    model = make_graph_model()
-    return UdtInfo(
-        udt=model.rank_message,
-        entry_method=model.iterate_stage_entry,
-        constant_footprint=True,
-    )
+    return UdtInfo(udt=RankMessage, entry_method=GRAPH_ITERATE)
 
 
 def edge_udt_info() -> UdtInfo:
     """The ``Edge(src: Long, dst: Long)`` model — an SFST, so Deca
     decomposes the map side of the grouping shuffle.  Spark holds an edge
     as a ``Tuple2`` of two boxed ``Long``s, which is what is measured."""
-    model = make_graph_model()
-    boxed_long = ClassType("Long", [Field("value", LONG)])
     return UdtInfo(
-        udt=model.edge,
-        entry_method=model.build_stage_entry,
-        constant_footprint=True,
-        object_model=ClassType("Tuple2", [
-            Field("_1", boxed_long, final=True),
-            Field("_2", boxed_long, final=True)]),
+        udt=Edge,
+        entry_method=GRAPH_BUILD,
+        object_model=EDGE_OBJECTS,
         measure_encode=lambda edge: ((edge[0],), (edge[1],)),
     )
 
 
-def build_adjacency(ctx, edges: list[Edge], num_partitions: int,
+def build_adjacency(ctx, edges: list[EdgePair], num_partitions: int,
                     name: str = "pr"):
     """Edge list → cached adjacency lists (the paper's first stage)."""
     edge_rdd = ctx.parallelize(edges, num_partitions, name=f"{name}.edges",
@@ -77,7 +73,7 @@ def build_adjacency(ctx, edges: list[Edge], num_partitions: int,
         .with_udt(adjacency_udt_info()).cache()
 
 
-def run_pagerank(edges: list[Edge], config: DecaConfig | None = None,
+def run_pagerank(edges: list[EdgePair], config: DecaConfig | None = None,
                  iterations: int = 10, num_partitions: int = 8,
                  damping: float = 0.85) -> AppRun:
     """Rank vertices; returns ``{vertex: rank}`` and run metrics."""

@@ -25,7 +25,7 @@ from ..sql import SqlEngine, groupby_sum, select, top_k
 from ..sql.engine import Query, QueryResult
 from ..sql.schema import RANKINGS_SCHEMA, USERVISITS_SCHEMA
 from .common import AppRun, make_context
-from .udts import make_ranking_model, make_uservisit_model
+from .udts import RANKINGS_SCAN, Ranking, USERVISITS_SCAN, UserVisit
 
 
 def _chars(s: str) -> tuple:
@@ -37,20 +37,18 @@ def _string(v: tuple) -> str:
 
 
 def ranking_udt_info() -> UdtInfo:
-    model = make_ranking_model()
     return UdtInfo(
-        udt=model.row_type,
-        entry_method=model.stage_entry,
+        udt=Ranking,
+        entry_method=RANKINGS_SCAN,
         encode=lambda row: (_chars(row[0]), row[1], row[2]),
         decode=lambda v: (_string(v[0]), v[1], v[2]),
     )
 
 
 def uservisit_udt_info() -> UdtInfo:
-    model = make_uservisit_model()
     return UdtInfo(
-        udt=model.row_type,
-        entry_method=model.stage_entry,
+        udt=UserVisit,
+        entry_method=USERVISITS_SCAN,
         encode=lambda r: (_chars(r[0]), _chars(r[1]), r[2], r[3],
                           _chars(r[4]), _chars(r[5]), _chars(r[6]),
                           _chars(r[7]), r[8]),

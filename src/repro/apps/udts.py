@@ -1,9 +1,18 @@
-"""UDT models and constructor IR for the benchmark applications.
+"""The benchmark applications' record types, each declared once.
 
 These declarations are the Python analogue of what Deca's pre-processing
 phase extracts from the applications' compiled bytecode: class shapes,
 field finality, runtime type-sets and the constructor bodies that assign
 the fields.  The Deca optimizer classifies them with Algorithms 1–4.
+
+Each record type is an annotated class in the shape of its Scala case
+class.  :func:`record` turns it into the :class:`ClassType` the analysis
+reads and derives its constructor the way scalac compiles one: every
+parameter is stored into its field, and a field the declaration
+initialises is stored from that expression.  The stage entries below (the
+map UDFs that allocate the records) are written against the same types,
+so an app's ``UdtInfo`` objects and its lint targets share one model
+instance — the classifiers key fields and array types by identity.
 
 The central example is the paper's Fig. 1/Fig. 3 ``LabeledPoint``:
 
@@ -11,20 +20,20 @@ The central example is the paper's Fig. 1/Fig. 3 ``LabeledPoint``:
   objects, so ``LabeledPoint`` is classified VST;
 * globally, ``features`` is init-only (assigned once, in the constructor)
   and ``features.data`` is a fixed-length array (every allocation uses the
-  global dimension constant), so ``LabeledPoint`` refines to SFST.
+  global dimension ``D``), so ``LabeledPoint`` refines to SFST.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..analysis import (
+    ArrayLength,
     ArrayType,
     Assign,
     CHAR,
     ClassType,
     Const,
     DOUBLE,
+    DataType,
     Field,
     INT,
     LONG,
@@ -36,387 +45,262 @@ from ..analysis import (
     StoreField,
     SymInput,
 )
-from ..analysis.ir import Local
+from ..analysis.ir import Expr, Local, Stmt
 
 
 @dataclass(frozen=True)
-class LabeledPointModel:
-    """The LR/KMeans type universe plus the per-stage entry method."""
+class _Slot:
+    """One field annotation: declared type, runtime type-set, finality."""
 
-    double_array: ArrayType
-    dense_vector: ClassType
-    vector: ClassType
-    labeled_point: ClassType
-    dense_vector_ctor: Method
-    labeled_point_ctor: Method
-    stage_entry: Method
-    data_field: Field
-    features_field: Field
-    label_field: Field
+    declared: DataType
+    type_set: tuple[DataType, ...]
+    final: bool
 
 
-def make_labeled_point_model(dimensions: int | None = 10,
-                             fixed_length: bool = True) -> LabeledPointModel:
-    """Build the Fig. 1 type model.
+def val(declared: DataType) -> _Slot:
+    """A field assigned once, in the constructor (Scala ``val``)."""
+    return _Slot(declared, (), True)
 
-    With *fixed_length* (the paper's LR program) every feature array is
-    allocated with the same length — the global constant ``D`` when
-    *dimensions* is given, otherwise a single symbolic input (e.g. a
-    dimension read from the dataset header).  With ``fixed_length=False``
-    the map UDF allocates arrays of two different lengths (a dense/sparse
-    mix), so the global analysis must leave the type variable-sized.
+
+def var(declared: DataType, *type_set: DataType) -> _Slot:
+    """A reassignable field (Scala ``var``) whose runtime types are
+    *type_set*; a bare type annotation is a ``var`` of that type."""
+    return _Slot(declared, type_set, False)
+
+
+def record(declaration: type) -> ClassType:
+    """The class type an annotated class declares, with its constructor.
+
+    Annotations name the fields in order (a type, :func:`val` or
+    :func:`var`); a class attribute is the IR expression the constructor
+    stores into that field, and every other field is a parameter.
     """
-    double_array = ArrayType(DOUBLE)
-    data_field = Field("data", double_array, final=True)
-    dense_vector = ClassType("DenseVector", [
-        data_field,
-        Field("offset", INT),
-        Field("stride", INT),
-        Field("length", INT),
-    ])
-    # The abstract ``Vector`` supertype: the declared type of ``features``.
-    vector = ClassType("Vector")
-    label_field = Field("label", DOUBLE)
-    features_field = Field("features", vector, type_set=(dense_vector,),
-                           final=False)
-    labeled_point = ClassType("LabeledPoint", [label_field, features_field])
+    cls = ClassType(declaration.__name__)
+    params: list[str] = []
+    body: list[Stmt] = []
+    for name, slot in declaration.__annotations__.items():
+        if not isinstance(slot, _Slot):
+            slot = var(slot)
+        field = cls.add_field(Field(name, slot.declared,
+                                    type_set=slot.type_set or None,
+                                    final=slot.final))
+        init = getattr(declaration, name, None)
+        if init is None:
+            params.append(name)
+            init = Local(name)
+        body.append(StoreField("this", field, init))
+    cls.constructor = Method("<init>", params=tuple(params), body=body,
+                             owner=cls, is_constructor=True)
+    return cls
 
-    dense_vector_ctor = Method(
-        name="<init>",
-        params=("data",),
-        body=(
-            StoreField("this", data_field, Local("data")),
-            StoreField("this", dense_vector.field("offset"), Const(0)),
-            StoreField("this", dense_vector.field("stride"), Const(1)),
-            StoreField("this", dense_vector.field("length"), Const(0)),
-        ),
-        owner=dense_vector,
-        is_constructor=True,
-    )
-    labeled_point_ctor = Method(
-        name="<init>",
-        params=("label", "features"),
-        body=(
-            StoreField("this", label_field, Local("label")),
-            StoreField("this", features_field, Local("features")),
-        ),
-        owner=labeled_point,
-        is_constructor=True,
-    )
 
-    prologue: tuple = ()
-    if dimensions is not None:
-        length_expr = Const(dimensions)
-        alt_length_expr = Const(dimensions if fixed_length
-                                else dimensions + 7)
-    else:
-        # The dimension is read once from the dataset header and hoisted
-        # before the input loop (Fig. 4's symbolized constant).
-        prologue = (Assign("D", SymInput("D")),
-                    Assign("D2", SymInput("D2")))
-        length_expr = Local("D")
-        alt_length_expr = Local("D") if fixed_length else Local("D2")
+def new(target: str, cls: ClassType, *args: Expr) -> NewObject:
+    """``target = new cls(args...)``, running the declared constructor."""
+    return NewObject(target, cls, ctor=cls.constructor, args=args)
 
-    # The map UDF of Fig. 1 (lines 13–17): parse one line, build the
-    # feature array, wrap it into DenseVector and LabeledPoint.  The Loop
-    # models iterating over the input split.
-    loop_body = (
-        NewArray("features_arr", double_array, length_expr),
-        NewObject("features_vec", dense_vector, ctor=dense_vector_ctor,
-                  args=(Local("features_arr"),)),
+
+def tuple2(first: DataType, second: DataType) -> ClassType:
+    """Scala's ``Tuple2[A, B]``: how Spark holds a pair as objects."""
+    return ClassType(f"Tuple2[{first.name}, {second.name}]", [
+        Field("_1", first, final=True), Field("_2", second, final=True)])
+
+
+DOUBLE_ARRAY = ArrayType(DOUBLE)
+LONG_ARRAY = ArrayType(LONG)
+CHAR_ARRAY = ArrayType(CHAR)
+
+
+# -- boxed primitives (what Spark's object form allocates) ------------------
+@record
+class Integer:
+    value: INT
+
+
+@record
+class Long:
+    value: LONG
+
+
+@record
+class String:
+    value: val(CHAR_ARRAY)
+
+
+# -- LR and KMeans (Fig. 1) --------------------------------------------------
+#: The abstract supertype: the declared type of ``features``.
+Vector = ClassType("Vector")
+
+
+@record
+class DenseVector:
+    data: val(DOUBLE_ARRAY)
+    offset: INT = Const(0)
+    stride: INT = Const(1)
+    length: INT = ArrayLength("data")
+
+
+@record
+class LabeledPoint:
+    label: DOUBLE
+    features: var(Vector, DenseVector)
+
+
+#: The map UDF of Fig. 1 (lines 13–17): parse one line, build the feature
+#: array, wrap it into DenseVector and LabeledPoint.  The dimension is
+#: read once from the dataset header and hoisted before the input loop
+#: (Fig. 4's symbolized constant); the Loop iterates over the input split.
+LR_STAGE = Method("lr.stage0", body=(
+    Assign("D", SymInput("D")),
+    Loop((
+        NewArray("features_arr", DOUBLE_ARRAY, Local("D")),
+        new("features_vec", DenseVector, Local("features_arr")),
         Assign("label", SymInput("label")),
-        NewObject("point", labeled_point, ctor=labeled_point_ctor,
-                  args=(Local("label"), Local("features_vec"))),
-    )
-    if not fixed_length:
-        loop_body = loop_body + (
-            NewArray("other_arr", double_array, alt_length_expr),
-            NewObject("other_vec", dense_vector, ctor=dense_vector_ctor,
-                      args=(Local("other_arr"),)),
-            StoreField("point", features_field, Local("other_vec")),
-        )
-    stage_entry = Method(
-        name="lr.stage0",
-        params=(),
-        body=prologue + (Loop(loop_body), Return()),
-    )
-
-    return LabeledPointModel(
-        double_array=double_array,
-        dense_vector=dense_vector,
-        vector=vector,
-        labeled_point=labeled_point,
-        dense_vector_ctor=dense_vector_ctor,
-        labeled_point_ctor=labeled_point_ctor,
-        stage_entry=stage_entry,
-        data_field=data_field,
-        features_field=features_field,
-        label_field=label_field,
-    )
+        new("point", LabeledPoint, Local("label"), Local("features_vec")),
+    )),
+    Return(),
+))
 
 
-@dataclass(frozen=True)
-class WordCountModel:
-    """WC's shuffle record: ``Tuple2[String, Int]``."""
+@record
+class ClusterStat:
+    """KMeans' ``(cluster, (vector_sum, count))`` aggregation record."""
 
-    char_array: ArrayType
-    string_type: ClassType
-    tuple2: ClassType
-    string_ctor: Method
-    tuple2_ctor: Method
-    stage_entry: Method
+    cluster: INT
+    sum: val(DOUBLE_ARRAY)
+    count: INT
 
 
-def make_wordcount_model() -> WordCountModel:
-    """``Tuple2(word: String, count: Int)`` — an RFST (strings vary in
-    length across instances but never grow), decomposable in the hash-based
-    shuffle buffer with segment reuse for the aggregated count (§4.3.2)."""
-    char_array = ArrayType(CHAR)
-    value_field = Field("value", char_array, final=True)
-    string_type = ClassType("String", [value_field])
-    word_field = Field("word", string_type, final=True)
-    count_field = Field("count", INT)
-    tuple2 = ClassType("Tuple2", [word_field, count_field])
+#: The assignment map: every sum array has the dataset dimension.
+KM_ASSIGN_STAGE = Method("km.assignStage", body=(
+    Assign("D", SymInput("D")),
+    Loop((
+        NewArray("sum", DOUBLE_ARRAY, Local("D")),
+        new("stat", ClusterStat, SymInput("cluster"), Local("sum"),
+            SymInput("count")),
+    )),
+    Return(),
+))
 
-    string_ctor = Method(
-        name="<init>", params=("value",),
-        body=(StoreField("this", value_field, Local("value")),),
-        owner=string_type, is_constructor=True)
-    tuple2_ctor = Method(
-        name="<init>", params=("word", "count"),
-        body=(
-            StoreField("this", word_field, Local("word")),
-            StoreField("this", count_field, Local("count")),
-        ),
-        owner=tuple2, is_constructor=True)
-
-    stage_entry = Method(
-        name="wc.stage0",
-        body=(
-            Loop((
-                # Each word read from the split has its own length.
-                NewArray("chars", char_array, SymInput("wordlen")),
-                NewObject("word", string_type, ctor=string_ctor,
-                          args=(Local("chars"),)),
-                NewObject("pair", tuple2, ctor=tuple2_ctor,
-                          args=(Local("word"), Const(1))),
-            )),
-            Return(),
-        ))
-
-    return WordCountModel(
-        char_array=char_array,
-        string_type=string_type,
-        tuple2=tuple2,
-        string_ctor=string_ctor,
-        tuple2_ctor=tuple2_ctor,
-        stage_entry=stage_entry,
-    )
+#: What Spark actually allocates per ClusterStat: Tuple2(Integer,
+#: Tuple2(DenseVector, Integer)) — wrappers and boxes included.
+CLUSTER_STAT_OBJECTS = tuple2(Integer, tuple2(DenseVector, Integer))
 
 
-@dataclass(frozen=True)
-class GraphModel:
-    """PR/CC type universe: edges, adjacency lists and rank messages."""
+# -- WordCount ---------------------------------------------------------------
+@record
+class Tuple2:
+    """WC's shuffle record ``Tuple2[String, Int]`` — an RFST (strings vary
+    in length across instances but never grow), decomposable in the
+    hash-based shuffle buffer with segment reuse for the count (§4.3.2)."""
 
-    long_array: ArrayType
-    edge: ClassType
-    adjacency: ClassType
-    rank_message: ClassType
-    edge_ctor: Method
-    adjacency_ctor: Method
-    rank_ctor: Method
-    build_stage_entry: Method
-    iterate_stage_entry: Method
-    neighbors_field: Field
+    word: val(String)
+    count: INT
 
 
-def make_graph_model() -> GraphModel:
-    """PageRank/ConnectedComponent types.
+WC_STAGE = Method("wc.stage0", body=(
+    Loop((
+        # Each word read from the split has its own length.
+        NewArray("chars", CHAR_ARRAY, SymInput("wordlen")),
+        new("word", String, Local("chars")),
+        new("pair", Tuple2, Local("word"), Const(1)),
+    )),
+    Return(),
+))
 
-    The adjacency list's ``neighbors`` array is built by ``groupByKey``
+
+# -- PageRank and ConnectedComponent -----------------------------------------
+@record
+class Edge:
+    src: LONG
+    dst: LONG
+
+
+@record
+class AdjacencyList:
+    """The adjacency list's ``neighbors`` array is built by ``groupByKey``
     appends — a VST inside the shuffle buffer (the growable buffer
     reassigns it), but init-only in the iterate stages that only read the
     cached adjacency RDD, where it therefore refines to an RFST (§3.4,
-    Fig. 7(b)).
-    """
-    long_array = ArrayType(LONG)
-    src_field = Field("src", LONG)
-    dst_field = Field("dst", LONG)
-    edge = ClassType("Edge", [src_field, dst_field])
+    Fig. 7(b))."""
 
-    vid_field = Field("vid", LONG)
-    neighbors_field = Field("neighbors", long_array, final=False)
-    adjacency = ClassType("AdjacencyList", [vid_field, neighbors_field])
-
-    target_field = Field("target", LONG)
-    rank_field = Field("rank", DOUBLE)
-    rank_message = ClassType("RankMessage", [target_field, rank_field])
-
-    edge_ctor = Method(
-        name="<init>", params=("src", "dst"),
-        body=(
-            StoreField("this", src_field, Local("src")),
-            StoreField("this", dst_field, Local("dst")),
-        ),
-        owner=edge, is_constructor=True)
-    adjacency_ctor = Method(
-        name="<init>", params=("vid", "neighbors"),
-        body=(
-            StoreField("this", vid_field, Local("vid")),
-            StoreField("this", neighbors_field, Local("neighbors")),
-        ),
-        owner=adjacency, is_constructor=True)
-    rank_ctor = Method(
-        name="<init>", params=("target", "rank"),
-        body=(
-            StoreField("this", target_field, Local("target")),
-            StoreField("this", rank_field, Local("rank")),
-        ),
-        owner=rank_message, is_constructor=True)
-
-    # Stage 0 groups edges into adjacency lists: the neighbor array of one
-    # vertex is reallocated as values arrive (growable append), so the
-    # store to ``neighbors`` happens outside the constructor too.
-    build_stage_entry = Method(
-        name="graph.build",
-        body=(
-            Loop((
-                NewObject("e", edge, ctor=edge_ctor,
-                          args=(SymInput("src"), SymInput("dst"))),
-                NewArray("grown", long_array, SymInput("degree")),
-                NewObject("adj", adjacency, ctor=adjacency_ctor,
-                          args=(SymInput("vid"), Local("grown"))),
-                NewArray("regrown", long_array, SymInput("degree2")),
-                StoreField("adj", neighbors_field, Local("regrown")),
-            )),
-            Return(),
-        ))
-
-    # Iterate stages only read the cached adjacency lists and emit fresh
-    # rank messages; they never assign ``neighbors``.
-    iterate_stage_entry = Method(
-        name="graph.iterate",
-        body=(
-            Loop((
-                NewObject("msg", rank_message, ctor=rank_ctor,
-                          args=(SymInput("target"), SymInput("rank"))),
-            )),
-            Return(),
-        ))
-
-    return GraphModel(
-        long_array=long_array,
-        edge=edge,
-        adjacency=adjacency,
-        rank_message=rank_message,
-        edge_ctor=edge_ctor,
-        adjacency_ctor=adjacency_ctor,
-        rank_ctor=rank_ctor,
-        build_stage_entry=build_stage_entry,
-        iterate_stage_entry=iterate_stage_entry,
-        neighbors_field=neighbors_field,
-    )
+    vid: LONG
+    neighbors: LONG_ARRAY
 
 
-@dataclass(frozen=True)
-class SqlRowModel:
-    """A row class for the hand-written RDD versions of the SQL queries."""
-
-    row_type: ClassType
-    row_ctor: Method
-    stage_entry: Method
+@record
+class RankMessage:
+    target: LONG
+    rank: DOUBLE
 
 
-def _string_class(name: str, char_array: ArrayType) -> tuple[ClassType,
-                                                             Method]:
-    value_field = Field("value", char_array, final=True)
-    cls = ClassType(name, [value_field])
-    ctor = Method(
-        "<init>", params=("value",),
-        body=(StoreField("this", value_field, Local("value")),),
-        owner=cls, is_constructor=True)
-    return cls, ctor
+#: Stage 0 groups edges into adjacency lists: the neighbor array of one
+#: vertex is reallocated as values arrive (growable append), so the store
+#: to ``neighbors`` happens outside the constructor too.
+GRAPH_BUILD = Method("graph.build", body=(
+    Loop((
+        new("e", Edge, SymInput("src"), SymInput("dst")),
+        NewArray("grown", LONG_ARRAY, SymInput("degree")),
+        new("adj", AdjacencyList, SymInput("vid"), Local("grown")),
+        NewArray("regrown", LONG_ARRAY, SymInput("degree2")),
+        StoreField("adj", AdjacencyList.field("neighbors"),
+                   Local("regrown")),
+    )),
+    Return(),
+))
+
+#: Iterate stages only read the cached adjacency lists and emit fresh rank
+#: messages; they never assign ``neighbors``.
+GRAPH_ITERATE = Method("graph.iterate", body=(
+    Loop((new("msg", RankMessage, SymInput("target"), SymInput("rank")),)),
+    Return(),
+))
+
+#: Spark holds an edge as a ``Tuple2`` of two boxed ``Long``s.
+EDGE_OBJECTS = tuple2(Long, Long)
 
 
-def make_ranking_model() -> SqlRowModel:
-    """``Ranking(pageURL: String, pageRank: Int, avgDuration: Int)``.
+# -- the hand-written RDD versions of the SQL queries ------------------------
+@record
+class Ranking:
+    """Strings give the row per-instance sizes, so the global
+    classification lands on RFST — decomposable with length-prefixed
+    string fields."""
 
-    Strings give the row per-instance sizes, so the global classification
-    lands on RFST — decomposable with length-prefixed string fields.
-    """
-    char_array = ArrayType(CHAR)
-    url_string, url_ctor = _string_class("UrlString", char_array)
-    url_field = Field("pageURL", url_string, final=True)
-    rank_field = Field("pageRank", INT)
-    duration_field = Field("avgDuration", INT)
-    row = ClassType("Ranking", [url_field, rank_field, duration_field])
-    row_ctor = Method(
-        "<init>", params=("url", "rank", "duration"),
-        body=(
-            StoreField("this", url_field, Local("url")),
-            StoreField("this", rank_field, Local("rank")),
-            StoreField("this", duration_field, Local("duration")),
-        ),
-        owner=row, is_constructor=True)
-    stage_entry = Method(
-        name="sql.scanRankings",
-        body=(
-            Loop((
-                NewArray("chars", char_array, SymInput("urllen")),
-                NewObject("url", url_string, ctor=url_ctor,
-                          args=(Local("chars"),)),
-                NewObject("row", row, ctor=row_ctor,
-                          args=(Local("url"), SymInput("rank"),
-                                SymInput("duration"))),
-            )),
-            Return(),
-        ))
-    return SqlRowModel(row_type=row, row_ctor=row_ctor,
-                       stage_entry=stage_entry)
+    pageURL: val(String)
+    pageRank: INT
+    avgDuration: INT
 
 
-def make_uservisit_model() -> SqlRowModel:
-    """The nine-column ``UserVisit`` row (five strings, four numerics)."""
-    char_array = ArrayType(CHAR)
-    strings = {}
-    ctors = {}
-    for field_name in ("sourceIP", "destURL", "userAgent", "countryCode",
-                       "languageCode", "searchWord"):
-        strings[field_name], ctors[field_name] = _string_class(
-            f"Str_{field_name}", char_array)
-    fields = [
-        Field("sourceIP", strings["sourceIP"], final=True),
-        Field("destURL", strings["destURL"], final=True),
-        Field("visitDate", INT),
-        Field("adRevenue", DOUBLE),
-        Field("userAgent", strings["userAgent"], final=True),
-        Field("countryCode", strings["countryCode"], final=True),
-        Field("languageCode", strings["languageCode"], final=True),
-        Field("searchWord", strings["searchWord"], final=True),
-        Field("duration", INT),
-    ]
-    row = ClassType("UserVisit", fields)
-    params = tuple(f.name for f in fields)
-    row_ctor = Method(
-        "<init>", params=params,
-        body=tuple(StoreField("this", f, Local(f.name)) for f in fields),
-        owner=row, is_constructor=True)
-    loop_body = []
-    args = []
-    for f in fields:
-        if f.name in strings:
-            loop_body.append(NewArray(f"{f.name}_chars", char_array,
-                                      SymInput(f"{f.name}_len")))
-            loop_body.append(NewObject(f"{f.name}_str", strings[f.name],
-                                       ctor=ctors[f.name],
-                                       args=(Local(f"{f.name}_chars"),)))
-            args.append(Local(f"{f.name}_str"))
+@record
+class UserVisit:
+    sourceIP: val(String)
+    destURL: val(String)
+    visitDate: INT
+    adRevenue: DOUBLE
+    userAgent: val(String)
+    countryCode: val(String)
+    languageCode: val(String)
+    searchWord: val(String)
+    duration: INT
+
+
+def _scan(name: str, row: ClassType) -> Method:
+    """The scan UDF that builds one *row* per input line: each string
+    column's characters have their own length."""
+    body: list[Stmt] = []
+    args: list[Expr] = []
+    for field in row.fields:
+        if field.declared_type is String:
+            body += (NewArray(f"{field.name}_chars", CHAR_ARRAY,
+                              SymInput(f"{field.name}_len")),
+                     new(f"{field.name}_str", String,
+                         Local(f"{field.name}_chars")))
+            args.append(Local(f"{field.name}_str"))
         else:
-            args.append(SymInput(f.name))
-    loop_body.append(NewObject("row", row, ctor=row_ctor,
-                               args=tuple(args)))
-    stage_entry = Method(
-        name="sql.scanUserVisits",
-        body=(Loop(tuple(loop_body)), Return()))
-    return SqlRowModel(row_type=row, row_ctor=row_ctor,
-                       stage_entry=stage_entry)
+            args.append(SymInput(field.name))
+    body.append(new("row", row, *args))
+    return Method(name, body=(Loop(tuple(body)), Return()))
+
+
+RANKINGS_SCAN = _scan("sql.scanRankings", Ranking)
+USERVISITS_SCAN = _scan("sql.scanUserVisits", UserVisit)

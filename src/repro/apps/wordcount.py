@@ -13,15 +13,14 @@ from __future__ import annotations
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
 from .common import AppRun, make_context
-from .udts import make_wordcount_model
+from .udts import Tuple2, WC_STAGE
 
 
 def wordcount_udt_info() -> UdtInfo:
     """The ``Tuple2[String, Int]`` model fed to the Deca optimizer."""
-    model = make_wordcount_model()
     return UdtInfo(
-        udt=model.tuple2,
-        entry_method=model.stage_entry,
+        udt=Tuple2,
+        entry_method=WC_STAGE,
         encode=lambda kv: ((tuple(map(ord, kv[0])),), kv[1]),
         decode=lambda v: ("".join(map(chr, v[0][0])), v[1]),
         # A char[] is measured by its length alone: pass the word itself.

@@ -176,12 +176,10 @@ class DecaOptimizer:
     def _classify(self, info: "UdtInfo") -> tuple[
             SizeType, SizeType | None, GlobalClassifier | None]:
         local = classify_locally(info.udt)
-        callgraph = info.callgraph()
-        if callgraph is None:
+        classifier = info.classifier()
+        if classifier is None:
             # No code to analyze: only the local result is available.
             return local, local, None
-        classifier = GlobalClassifier(
-            callgraph, assume_init_only=info.assume_init_only)
         return local, classifier.classify(info.udt), classifier
 
     def _resolve_fixed_lengths(self, info: "UdtInfo",

@@ -72,6 +72,7 @@ from .worker import (CacheBlockOut, StageOrder, TaskFailure, TaskOutput,
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
+    from ..obs.sanitizer import Sanitizer
     from ..spark.context import DecaContext
     from ..spark.metrics import JobMetrics, StageMetrics
     from ..spark.scheduler import DAGScheduler, Stage
@@ -97,13 +98,13 @@ class CacheEntry:
     # The dataset's cache plan: the codec of the shm / packed forms.
     plan: ContainerPlan | None = None
 
-    def read(self) -> Iterator[Any]:
+    def read(self, sanitizer: Sanitizer | None = None) -> Iterator[Any]:
         if self.kind == "records":
             assert self.records is not None
             yield from self.records
         elif self.kind == "shm":
             assert self.ref is not None and self.plan is not None
-            yield from read_segment_records(self.ref, self.plan)
+            yield from read_segment_records(self.ref, self.plan, sanitizer)
         else:  # packed: the sim cache's SERIALIZED representation
             assert self.blob is not None and self.plan is not None
             yield from self.plan.records(self.blob)

@@ -252,14 +252,16 @@ def attach_page_group(ref: SegmentRef, group_name: str | None = None,
 
 
 def read_segment_records(ref: SegmentRef, plan: ContainerPlan,
+                         sanitizer: Sanitizer | None = None,
                          ) -> Iterator[Any]:
     """Decode every record of *ref* in place (attach, scan, detach) —
     the one reader of shared blocks, shuffle and cache, in the driver
-    and in every worker."""
+    and in every worker.  With *sanitizer* the attach is a read-only
+    borrow, checksummed again at the detach (DECA408)."""
     if ref.name is None or ref.count == 0:
         return
     assert plan.schema is not None
-    group = attach_page_group(ref)
+    group = attach_page_group(ref, sanitizer=sanitizer)
     info = group.new_page_info()
     values = group.records(plan.schema)
     try:

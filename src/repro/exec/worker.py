@@ -340,10 +340,7 @@ class _WorkerRuntime:
                 raise RuntimeError(
                     f"mp fetch: missing map output "
                     f"({shuffle_id}, {map_part}, {reduce_part})")
-            if (self.sanitizer is not None and block.shm_ref is not None
-                    and block.shm_ref.name is not None):
-                self.sanitizer.export("segment", block.shm_ref.name)
-            yield from block.read()
+            yield from block.read(self.sanitizer)
 
     # -- cache shim ----------------------------------------------------------
     def _cached_iterator(self, rdd: Any, split: int,
@@ -355,10 +352,7 @@ class _WorkerRuntime:
             return
         entry = self.state.cache_blocks.get(key)
         if entry is not None:
-            if (self.sanitizer is not None and entry.ref is not None
-                    and entry.ref.name is not None):
-                self.sanitizer.export("segment", entry.ref.name)
-            records = list(entry.read())
+            records = list(entry.read(self.sanitizer))
             self.local_cache[key] = records
             yield from records
             return

@@ -8,10 +8,10 @@ Everything here is deterministic: the data generators take fixed seeds
 and the run emits no wall-clock values, so two lint runs produce
 byte-identical JSON.
 
-The targets rebuild their UDT models locally instead of reusing the app
-modules' ``*_udt_info()`` helpers where phase information is needed: the
-classifiers key fields and array types by object identity, so a target's
-``udt_info`` and its ``phases`` must come from the *same* model instance.
+The targets take their ``UdtInfo`` objects from the app modules'
+``*_udt_info()`` helpers and their phase call graphs from the stage
+entries the apps declare (:mod:`repro.apps.udts`), so lint audits the
+model the engine plans with, not a copy of it.
 """
 
 from __future__ import annotations
@@ -30,14 +30,24 @@ from ..apps.logistic_regression import (
     labeled_point_udt_info,
     run_logistic_regression,
 )
-from ..apps.pagerank import message_udt_info, run_pagerank
+from ..apps.pagerank import (
+    adjacency_udt_info,
+    message_udt_info,
+    run_pagerank,
+)
 from ..apps.sql_queries import (
     ranking_udt_info,
     run_query1,
     run_query2,
     uservisit_udt_info,
 )
-from ..apps.udts import make_graph_model
+from ..apps.udts import (
+    AdjacencyList,
+    Edge,
+    GRAPH_BUILD,
+    GRAPH_ITERATE,
+    RankMessage,
+)
 from ..apps.wordcount import run_wordcount, wordcount_udt_info
 from ..config import DecaConfig, ExecutionMode, MB
 from ..data.graphs import power_law_graph
@@ -45,7 +55,6 @@ from ..data.tables import rankings_table, uservisits_table
 from ..data.text import random_words
 from ..data.vectors import clustered_points, labeled_points
 from ..spark.context import DecaContext
-from ..spark.rdd import UdtInfo
 from .rules import LintTarget
 
 UDTS_LOCATION = "src/repro/apps/udts.py"
@@ -77,22 +86,13 @@ def _adjacency_target(app: str) -> LintTarget:
 
     The ``neighbors`` array is a VST while ``groupByKey`` grows it (the
     *build* phase) and an RFST in the *iterate* phases that only read the
-    cache — Fig. 7(b).  Built from one model instance so the phase call
-    graphs and the UDT share field identities.
+    cache — Fig. 7(b).
     """
-    model = make_graph_model()
-    info = UdtInfo(
-        udt=model.adjacency,
-        entry_method=model.iterate_stage_entry,
-        known_types=(model.adjacency,),
-        assume_init_only=(model.neighbors_field,),
-    )
-    known = (model.adjacency, model.rank_message, model.edge)
+    info = adjacency_udt_info()
+    known = (AdjacencyList, RankMessage, Edge)
     phases = (
-        Phase("build", CallGraph.build(model.build_stage_entry,
-                                       known_types=known)),
-        Phase("iterate", CallGraph.build(model.iterate_stage_entry,
-                                         known_types=known),
+        Phase("build", CallGraph.build(GRAPH_BUILD, known_types=known)),
+        Phase("iterate", CallGraph.build(GRAPH_ITERATE, known_types=known),
               reads_materialized=True),
     )
     return LintTarget(
@@ -101,7 +101,7 @@ def _adjacency_target(app: str) -> LintTarget:
         container="cache",
         location=UDTS_LOCATION,
         phases=phases,
-        materialized_fields=(model.neighbors_field,),
+        materialized_fields=info.assume_init_only,
         container_phase="iterate",
     )
 

@@ -585,4 +585,10 @@ class Sanitizer:
             self._violation(
                 "unreleased-drain-copy", "group", group,
                 f"{self._drains[group]} drain copies never released")
+        for token in sorted(self._grants):
+            # Reported under DECA410: a slot never released keeps
+            # charging the fair share, as a second grant of it would.
+            self._violation(
+                "double-grant", "task", token,
+                "task slot granted and never released by finish")
         return self.summary()

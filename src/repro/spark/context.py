@@ -252,7 +252,7 @@ class DecaContext:
         executor = task.executor
         plan = self.plan_cache(rdd)
         info = rdd.udt_info
-        if records and info is not None and info.constant_footprint:
+        if records and info is not None and info.static_fixed:
             # Every record measures the same: one measure, times the count.
             one = rdd.measure_record(records[0])
             footprint = RecordFootprint(

@@ -19,7 +19,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from ..analysis.callgraph import CallGraph
+from ..analysis.global_refine import GlobalClassifier
 from ..analysis.ir import Method
+from ..analysis.local import classify_locally
+from ..analysis.size_type import SizeType
 from ..analysis.udt import DataType, Field
 from ..errors import ExecutionError
 from .measure import RecordFootprint, measure_generic, measure_typed
@@ -49,7 +52,6 @@ class UdtInfo:
     decode: Callable[[Any], Any] | None = None
     runtime_symbols: dict[str, int] = dc_field(default_factory=dict)
     assume_init_only: tuple[Field, ...] = ()
-    constant_footprint: bool = False
     # The *runtime object graph* of one record when it differs from the
     # logical UDT — e.g. Scala wraps aggregation records in Tuple2s with
     # boxed primitives; the footprint model should count those objects
@@ -61,6 +63,10 @@ class UdtInfo:
     _cached_footprint: RecordFootprint | None = dc_field(
         default=None, init=False, repr=False, compare=False)
     _callgraph: CallGraph | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
+    _classifier: GlobalClassifier | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
+    _static_fixed: bool | None = dc_field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -75,15 +81,38 @@ class UdtInfo:
     def from_schema_value(self, value: Any) -> Any:
         return self.decode(value) if self.decode else value
 
+    def classifier(self) -> GlobalClassifier | None:
+        """Algorithms 2–4 over :meth:`callgraph` (lazily built, once;
+        None without a call graph)."""
+        callgraph = self.callgraph()
+        if callgraph is not None and self._classifier is None:
+            self._classifier = GlobalClassifier(
+                callgraph, assume_init_only=self.assume_init_only)
+        return self._classifier
+
+    @property
+    def static_fixed(self) -> bool:
+        """Does the UDT refine to an SFST (Algorithm 1 alone without a
+        call graph)?  Then every record has the same footprint: the proof
+        the optimizer decomposes by is the one that lets :meth:`measure`
+        measure once."""
+        if self._static_fixed is None:
+            classifier = self.classifier()
+            size_type = (classify_locally(self.udt) if classifier is None
+                         else classifier.classify(self.udt))
+            self._static_fixed = size_type is SizeType.STATIC_FIXED
+        return self._static_fixed
+
     def measure(self, record: Any) -> RecordFootprint:
-        """Footprint of one record (cached when sizes are constant)."""
-        if self.constant_footprint and self._cached_footprint is not None:
-            return self._cached_footprint
-        encoder = self._measure_encoder
-        footprint = measure_typed(
-            self._measured_type, encoder(record) if encoder else record)
-        if self.constant_footprint:
-            self._cached_footprint = footprint
+        """Footprint of one record (measured once for an SFST)."""
+        footprint = self._cached_footprint
+        if footprint is None:
+            encoder = self._measure_encoder
+            footprint = measure_typed(
+                self._measured_type, encoder(record) if encoder else record)
+            # Per record, a plain attribute: the property decides once.
+            if self._static_fixed is not False and self.static_fixed:
+                self._cached_footprint = footprint
         return footprint
 
     def callgraph(self) -> CallGraph | None:

@@ -34,6 +34,7 @@ from .measure import measure_generic as measure_generic
 
 if TYPE_CHECKING:
     from ..exec.shm import SegmentRef
+    from ..obs.sanitizer import Sanitizer
 
 
 class ShuffleKind(enum.Enum):
@@ -68,15 +69,17 @@ class MapOutputBlock:
     # Shared-segment form (mp backend): see repro.exec.shm.
     shm_ref: SegmentRef | None = None
 
-    def read(self) -> Iterator[tuple[Any, Any]]:
+    def read(self, sanitizer: Sanitizer | None = None
+             ) -> Iterator[tuple[Any, Any]]:
         """The block's records, decoded in place from shared pages if
-        that is where they live — the reader of driver and workers."""
+        that is where they live — the reader of driver and workers;
+        *sanitizer* checks the shared pages stay unwritten (DECA408)."""
         if self.records is not None:
             return iter(self.records)
         # Imported here: a sim run never loads the shared-memory stack.
         from ..exec.shm import read_segment_records
         assert self.shm_ref is not None
-        return read_segment_records(self.shm_ref, self.plan)
+        return read_segment_records(self.shm_ref, self.plan, sanitizer)
 
 
 class ShuffleBlockStore:

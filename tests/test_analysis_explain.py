@@ -18,16 +18,21 @@ from repro.analysis import (
 )
 from repro.analysis.phased import PhasedClassifier
 from repro.apps.udts import (
-    make_graph_model,
-    make_labeled_point_model,
-    make_wordcount_model,
+    AdjacencyList,
+    GRAPH_BUILD,
+    GRAPH_ITERATE,
+    LabeledPoint,
+    Tuple2,
+    WC_STAGE,
 )
+from tests.lr_programs import lr_stage
+
+NEIGHBORS = AdjacencyList.field("neighbors")
 
 
 class TestExplainLocal:
     def test_running_example_names_the_culprit_field(self):
-        m = make_labeled_point_model()
-        text = explain_classification(m.labeled_point)
+        text = explain_classification(LabeledPoint)
         assert "local (Algorithm 1): variable" in text
         assert "var features" in text
         assert "non-final field holding RFSTs" in text
@@ -47,47 +52,41 @@ class TestExplainLocal:
 
 class TestExplainGlobal:
     def test_refined_verdict_with_fixed_length_evidence(self):
-        m = make_labeled_point_model(dimensions=10)
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        text = explain_classification(m.labeled_point, cg)
+        cg = CallGraph.build(lr_stage(10), known_types=(LabeledPoint,))
+        text = explain_classification(LabeledPoint, cg)
         assert "global (Algorithms 2-4): static-fixed" in text
         assert "fixed-length" in text
         assert "length = 10" in text
         assert "(decomposable)" in text
 
     def test_wordcount_explains_variable_lengths(self):
-        wc = make_wordcount_model()
-        cg = CallGraph.build(wc.stage_entry, known_types=(wc.tuple2,))
-        text = explain_classification(wc.tuple2, cg)
+        cg = CallGraph.build(WC_STAGE, known_types=(Tuple2,))
+        text = explain_classification(Tuple2, cg)
         assert "runtime-fixed" in text
 
     def test_adjacency_not_init_only_in_build_stage(self):
-        gm = make_graph_model()
-        cg = CallGraph.build(gm.build_stage_entry,
-                             known_types=(gm.adjacency,))
-        text = explain_classification(gm.adjacency, cg)
+        cg = CallGraph.build(GRAPH_BUILD,
+                             known_types=(AdjacencyList,))
+        text = explain_classification(AdjacencyList, cg)
         assert "NOT init-only" in text
         assert "kept in object form" in text
 
     def test_assume_init_only_flips_the_verdict(self):
-        gm = make_graph_model()
-        cg = CallGraph.build(gm.iterate_stage_entry,
-                             known_types=(gm.adjacency,))
+        cg = CallGraph.build(GRAPH_ITERATE,
+                             known_types=(AdjacencyList,))
         text = explain_classification(
-            gm.adjacency, cg, assume_init_only=(gm.neighbors_field,))
+            AdjacencyList, cg, assume_init_only=(NEIGHBORS,))
         assert "verdict: runtime-fixed (decomposable)" in text
 
     def test_no_callgraph_notes_the_limitation(self):
-        m = make_labeled_point_model()
-        text = explain_classification(m.labeled_point)
+        text = explain_classification(LabeledPoint)
         assert "global refinement unavailable" in text
 
 
 class TestProvenance:
     def test_provenance_steps_carry_stable_rule_ids(self):
-        m = make_labeled_point_model(dimensions=10)
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        prov = explain_provenance(m.labeled_point, cg)
+        cg = CallGraph.build(lr_stage(10), known_types=(LabeledPoint,))
+        prov = explain_provenance(LabeledPoint, cg)
         assert prov.verdict is SizeType.STATIC_FIXED
         assert prov.decomposable
         rules = prov.rules_fired()
@@ -97,9 +96,8 @@ class TestProvenance:
         assert "verdict" in rules
 
     def test_provenance_to_dict_is_machine_readable(self):
-        m = make_labeled_point_model(dimensions=10)
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        prov = explain_provenance(m.labeled_point, cg)
+        cg = CallGraph.build(lr_stage(10), known_types=(LabeledPoint,))
+        prov = explain_provenance(LabeledPoint, cg)
         data = prov.to_dict()
         assert data["udt"] == "LabeledPoint"
         assert data["verdict"] == "static-fixed"
@@ -108,32 +106,29 @@ class TestProvenance:
                    for step in data["steps"])
 
     def test_render_provenance_matches_explain_classification(self):
-        m = make_labeled_point_model(dimensions=10)
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        assert render_provenance(explain_provenance(m.labeled_point, cg)) \
-            == explain_classification(m.labeled_point, cg)
+        cg = CallGraph.build(lr_stage(10), known_types=(LabeledPoint,))
+        assert render_provenance(explain_provenance(LabeledPoint, cg)) \
+            == explain_classification(LabeledPoint, cg)
 
     def test_assumption_source_names_the_vouching_phase(self):
-        gm = make_graph_model()
-        known = (gm.adjacency,)
+        known = (AdjacencyList,)
         phases = (
-            Phase("build", CallGraph.build(gm.build_stage_entry,
+            Phase("build", CallGraph.build(GRAPH_BUILD,
                                            known_types=known)),
-            Phase("iterate", CallGraph.build(gm.iterate_stage_entry,
+            Phase("iterate", CallGraph.build(GRAPH_ITERATE,
                                              known_types=known),
                   reads_materialized=True),
         )
-        provs = explain_phases(gm.adjacency, phases,
-                               materialized_fields=(gm.neighbors_field,))
+        provs = explain_phases(AdjacencyList, phases,
+                               materialized_fields=(NEIGHBORS,))
         assert provs[0].phase == "build"
         assert provs[1].phase == "iterate"
         iterate_text = render_provenance(provs[1])
         assert "vouched for by phase 'build'" in iterate_text
 
     def test_phase_report_keyerror_lists_known_phases(self):
-        gm = make_graph_model()
         phases = (Phase("build", CallGraph.build(
-            gm.build_stage_entry, known_types=(gm.adjacency,))),)
-        report = PhasedClassifier(phases).classify(gm.adjacency)
+            GRAPH_BUILD, known_types=(AdjacencyList,))),)
+        report = PhasedClassifier(phases).classify(AdjacencyList)
         with pytest.raises(KeyError, match="build"):
             report.size_type_in("no-such-phase")

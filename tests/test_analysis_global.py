@@ -23,80 +23,80 @@ from repro.analysis import (
 )
 from repro.analysis.ir import Call
 from repro.apps.udts import (
-    make_graph_model,
-    make_labeled_point_model,
-    make_wordcount_model,
+    AdjacencyList,
+    CHAR_ARRAY,
+    DOUBLE_ARRAY,
+    Edge,
+    GRAPH_BUILD,
+    GRAPH_ITERATE,
+    LR_STAGE,
+    LabeledPoint,
+    RankMessage,
+    Tuple2,
+    WC_STAGE,
 )
+from tests.lr_programs import lr_stage
 
 
 class TestPaperRunningExample:
     """Fig. 1/Fig. 3: LabeledPoint refines from VST to SFST globally."""
 
     def test_labeled_point_refines_to_sfst(self):
-        m = make_labeled_point_model(dimensions=10)
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
+        cg = CallGraph.build(lr_stage(10), known_types=(LabeledPoint,))
         classifier = GlobalClassifier(cg)
-        assert classify_locally(m.labeled_point) is SizeType.VARIABLE
-        assert classifier.classify(m.labeled_point) is SizeType.STATIC_FIXED
+        assert classify_locally(LabeledPoint) is SizeType.VARIABLE
+        assert classifier.classify(LabeledPoint) is SizeType.STATIC_FIXED
 
     def test_symbolic_dimension_also_refines(self):
-        m = make_labeled_point_model(dimensions=None)
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        assert GlobalClassifier(cg).classify(m.labeled_point) \
+        cg = CallGraph.build(LR_STAGE, known_types=(LabeledPoint,))
+        assert GlobalClassifier(cg).classify(LabeledPoint) \
             is SizeType.STATIC_FIXED
 
     def test_mixed_lengths_stay_variable(self):
-        m = make_labeled_point_model(dimensions=10, fixed_length=False)
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        assert GlobalClassifier(cg).classify(m.labeled_point) \
+        cg = CallGraph.build(lr_stage(10, fixed_length=False),
+                             known_types=(LabeledPoint,))
+        assert GlobalClassifier(cg).classify(LabeledPoint) \
             is SizeType.VARIABLE
 
     def test_features_field_is_init_only(self):
-        m = make_labeled_point_model()
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        assert cg.is_init_only(m.features_field)
+        cg = CallGraph.build(lr_stage(), known_types=(LabeledPoint,))
+        assert cg.is_init_only(LabeledPoint.field("features"))
 
     def test_data_array_is_fixed_length(self):
-        m = make_labeled_point_model()
-        cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-        assert GlobalClassifier(cg).is_fixed_length(m.double_array)
+        cg = CallGraph.build(lr_stage(), known_types=(LabeledPoint,))
+        assert GlobalClassifier(cg).is_fixed_length(DOUBLE_ARRAY)
 
 
 class TestWordCountTypes:
     def test_tuple2_refines_to_rfst(self):
-        wc = make_wordcount_model()
-        cg = CallGraph.build(wc.stage_entry, known_types=(wc.tuple2,))
-        result = GlobalClassifier(cg).classify(wc.tuple2)
+        cg = CallGraph.build(WC_STAGE, known_types=(Tuple2,))
+        result = GlobalClassifier(cg).classify(Tuple2)
         assert result is SizeType.RUNTIME_FIXED
 
     def test_char_array_is_not_fixed_length(self):
-        wc = make_wordcount_model()
-        cg = CallGraph.build(wc.stage_entry, known_types=(wc.tuple2,))
-        assert not GlobalClassifier(cg).is_fixed_length(wc.char_array)
+        cg = CallGraph.build(WC_STAGE, known_types=(Tuple2,))
+        assert not GlobalClassifier(cg).is_fixed_length(CHAR_ARRAY)
 
 
 class TestGraphTypes:
     def test_adjacency_is_vst_in_build_stage(self):
-        gm = make_graph_model()
-        cg = CallGraph.build(gm.build_stage_entry,
-                             known_types=(gm.adjacency,))
-        assert GlobalClassifier(cg).classify(gm.adjacency) \
+        cg = CallGraph.build(GRAPH_BUILD,
+                             known_types=(AdjacencyList,))
+        assert GlobalClassifier(cg).classify(AdjacencyList) \
             is SizeType.VARIABLE
 
     def test_adjacency_is_rfst_in_iterate_stage(self):
-        gm = make_graph_model()
-        cg = CallGraph.build(gm.iterate_stage_entry,
-                             known_types=(gm.adjacency,))
+        cg = CallGraph.build(GRAPH_ITERATE,
+                             known_types=(AdjacencyList,))
         classifier = GlobalClassifier(
-            cg, assume_init_only=(gm.neighbors_field,))
-        assert classifier.classify(gm.adjacency) is SizeType.RUNTIME_FIXED
+            cg, assume_init_only=(AdjacencyList.field("neighbors"),))
+        assert classifier.classify(AdjacencyList) is SizeType.RUNTIME_FIXED
 
     def test_edge_and_message_are_sfst(self):
-        gm = make_graph_model()
-        cg = CallGraph.build(gm.build_stage_entry, known_types=(gm.edge,))
+        cg = CallGraph.build(GRAPH_BUILD, known_types=(Edge,))
         classifier = GlobalClassifier(cg)
-        assert classifier.classify(gm.edge) is SizeType.STATIC_FIXED
-        assert classifier.classify(gm.rank_message) is SizeType.STATIC_FIXED
+        assert classifier.classify(Edge) is SizeType.STATIC_FIXED
+        assert classifier.classify(RankMessage) is SizeType.STATIC_FIXED
 
 
 class TestInitOnlyRules:

@@ -14,7 +14,7 @@ from repro.analysis import (
     max_variability,
 )
 from repro.analysis.udt import type_dependency_cycle
-from repro.apps.udts import make_labeled_point_model
+from repro.apps.udts import DOUBLE_ARRAY, DenseVector, LabeledPoint, Vector
 from repro.errors import AnalysisError, TypeGraphError
 
 
@@ -108,23 +108,19 @@ class TestPaperRunningExample:
     """Fig. 3: LabeledPoint classifies as VST locally."""
 
     def test_labeled_point_is_vst(self):
-        model = make_labeled_point_model()
-        assert classify_locally(model.labeled_point) is SizeType.VARIABLE
+        assert classify_locally(LabeledPoint) is SizeType.VARIABLE
 
     def test_dense_vector_is_rfst(self):
-        model = make_labeled_point_model()
-        assert classify_locally(model.dense_vector) is SizeType.RUNTIME_FIXED
+        assert classify_locally(DenseVector) is SizeType.RUNTIME_FIXED
 
     def test_data_array_is_rfst(self):
-        model = make_labeled_point_model()
-        assert classify_locally(model.double_array) is SizeType.RUNTIME_FIXED
+        assert classify_locally(DOUBLE_ARRAY) is SizeType.RUNTIME_FIXED
 
     def test_final_features_would_still_be_rfst(self):
         """§3.3: even a final features field only reaches RFST locally."""
-        model = make_labeled_point_model()
         lp = ClassType("LabeledPoint2", [
             Field("label", DOUBLE),
-            Field("features", model.vector, type_set=(model.dense_vector,),
+            Field("features", Vector, type_set=(DenseVector,),
                   final=True),
         ])
         assert classify_locally(lp) is SizeType.RUNTIME_FIXED

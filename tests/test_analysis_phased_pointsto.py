@@ -14,49 +14,50 @@ from repro.analysis import (
     assign_all,
     assign_ownership,
 )
-from repro.apps.udts import make_graph_model
+from repro.apps.udts import AdjacencyList, Edge, GRAPH_BUILD, GRAPH_ITERATE
 from repro.errors import AnalysisError
+
+NEIGHBORS = AdjacencyList.field("neighbors")
 
 
 def graph_phases():
-    gm = make_graph_model()
     build = Phase(
         name="build",
-        callgraph=CallGraph.build(gm.build_stage_entry,
-                                  known_types=(gm.adjacency,)))
+        callgraph=CallGraph.build(GRAPH_BUILD,
+                                  known_types=(AdjacencyList,)))
     iterate = Phase(
         name="iterate",
-        callgraph=CallGraph.build(gm.iterate_stage_entry,
-                                  known_types=(gm.adjacency,)),
+        callgraph=CallGraph.build(GRAPH_ITERATE,
+                                  known_types=(AdjacencyList,)),
         reads_materialized=True)
-    return gm, PhasedClassifier((build, iterate))
+    return PhasedClassifier((build, iterate))
 
 
 class TestPhasedRefinement:
     def test_adjacency_varies_by_phase(self):
         """Fig. 7(b): VST while grouped, RFST once cached."""
-        gm, classifier = graph_phases()
+        classifier = graph_phases()
         report = classifier.classify(
-            gm.adjacency, materialized_fields=(gm.neighbors_field,))
+            AdjacencyList, materialized_fields=(NEIGHBORS,))
         assert report.size_type_in("build") is SizeType.VARIABLE
         assert report.size_type_in("iterate") is SizeType.RUNTIME_FIXED
         assert report.ever_decomposable
 
     def test_local_result_is_recorded(self):
-        gm, classifier = graph_phases()
+        classifier = graph_phases()
         report = classifier.classify(
-            gm.adjacency, materialized_fields=(gm.neighbors_field,))
+            AdjacencyList, materialized_fields=(NEIGHBORS,))
         assert report.local is SizeType.VARIABLE
 
     def test_sfst_stays_sfst_everywhere(self):
-        gm, classifier = graph_phases()
-        report = classifier.classify(gm.edge)
+        classifier = graph_phases()
+        report = classifier.classify(Edge)
         assert all(st is SizeType.STATIC_FIXED
                    for _, st in report.by_phase)
 
     def test_unknown_phase_raises(self):
-        gm, classifier = graph_phases()
-        report = classifier.classify(gm.edge)
+        classifier = graph_phases()
+        report = classifier.classify(Edge)
         with pytest.raises(KeyError):
             report.size_type_in("nonexistent")
 

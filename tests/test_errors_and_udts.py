@@ -10,9 +10,11 @@ from repro.analysis import (
     classify_locally,
 )
 from repro.apps.udts import (
-    make_graph_model,
-    make_ranking_model,
-    make_uservisit_model,
+    RANKINGS_SCAN,
+    RankMessage,
+    Ranking,
+    USERVISITS_SCAN,
+    UserVisit,
 )
 from repro.apps.kmeans import cluster_stat_udt_info
 from repro.apps.sql_queries import ranking_udt_info, uservisit_udt_info
@@ -39,20 +41,16 @@ class TestErrorHierarchy:
 
 class TestSqlRowModels:
     def test_ranking_row_is_rfst(self):
-        model = make_ranking_model()
-        assert classify_locally(model.row_type) is SizeType.RUNTIME_FIXED
-        cg = CallGraph.build(model.stage_entry,
-                             known_types=(model.row_type,))
-        assert GlobalClassifier(cg).classify(model.row_type) \
+        assert classify_locally(Ranking) is SizeType.RUNTIME_FIXED
+        cg = CallGraph.build(RANKINGS_SCAN, known_types=(Ranking,))
+        assert GlobalClassifier(cg).classify(Ranking) \
             is SizeType.RUNTIME_FIXED
 
     def test_uservisit_row_is_rfst(self):
-        model = make_uservisit_model()
-        cg = CallGraph.build(model.stage_entry,
-                             known_types=(model.row_type,))
-        assert GlobalClassifier(cg).classify(model.row_type) \
+        cg = CallGraph.build(USERVISITS_SCAN, known_types=(UserVisit,))
+        assert GlobalClassifier(cg).classify(UserVisit) \
             is SizeType.RUNTIME_FIXED
-        assert len(model.row_type.fields) == 9
+        assert len(UserVisit.fields) == 9
 
     def test_ranking_udt_info_roundtrip(self):
         info = ranking_udt_info()
@@ -68,8 +66,7 @@ class TestSqlRowModels:
 
 class TestGraphAndKMeansModels:
     def test_rank_message_is_sfst(self):
-        gm = make_graph_model()
-        assert classify_locally(gm.rank_message) is SizeType.STATIC_FIXED
+        assert classify_locally(RankMessage) is SizeType.STATIC_FIXED
 
     def test_cluster_stat_decomposes_with_dimension(self):
         info = cluster_stat_udt_info(6)

@@ -117,6 +117,8 @@ CENSUS = {
     "DECA408": Checkers(None, ("verify_readonly",), guards=(
         "tests/test_config_matrix.py::test_cell_matches_reference"
         "[wc-deca-mp-heap-static]",
+        "tests/test_sanitizer_engine.py::"
+        "test_mp_worker_write_through_a_shuffle_segment_is_caught",
     )),
     # MpBackend._flush
     "DECA409": Checkers(None, ("note_relay",), guards=(
@@ -124,9 +126,11 @@ CENSUS = {
         "test_events_reanchored_on_stage_start",
     )),
     # Executor.begin_task
-    "DECA410": Checkers(None, ("note_grant",), guards=(
+    "DECA410": Checkers(None, ("note_grant", "check_finish"), guards=(
         "tests/test_memory_unified.py::TestUnifiedEndToEnd::"
         "test_task_slots_drain_after_run",
+        "tests/test_sanitizer_engine.py::"
+        "test_leaked_task_slot_is_reported_at_finish",
     )),
 }
 

@@ -3,12 +3,22 @@
 from repro.analysis import ArrayType, ClassType, Field, INT, LONG, SizeType
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.phased import Phase
-from repro.apps.udts import make_graph_model, make_labeled_point_model, \
-    make_wordcount_model
+from repro.apps.udts import (
+    AdjacencyList,
+    GRAPH_BUILD,
+    GRAPH_ITERATE,
+    LR_STAGE,
+    LabeledPoint,
+    Tuple2,
+    WC_STAGE,
+)
 from repro.core.plan import ContainerPlan
 from repro.lint import LintTarget, Severity, run_plan_rules, \
     run_static_rules
 from repro.spark.rdd import UdtInfo
+from tests.lr_programs import lr_stage
+
+NEIGHBORS = AdjacencyList.field("neighbors")
 
 
 def _target(info: UdtInfo, name: str = "test/cache:t", **kwargs
@@ -22,9 +32,8 @@ def _rules_fired(findings):
 
 class TestDeca001MutableField:
     def test_fires_when_a_reassigned_field_holds_rfsts(self):
-        model = make_labeled_point_model(dimensions=10, fixed_length=False)
-        info = UdtInfo(udt=model.labeled_point,
-                       entry_method=model.stage_entry)
+        info = UdtInfo(udt=LabeledPoint,
+                       entry_method=lr_stage(10, fixed_length=False))
         findings = run_static_rules(_target(info))
         assert _rules_fired(findings) == {"DECA001"}
         finding = findings[0]
@@ -34,21 +43,18 @@ class TestDeca001MutableField:
         assert any("algorithm" in step for step in finding.why)
 
     def test_clean_on_the_papers_fixed_length_program(self):
-        model = make_labeled_point_model(dimensions=10, fixed_length=True)
-        info = UdtInfo(udt=model.labeled_point,
-                       entry_method=model.stage_entry)
+        info = UdtInfo(udt=LabeledPoint, entry_method=lr_stage(10))
         assert run_static_rules(_target(info)) == []
 
 
 class TestDeca002PhaseEscape:
     def test_fires_when_the_phase_itself_assigns_an_assumed_field(self):
-        model = make_graph_model()
         # The build stage grows the neighbor array (stores outside the
         # constructor) — vouching init-only for it there is unsound.
-        info = UdtInfo(udt=model.adjacency,
-                       entry_method=model.build_stage_entry,
-                       known_types=(model.adjacency,),
-                       assume_init_only=(model.neighbors_field,))
+        info = UdtInfo(udt=AdjacencyList,
+                       entry_method=GRAPH_BUILD,
+                       known_types=(AdjacencyList,),
+                       assume_init_only=(NEIGHBORS,))
         findings = run_static_rules(_target(info))
         assert "DECA002" in _rules_fired(findings)
         escape = next(f for f in findings if f.rule_id == "DECA002")
@@ -56,31 +62,29 @@ class TestDeca002PhaseEscape:
         assert escape.subject == "AdjacencyList.neighbors"
 
     def test_clean_when_the_phase_only_reads(self):
-        model = make_graph_model()
-        info = UdtInfo(udt=model.adjacency,
-                       entry_method=model.iterate_stage_entry,
-                       known_types=(model.adjacency,),
-                       assume_init_only=(model.neighbors_field,))
+        info = UdtInfo(udt=AdjacencyList,
+                       entry_method=GRAPH_ITERATE,
+                       known_types=(AdjacencyList,),
+                       assume_init_only=(NEIGHBORS,))
         assert run_static_rules(_target(info)) == []
 
     def test_names_the_vouching_phase_when_known(self):
-        model = make_graph_model()
-        known = (model.adjacency,)
+        known = (AdjacencyList,)
         phases = (
-            Phase("build", CallGraph.build(model.build_stage_entry,
+            Phase("build", CallGraph.build(GRAPH_BUILD,
                                            known_types=known)),
             # Deliberately broken: the "iterate" phase runs the build
             # entry, so it assigns the field it claims was materialized.
-            Phase("iterate", CallGraph.build(model.build_stage_entry,
+            Phase("iterate", CallGraph.build(GRAPH_BUILD,
                                              known_types=known),
                   reads_materialized=True),
         )
-        info = UdtInfo(udt=model.adjacency,
-                       entry_method=model.build_stage_entry,
+        info = UdtInfo(udt=AdjacencyList,
+                       entry_method=GRAPH_BUILD,
                        known_types=known)
         findings = run_static_rules(_target(
             info, phases=phases,
-            materialized_fields=(model.neighbors_field,),
+            materialized_fields=(NEIGHBORS,),
             container_phase="iterate"))
         escape = next(f for f in findings if f.rule_id == "DECA002")
         assert "phase 'build'" in escape.message
@@ -96,16 +100,14 @@ class TestDeca003RecursiveType:
         assert "Node -> Node" in findings[0].message
 
     def test_clean_on_an_acyclic_type(self):
-        model = make_wordcount_model()
-        info = UdtInfo(udt=model.tuple2, entry_method=model.stage_entry)
+        info = UdtInfo(udt=Tuple2, entry_method=WC_STAGE)
         assert run_static_rules(_target(info)) == []
 
 
 class TestDeca004UnprovenSymbolicLength:
     def test_fires_when_the_dimension_symbol_has_no_runtime_binding(self):
-        model = make_labeled_point_model(dimensions=None)
-        info = UdtInfo(udt=model.labeled_point,
-                       entry_method=model.stage_entry)  # no runtime_symbols
+        info = UdtInfo(udt=LabeledPoint,
+                       entry_method=LR_STAGE)  # no runtime_symbols
         findings = run_static_rules(_target(info))
         assert _rules_fired(findings) == {"DECA004"}
         finding = findings[0]
@@ -114,9 +116,8 @@ class TestDeca004UnprovenSymbolicLength:
         assert "D" in finding.message
 
     def test_clean_once_the_symbol_is_bound(self):
-        model = make_labeled_point_model(dimensions=None)
-        info = UdtInfo(udt=model.labeled_point,
-                       entry_method=model.stage_entry,
+        info = UdtInfo(udt=LabeledPoint,
+                       entry_method=LR_STAGE,
                        runtime_symbols={"D": 8, "D2": 8})
         assert run_static_rules(_target(info)) == []
 
@@ -133,23 +134,22 @@ class TestDeca005PlanContradiction:
         assert "variable" in findings[0].message
 
     def test_fires_when_the_container_phase_disagrees(self):
-        model = make_graph_model()
-        known = (model.adjacency,)
+        known = (AdjacencyList,)
         phases = (
-            Phase("build", CallGraph.build(model.build_stage_entry,
+            Phase("build", CallGraph.build(GRAPH_BUILD,
                                            known_types=known)),
-            Phase("iterate", CallGraph.build(model.iterate_stage_entry,
+            Phase("iterate", CallGraph.build(GRAPH_ITERATE,
                                              known_types=known),
                   reads_materialized=True),
         )
-        info = UdtInfo(udt=model.adjacency,
-                       entry_method=model.iterate_stage_entry,
+        info = UdtInfo(udt=AdjacencyList,
+                       entry_method=GRAPH_ITERATE,
                        known_types=known,
-                       assume_init_only=(model.neighbors_field,))
+                       assume_init_only=(NEIGHBORS,))
         # Deliberately broken: the cache claims to live in the *build*
         # phase, where the neighbor array still grows.
         target = _target(info, name="x/cache:x.adjacency", phases=phases,
-                         materialized_fields=(model.neighbors_field,),
+                         materialized_fields=(NEIGHBORS,),
                          container_phase="build")
         report = ContainerPlan(target="cache:x.adjacency",
                                udt="AdjacencyList",
@@ -161,21 +161,20 @@ class TestDeca005PlanContradiction:
         assert "phase 'build'" in findings[0].message
 
     def test_clean_when_plan_and_phases_agree(self):
-        model = make_graph_model()
-        known = (model.adjacency,)
+        known = (AdjacencyList,)
         phases = (
-            Phase("build", CallGraph.build(model.build_stage_entry,
+            Phase("build", CallGraph.build(GRAPH_BUILD,
                                            known_types=known)),
-            Phase("iterate", CallGraph.build(model.iterate_stage_entry,
+            Phase("iterate", CallGraph.build(GRAPH_ITERATE,
                                              known_types=known),
                   reads_materialized=True),
         )
-        info = UdtInfo(udt=model.adjacency,
-                       entry_method=model.iterate_stage_entry,
+        info = UdtInfo(udt=AdjacencyList,
+                       entry_method=GRAPH_ITERATE,
                        known_types=known,
-                       assume_init_only=(model.neighbors_field,))
+                       assume_init_only=(NEIGHBORS,))
         target = _target(info, name="x/cache:x.adjacency", phases=phases,
-                         materialized_fields=(model.neighbors_field,),
+                         materialized_fields=(NEIGHBORS,),
                          container_phase="iterate")
         report = ContainerPlan(target="cache:x.adjacency",
                                udt="AdjacencyList",

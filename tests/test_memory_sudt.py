@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import CallGraph, GlobalClassifier
-from repro.apps.udts import make_labeled_point_model, make_wordcount_model
+from repro.apps.udts import DOUBLE_ARRAY, LabeledPoint, Tuple2, WC_STAGE
 from repro.errors import PageOverflowError
 from repro.memory import PageGroup, build_schema, synthesize_sudt
 from repro.memory.layout import (
@@ -12,14 +12,14 @@ from repro.memory.layout import (
     VarArraySchema,
 )
 from repro.analysis import CHAR, INT
+from tests.lr_programs import lr_stage
 
 
 def labeled_point_schema(dims=4):
-    m = make_labeled_point_model(dimensions=dims)
-    cg = CallGraph.build(m.stage_entry, known_types=(m.labeled_point,))
-    size_type = GlobalClassifier(cg).classify(m.labeled_point)
-    return build_schema(m.labeled_point, size_type,
-                        fixed_lengths={id(m.double_array): dims})
+    cg = CallGraph.build(lr_stage(dims), known_types=(LabeledPoint,))
+    size_type = GlobalClassifier(cg).classify(LabeledPoint)
+    return build_schema(LabeledPoint, size_type,
+                        fixed_lengths={id(DOUBLE_ARRAY): dims})
 
 
 class TestPrimitiveAccess:
@@ -130,10 +130,9 @@ class TestDataSize:
         assert Sudt(buf, 0).data_size() == schema.fixed_size
 
     def test_variable_record_data_size(self):
-        wc = make_wordcount_model()
-        cg = CallGraph.build(wc.stage_entry, known_types=(wc.tuple2,))
-        size_type = GlobalClassifier(cg).classify(wc.tuple2)
-        schema = build_schema(wc.tuple2, size_type)
+        cg = CallGraph.build(WC_STAGE, known_types=(Tuple2,))
+        size_type = GlobalClassifier(cg).classify(Tuple2)
+        schema = build_schema(Tuple2, size_type)
         Sudt = synthesize_sudt(schema)
         value = ((tuple(ord(c) for c in "spark"),), 3)
         buf = bytearray(schema.size_of(value))
@@ -182,10 +181,9 @@ class TestTypedArrayView:
         view.release()
 
     def test_typed_view_matches_to_tuple(self):
-        wc = make_wordcount_model()
-        cg = CallGraph.build(wc.stage_entry, known_types=(wc.tuple2,))
-        size_type = GlobalClassifier(cg).classify(wc.tuple2)
-        schema = build_schema(wc.tuple2, size_type)
+        cg = CallGraph.build(WC_STAGE, known_types=(Tuple2,))
+        size_type = GlobalClassifier(cg).classify(Tuple2)
+        schema = build_schema(Tuple2, size_type)
         Sudt = synthesize_sudt(schema)
         value = ((tuple(ord(c) for c in "page"),), 2)
         buf = bytearray(schema.size_of(value))
