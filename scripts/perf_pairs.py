@@ -3,11 +3,13 @@
 
 Extracts the committed files of ``--parent`` into a scratch directory
 (``git archive``: no worktree is registered, so an interrupted run
-leaves nothing in ``.git``), then runs the unchanged
-``benchmarks/perf/run.py`` of both trees, one workload and one seed at a
-time, with ``PYTHONPATH`` unset:
+leaves nothing in ``.git``), then runs the unchanged runner of both
+trees, one workload and one seed at a time, with ``PYTHONPATH`` unset —
+what
 
     python3 benchmarks/perf/run.py --workload W --seed s --seconds S --trace 0
+
+runs, its ``main`` called from :data:`RUN_MAIN` in the tree's root.
 
 Pair *i* (seed ``--seed-base + i``) runs the parent first when *i* is
 even (the 1st, 3rd, ... pair) and the change first otherwise, so a
@@ -17,7 +19,11 @@ files (``clock``, ``jobs``, ``runs``, ``seeds``, ``what``; list index *i*
 of every metric is the *i*-th seed of its workload), and for every
 end-to-end metric of ``BENCHMARK.json`` the script prints the two
 medians, their ratio, the parent's inter-quartile range, the pairs the
-change won and a one-sided sign-test p.
+change won and a one-sided sign-test p.  ``runs`` also holds the set-up
+phases of each run's timed child (``import_s``, ``generate_s``,
+``open_s``: the ``setup_parts`` the runner keeps in its ``info``), and
+the report prints their medians under each ``setup_s`` line, so a set-up
+change can be traced to its phase.
 
 Usage (from the change's checkout):
 
@@ -44,8 +50,26 @@ import tempfile
 from typing import Any, Iterable
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUNNER = os.path.join("benchmarks", "perf", "run.py")
 SIDES = ("parent", "change")
+#: The set-up phases the runner's timed child reports, in order.
+SETUP_PARTS = ("import_s", "generate_s", "open_s")
+#: The runner's own ``main``, with ``run_one`` observed: its one-workload
+#: mode prints the metrics alone and drops the ``info`` that holds the
+#: set-up phases, so this prints them as one more JSON line after its
+#: result line.  Nothing in the measured path changes.
+RUN_MAIN = """
+import json, sys
+from benchmarks.perf import cli
+info = {}
+def run_one(*args, _measured=cli.run_one):
+    outcome = _measured(*args)
+    info.update(outcome["info"])
+    return outcome
+cli.run_one = run_one
+status = cli.main(sys.argv[1:])
+print(json.dumps(info.get("setup_parts", {})))
+sys.exit(status)
+"""
 CLOCK = ("real (time.perf_counter / process CPU), calibrated reference "
          "seconds as benchmarks/perf reports them")
 
@@ -61,8 +85,9 @@ def fold(records: Iterable[dict[str, Any]],
     """Runs → the pairs-file payload.
 
     Each record is ``{"workload", "seed", "side", "attempted", "failed",
-    "metrics": {name: value}}``; records of one workload arrive in seed
-    order, and a metric list holds one value per seed.
+    "metrics": {name: value}}`` (set-up phases are metrics too); records
+    of one workload arrive in seed order, and a metric list holds one
+    value per seed.
     """
     jobs: dict[str, Any] = {}
     runs: dict[str, Any] = {}
@@ -135,25 +160,31 @@ def summarize(sides: dict[str, list[float]],
 
 def report(payload: dict[str, Any],
            metrics: dict[str, str]) -> list[str]:
-    """One printable line per workload × end-to-end metric."""
+    """One printable line per workload × end-to-end metric, and one per
+    set-up phase (indented) under each ``setup_s`` line."""
     lines = [f"{'workload':<24} {'metric':<12} {'parent':>9} {'change':>9} "
              f"{'ratio':>6} {'p.IQR':>8} {'won':>6} {'sign p':>7}  gap>IQR"]
     for workload, by_metric in payload["runs"].items():
         for name, better in metrics.items():
             if name not in by_metric:
                 continue
-            try:
-                s = summarize(by_metric[name], better)
-            except ValueError:
-                lines.append(f"{workload:<24} {name:<12} unpaired "
-                             "(a run failed)")
-                continue
-            lines.append(
-                f"{workload:<24} {name:<12} {s['parent_median']:>9.4g} "
-                f"{s['change_median']:>9.4g} {s['ratio']:>6.3f} "
-                f"{s['parent_iqr']:>8.3g} {s['wins']:>3}/{s['pairs']:<2} "
-                f"{s['p']:>7.4f}  {'yes' if s['beyond_iqr'] else 'no'}")
+            lines.append(_line(workload, name, by_metric[name], better))
+            if name == "setup_s":
+                lines += [_line("", f"  {part}", by_metric[part], "lower")
+                          for part in SETUP_PARTS if part in by_metric]
     return lines
+
+
+def _line(workload: str, name: str, sides: dict[str, list[float]],
+          better: str) -> str:
+    try:
+        s = summarize(sides, better)
+    except ValueError:
+        return f"{workload:<24} {name:<12} unpaired (a run failed)"
+    return (f"{workload:<24} {name:<12} {s['parent_median']:>9.4g} "
+            f"{s['change_median']:>9.4g} {s['ratio']:>6.3f} "
+            f"{s['parent_iqr']:>8.3g} {s['wins']:>3}/{s['pairs']:<2} "
+            f"{s['p']:>7.4f}  {'yes' if s['beyond_iqr'] else 'no'}")
 
 
 def end_to_end_metrics(root: str) -> dict[str, str]:
@@ -175,27 +206,31 @@ def extract(rev: str, scratch: str) -> str:
 
 def run_once(tree: str, workload: str, seed: int,
              seconds: float) -> dict[str, Any]:
-    """One run of *tree*'s perf runner; a failure is a record with
-    ``ok`` false."""
+    """One run of *tree*'s perf runner (its ``main``, through
+    :data:`RUN_MAIN`); a failure is a record with ``ok`` false."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
-        [sys.executable, RUNNER, "--workload", workload, "--seed",
+        [sys.executable, "-c", RUN_MAIN, "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
     result: dict[str, Any] = {}
+    parts: dict[str, float] = {}
     lines = done.stdout.strip().splitlines()
-    if lines:
+    if len(lines) >= 2:
         try:
-            result = json.loads(lines[-1])
+            result, parts = json.loads(lines[-2]), json.loads(lines[-1])
         except ValueError:
-            result = {}
+            result, parts = {}, {}
     ok = (done.returncode == 0 and result.get("correct") is True
           and not result.get("failed"))
+    metrics = {name: entry["value"] for name, entry
+               in result.get("metrics", {}).items()}
+    if metrics:
+        metrics.update((part, parts[part]) for part in SETUP_PARTS
+                       if part in parts)
     return {"ok": ok, "attempted": result.get("attempted", 1),
             "failed": result.get("failed", 0 if ok else 1),
-            "metrics": {name: entry["value"] for name, entry
-                        in result.get("metrics", {}).items()},
-            "stderr": done.stderr[-2000:]}
+            "metrics": metrics, "stderr": done.stderr[-2000:]}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,6 +21,9 @@ Soot framework; see DESIGN.md for the substitution argument):
   mini-IR cannot see).
 """
 
+from importlib import import_module
+from typing import Any
+
 from .size_type import SizeType, max_variability
 from .udt import (
     ArrayType,
@@ -59,32 +62,37 @@ from .ir import (
 from .callgraph import CallGraph
 from .symconst import Affine, TOP, AbstractValue, SymbolicInterpreter
 from .global_refine import GlobalClassifier
-from .phased import Phase, PhasedClassifier, PhaseReport
-from .explain import (
-    Provenance,
-    ProvenanceStep,
-    explain_classification,
-    explain_phases,
-    explain_provenance,
-    render_provenance,
-)
-from .closures import (
-    Capture,
-    ClosureReport,
-    Hazard,
-    analyze_closure,
-    analyze_value,
-    code_location,
-)
-from .pointsto import (
-    ContainerKind,
-    ContainerRef,
-    CreationSite,
-    Ownership,
-    PointsToBinding,
-    assign_all,
-    assign_ownership,
-)
+
+#: Names served by a submodule the engine does not import: the lint, the
+#: explain reports and the tests use them, and ``repro.core.optimizer``
+#: imports ``closures`` itself when it plans a deca cache.  Each loads on
+#: its first attribute access (PEP 562), so ``import repro.spark`` reads
+#: none of their source.
+_LAZY = {
+    "phased": ("Phase", "PhasedClassifier", "PhaseReport"),
+    "explain": ("Provenance", "ProvenanceStep", "explain_classification",
+                "explain_phases", "explain_provenance", "render_provenance"),
+    "closures": ("Capture", "ClosureReport", "Hazard", "analyze_closure",
+                 "analyze_value", "code_location"),
+    "pointsto": ("ContainerKind", "ContainerRef", "CreationSite",
+                 "Ownership", "PointsToBinding", "assign_all",
+                 "assign_ownership"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items()
+               for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "SizeType",

@@ -42,20 +42,20 @@ def power_law_graph(num_vertices: int, num_edges: int,
         raise DecaError("need at least two vertices")
     if num_edges < num_vertices:
         raise DecaError("need at least one edge per vertex")
-    rng = random.Random(seed)
+    below = random.Random(seed)._randbelow   # randrange(n) is _randbelow(n)
     # Repeated-target list implements preferential attachment cheaply.
     targets: list[int] = [0, 1]
     edges: list[Edge] = []
     for src in range(num_vertices):
-        dst = targets[rng.randrange(len(targets))]
+        dst = targets[below(len(targets))]
         if dst == src:
             dst = (src + 1) % num_vertices
         edges.append((src, dst))
         targets.append(dst)
         targets.append(src)
     for _ in range(num_edges - num_vertices):
-        src = rng.randrange(num_vertices)
-        dst = targets[rng.randrange(len(targets))]
+        src = below(num_vertices)
+        dst = targets[below(len(targets))]
         if dst == src:
             dst = (dst + 1) % num_vertices
         edges.append((src, dst))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import string
+from typing import Callable
 
 from ..errors import DecaError
 
@@ -17,8 +18,13 @@ _ALPHABET = string.ascii_lowercase
 
 
 def _word_for(index: int, min_len: int, max_len: int,
-              rng: random.Random) -> str:
-    """A deterministic word for key *index* (base-26 with random tail)."""
+              below: Callable[[int], int]) -> str:
+    """A deterministic word for key *index* (base-26 with random tail).
+
+    *below* is the generator's ``_randbelow``: ``randint(a, b)`` is
+    ``a + _randbelow(b - a + 1)`` and ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]``, the same draws with fewer calls.
+    """
     digits = []
     n = index
     while True:
@@ -27,10 +33,10 @@ def _word_for(index: int, min_len: int, max_len: int,
         if n == 0:
             break
     word = "".join(reversed(digits))
-    pad = rng.randint(min_len, max_len)
+    pad = min_len + below(max_len - min_len + 1)
     if len(word) < pad:
-        filler = "".join(rng.choice(_ALPHABET)
-                         for _ in range(pad - len(word)))
+        filler = "".join([_ALPHABET[below(26)]
+                          for _ in range(pad - len(word))])
         word = word + filler
     return word
 
@@ -50,8 +56,7 @@ def random_words(num_words: int, unique_keys: int,
         raise DecaError("unique_keys must be >= 1")
     if min_len < 1 or max_len < min_len:
         raise DecaError("need 1 <= min_len <= max_len")
-    rng = random.Random(seed)
-    vocabulary = [_word_for(i, min_len, max_len, rng)
+    below = random.Random(seed)._randbelow   # randrange(n) is _randbelow(n)
+    vocabulary = [_word_for(i, min_len, max_len, below)
                   for i in range(unique_keys)]
-    return [vocabulary[rng.randrange(unique_keys)]
-            for _ in range(num_words)]
+    return [vocabulary[below(unique_keys)] for _ in range(num_words)]

@@ -28,6 +28,7 @@ every error.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 from typing import (
     Any,
     Callable,
@@ -613,14 +614,18 @@ class StringColumnLayout:
     offset_size = _LENGTH_PREFIX.size
 
     def emit(self, values: Sequence[str]) -> tuple[bytes, bytes]:
-        """Pack *values* into ``(offsets_run, blob_run)``."""
-        blob = bytearray()
-        offsets = [0]
-        for value in values:
-            blob.extend(value.encode("utf-8"))
-            offsets.append(len(blob))
+        """Pack *values* into ``(offsets_run, blob_run)``, a whole column
+        per pass: one join and one encode make the blob, one running sum
+        over the values' byte lengths the offsets."""
+        text = "".join(values)
+        blob = text.encode("utf-8")
+        # Pure ASCII (as many bytes as characters): a value's byte length
+        # is its length; otherwise each value is encoded once more.
+        lengths = (map(len, values) if len(blob) == len(text)
+                   else map(len, map(str.encode, values)))
+        offsets = list(accumulate(lengths, initial=0))
         packed = struct.pack(f"<{len(offsets)}{self.offset_code}", *offsets)
-        return packed, bytes(blob)
+        return packed, blob
 
     def view(self, offsets_buffer: bytearray | memoryview,
              offsets_offset: int, offsets_length: int,

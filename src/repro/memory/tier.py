@@ -40,13 +40,15 @@ import os
 import tempfile
 import weakref
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..errors import PageError
 from ..jvm.objects import Lifetime
 from ..jvm.sizing import array_bytes
-from ..obs.sanitizer import Sanitizer
 from .page import PageGroup
+
+if TYPE_CHECKING:
+    from ..obs.sanitizer import Sanitizer
 
 #: Tier files are named ``repro-tier-<pid>-<seq>[-<tag>].bin`` in the
 #: temp dir; scripts/check_mp_leaks.py flags files whose pid is dead.

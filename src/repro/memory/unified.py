@@ -32,12 +32,14 @@ against the static size-type claims.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
 
 from ..config import DecaConfig
 from ..obs.tracer import Tracer
-from ..obs.sanitizer import Sanitizer
 from ..simtime import SimClock
+
+if TYPE_CHECKING:
+    from ..obs.sanitizer import Sanitizer
 
 # Spark 1.6's defaults: the arena manages this fraction of the heap
 # (``spark.memory.fraction``; the rest is user/metadata headroom), and

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 import zlib
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..analysis.size_type import SizeType
 from ..config import DecaConfig, ExecutionMode
@@ -30,7 +30,6 @@ from ..exec import create_backend
 from ..jvm.objects import Lifetime
 from ..memory.layout import build_schema
 from ..obs import Tracer
-from ..obs.sanitizer import SLUGS, Sanitizer
 from .cache import CachedBlock
 from .measure import RecordFootprint
 from .metrics import JobMetrics, RunMetrics
@@ -46,6 +45,8 @@ from .scheduler import DAGScheduler, TaskContext
 from .executor import Executor
 from .shuffle import ShuffleBlockStore
 
+if TYPE_CHECKING:
+    from ..obs.sanitizer import Sanitizer
 
 # ``Double.hashCode`` of 0x7ff8000000000000: high word ^ low word.
 _NAN_HASH = 0x7FF80000
@@ -115,9 +116,12 @@ class DecaContext:
         # The run's one sanitizer (docs/static_analysis.md): every
         # executor, arena, cold tier and the shm registry report to it;
         # mp workers run forked replicas whose notes it absorbs with each
-        # result message.  None unless config.sanitize — zero overhead off.
-        self.sanitizer = (Sanitizer(tracer=self.tracer)
-                          if self.config.sanitize else None)
+        # result message.  None unless config.sanitize — zero overhead off,
+        # and its module is not even loaded.
+        self.sanitizer: Sanitizer | None = None
+        if self.config.sanitize:
+            from ..obs.sanitizer import Sanitizer
+            self.sanitizer = Sanitizer(tracer=self.tracer)
         self.executors = [
             Executor(i, self.config, self.shuffle_store,
                      tracer=self.tracer, sanitizer=self.sanitizer)
@@ -427,6 +431,7 @@ class DecaContext:
             # the failure mode the sanitizer exists to prevent.
             run.sanitize = self.sanitizer.check_finish()
             if run.sanitize["violations"]:
+                from ..obs.sanitizer import SLUGS
                 raise SanitizerError({slug: run.sanitize[slug]
                                       for slug in SLUGS})
         return run

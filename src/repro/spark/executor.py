@@ -20,7 +20,6 @@ from ..memory.manager import DecaMemoryManager
 from ..memory.tier import ColdTier, cold_tier_for
 from ..memory.unified import create_memory_arena
 from ..obs import Tracer
-from ..obs.sanitizer import Sanitizer
 from ..simtime import SimClock
 from .cache import CacheStore
 from .faults import EXECUTOR_CRASH, FaultInjector, TaskFaultPlan
@@ -29,6 +28,7 @@ from .serializer import SerializerModel
 from .shuffle import ShuffleBlockStore, read_reduce_partition
 
 if TYPE_CHECKING:
+    from ..obs.sanitizer import Sanitizer
     from .scheduler import TaskContext
 
 

@@ -21,6 +21,8 @@ Example::
                where=("pageRank", ">", 100)))
 """
 
+from typing import Any
+
 from .schema import Column, ColumnType, TableSchema, table_udt
 from .columnar import ColumnarTable, PagedRelation, RowMajorTable
 from .engine import (
@@ -34,7 +36,16 @@ from .engine import (
     select,
     top_k,
 )
-from .parser import parse
+
+
+def __getattr__(name: str) -> Any:
+    # The text parser (and its compiled patterns) loads on first use: the
+    # engine and the benchmark build their queries with the helpers above.
+    if name == "parse":
+        from .parser import parse
+        return parse
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Column",

@@ -23,6 +23,7 @@ sanitizer tracks promoted extents as borrows.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..analysis.udt import CHAR, DOUBLE, INT, LONG
@@ -292,8 +293,7 @@ class ColumnarTable(PagedRelation):
                  heap: SimHeap | None = None,
                  manager: DecaMemoryManager | None = None,
                  group_name: str | None = None) -> None:
-        for row in rows:
-            schema.validate_row(row)
+        schema.validate_rows(rows)
         # Plan every column before touching the page manager, so an
         # unsupported schema fails without leaking a registered group.
         layouts: list[FixedColumnLayout | StringColumnLayout] = []
@@ -316,7 +316,7 @@ class ColumnarTable(PagedRelation):
         self._view_cache: dict[int, Any] = {}
         group = self._require_group()
         for index, layout in enumerate(layouts):
-            values = [row[index] for row in rows]
+            values = list(map(itemgetter(index), rows))
             if isinstance(layout, FixedColumnLayout):
                 self._runs.append((group.append_run(layout.emit(values)),))
             else:
@@ -449,8 +449,7 @@ class RowMajorTable(PagedRelation):
                  heap: SimHeap | None = None,
                  manager: DecaMemoryManager | None = None,
                  group_name: str | None = None) -> None:
-        for row in rows:
-            schema.validate_row(row)
+        schema.validate_rows(rows)
         super().__init__(schema, heap=heap, manager=manager,
                          group_name=group_name)
         self.row_count = len(rows)

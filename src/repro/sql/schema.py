@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import SchemaError
@@ -27,18 +29,23 @@ class ColumnType(enum.Enum):
     OPAQUE = "opaque"
 
     def validate(self, value: Any) -> None:
-        if self is ColumnType.STRING:
-            if not isinstance(value, str):
-                raise SchemaError(f"expected str, got {value!r}")
-        elif self is ColumnType.OPAQUE:
-            if not isinstance(value, (bytes, bytearray)):
-                raise SchemaError(f"expected bytes, got {value!r}")
-        elif self is ColumnType.DOUBLE:
-            if not isinstance(value, (int, float)):
-                raise SchemaError(f"expected number, got {value!r}")
-        else:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SchemaError(f"expected int, got {value!r}")
+        accepted, expected = _ACCEPTS[self]
+        if not isinstance(value, accepted) or (
+                self in _INTEGRAL and isinstance(value, bool)):
+            raise SchemaError(f"expected {expected}, got {value!r}")
+
+
+#: Per column type, the classes its values must be instances of and the
+#: word a refusal names; INT and LONG also refuse ``bool``, an ``int``
+#: subclass.
+_ACCEPTS: dict[ColumnType, tuple[type | tuple[type, ...], str]] = {
+    ColumnType.INT: (int, "int"),
+    ColumnType.LONG: (int, "int"),
+    ColumnType.DOUBLE: ((int, float), "number"),
+    ColumnType.STRING: (str, "str"),
+    ColumnType.OPAQUE: ((bytes, bytearray), "bytes"),
+}
+_INTEGRAL = (ColumnType.INT, ColumnType.LONG)
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,7 @@ class TableSchema:
         self._index = {c.name: i for i, c in enumerate(self.columns)}
         if len(self._index) != len(self.columns):
             raise SchemaError(f"duplicate column names in {name!r}")
+        self._udt: ClassType | None = None   # built by table_udt
 
     def column_index(self, name: str) -> int:
         try:
@@ -81,20 +89,59 @@ class TableSchema:
         for column, value in zip(self.columns, row):
             column.ctype.validate(value)
 
+    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """:meth:`validate_row` on every row, a column at a time.
+
+        One C-level pass checks every row's arity and one more each
+        column's types (two for INT and LONG); only when a pass fails does
+        the per-row loop run, so the error raised, and its message, is the
+        one that loop meets first.
+        """
+        try:
+            conform = self._rows_conform(rows)
+        except (TypeError, LookupError):   # a row without len() or [i]
+            conform = False
+        if not conform:
+            for row in rows:
+                self.validate_row(row)
+
+    def _rows_conform(self, rows: Sequence[Sequence[Any]]) -> bool:
+        if not all(map(len(self.columns).__eq__, map(len, rows))):
+            return False
+        for index, column in enumerate(self.columns):
+            cell = itemgetter(index)
+            if not all(map(isinstance, map(cell, rows),
+                           repeat(_ACCEPTS[column.ctype][0]))):
+                return False
+            if column.ctype in _INTEGRAL and any(
+                    map(isinstance, map(cell, rows), repeat(bool))):
+                return False
+        return True
+
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.ctype.value}" for c in self.columns)
         return f"TableSchema({self.name!r}: {cols})"
 
 
 def table_udt(schema: TableSchema) -> "ClassType":
-    """Synthesize the analysis UDT for a SQL relation.
+    """The analysis UDT of a SQL relation, synthesized once per schema.
 
     One final field per column: fixed-width columns map to primitives,
     strings to char arrays (RFSTs, like a JVM String's backing array),
     and opaque payloads to an array with a *polymorphic* element type-set
     — the analysis cannot prove anything about their contents, which is
     what pushes the optimizer's layout decision to row-major.
+
+    The schema keeps the type it got first: every field added to a new
+    ``ClassType`` bumps the type-graph epoch, which makes each footprint
+    measurer compiled in the process recompile on its next call.
     """
+    if schema._udt is None:
+        schema._udt = _relation_udt(schema)
+    return schema._udt
+
+
+def _relation_udt(schema: TableSchema) -> "ClassType":
     from ..analysis.udt import (
         BYTE,
         CHAR,

@@ -16,17 +16,23 @@ perf_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(perf_pairs)
 
 
-def _run(workload, seed, side, wall, attempted=5, failed=0):
+def _run(workload, seed, side, wall, attempted=5, failed=0, setup=None):
+    metrics = {"job_wall_s": wall, "peak_rss_mb": 30.0}
+    if setup is not None:
+        metrics["setup_s"] = sum(setup)
+        metrics.update(zip(perf_pairs.SETUP_PARTS, setup))
     return {"workload": workload, "seed": seed, "side": side,
-            "attempted": attempted, "failed": failed,
-            "metrics": {"job_wall_s": wall, "peak_rss_mb": 30.0}}
+            "attempted": attempted, "failed": failed, "metrics": metrics}
 
 
 CANNED = [
-    _run("lr", 1, "parent", 0.80), _run("lr", 1, "change", 0.50),
-    _run("lr", 2, "parent", 0.70), _run("lr", 2, "change", 0.55),
-    _run("lr", 3, "parent", 0.90), _run("lr", 3, "change", 0.95,
-                                        attempted=4, failed=1),
+    _run("lr", 1, "parent", 0.80, setup=(0.2, 0.3, 0.0)),
+    _run("lr", 1, "change", 0.50, setup=(0.2, 0.1, 0.0)),
+    _run("lr", 2, "parent", 0.70, setup=(0.3, 0.4, 0.0)),
+    _run("lr", 2, "change", 0.55, setup=(0.2, 0.2, 0.0)),
+    _run("lr", 3, "parent", 0.90, setup=(0.2, 0.5, 0.0)),
+    _run("lr", 3, "change", 0.95, attempted=4, failed=1,
+         setup=(0.1, 0.2, 0.0)),
     _run("wc", 7, "parent", 0.20), _run("wc", 7, "change", 0.20),
 ]
 
@@ -42,6 +48,20 @@ class TestFold:
         assert payload["jobs"]["lr"] == {
             "parent": {"attempted": 15, "failed": 0},
             "change": {"attempted": 14, "failed": 1}}
+        assert payload["runs"]["lr"]["generate_s"] == {
+            "parent": [0.3, 0.4, 0.5], "change": [0.1, 0.2, 0.2]}
+        assert "import_s" not in payload["runs"]["wc"]
+
+    def test_setup_phases_print_under_setup_s(self):
+        payload = perf_pairs.fold(CANNED, "")
+        lines = perf_pairs.report(payload, {"job_wall_s": "lower",
+                                            "setup_s": "lower"})
+        rows = [line.split() for line in lines[1:]]
+        # lr: job_wall_s, setup_s and its three phases; wc: no set-up.
+        assert [row[0] for row in rows] == [
+            "lr", "lr", "import_s", "generate_s", "open_s", "wc"]
+        assert rows[1][1] == "setup_s" and rows[5][1] == "job_wall_s"
+        assert rows[3][:4] == ["generate_s", "0.4", "0.2", "0.500"]
 
     def test_merge_keeps_old_workloads(self):
         old = perf_pairs.fold(CANNED[:6], "first")

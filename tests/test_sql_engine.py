@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.apps.sql_queries import make_suite_engine, suite_queries
+from repro.analysis import udt as type_graph
+from repro.apps.sql_queries import (make_suite_engine, run_sql_suite,
+                                    suite_queries)
 from repro.config import DecaConfig, MB
 from repro.core.optimizer import plan_sql_layout
 from repro.data import rankings_table, uservisits_table
@@ -18,7 +20,7 @@ from repro.sql import (
     select,
     top_k,
 )
-from repro.sql.schema import RANKINGS_SCHEMA, USERVISITS_SCHEMA
+from repro.sql.schema import RANKINGS_SCHEMA, USERVISITS_SCHEMA, table_udt
 
 BLOBS_SCHEMA = TableSchema("blobs", [
     Column("key", ColumnType.INT),
@@ -269,6 +271,19 @@ class TestArenaAccounting:
 
 
 class TestLayoutPlanning:
+    def test_one_relation_udt_per_schema(self):
+        assert table_udt(RANKINGS_SCHEMA) is table_udt(RANKINGS_SCHEMA)
+        assert table_udt(BLOBS_SCHEMA) is not table_udt(RANKINGS_SCHEMA)
+
+    def test_repeated_suite_leaves_the_type_graph_alone(self):
+        """Planning a relation's layout again reuses its UDT: a second
+        suite run adds no class, so no compiled measurer goes stale."""
+        rankings, uservisits = rankings_table(60), uservisits_table(80)
+        run_sql_suite(rankings, uservisits)
+        before = type_graph.epoch
+        run_sql_suite(rankings, uservisits)
+        assert type_graph.epoch == before
+
     def test_fixed_schema_goes_columnar(self):
         plan = plan_sql_layout(RANKINGS_SCHEMA)
         assert plan.layout == "columnar"
