@@ -15,13 +15,8 @@ from operator import add, mul, sub, truediv
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
 from .common import AppRun, make_context
-from .udts import (
-    CLUSTER_STAT_OBJECTS,
-    ClusterStat,
-    KM_ASSIGN_STAGE,
-    LR_STAGE,
-    LabeledPoint,
-)
+from .logistic_regression import labeled_point_udt_info
+from .udts import CLUSTER_STAT_OBJECTS, ClusterStat, KM_ASSIGN_STAGE
 
 Point = tuple[float, ...]
 
@@ -32,30 +27,19 @@ def cluster_stat_udt_info(dimensions: int) -> UdtInfo:
     All sum arrays share the dataset dimension, so the record is an SFST
     — the eager-aggregation buffer decomposes with in-place segment reuse
     on every merge (§4.3.2).  Spark's records are measured as the
-    ``Tuple2`` graph it allocates.
+    ``Tuple2`` graph it allocates, whose value is the same pair.
     """
     return UdtInfo(
         udt=ClusterStat,
         entry_method=KM_ASSIGN_STAGE,
-        encode=lambda kv: (kv[0], tuple(kv[1][0]), kv[1][1]),
-        decode=lambda v: (v[0], (tuple(v[1]), v[2])),
         runtime_symbols={"D": dimensions},
         object_model=CLUSTER_STAT_OBJECTS,
-        measure_encode=lambda kv: (
-            (kv[0],), (((tuple(kv[1][0]), 0, 1, len(kv[1][0])),
-                        (kv[1][1],)))),
     )
 
 
-def point_udt_info(dimensions: int) -> UdtInfo:
-    """KMeans reuses the LR vector model with a constant label slot."""
-    return UdtInfo(
-        udt=LabeledPoint,
-        entry_method=LR_STAGE,
-        encode=lambda p: (0.0, (p, 0, 1, len(p))),
-        decode=lambda v: tuple(v[1][0]),
-        runtime_symbols={"D": dimensions},
-    )
+#: KMeans reuses the LR vector model: a point is cached as the
+#: ``LabeledPoint`` ``(0.0, point)``.
+point_udt_info = labeled_point_udt_info
 
 
 def _closest(point: Point, centers: list[Point]) -> int:
@@ -95,7 +79,8 @@ def run_kmeans(points: list[Point], k: int = 8,
                    + cpu.arithmetic_per_dim_ms * (dimensions + k))
 
     raw = ctx.parallelize(points, num_partitions, name="km.input")
-    cached = raw.map(lambda p: p, name="km.points", udt_info=info).cache()
+    cached = raw.map(lambda p: (0.0, p), name="km.points",
+                     udt_info=info).cache()
     stat_info = cluster_stat_udt_info(dimensions)
 
     centers = [points[(i * 7919) % len(points)] for i in range(k)]
@@ -105,9 +90,9 @@ def run_kmeans(points: list[Point], k: int = 8,
         # retried task could observe mid-update.
         frozen = tuple(centers)
 
-        def assign(point, c=frozen):
-            index = _closest(point, c)
-            return index, (point, 1)
+        def assign(labeled, c=frozen):
+            point = labeled[1]
+            return _closest(point, c), (point, 1)
 
         def merge(a, b):
             (sum_a, count_a), (sum_b, count_b) = a, b

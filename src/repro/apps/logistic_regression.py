@@ -29,8 +29,6 @@ def labeled_point_udt_info(dimensions: int) -> UdtInfo:
     return UdtInfo(
         udt=LabeledPoint,
         entry_method=LR_STAGE,
-        encode=lambda rec: (rec[0], (rec[1], 0, 1, len(rec[1]))),
-        decode=lambda v: (v[0], tuple(v[1][0])),
         runtime_symbols={"D": dimensions},
     )
 

@@ -35,8 +35,6 @@ def adjacency_udt_info() -> UdtInfo:
         udt=AdjacencyList,
         entry_method=GRAPH_ITERATE,
         known_types=(AdjacencyList,),
-        encode=lambda rec: (rec[0], tuple(rec[1])),
-        decode=lambda v: (v[0], tuple(v[1])),
         assume_init_only=(AdjacencyList.field("neighbors"),),
     )
 
@@ -52,12 +50,8 @@ def edge_udt_info() -> UdtInfo:
     """The ``Edge(src: Long, dst: Long)`` model — an SFST, so Deca
     decomposes the map side of the grouping shuffle.  Spark holds an edge
     as a ``Tuple2`` of two boxed ``Long``s, which is what is measured."""
-    return UdtInfo(
-        udt=Edge,
-        entry_method=GRAPH_BUILD,
-        object_model=EDGE_OBJECTS,
-        measure_encode=lambda edge: ((edge[0],), (edge[1],)),
-    )
+    return UdtInfo(udt=Edge, entry_method=GRAPH_BUILD,
+                   object_model=EDGE_OBJECTS)
 
 
 def build_adjacency(ctx, edges: list[EdgePair], num_partitions: int,

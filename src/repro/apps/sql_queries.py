@@ -28,34 +28,12 @@ from .common import AppRun, make_context
 from .udts import RANKINGS_SCAN, Ranking, USERVISITS_SCAN, UserVisit
 
 
-def _chars(s: str) -> tuple:
-    return (tuple(map(ord, s)),)
-
-
-def _string(v: tuple) -> str:
-    return "".join(map(chr, v[0]))
-
-
 def ranking_udt_info() -> UdtInfo:
-    return UdtInfo(
-        udt=Ranking,
-        entry_method=RANKINGS_SCAN,
-        encode=lambda row: (_chars(row[0]), row[1], row[2]),
-        decode=lambda v: (_string(v[0]), v[1], v[2]),
-    )
+    return UdtInfo(udt=Ranking, entry_method=RANKINGS_SCAN)
 
 
 def uservisit_udt_info() -> UdtInfo:
-    return UdtInfo(
-        udt=UserVisit,
-        entry_method=USERVISITS_SCAN,
-        encode=lambda r: (_chars(r[0]), _chars(r[1]), r[2], r[3],
-                          _chars(r[4]), _chars(r[5]), _chars(r[6]),
-                          _chars(r[7]), r[8]),
-        decode=lambda v: (_string(v[0]), _string(v[1]), v[2], v[3],
-                          _string(v[4]), _string(v[5]), _string(v[6]),
-                          _string(v[7]), v[8]),
-    )
+    return UdtInfo(udt=UserVisit, entry_method=USERVISITS_SCAN)
 
 
 def run_query1(rankings: list[RankingRow],

@@ -14,6 +14,15 @@ map UDFs that allocate the records) are written against the same types,
 so an app's ``UdtInfo`` objects and its lint targets share one model
 instance — the classifiers key fields and array types by identity.
 
+A declaration also fixes the one value a record has everywhere, built by
+the UDF, packed and measured (:func:`repro.memory.layout.record_shape`):
+a class is its constructor's arguments in order (one without a
+constructor, like :func:`tuple2`, is its fields); a field the declaration
+initialises (``DenseVector.length``) is stored, computed on write and
+dropped on read; a one-argument record is its argument; a ``char[]`` is a
+``str`` of UTF-16 code units.  So ``LabeledPoint`` is ``(label, features)``
+and ``ClusterStat`` ``(cluster, (sum, count))``.
+
 The central example is the paper's Fig. 1/Fig. 3 ``LabeledPoint``:
 
 * locally, ``features`` is a non-final field holding RFST ``DenseVector``
@@ -162,12 +171,19 @@ LR_STAGE = Method("lr.stage0", body=(
 
 
 @record
+class SumCount:
+    """The ``(vector_sum, count)`` value of a KMeans aggregation pair."""
+
+    sum: val(DOUBLE_ARRAY)
+    count: INT
+
+
+@record
 class ClusterStat:
     """KMeans' ``(cluster, (vector_sum, count))`` aggregation record."""
 
     cluster: INT
-    sum: val(DOUBLE_ARRAY)
-    count: INT
+    stat: val(SumCount)
 
 
 #: The assignment map: every sum array has the dataset dimension.
@@ -175,8 +191,8 @@ KM_ASSIGN_STAGE = Method("km.assignStage", body=(
     Assign("D", SymInput("D")),
     Loop((
         NewArray("sum", DOUBLE_ARRAY, Local("D")),
-        new("stat", ClusterStat, SymInput("cluster"), Local("sum"),
-            SymInput("count")),
+        new("sumCount", SumCount, Local("sum"), SymInput("count")),
+        new("stat", ClusterStat, SymInput("cluster"), Local("sumCount")),
     )),
     Return(),
 ))
@@ -291,10 +307,10 @@ def _scan(name: str, row: ClassType) -> Method:
     args: list[Expr] = []
     for field in row.fields:
         if field.declared_type is String:
-            body += (NewArray(f"{field.name}_chars", CHAR_ARRAY,
+            body += (NewArray(f"{field.name}_arr", CHAR_ARRAY,
                               SymInput(f"{field.name}_len")),
                      new(f"{field.name}_str", String,
-                         Local(f"{field.name}_chars")))
+                         Local(f"{field.name}_arr")))
             args.append(Local(f"{field.name}_str"))
         else:
             args.append(SymInput(field.name))

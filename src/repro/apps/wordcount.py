@@ -21,10 +21,6 @@ def wordcount_udt_info() -> UdtInfo:
     return UdtInfo(
         udt=Tuple2,
         entry_method=WC_STAGE,
-        encode=lambda kv: ((tuple(map(ord, kv[0])),), kv[1]),
-        decode=lambda v: ("".join(map(chr, v[0][0])), v[1]),
-        # A char[] is measured by its length alone: pass the word itself.
-        measure_encode=lambda kv: ((kv[0],), kv[1]),
     )
 
 

@@ -168,7 +168,7 @@ class DecaOptimizer:
             target=target, udt=info.udt.name, local_size_type=local,
             global_size_type=refined, decomposed=True, reason=reason,
             strategy=StorageStrategy.DECA_PAGES, schema=schema,
-            encode=info.encode, decode=info.decode, measure=measure,
+            measure=measure,
             value_segment_reuse=value_reuse, pointer_array=pointer_array,
             tag=tag)
 

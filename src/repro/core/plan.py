@@ -9,11 +9,11 @@ codec (what the engine executes).  The optimizer emits one per container
 in ``DECA`` mode (Appendix A); the context emits the object-form /
 Kryo-serialized ones of the Spark baselines.
 
-The four codec methods are the only places records change shape:
-:meth:`~ContainerPlan.encoded` / :meth:`~ContainerPlan.decoded` map
-between the app's records and the schema's nested tuples (stripping /
-re-attaching a cogroup side tag), :meth:`~ContainerPlan.pack` /
-:meth:`~ContainerPlan.records` between records and back-to-back bytes.
+A record is its UDT's value (:func:`repro.memory.layout.record_shape`),
+so :meth:`~ContainerPlan.pack` / :meth:`~ContainerPlan.records` go
+between the app's own records and back-to-back bytes, and
+:meth:`~ContainerPlan.encoded` / :meth:`~ContainerPlan.decoded` only
+strip / re-attach a cogroup side tag.
 The sim engine, the mp worker and the driver-side readers all go through
 them, so the representations cannot drift apart.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 from ..analysis.size_type import SizeType
 from ..memory.layout import Schema
@@ -65,8 +65,6 @@ class ContainerPlan:
     reason: str
     strategy: StorageStrategy = StorageStrategy.OBJECTS
     schema: Schema | None = None
-    encode: Callable[[Any], Any] | None = None
-    decode: Callable[[Any], Any] | None = None
     measure: Callable[[Any], "RecordFootprint"] | None = None
     value_segment_reuse: bool = False
     pointer_array: bool = False
@@ -86,21 +84,22 @@ class ContainerPlan:
         }
 
     # -- the codec ---------------------------------------------------------
-    def encoded(self, records: Iterable[Any]) -> Iterable[Any]:
+    def encoded(self, records: Sequence[Any]) -> Sequence[Any]:
         """Records as schema values (a cogroup side tag stripped)."""
-        if self.tag is not None:
-            records = ((key, tagged[1]) for key, tagged in records)
-        return map(self.encode, records) if self.encode else records
+        return records if self.tag is None else list(map(self.encode, records))
+
+    def encode(self, record: Any) -> Any:
+        """One record as its schema value."""
+        return record if self.tag is None else (record[0], record[1][1])
 
     def decoded(self, values: Iterable[Any]) -> Iterable[Any]:
         """Schema values as records (the side tag re-attached)."""
-        records = map(self.decode, values) if self.decode else values
         if self.tag is None:
-            return records
+            return values
         tag = self.tag
-        return ((key, (tag, value)) for key, value in records)
+        return ((key, (tag, value)) for key, value in values)
 
-    def pack(self, records: Iterable[Any]) -> bytes:
+    def pack(self, records: Sequence[Any]) -> bytes:
         """Records packed back to back in the schema's layout."""
         assert self.schema is not None
         return b"".join(map(self.schema.pack, self.encoded(records)))

@@ -284,13 +284,15 @@ class MpBackend(ExecutionBackend):
         """Plan every stage of the job, then fork its executors — once.
 
         Planning first is what lets a worker serve the whole job from
-        one fork: every shuffle's plan — its codec included — is in the
-        context's memo when the workers inherit it, so an order only has
-        to name the stage.
+        one fork: the plan of every shuffle and of every cached dataset
+        a stage reads — codec included — is in the context's memo when
+        the workers inherit it, so an order only has to name the stage.
         """
         ctx = self.ctx
         plans: dict[int, tuple["Stage", ContainerPlan | None]] = {}
         for stage in stages:
+            for _ in ctx.input_plans(stage.rdd):
+                pass
             dep = stage.shuffle_dep
             if dep is None:
                 plans[stage.stage_id] = (stage, None)

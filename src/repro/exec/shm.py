@@ -38,7 +38,7 @@ import struct
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from ..core.plan import ContainerPlan
 from ..errors import PageError
@@ -152,9 +152,9 @@ class SharedPageSegment:
             pass
 
 
-def pack_records_segment(name: str, schema: Schema, values: list,
+def pack_records_segment(name: str, schema: Schema, values: Sequence[Any],
                          ) -> SegmentRef:
-    """Pack encoded *values* into a fresh segment named *name*.
+    """Pack schema *values* into a fresh segment named *name*.
 
     One sizing step then one in-place pack straight into the shared
     mapping — the only full traversal of the bytes; every subsequent

@@ -389,7 +389,7 @@ class _WorkerRuntime:
         """Pack *records* into this attempt's segment ``…<suffix>``."""
         assert plan.schema is not None
         ref = pack_records_segment(self.attempt_tag + suffix, plan.schema,
-                                   list(plan.encoded(records)))
+                                   plan.encoded(records))
         if ref.name is not None:
             self.created.append(ref.name)
         return ref

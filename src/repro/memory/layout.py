@@ -13,9 +13,10 @@ Arrays come in two flavours:
   prefix, and offsets after them are computed at access time — the
   "synthesized static methods to compute the data size" of Appendix B.
 
-Schemas *pack* Python values into buffers and *unpack* them back; the
-record values are plain tuples in field order, arrays are tuples of element
-values.  :mod:`repro.memory.sudt` builds attribute-style accessors on top.
+Schemas *pack* Python values into buffers and *unpack* them back: a
+record's value is what the program builds (:func:`record_shape`), arrays
+are tuples and a length-prefixed ``char[]`` is a ``str``.
+:mod:`repro.memory.sudt` builds attribute-style accessors on top.
 
 A fixed-size schema (an SFST: every offset static) compiles, on first use,
 a :class:`FlatCodec` — Appendix B's statically scheduled access path.  Its
@@ -38,8 +39,10 @@ from typing import (
     Sequence,
 )
 
+from ..analysis.ir import ArrayLength, Const, Local
 from ..analysis.size_type import SizeType
 from ..analysis.udt import (
+    CHAR,
     ArrayType,
     ClassType,
     DataType,
@@ -61,17 +64,46 @@ _STRUCT_CODES: dict[str, str] = {
 _LENGTH_PREFIX = struct.Struct("<I")
 
 
+def record_shape(cls: ClassType) -> tuple | None:
+    """How a value of *cls* — its constructor's arguments in order, a
+    one-argument record being its argument — maps onto its fields: the
+    field index of each argument, and ``(field index, "const", literal)``
+    or ``(field index, "len", argument position)`` per field the
+    declaration initialises (computed on write, dropped on read).
+    ``None`` (no constructor, or arguments stored in field order): a
+    tuple of the fields."""
+    ctor = cls.constructor
+    if ctor is None:
+        return None
+    position = {name: i for i, name in enumerate(ctor.params)}
+    fields = {id(field): i for i, field in enumerate(cls.fields)}
+    arguments = [0] * len(position)
+    computed = []
+    for store in ctor.body:
+        index, value = fields[id(store.field)], store.value
+        if isinstance(value, Local) and value.name in position:
+            arguments[position[value.name]] = index
+        elif isinstance(value, Const):
+            computed.append((index, "const", value.value))
+        elif isinstance(value, ArrayLength) and value.array in position:
+            computed.append((index, "len", position[value.array]))
+        else:
+            raise MemoryLayoutError(
+                f"{cls.name}.{store.field.name} cannot be computed from "
+                f"the constructor's arguments: {value!r}")
+    if computed or len(arguments) == 1 or arguments != sorted(arguments):
+        return tuple(arguments), tuple(computed)
+    return None
+
+
 class FlatCodec(NamedTuple):
     """One ``struct`` over a whole fixed-size record.
 
-    ``slots`` are its primitive runs in layout order — ``(name, struct
-    code, relative offset, count)``, *count* ``None`` for a scalar;
-    ``reshape`` nests a flat tuple into the schema's value shape and
+    ``reshape`` nests a flat tuple into the record's value and
     ``flatten`` is the checking inverse: ``None`` for a value it cannot
     vouch for (not a tuple/list, wrong arity or array length).
     """
 
-    slots: tuple[tuple[str, str, int, int | None], ...]
     struct: struct.Struct
     reshape: Callable[[tuple], Any]
     flatten: Callable[[Any], "tuple | None"]
@@ -91,7 +123,11 @@ class Schema:
 
     def size_of(self, value: Any) -> int:
         """Packed size of *value* under this schema."""
-        raise NotImplementedError
+        return self.fixed_size  # type: ignore[return-value]
+
+    def skip(self, buffer, offset: int) -> int:
+        """Offset just past the value at *offset* without decoding it."""
+        return offset + self.fixed_size  # type: ignore[operator]
 
     def pack_into(self, buffer: bytearray | memoryview, offset: int,
                   value: Any) -> int:
@@ -178,9 +214,6 @@ class PrimitiveSlot(Schema):
     def __reduce__(self):
         return PrimitiveSlot, (self.primitive,)
 
-    def size_of(self, value: Any) -> int:
-        return self.fixed_size
-
     def pack_into(self, buffer, offset: int, value: Any) -> int:
         self._struct.pack_into(buffer, offset, value)
         return offset + self.fixed_size
@@ -198,11 +231,12 @@ class RecordSchema(Schema):
 
     When every field is fixed-size, per-field offsets are precomputed —
     these are the "relative offset values of all the UDT fields" the
-    synthesized SUDTs use (Appendix B).
+    synthesized SUDTs use (Appendix B).  *shape*: :func:`record_shape`.
     """
 
     def __init__(self, name: str,
-                 fields: Sequence[tuple[str, Schema]]) -> None:
+                 fields: Sequence[tuple[str, Schema]],
+                 shape: tuple | None = None) -> None:
         if not fields:
             raise MemoryLayoutError(
                 f"record schema {name!r} needs at least one field")
@@ -211,35 +245,23 @@ class RecordSchema(Schema):
         self._index = {fname: i for i, (fname, _) in enumerate(self.fields)}
         if len(self._index) != len(self.fields):
             raise MemoryLayoutError(f"duplicate field names in {name!r}")
-        sizes = [schema.fixed_size for _, schema in self.fields]
-        if all(size is not None for size in sizes):
-            self.fixed_size = sum(sizes)  # type: ignore[arg-type]
-            if self.fixed_size == 0:
-                # A zero-byte record cannot be addressed inside a page
-                # (sequential scans could never advance past it).
-                raise MemoryLayoutError(
-                    f"record schema {name!r} has zero size")
-            offsets: list[int | None] = []
-            acc = 0
-            for size in sizes:
-                offsets.append(acc)
-                acc += size  # type: ignore[operator]
-            self.field_offsets: tuple[int | None, ...] = tuple(offsets)
-        else:
-            self.fixed_size = None
-            # Offsets are static only up to the first variable field.
-            offsets = []
-            acc: int | None = 0
-            for size in sizes:
-                offsets.append(acc)
-                if acc is None or size is None:
-                    acc = None
-                else:
-                    acc += size
-            self.field_offsets = tuple(offsets)
+        self.shape = shape
+        # Offsets are static up to the first variable-size field.
+        offsets: list[int | None] = []
+        acc: int | None = 0
+        for _, schema in self.fields:
+            offsets.append(acc)
+            acc = (None if acc is None or schema.fixed_size is None
+                   else acc + schema.fixed_size)
+        self.field_offsets: tuple[int | None, ...] = tuple(offsets)
+        self.fixed_size = acc
+        if acc == 0:
+            # A zero-byte record cannot be addressed inside a page
+            # (sequential scans could never advance past it).
+            raise MemoryLayoutError(f"record schema {name!r} has zero size")
 
     def __reduce__(self):
-        return RecordSchema, (self.name, self.fields)
+        return RecordSchema, (self.name, self.fields, self.shape)
 
     def field_index(self, name: str) -> int:
         try:
@@ -262,21 +284,18 @@ class RecordSchema(Schema):
             return base_offset + static
         offset = base_offset
         for _, schema in self.fields[:index]:
-            if schema.fixed_size is not None:
-                offset += schema.fixed_size
-            else:
-                offset = schema.skip(buffer, offset)
+            offset = schema.skip(buffer, offset)
         return offset
 
     def size_of(self, value: Any) -> int:
         if self.fixed_size is not None:
             return self.fixed_size
-        values = self._as_sequence(value)
+        values = self._stored(value)
         return sum(schema.size_of(v)
                    for (_, schema), v in zip(self.fields, values))
 
     def _pack_fields(self, buffer, offset: int, value: Any) -> int:
-        values = self._as_sequence(value)
+        values = self._stored(value)
         for (_, schema), v in zip(self.fields, values):
             offset = schema.pack_into(buffer, offset, v)
         return offset
@@ -286,7 +305,24 @@ class RecordSchema(Schema):
         for _, schema in self.fields:
             value, offset = schema.unpack_from(buffer, offset)
             out.append(value)
-        return tuple(out), offset
+        if self.shape is None:
+            return tuple(out), offset
+        value = tuple([out[index] for index in self.shape[0]])
+        return (value[0] if len(value) == 1 else value), offset
+
+    def _stored(self, value: Any) -> Sequence[Any]:
+        """The field values *value* stores, in field order."""
+        if self.shape is None:
+            return self._as_sequence(value, len(self.fields))
+        arguments, computed = self.shape
+        args = (value,) if len(arguments) == 1 else self._as_sequence(
+            value, len(arguments))
+        stored = [None] * len(self.fields)
+        for index, arg in zip(arguments, args):
+            stored[index] = arg
+        for index, kind, operand in computed:
+            stored[index] = operand if kind == "const" else len(args[operand])
+        return stored
 
     def skip(self, buffer, offset: int) -> int:
         """Offset just past the record at *offset* without decoding it."""
@@ -296,11 +332,11 @@ class RecordSchema(Schema):
             offset = schema.skip(buffer, offset)
         return offset
 
-    def _as_sequence(self, value: Any) -> Sequence[Any]:
+    def _as_sequence(self, value: Any, arity: int) -> Sequence[Any]:
         if isinstance(value, (tuple, list)):
-            if len(value) != len(self.fields):
+            if len(value) != arity:
                 raise MemoryLayoutError(
-                    f"record {self.name!r} expects {len(self.fields)} "
+                    f"record {self.name!r} expects {arity} "
                     f"values, got {len(value)}")
             return value
         raise MemoryLayoutError(
@@ -331,9 +367,6 @@ class FixedArraySchema(Schema):
 
     def __reduce__(self):
         return FixedArraySchema, (self.element, self.length)
-
-    def size_of(self, value: Any) -> int:
-        return self.fixed_size
 
     def _pack_fields(self, buffer, offset: int, value: Any) -> int:
         if len(value) != self.length:
@@ -410,9 +443,8 @@ class VarArraySchema(Schema):
         return tuple(out), offset
 
     def skip(self, buffer, offset: int) -> int:
-        (length,) = _LENGTH_PREFIX.unpack_from(buffer, offset)
-        return (offset + _LENGTH_PREFIX.size
-                + self.element.fixed_size * length)
+        return offset + _LENGTH_PREFIX.size \
+            + self.element.fixed_size * self.length_at(buffer, offset)
 
     def length_at(self, buffer, offset: int) -> int:
         """The stored length of the array at *offset*."""
@@ -420,16 +452,35 @@ class VarArraySchema(Schema):
         return length
 
     def __repr__(self) -> str:
-        return f"VarArraySchema({self.element!r})"
+        return f"{type(self).__name__}({self.element!r})"
 
 
-# RecordSchema.skip needs PrimitiveSlot/FixedArraySchema to have skip too.
-def _fixed_skip(self, buffer, offset: int) -> int:
-    return offset + self.fixed_size
+class StringSchema(VarArraySchema):
+    """A ``char[]`` holding a ``str``: its UTF-16 code units, as on the
+    JVM (``surrogatepass``: an astral character is a surrogate pair)."""
 
+    def __init__(self) -> None:
+        super().__init__(PrimitiveSlot(CHAR))
 
-PrimitiveSlot.skip = _fixed_skip            # type: ignore[attr-defined]
-FixedArraySchema.skip = _fixed_skip         # type: ignore[attr-defined]
+    def __reduce__(self):
+        return StringSchema, ()
+
+    def size_of(self, value: str) -> int:
+        return _LENGTH_PREFIX.size + (
+            2 * len(value) if value.isascii()
+            else len(value.encode("utf-16-le", "surrogatepass")))
+
+    def pack_into(self, buffer, offset: int, value: str) -> int:
+        units = value.encode("utf-16-le", "surrogatepass")
+        struct.pack_into(f"<I{len(units)}s", buffer, offset,
+                         len(units) >> 1, units)
+        return offset + _LENGTH_PREFIX.size + len(units)
+
+    def unpack_from(self, buffer, offset: int) -> tuple[str, int]:
+        start = offset + _LENGTH_PREFIX.size
+        (units,) = struct.unpack_from(
+            f"{2 * self.length_at(buffer, offset)}s", buffer, start)
+        return units.decode("utf-16-le", "surrogatepass"), start + len(units)
 
 
 def _compile_codec(schema: Schema) -> FlatCodec:
@@ -437,55 +488,58 @@ def _compile_codec(schema: Schema) -> FlatCodec:
     if schema.fixed_size is None:
         raise MemoryLayoutError(
             f"cannot generate static offsets for {schema!r}")
-    slots: list[tuple[str, str, int, int | None]] = []
+    fmt: list[str] = []
     checks: list[str] = []
     pos = 0     # index of the next slot's first value in the flat tuple
 
-    def walk(node: Schema, name: str, offset: int,
-             value: str) -> tuple[str, str]:
+    def walk(node: Schema, value: str) -> tuple[str, str]:
         """``(reshape expression, flatten terms)`` of *node*, whose value
         the flatten body reads as the expression *value*."""
         nonlocal pos
         if isinstance(node, PrimitiveSlot):
-            slots.append(
-                (name, _STRUCT_CODES[node.primitive.name], offset, None))
+            fmt.append(_STRUCT_CODES[node.primitive.name])
             pos += 1
             return f"t[{pos - 1}]", f"{value}, "
-        array = isinstance(node, FixedArraySchema)
         var = f"v{len(checks)}"
-        checks.append(
-            f"    {var} = {value}\n"
-            f"    if not (isinstance({var}, _seq) and len({var}) == "
-            f"{node.length if array else len(node.fields)}): return None\n")
-        if array and isinstance(node.element, PrimitiveSlot):
-            code = _STRUCT_CODES[node.element.primitive.name]
-            slots.append((name, code, offset, node.length))
-            start, pos = pos, pos + node.length
-            return f"t[{start}:{pos}]", f"*{var}, "
-        if array:
-            parts = [(f"{name}_{i}", node.element)
-                     for i in range(node.length)]
+        if isinstance(node, FixedArraySchema):
+            parts, record = [node.element] * node.length, None
         else:
-            parts = [(f"{name}_{field}" if name else field, field_schema)
-                     for field, field_schema in node.fields]
-        shapes = terms = ""
-        for index, (part_name, part) in enumerate(parts):
-            shape, term = walk(part, part_name, offset, f"{var}[{index}]")
-            offset += part.fixed_size
-            shapes += shape + ", "
+            parts, record = [part for _, part in node.fields], node.shape
+        arguments, computed = record or (range(len(parts)), ())
+        bare = record is not None and len(arguments) == 1
+        check = "" if bare else (
+            f"    if not (isinstance({var}, _seq) and len({var}) == "
+            f"{len(arguments)}): return None\n")
+        checks.append(f"    {var} = {value}\n{check}")
+        if isinstance(node, FixedArraySchema) \
+                and isinstance(node.element, PrimitiveSlot):
+            code = _STRUCT_CODES[node.element.primitive.name]
+            fmt.append(f"{node.length}{code}")
+            pos += node.length
+            return f"t[{pos - node.length}:{pos}]", f"*{var}, "
+        sources = {index: var if bare else f"{var}[{position}]"
+                   for position, index in enumerate(arguments)}
+        for index, kind, operand in computed:
+            sources[index] = (repr(operand) if kind == "const" else
+                              f"len({sources[arguments[operand]]})")
+        shapes, terms = [], ""
+        for index, part in enumerate(parts):
+            part_shape, term = walk(part, sources[index])
+            shapes.append(part_shape)
             terms += term
-        return f"({shapes})", terms
+        if bare:
+            return shapes[arguments[0]], terms
+        return f"({''.join(shapes[index] + ', ' for index in arguments)})", \
+            terms
 
-    shape, terms = walk(schema, "", 0, "value")
+    shape, terms = walk(schema, "value")
     namespace: dict[str, Any] = {"_seq": (tuple, list)}
     exec(f"def reshape(t):\n    return {shape}\n"
          f"def flatten(value):\n{''.join(checks)}    return ({terms})\n",
          namespace)
-    fmt = "<" + "".join(f"{'' if count is None else count}{code}"
-                        for _, code, _, count in slots)
     # Popped, so the functions and their globals dict form no cycle and
     # a dropped schema's codec is freed by refcount.
-    return FlatCodec(tuple(slots), struct.Struct(fmt),
+    return FlatCodec(struct.Struct("<" + "".join(fmt)),
                      namespace.pop("reshape"), namespace.pop("flatten"))
 
 
@@ -524,6 +578,9 @@ def _schema_for(udt: DataType, fixed_lengths: dict[int, int],
         length = fixed_lengths.get(id(udt))
         if length is not None:
             return FixedArraySchema(element, length)
+        if (isinstance(element, PrimitiveSlot)
+                and element.primitive.name == "char"):
+            return StringSchema()
         return VarArraySchema(element)
     if isinstance(udt, ClassType):
         if not udt.fields:
@@ -534,7 +591,7 @@ def _schema_for(udt: DataType, fixed_lengths: dict[int, int],
             runtime = _sole_runtime_type(udt, field)
             fields.append(
                 (field.name, _schema_for(runtime, fixed_lengths, seen)))
-        return RecordSchema(udt.name, fields)
+        return RecordSchema(udt.name, fields, record_shape(udt))
     raise MemoryLayoutError(f"cannot lay out {udt!r}")
 
 
@@ -735,10 +792,10 @@ def columnar_plan(schema: RecordSchema
                   ) -> tuple[tuple[str, ColumnLayout], ...]:
     """Per-field column layouts for a fixed-schema (UDT-F/RFST) record.
 
-    Primitive fields map to :class:`FixedColumnLayout`; char/byte array
-    fields (JVM strings) map to :class:`StringColumnLayout`.  Anything
-    else — nested records, polymorphic fields, arrays of non-character
-    elements — has no column-major form and raises
+    Primitive fields map to :class:`FixedColumnLayout`; strings
+    (:class:`StringSchema`) map to :class:`StringColumnLayout`.  Anything
+    else — nested records, polymorphic fields, other arrays — has no
+    column-major form and raises
     :class:`MemoryLayoutError`, which is the optimizer's signal to fall
     back to the row-major layout above.
     """
@@ -747,24 +804,11 @@ def columnar_plan(schema: RecordSchema
         if isinstance(field_schema, PrimitiveSlot):
             plan.append((name, FixedColumnLayout(
                 _STRUCT_CODES[field_schema.primitive.name])))
-        elif (isinstance(field_schema, VarArraySchema)
-              and isinstance(field_schema.element, PrimitiveSlot)
-              and field_schema.element.primitive.name in ("char", "byte")):
+        elif isinstance(field_schema, StringSchema):
             plan.append((name, StringColumnLayout()))
         else:
             raise MemoryLayoutError(
                 f"field {schema.name}.{name} has no column-major layout; "
-                "only primitives and char/byte arrays (strings) "
-                "decompose per column")
+                "only primitives and strings decompose per column")
     return tuple(plan)
 
-
-def reorder_fields_fixed_first(schema: RecordSchema) -> RecordSchema:
-    """Appendix B's optimization: put fixed-size fields first.
-
-    With every fixed-size field leading, more field offsets become static,
-    so more accessor reads avoid the offset-scan.
-    """
-    fixed = [(n, s) for n, s in schema.fields if s.fixed_size is not None]
-    variable = [(n, s) for n, s in schema.fields if s.fixed_size is None]
-    return RecordSchema(schema.name, fixed + variable)

@@ -76,9 +76,11 @@ class ArrayView:
             yield self[i]
 
     def to_tuple(self) -> tuple:
-        """Materialize the elements as a tuple."""
-        value, _ = self._schema.unpack_from(self._buf, self._off)
-        return tuple(value)
+        """Materialize the elements (a ``char[]``'s code units)."""
+        if isinstance(self._element, RecordSchema):
+            value, _ = self._schema.unpack_from(self._buf, self._off)
+            return tuple(value)
+        return tuple(self)
 
     def typed_view(self) -> memoryview:
         """A typed zero-copy view over the elements (``memoryview.cast``).

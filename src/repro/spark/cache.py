@@ -357,8 +357,7 @@ class CacheStore:
                                       block.page_group.used_bytes)
         executor.charge_compute(
             executor.config.cpu.page_access_ms * block.record_count)
-        yield from block.plan.decoded(
-            block.page_group.records(block.plan.schema))
+        yield from block.page_group.records(block.plan.schema)
 
     def _read_from_disk(self, block: CachedBlock) -> Iterator[Any]:
         """Stream a swapped block's records without re-promoting it."""

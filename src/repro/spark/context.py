@@ -67,7 +67,7 @@ def stable_hash(key: Any) -> int:
     # ``int`` here, so ``True`` still takes the branch below).
     kind = type(key)
     if kind is str:
-        return zlib.crc32(key.encode("utf-8"))
+        return zlib.crc32(key.encode("utf-8", "surrogatepass"))
     if kind is int:
         return key & 0x7FFFFFFF
     if key is None:
@@ -86,7 +86,7 @@ def stable_hash(key: Any) -> int:
             return _NAN_HASH
         return hash(key) & 0x7FFFFFFF
     if isinstance(key, str):
-        return zlib.crc32(key.encode("utf-8"))
+        return zlib.crc32(key.encode("utf-8", "surrogatepass"))
     if isinstance(key, bytes):
         return zlib.crc32(key)
     if isinstance(key, tuple):
@@ -234,9 +234,7 @@ class DecaContext:
         return ContainerPlan(
             target=f"cache:{rdd.name}", udt=info.udt.name if info else None,
             local_size_type=None, global_size_type=None, decomposed=False,
-            reason=reason, strategy=strategy, schema=schema,
-            encode=info.encode if info else None,
-            decode=info.decode if info else None)
+            reason=reason, strategy=strategy, schema=schema)
 
     # -- cache materialization ------------------------------------------------------------
     def _cached_iterator(self, rdd: RDD, split: int,
@@ -309,7 +307,7 @@ class DecaContext:
                 f"Deca page plan for {rdd.name!r} lacks a schema")
         group = executor.memory_manager.new_page_group(
             f"cache:{key}", evictable=True)
-        group.append_records(plan.schema, plan.encoded(records))
+        group.append_records(plan.schema, records)
         group.trim()  # sealed block: give the last page's tail back
         executor.serializer.deca_write(len(records), group.used_bytes)
         return CachedBlock(
@@ -326,8 +324,15 @@ class DecaContext:
         or input shuffle along any narrow path (a co-partitioned join has
         two) — is stored decomposed in DECA mode.
         """
-        if self.mode is not ExecutionMode.DECA:
-            return False
+        # A stage whose input shuffle is decomposed is rewritten to read
+        # the buffer bytes directly.
+        return self.mode is ExecutionMode.DECA and any(
+            plan.decomposed for plan in self.input_plans(rdd))
+
+    def input_plans(self, rdd: RDD) -> Iterator[ContainerPlan]:
+        """The plans of what the stage computing *rdd* reads, made as
+        they are yielded: its nearest cached ancestor along every narrow
+        path and every shuffle those paths start from."""
         seen: set[int] = set()
         pending = [rdd]
         while pending:
@@ -336,18 +341,13 @@ class DecaContext:
                 continue
             seen.add(node.rdd_id)
             if node.is_cached:
-                if self.plan_cache(node).strategy \
-                        is StorageStrategy.DECA_PAGES:
-                    return True
+                yield self.plan_cache(node)
                 continue
             for dep in node.deps:
                 if not isinstance(dep, ShuffleDependency):
                     pending.append(dep.parent)
-                elif self.plan_shuffle(dep).decomposed:
-                    # A stage whose input shuffle is decomposed is
-                    # rewritten to read the buffer bytes directly.
-                    return True
-        return False
+                else:
+                    yield self.plan_shuffle(dep)
 
     # -- lifecycle bookkeeping ----------------------------------------------------------
     def _register_rdd(self, rdd: RDD) -> None:

@@ -38,9 +38,10 @@ from operator import countOf
 from typing import Any, Callable, NamedTuple
 
 from ..analysis import udt as _type_graph
-from ..analysis.udt import ArrayType, ClassType, DataType, PrimitiveType
+from ..analysis.udt import CHAR, ArrayType, ClassType, DataType, PrimitiveType
 from ..errors import MemoryLayoutError
 from ..jvm import sizing
+from ..memory.layout import record_shape
 
 # Kryo writes a 1-2 byte class registration tag per top-level object.
 KRYO_TAG_BYTES = 2
@@ -87,7 +88,7 @@ _Measurer = Callable[[Any, Any], RecordFootprint]
 
 
 def measure_typed(udt: DataType, value) -> RecordFootprint:
-    """Measure *value* (in schema shape — nested tuples) against *udt*."""
+    """Measure *value*, a value of *udt* (``layout.record_shape``)."""
     return (getattr(udt, "_measurer", None) or _compile(udt))(udt, value)
 
 
@@ -131,8 +132,14 @@ def _compile(udt: DataType) -> _Measurer:
                 f" or _compile(t{k}))(t{k}, {value})\n")
             total.add(f"o{k}", f"b{k}", f"d{k}")
         elif isinstance(node, ArrayType):
-            lines.append(f"{pad}n{k} = len({value})\n")
             element = _sole(node.element_field.type_set)
+            lines.append(f"{pad}a{k} = {value}\n{pad}n{k} = len(a{k})\n")
+            if element is CHAR:
+                # A str counts the UTF-16 code units a layout packs.
+                lines.append(
+                    f"{pad}if a{k}.__class__ is str and not a{k}.isascii():"
+                    f" n{k} = len(a{k}.encode('utf-16-le', "
+                    f"'surrogatepass')) >> 1\n")
             if isinstance(element, PrimitiveType):
                 lines.append(f"{pad}d{k} = {element.nbytes} * n{k}\n")
                 total.add(1, f"(({_ARRAY_PAD} + d{k}) & {_ALIGN_MASK})",
@@ -149,7 +156,7 @@ def _compile(udt: DataType) -> _Measurer:
                 return
             each = _Sum()
             lines.append(f"{pad}o{k} = b{k} = d{k} = 0\n"
-                         f"{pad}for i{k} in {value}:\n")
+                         f"{pad}for i{k} in a{k}:\n")
             walk(element, f"i{k}", each, pad + "    ", path + (node,))
             objects, nbytes, data = each.sources()
             lines.append(f"{pad}    o{k} += {objects}\n"
@@ -157,13 +164,20 @@ def _compile(udt: DataType) -> _Measurer:
                          f"{pad}    d{k} += {data}\n")
             total.add(f"o{k}", f"b{k}", f"d{k}")
         else:
-            arity = len(node.fields)
-            mismatch = f" does not match {node.name}'s {arity} fields"
-            lines.append(
-                f"{pad}v{k} = {value}\n"
-                f"{pad}if not isinstance(v{k}, _seq): v{k} = (v{k},)\n"
-                f"{pad}if len(v{k}) != {arity}: raise _error("
-                f"'value arity ' + str(len(v{k})) + {mismatch!r})\n")
+            shape = record_shape(node)
+            arguments = shape[0] if shape else range(len(node.fields))
+            if shape and len(arguments) == 1:
+                sources = {arguments[0]: value}
+            else:
+                mismatch = (f" does not match {node.name}'s "
+                            f"{len(arguments)} fields")
+                lines.append(
+                    f"{pad}v{k} = {value}\n"
+                    f"{pad}if not isinstance(v{k}, _seq): v{k} = (v{k},)\n"
+                    f"{pad}if len(v{k}) != {len(arguments)}: raise _error("
+                    f"'value arity ' + str(len(v{k})) + {mismatch!r})\n")
+                sources = {index: f"v{k}[{position}]"
+                           for position, index in enumerate(arguments)}
             total.add(1, node.shallow_object_bytes,
                       node.primitive_payload_bytes)
             for index, field in enumerate(node.fields):
@@ -176,7 +190,7 @@ def _compile(udt: DataType) -> _Measurer:
                                "statically")
                     lines.append(f"{pad}raise _error({message!r})\n")
                     return      # the fields after it are never reached
-                walk(target, f"v{k}[{index}]", total, pad, path + (node,))
+                walk(target, sources[index], total, pad, path + (node,))
 
     total = _Sum()
     walk(udt, "value", total, "    ", ())

@@ -38,18 +38,17 @@ class UdtInfo:
     """Everything the Deca optimizer needs to know about a dataset's UDT.
 
     *entry_method* is the stage-level IR whose call graph the global
-    classification analyzes; *encode*/*decode* convert between the app's
-    record values and the schema's nested-tuple shape; *runtime_symbols*
-    bind the symbolic constants of the analysis (e.g. the dimension read
-    from a dataset header) to their runtime values, which is how the hybrid
-    runtime optimizer of Appendix A resolves sizes at job-submission time.
+    classification analyzes; the dataset's records are *udt*'s values
+    (:func:`repro.memory.layout.record_shape`), packed and measured as
+    they are; *runtime_symbols* bind the symbolic constants of the
+    analysis (e.g. the dimension read from a dataset header) to their
+    runtime values, which is how the hybrid runtime optimizer of
+    Appendix A resolves sizes at job-submission time.
     """
 
     udt: DataType
     entry_method: Method | None = None
     known_types: tuple[DataType, ...] = ()
-    encode: Callable[[Any], Any] | None = None
-    decode: Callable[[Any], Any] | None = None
     runtime_symbols: dict[str, int] = dc_field(default_factory=dict)
     assume_init_only: tuple[Field, ...] = ()
     # The *runtime object graph* of one record when it differs from the
@@ -57,7 +56,6 @@ class UdtInfo:
     # boxed primitives; the footprint model should count those objects
     # even though the decomposition layout flattens them away.
     object_model: DataType | None = None
-    measure_encode: Callable[[Any], Any] | None = None
     # Caches of what the fields above determine: not init fields, so a
     # ``dataclasses.replace`` starts them empty instead of copying them.
     _cached_footprint: RecordFootprint | None = dc_field(
@@ -68,18 +66,6 @@ class UdtInfo:
         default=None, init=False, repr=False, compare=False)
     _static_fixed: bool | None = dc_field(
         default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # Picked once, not per record: the type ``measure`` measures
-        # against and the encoder into that type's shape.
-        self._measured_type = self.object_model or self.udt
-        self._measure_encoder = self.measure_encode or self.encode
-
-    def to_schema_value(self, record: Any) -> Any:
-        return self.encode(record) if self.encode else record
-
-    def from_schema_value(self, value: Any) -> Any:
-        return self.decode(value) if self.decode else value
 
     def classifier(self) -> GlobalClassifier | None:
         """Algorithms 2–4 over :meth:`callgraph` (lazily built, once;
@@ -107,9 +93,7 @@ class UdtInfo:
         """Footprint of one record (measured once for an SFST)."""
         footprint = self._cached_footprint
         if footprint is None:
-            encoder = self._measure_encoder
-            footprint = measure_typed(
-                self._measured_type, encoder(record) if encoder else record)
+            footprint = measure_typed(self.object_model or self.udt, record)
             # Per record, a plain attribute: the property decides once.
             if self._static_fixed is not False and self.static_fixed:
                 self._cached_footprint = footprint

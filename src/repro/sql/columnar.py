@@ -22,7 +22,6 @@ sanitizer tracks promoted extents as borrows.
 
 from __future__ import annotations
 
-import struct
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -35,6 +34,7 @@ from ..memory.layout import (
     RecordSchema,
     StringColumnLayout,
     StringRunView,
+    StringSchema,
     VarArraySchema,
 )
 from ..memory.manager import DecaMemoryManager
@@ -79,13 +79,15 @@ def row_major_schema(schema: TableSchema) -> RecordSchema:
 
     Strings and opaque byte payloads become var-length char arrays —
     exactly how the decomposition layer lays out a JVM string's backing
-    array.
+    array; a string column's value is its ``str``.
     """
     fields: list[tuple[str, Any]] = []
     for column in schema.columns:
         primitive = _ROW_PRIMITIVES.get(column.ctype)
         if primitive is not None:
             fields.append((column.name, PrimitiveSlot(primitive)))
+        elif column.ctype is ColumnType.STRING:
+            fields.append((column.name, StringSchema()))
         else:
             fields.append((column.name, VarArraySchema(PrimitiveSlot(CHAR))))
     return RecordSchema(schema.name, fields)
@@ -457,38 +459,22 @@ class RowMajorTable(PagedRelation):
         self._readers: dict[int, _RowColumnReader] = {}
         group = self._require_group()
         self._pointers = [
-            group.append_bytes(
-                self.record_schema.pack(self._encode(row)))
+            group.append_bytes(self.record_schema.pack(self._encode(row)))
             for row in rows]
         # A cached relation never appends again: give the unused tail of
         # the last page back (the §2.3 "large unused memory spaces").
         group.trim()
 
     def _encode(self, row: Sequence[Any]) -> tuple:
-        out = []
-        for column, value in zip(self.schema.columns, row):
-            if column.ctype in _ROW_PRIMITIVES:
-                out.append(value)
-            elif isinstance(value, str):
-                # UTF-16 code units, as on the JVM: an astral character
-                # is a surrogate pair, not one out-of-range unit.
-                units = value.encode("utf-16-le", "surrogatepass")
-                out.append(struct.unpack(f"<{len(units) // 2}H", units))
-            else:
-                out.append(tuple(value))  # opaque byte payload
-        return tuple(out)
+        # An opaque byte payload is a char[] of its bytes.
+        return tuple([tuple(value) if column.ctype is ColumnType.OPAQUE
+                      else value
+                      for column, value in zip(self.schema.columns, row)])
 
     def _decode(self, packed: tuple) -> tuple:
-        out = []
-        for column, value in zip(self.schema.columns, packed):
-            if column.ctype in _ROW_PRIMITIVES:
-                out.append(value)
-            elif column.ctype is ColumnType.STRING:
-                out.append(struct.pack(f"<{len(value)}H", *value)
-                           .decode("utf-16-le", "surrogatepass"))
-            else:
-                out.append(bytes(value))
-        return tuple(out)
+        return tuple([bytes(value) if column.ctype is ColumnType.OPAQUE
+                      else value
+                      for column, value in zip(self.schema.columns, packed)])
 
     def row(self, index: int) -> tuple:
         if not 0 <= index < self.row_count:

@@ -19,6 +19,7 @@ from repro.config import DecaConfig, ExecutionMode
 from repro.data.graphs import power_law_graph
 from repro.data.vectors import labeled_points
 from repro.lint import LINT_APPS_BY_NAME
+from repro.memory.sudt import bind_accessor
 from repro.spark import DecaContext
 
 
@@ -61,12 +62,15 @@ def test_cached_lr_record_holds_what_the_constructor_stores():
     ctx.parallelize(labeled_points(20, dimensions=5), 1) \
         .map(lambda r: r, udt_info=info).cache().count()
     (block,) = ctx.executors[0].cache.blocks.values()
-    records = block.page_group.records(block.plan.schema)
-    _, vector = next(records)
-    records.close()
+    page = block.page_group.pages[0]
+    features = bind_accessor(block.plan.schema, page.data, 0).features
+    (dense_vector,) = info.udt.field("features").type_set
+    # The page's slots, read field by field through the accessor.
+    vector = tuple(features.data.to_tuple() if field.name == "data"
+                   else getattr(features, field.name)
+                   for field in dense_vector.fields)
     ctx.finish()
 
-    (dense_vector,) = info.udt.field("features").type_set
     ctor = dense_vector.constructor
     args = dict(zip(ctor.params, vector))
     stored = {}

@@ -30,6 +30,7 @@ from repro.apps.sql_queries import (
     run_query2,
     run_query2_sparksql,
 )
+from repro.exec.shm import shm_available
 from repro.spark.executor import Executor
 
 
@@ -257,3 +258,53 @@ class TestSqlQueries:
         for (key, total), (ekey, etotal) in zip(q2.rows, expected):
             assert key == ekey
             assert math.isclose(total, etotal, rel_tol=1e-9)
+
+
+#: U+1F600, outside the Basic Multilingual Plane: two UTF-16 code units.
+ASTRAL = "\U0001F600"
+
+
+class TestAstralText:
+    """A string with an astral character goes through every layout: a
+    ``char[]`` holds UTF-16 code units, so the character is a surrogate
+    pair in the page, not one code point too wide for its 16-bit slot."""
+
+    words = random_words(300, 30, seed=1) + [
+        f"gr{ASTRAL}n", ASTRAL, f"gr{ASTRAL}n", "\ud800"]
+    rankings = [(f"url{ASTRAL}{i}", 50 + 7 * i, i) for i in range(40)] \
+        + rankings_table(100, seed=1)
+    visits = [(f"1{ASTRAL}.{i % 3}.0.1", f"url{ASTRAL}", 20090101,
+               0.5 * i, "Mozilla", "DNK", "da", f"w{ASTRAL}", i)
+              for i in range(40)] + uservisits_table(100, seed=1)
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_wordcount_deca_counts_match_spark(self, backend):
+        if backend == "mp" and not shm_available():
+            pytest.skip("platform has no shared memory")
+        want = run_wordcount(self.words, cfg(ExecutionMode.SPARK),
+                             num_partitions=4).result
+        config = cfg(ExecutionMode.DECA).with_options(
+            execution_backend=backend)
+        got = run_wordcount(self.words, config, num_partitions=4).result
+        assert got == want
+        assert want[f"gr{ASTRAL}n"] == 2 and want[ASTRAL] == 1
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.SPARK_SER,
+                                      ExecutionMode.DECA],
+                             ids=lambda m: m.value)
+    def test_query1_rows_match_spark(self, mode):
+        want = run_query1(self.rankings, cfg(ExecutionMode.SPARK),
+                          num_partitions=4).result
+        got = run_query1(self.rankings, cfg(mode), num_partitions=4).result
+        assert got == want
+        assert any(ASTRAL in url for url, _ in want)
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.SPARK_SER,
+                                      ExecutionMode.DECA],
+                             ids=lambda m: m.value)
+    def test_query2_rows_match_spark(self, mode):
+        want = run_query2(self.visits, cfg(ExecutionMode.SPARK),
+                          num_partitions=4).result
+        got = run_query2(self.visits, cfg(mode), num_partitions=4).result
+        assert got == want
+        assert any(ASTRAL in key for key, _ in want)

@@ -539,8 +539,7 @@ class TestUdtInfoCaching:
         assert info.callgraph() is not None
         # The features as a bare double[], without the wrapper object.
         flat = dict(object_model=ClassType("FlatPoint", [
-            Field("label", DOUBLE), Field("xs", ArrayType(DOUBLE))]),
-            measure_encode=lambda rec: rec)
+            Field("label", DOUBLE), Field("xs", ArrayType(DOUBLE))]))
         fresh = dataclasses.replace(labeled_point_udt_info(10), **flat)
         replaced = dataclasses.replace(info, **flat)
         assert replaced.measure(record) == fresh.measure(record) \

@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy and the app UDT models."""
 
+import struct
+
 import pytest
 
 from repro import errors
@@ -10,6 +12,7 @@ from repro.analysis import (
     classify_locally,
 )
 from repro.apps.udts import (
+    DOUBLE_ARRAY,
     RANKINGS_SCAN,
     RankMessage,
     Ranking,
@@ -18,6 +21,7 @@ from repro.apps.udts import (
 )
 from repro.apps.kmeans import cluster_stat_udt_info
 from repro.apps.sql_queries import ranking_udt_info, uservisit_udt_info
+from repro.memory.layout import build_schema
 
 
 class TestErrorHierarchy:
@@ -53,15 +57,17 @@ class TestSqlRowModels:
         assert len(UserVisit.fields) == 9
 
     def test_ranking_udt_info_roundtrip(self):
-        info = ranking_udt_info()
+        """A row is its ``Ranking`` value: the layout packs it as is."""
+        schema = build_schema(ranking_udt_info().udt, SizeType.RUNTIME_FIXED)
         row = ("url00000001.example.com/page", 42, 17)
-        assert info.from_schema_value(info.to_schema_value(row)) == row
+        assert schema.unpack(schema.pack(row)) == row
 
     def test_uservisit_udt_info_roundtrip(self):
-        info = uservisit_udt_info()
+        schema = build_schema(uservisit_udt_info().udt,
+                              SizeType.RUNTIME_FIXED)
         row = ("101.2.3.4", "url1.example.com", 20090101, 3.5,
                "Mozilla/5.0", "DNK", "da", "vldb", 60)
-        assert info.from_schema_value(info.to_schema_value(row)) == row
+        assert schema.unpack(schema.pack(row)) == row
 
 
 class TestGraphAndKMeansModels:
@@ -84,7 +90,13 @@ class TestGraphAndKMeansModels:
         assert footprint.objects >= 6  # 2 tuples + 2 boxes + DV + array
 
     def test_cluster_stat_roundtrip(self):
+        """``(cluster, (sum, count))`` is the nested ``ClusterStat``'s
+        value, flat in the page: ``cluster``, the sums, ``count``."""
         info = cluster_stat_udt_info(3)
+        classifier = GlobalClassifier(info.callgraph())
+        schema = build_schema(info.udt, classifier.classify(info.udt),
+                              fixed_lengths={id(DOUBLE_ARRAY): 3})
         record = (1, ((1.0, 2.0, 3.0), 7))
-        assert info.from_schema_value(info.to_schema_value(record)) \
-            == record
+        packed = schema.pack(record)
+        assert packed == struct.pack("<i3di", 1, 1.0, 2.0, 3.0, 7)
+        assert schema.unpack(packed) == record

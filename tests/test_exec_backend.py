@@ -168,6 +168,30 @@ class TestCacheLifecycle:
 
         assert run("mp") == run("sim")
 
+    def test_the_cache_plan_is_made_before_the_first_fork(self, monkeypatch):
+        """``begin_job`` plans the deca caches the job's stages read, so
+        the forked workers inherit the plan instead of each making it
+        (and running the closure analyzer) again."""
+        from repro.apps.logistic_regression import labeled_point_udt_info
+        from repro.exec.mp import MpBackend
+        ctx = make_ctx()
+        points = [(float(i % 2), (float(i), 1.0)) for i in range(40)]
+        cached = ctx.parallelize(points, 4, name="cp.input") \
+                    .map(lambda r: r, name="cp.points",
+                         udt_info=labeled_point_udt_info(2)).cache()
+        planned_at_spawn = []
+        spawn = MpBackend._spawn
+
+        def spawning(backend, job, worker_id):
+            planned_at_spawn.append(("cache", cached.rdd_id) in ctx._plans)
+            return spawn(backend, job, worker_id)
+
+        monkeypatch.setattr(MpBackend, "_spawn", spawning)
+        assert cached.count() == 40
+        assert ctx.plan_cache(cached).decomposed
+        ctx.finish()
+        assert planned_at_spawn and all(planned_at_spawn)
+
 
 class TestFaultsUnderMp:
     def test_task_kill_retries_to_same_answer(self):

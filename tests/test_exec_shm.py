@@ -41,12 +41,12 @@ PAIR = RecordSchema("pair", [("k", PrimitiveSlot(LONG)),
 PAIRS = [(i, i * i) for i in range(200)]
 
 
-def pair_plan(decode=None) -> ContainerPlan:
+def pair_plan(tag=None) -> ContainerPlan:
     return ContainerPlan(target="shuffle:0:pairs", udt="pair",
                          local_size_type=None, global_size_type=None,
                          decomposed=True, reason="test",
                          strategy=StorageStrategy.DECA_PAGES, schema=PAIR,
-                         decode=decode)
+                         tag=tag)
 
 
 def _segment_linked(name: str) -> bool:
@@ -74,16 +74,15 @@ class TestPackAndRead:
         assert list(read_segment_records(EMPTY_SEGMENT, pair_plan())) == []
 
     def test_decode_hook_applies(self, seg_name):
+        """A cogroup side's plan re-attaches its tag on read."""
         ref = pack_records_segment(seg_name, PAIR, PAIRS[:5])
-        got = list(read_segment_records(
-            ref, pair_plan(decode=lambda kv: kv[0] + kv[1])))
-        assert got == [k + v for k, v in PAIRS[:5]]
+        got = list(read_segment_records(ref, pair_plan(tag=1)))
+        assert got == [(k, (1, v)) for k, v in PAIRS[:5]]
 
-    @pytest.mark.parametrize("decode", [None, lambda kv: kv],
-                             ids=["raw", "decoded"])
+    @pytest.mark.parametrize("tag", [None, 0], ids=["raw", "decoded"])
     @pytest.mark.parametrize("how", ["all", "some"])
     def test_read_detaches_however_it_ends(self, seg_name, monkeypatch,
-                                           how, decode):
+                                           how, tag):
         """The scan reads through a view of the mapping; it must be gone
         before the group's reclaim closes the segment."""
         detached = []
@@ -99,11 +98,12 @@ class TestPackAndRead:
 
         ref = pack_records_segment(seg_name, PAIR, PAIRS)
         monkeypatch.setattr("repro.exec.shm.SharedPageSegment", Strict)
-        records = read_segment_records(ref, pair_plan(decode))
+        records = read_segment_records(ref, pair_plan(tag))
+        want = PAIRS if tag is None else [(k, (tag, v)) for k, v in PAIRS]
         if how == "all":
-            assert list(records) == PAIRS
+            assert list(records) == want
         else:
-            assert next(records) == PAIRS[0]
+            assert next(records) == want[0]
             records.close()
         assert detached == [seg_name]
 

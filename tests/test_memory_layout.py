@@ -21,7 +21,6 @@ from repro.memory import (
     VarArraySchema,
     build_schema,
 )
-from repro.memory.layout import reorder_fields_fixed_first
 
 
 class TestPrimitiveSlot:
@@ -153,18 +152,6 @@ class TestBuildSchema:
         assert schema.fixed_size is None
         value = ((1.0, 2.0),)
         assert schema.size_of(value) == 4 + 16
-
-
-class TestFieldReordering:
-    def test_fixed_fields_move_first(self):
-        schema = RecordSchema("S", [
-            ("chars", VarArraySchema(PrimitiveSlot(CHAR))),
-            ("count", PrimitiveSlot(INT)),
-        ])
-        reordered = reorder_fields_fixed_first(schema)
-        assert [n for n, _ in reordered.fields] == ["count", "chars"]
-        # count now has a static offset.
-        assert reordered.field_offsets[0] == 0
 
 
 class TestColumnLayouts:

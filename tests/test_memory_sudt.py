@@ -27,7 +27,7 @@ class TestPrimitiveAccess:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(schema.fixed_size)
-        schema.pack_into(buf, 0, (1.5, ((1.0, 2.0, 3.0, 4.0), 0, 1, 4)))
+        schema.pack_into(buf, 0, (1.5, (1.0, 2.0, 3.0, 4.0)))
         acc = Sudt(buf, 0)
         assert acc.label == 1.5
         assert acc.features.offset == 0
@@ -37,7 +37,7 @@ class TestPrimitiveAccess:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(schema.fixed_size)
-        schema.pack_into(buf, 0, (1.5, ((0.0,) * 4, 0, 1, 4)))
+        schema.pack_into(buf, 0, (1.5, (0.0,) * 4))
         acc = Sudt(buf, 0)
         acc.label = -3.0
         assert acc.label == -3.0
@@ -48,9 +48,9 @@ class TestPrimitiveAccess:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(2 * schema.fixed_size)
-        schema.pack_into(buf, 0, (1.0, ((0.0,) * 4, 0, 1, 4)))
+        schema.pack_into(buf, 0, (1.0, (0.0,) * 4))
         schema.pack_into(buf, schema.fixed_size,
-                         (2.0, ((0.0,) * 4, 0, 1, 4)))
+                         (2.0, (0.0,) * 4))
         acc = Sudt()
         labels = [acc.bind(buf, off).label
                   for off in (0, schema.fixed_size)]
@@ -66,7 +66,7 @@ class TestArrayAccess:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(schema.fixed_size)
-        schema.pack_into(buf, 0, (0.0, ((1.0, 2.0, 3.0, 4.0), 0, 1, 4)))
+        schema.pack_into(buf, 0, (0.0, (1.0, 2.0, 3.0, 4.0)))
         data = Sudt(buf, 0).features.data
         assert len(data) == 4
         assert data[2] == 3.0
@@ -78,7 +78,7 @@ class TestArrayAccess:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(schema.fixed_size)
-        schema.pack_into(buf, 0, (0.0, ((0.0,) * 4, 0, 1, 4)))
+        schema.pack_into(buf, 0, (0.0, (0.0,) * 4))
         with pytest.raises(IndexError):
             Sudt(buf, 0).features.data[4]
 
@@ -126,7 +126,7 @@ class TestDataSize:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(schema.fixed_size)
-        schema.pack_into(buf, 0, (0.0, ((0.0,) * 4, 0, 1, 4)))
+        schema.pack_into(buf, 0, (0.0, (0.0,) * 4))
         assert Sudt(buf, 0).data_size() == schema.fixed_size
 
     def test_variable_record_data_size(self):
@@ -134,7 +134,7 @@ class TestDataSize:
         size_type = GlobalClassifier(cg).classify(Tuple2)
         schema = build_schema(Tuple2, size_type)
         Sudt = synthesize_sudt(schema)
-        value = ((tuple(ord(c) for c in "spark"),), 3)
+        value = ("spark", 3)
         buf = bytearray(schema.size_of(value))
         schema.pack_into(buf, 0, value)
         # 4 (prefix) + 5*2 (chars) + 4 (count)
@@ -144,9 +144,9 @@ class TestDataSize:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(schema.fixed_size)
-        schema.pack_into(buf, 0, (0.0, ((0.0,) * 4, 0, 1, 4)))
+        schema.pack_into(buf, 0, (0.0, (0.0,) * 4))
         acc = Sudt(buf, 0)
-        acc.write((5.0, ((9.0, 8.0, 7.0, 6.0), 0, 1, 4)))
+        acc.write((5.0, (9.0, 8.0, 7.0, 6.0)))
         assert acc.label == 5.0
         assert acc.features.data.to_tuple() == (9.0, 8.0, 7.0, 6.0)
 
@@ -174,7 +174,7 @@ class TestTypedArrayView:
         schema = labeled_point_schema()
         Sudt = synthesize_sudt(schema)
         buf = bytearray(schema.fixed_size)
-        schema.pack_into(buf, 0, (1.5, ((1.0, 2.0, 3.0, 4.0), 0, 1, 4)))
+        schema.pack_into(buf, 0, (1.5, (1.0, 2.0, 3.0, 4.0)))
         view = Sudt(buf, 0).features.data.typed_view()
         assert view.format == "d"
         assert list(view) == [1.0, 2.0, 3.0, 4.0]
@@ -185,7 +185,7 @@ class TestTypedArrayView:
         size_type = GlobalClassifier(cg).classify(Tuple2)
         schema = build_schema(Tuple2, size_type)
         Sudt = synthesize_sudt(schema)
-        value = ((tuple(ord(c) for c in "page"),), 2)
+        value = ("page", 2)
         buf = bytearray(schema.size_of(value))
         schema.pack_into(buf, 0, value)
         arr = Sudt(buf, 0).word.value

@@ -1,10 +1,10 @@
 """The apps' C-level ``map``/``operator`` kernels against their
 per-element generator forms.
 
-LR's gradient and combiner, KMeans's assignment, merge and center update
-and the char codecs of WordCount and ``sql_queries`` run as
-``map(mul, ...)`` / ``tuple(map(add, ...))`` / ``map(ord, ...)``
-kernels.  Each float operation is the one the generator form made, on
+LR's gradient and combiner and KMeans's assignment, merge and center
+update run as ``map(mul, ...)`` / ``tuple(map(add, ...))`` kernels, and
+a ``char[]`` is packed as a ``str``'s UTF-16 code units by one
+``str.encode``.  Each float operation is the one the generator form made, on
 the same operands and in the same order, so the results must match to
 the bit: equality is by ``float.hex``, with a NaN only required at the
 same position (its payload is not part of the contract).  The oracles
@@ -32,9 +32,11 @@ from repro.apps.logistic_regression import (
     labeled_point_udt_info,
     run_logistic_regression,
 )
-from repro.apps.sql_queries import _chars, _string
+from repro.apps.sql_queries import ranking_udt_info
 from repro.apps.wordcount import wordcount_udt_info
+from repro.analysis.size_type import SizeType
 from repro.config import DecaConfig, ExecutionMode
+from repro.memory.layout import build_schema
 from repro.spark.rdd import RDD
 
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True)
@@ -74,12 +76,24 @@ def oracle_center(vector_sum, count):
     return tuple(x / count for x in vector_sum)
 
 
-def oracle_chars(s):
-    return (tuple(ord(c) for c in s),)
+def oracle_units(s):
+    """*s* as UTF-16 code units, one character at a time."""
+    units = []
+    for c in s:
+        code = ord(c)
+        if code > 0xFFFF:
+            code -= 0x10000
+            units += (0xD800 + (code >> 10), 0xDC00 + (code & 0x3FF))
+        else:
+            units.append(code)
+    return units
 
 
-def oracle_string(v):
-    return "".join(chr(c) for c in v[0])
+def oracle_string_bytes(s):
+    """A length-prefixed ``char[]`` holding *s*, packed unit by unit."""
+    units = oracle_units(s)
+    return len(units).to_bytes(4, "little") + b"".join(
+        unit.to_bytes(2, "little") for unit in units)
 
 
 # -- equality to the bit ------------------------------------------------------
@@ -188,20 +202,27 @@ class TestKMeansKernels:
 
 
 class TestCharCodecs:
+    """The apps' string fields through their derived layouts: a word or
+    a URL is packed as its code units and read back as itself, astral
+    characters and lone surrogates included."""
+
     @PROFILE
-    @given(word=st.text(max_size=12), count=st.integers(0, 2 ** 31))
+    @given(word=st.text(max_size=12), count=st.integers(0, 2 ** 31 - 1))
     def test_wordcount(self, word, count):
-        info = wordcount_udt_info()
-        encoded = info.encode((word, count))
-        assert encoded == (oracle_chars(word), count)
-        assert info.decode(encoded) == (oracle_string(encoded[0]), count)
-        assert info.decode(encoded) == (word, count)
+        schema = build_schema(wordcount_udt_info().udt,
+                              SizeType.RUNTIME_FIXED)
+        packed = schema.pack((word, count))
+        assert packed == oracle_string_bytes(word) + count.to_bytes(4, "little")
+        assert schema.size_of((word, count)) == len(packed)
+        assert schema.unpack(packed) == (word, count)
 
     @PROFILE
     @given(text=st.text(max_size=12))
     def test_sql(self, text):
-        assert _chars(text) == oracle_chars(text)
-        assert _string(_chars(text)) == oracle_string(oracle_chars(text))
+        schema = build_schema(ranking_udt_info().udt, SizeType.RUNTIME_FIXED)
+        packed = schema.pack((text, 7, 9))
+        assert packed.startswith(oracle_string_bytes(text))
+        assert schema.unpack(packed) == (text, 7, 9)
 
 
 # -- end to end: the same pipelines with the oracle UDFs ----------------------
@@ -229,12 +250,13 @@ def oracle_kmeans(points, k, config, iterations, num_partitions):
     dimensions = len(points[0])
     ctx = make_context(config)
     cached = ctx.parallelize(points, num_partitions) \
-        .map(lambda p: p, udt_info=point_udt_info(dimensions)).cache()
+        .map(lambda p: (0.0, p), udt_info=point_udt_info(dimensions)).cache()
     stat_info = cluster_stat_udt_info(dimensions)
     centers = [points[(i * 7919) % len(points)] for i in range(k)]
     for _ in range(iterations):
         frozen = tuple(centers)
-        sums = cached.map(lambda p, c=frozen: (oracle_closest(p, c), (p, 1)),
+        sums = cached.map(lambda lp, c=frozen:
+                          (oracle_closest(lp[1], c), (lp[1], 1)),
                           udt_info=stat_info) \
                      .reduce_by_key(oracle_merge, num_partitions).collect()
         new_centers = list(centers)

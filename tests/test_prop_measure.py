@@ -18,7 +18,7 @@ import weakref
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.udt import (
-    ArrayType, ClassType, DataType, Field, PRIMITIVES, PrimitiveType,
+    CHAR, ArrayType, ClassType, DataType, Field, PRIMITIVES, PrimitiveType,
 )
 from repro.errors import MemoryLayoutError
 from repro.jvm import sizing
@@ -49,6 +49,10 @@ def _measure_array(udt: ArrayType, value) -> RecordFootprint:
     length = len(value)
     element_types = udt.element_field.get_type_set()
     element = element_types[0] if len(element_types) == 1 else None
+    if element is CHAR and isinstance(value, str):
+        # A str in a char[] is its UTF-16 code units, as a layout packs
+        # it: an astral character is two.
+        length = len(value.encode("utf-16-le", "surrogatepass")) // 2
     if isinstance(element, PrimitiveType) or element is None and not length:
         element_bytes = (element.nbytes if isinstance(element, PrimitiveType)
                          else sizing.REFERENCE_BYTES)

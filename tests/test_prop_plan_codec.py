@@ -30,7 +30,7 @@ from repro.exec.shm import (attach_page_group, list_segments,
                             pack_records_segment, read_segment_records,
                             shm_available, unlink_segment)
 from repro.memory.layout import (FixedArraySchema, PrimitiveSlot,
-                                 RecordSchema, VarArraySchema)
+                                 RecordSchema, StringSchema, VarArraySchema)
 from repro.memory.page import PageGroup
 from repro.memory.tier import PageStoreTier
 
@@ -77,13 +77,28 @@ _PRIMITIVES = {
 }
 
 
+#: A ``char[]`` holds a ``str``: any text, and astral text (surrogate
+#: pairs in the page) on purpose.
+_TEXT = st.one_of(st.text(max_size=5),
+                  st.text(st.characters(min_codepoint=0x10000), min_size=1,
+                          max_size=3))
+
+
 def schema_values(schema):
-    """A strategy for one value of *schema*'s nested-tuple shape."""
+    """A strategy for one record value of *schema*: its constructor's
+    arguments (one argument bare), or its fields without a constructor."""
     if isinstance(schema, PrimitiveSlot):
         return _PRIMITIVES[schema.primitive.name]
     if isinstance(schema, RecordSchema):
-        return st.tuples(*(schema_values(field)
-                           for _, field in schema.fields))
+        fields = [schema_values(field) for _, field in schema.fields]
+        if schema.shape is None:
+            return st.tuples(*fields)
+        arguments, _ = schema.shape
+        if len(arguments) == 1:
+            return fields[arguments[0]]
+        return st.tuples(*(fields[index] for index in arguments))
+    if isinstance(schema, StringSchema):
+        return _TEXT
     if isinstance(schema, FixedArraySchema):
         return st.tuples(*[schema_values(schema.element)] * schema.length)
     assert isinstance(schema, VarArraySchema)
@@ -93,11 +108,9 @@ def schema_values(schema):
 def as_records(plan, values):
     """What the plan's container holds for *values* — spelled out here,
     not taken from the plan, so a codec that forgets a step is caught."""
-    records = [plan.decode(value) if plan.decode else value
-               for value in values]
-    if plan.tag is not None:
-        records = [(key, (plan.tag, value)) for key, value in records]
-    return records
+    if plan.tag is None:
+        return values
+    return [(key, (plan.tag, value)) for key, value in values]
 
 
 def test_the_apps_cover_both_families_and_a_tagged_side():
@@ -139,8 +152,7 @@ def check_carriers(plan, records, tier_dir):
     # A shared segment (an mp shuffle / cache block).
     if shm_available():
         name = f"repro-mp-test-{os.getpid()}-codec"
-        ref = pack_records_segment(name, plan.schema,
-                                   list(plan.encoded(records)))
+        ref = pack_records_segment(name, plan.schema, plan.encoded(records))
         try:
             assert list(read_segment_records(ref, plan)) == records
             attached = attach_page_group(ref)

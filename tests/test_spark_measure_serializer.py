@@ -1,10 +1,9 @@
 """Tests for footprint measurement, the serializer model and the profiler."""
 
-import dataclasses
-
 import pytest
 
-from repro.analysis import ArrayType, ClassType, DOUBLE, Field, INT
+from repro.analysis import ArrayLength, ArrayType, ClassType, DOUBLE, Field, INT
+from repro.apps.udts import record, val
 from repro.apps.wordcount import wordcount_udt_info
 from repro.config import DecaConfig, MB, SerializerCosts
 from repro.errors import MemoryLayoutError
@@ -71,37 +70,37 @@ class TestMeasureTyped:
 
 
 class TestUdtInfoMeasureEncode:
-    """``UdtInfo.measure`` shapes records with ``measure_encode`` if given."""
+    """How ``UdtInfo.measure`` reads a record: as its UDT's value — the
+    constructor's arguments, a one-argument record as its argument."""
 
-    def test_measure_encode_is_honoured_without_an_object_model(self):
-        arr = ArrayType(DOUBLE)
-        info = UdtInfo(
-            udt=ClassType("Vec", [Field("data", arr, final=True)]),
-            encode=lambda rec: 1 / 0,          # packing only: never measured
-            measure_encode=lambda rec: (rec,))
+    def test_a_one_argument_record_is_its_argument(self):
+        @record
+        class Vec:
+            data: val(ArrayType(DOUBLE))
+            length: INT = ArrayLength("data")
+
+        info = UdtInfo(udt=Vec)
         assert info.object_model is None
         assert info.measure((1.0, 2.0, 3.0)) == RecordFootprint(
-            2, 16 + sizing.array_bytes(8, 3), 24)
+            2, 24 + sizing.array_bytes(8, 3), 28)
 
-    def test_measure_encode_is_honoured_with_an_object_model(self):
-        boxed = ClassType("Boxed", [Field("v", ArrayType(INT))])
-        info = UdtInfo(udt=ArrayType(INT), object_model=boxed,
-                       measure_encode=lambda rec: (rec,))
+    def test_an_object_model_is_measured_on_the_same_value(self):
+        @record
+        class Boxed:
+            v: ArrayType(INT)
+
+        info = UdtInfo(udt=ArrayType(INT), object_model=Boxed)
         assert info.measure((1, 2)).objects == 2
 
     def test_wordcount_measures_the_word_itself(self):
         info = wordcount_udt_info()
-        without = dataclasses.replace(info, measure_encode=None)
-        for record in (("", 1), ("deca", 1), ("lifetime-based", 40_000)):
-            # A char[] is measured by its length alone, so the cheap shape
-            # (the word) and the packing shape (its code points) agree.
-            assert info.measure(record) == without.measure(record)
-            assert info.measure_encode(record) == ((record[0],), record[1])
-            # ``encode`` still produces what the page layout packs.
-            assert info.to_schema_value(record) == (
-                (tuple(ord(c) for c in record[0]),), record[1])
-            assert info.from_schema_value(
-                info.to_schema_value(record)) == record
+        for word, units in (("", 0), ("deca", 4), ("lifetime-based", 14),
+                            ("ünïcödé", 7), ("b\U0001F600", 3)):
+            # A char[] costs its UTF-16 code units: an astral character
+            # is a surrogate pair, as the page layout packs it.
+            footprint = info.measure((word, 1))
+            assert footprint.data_bytes == 2 * units + 4
+            assert footprint == measure_typed(info.udt, ("x" * units, 1))
 
 
 class TestMeasureGeneric:
