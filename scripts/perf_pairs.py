@@ -19,7 +19,12 @@ files (``clock``, ``jobs``, ``runs``, ``seeds``, ``what``; list index *i*
 of every metric is the *i*-th seed of its workload), and for every
 end-to-end metric of ``BENCHMARK.json`` the script prints the two
 medians, their ratio, the parent's inter-quartile range, the pairs the
-change won and a one-sided sign-test p.  ``runs`` also holds the set-up
+change won, a one-sided sign-test p and a verdict against the metric's
+bound (a share of the parent's median): ``worse`` when the change's
+median is worse than the parent's by more than the bound,
+``unresolved`` when the parent's own IQR is wider than the bound and
+not every change run beats every parent run, ``within bound``
+otherwise.  ``runs`` also holds the set-up
 phases of each run's timed child (``import_s``, ``generate_s``,
 ``open_s``: the ``setup_parts`` the runner keeps in its ``info``), and
 the report prints their medians under each ``setup_s`` line, so a set-up
@@ -135,11 +140,12 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(sides: dict[str, list[float]],
-              better: str = "lower") -> dict[str, Any]:
+def summarize(sides: dict[str, list[float]], better: str = "lower",
+              bound: float | None = None) -> dict[str, Any]:
     """Medians, ratio, parent IQR, pairs won and the sign test of one
     metric; a pair is won when the change is strictly better, and a tie
-    is dropped from the test."""
+    is dropped from the test.  With the metric's *bound* (a share of the
+    parent's median), also its ``verdict``."""
     parent, change = sides["parent"], sides["change"]
     if len(parent) != len(change):
         raise ValueError("a metric needs one parent and one change value "
@@ -150,25 +156,38 @@ def summarize(sides: dict[str, list[float]],
     trials = sum(d != 0 for d in deltas)
     med_p, med_c = statistics.median(parent), statistics.median(change)
     spread = iqr(parent)
-    return {"pairs": len(parent), "parent_median": med_p,
-            "change_median": med_c,
-            "ratio": med_c / med_p if med_p else math.nan,
-            "parent_iqr": spread, "wins": wins,
-            "p": sign_test_p(wins, trials),
-            "beyond_iqr": sign * (med_p - med_c) > spread}
+    summary = {"pairs": len(parent), "parent_median": med_p,
+               "change_median": med_c,
+               "ratio": med_c / med_p if med_p else math.nan,
+               "parent_iqr": spread, "wins": wins,
+               "p": sign_test_p(wins, trials),
+               "beyond_iqr": sign * (med_p - med_c) > spread}
+    if bound is not None:
+        allowed = bound * abs(med_p)
+        if sign * (med_c - med_p) > allowed:
+            summary["verdict"] = "worse"
+        elif spread > allowed and not all(
+                sign * (p - c) > 0 for p in parent for c in change):
+            summary["verdict"] = "unresolved"
+        else:
+            summary["verdict"] = "within bound"
+    return summary
 
 
 def report(payload: dict[str, Any],
-           metrics: dict[str, str]) -> list[str]:
-    """One printable line per workload × end-to-end metric, and one per
-    set-up phase (indented) under each ``setup_s`` line."""
+           metrics: dict[str, tuple[str, float]]) -> list[str]:
+    """One printable line per workload × end-to-end metric (*metrics*:
+    name → better direction and bound), and one per set-up phase
+    (indented, no verdict) under each ``setup_s`` line."""
     lines = [f"{'workload':<24} {'metric':<12} {'parent':>9} {'change':>9} "
-             f"{'ratio':>6} {'p.IQR':>8} {'won':>6} {'sign p':>7}  gap>IQR"]
+             f"{'ratio':>6} {'p.IQR':>8} {'won':>6} {'sign p':>7}  gap>IQR"
+             f"  verdict"]
     for workload, by_metric in payload["runs"].items():
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             if name not in by_metric:
                 continue
-            lines.append(_line(workload, name, by_metric[name], better))
+            lines.append(_line(workload, name, by_metric[name], better,
+                               bound))
             if name == "setup_s":
                 lines += [_line("", f"  {part}", by_metric[part], "lower")
                           for part in SETUP_PARTS if part in by_metric]
@@ -176,22 +195,25 @@ def report(payload: dict[str, Any],
 
 
 def _line(workload: str, name: str, sides: dict[str, list[float]],
-          better: str) -> str:
+          better: str, bound: float | None = None) -> str:
     try:
-        s = summarize(sides, better)
+        s = summarize(sides, better, bound)
     except ValueError:
         return f"{workload:<24} {name:<12} unpaired (a run failed)"
     return (f"{workload:<24} {name:<12} {s['parent_median']:>9.4g} "
             f"{s['change_median']:>9.4g} {s['ratio']:>6.3f} "
             f"{s['parent_iqr']:>8.3g} {s['wins']:>3}/{s['pairs']:<2} "
-            f"{s['p']:>7.4f}  {'yes' if s['beyond_iqr'] else 'no'}")
+            f"{s['p']:>7.4f}  {'yes' if s['beyond_iqr'] else 'no':<7}"
+            f"  {s.get('verdict', '-')}")
 
 
-def end_to_end_metrics(root: str) -> dict[str, str]:
-    """``BENCHMARK.json``'s end-to-end metric names → better direction."""
+def end_to_end_metrics(root: str) -> dict[str, tuple[str, float]]:
+    """``BENCHMARK.json``'s end-to-end metric names → better direction
+    and bound."""
     with open(os.path.join(root, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"])
+            for m in spec["end_to_end"]}
 
 
 # -- running -------------------------------------------------------------------

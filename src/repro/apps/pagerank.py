@@ -30,13 +30,9 @@ EdgePair = tuple[int, int]
 
 
 def adjacency_udt_info() -> UdtInfo:
-    """The AdjacencyList model: RFST in the phases that read the cache."""
-    return UdtInfo(
-        udt=AdjacencyList,
-        entry_method=GRAPH_ITERATE,
-        known_types=(AdjacencyList,),
-        assume_init_only=(AdjacencyList.field("neighbors"),),
-    )
+    """The AdjacencyList model: RFST in the phases that read the cache
+    (Algorithm 4 proves ``neighbors`` init-only over the iterate stage)."""
+    return UdtInfo(udt=AdjacencyList, entry_method=GRAPH_ITERATE)
 
 
 def message_udt_info() -> UdtInfo:

@@ -101,8 +101,12 @@ class ContainerPlan:
 
     def pack(self, records: Sequence[Any]) -> bytes:
         """Records packed back to back in the schema's layout."""
-        assert self.schema is not None
-        return b"".join(map(self.schema.pack, self.encoded(records)))
+        schema = self.schema
+        assert schema is not None
+        values = self.encoded(records)
+        blob = bytearray(schema.size_of_run(values))
+        schema.pack_run(blob, 0, values)
+        return bytes(blob)
 
     def records(self, buffer: bytes | bytearray | memoryview
                 ) -> Iterator[Any]:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import atexit
 import mmap
 import os
-import struct
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -156,46 +155,19 @@ def pack_records_segment(name: str, schema: Schema, values: Sequence[Any],
                          ) -> SegmentRef:
     """Pack schema *values* into a fresh segment named *name*.
 
-    One sizing step then one in-place pack straight into the shared
-    mapping — the only full traversal of the bytes; every subsequent
-    reader works on the same physical pages.  A fixed-size schema is
-    sized as ``count × fixed_size`` and packed by its compiled codec at
-    consecutive offsets, as :meth:`PageGroup.append_records` fills a
-    page; a value the codec cannot vouch for goes through
-    ``schema.pack_into``, which raises the per-field error.  A segment
+    One sizing step then one ``schema.pack_run`` straight into the
+    shared mapping — the only full traversal of the bytes; every
+    subsequent reader works on the same physical pages.  A segment
     whose pack raises is unlinked here: its name never reaches the
     caller, so nothing else could.
     """
-    if not values:
-        return EMPTY_SEGMENT
-    size = schema.fixed_size
-    if size is None:
-        total = sum(schema.size_of(value) for value in values)
-    else:
-        total = size * len(values)
+    total = schema.size_of_run(values)
     if total <= 0:
         return EMPTY_SEGMENT
     segment = SharedPageSegment(name, total, create=True)
     buf = segment.view(total)
     try:
-        offset = 0
-        if size is None:
-            for value in values:
-                offset = schema.pack_into(buf, offset, value)
-        else:
-            codec = schema.flat_codec()
-            flatten, pack = codec.flatten, codec.struct.pack_into
-            for value in values:
-                flat = flatten(value)
-                if flat is not None:
-                    try:
-                        pack(buf, offset, *flat)
-                        offset += size
-                        continue
-                    except (struct.error, TypeError, OverflowError):
-                        pass    # the walker raises the per-field error
-                schema.pack_into(buf, offset, value)
-                offset += size
+        schema.pack_run(buf, 0, values)
     except BaseException:
         buf.release()
         segment.close()

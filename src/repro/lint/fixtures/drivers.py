@@ -96,7 +96,7 @@ def drive_306(sanitizer, tmp):
 
 def drive_308(sanitizer, tmp):
     group = PageGroup("fx-drain", page_bytes=4096)
-    group.append_bytes(b"\xaa" * 48)
+    group.append_run(b"\xaa" * 48)
     group.sanitizer = sanitizer
     borrow_bugs.bug_unreleased_drain_copy(group)
 

@@ -42,21 +42,13 @@ class LintTarget:
     materialized_fields: tuple[Field, ...] = ()
     container_phase: str | None = None
 
-    def assumed_fields(self) -> tuple[Field, ...]:
-        """All fields whose init-only status is assumed, deduplicated."""
-        seen: dict[int, Field] = {}
-        for field in (*self.udt_info.assume_init_only,
-                      *self.materialized_fields):
-            seen.setdefault(id(field), field)
-        return tuple(seen.values())
-
 
 def run_static_rules(target: LintTarget) -> list[Finding]:
     """Run every static rule against *target*."""
     findings: list[Finding] = []
     info = target.udt_info
     callgraph = info.callgraph()
-    assumed = target.assumed_fields()
+    assumed = target.materialized_fields
     provenance = explain_provenance(
         info.udt, callgraph, assume_init_only=assumed,
         assumption_source=_vouching_phase(target))

@@ -86,9 +86,9 @@ def _adjacency_target(app: str) -> LintTarget:
 
     The ``neighbors`` array is a VST while ``groupByKey`` grows it (the
     *build* phase) and an RFST in the *iterate* phases that only read the
-    cache — Fig. 7(b).
+    cache — Fig. 7(b).  The iterate phase reads ``neighbors`` as the
+    build phase materialized it, which the target vouches for.
     """
-    info = adjacency_udt_info()
     known = (AdjacencyList, RankMessage, Edge)
     phases = (
         Phase("build", CallGraph.build(GRAPH_BUILD, known_types=known)),
@@ -97,11 +97,11 @@ def _adjacency_target(app: str) -> LintTarget:
     )
     return LintTarget(
         name=f"{app}/cache:{app}.adjacency",
-        udt_info=info,
+        udt_info=adjacency_udt_info(),
         container="cache",
         location=UDTS_LOCATION,
         phases=phases,
-        materialized_fields=info.assume_init_only,
+        materialized_fields=(AdjacencyList.field("neighbors"),),
         container_phase="iterate",
     )
 

@@ -1,7 +1,7 @@
 """Deca's page-based memory: real byte-level object decomposition.
 
 Unlike the GC substrate (which is simulated), this package is the genuine
-article: UDT objects are flattened into byte segments inside fixed-size
+article: UDT objects are decomposed into byte segments inside fixed-size
 pages, with field offsets computed from the type layout and *synthesized
 accessor classes* (SUDTs, Appendix B) reading and writing the raw bytes —
 no per-record Python objects survive.

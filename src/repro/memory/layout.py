@@ -19,11 +19,12 @@ are tuples and a length-prefixed ``char[]`` is a ``str``.
 :mod:`repro.memory.sudt` builds attribute-style accessors on top.
 
 A fixed-size schema (an SFST: every offset static) compiles, on first use,
-a :class:`FlatCodec` — Appendix B's statically scheduled access path.  Its
-``pack_into``/``unpack_from`` go through it and :meth:`Schema.iter_unpack`
-scans a whole buffer of records with it; the per-field walk stays as the
-path of length-prefixed schemas (RFSTs) and as the slow path that raises
-every error.
+a :class:`FlatCodec` — Appendix B's statically scheduled access path.
+:meth:`Schema.pack_run` — the one writer of the record format, of which
+``pack_into`` is the one-value case — and ``unpack_from`` go through it
+and :meth:`Schema.iter_unpack` scans a whole buffer of records with it;
+the per-field walk stays as the path of length-prefixed schemas (RFSTs)
+and as the slow path that raises every error.
 """
 
 from __future__ import annotations
@@ -129,19 +130,52 @@ class Schema:
         """Offset just past the value at *offset* without decoding it."""
         return offset + self.fixed_size  # type: ignore[operator]
 
+    def size_of_run(self, values: Sequence[Any]) -> int:
+        """Packed size of *values* back to back."""
+        if self.fixed_size is not None:
+            return self.fixed_size * len(values)
+        return sum(map(self.size_of, values))
+
     def pack_into(self, buffer: bytearray | memoryview, offset: int,
                   value: Any) -> int:
         """Write *value* at *offset*; returns the offset past the data."""
-        if self.fixed_size is not None:
-            codec = self._codec or self.flat_codec()
-            flat = codec.flatten(value)
+        return self.pack_run(buffer, offset, (value,))
+
+    def pack_run(self, buffer: bytearray | memoryview, offset: int,
+                 values: Iterable[Any]) -> int:
+        """Write *values* back to back from *offset*; returns the offset
+        past the last one.
+
+        The one writer of the record format: a page, a shared segment
+        and a SparkSer blob are filled by it.  A fixed-size schema packs
+        each value with its compiled codec; a value the codec cannot
+        vouch for, and every value of a length-prefixed schema, goes
+        through the per-field walk, which raises the per-field error
+        for a rejected value (the values before it are written).
+        """
+        walk = self._pack_fields
+        size = self.fixed_size
+        if size is None:
+            for value in values:
+                offset = walk(buffer, offset, value)
+            return offset
+        codec = self._codec or self.flat_codec()
+        flatten, pack = codec.flatten, codec.struct.pack_into
+        for value in values:
+            flat = flatten(value)
             if flat is not None:
                 try:
-                    codec.struct.pack_into(buffer, offset, *flat)
-                    return offset + self.fixed_size
+                    pack(buffer, offset, *flat)
+                    offset += size
+                    continue
                 except (struct.error, TypeError, OverflowError):
                     pass    # the walk raises the per-field error
-        return self._pack_fields(buffer, offset, value)
+            offset = walk(buffer, offset, value)
+        return offset
+
+    def _pack_fields(self, buffer, offset: int, value: Any) -> int:
+        """The per-field walk: write one value without the codec."""
+        raise NotImplementedError
 
     def unpack_from(self, buffer: bytes | bytearray | memoryview,
                     offset: int) -> tuple[Any, int]:
@@ -214,9 +248,11 @@ class PrimitiveSlot(Schema):
     def __reduce__(self):
         return PrimitiveSlot, (self.primitive,)
 
-    def pack_into(self, buffer, offset: int, value: Any) -> int:
+    def _pack_fields(self, buffer, offset: int, value: Any) -> int:
         self._struct.pack_into(buffer, offset, value)
         return offset + self.fixed_size
+
+    pack_into = _pack_fields    # one slot: the codec would be this struct
 
     def unpack_from(self, buffer, offset: int) -> tuple[Any, int]:
         (value,) = self._struct.unpack_from(buffer, offset)
@@ -297,7 +333,7 @@ class RecordSchema(Schema):
     def _pack_fields(self, buffer, offset: int, value: Any) -> int:
         values = self._stored(value)
         for (_, schema), v in zip(self.fields, values):
-            offset = schema.pack_into(buffer, offset, v)
+            offset = schema._pack_fields(buffer, offset, v)
         return offset
 
     def _unpack_fields(self, buffer, offset: int) -> tuple[Any, int]:
@@ -377,7 +413,7 @@ class FixedArraySchema(Schema):
             self._bulk.pack_into(buffer, offset, *value)
             return offset + self.fixed_size
         for element in value:
-            offset = self.element.pack_into(buffer, offset, element)
+            offset = self.element._pack_fields(buffer, offset, element)
         return offset
 
     def _unpack_fields(self, buffer, offset: int) -> tuple[Any, int]:
@@ -418,7 +454,7 @@ class VarArraySchema(Schema):
     def size_of(self, value: Any) -> int:
         return _LENGTH_PREFIX.size + self.element.fixed_size * len(value)
 
-    def pack_into(self, buffer, offset: int, value: Any) -> int:
+    def _pack_fields(self, buffer, offset: int, value: Any) -> int:
         _LENGTH_PREFIX.pack_into(buffer, offset, len(value))
         offset += _LENGTH_PREFIX.size
         if self._element_code is not None:
@@ -426,7 +462,7 @@ class VarArraySchema(Schema):
             packer.pack_into(buffer, offset, *value)
             return offset + packer.size
         for element in value:
-            offset = self.element.pack_into(buffer, offset, element)
+            offset = self.element._pack_fields(buffer, offset, element)
         return offset
 
     def unpack_from(self, buffer, offset: int) -> tuple[Any, int]:
@@ -470,7 +506,7 @@ class StringSchema(VarArraySchema):
             2 * len(value) if value.isascii()
             else len(value.encode("utf-16-le", "surrogatepass")))
 
-    def pack_into(self, buffer, offset: int, value: str) -> int:
+    def _pack_fields(self, buffer, offset: int, value: str) -> int:
         units = value.encode("utf-16-le", "surrogatepass")
         struct.pack_into(f"<I{len(units)}s", buffer, offset,
                          len(units) >> 1, units)

@@ -22,9 +22,8 @@ arrays instead of a million records.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from ..errors import PageError, PageOverflowError, PageReclaimedError
@@ -146,34 +145,14 @@ class PageGroup:
         return self.pages[-1].used
 
     # -- appending ---------------------------------------------------------------
-    def reserve(self, nbytes: int) -> tuple[Page, int]:
-        """Reserve *nbytes* of contiguous segment space.
-
-        Returns the page and start offset; the caller packs the record
-        bytes directly into ``page.data`` (no intermediate copy).
-        """
-        page = self._tail_page(nbytes)
-        offset = page.used
-        page.used += nbytes
-        return page, offset
-
     def _tail_page(self, nbytes: int) -> Page:
         """The page the next *nbytes*-byte segment goes to: the last page
         if it has room, else a fresh one (oversized for a record larger
         than the page size).  Nothing is committed to ``page.used``."""
         self._check_alive()
-        if nbytes < 0:
-            raise PageError(f"negative reservation: {nbytes}")
         if self.pages and self.pages[-1].free >= nbytes:
             return self.pages[-1]
         return self._new_page(max(nbytes, self.page_bytes))
-
-    def append_bytes(self, data: bytes | bytearray | memoryview
-                     ) -> PagePointer:
-        """Copy *data* in as one record segment."""
-        page, offset = self.reserve(len(data))
-        page.data[offset:offset + len(data)] = data
-        return PagePointer(page.index, offset, len(data))
 
     def append_run(self, data: bytes | bytearray | memoryview
                    ) -> PagePointer:
@@ -213,52 +192,38 @@ class PageGroup:
         """Pack every value of *values* (per *schema*); returns the count.
 
         The bulk build of a sealed container (§4.3.1).  A fixed-size
-        schema fills the group a page at a time: ``free // size`` records
-        are packed by the schema's compiled codec at consecutive offsets,
-        then ``page.used`` is committed and the sanitizer told once for
-        the run.  Pages are opened exactly where :meth:`append_record`
-        would open them, so the bytes, the heap allocations and the
-        ``on_resize`` deltas are those of a per-record loop.  A value the
-        codec cannot vouch for goes through ``schema.pack_into``, which
-        raises the per-field error; the records before it stay and it
-        leaves nothing.  A per-instance-size schema (length-prefixed
-        arrays) appends record by record.
+        schema fills the group a page at a time: the ``free // size``
+        values that fit are written by one ``schema.pack_run``, then
+        ``page.used`` is committed and the sanitizer told once for the
+        run.  Pages are opened exactly where :meth:`append_record` would
+        open them, so the bytes, the heap allocations and the
+        ``on_resize`` deltas are those of a per-record loop.  A run with
+        a rejected value is appended again record by record, so the
+        records before it stay and it raises its error, leaving nothing.
+        A per-instance-size schema (length-prefixed arrays) appends
+        record by record.
         """
         size = schema.fixed_size
+        count = 0
         if not size:
-            count = 0
             for value in values:
                 self.append_record(schema, value)
                 count += 1
             return count
-        codec = schema.flat_codec()
-        flatten, pack = codec.flatten, codec.struct.pack_into
         name = getattr(schema, "name", type(schema).__name__)
-        count = 0
         pending = iter(values)
         for first in pending:
             page = self._tail_page(size)
-            data = page.data
-            start = end = page.used
+            run = [first, *islice(pending, page.free // size - 1)]
             try:
-                for value in chain(
-                        (first,), islice(pending, page.free // size - 1)):
-                    flat = flatten(value)
-                    if flat is not None:
-                        try:
-                            pack(data, end, *flat)
-                            end += size
-                            continue
-                        except (struct.error, TypeError, OverflowError):
-                            pass    # the walker raises the per-field error
-                    schema.pack_into(data, end, value)
-                    end += size
-            finally:
-                page.used = end
-                run = (end - start) // size
-                count += run
-                if run and self.sanitizer is not None:
-                    self.sanitizer.note_append(self.name, name, size, run)
+                page.used = schema.pack_run(page.data, page.used, run)
+            except Exception:
+                for value in run:
+                    self.append_record(schema, value)
+                raise
+            count += len(run)
+            if self.sanitizer is not None:
+                self.sanitizer.note_append(self.name, name, size, len(run))
         return count
 
     def _new_page(self, nbytes: int) -> Page:

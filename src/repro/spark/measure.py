@@ -301,7 +301,9 @@ def _generic(value) -> tuple[int, int, int]:
     if kind is tuple or kind is list:
         return _sequence(value)
     if isinstance(value, str):
-        chars = 2 * len(value)
+        # UTF-16 code units, as a ``char[]`` counts them.
+        chars = 2 * len(value) if value.isascii() else len(
+            value.encode("utf-16-le", "surrogatepass"))
         return 2, _STRING_BYTES + ((_ARRAY_PAD + chars) & _ALIGN_MASK), chars
     # Subclasses of the leaf types (``bool`` has none) and the rest.
     if isinstance(value, int):

@@ -23,7 +23,7 @@ from ..analysis.global_refine import GlobalClassifier
 from ..analysis.ir import Method
 from ..analysis.local import classify_locally
 from ..analysis.size_type import SizeType
-from ..analysis.udt import DataType, Field
+from ..analysis.udt import DataType
 from ..errors import ExecutionError
 from .measure import RecordFootprint, measure_generic, measure_typed
 from .shuffle import ShuffleKind
@@ -48,13 +48,11 @@ class UdtInfo:
 
     udt: DataType
     entry_method: Method | None = None
-    known_types: tuple[DataType, ...] = ()
     runtime_symbols: dict[str, int] = dc_field(default_factory=dict)
-    assume_init_only: tuple[Field, ...] = ()
     # The *runtime object graph* of one record when it differs from the
     # logical UDT — e.g. Scala wraps aggregation records in Tuple2s with
     # boxed primitives; the footprint model should count those objects
-    # even though the decomposition layout flattens them away.
+    # even though the decomposed layout stores none of them.
     object_model: DataType | None = None
     # Caches of what the fields above determine: not init fields, so a
     # ``dataclasses.replace`` starts them empty instead of copying them.
@@ -72,8 +70,7 @@ class UdtInfo:
         None without a call graph)."""
         callgraph = self.callgraph()
         if callgraph is not None and self._classifier is None:
-            self._classifier = GlobalClassifier(
-                callgraph, assume_init_only=self.assume_init_only)
+            self._classifier = GlobalClassifier(callgraph)
         return self._classifier
 
     @property
@@ -105,8 +102,7 @@ class UdtInfo:
             return None
         if self._callgraph is None:
             self._callgraph = CallGraph.build(
-                self.entry_method,
-                known_types=(self.udt, *self.known_types))
+                self.entry_method, known_types=(self.udt,))
         return self._callgraph
 
 

@@ -459,7 +459,7 @@ class RowMajorTable(PagedRelation):
         self._readers: dict[int, _RowColumnReader] = {}
         group = self._require_group()
         self._pointers = [
-            group.append_bytes(self.record_schema.pack(self._encode(row)))
+            group.append_record(self.record_schema, self._encode(row))
             for row in rows]
         # A cached relation never appends again: give the unused tail of
         # the last page back (the §2.3 "large unused memory spaces").

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis import ArrayLength, Const, Local, NewObject
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.ir import statements_recursive
+from repro.analysis.size_type import SizeType
 from repro.apps.connected_components import label_message_udt_info
 from repro.apps.kmeans import cluster_stat_udt_info, point_udt_info
 from repro.apps.logistic_regression import labeled_point_udt_info
@@ -42,8 +44,7 @@ def test_one_pagerank_job_reads_one_model():
     assert id(message.udt) in _allocated(message.entry_method)
     assert {id(edge.udt), id(adjacency.udt)} \
         <= _allocated(edge.entry_method)
-    (neighbors,) = adjacency.assume_init_only
-    assert neighbors is adjacency.udt.field("neighbors")
+    neighbors = adjacency.udt.field("neighbors")
 
     target = LINT_APPS_BY_NAME["pr"].make_targets()[0]
     assert target.udt_info.udt is adjacency.udt
@@ -52,6 +53,35 @@ def test_one_pagerank_job_reads_one_model():
     build, iterate = (phase.callgraph.entry for phase in target.phases)
     assert build is edge.entry_method
     assert iterate is adjacency.entry_method
+
+
+@pytest.mark.parametrize("proved", [True, False])
+def test_the_adjacency_verdict_comes_from_the_init_only_proof(
+        monkeypatch, proved):
+    """Nothing vouches for ``neighbors`` in the engine: the iterate
+    stage's own code proves it init-only (``CallGraph.is_init_only``,
+    §3.3), and the cached adjacency plan's RFST verdict rests on that
+    proof alone."""
+    neighbors = adjacency_udt_info().udt.field("neighbors")
+    asked = []
+    proof = CallGraph.is_init_only
+
+    def is_init_only(callgraph, field):
+        if field is not neighbors:
+            return proof(callgraph, field)
+        asked.append(field)
+        return proved and proof(callgraph, field)
+
+    monkeypatch.setattr(CallGraph, "is_init_only", is_init_only)
+    ctx = run_pagerank(power_law_graph(30, 100),
+                       DecaConfig(mode=ExecutionMode.DECA), iterations=1,
+                       num_partitions=2).ctx
+    (plan,) = [plan for plan in ctx._plans.values()
+               if plan.target == "cache:pr.adjacency"]
+    assert asked
+    assert plan.decomposed is proved
+    assert plan.global_size_type is (SizeType.RUNTIME_FIXED if proved
+                                     else SizeType.VARIABLE)
 
 
 def test_cached_lr_record_holds_what_the_constructor_stores():

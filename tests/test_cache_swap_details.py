@@ -508,8 +508,11 @@ class TestPageInfoCursor:
 
     def test_end_offset_mirrors_group(self):
         from repro.memory import PageGroup
+        from repro.analysis import BYTE
+        from repro.memory.layout import FixedArraySchema, PrimitiveSlot
         group = PageGroup("g", page_bytes=64)
-        group.append_bytes(b"abc")
+        group.append_record(FixedArraySchema(PrimitiveSlot(BYTE), 3),
+                            (1, 2, 3))
         info = group.new_page_info()
         assert info.end_offset == 3
         info.close()

@@ -51,22 +51,18 @@ class TestDeca002PhaseEscape:
     def test_fires_when_the_phase_itself_assigns_an_assumed_field(self):
         # The build stage grows the neighbor array (stores outside the
         # constructor) — vouching init-only for it there is unsound.
-        info = UdtInfo(udt=AdjacencyList,
-                       entry_method=GRAPH_BUILD,
-                       known_types=(AdjacencyList,),
-                       assume_init_only=(NEIGHBORS,))
-        findings = run_static_rules(_target(info))
+        info = UdtInfo(udt=AdjacencyList, entry_method=GRAPH_BUILD)
+        findings = run_static_rules(_target(
+            info, materialized_fields=(NEIGHBORS,)))
         assert "DECA002" in _rules_fired(findings)
         escape = next(f for f in findings if f.rule_id == "DECA002")
         assert escape.severity is Severity.ERROR
         assert escape.subject == "AdjacencyList.neighbors"
 
     def test_clean_when_the_phase_only_reads(self):
-        info = UdtInfo(udt=AdjacencyList,
-                       entry_method=GRAPH_ITERATE,
-                       known_types=(AdjacencyList,),
-                       assume_init_only=(NEIGHBORS,))
-        assert run_static_rules(_target(info)) == []
+        info = UdtInfo(udt=AdjacencyList, entry_method=GRAPH_ITERATE)
+        assert run_static_rules(_target(
+            info, materialized_fields=(NEIGHBORS,))) == []
 
     def test_names_the_vouching_phase_when_known(self):
         known = (AdjacencyList,)
@@ -79,9 +75,7 @@ class TestDeca002PhaseEscape:
                                              known_types=known),
                   reads_materialized=True),
         )
-        info = UdtInfo(udt=AdjacencyList,
-                       entry_method=GRAPH_BUILD,
-                       known_types=known)
+        info = UdtInfo(udt=AdjacencyList, entry_method=GRAPH_BUILD)
         findings = run_static_rules(_target(
             info, phases=phases,
             materialized_fields=(NEIGHBORS,),
@@ -142,10 +136,7 @@ class TestDeca005PlanContradiction:
                                              known_types=known),
                   reads_materialized=True),
         )
-        info = UdtInfo(udt=AdjacencyList,
-                       entry_method=GRAPH_ITERATE,
-                       known_types=known,
-                       assume_init_only=(NEIGHBORS,))
+        info = UdtInfo(udt=AdjacencyList, entry_method=GRAPH_ITERATE)
         # Deliberately broken: the cache claims to live in the *build*
         # phase, where the neighbor array still grows.
         target = _target(info, name="x/cache:x.adjacency", phases=phases,
@@ -169,10 +160,7 @@ class TestDeca005PlanContradiction:
                                              known_types=known),
                   reads_materialized=True),
         )
-        info = UdtInfo(udt=AdjacencyList,
-                       entry_method=GRAPH_ITERATE,
-                       known_types=known,
-                       assume_init_only=(NEIGHBORS,))
+        info = UdtInfo(udt=AdjacencyList, entry_method=GRAPH_ITERATE)
         target = _target(info, name="x/cache:x.adjacency", phases=phases,
                          materialized_fields=(NEIGHBORS,),
                          container_phase="iterate")
@@ -207,9 +195,9 @@ class TestDeca007ElementAssumption:
     def test_fires_when_an_element_field_is_assumed_init_only(self):
         array = ArrayType(LONG)
         holder = ClassType("Holder", [Field("xs", array, final=True)])
-        info = UdtInfo(udt=holder,
-                       assume_init_only=(array.element_field,))
-        findings = run_static_rules(_target(info))
+        findings = run_static_rules(_target(
+            UdtInfo(udt=holder),
+            materialized_fields=(array.element_field,)))
         assert _rules_fired(findings) == {"DECA007"}
         finding = findings[0]
         assert finding.severity is Severity.ERROR

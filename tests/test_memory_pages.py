@@ -10,8 +10,9 @@ from repro.errors import (MemoryLayoutError, PageError, PageOverflowError,
 from repro.jvm import SimHeap
 from repro.memory import DecaMemoryManager, PageGroup, PagePointer, \
     StaticMemoryArena, UnifiedMemoryManager
-from repro.memory.layout import PrimitiveSlot, RecordSchema, VarArraySchema
-from repro.analysis import DOUBLE, INT
+from repro.memory.layout import (FixedArraySchema, PrimitiveSlot,
+                                 RecordSchema, VarArraySchema)
+from repro.analysis import BYTE, DOUBLE, INT
 from repro.obs.sanitizer import Sanitizer
 from repro.simtime import SimClock
 
@@ -19,6 +20,12 @@ from repro.simtime import SimClock
 def point_schema():
     return RecordSchema("Point", [("x", PrimitiveSlot(DOUBLE)),
                                   ("tag", PrimitiveSlot(INT))])
+
+
+def append_blob(group, nbytes):
+    """Append one *nbytes*-byte record."""
+    return group.append_record(
+        FixedArraySchema(PrimitiveSlot(BYTE), nbytes), (7,) * nbytes)
 
 
 class TestPageGroupAppend:
@@ -41,7 +48,7 @@ class TestPageGroupAppend:
 
     def test_oversized_record_gets_dedicated_page(self):
         group = PageGroup("g", page_bytes=16)
-        pointer = group.append_bytes(b"x" * 100)
+        pointer = append_blob(group, 100)
         assert pointer.length == 100
         assert group.pages[pointer.page_index].capacity == 100
 
@@ -54,7 +61,7 @@ class TestPageGroupAppend:
 
     def test_read_past_used_raises(self):
         group = PageGroup("g", page_bytes=64)
-        group.append_bytes(b"abc")
+        append_blob(group, 3)
         with pytest.raises(PageOverflowError):
             group.read(PagePointer(0, 0, 999))
 
@@ -193,7 +200,7 @@ class TestRefCounting:
         group = PageGroup("g", page_bytes=64)
         group.new_page_info().close()
         with pytest.raises(PageReclaimedError):
-            group.append_bytes(b"x")
+            append_blob(group, 1)
 
     def test_dependency_closes_with_owner(self):
         """Fig. 7(a): a secondary's page-info holds the primary's alive."""
@@ -214,7 +221,7 @@ class TestHeapIntegration:
         heap = SimHeap(cfg, SimClock())
         group = PageGroup("g", page_bytes=MB, heap=heap)
         for _ in range(5):
-            group.reserve(MB)  # five full pages
+            group.append_run(bytes(MB))  # five full pages
         # Five page objects on the heap, regardless of record count.
         assert heap.live_objects == 5
 
@@ -222,7 +229,7 @@ class TestHeapIntegration:
         cfg = DecaConfig(heap_bytes=64 * MB, page_bytes=MB)
         heap = SimHeap(cfg, SimClock())
         group = PageGroup("g", page_bytes=MB, heap=heap)
-        group.reserve(MB)
+        group.append_run(bytes(MB))
         group.reclaim()
         heap.full_gc()
         assert heap.live_objects == 0
@@ -244,7 +251,7 @@ class TestMemoryManager:
     def test_stats_track_groups(self):
         manager = self.make_manager()
         a = manager.new_page_group("a")
-        a.append_bytes(b"x" * 100)
+        append_blob(a, 100)
         assert manager.group_count == 1
         assert manager.used_bytes == 100
         assert manager.allocated_bytes > 0

@@ -36,6 +36,28 @@ CANNED = [
     _run("wc", 7, "parent", 0.20), _run("wc", 7, "change", 0.20),
 ]
 
+#: One workload per verdict of ``job_wall_s`` against a 0.25 bound.
+VERDICTS = [
+    # +50 % on a tight parent: worse.
+    *(_run("slower", seed, side, wall) for seed, side, wall in (
+        (1, "parent", 0.10), (1, "change", 0.15),
+        (2, "parent", 0.10), (2, "change", 0.15),
+        (3, "parent", 0.11), (3, "change", 0.16))),
+    # Parent IQR 0.3 on a 0.2 median, equal medians: unresolved.
+    *(_run("noisy", seed, side, wall) for seed, side, wall in (
+        (1, "parent", 0.10), (1, "change", 0.15),
+        (2, "parent", 0.20), (2, "change", 0.20),
+        (3, "parent", 0.40), (3, "change", 0.30))),
+    # Just as noisy, but every change run beats every parent run.
+    *(_run("faster", seed, side, wall) for seed, side, wall in (
+        (1, "parent", 1.00), (1, "change", 0.50),
+        (2, "parent", 2.00), (2, "change", 0.60),
+        (3, "parent", 4.00), (3, "change", 0.70))),
+    # A tie on a tight parent: within bound.
+    *(_run("steady", seed, side, 0.20) for seed in (1, 2, 3)
+      for side in ("parent", "change")),
+]
+
 
 class TestFold:
     def test_schema_and_order(self):
@@ -54,14 +76,16 @@ class TestFold:
 
     def test_setup_phases_print_under_setup_s(self):
         payload = perf_pairs.fold(CANNED, "")
-        lines = perf_pairs.report(payload, {"job_wall_s": "lower",
-                                            "setup_s": "lower"})
+        lines = perf_pairs.report(payload, {"job_wall_s": ("lower", 0.25),
+                                            "setup_s": ("lower", 0.25)})
         rows = [line.split() for line in lines[1:]]
         # lr: job_wall_s, setup_s and its three phases; wc: no set-up.
         assert [row[0] for row in rows] == [
             "lr", "lr", "import_s", "generate_s", "open_s", "wc"]
         assert rows[1][1] == "setup_s" and rows[5][1] == "job_wall_s"
         assert rows[3][:4] == ["generate_s", "0.4", "0.2", "0.500"]
+        # A set-up phase has no bound, so no verdict.
+        assert rows[3][-1] == "-" and rows[5][-2:] == ["within", "bound"]
 
     def test_merge_keeps_old_workloads(self):
         old = perf_pairs.fold(CANNED[:6], "first")
@@ -104,8 +128,24 @@ class TestStatistics:
 
     def test_unpaired_metric_is_reported_not_summarized(self):
         payload = perf_pairs.fold(CANNED[:3], "")
-        lines = perf_pairs.report(payload, {"job_wall_s": "lower"})
+        lines = perf_pairs.report(payload, {"job_wall_s": ("lower", 0.25)})
         assert "unpaired" in lines[-1]
+
+    def test_each_metric_gets_a_verdict_against_its_bound(self):
+        payload = perf_pairs.fold(VERDICTS, "")
+        lines = perf_pairs.report(payload, {"job_wall_s": ("lower", 0.25),
+                                            "setup_s": ("lower", 0.25)})
+        verdicts = {line.split()[0]: line.split("  ")[-1].strip()
+                    for line in lines[1:]}
+        assert verdicts == {"slower": "worse", "noisy": "unresolved",
+                            "faster": "within bound",
+                            "steady": "within bound"}
+        runs = payload["runs"]
+        # "higher" flips the direction: the slower side reads better.
+        assert perf_pairs.summarize(runs["slower"]["job_wall_s"], "higher",
+                                    0.25)["verdict"] == "within bound"
+        assert "verdict" not in perf_pairs.summarize(
+            runs["slower"]["job_wall_s"])
 
 
 def test_rereads_a_committed_pairs_file():

@@ -115,11 +115,14 @@ def measure_generic(value) -> RecordFootprint:
     if isinstance(value, float):
         return RecordFootprint(1, sizing.boxed_bytes("double"), 8)
     if isinstance(value, str):
-        chars = sizing.array_bytes(2, len(value))
+        # A String's char[] holds UTF-16 code units: an astral character
+        # is two.
+        units = len(value.encode("utf-16-le", "surrogatepass")) // 2
+        chars = sizing.array_bytes(2, units)
         return RecordFootprint(
             objects=2,
             object_bytes=sizing.object_bytes(1, 4) + chars,
-            data_bytes=2 * len(value),
+            data_bytes=2 * units,
         )
     if isinstance(value, (bytes, bytearray)):
         return RecordFootprint(

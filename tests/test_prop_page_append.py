@@ -15,7 +15,7 @@ already partly filled, and empty input.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import DOUBLE, INT, LONG
+from repro.analysis import BYTE, DOUBLE, INT, LONG
 from repro.config import DecaConfig, MB
 from repro.jvm import SimHeap
 from repro.memory.layout import (FixedArraySchema, PrimitiveSlot,
@@ -87,7 +87,9 @@ def test_batch_append_equals_the_per_record_loop(data, name, page_bytes,
     for built in (batch, loop):
         if prefill:
             # A last page already partly (or exactly) filled.
-            built.group.append_bytes(bytes(range(prefill)))
+            built.group.append_record(
+                FixedArraySchema(PrimitiveSlot(BYTE), prefill),
+                tuple(range(prefill)))
 
     # A generator: the bulk path must not need a sized input.
     assert batch.group.append_records(

@@ -7,9 +7,12 @@ through ``ContainerPlan.decoded`` / ``records``.  For the plans the
 benchmark applications actually produce (cache plans in ``spark-ser`` and
 ``deca``, every decomposed shuffle plan, the cogroup sides of CC with
 their ``tag`` included) and arbitrary records of their schema, each
-carrier must hand back exactly the records that went in.
+carrier must hand back exactly the records that went in, and each is
+written by the one run writer (``Schema.pack_run``) with the bytes of
+the per-field walker, which stays as the oracle.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -183,7 +186,7 @@ def test_an_empty_container_reads_back_empty(plan_id, tmp_path):
     check_carriers(PLANS[plan_id], [], tmp_path)
 
 
-# -- the shared-segment pack's codec path -------------------------------------
+# -- the one writer: pages, segments and blobs hold the walker's bytes --------
 
 FIXED_SIZE = sorted(plan_id for plan_id, plan in PLANS.items()
                     if plan.schema.fixed_size)
@@ -198,27 +201,45 @@ def walked(schema, values):
     return bytes(out)
 
 
+def untagged(plan):
+    """*plan* holding its schema values as they are (no cogroup tag)."""
+    return dataclasses.replace(plan, tag=None)
+
+
 def test_the_apps_produce_fixed_size_schemas():
     assert len(FIXED_SIZE) >= 4
 
 
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
 @pytest.mark.parametrize("plan_id", FIXED_SIZE)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_the_segment_pack_writes_the_walkers_bytes(plan_id, data):
-    schema = PLANS[plan_id].schema
+    """A cache block's page group, a shared segment and a SparkSer blob
+    are written by one ``Schema.pack_run``: each holds the walker's
+    bytes."""
+    plan = PLANS[plan_id]
+    schema = plan.schema
     values = data.draw(st.lists(schema_values(schema), min_size=1,
                                 max_size=12))
+    want = walked(schema, values)
+    assert untagged(plan).pack(values) == want
+
+    group = PageGroup("walk", page_bytes=64)
+    assert group.append_records(schema, iter(values)) == len(values)
+    assert b"".join(bytes(page.data[:page.used])
+                    for page in group.pages) == want
+
+    if not shm_available():
+        return
     name = f"repro-mp-test-{os.getpid()}-fixed"
     ref = pack_records_segment(name, schema, values)
     try:
-        assert ref.nbytes == schema.fixed_size * len(values)
+        assert ref.nbytes == len(want)
         group = attach_page_group(ref)
         info = group.new_page_info()
         try:
             page = group.pages[0]
-            assert bytes(page.data[:page.used]) == walked(schema, values)
+            assert bytes(page.data[:page.used]) == want
         finally:
             info.close()
     finally:
@@ -232,14 +253,16 @@ def _spoiled(value):
     return "x"
 
 
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
 @pytest.mark.parametrize("plan_id", FIXED_SIZE)
 @pytest.mark.parametrize("spoil", ["type", "arity"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_a_rejected_value_raises_the_walkers_error_and_leaves_no_segment(
         plan_id, spoil, data):
-    schema = PLANS[plan_id].schema
+    """Every writer raises the walker's error for a rejected value; the
+    page group keeps the records before it, and no segment is left."""
+    plan = PLANS[plan_id]
+    schema = plan.schema
     values = data.draw(st.lists(schema_values(schema), min_size=1,
                                 max_size=6))
     at = data.draw(st.integers(0, len(values) - 1))
@@ -247,8 +270,23 @@ def test_a_rejected_value_raises_the_walkers_error_and_leaves_no_segment(
     values[at] = bad
     with pytest.raises(Exception) as walker:
         schema._pack_fields(bytearray(schema.fixed_size), 0, bad)
+    error = type(walker.value), str(walker.value)
+
+    with pytest.raises(error[0]) as blob:
+        untagged(plan).pack(values)
+    assert str(blob.value) == error[1]
+
+    group = PageGroup("rejected", page_bytes=64)
+    with pytest.raises(error[0]) as paged:
+        group.append_records(schema, values)
+    assert str(paged.value) == error[1]
+    assert list(group.records(schema)) == list(
+        schema.iter_unpack(walked(schema, values[:at])))
+
+    if not shm_available():
+        return
     name = f"repro-mp-test-{os.getpid()}-rejected"
-    with pytest.raises(type(walker.value)) as packed:
+    with pytest.raises(error[0]) as packed:
         pack_records_segment(name, schema, values)
-    assert str(packed.value) == str(walker.value)
+    assert str(packed.value) == error[1]
     assert list_segments(name) == []

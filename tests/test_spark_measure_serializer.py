@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import ArrayLength, ArrayType, ClassType, DOUBLE, Field, INT
-from repro.apps.udts import record, val
+from repro.apps.udts import String, record, val
 from repro.apps.wordcount import wordcount_udt_info
 from repro.config import DecaConfig, MB, SerializerCosts
 from repro.errors import MemoryLayoutError
@@ -112,6 +112,12 @@ class TestMeasureGeneric:
         fp = measure_generic("hello")
         assert fp.objects == 2
         assert fp.data_bytes == 10  # UTF-16 code units
+        # Untyped or a typed char[], a str costs the same code units: an
+        # astral character is a surrogate pair.
+        for text in ("hello", "ünïcödé", "b\U0001F600"):
+            assert measure_generic(text).data_bytes \
+                == measure_typed(String, text).data_bytes
+        assert measure_generic("b\U0001F600").data_bytes == 6
 
     def test_tuple_nests(self):
         fp = measure_generic((1, 2.0))
