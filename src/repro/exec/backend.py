@@ -89,7 +89,7 @@ class ExecutionBackend:
     def run_map_stage(self, scheduler: "DAGScheduler", stage: "Stage",
                       stage_metrics: "StageMetrics",
                       job_metrics: "JobMetrics",
-                      stage_start: float) -> bool:
+                      stage_start: int) -> bool:
         """Run a whole shuffle-map stage; ``False`` means "not mine"."""
         return False
 
@@ -97,7 +97,7 @@ class ExecutionBackend:
                          func: Callable[[Iterator], Any],
                          stage_metrics: "StageMetrics",
                          job_metrics: "JobMetrics",
-                         stage_start: float) -> list | None:
+                         stage_start: int) -> list | None:
         """Run a result stage; ``None`` means "not mine"."""
         return None
 

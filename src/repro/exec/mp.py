@@ -59,6 +59,7 @@ from typing import Any, Callable, Iterator, TYPE_CHECKING
 
 from ..core.plan import ContainerPlan
 from ..errors import ExecutionError, StageAbortError, TaskKilledError
+from ..simtime import ms_to_ticks
 from ..spark.faults import MAX_TASK_FAILURES
 from ..spark.metrics import TaskMetrics
 from ..spark.shuffle import MapOutputBlock
@@ -387,7 +388,7 @@ class MpBackend(ExecutionBackend):
     def run_map_stage(self, scheduler: "DAGScheduler", stage: "Stage",
                       stage_metrics: "StageMetrics",
                       job_metrics: "JobMetrics",
-                      stage_start: float) -> bool:
+                      stage_start: int) -> bool:
         outputs = self._run_stage(scheduler, stage, stage_metrics,
                                   job_metrics, stage_start)
         for split in sorted(outputs):
@@ -398,7 +399,7 @@ class MpBackend(ExecutionBackend):
                          func: Callable[[Iterator], Any],
                          stage_metrics: "StageMetrics",
                          job_metrics: "JobMetrics",
-                         stage_start: float) -> list | None:
+                         stage_start: int) -> list | None:
         outputs = self._run_stage(scheduler, stage, stage_metrics,
                                   job_metrics, stage_start)
         results: list[Any] = []
@@ -440,7 +441,7 @@ class MpBackend(ExecutionBackend):
     # -- running one stage ----------------------------------------------------
     def _run_stage(self, scheduler: "DAGScheduler", stage: "Stage",
                    stage_metrics: "StageMetrics",
-                   job_metrics: "JobMetrics", stage_start: float,
+                   job_metrics: "JobMetrics", stage_start: int,
                    ) -> dict[int, TaskOutput]:
         ctx = self.ctx
         cfg = ctx.config
@@ -561,7 +562,7 @@ class MpBackend(ExecutionBackend):
 
     def _flush(self, scheduler: "DAGScheduler",
                stage_metrics: "StageMetrics",
-               reports: list[TaskOutput | TaskFailure], stage_start: float,
+               reports: list[TaskOutput | TaskFailure], stage_start: int,
                real_start: float, waves: int) -> None:
         """Fold buffered outcomes into metrics/trace, in split order.
 
@@ -570,34 +571,34 @@ class MpBackend(ExecutionBackend):
         identical across runs of the same program.
         """
         ctx = self.ctx
-        elapsed_ms = (time.perf_counter() - real_start) * 1000.0
+        elapsed = ms_to_ticks((time.perf_counter() - real_start) * 1000.0)
         for report in sorted(reports, key=lambda r: (r.split, r.attempt)):
             stage_metrics.tasks.append(TaskMetrics(
                 task_id=report.split, stage_id=stage_metrics.stage_id,
                 executor_id=report.executor_id, attempt=report.attempt,
                 status=report.status, records_read=report.records_read,
-                compute_ms=report.duration_ms,
-                duration_ms=report.duration_ms))
+                compute_ticks=report.duration_ticks,
+                duration_ticks=report.duration_ticks))
             for event in report.events:
                 # Worker timestamps are relative to its fork; re-anchor
                 # them at the stage's driver timestamp.  The pid is the
                 # worker-assigned executor trace pid, same numbering the
                 # sim backend uses — traces stay single-file.
                 if ctx.sanitizer is not None:
-                    ctx.sanitizer.note_relay(stage_start + event.ts_ms,
+                    ctx.sanitizer.note_relay(stage_start + event.ts_ticks,
                                              stage_start, pid=event.pid)
                 ctx.tracer.emit(dataclasses.replace(
-                    event, ts_ms=stage_start + event.ts_ms))
+                    event, ts_ticks=stage_start + event.ts_ticks))
         ctx.tracer.instant(
             f"mp:stage:{stage_metrics.stage_id}", "mp",
-            ts_ms=stage_start, stage_id=stage_metrics.stage_id,
+            ts_ticks=stage_start, stage_id=stage_metrics.stage_id,
             waves=waves, workers=self.num_workers,
             segments_live=len(self.registry))
         reports.clear()
         # The mp clock policy: real elapsed time becomes the simulated
         # stage wall for every executor (clocks never go backwards).
         for executor in ctx.executors:
-            executor.clock.advance_to(stage_start + elapsed_ms)
+            executor.clock.advance_to(stage_start + elapsed)
 
     def _gather(self, job: _Job, stage: "Stage", deadline: float,
                 ) -> tuple[list[TaskOutput], list[TaskFailure], int]:

@@ -17,7 +17,7 @@ dictionaries — against a :class:`WorkerExecutor` stub whose simulated
 charges are no-ops.  Because the data path is literally the same code in
 the same order, mp results are bitwise identical to sim results (float
 summation order included); only the *costs* differ: mp tasks are measured
-in wall-clock, not simulated, milliseconds.
+on the wall clock, not the simulated one.
 
 Outputs leave the worker two ways:
 
@@ -41,6 +41,7 @@ from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import TaskKilledError
 from ..obs.tracer import TraceEvent, Tracer
 from ..obs.sanitizer import Sanitizer
+from ..simtime import Prices, ms_to_ticks
 from ..spark.executor import FaultCountdown
 from ..spark.faults import EXECUTOR_CRASH, TASK_KILL, TaskFaultPlan
 from ..spark.metrics import TaskMetrics
@@ -108,7 +109,7 @@ class TaskOutput:
     attempt: int
     executor_id: int
     status: str = "success"
-    duration_ms: float = 0.0
+    duration_ticks: int = 0
     records_read: int = 0
     map_blocks: list[MapBlockOut] = field(default_factory=list)
     cache_blocks: list[CacheBlockOut] = field(default_factory=list)
@@ -128,7 +129,7 @@ class TaskFailure:
     executor_id: int
     status: str                     # "killed" | "error" | "executor-lost"
     message: str
-    duration_ms: float = 0.0
+    duration_ticks: int = 0
     records_read: int = 0
     events: list[TraceEvent] = field(default_factory=list)
     sanitizer_notes: dict | None = None
@@ -196,19 +197,20 @@ class _NullSerializer:
 
 
 class _WallClock:
-    """The worker's clock is the wall clock (read-only for charges)."""
+    """The worker's clock is the wall clock, in ticks (read-only for
+    charges)."""
 
     def __init__(self) -> None:
         self._t0 = time.perf_counter()
 
     @property
-    def now_ms(self) -> float:
-        return (time.perf_counter() - self._t0) * 1000.0
+    def ticks(self) -> int:
+        return ms_to_ticks((time.perf_counter() - self._t0) * 1000.0)
 
-    def advance(self, ms: float) -> None:
+    def advance(self, ticks: int) -> None:
         pass
 
-    def advance_to(self, ms: float) -> None:
+    def advance_to(self, ticks: int) -> None:
         pass
 
 
@@ -233,14 +235,14 @@ class WorkerExecutor(FaultCountdown):
         self.arena = _NullArena()
         self.serializer = _NullSerializer()
         self.fault_injector = None
-        self.parallelism = max(1, config.tasks_per_executor)
+        self.prices = Prices(config, config.tasks_per_executor)
         self._read_shuffle_fn = read_shuffle_fn
         self._fault_plan: TaskFaultPlan | None = None
         self._fault_countdown = 0
         self._current_task: TaskContext | None = None
 
     # -- charges (no-ops; the wall clock is the cost model) ------------------
-    def charge_compute(self, ms: float) -> None:
+    def charge_compute(self, ticks: int) -> None:
         # Called once per record: unarmed, it costs this one check.
         if self._fault_plan is not None:
             self._tick_fault()
@@ -421,7 +423,7 @@ class _WorkerRuntime:
         self.current_out = out
         if plan is not None and plan.kind == TASK_KILL:
             executor.arm_fault(plan)
-        start_ms = self.clock.now_ms
+        start = self.clock.ticks
         try:
             if stage.shuffle_dep is not None:
                 self._run_map_task(task, split, out)
@@ -430,10 +432,10 @@ class _WorkerRuntime:
                 out.result_blob = pickle.dumps(result)
         except TaskKilledError as exc:
             return self._fail(split, attempt, executor, "killed",
-                              repr(exc), start_ms)
+                              repr(exc), start)
         except Exception as exc:  # noqa: BLE001 - reported to the driver
             return self._fail(split, attempt, executor, "error",
-                              f"{type(exc).__name__}: {exc}", start_ms)
+                              f"{type(exc).__name__}: {exc}", start)
         if crash_after:
             # Injected crash between commit and report: the attempt's
             # segments exist but the driver never hears about them —
@@ -443,18 +445,18 @@ class _WorkerRuntime:
         if self.sanitizer is not None:
             self.sanitizer.note_result_produced(
                 f"t{stage.stage_id}.{split}.{attempt}")
-        return self._seal(out, executor, start_ms)
+        return self._seal(out, executor, start)
 
     def _seal(self, outcome: _Outcome, executor: WorkerExecutor,
-              start_ms: float) -> _Outcome:
+              start: int) -> _Outcome:
         """Close the attempt: its duration, its task span (with whatever
         the task traced before it) and its sanitizer notes ride home on
         *outcome*, success or not."""
         stage_id = self.stage.stage_id
-        outcome.duration_ms = self.clock.now_ms - start_ms
+        outcome.duration_ticks = self.clock.ticks - start
         executor.tracer.complete(
             f"task:{stage_id}.{outcome.split}.{outcome.attempt}", "task",
-            ts_ms=start_ms, dur_ms=outcome.duration_ms,
+            ts_ticks=start, dur_ticks=outcome.duration_ticks,
             pid=executor.trace_pid, stage_id=stage_id,
             task_id=outcome.split, attempt=outcome.attempt,
             status=outcome.status, backend="mp", worker_pid=os.getpid())
@@ -465,7 +467,7 @@ class _WorkerRuntime:
         return outcome
 
     def _fail(self, split: int, attempt: int, executor: WorkerExecutor,
-              status: str, message: str, start_ms: float) -> TaskFailure:
+              status: str, message: str, start: int) -> TaskFailure:
         for name in self.created:
             unlink_segment(name)
         self.created = []
@@ -478,7 +480,7 @@ class _WorkerRuntime:
             TaskFailure(split=split, attempt=attempt,
                         executor_id=executor.executor_id, status=status,
                         message=message),
-            executor, start_ms)
+            executor, start)
 
     def _run_map_task(self, task: TaskContext, split: int,
                       out: TaskOutput) -> None:

@@ -20,18 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import GcAlgorithm, GcCostModel, gc_cost_model
+from ..simtime import ms_to_ticks
 
 
 @dataclass(frozen=True)
 class CollectionCost:
-    """Time split of one collection."""
+    """Time split of one collection, in ticks: the fractional multipliers
+    make each part a fraction of a tick, so each is rounded once."""
 
-    pause_ms: float
-    concurrent_ms: float
+    pause_ticks: int
+    concurrent_ticks: int
 
     @property
-    def total_ms(self) -> float:
-        return self.pause_ms + self.concurrent_ms
+    def total_ticks(self) -> int:
+        return self.pause_ticks + self.concurrent_ticks
 
 
 class CollectorModel:
@@ -58,7 +60,8 @@ class CollectorModel:
             + c.minor_trace_per_object_ms * live_young_objects
             + c.minor_copy_per_byte_ms * survivor_bytes
         )
-        return CollectionCost(pause_ms=work, concurrent_ms=0.0)
+        return CollectionCost(pause_ticks=ms_to_ticks(work),
+                              concurrent_ticks=0)
 
     # -- full collections -----------------------------------------------------
     def full_cost(self, live_objects: int, live_bytes: int) -> CollectionCost:
@@ -79,7 +82,8 @@ class CollectorModel:
         # application, but the collector threads steal cycles — only the
         # interference fraction reaches the application clock.
         concurrent = work * (1.0 - c.pause_fraction) * c.concurrent_tax
-        return CollectionCost(pause_ms=pause, concurrent_ms=concurrent)
+        return CollectionCost(pause_ticks=ms_to_ticks(pause),
+                              concurrent_ticks=ms_to_ticks(concurrent))
 
     def __repr__(self) -> str:
         return f"CollectorModel({self.algorithm.value})"

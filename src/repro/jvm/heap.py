@@ -234,12 +234,12 @@ class SimHeap:
         self._young_garbage = 0
 
         cost = self.collector.minor_cost(traced, survivor_bytes)
-        self.clock.advance(cost.total_ms)
+        self.clock.advance(cost.total_ticks)
         event = GcEvent(
             kind=GcKind.MINOR,
-            start_ms=self.clock.now_ms - cost.total_ms,
-            pause_ms=cost.pause_ms,
-            concurrent_ms=cost.concurrent_ms,
+            start_ticks=self.clock.ticks - cost.total_ticks,
+            pause_ticks=cost.pause_ticks,
+            concurrent_ticks=cost.concurrent_ticks,
             traced_objects=traced,
             reclaimed_bytes=reclaimed,
             promoted_bytes=promoted_bytes,
@@ -297,12 +297,12 @@ class SimHeap:
             self._old_garbage = 0
 
             cost = self.collector.full_cost(traced, self.live_bytes)
-            self.clock.advance(cost.total_ms)
+            self.clock.advance(cost.total_ticks)
             event = GcEvent(
                 kind=GcKind.FULL,
-                start_ms=self.clock.now_ms - cost.total_ms,
-                pause_ms=cost.pause_ms,
-                concurrent_ms=cost.concurrent_ms,
+                start_ticks=self.clock.ticks - cost.total_ticks,
+                pause_ticks=cost.pause_ticks,
+                concurrent_ticks=cost.concurrent_ticks,
                 traced_objects=traced,
                 reclaimed_bytes=reclaimed,
                 promoted_bytes=promoted_bytes,

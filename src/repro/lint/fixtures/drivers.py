@@ -154,8 +154,8 @@ def drive_408(sanitizer, tmp):
 
 
 def drive_409(sanitizer, tmp):
-    event = TraceEvent(name="x", category="task", phase="i", ts_ms=1.0)
-    race_bugs.relay_unanchored(sanitizer, Tracer(), event, 100.0)
+    event = TraceEvent(name="x", category="task", phase="i", ts_ticks=1)
+    race_bugs.relay_unanchored(sanitizer, Tracer(), event, 100)
 
 
 def drive_410(sanitizer, tmp):

@@ -141,11 +141,11 @@ def write_through_attach(sanitizer: Sanitizer, name: str,
 
 # -- DECA409 ----------------------------------------------------------------
 def relay_unanchored(sanitizer: Sanitizer, tracer: Any, event: Any,
-                     anchor_ms: float) -> None:
+                     anchor_ticks: int) -> None:
     """WRONG: forwards a worker-local timestamp onto the driver
     timeline without re-anchoring it to the stage start."""
     tracer.emit(event)
-    sanitizer.note_relay(event.ts_ms, anchor_ms)
+    sanitizer.note_relay(event.ts_ticks, anchor_ticks)
 
 
 # -- DECA410 ----------------------------------------------------------------

@@ -295,6 +295,16 @@ class RecordSchema(Schema):
             # A zero-byte record cannot be addressed inside a page
             # (sequential scans could never advance past it).
             raise MemoryLayoutError(f"record schema {name!r} has zero size")
+        # What size_of reads instead of the stored fields: the fixed
+        # fields' bytes and, in field order, the argument position of
+        # each variable-size field (record_shape computes only scalars).
+        arguments = range(len(fields)) if shape is None else shape[0]
+        self._static_bytes = sum(schema.fixed_size for _, schema in fields
+                                 if schema.fixed_size is not None)
+        self._sized_arguments = tuple(
+            (arguments.index(index), schema)
+            for index, (_, schema) in enumerate(self.fields)
+            if schema.fixed_size is None)
 
     def __reduce__(self):
         return RecordSchema, (self.name, self.fields, self.shape)
@@ -326,9 +336,10 @@ class RecordSchema(Schema):
     def size_of(self, value: Any) -> int:
         if self.fixed_size is not None:
             return self.fixed_size
-        values = self._stored(value)
-        return sum(schema.size_of(v)
-                   for (_, schema), v in zip(self.fields, values))
+        args = self._arguments(value)
+        return self._static_bytes + sum(
+            schema.size_of(args[position])
+            for position, schema in self._sized_arguments)
 
     def _pack_fields(self, buffer, offset: int, value: Any) -> int:
         values = self._stored(value)
@@ -346,13 +357,20 @@ class RecordSchema(Schema):
         value = tuple([out[index] for index in self.shape[0]])
         return (value[0] if len(value) == 1 else value), offset
 
-    def _stored(self, value: Any) -> Sequence[Any]:
-        """The field values *value* stores, in field order."""
+    def _arguments(self, value: Any) -> Sequence[Any]:
+        """*value* as its constructor arguments (its fields when the
+        record has no shape)."""
         if self.shape is None:
             return self._as_sequence(value, len(self.fields))
+        arity = len(self.shape[0])
+        return (value,) if arity == 1 else self._as_sequence(value, arity)
+
+    def _stored(self, value: Any) -> Sequence[Any]:
+        """The field values *value* stores, in field order."""
+        args = self._arguments(value)
+        if self.shape is None:
+            return args
         arguments, computed = self.shape
-        args = (value,) if len(arguments) == 1 else self._as_sequence(
-            value, len(arguments))
         stored = [None] * len(self.fields)
         for index, arg in zip(arguments, args):
             stored[index] = arg

@@ -22,8 +22,8 @@ arrays instead of a million records.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from ..errors import PageError, PageOverflowError, PageReclaimedError
@@ -191,40 +191,57 @@ class PageGroup:
     def append_records(self, schema: Schema, values: Iterable[Any]) -> int:
         """Pack every value of *values* (per *schema*); returns the count.
 
-        The bulk build of a sealed container (§4.3.1).  A fixed-size
-        schema fills the group a page at a time: the ``free // size``
-        values that fit are written by one ``schema.pack_run``, then
-        ``page.used`` is committed and the sanitizer told once for the
-        run.  Pages are opened exactly where :meth:`append_record` would
-        open them, so the bytes, the heap allocations and the
-        ``on_resize`` deltas are those of a per-record loop.  A run with
-        a rejected value is appended again record by record, so the
-        records before it stay and it raises its error, leaving nothing.
-        A per-instance-size schema (length-prefixed arrays) appends
-        record by record.
+        The bulk build of a sealed container (§4.3.1), a page at a
+        time: each value is sized once (a fixed-size schema needs no
+        sizing), the values that fit the tail page form a run, and the
+        first that does not ends it.  One ``schema.pack_run`` writes the
+        run, then ``page.used`` is committed and the sanitizer told its
+        record sizes.  Pages are opened exactly where
+        :meth:`append_record` would open them, so the bytes, the heap
+        allocations and the ``on_resize`` deltas are those of a
+        per-record loop.  A run with a rejected value is appended again
+        record by record, so the records before it stay and it raises
+        its error, leaving nothing; a value its schema cannot size ends
+        the run before it the same way.
         """
-        size = schema.fixed_size
-        count = 0
-        if not size:
-            for value in values:
-                self.append_record(schema, value)
-                count += 1
-            return count
-        name = getattr(schema, "name", type(schema).__name__)
-        pending = iter(values)
-        for first in pending:
-            page = self._tail_page(size)
-            run = [first, *islice(pending, page.free // size - 1)]
+        fixed, size_of = schema.fixed_size, schema.size_of
+        count, free = 0, 0
+        page: Page | None = None
+        run: list[Any] = []
+        sizes: list[int] = []
+        for value in values:
             try:
-                page.used = schema.pack_run(page.data, page.used, run)
+                size = fixed or size_of(value)
             except Exception:
-                for value in run:
-                    self.append_record(schema, value)
+                self._commit_run(schema, page, run, sizes)
                 raise
-            count += len(run)
-            if self.sanitizer is not None:
-                self.sanitizer.note_append(self.name, name, size, len(run))
-        return count
+            if page is None or size > free:
+                count += self._commit_run(schema, page, run, sizes)
+                run, sizes = [], []
+                page = self._tail_page(size)
+                free = page.free
+            run.append(value)
+            sizes.append(size)
+            free -= size
+        return count + self._commit_run(schema, page, run, sizes)
+
+    def _commit_run(self, schema: Schema, page: Page | None,
+                    run: list[Any], sizes: list[int]) -> int:
+        """Pack *run* (its values' *sizes*) at the end of *page* and
+        commit it; returns its length."""
+        if page is None or not run:
+            return 0
+        try:
+            page.used = schema.pack_run(page.data, page.used, run)
+        except Exception:
+            for value in run:
+                self.append_record(schema, value)
+            raise
+        if self.sanitizer is not None:
+            name = getattr(schema, "name", type(schema).__name__)
+            for size, records in Counter(sizes).items():
+                self.sanitizer.note_append(self.name, name, size, records)
+        return len(run)
 
     def _new_page(self, nbytes: int) -> Page:
         page = Page(len(self.pages), nbytes)

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from ..errors import PageError
 from ..jvm.objects import Lifetime
 from ..jvm.sizing import array_bytes
+from ..simtime import ticks_to_ms
 from .page import PageGroup
 
 if TYPE_CHECKING:
@@ -196,8 +197,8 @@ class PageStoreTier:
     def _emit(self, event: str, **args: Any) -> None:
         if self.tracer is None:
             return
-        ts = self.clock.now_ms if self.clock is not None else 0.0
-        self.tracer.instant(event, "tier", ts_ms=ts, pid=self.pid, **args)
+        ts = self.clock.ticks if self.clock is not None else 0
+        self.tracer.instant(event, "tier", ts_ticks=ts, pid=self.pid, **args)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -385,7 +386,7 @@ class ColdTier:
     order, so every ``PagePointer`` stays valid.  Payloads and chunks
     are parked in a dict here (the heap tier's plane).  The *owner* (an
     executor) supplies ``heap``, ``serializer``, ``sanitizer``,
-    ``tracer``, ``clock``, ``tier_ms_total`` and the :attr:`charges`
+    ``tracer``, ``clock``, ``tier_ticks`` and the :attr:`charges`
     methods; the mmap tier names its file and events after its
     ``executor_id`` and ``trace_pid``.
     """
@@ -570,7 +571,7 @@ class MmapColdTier(ColdTier):
         if self.extents is None:
             return {}
         stats = self.extents.stats.to_dict()
-        stats["tier_ms"] = round(self.owner.tier_ms_total, 3)
+        stats["tier_ms"] = round(ticks_to_ms(self.owner.tier_ticks), 3)
         return stats
 
     def close(self) -> None:

@@ -194,9 +194,9 @@ class _ArenaBase:
         self.sanitizer: Optional[Sanitizer] = None
 
     def _emit(self, event: str, **args: object) -> None:
-        ts = self.clock.now_ms if self.clock is not None else 0.0
+        ts = self.clock.ticks if self.clock is not None else 0
         if self.tracer is not None:
-            self.tracer.instant(f"memory:{event}", "memory", ts_ms=ts,
+            self.tracer.instant(f"memory:{event}", "memory", ts_ticks=ts,
                                 pid=self.pid, **args)
 
     def _next_tick(self) -> int:

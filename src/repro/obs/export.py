@@ -14,7 +14,11 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from ..simtime import TICKS_PER_MS, ticks_to_ms
 from .tracer import DRIVER_PID, PHASE_METADATA, TraceEvent, Tracer
+
+#: Chrome expects microseconds.
+_TICKS_PER_US = TICKS_PER_MS // 1000
 
 
 def _round(value: float, digits: int = 3) -> float:
@@ -27,13 +31,12 @@ def _event_json(event: TraceEvent) -> dict[str, Any]:
         "name": event.name,
         "cat": event.category,
         "ph": event.phase,
-        # Chrome expects microseconds.
-        "ts": _round(event.ts_ms * 1000.0),
+        "ts": _round(event.ts_ticks / _TICKS_PER_US),
         "pid": event.pid,
         "tid": event.tid,
     }
     if event.phase == "X":
-        row["dur"] = _round(event.dur_ms * 1000.0)
+        row["dur"] = _round(event.dur_ticks / _TICKS_PER_US)
     if event.phase == "i":
         row["s"] = "t"  # thread-scoped instant
     if event.args:
@@ -102,21 +105,20 @@ def utilization_summary(tracer: Tracer, title: str = "utilization") -> str:
     covered by any task span — barrier waits at stage boundaries.
     """
     pids = sorted({e.pid for e in tracer.events if e.pid != DRIVER_PID})
-    wall = tracer.end_ms
+    wall = tracer.end_ticks
     header = ["executor", "wall(ms)", "compute(ms)", "gc(ms)",
               "disk(ms)", "network(ms)", "idle(ms)", "busy%"]
     rows = []
     for pid in pids:
         events = [e for e in tracer.events if e.pid == pid]
-        task_ms = sum(e.dur_ms for e in events if e.category == "task")
-        gc_ms = sum(e.dur_ms for e in events if e.category == "gc")
-        disk_ms = sum(e.dur_ms for e in events if e.category == "io.disk")
-        net_ms = sum(e.dur_ms for e in events if e.category == "io.net")
-        compute_ms = max(0.0, task_ms - gc_ms - disk_ms - net_ms)
-        idle_ms = max(0.0, wall - task_ms)
-        busy = 100.0 * task_ms / wall if wall > 0 else 0.0
-        rows.append([f"executor-{pid - 1}", f"{wall:.3f}",
-                     f"{compute_ms:.3f}", f"{gc_ms:.3f}",
-                     f"{disk_ms:.3f}", f"{net_ms:.3f}",
-                     f"{idle_ms:.3f}", f"{busy:.1f}%"])
+        task, gc, disk, net = (
+            sum(e.dur_ticks for e in events if e.category == category)
+            for category in ("task", "gc", "io.disk", "io.net"))
+        compute = max(0, task - gc - disk - net)
+        idle = max(0, wall - task)
+        busy = 100.0 * task / wall if wall > 0 else 0.0
+        rows.append([f"executor-{pid - 1}",
+                     *(f"{ticks_to_ms(ticks):.3f}" for ticks in
+                       (wall, compute, gc, disk, net, idle)),
+                     f"{busy:.1f}%"])
     return _format_table(title, header, rows)

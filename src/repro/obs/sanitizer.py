@@ -236,7 +236,7 @@ class Sanitizer:
                                 "resource": resource, "detail": detail})
         if self.tracer is not None:
             family = "sanitize" if slug in BORROW_SLUGS else "race"
-            self.tracer.instant(f"{family}:{slug}", family, ts_ms=0.0,
+            self.tracer.instant(f"{family}:{slug}", family, ts_ticks=0,
                                 pid=DRIVER_PID, kind=kind, resource=resource,
                                 detail=detail)
 
@@ -466,16 +466,17 @@ class Sanitizer:
                 return
 
     # -- trace relay (DECA409) ------------------------------------------------
-    def note_relay(self, ts_ms: float, anchor_ms: float,
+    def note_relay(self, ts_ticks: int, anchor_ticks: int,
                    pid: int = 0) -> None:
         """A worker event relayed onto the driver timeline; its
         timestamp must not sort before the stage anchor."""
         self._tick()
         self.counters["relays"] += 1
-        if ts_ms < anchor_ms:
+        if ts_ticks < anchor_ticks:
             self._violation(
                 "trace-relay-reorder", "event", f"pid:{pid}",
-                f"relayed ts {ts_ms} precedes stage anchor {anchor_ms}")
+                f"relayed ts {ts_ticks} precedes stage anchor "
+                f"{anchor_ticks} (ticks)")
 
     # -- arena grants (DECA410) -----------------------------------------------
     def note_grant(self, token: str) -> None:

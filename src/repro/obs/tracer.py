@@ -32,22 +32,22 @@ PHASE_METADATA = "M"   # process naming etc. (added by the exporter)
 class TraceEvent:
     """One structured event on the simulated timeline.
 
-    ``ts_ms``/``dur_ms`` are simulated milliseconds; the Chrome exporter
+    ``ts_ticks``/``dur_ticks`` are simulated ticks; the Chrome exporter
     converts them to the microseconds ``about://tracing`` expects.
     """
 
     name: str
     category: str          # "job" | "stage" | "task" | "gc" | "cache" | ...
     phase: str             # PHASE_COMPLETE or PHASE_INSTANT
-    ts_ms: float
-    dur_ms: float = 0.0
+    ts_ticks: int
+    dur_ticks: int = 0
     pid: int = DRIVER_PID
     tid: int = 0
     args: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def end_ms(self) -> float:
-        return self.ts_ms + self.dur_ms
+    def end_ticks(self) -> int:
+        return self.ts_ticks + self.dur_ticks
 
 
 class Tracer:
@@ -65,19 +65,20 @@ class Tracer:
     def emit(self, event: TraceEvent) -> None:
         self.events.append(event)
 
-    def complete(self, name: str, category: str, ts_ms: float,
-                 dur_ms: float, pid: int = DRIVER_PID, tid: int = 0,
+    def complete(self, name: str, category: str, ts_ticks: int,
+                 dur_ticks: int, pid: int = DRIVER_PID, tid: int = 0,
                  **args: Any) -> None:
         """Emit a finished span (Chrome "X" event)."""
         self.emit(TraceEvent(name=name, category=category,
-                             phase=PHASE_COMPLETE, ts_ms=ts_ms,
-                             dur_ms=dur_ms, pid=pid, tid=tid, args=args))
+                             phase=PHASE_COMPLETE, ts_ticks=ts_ticks,
+                             dur_ticks=dur_ticks, pid=pid, tid=tid,
+                             args=args))
 
-    def instant(self, name: str, category: str, ts_ms: float,
+    def instant(self, name: str, category: str, ts_ticks: int,
                 pid: int = DRIVER_PID, tid: int = 0, **args: Any) -> None:
         """Emit a point event (Chrome "i" event)."""
         self.emit(TraceEvent(name=name, category=category,
-                             phase=PHASE_INSTANT, ts_ms=ts_ms,
+                             phase=PHASE_INSTANT, ts_ticks=ts_ticks,
                              pid=pid, tid=tid, args=args))
 
     # -- queries --------------------------------------------------------------
@@ -85,11 +86,9 @@ class Tracer:
         return [e for e in self.events if e.category == category]
 
     @property
-    def end_ms(self) -> float:
+    def end_ticks(self) -> int:
         """Timestamp of the latest event end (the traced wall time)."""
-        if not self.events:
-            return 0.0
-        return max(e.end_ms for e in self.events)
+        return max((e.end_ticks for e in self.events), default=0)
 
     def clear(self) -> None:
         self.events.clear()

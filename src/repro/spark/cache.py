@@ -200,7 +200,7 @@ class CacheStore:
                              + executor.heap.old_used_bytes))
         swap_args.update(cold.swap_out_args(moved))
         executor.tracer.instant(
-            "cache:swap-out", "cache", ts_ms=executor.clock.now_ms,
+            "cache:swap-out", "cache", ts_ticks=executor.clock.ticks,
             pid=executor.trace_pid, **swap_args)
         return released
 
@@ -259,7 +259,7 @@ class CacheStore:
             self._entry_name(block), block.memory_bytes,
             lambda: self.swap_out(key), block=key)
         executor.tracer.instant(
-            "cache:swap-in", "cache", ts_ms=executor.clock.now_ms,
+            "cache:swap-in", "cache", ts_ticks=executor.clock.ticks,
             pid=executor.trace_pid, rdd_id=key[0], partition=key[1],
             strategy=block.plan.strategy.value,
             restored_bytes=block.memory_bytes,
@@ -356,7 +356,7 @@ class CacheStore:
         executor.serializer.deca_read(block.record_count,
                                       block.page_group.used_bytes)
         executor.charge_compute(
-            executor.config.cpu.page_access_ms * block.record_count)
+            executor.prices.page_access * block.record_count)
         yield from block.page_group.records(block.plan.schema)
 
     def _read_from_disk(self, block: CachedBlock) -> Iterator[Any]:

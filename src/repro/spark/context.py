@@ -30,6 +30,7 @@ from ..exec import create_backend
 from ..jvm.objects import Lifetime
 from ..memory.layout import build_schema
 from ..obs import Tracer
+from ..simtime import ticks_to_ms
 from .cache import CachedBlock
 from .measure import RecordFootprint
 from .metrics import JobMetrics, RunMetrics
@@ -372,7 +373,7 @@ class DecaContext:
     # -- results ---------------------------------------------------------------------------
     @property
     def wall_ms(self) -> float:
-        return max(e.clock.now_ms for e in self.executors)
+        return ticks_to_ms(max(e.clock.ticks for e in self.executors))
 
     def cached_bytes_of(self, rdd: RDD) -> int:
         """In-memory footprint of *rdd*'s cached blocks (cache-size bars)."""

@@ -2,9 +2,10 @@
 
 An executor bundles a clock, a simulated heap, the block cache, the Deca
 memory manager and a serializer model.  Tasks charge their compute/I-O
-costs here; charges are divided by the executor's task parallelism (the
-concurrent task slots of a real executor), while GC pauses — which stop
-every thread — land at full price via the heap.
+costs here in ticks read from the executor's price table, which divides
+every cost by the executor's task slots once (the concurrent task slots
+of a real executor), while GC pauses — which stop every thread — land at
+full price via the heap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..memory.manager import DecaMemoryManager
 from ..memory.tier import ColdTier, cold_tier_for
 from ..memory.unified import create_memory_arena
 from ..obs import Tracer
-from ..simtime import SimClock
+from ..simtime import Prices, SimClock
 from .cache import CacheStore
 from .faults import EXECUTOR_CRASH, FaultInjector, TaskFaultPlan
 from .profiler import HeapProfiler
@@ -29,6 +30,7 @@ from .shuffle import ShuffleBlockStore, read_reduce_partition
 
 if TYPE_CHECKING:
     from ..obs.sanitizer import Sanitizer
+    from .metrics import TaskMetrics
     from .scheduler import TaskContext
 
 
@@ -106,24 +108,21 @@ class Executor(FaultCountdown):
         self.sanitizer = self.arena.sanitizer = sanitizer
         self.memory_manager = DecaMemoryManager(config, self.heap,
                                                 self.arena)
-        self.serializer = SerializerModel(
-            config.serializer, self.clock,
-            parallelism=config.tasks_per_executor)
+        self.prices = Prices(config, config.tasks_per_executor)
+        self.serializer = SerializerModel(self.prices, self.clock)
         self.cache = CacheStore(self)
         self.serializer.on_charge = self._attribute_serializer_time
         self.shuffle_store = shuffle_store
         # One pressure plane: the arena evicts its storage LRU (and, when
         # unified, then spills execution consumers, largest first).
         self.heap.add_pressure_handler(self.arena.release_for_pressure)
-        self.parallelism = max(1, config.tasks_per_executor)
-        self._object_alloc_ms = config.cpu.object_alloc_ms
         self.profiler: HeapProfiler | None = None
         self._temp_group: AllocationGroup | None = None
         self._current_task: "TaskContext | None" = None
-        # Cumulative I/O time (for Fig. 11 breakdowns).
-        self.disk_ms_total = 0.0
-        self.network_ms_total = 0.0
-        self.tier_ms_total = 0.0
+        # Cumulative I/O ticks (for Fig. 11 breakdowns).
+        self.disk_ticks = 0
+        self.network_ticks = 0
+        self.tier_ticks = 0
         # Shuffle bytes spilled by this executor's successful attempts.
         self.spilled_shuffle_bytes = 0
         # Where swapped cache blocks and shuffle spills go; it charges
@@ -141,7 +140,7 @@ class Executor(FaultCountdown):
         """Forward one heap collection into the run's trace."""
         self.tracer.complete(
             f"gc:{event.kind.value}", "gc",
-            ts_ms=event.start_ms, dur_ms=event.total_cost_ms,
+            ts_ticks=event.start_ticks, dur_ticks=event.total_ticks,
             pid=self.trace_pid,
             executor_id=self.executor_id,
             kind=event.kind.value,
@@ -153,13 +152,13 @@ class Executor(FaultCountdown):
             live_objects_after=event.live_objects_after,
             heap_used_bytes=event.used_bytes_after)
 
-    def _attribute_serializer_time(self, kind: str, ms: float) -> None:
+    def _attribute_serializer_time(self, kind: str, ticks: int) -> None:
         if self._current_task is None:
             return
         if kind == "ser":
-            self._current_task.metrics.ser_ms += ms
+            self._current_task.metrics.ser_ticks += ticks
         else:
-            self._current_task.metrics.deser_ms += ms
+            self._current_task.metrics.deser_ticks += ticks
 
     # -- profiling --------------------------------------------------------------
     def enable_profiler(self, period_ms: float,
@@ -183,71 +182,78 @@ class Executor(FaultCountdown):
             self.profiler.maybe_sample()
 
     # -- cost charging -------------------------------------------------------------
-    def charge_compute(self, ms: float) -> None:
+    def charge_compute(self, ticks: int) -> None:
         # The per-record charge: the fault tick and the profiler sample
         # are spelled as the ``is not None`` tests they start with, and
         # the clock is advanced in place — ``SimClock.advance``'s check
         # and addition, without its call.
         if self._fault_plan is not None:
             self._tick_fault()
-        ms /= self.parallelism
-        if ms < 0:
-            raise DecaError(f"cannot advance clock by {ms} ms")
-        self.clock._now_ms += ms
+        if ticks < 0:
+            raise DecaError(f"cannot advance clock by {ticks} ticks")
+        self.clock.ticks += ticks
         task = self._current_task
         if task is not None:
-            task.metrics.compute_ms += ms
+            task.metrics.compute_ticks += ticks
         if self.profiler is not None:
             self.profiler.maybe_sample()
 
-    def _charge_io(self, ms: float, nbytes: int, event: str, total: str,
-                   task_metric: str) -> None:
-        """Advance the clock by one modelled transfer of *nbytes*, tally
-        it in the executor's *total* and the running task's
-        *task_metric*, and trace it as *event* (``<device>:<what>``, in
-        category ``io.<device>``)."""
-        start_ms = self.clock.now_ms
-        self.clock.advance(ms)
-        setattr(self, total, getattr(self, total) + ms)
-        if self._current_task is not None:
-            metrics = self._current_task.metrics
-            setattr(metrics, task_metric, getattr(metrics, task_metric) + ms)
+    def _charge_io(self, ticks: int, nbytes: int,
+                   event: str) -> "TaskMetrics | None":
+        """Advance the clock by one modelled transfer of *nbytes* and
+        trace it as *event* (``<device>:<what>``, in category
+        ``io.<device>``); returns the running task's metrics, if any,
+        for the caller's tally."""
+        start = self.clock.ticks
+        self.clock.advance(ticks)
         self.tracer.complete(event, f"io.{event.split(':')[0]}",
-                             ts_ms=start_ms, dur_ms=ms, pid=self.trace_pid,
-                             nbytes=nbytes)
+                             ts_ticks=start, dur_ticks=ticks,
+                             pid=self.trace_pid, nbytes=nbytes)
         self._sample()
+        task = self._current_task
+        return task.metrics if task is not None else None
 
     def charge_disk_write(self, nbytes: int) -> None:
-        io = self.config.io
-        self._charge_io((io.disk_seek_ms + io.disk_write_per_byte_ms * nbytes)
-                        / self.parallelism, nbytes, "disk:write",
-                        "disk_ms_total", "shuffle_write_ms")
+        p = self.prices
+        ticks = p.disk_seek + p.disk_write_per_byte * nbytes
+        self.disk_ticks += ticks
+        metrics = self._charge_io(ticks, nbytes, "disk:write")
+        if metrics is not None:
+            metrics.shuffle_write_ticks += ticks
 
     def charge_disk_read(self, nbytes: int) -> None:
-        io = self.config.io
-        self._charge_io((io.disk_seek_ms + io.disk_read_per_byte_ms * nbytes)
-                        / self.parallelism, nbytes, "disk:read",
-                        "disk_ms_total", "shuffle_read_ms")
+        p = self.prices
+        ticks = p.disk_seek + p.disk_read_per_byte * nbytes
+        self.disk_ticks += ticks
+        metrics = self._charge_io(ticks, nbytes, "disk:read")
+        if metrics is not None:
+            metrics.shuffle_read_ticks += ticks
 
     def charge_tier_write(self, nbytes: int) -> None:
         """Charge moving bytes into the mmap cold tier: memory-bus
         bandwidth, no seek — the point of not serializing to disk."""
         if nbytes > 0:
-            self._charge_io(self.config.io.tier_write_per_byte_ms * nbytes
-                            / self.parallelism, nbytes, "tier:write",
-                            "tier_ms_total", "cache_io_ms")
+            self._charge_tier(self.prices.tier_write_per_byte * nbytes,
+                              nbytes, "tier:write")
 
     def charge_tier_read(self, nbytes: int) -> None:
         if nbytes > 0:
-            self._charge_io(self.config.io.tier_read_per_byte_ms * nbytes
-                            / self.parallelism, nbytes, "tier:read",
-                            "tier_ms_total", "cache_io_ms")
+            self._charge_tier(self.prices.tier_read_per_byte * nbytes,
+                              nbytes, "tier:read")
+
+    def _charge_tier(self, ticks: int, nbytes: int, event: str) -> None:
+        self.tier_ticks += ticks
+        metrics = self._charge_io(ticks, nbytes, event)
+        if metrics is not None:
+            metrics.cache_io_ticks += ticks
 
     def charge_network(self, nbytes: int) -> None:
-        io = self.config.io
-        self._charge_io((io.network_rtt_ms + io.network_per_byte_ms * nbytes)
-                        / self.parallelism, nbytes, "net:transfer",
-                        "network_ms_total", "shuffle_read_ms")
+        p = self.prices
+        ticks = p.network_rtt + p.network_per_byte * nbytes
+        self.network_ticks += ticks
+        metrics = self._charge_io(ticks, nbytes, "net:transfer")
+        if metrics is not None:
+            metrics.shuffle_read_ticks += ticks
 
     # -- allocation helpers -----------------------------------------------------------
     def alloc_temp(self, objects: int, nbytes: int) -> None:
@@ -258,7 +264,7 @@ class Executor(FaultCountdown):
         if group is None or group.freed:
             group = self._temp_group = self.heap.new_group(
                 "udf-temp", Lifetime.TEMPORARY)
-        self.charge_compute(self._object_alloc_ms * objects)
+        self.charge_compute(self.prices.object_alloc * objects)
         self.heap.allocate(group, objects, nbytes)
         if self.profiler is not None:
             self.profiler.maybe_sample()
@@ -273,8 +279,8 @@ class Executor(FaultCountdown):
     # -- task lifecycle ------------------------------------------------------------
     def begin_task(self, task: "TaskContext") -> None:
         self._current_task = task
-        task._start_ms = self.clock.now_ms
-        task._gc_start_ms = self.heap.stats.pause_ms
+        task._start_ticks = self.clock.ticks
+        task._gc_start_ticks = self.heap.stats.pause_ticks
         task._arena_key = self.arena.task_started()
         self._temp_group = self.heap.new_group(
             "udf-temp", Lifetime.TEMPORARY)
@@ -289,9 +295,9 @@ class Executor(FaultCountdown):
             # Unreleased execution grants die with the task.
             self.arena.task_finished(task._arena_key)
             task._arena_key = None
-        task.metrics.duration_ms = self.clock.now_ms - task._start_ms
-        task.metrics.gc_pause_ms = (self.heap.stats.pause_ms
-                                    - task._gc_start_ms)
+        task.metrics.duration_ticks = self.clock.ticks - task._start_ticks
+        task.metrics.gc_pause_ticks = (self.heap.stats.pause_ticks
+                                       - task._gc_start_ticks)
         task.metrics.executor_id = self.executor_id
         task.metrics.status = status
         if status == "success":
@@ -306,7 +312,7 @@ class Executor(FaultCountdown):
         self.tracer.complete(
             f"task:{metrics.stage_id}.{metrics.task_id}"
             f".{metrics.attempt}", "task",
-            ts_ms=task._start_ms, dur_ms=metrics.duration_ms,
+            ts_ticks=task._start_ticks, dur_ticks=metrics.duration_ticks,
             pid=self.trace_pid,
             stage_id=metrics.stage_id, task_id=metrics.task_id,
             attempt=metrics.attempt, status=metrics.status,
@@ -325,7 +331,7 @@ class Executor(FaultCountdown):
         """
         self.end_task(task, status=status)
 
-    def restart(self, restart_delay_ms: float) -> None:
+    def restart(self, delay_ticks: int) -> None:
         """Bring a crashed executor back as a fresh process.
 
         The crash loses everything in the old process: cached blocks are
@@ -334,19 +340,19 @@ class Executor(FaultCountdown):
         pays the restart delay; GC statistics keep accumulating across the
         restart so run-level metrics and profiler timelines stay monotone.
         """
-        restart_start_ms = self.clock.now_ms
+        restart_start = self.clock.ticks
         self.cache.invalidate_all()
         if self._temp_group is not None and not self._temp_group.freed:
             self.heap.free_group(self._temp_group)
         self._temp_group = None
         self._current_task = None
         self.disarm_fault()
-        self.clock.advance(restart_delay_ms)
+        self.clock.advance(delay_ticks)
         self.lost_count += 1
         self.alive = True
         self.tracer.complete("executor:restart", "fault",
-                             ts_ms=restart_start_ms,
-                             dur_ms=restart_delay_ms, pid=self.trace_pid,
+                             ts_ticks=restart_start, dur_ticks=delay_ticks,
+                             pid=self.trace_pid,
                              executor_id=self.executor_id,
                              lost_count=self.lost_count)
         self._sample()

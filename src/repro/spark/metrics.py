@@ -1,8 +1,14 @@
-"""Task, stage and job metrics (the numbers every figure reports)."""
+"""Task, stage and job metrics (the numbers every figure reports).
+
+Every simulated time is tallied in integer ticks (``*_ticks``) and read
+in milliseconds through its ``*_ms`` view (:class:`~repro.simtime.MsView`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..simtime import MsView
 
 
 @dataclass
@@ -23,26 +29,35 @@ class TaskMetrics:
     status: str = "success"
     records_read: int = 0
     records_written: int = 0
-    compute_ms: float = 0.0
-    gc_pause_ms: float = 0.0
-    ser_ms: float = 0.0
-    deser_ms: float = 0.0
-    shuffle_read_ms: float = 0.0
-    shuffle_write_ms: float = 0.0
-    cache_io_ms: float = 0.0
-    duration_ms: float = 0.0
+    compute_ticks: int = 0
+    gc_pause_ticks: int = 0
+    ser_ticks: int = 0
+    deser_ticks: int = 0
+    shuffle_read_ticks: int = 0
+    shuffle_write_ticks: int = 0
+    cache_io_ticks: int = 0
+    duration_ticks: int = 0
+
+    compute_ms = MsView()
+    gc_pause_ms = MsView()
+    ser_ms = MsView()
+    deser_ms = MsView()
+    shuffle_read_ms = MsView()
+    shuffle_write_ms = MsView()
+    cache_io_ms = MsView()
+    duration_ms = MsView()
 
     def add(self, other: "TaskMetrics") -> None:
         self.records_read += other.records_read
         self.records_written += other.records_written
-        self.compute_ms += other.compute_ms
-        self.gc_pause_ms += other.gc_pause_ms
-        self.ser_ms += other.ser_ms
-        self.deser_ms += other.deser_ms
-        self.shuffle_read_ms += other.shuffle_read_ms
-        self.shuffle_write_ms += other.shuffle_write_ms
-        self.cache_io_ms += other.cache_io_ms
-        self.duration_ms += other.duration_ms
+        self.compute_ticks += other.compute_ticks
+        self.gc_pause_ticks += other.gc_pause_ticks
+        self.ser_ticks += other.ser_ticks
+        self.deser_ticks += other.deser_ticks
+        self.shuffle_read_ticks += other.shuffle_read_ticks
+        self.shuffle_write_ticks += other.shuffle_write_ticks
+        self.cache_io_ticks += other.cache_io_ticks
+        self.duration_ticks += other.duration_ticks
 
 
 @dataclass
@@ -61,7 +76,9 @@ class RecoveryMetrics:
     recomputed_partitions: int = 0
     speculative_tasks: int = 0
     speculative_wins: int = 0
-    recovery_ms: float = 0.0
+    recovery_ticks: int = 0
+
+    recovery_ms = MsView()
 
     def add(self, other: "RecoveryMetrics") -> None:
         self.task_failures += other.task_failures
@@ -71,7 +88,7 @@ class RecoveryMetrics:
         self.recomputed_partitions += other.recomputed_partitions
         self.speculative_tasks += other.speculative_tasks
         self.speculative_wins += other.speculative_wins
-        self.recovery_ms += other.recovery_ms
+        self.recovery_ticks += other.recovery_ticks
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +110,9 @@ class StageMetrics:
     stage_id: int
     name: str
     tasks: list[TaskMetrics] = field(default_factory=list)
-    wall_ms: float = 0.0
+    wall_ticks: int = 0
+
+    wall_ms = MsView()
 
     @property
     def totals(self) -> TaskMetrics:
@@ -106,7 +125,7 @@ class StageMetrics:
     def slowest_task(self) -> TaskMetrics | None:
         if not self.tasks:
             return None
-        return max(self.tasks, key=lambda t: t.duration_ms)
+        return max(self.tasks, key=lambda t: t.duration_ticks)
 
     @property
     def attempts(self) -> int:
@@ -125,8 +144,10 @@ class JobMetrics:
     job_id: int
     name: str
     stages: list[StageMetrics] = field(default_factory=list)
-    wall_ms: float = 0.0
+    wall_ticks: int = 0
     recovery: RecoveryMetrics = field(default_factory=RecoveryMetrics)
+
+    wall_ms = MsView()
 
     @property
     def totals(self) -> TaskMetrics:

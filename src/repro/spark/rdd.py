@@ -448,12 +448,14 @@ class ParallelCollectionRDD(RDD):
                  read_cost_per_record_ms: float = 0.0) -> None:
         super().__init__(ctx, [], num_partitions, name, udt_info)
         self._slices = _slice(data, num_partitions)
-        self._read_cost = read_cost_per_record_ms
+        self._read_cost_ms = read_cost_per_record_ms
 
     def compute(self, split: int, task: "TaskContext") -> Iterator[Any]:
+        executor = task.executor
+        cost = executor.prices.per_slot(self._read_cost_ms)
         for record in self._slices[split]:
-            if self._read_cost:
-                task.executor.charge_compute(self._read_cost)
+            if cost:
+                executor.charge_compute(cost)
             yield record
 
 
@@ -494,20 +496,20 @@ class MapPartitionsRDD(RDD):
         parent = self.deps[0].parent
         source = parent.iterator(split, task)
         executor = task.executor
-        cpu = executor.config.cpu
+        prices = executor.prices
         if not self._per_record:
             yield from self._body(source, task)
             return
-        cost_ms = (self._record_cost_ms if self._record_cost_ms is not None
-                   else cpu.record_op_ms)
+        cost = (prices.record_op if self._record_cost_ms is None
+                else prices.per_slot(self._record_cost_ms))
         # The per-record callables are picked once per partition.
         charge = executor.charge_compute
         metrics = task.metrics
         if self._reads_decomposed_data():
             # Transformed code path: reused result buffers, byte access.
-            cost_ms += cpu.page_access_ms
+            cost += prices.page_access
             for record in self._body(source, task):
-                charge(cost_ms)
+                charge(cost)
                 metrics.records_read += 1
                 yield record
             return
@@ -520,7 +522,7 @@ class MapPartitionsRDD(RDD):
         for record in self._body(source, task):
             # One UDF application: compute cost plus the temporaries the
             # UDF allocates (the young-generation churn of §2.2).
-            charge(cost_ms)
+            charge(cost)
             objects, object_bytes, _ = measure(record)
             alloc_temp(objects, object_bytes)
             metrics.records_read += 1
@@ -597,20 +599,20 @@ class ShuffledRDD(RDD):
         executor = task.executor
         records = executor.read_shuffle(self.shuffle_dep.shuffle_id, split,
                                         task)
-        cpu = executor.config.cpu
+        prices = executor.prices
         plan = self.ctx.plan_shuffle(self.shuffle_dep)
         if self.kind is ShuffleKind.COMBINE:
             merged: dict[Any, Any] = {}
             merge = self.shuffle_dep.merge_value
             reuse = plan.decomposed and plan.value_segment_reuse
             for key, value in records:
-                executor.charge_compute(cpu.hash_probe_ms)
+                executor.charge_compute(prices.hash_probe)
                 if key in merged:
                     merged[key] = merge(merged[key], value)
                     if reuse:
                         # SFST value: the merge result overwrites the old
                         # segment in place (§4.3.2) — no dead object.
-                        executor.charge_compute(cpu.page_access_ms)
+                        executor.charge_compute(prices.page_access)
                     else:
                         executor.alloc_temp(1, 24)
                 else:
@@ -621,7 +623,7 @@ class ShuffledRDD(RDD):
                                       decomposed=plan.decomposed)
         elif self.kind is ShuffleKind.SORT:
             buffered = list(records)
-            executor.charge_compute(cpu.sort_per_record_ms * len(buffered))
+            executor.charge_compute(prices.sort_per_record * len(buffered))
             yield from sorted(buffered, key=lambda kv: kv[0])
         else:
             raise ExecutionError(f"unsupported reduce kind {self.kind}")
@@ -638,7 +640,7 @@ def _group_records(records: Iterator[tuple[Any, Any]],
     fetched pages instead of object graphs (Fig. 7(a)).
     """
     executor = task.executor
-    cpu = executor.config.cpu
+    probe = executor.prices.hash_probe
     buffer_group = executor.new_pinned_group("shuffle-read-buffer")
     groups: dict[Any, list] = {}
     count = 0
@@ -647,7 +649,7 @@ def _group_records(records: Iterator[tuple[Any, Any]],
     # buffer is garbage, not a leaked live group.
     try:
         for key, value in records:
-            executor.charge_compute(cpu.hash_probe_ms)
+            executor.charge_compute(probe)
             bucket = groups.get(key)
             if bucket is None:
                 groups[key] = bucket = []
@@ -690,7 +692,7 @@ class JoinedRDD(RDD):
                buffer_group: Any) -> dict[Any, list]:
         """Materialise one side as key -> values in the pinned buffer."""
         executor = task.executor
-        probe_ms = executor.config.cpu.hash_probe_ms
+        probe = executor.prices.hash_probe
         if isinstance(dep, ShuffleDependency):
             fetched = executor.read_shuffle(dep.shuffle_id, split, task)
             # Strip the cogroup side tag.
@@ -701,7 +703,7 @@ class JoinedRDD(RDD):
             decomposed = self.ctx._is_deca_transformed(dep.parent)
         table: dict[Any, list] = {}
         for key, value in records:
-            executor.charge_compute(probe_ms)
+            executor.charge_compute(probe)
             table.setdefault(key, []).append(value)
             if decomposed:
                 # Decomposed inputs enter the table as pointers into the
@@ -715,7 +717,7 @@ class JoinedRDD(RDD):
 
     def compute(self, split: int, task: "TaskContext") -> Iterator[Any]:
         executor = task.executor
-        cpu = executor.config.cpu
+        prices = executor.prices
         buffer_group = executor.new_pinned_group("join-buffer")
         # One try/finally spans fill and probe: a task that dies mid-fill
         # (fault injection, fetch failure) must still free the buffer.
@@ -728,9 +730,9 @@ class JoinedRDD(RDD):
                 right = self._table(self.right_dep, split, task,
                                     buffer_group)
                 for key, lv in self.left_dep.parent.iterator(split, task):
-                    executor.charge_compute(cpu.hash_probe_ms)
+                    executor.charge_compute(prices.hash_probe)
                     for rv in right.get(key, ()):
-                        executor.charge_compute(cpu.record_op_ms)
+                        executor.charge_compute(prices.record_op)
                         yield key, (lv, rv)
                 return
             left = self._table(self.left_dep, split, task, buffer_group)
@@ -741,7 +743,7 @@ class JoinedRDD(RDD):
                     continue
                 for lv in left_values:
                     for rv in right_values:
-                        executor.charge_compute(cpu.record_op_ms)
+                        executor.charge_compute(prices.record_op)
                         yield key, (lv, rv)
         finally:
             executor.free_pinned_group(buffer_group)

@@ -35,6 +35,7 @@ from ..errors import (
     StageAbortError,
     TaskKilledError,
 )
+from ..simtime import ms_to_ticks
 from .faults import (
     EXECUTOR_RESTART_MS,
     MAX_TASK_FAILURES,
@@ -63,8 +64,8 @@ class TaskContext:
 
     executor: "Executor"
     metrics: TaskMetrics
-    _start_ms: float = 0.0
-    _gc_start_ms: float = 0.0
+    _start_ticks: int = 0
+    _gc_start_ticks: int = 0
     # The attempt's arena task slot (fair-share accounting key).
     _arena_key: int | None = None
     # Shuffle bytes this attempt spilled, map-side buffer and reduce-side
@@ -148,7 +149,7 @@ class DAGScheduler:
         """Execute the action *func* over every partition of *rdd*."""
         job_id = next(self._job_ids)
         metrics = JobMetrics(job_id=job_id, name=name)
-        start_ms = self._sync_clocks()
+        start = self._sync_clocks()
 
         result_stage = self._build_stages(rdd)
         order = self._topological(result_stage)
@@ -175,10 +176,10 @@ class DAGScheduler:
             results = self._run_result_stage(result_stage, func, metrics)
         finally:
             backend.end_job()
-        metrics.wall_ms = self._sync_clocks() - start_ms
+        metrics.wall_ticks = self._sync_clocks() - start
         self.ctx.tracer.complete(
-            f"job:{name}", "job", ts_ms=start_ms,
-            dur_ms=metrics.wall_ms, job_id=job_id)
+            f"job:{name}", "job", ts_ticks=start,
+            dur_ticks=metrics.wall_ticks, job_id=job_id)
         self.ctx._record_job(metrics)
         return results
 
@@ -256,7 +257,7 @@ class DAGScheduler:
                 self._run_task_attempts(stage, split, body, stage_metrics,
                                         job_metrics)
             self._maybe_speculate(stage, stage_metrics, job_metrics)
-        stage_metrics.wall_ms = self._sync_clocks() - stage_start
+        stage_metrics.wall_ticks = self._sync_clocks() - stage_start
         self._emit_stage_span(stage_metrics, stage_start)
         job_metrics.stages.append(stage_metrics)
 
@@ -281,16 +282,16 @@ class DAGScheduler:
                     stage, split, body, stage_metrics, job_metrics))
             self._maybe_speculate(stage, stage_metrics, job_metrics,
                                   body=body)
-        stage_metrics.wall_ms = self._sync_clocks() - stage_start
+        stage_metrics.wall_ticks = self._sync_clocks() - stage_start
         self._emit_stage_span(stage_metrics, stage_start)
         job_metrics.stages.append(stage_metrics)
         return results
 
     def _emit_stage_span(self, stage_metrics: StageMetrics,
-                         start_ms: float) -> None:
+                         start: int) -> None:
         self.ctx.tracer.complete(
-            f"stage:{stage_metrics.name}", "stage", ts_ms=start_ms,
-            dur_ms=stage_metrics.wall_ms,
+            f"stage:{stage_metrics.name}", "stage", ts_ticks=start,
+            dur_ticks=stage_metrics.wall_ticks,
             stage_id=stage_metrics.stage_id,
             attempts=stage_metrics.attempts,
             failed_attempts=stage_metrics.failed_attempts)
@@ -311,12 +312,12 @@ class DAGScheduler:
         recovery = job_metrics.recovery
         failures = 0
         attempt = 0
-        not_before_ms = 0.0
+        not_before = 0
         while True:
             executor = ctx.executor_for(split, attempt)
-            if not_before_ms > 0.0:
+            if not_before > 0:
                 # The retry cannot start before the backoff wait ends.
-                executor.clock.advance_to(not_before_ms)
+                executor.clock.advance_to(not_before)
             task = TaskContext(
                 executor=executor,
                 metrics=TaskMetrics(task_id=split,
@@ -335,7 +336,7 @@ class DAGScheduler:
                 recovery.task_failures += 1
                 failures += 1
                 self._check_abort(stage, split, failures, exc)
-                not_before_ms = self._backoff_deadline(
+                not_before = self._backoff_deadline(
                     executor, failures, recovery)
             except FetchFailedError as exc:
                 executor.abort_task(task, "fetch-failed")
@@ -345,7 +346,7 @@ class DAGScheduler:
                 self._check_abort(stage, split, failures, exc)
                 self._recover_map_output(exc.shuffle_id, exc.map_part,
                                          job_metrics)
-                not_before_ms = 0.0
+                not_before = 0
             except ExecutorLostError as exc:
                 executor.abort_task(task, "executor-lost")
                 stage_metrics.tasks.append(task.metrics)
@@ -356,7 +357,7 @@ class DAGScheduler:
                            else (stage.shuffle_dep.shuffle_id, split))
                 self._handle_executor_loss(executor, job_metrics,
                                            exclude=exclude)
-                not_before_ms = 0.0
+                not_before = 0
             else:
                 executor.end_task(task)
                 stage_metrics.tasks.append(task.metrics)
@@ -372,13 +373,13 @@ class DAGScheduler:
                                   exc) from exc
 
     def _backoff_deadline(self, executor: "Executor", failures: int,
-                          recovery) -> float:
+                          recovery) -> int:
         """Capped exponential backoff, paid on the simulated clock."""
-        wait = min(
+        wait = ms_to_ticks(min(
             RETRY_BACKOFF_MS * RETRY_BACKOFF_FACTOR ** (failures - 1),
-            RETRY_BACKOFF_MAX_MS)
-        recovery.recovery_ms += wait
-        return executor.clock.now_ms + wait
+            RETRY_BACKOFF_MAX_MS))
+        recovery.recovery_ticks += wait
+        return executor.clock.ticks + wait
 
     # -- recovery actions --------------------------------------------------------------
     def _handle_executor_loss(self, executor: "Executor",
@@ -400,8 +401,9 @@ class DAGScheduler:
         recovery.executors_lost += 1
         lost = ctx.shuffle_store.remove_executor_outputs(
             executor.executor_id)
-        executor.restart(EXECUTOR_RESTART_MS)
-        recovery.recovery_ms += EXECUTOR_RESTART_MS
+        restart = ms_to_ticks(EXECUTOR_RESTART_MS)
+        executor.restart(restart)
+        recovery.recovery_ticks += restart
         for shuffle_id, map_part in lost:
             if (shuffle_id, map_part) == exclude:
                 continue
@@ -420,13 +422,13 @@ class DAGScheduler:
         stage_metrics = StageMetrics(
             stage.stage_id, f"recompute:shuffle-map:{stage.rdd.name}")
         body = self._map_task_body(stage, self.ctx.shuffle_store)
-        start_ms = max(e.clock.now_ms for e in self.ctx.executors)
+        start = max(e.clock.ticks for e in self.ctx.executors)
         self._run_task_attempts(stage, map_part, body, stage_metrics,
                                 job_metrics)
-        stage_metrics.wall_ms = (
-            max(e.clock.now_ms for e in self.ctx.executors) - start_ms)
-        recovery.recovery_ms += stage_metrics.wall_ms
-        self._emit_stage_span(stage_metrics, start_ms)
+        stage_metrics.wall_ticks = (
+            max(e.clock.ticks for e in self.ctx.executors) - start)
+        recovery.recovery_ticks += stage_metrics.wall_ticks
+        self._emit_stage_span(stage_metrics, start)
         job_metrics.stages.append(stage_metrics)
 
     # -- speculation -------------------------------------------------------------------
@@ -449,21 +451,21 @@ class DAGScheduler:
                 winners[metrics.task_id] = metrics
         if len(winners) < 2:
             return
-        durations = sorted(m.duration_ms for m in winners.values())
+        durations = sorted(m.duration_ticks for m in winners.values())
         median = durations[len(durations) // 2]
         threshold = median * SPECULATION_MULTIPLIER
-        if threshold <= 0.0:
+        if threshold <= 0:
             return
         if body is None:
             body = self._map_task_body(stage, ShuffleBlockStore())
         recovery = job_metrics.recovery
         for split in sorted(winners):
             original = winners[split]
-            if original.duration_ms <= threshold:
+            if original.duration_ticks <= threshold:
                 continue
             executor = min(
                 self.ctx.executors,
-                key=lambda e: (e.clock.now_ms, e.executor_id))
+                key=lambda e: (e.clock.ticks, e.executor_id))
             attempt = sum(1 for m in stage_metrics.tasks
                           if m.task_id == split)
             task = TaskContext(
@@ -485,15 +487,15 @@ class DAGScheduler:
                 executor.abort_task(task, "killed")
             else:
                 executor.end_task(task)
-                if task.metrics.duration_ms < original.duration_ms:
+                if task.metrics.duration_ticks < original.duration_ticks:
                     recovery.speculative_wins += 1
             recovery.speculative_tasks += 1
             stage_metrics.tasks.append(task.metrics)
 
-    def _sync_clocks(self) -> float:
+    def _sync_clocks(self) -> int:
         """Barrier: advance every executor to the slowest one's time."""
         executors = self.ctx.executors
-        latest = max(e.clock.now_ms for e in executors)
+        latest = max(e.clock.ticks for e in executors)
         for executor in executors:
             executor.clock.advance_to(latest)
         return latest

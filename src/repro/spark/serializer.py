@@ -13,76 +13,62 @@ are real either way — only the *charged time* differs).
 
 from __future__ import annotations
 
-from ..config import SerializerCosts
-from ..simtime import SimClock
+from ..simtime import Prices, SimClock
 
 
 class SerializerModel:
-    """Charges serialization costs to an executor clock."""
+    """Charges serialization costs, in ticks read from the executor's
+    *prices*, to its clock."""
 
-    def __init__(self, costs: SerializerCosts, clock: SimClock,
-                 parallelism: int = 1) -> None:
-        self.costs = costs
+    def __init__(self, prices: Prices, clock: SimClock) -> None:
+        self.prices = prices
         self.clock = clock
-        self.parallelism = max(1, parallelism)
-        self.ser_ms_total = 0.0
-        self.deser_ms_total = 0.0
+        self.ser_ticks = 0
+        self.deser_ticks = 0
         # Bytes the *heap* cold tier round-trips through Python-heap
         # copies while swapping Deca blocks (the cost the mmap tier
         # eliminates).  A byte counter only — it never advances the
         # clock, so heap-mode timings stay identical to the seed.
         self.swap_copy_bytes_total = 0
-        # Optional sink called with ("ser"|"deser", charged_ms) so the
+        # Optional sink called with ("ser"|"deser", charged_ticks) so the
         # executor can attribute the time to the running task (Fig. 11).
         self.on_charge = None
 
-    def _charge(self, ms: float) -> float:
-        scaled = ms / self.parallelism
-        self.clock.advance(scaled)
-        return scaled
+    def _charge(self, kind: str, ticks: int) -> int:
+        self.clock.advance(ticks)
+        if kind == "ser":
+            self.ser_ticks += ticks
+        else:
+            self.deser_ticks += ticks
+        if self.on_charge is not None:
+            self.on_charge(kind, ticks)
+        return ticks
 
     def note_swap_copy(self, nbytes: int) -> None:
         """Count *nbytes* of swap-path heap copies (no time charge)."""
         self.swap_copy_bytes_total += nbytes
 
     # -- Kryo ------------------------------------------------------------------
-    def kryo_serialize(self, objects: int, nbytes: int) -> float:
+    def kryo_serialize(self, objects: int, nbytes: int) -> int:
         """Charge serializing *objects* totalling *nbytes*."""
-        ms = (self.costs.kryo_ser_per_object_ms * objects
-              + self.costs.per_byte_ms * nbytes)
-        spent = self._charge(ms)
-        self.ser_ms_total += spent
-        if self.on_charge is not None:
-            self.on_charge("ser", spent)
-        return spent
+        p = self.prices
+        return self._charge("ser", p.kryo_ser_per_object * objects
+                            + p.per_byte * nbytes)
 
-    def kryo_deserialize(self, objects: int, nbytes: int) -> float:
+    def kryo_deserialize(self, objects: int, nbytes: int) -> int:
         """Charge deserializing — the expensive direction for Kryo."""
-        ms = (self.costs.kryo_deser_per_object_ms * objects
-              + self.costs.per_byte_ms * nbytes)
-        spent = self._charge(ms)
-        self.deser_ms_total += spent
-        if self.on_charge is not None:
-            self.on_charge("deser", spent)
-        return spent
+        p = self.prices
+        return self._charge("deser", p.kryo_deser_per_object * objects
+                            + p.per_byte * nbytes)
 
     # -- Deca -------------------------------------------------------------------
-    def deca_write(self, objects: int, nbytes: int) -> float:
+    def deca_write(self, objects: int, nbytes: int) -> int:
         """Charge decomposing records into page bytes (ser-equivalent)."""
-        ms = (self.costs.deca_write_per_object_ms * objects
-              + self.costs.per_byte_ms * nbytes)
-        spent = self._charge(ms)
-        self.ser_ms_total += spent
-        if self.on_charge is not None:
-            self.on_charge("ser", spent)
-        return spent
+        p = self.prices
+        return self._charge("ser", p.deca_write_per_object * objects
+                            + p.per_byte * nbytes)
 
-    def deca_read(self, objects: int, nbytes: int) -> float:
+    def deca_read(self, objects: int, nbytes: int) -> int:
         """Charge reading decomposed records (free: direct byte access)."""
-        ms = (self.costs.deca_read_per_object_ms * objects
-              + self.costs.per_byte_ms * nbytes * 0.0)
-        spent = self._charge(ms)
-        self.deser_ms_total += spent
-        if self.on_charge is not None:
-            self.on_charge("deser", spent)
-        return spent
+        return self._charge("deser",
+                            self.prices.deca_read_per_object * objects)

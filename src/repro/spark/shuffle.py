@@ -210,7 +210,7 @@ class MapSideWriter:
         object-form one — never calls it.
         """
         executor = self.executor
-        cpu = executor.config.cpu
+        prices = executor.prices
         partitioner, num_reduce = self.partitioner, self.num_reduce
         charge_compute = executor.charge_compute
         deca_write = executor.serializer.deca_write
@@ -218,7 +218,7 @@ class MapSideWriter:
         account = self._account_buffer
         account_decomposed = self._account_decomposed
         decomposed = self.plan.decomposed
-        object_alloc_ms = cpu.object_alloc_ms
+        object_alloc = prices.object_alloc
         # Per-partition flush totals, kept where flush can trust them.
         written_objects, written_bytes = (self._written_objects,
                                           self._written_bytes)
@@ -229,14 +229,14 @@ class MapSideWriter:
                 merge_value = self.merge_value
                 reuse = self._totals_at_write
                 alloc_temp = executor.alloc_temp
-                hash_probe_ms = cpu.hash_probe_ms
-                page_access_ms = cpu.page_access_ms
-                boxing_ms = cpu.boxing_ms
-                temp_ms = object_alloc_ms + boxing_ms
+                hash_probe = prices.hash_probe
+                page_access = prices.page_access
+                boxing = prices.boxing
+                temp = object_alloc + boxing
                 for key, value in records:
                     part = partitioner(key) % num_reduce
                     bucket = buckets[part]
-                    charge_compute(hash_probe_ms)
+                    charge_compute(hash_probe)
                     old = bucket.get(key, _NO_ENTRY)
                     if old is not _NO_ENTRY:
                         merged = merge_value(old, value)
@@ -245,12 +245,12 @@ class MapSideWriter:
                             # SFST value: overwrite the old segment in
                             # place — no allocation, no dead object
                             # (§4.3.2).
-                            charge_compute(page_access_ms)
+                            charge_compute(page_access)
                         else:
                             # A new Value object replaces the old one:
                             # allocation plus a short-lived temporary.
                             objects, object_bytes, _ = measure((key, merged))
-                            charge_compute(temp_ms)
+                            charge_compute(temp)
                             alloc_temp(max(1, objects - 1),
                                        object_bytes // 2)
                         written += 1
@@ -268,7 +268,7 @@ class MapSideWriter:
                             written_objects[part] += objects
                             written_bytes[part] += data_bytes + KRYO_TAG_BYTES
                     else:
-                        charge_compute(object_alloc_ms * objects + boxing_ms)
+                        charge_compute(object_alloc * objects + boxing)
                         account(objects, object_bytes)
                     written += 1
                     self._buffer_records += 1
@@ -285,7 +285,7 @@ class MapSideWriter:
                         deca_write(1, data_bytes)
                         account_decomposed(data_bytes)
                     else:
-                        charge_compute(object_alloc_ms * objects)
+                        charge_compute(object_alloc * objects)
                         account(objects, object_bytes)
                     written_objects[part] += objects
                     written_bytes[part] += data_bytes + KRYO_TAG_BYTES
@@ -343,11 +343,10 @@ class MapSideWriter:
         # The sort covers this epoch's records only — records spilled by
         # earlier epochs already left the buffer and are merged at read
         # time, not re-sorted here.
-        cpu = self.executor.config.cpu
         executor = self.executor
-        spill_start_ms = executor.clock.now_ms
+        spill_start = executor.clock.ticks
         executor.charge_compute(
-            cpu.sort_per_record_ms * self._buffer_records)
+            executor.prices.sort_per_record * self._buffer_records)
         executor.cold_tier.spill(self._buffer_bytes)
         self.spilled_bytes += self._buffer_bytes
         self.spill_count += 1
@@ -356,8 +355,8 @@ class MapSideWriter:
             f"shuffle-buf:{self.shuffle_id}:{self.map_part}:spill",
             Lifetime.PINNED)
         executor.tracer.complete(
-            "shuffle:spill", "shuffle", ts_ms=spill_start_ms,
-            dur_ms=executor.clock.now_ms - spill_start_ms,
+            "shuffle:spill", "shuffle", ts_ticks=spill_start,
+            dur_ticks=executor.clock.ticks - spill_start,
             pid=executor.trace_pid, shuffle_id=self.shuffle_id,
             map_part=self.map_part, spilled_bytes=self._buffer_bytes,
             records=self._buffer_records, spill_count=self.spill_count,
@@ -388,7 +387,7 @@ class MapSideWriter:
     # -- flush -----------------------------------------------------------------
     def flush(self, store: ShuffleBlockStore) -> None:
         """Sort, serialize and register the per-partition outputs."""
-        cpu = self.executor.config.cpu
+        sort_per_record = self.executor.prices.sort_per_record
         # Spread the spill-merge penalty across the reduce partitions
         # without losing the division remainder: the first
         # ``spilled_bytes % num_reduce`` partitions carry one extra byte,
@@ -402,7 +401,7 @@ class MapSideWriter:
                 records = self._append[part]
                 if self.kind is ShuffleKind.SORT:
                     self.executor.charge_compute(
-                        cpu.sort_per_record_ms * len(records))
+                        sort_per_record * len(records))
                     records = sorted(records, key=lambda kv: kv[0])
             if self._totals_at_write:
                 objects = self._written_objects[part]
@@ -486,14 +485,14 @@ class ReduceMergeConsumer:
         if self._data_bytes <= 0 and self._charged <= 0:
             return 0
         executor = self.executor
-        spill_start_ms = executor.clock.now_ms
+        spill_start = executor.clock.ticks
         executor.cold_tier.spill(self._data_bytes)
         if self.task is not None:
             self.task.spilled_bytes += self._data_bytes
         self.spill_count += 1
         executor.tracer.complete(
-            "shuffle:merge-spill", "shuffle", ts_ms=spill_start_ms,
-            dur_ms=executor.clock.now_ms - spill_start_ms,
+            "shuffle:merge-spill", "shuffle", ts_ticks=spill_start,
+            dur_ticks=executor.clock.ticks - spill_start,
             pid=executor.trace_pid, shuffle_id=self.shuffle_id,
             reduce_part=self.reduce_part,
             spilled_bytes=self._data_bytes,
@@ -539,7 +538,7 @@ def _fetch_blocks(executor, store: ShuffleBlockStore, shuffle_id: int,
                   merge: ReduceMergeConsumer,
                   ) -> Iterator[tuple[Any, Any]]:
     for map_part in range(num_maps):
-        fetch_start_ms = executor.clock.now_ms
+        fetch_start = executor.clock.ticks
         block = store.fetch(shuffle_id, map_part, reduce_part)
         if block is None:
             # The map output is gone (e.g. its executor was lost after the
@@ -547,7 +546,7 @@ def _fetch_blocks(executor, store: ShuffleBlockStore, shuffle_id: int,
             # the lineage that produced it, exactly like Spark.
             tracer.instant(
                 "shuffle:fetch-failed", "shuffle",
-                ts_ms=executor.clock.now_ms, pid=executor.trace_pid,
+                ts_ticks=executor.clock.ticks, pid=executor.trace_pid,
                 shuffle_id=shuffle_id, map_part=map_part,
                 reduce_part=reduce_part, reason="missing map output")
             raise FetchFailedError(shuffle_id, map_part, reduce_part,
@@ -560,7 +559,7 @@ def _fetch_blocks(executor, store: ShuffleBlockStore, shuffle_id: int,
             executor.charge_disk_read(block.nbytes)
             tracer.instant(
                 "shuffle:fetch-failed", "shuffle",
-                ts_ms=executor.clock.now_ms, pid=executor.trace_pid,
+                ts_ticks=executor.clock.ticks, pid=executor.trace_pid,
                 shuffle_id=shuffle_id, map_part=map_part,
                 reduce_part=reduce_part, reason="corrupt block")
             raise FetchFailedError(shuffle_id, map_part, reduce_part,
@@ -583,8 +582,8 @@ def _fetch_blocks(executor, store: ShuffleBlockStore, shuffle_id: int,
         # The fetch wait: everything between asking for the block and
         # having its records decoded and ready to aggregate.
         tracer.complete(
-            "shuffle:fetch", "shuffle", ts_ms=fetch_start_ms,
-            dur_ms=executor.clock.now_ms - fetch_start_ms,
+            "shuffle:fetch", "shuffle", ts_ticks=fetch_start,
+            dur_ticks=executor.clock.ticks - fetch_start,
             pid=executor.trace_pid, shuffle_id=shuffle_id,
             map_part=map_part, reduce_part=reduce_part,
             nbytes=block.nbytes, remote=remote,

@@ -32,6 +32,7 @@ from typing import Any, Sequence
 from ..config import DecaConfig
 from ..errors import SchemaError, SqlError
 from ..jvm.objects import Lifetime
+from ..simtime import Prices, ticks_to_ms
 from ..spark.context import DecaContext
 from ..spark.metrics import RunMetrics
 from .columnar import SELECTORS, ColumnarTable, PagedRelation, RowMajorTable
@@ -178,9 +179,10 @@ class SqlEngine:
         self.context = DecaContext(config)
         self.config = self.context.config
         executor = self.context.executors[0]
-        # Queries advance this clock directly: the executor's
-        # charge_compute would divide their costs by its task slots.
+        # Queries advance this clock directly, at one-slot prices: the
+        # executor's charge_compute reads prices divided by its slots.
         self.clock = executor.clock
+        self.prices = Prices(self.config)
         self.tracer = executor.tracer
         self.heap = executor.heap
         self.arena = executor.arena
@@ -222,10 +224,10 @@ class SqlEngine:
         if layout == "auto":
             from ..core.optimizer import plan_sql_layout
             layout = plan_sql_layout(schema).layout
-        cpu = self.config.cpu
-        # Encoding cost: one pass over every cell.
+        # Encoding cost: one pass over every cell, a quarter of a record
+        # op each.
         self.clock.advance(
-            cpu.record_op_ms * len(rows) * len(schema.columns) * 0.25)
+            self.prices.record_op * len(rows) * len(schema.columns) // 4)
         cls = ColumnarTable if layout == "columnar" else RowMajorTable
         table = cls(schema, rows, manager=self.memory_manager,
                     group_name=f"sql:{name}")
@@ -341,35 +343,35 @@ class SqlEngine:
             self._promote(query.table, table)
         else:
             table = self.cache_table(query.table)
-        start_ms = self.clock.now_ms
-        gc_start = self.heap.stats.pause_ms
+        start = self.clock.ticks
+        gc_start = self.heap.stats.pause_ticks
         if query.aggregation is not None:
             rows = self._run_aggregate(table, query.aggregation)
         else:
             rows = self._run_scan(table, query)
         return QueryResult(
             rows=rows,
-            wall_ms=self.clock.now_ms - start_ms,
-            gc_pause_ms=self.heap.stats.pause_ms - gc_start,
+            wall_ms=ticks_to_ms(self.clock.ticks - start),
+            gc_pause_ms=ticks_to_ms(self.heap.stats.pause_ticks - gc_start),
             cached_bytes=self.cached_bytes,
         )
 
-    def _scan_cost_per_row(self, table: PagedRelation) -> float:
+    def _scan_cost_per_row(self, table: PagedRelation) -> int:
         """Bytes-touched cost of reading one predicate/key value.
 
         Columnar reads touch exactly one column run; row-major reads
         must walk the whole record (every column's bytes) and box the
         fields into a row tuple first.
         """
-        cpu = self.config.cpu
+        prices = self.prices
         if table.layout == "row":
             width = len(table.schema.columns)
-            return cpu.page_access_ms * width + cpu.boxing_ms
-        return cpu.page_access_ms
+            return prices.page_access * width + prices.boxing
+        return prices.page_access
 
     def _run_scan(self, table: PagedRelation,
                   query: Query) -> list[tuple]:
-        cpu = self.config.cpu
+        prices = self.prices
         count = table.row_count
         matches: Sequence[int]
         if query.where is not None:
@@ -383,10 +385,10 @@ class SqlEngine:
         else:
             matches = range(count)
         if table.layout == "row":
-            per_row = (cpu.page_access_ms * len(table.schema.columns)
-                       + cpu.boxing_ms)
+            per_row = (prices.page_access * len(table.schema.columns)
+                       + prices.boxing)
         else:
-            per_row = cpu.page_access_ms * max(1, len(query.projection))
+            per_row = prices.page_access * max(1, len(query.projection))
         self.clock.advance(per_row * len(matches))
         # Result rows are short-lived driver objects.  The simulated
         # engine materializes every match before it sorts, so the
@@ -396,7 +398,7 @@ class SqlEngine:
         self.heap.allocate(temp, len(matches), 48 * max(1, len(matches)))
         self.heap.free_group(temp)
         if query.order_by is not None:
-            self.clock.advance(cpu.sort_per_record_ms * len(matches))
+            self.clock.advance(prices.sort_per_record * len(matches))
             # Late materialization: sort row ids on the key column
             # alone (stable, so ties keep row order under either
             # direction) and project only the rows that survive LIMIT.
@@ -410,7 +412,7 @@ class SqlEngine:
 
     def _run_aggregate(self, table: PagedRelation,
                        agg: Aggregation) -> list[tuple]:
-        cpu = self.config.cpu
+        prices = self.prices
         key_col = table.column(agg.key_column)
         value_col = table.column(agg.value_column)
         # One zipped pass over the key and value columns; the
@@ -419,9 +421,9 @@ class SqlEngine:
         count = table.row_count
         if table.layout == "row":
             per_row = (self._scan_cost_per_row(table) * 2
-                       + cpu.hash_probe_ms)
+                       + prices.hash_probe)
         else:
-            per_row = cpu.page_access_ms * 2 + cpu.hash_probe_ms
+            per_row = prices.page_access * 2 + prices.hash_probe
         self.clock.advance(per_row * count)
         buffer_group = self.heap.new_group("sql-agg-buffer",
                                            Lifetime.PINNED)

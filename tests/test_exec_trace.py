@@ -76,9 +76,9 @@ class TestWorkerEventRelay:
         for event in tracer.by_category("task"):
             stages.setdefault(event.args["stage_id"], []).append(event)
         assert sorted(stages) == [0, 1]
-        stage0_end = max(e.end_ms for e in stages[0])
-        assert all(e.ts_ms >= 0 for e in stages[0])
-        assert all(e.ts_ms >= stage0_end for e in stages[1])
+        stage0_end = max(e.end_ticks for e in stages[0])
+        assert all(e.ts_ticks >= 0 for e in stages[0])
+        assert all(e.ts_ticks >= stage0_end for e in stages[1])
 
     def test_mp_stage_markers_present(self):
         tracer = run_wc()

@@ -131,6 +131,33 @@ class TestFailedAppend:
         assert list(group.records(schema)) == [(1, (2, 3))]
         assert group.used_bytes == schema.size_of((1, (2, 3)))
 
+    def test_length_prefixed_run_stores_each_record_once(self, monkeypatch):
+        """Sizing reads a record's constructor arguments, so the pack
+        walk is the one ``_stored`` per appended record; the pages and
+        the sanitizer's book match a per-record loop."""
+        schema = RecordSchema(
+            "Adj", [("vid", PrimitiveSlot(INT)), ("n", PrimitiveSlot(INT)),
+                    ("xs", VarArraySchema(PrimitiveSlot(INT)))],
+            shape=((0, 2), ((1, "len", 1),)))
+        values = [(i, tuple(range(i % 7))) for i in range(40)]
+        looped = PageGroup("g", page_bytes=64)
+        looped.sanitizer = Sanitizer()
+        for value in values:
+            looped.append_record(schema, value)
+        calls = []
+        stored = RecordSchema._stored
+        monkeypatch.setattr(RecordSchema, "_stored", lambda self, value: (
+            calls.append(value), stored(self, value))[1])
+        group = PageGroup("g", page_bytes=64)
+        group.sanitizer = Sanitizer()
+        assert group.append_records(schema, values) == len(values)
+        assert calls == values
+        assert [bytes(p.data[:p.used]) for p in group.pages] == [
+            bytes(p.data[:p.used]) for p in looped.pages]
+        assert list(group.records(schema)) == values
+        assert group.sanitizer.record_sizes == looped.sanitizer.record_sizes
+        assert group.sanitizer.group_bytes == looped.sanitizer.group_bytes
+
 
 def _consume(records, how, expected):
     """Drive a record iterator fully, partially then close, or not at all."""

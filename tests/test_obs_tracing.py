@@ -21,7 +21,7 @@ from repro.obs import (
     utilization_summary,
     write_chrome_trace,
 )
-from repro.simtime import SimClock
+from repro.simtime import TICKS_PER_MS, SimClock
 from repro.spark.profiler import HeapProfiler
 
 
@@ -39,42 +39,42 @@ def tracer():
 class TestTracerUnit:
     def test_emit_preserves_order(self):
         tracer = Tracer()
-        tracer.instant("a", "cat", ts_ms=1.0)
-        tracer.complete("b", "cat", ts_ms=2.0, dur_ms=3.0)
+        tracer.instant("a", "cat", ts_ticks=1)
+        tracer.complete("b", "cat", ts_ticks=2, dur_ticks=3)
         assert [e.name for e in tracer.events] == ["a", "b"]
         assert len(tracer) == 2
 
     def test_helpers_set_phase_and_args(self):
         tracer = Tracer()
-        tracer.complete("span", "task", ts_ms=1.0, dur_ms=2.0,
-                        pid=3, tid=1, foo=7)
-        tracer.instant("point", "cache", ts_ms=5.0, bar="x")
+        tracer.complete("span", "task", ts_ticks=TICKS_PER_MS,
+                        dur_ticks=2 * TICKS_PER_MS, pid=3, tid=1, foo=7)
+        tracer.instant("point", "cache", ts_ticks=5 * TICKS_PER_MS, bar="x")
         span, point = tracer.events
         assert span.phase == "X" and span.args == {"foo": 7}
-        assert span.end_ms == pytest.approx(3.0)
+        assert span.end_ticks == 3 * TICKS_PER_MS
         assert point.phase == "i" and point.args == {"bar": "x"}
 
     def test_by_category_and_end_ms(self):
         tracer = Tracer()
-        tracer.complete("a", "task", ts_ms=0.0, dur_ms=10.0)
-        tracer.instant("b", "gc", ts_ms=4.0)
+        tracer.complete("a", "task", ts_ticks=0, dur_ticks=10 * TICKS_PER_MS)
+        tracer.instant("b", "gc", ts_ticks=4 * TICKS_PER_MS)
         assert [e.name for e in tracer.by_category("gc")] == ["b"]
-        assert tracer.end_ms == pytest.approx(10.0)
+        assert tracer.end_ticks == 10 * TICKS_PER_MS
         tracer.clear()
-        assert len(tracer) == 0 and tracer.end_ms == 0.0
+        assert len(tracer) == 0 and tracer.end_ticks == 0
 
 
 class TestTraceContents:
     def test_job_spans_on_driver(self, tracer):
         jobs = tracer.by_category("job")
         assert len(jobs) == 2  # count() then collect()
-        assert all(e.pid == DRIVER_PID and e.phase == "X" and e.dur_ms > 0
+        assert all(e.pid == DRIVER_PID and e.phase == "X" and e.dur_ticks > 0
                    for e in jobs)
 
     def test_stage_spans_cover_both_jobs(self, tracer):
         stages = tracer.by_category("stage")
         assert len(stages) >= 3  # result, shuffle-map, result
-        assert all(e.pid == DRIVER_PID and e.dur_ms > 0 for e in stages)
+        assert all(e.pid == DRIVER_PID and e.dur_ticks > 0 for e in stages)
 
     def test_task_spans_carry_attempt_metadata(self, tracer):
         tasks = tracer.by_category("task")
@@ -107,8 +107,8 @@ class TestTraceContents:
         assert tracer.by_category("io.net")
 
     def test_events_stay_inside_traced_wall_time(self, tracer):
-        wall = tracer.end_ms
-        assert all(0.0 <= e.ts_ms and e.end_ms <= wall + 1e-9
+        wall = tracer.end_ticks
+        assert all(0 <= e.ts_ticks and e.end_ticks <= wall
                    for e in tracer.events)
 
 
@@ -132,8 +132,8 @@ class TestChromeExport:
         job = next(row for row in doc["traceEvents"]
                    if row.get("cat") == "job")
         source = tracer.by_category("job")[0]
-        assert job["ts"] == pytest.approx(source.ts_ms * 1000.0)
-        assert job["dur"] == pytest.approx(source.dur_ms * 1000.0)
+        assert job["ts"] == round(source.ts_ticks / 10 ** 9, 3)
+        assert job["dur"] == round(source.dur_ticks / 10 ** 9, 3)
 
     def test_phase_specific_fields(self, tracer):
         doc = chrome_trace(tracer)
@@ -223,6 +223,7 @@ class TestProfilerConsumesGcStream:
 
 class TestTraceEventBasics:
     def test_default_event_is_driver_scoped(self):
-        event = TraceEvent(name="n", category="c", phase="i", ts_ms=1.0)
+        event = TraceEvent(name="n", category="c", phase="i",
+                           ts_ticks=TICKS_PER_MS)
         assert event.pid == DRIVER_PID
-        assert event.end_ms == pytest.approx(1.0)
+        assert event.end_ticks == TICKS_PER_MS

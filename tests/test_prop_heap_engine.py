@@ -66,7 +66,7 @@ def test_heap_accounting_invariants(script):
         # overflow a collection is about to resolve.
         assert heap.young_used_bytes <= heap.config.heap_bytes
     # Clock is monotone and GC events are ordered.
-    starts = [e.start_ms for e in heap.stats.events]
+    starts = [e.start_ticks for e in heap.stats.events]
     assert starts == sorted(starts)
     # Freeing everything and collecting empties the heap.
     for group in pinned:

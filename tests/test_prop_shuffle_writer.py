@@ -40,18 +40,18 @@ class PerRecordWriter(MapSideWriter):
     """The writer before the one-pass loop: one call per record."""
 
     def write_all(self, records):
-        cpu = self.executor.config.cpu
+        prices = self.executor.prices
         if self.kind is ShuffleKind.COMBINE:
             for key, value in records:
-                self._write_combine(key, value, cpu)
+                self._write_combine(key, value, prices)
         else:
             for key, value in records:
-                self._write_append(key, value, cpu)
+                self._write_append(key, value, prices)
 
-    def _write_combine(self, key, value, cpu):
+    def _write_combine(self, key, value, prices):
         part = self.partitioner(key) % self.num_reduce
         bucket = self._combine[part]
-        self.executor.charge_compute(cpu.hash_probe_ms)
+        self.executor.charge_compute(prices.hash_probe)
         old = bucket.get(key, _NO_ENTRY)
         if old is _NO_ENTRY:
             bucket[key] = value
@@ -61,26 +61,26 @@ class PerRecordWriter(MapSideWriter):
                 self._account_decomposed(footprint.data_bytes)
             else:
                 self.executor.charge_compute(
-                    cpu.object_alloc_ms * footprint.objects
-                    + cpu.boxing_ms)
+                    prices.object_alloc * footprint.objects
+                    + prices.boxing)
                 self._account_buffer(footprint.objects,
                                      footprint.object_bytes)
         else:
             merged = self.merge_value(old, value)
             bucket[key] = merged
             if self.plan.decomposed and self.plan.value_segment_reuse:
-                self.executor.charge_compute(cpu.page_access_ms)
+                self.executor.charge_compute(prices.page_access)
             else:
                 footprint = self.measure((key, merged))
                 self.executor.charge_compute(
-                    cpu.object_alloc_ms + cpu.boxing_ms)
+                    prices.object_alloc + prices.boxing)
                 self.executor.alloc_temp(max(1, footprint.objects - 1),
                                          footprint.object_bytes // 2)
         self.records_written += 1
         self._buffer_records += 1
         self._maybe_spill()
 
-    def _write_append(self, key, value, cpu):
+    def _write_append(self, key, value, prices):
         part = self.partitioner(key) % self.num_reduce
         self._append[part].append((key, value))
         footprint = self.measure((key, value))
@@ -89,7 +89,7 @@ class PerRecordWriter(MapSideWriter):
             self._account_decomposed(footprint.data_bytes)
         else:
             self.executor.charge_compute(
-                cpu.object_alloc_ms * footprint.objects)
+                prices.object_alloc * footprint.objects)
             self._account_buffer(footprint.objects, footprint.object_bytes)
         self.records_written += 1
         self._buffer_records += 1
@@ -111,7 +111,7 @@ class PerRecordWriter(MapSideWriter):
             self.spill()
 
     def flush(self, store):
-        cpu = self.executor.config.cpu
+        prices = self.executor.prices
         penalty_base, penalty_rem = divmod(self.spilled_bytes,
                                            self.num_reduce)
         for part in range(self.num_reduce):
@@ -121,7 +121,7 @@ class PerRecordWriter(MapSideWriter):
                 records = self._append[part]
                 if self.kind is ShuffleKind.SORT:
                     self.executor.charge_compute(
-                        cpu.sort_per_record_ms * len(records))
+                        prices.sort_per_record * len(records))
                     records = sorted(records, key=lambda kv: kv[0])
             objects = 0
             nbytes = 0
@@ -240,7 +240,7 @@ def run(writer_type, case):
             block.merge_penalty_bytes, block.executor_id))
     heap, arena = exe.heap, exe.arena
     return dict(
-        error=error, blocks=blocks, clock=exe.clock.now_ms.hex(),
+        error=error, blocks=blocks, clock=exe.clock.ticks,
         metrics=astuple(task.metrics),
         heap=(heap.young_used_bytes, heap.old_used_bytes,
               heap.live_objects, heap.live_bytes,
@@ -249,10 +249,9 @@ def run(writer_type, case):
         spills=None if writer is None else (
             writer.spill_count, writer.spilled_bytes),
         records_written=None if writer is None else writer.records_written,
-        serializer=(exe.serializer.ser_ms_total.hex(),
+        serializer=(exe.serializer.ser_ticks,
                     exe.spilled_shuffle_bytes),
-        trace=[(e.name, e.category, e.phase, e.ts_ms.hex(),
-                None if e.dur_ms is None else e.dur_ms.hex(), e.pid,
+        trace=[(e.name, e.category, e.phase, e.ts_ticks, e.dur_ticks, e.pid,
                 sorted(e.args.items())) for e in exe.tracer.events])
 
 

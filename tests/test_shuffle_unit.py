@@ -182,7 +182,7 @@ class TestReduceRead:
             [(1, "a")], nbytes=1000, objects=1,
             executor_id=exe.executor_id + 1, plan=shuffle_plan()))
         list(read_reduce_partition(exe, store, 5, 0))
-        assert exe.network_ms_total > 0
+        assert exe.network_ticks > 0
 
     def test_local_block_skips_network(self):
         exe = executor()
@@ -192,7 +192,7 @@ class TestReduceRead:
             [(1, "a")], nbytes=1000, objects=1,
             executor_id=exe.executor_id, plan=shuffle_plan()))
         list(read_reduce_partition(exe, store, 5, 0))
-        assert exe.network_ms_total == 0
+        assert exe.network_ticks == 0
 
     def test_decomposed_blocks_skip_deserialization(self):
         exe = executor()
@@ -203,7 +203,7 @@ class TestReduceRead:
             executor_id=exe.executor_id,
             plan=shuffle_plan(decomposed=True)))
         list(read_reduce_partition(exe, store, 5, 0))
-        assert exe.serializer.deser_ms_total == 0.0
+        assert exe.serializer.deser_ticks == 0
 
 
 class TestSpillMerge:
@@ -224,7 +224,7 @@ class TestSpillMerge:
         assert block.merge_penalty_bytes > 0
 
         reader = executor()
-        disk_before = reader.disk_ms_total
+        disk_before = reader.disk_ticks
         list(read_reduce_partition(reader, store, 0, 0))
         plain_store = ShuffleBlockStore()
         plain_store.set_map_parts(0, 1)
@@ -234,8 +234,8 @@ class TestSpillMerge:
             plan=shuffle_plan()))
         reader_b = executor()
         list(read_reduce_partition(reader_b, plain_store, 0, 0))
-        spilled_cost = reader.disk_ms_total - disk_before
-        assert spilled_cost > reader_b.disk_ms_total
+        spilled_cost = reader.disk_ticks - disk_before
+        assert spilled_cost > reader_b.disk_ticks
 
     def test_spill_sort_charges_cover_only_the_buffer_epoch(self):
         """Each spill sorts the records accumulated since the previous

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import ClassType, DOUBLE, Field, LONG
 from repro.config import DecaConfig, ExecutionMode, MB
 from repro.errors import DecaError
-from repro.simtime import SimClock
+from repro.simtime import TICKS_PER_MS, SimClock, ms_to_ticks
 from repro.spark import DecaContext
 from repro.spark.cache import StorageStrategy
 from repro.spark.context import stable_hash
@@ -35,24 +35,25 @@ def ctx_plan(mode, info):
 class TestSimClock:
     def test_monotone(self):
         clock = SimClock()
-        clock.advance(5.0)
-        clock.advance(0.0)
+        clock.advance(ms_to_ticks(5.0))
+        clock.advance(0)
+        assert clock.ticks == 5 * TICKS_PER_MS
         assert clock.now_ms == 5.0
 
     def test_rejects_negative_advance(self):
         with pytest.raises(DecaError):
-            SimClock().advance(-1.0)
+            SimClock().advance(-1)
 
     def test_rejects_negative_start(self):
         with pytest.raises(DecaError):
-            SimClock(start_ms=-1.0)
+            SimClock(-1)
 
     def test_advance_to_never_goes_back(self):
-        clock = SimClock(start_ms=10.0)
-        clock.advance_to(5.0)
-        assert clock.now_ms == 10.0
-        clock.advance_to(20.0)
-        assert clock.now_ms == 20.0
+        clock = SimClock(10)
+        clock.advance_to(5)
+        assert clock.ticks == 10
+        clock.advance_to(20)
+        assert clock.ticks == 20
 
 
 class _Color(enum.IntEnum):

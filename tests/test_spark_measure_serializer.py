@@ -5,10 +5,10 @@ import pytest
 from repro.analysis import ArrayLength, ArrayType, ClassType, DOUBLE, Field, INT
 from repro.apps.udts import String, record, val
 from repro.apps.wordcount import wordcount_udt_info
-from repro.config import DecaConfig, MB, SerializerCosts
+from repro.config import DecaConfig, MB
 from repro.errors import MemoryLayoutError
 from repro.jvm import SimHeap, Lifetime, sizing
-from repro.simtime import SimClock
+from repro.simtime import Prices, SimClock, ms_to_ticks
 from repro.spark.measure import (
     RecordFootprint,
     measure_generic,
@@ -134,7 +134,7 @@ class TestMeasureGeneric:
 class TestSerializerModel:
     def make(self):
         clock = SimClock()
-        return SerializerModel(SerializerCosts(), clock), clock
+        return SerializerModel(Prices(DecaConfig()), clock), clock
 
     def test_deser_costs_more_than_ser(self):
         model, clock = self.make()
@@ -144,25 +144,25 @@ class TestSerializerModel:
 
     def test_deca_read_is_free(self):
         model, clock = self.make()
-        before = clock.now_ms
+        before = clock.ticks
         model.deca_read(100_000, 5_000_000)
-        assert clock.now_ms == before
+        assert clock.ticks == before
 
     def test_parallelism_scales_charges(self):
-        costs = SerializerCosts()
+        config = DecaConfig()
         c1, c4 = SimClock(), SimClock()
-        serial = SerializerModel(costs, c1, parallelism=1)
-        parallel = SerializerModel(costs, c4, parallelism=4)
-        serial.kryo_serialize(1000, 0)
-        parallel.kryo_serialize(1000, 0)
-        assert abs(c1.now_ms - 4 * c4.now_ms) < 1e-9
+        serial = SerializerModel(Prices(config, 1), c1)
+        parallel = SerializerModel(Prices(config, 4), c4)
+        serial.kryo_serialize(1000, 10_000)
+        parallel.kryo_serialize(1000, 10_000)
+        assert c1.ticks == 4 * c4.ticks
 
     def test_totals_accumulate(self):
         model, _ = self.make()
         model.kryo_serialize(10, 100)
         model.kryo_deserialize(10, 100)
-        assert model.ser_ms_total > 0
-        assert model.deser_ms_total > model.ser_ms_total
+        assert model.ser_ticks > 0
+        assert model.deser_ticks > model.ser_ticks
 
 
 class TestHeapProfiler:
@@ -174,11 +174,26 @@ class TestHeapProfiler:
         group = heap.new_group("cache", Lifetime.PINNED)
         for _ in range(5):
             heap.allocate(group, 100, 1000)
-            clock.advance(25.0)
+            clock.advance(ms_to_ticks(25.0))
             profiler.maybe_sample()
         times = [s.time_ms for s in profiler.samples]
         assert times == sorted(times)
         assert len(times) >= 10  # every crossed boundary sampled
+
+    def test_samples_land_on_the_exact_tick_grid(self):
+        """A 0.1 ms period over ten periods: sample k is taken at exactly
+        k periods (summing 0.1 ms in floats reads 0.30000000000000004
+        at k = 3 and 0.9999999999999999 at k = 10)."""
+        clock = SimClock()
+        profiler = HeapProfiler(SimHeap(DecaConfig(heap_bytes=16 * MB),
+                                        clock), clock, period_ms=0.1)
+        for _ in range(10):
+            clock.advance(profiler.period_ticks)
+            profiler.maybe_sample()
+        assert [s.time_ticks for s in profiler.samples] == [
+            k * profiler.period_ticks for k in range(11)]
+        assert [s.time_ms for s in profiler.samples] == [
+            k / 10 for k in range(11)]
 
     def test_tracked_counter(self):
         cfg = DecaConfig(heap_bytes=16 * MB)

@@ -1,10 +1,15 @@
 """Tests for the DAG scheduler, executors and task lifecycle."""
 
-import pytest
+from dataclasses import fields
 
-from repro.config import DecaConfig, MB
-from repro.errors import DecaError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import CpuCosts, DecaConfig, MB
+from repro.errors import DecaError, TaskKilledError
+from repro.simtime import ms_to_ticks
 from repro.spark import DecaContext
+from repro.spark.faults import TASK_KILL, TaskFaultPlan
 from repro.spark.rdd import ShuffleDependency
 from repro.spark.scheduler import TaskContext
 from repro.spark.metrics import TaskMetrics
@@ -131,9 +136,11 @@ class TestTaskLifecycle:
     def test_compute_scaled_by_parallelism(self):
         ctx = make_ctx(num_executors=1, tasks_per_executor=4)
         executor = ctx.executors[0]
+        cpu = executor.config.cpu
+        assert executor.prices.record_op * 4 == ms_to_ticks(cpu.record_op_ms)
         before = executor.clock.now_ms
-        executor.charge_compute(4.0)
-        assert executor.clock.now_ms - before == pytest.approx(1.0)
+        executor.charge_compute(executor.prices.per_slot(4.0))
+        assert executor.clock.now_ms - before == 1.0
 
     def test_negative_compute_charge_is_refused(self):
         """The clock is advanced in place, with ``SimClock.advance``'s
@@ -142,9 +149,9 @@ class TestTaskLifecycle:
         executor = ctx.executors[0]
         task = TaskContext(executor=executor, metrics=TaskMetrics())
         executor.begin_task(task)
-        executor.charge_compute(3.0)
+        executor.charge_compute(executor.prices.per_slot(3.0))
         with pytest.raises(DecaError,
-                           match=r"^cannot advance clock by -0\.5 ms$"):
+                           match=r"^cannot advance clock by -1 ticks$"):
             executor.charge_compute(-1)
         assert executor.clock.now_ms == 1.5
         assert task.metrics.compute_ms == 1.5
@@ -155,8 +162,26 @@ class TestTaskLifecycle:
         executor.charge_disk_write(10_000)
         executor.charge_disk_read(10_000)
         executor.charge_network(10_000)
-        assert executor.disk_ms_total > 0
-        assert executor.network_ms_total > 0
+        assert executor.disk_ticks > 0
+        assert executor.network_ticks > 0
+
+    @pytest.mark.parametrize("after_ops", [0, 1, 7])
+    def test_armed_kill_strikes_on_the_charge_after_its_countdown(
+            self, after_ops):
+        """A ``task-kill`` armed with ``after_ops = k`` strikes on compute
+        charge k+1, before that charge reaches the clock."""
+        ctx = make_ctx(num_executors=1)
+        executor = ctx.executors[0]
+        task = TaskContext(executor=executor, metrics=TaskMetrics())
+        executor.begin_task(task)
+        executor.arm_fault(TaskFaultPlan(TASK_KILL, after_ops=after_ops))
+        start, price = executor.clock.ticks, executor.prices.record_op
+        for _ in range(after_ops):
+            executor.charge_compute(price)
+        with pytest.raises(TaskKilledError):
+            executor.charge_compute(price)
+        assert executor.clock.ticks - start == after_ops * price
+        assert task.metrics.compute_ticks == after_ops * price
 
     def test_live_objects_matching_prefix(self):
         ctx = make_ctx(num_executors=1)
@@ -165,6 +190,46 @@ class TestTaskLifecycle:
         executor.heap.allocate(group, 42, 420)
         assert executor.live_objects_matching("cache:") == 42
         assert executor.live_objects_matching("shuffle") == 0
+
+
+#: One charge: ``("compute", price name, count)`` or
+#: ``(serializer method, objects, nbytes)``.
+CHARGES = st.one_of(
+    st.tuples(st.just("compute"),
+              st.sampled_from([cost.name.removesuffix("_ms")
+                               for cost in fields(CpuCosts)]),
+              st.integers(0, 10_000)),
+    st.tuples(st.sampled_from(["kryo_serialize", "kryo_deserialize",
+                               "deca_write", "deca_read"]),
+              st.integers(0, 10_000), st.integers(0, 10 ** 7)))
+
+
+class TestChargeOrder:
+    """Integer ticks: a task's charges sum exactly, in any order."""
+
+    @staticmethod
+    def _charge_all(charges, slots):
+        executor = make_ctx(num_executors=1,
+                            tasks_per_executor=slots).executors[0]
+        task = TaskContext(executor=executor, metrics=TaskMetrics())
+        executor.begin_task(task)
+        for kind, a, b in charges:
+            if kind == "compute":
+                executor.charge_compute(getattr(executor.prices, a) * b)
+            else:
+                getattr(executor.serializer, kind)(a, b)
+        serializer = executor.serializer
+        return (executor.clock.now_ms, task.metrics.compute_ms,
+                serializer.ser_ticks, serializer.deser_ticks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(charges=st.lists(CHARGES, max_size=40),
+           slots=st.sampled_from([1, 2, 4]), data=st.data())
+    def test_every_permutation_leaves_the_same_totals(self, charges,
+                                                       slots, data):
+        permuted = data.draw(st.permutations(charges))
+        assert (self._charge_all(charges, slots)
+                == self._charge_all(permuted, slots))
 
 
 class TestJobMetrics:
