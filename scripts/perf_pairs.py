@@ -114,13 +114,17 @@ def fold(records: Iterable[dict[str, Any]],
 
 
 def merge(old: dict[str, Any], new: dict[str, Any]) -> dict[str, Any]:
-    """*new*'s workloads replace or join *old*'s; the two texts join."""
+    """*new*'s workloads replace or join *old*'s; *new*'s text joins
+    *old*'s unless *old* already holds it (a session repeating its
+    ``--what``)."""
     payload = {key: dict(old[key]) for key in ("jobs", "runs", "seeds")}
     for key in payload:
         payload[key].update(new[key])
     payload["clock"] = old.get("clock", new["clock"])
-    payload["what"] = " ".join(t for t in (old.get("what"), new["what"])
-                               if t)
+    what = old.get("what") or ""
+    if new["what"] not in what:
+        what = f"{what} {new['what']}" if what else new["what"]
+    payload["what"] = what
     return payload
 
 

@@ -11,9 +11,10 @@ the whole dataset as a few pages.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
 from math import exp
-from operator import add, mul
+from operator import add, mul, neg, sub, truediv
 
 from ..config import DecaConfig
 from ..spark.rdd import UdtInfo
@@ -73,9 +74,36 @@ def run_logistic_regression(points: list[Sample],
             factor = (1.0 / (1.0 + exp(margin)) - 1.0) * label
             return tuple(map(mul, features, repeat(factor)))
 
+        # ``reduce(combine, map(gradient, records))`` over a run of cached
+        # columns (the labels, then one column per feature), for the
+        # engine to call on decomposed pages.  Every float operation is
+        # one of the two above, on the same operands in the same order:
+        # each margin is still one builtins.sum over its record's
+        # products, each step after it is one C-level pass over the run,
+        # and each dimension folds onto *acc* left to right as
+        # ``combine`` folds the records' gradients.
+        def fold(acc, columns, w=frozen):
+            labels, features = columns[0], columns[1:]
+            margins = list(map(mul, map(neg, labels), map(
+                sum, map(map, repeat(mul), repeat(w), zip(*features)))))
+            # A margin strictly inside (-30, 30) is its own clamp (a NaN
+            # is not inside); otherwise clamp each as gradient does.
+            if not (all(map((30.0).__gt__, margins))
+                    and all(map((-30.0).__lt__, margins))):
+                margins = list(map(max, repeat(-30.0),
+                                   map(min, repeat(30.0), margins)))
+            factors = list(map(mul, map(sub, map(truediv, repeat(1.0), map(
+                add, repeat(1.0), map(exp, margins))), repeat(1.0)), labels))
+            if acc is None:
+                return tuple(reduce(add, map(mul, column, factors))
+                             for column in features)
+            return tuple(reduce(add, map(mul, column, factors), start)
+                         for column, start in zip(features, acc))
+
         total = cached.map(gradient, name="lr.gradient",
                            record_cost_ms=dim_cost) \
-                      .reduce(lambda a, b: tuple(map(add, a, b)))
+                      .reduce(lambda a, b: tuple(map(add, a, b)),
+                              column_fold=fold)
         weights = [w - g / count for w, g in zip(weights, total)]
 
     metrics = ctx.finish()

@@ -60,6 +60,13 @@ class FaultCountdown:
         self._fault_plan = None
         self._fault_countdown = 0
 
+    @property
+    def fault_armed(self) -> bool:
+        """Is a fault plan armed for the current attempt?  Then every
+        compute charge must be one op, so the kill strikes where the
+        countdown says."""
+        return self._fault_plan is not None
+
     def _tick_fault(self) -> None:
         """One compute charge of an armed attempt (``charge_compute``
         calls this only while a plan is armed)."""

@@ -15,6 +15,8 @@ object form, exactly as the real system leaves un-analyzable types intact.
 
 from __future__ import annotations
 
+import functools
+from itertools import islice
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
@@ -29,8 +31,29 @@ from .measure import RecordFootprint, measure_generic, measure_typed
 from .shuffle import ShuffleKind
 
 if TYPE_CHECKING:
+    from ..simtime import Prices
     from .context import DecaContext
     from .scheduler import TaskContext
+
+#: ``reduce``'s column fold: ``fold(acc, columns) -> acc`` (see there).
+ColumnFold = Callable[[Any, list[tuple]], Any]
+
+#: The most records a column fold sees at once.  Bounded runs keep the
+#: decoded columns small whatever the page size.
+COLUMN_RUN = 256
+
+
+def leaf_columns(values: list) -> list[tuple]:
+    """Same-shaped record values as columns, one per scalar leaf in the
+    order the leaves appear in a value: ``(label, (f0, f1))`` records
+    give the labels, then the ``f0`` and the ``f1`` column."""
+    columns: list[tuple] = []
+    for field in zip(*values):
+        if type(field[0]) is tuple:
+            columns.extend(leaf_columns(field))
+        else:
+            columns.append(field)
+    return columns
 
 
 @dataclass
@@ -381,21 +404,35 @@ class RDD:
                                    name=f"{self.name}.count")
         return sum(results)
 
-    def reduce(self, f: Callable[[Any, Any], Any]) -> Any:
+    def reduce(self, f: Callable[[Any, Any], Any],
+               column_fold: ColumnFold | None = None) -> Any:
+        """Fold the records with *f*: each partition in record order,
+        then the partitions' results in partition order.
+
+        *column_fold* is the same per-partition fold of a ``map`` over
+        decomposed columns: ``column_fold(acc, columns)`` returns *acc*
+        (None before a partition's first run) with the run's mapped
+        records folded on by *f*, bit for bit.  ``columns`` hold at most
+        ``COLUMN_RUN`` of the map's input records, one tuple per leaf of
+        the record value in order.  The engine calls it where
+        :meth:`MapPartitionsRDD.column_runs` applies and runs the map
+        and *f* everywhere else, so both stay the definition that every
+        mode, backend and analysis reads.
+        """
         def reduce_partition(it):
-            acc = _SENTINEL
-            for record in it:
-                acc = record if acc is _SENTINEL else f(acc, record)
-            return acc
-        parts = self.ctx.run_job(self, reduce_partition,
-                                 name=f"{self.name}.reduce")
+            first = next(it, _SENTINEL)
+            if first is _SENTINEL:
+                return first
+            return functools.reduce(f, it, first)
+
+        func: Callable[[Iterator[Any]], Any] = reduce_partition
+        if column_fold is not None and isinstance(self, MapPartitionsRDD):
+            func = _ColumnReduce(reduce_partition, column_fold)
+        parts = self.ctx.run_job(self, func, name=f"{self.name}.reduce")
         values = [p for p in parts if p is not _SENTINEL]
         if not values:
             raise ExecutionError(f"reduce of empty RDD {self.name!r}")
-        acc = values[0]
-        for value in values[1:]:
-            acc = f(acc, value)
-        return acc
+        return functools.reduce(f, values)
 
     def take(self, n: int) -> list:
         collected = self.collect()
@@ -436,7 +473,44 @@ class RDD:
                 f"partitions={self.num_partitions})")
 
 
-_SENTINEL = object()
+class _Empty:
+    """``reduce``'s result for an empty partition.  It pickles as the
+    module's one instance, so an mp worker's empty partition still reads
+    as empty on the driver."""
+
+    def __reduce__(self) -> str:
+        return "_SENTINEL"
+
+
+_SENTINEL = _Empty()
+
+
+class _ColumnReduce:
+    """``reduce``'s partition function when the app gives a column fold.
+
+    Called with a partition's records it is the record fold (the mp
+    workers call it so); the sim scheduler calls :meth:`run_task`
+    instead, which folds the map's cached input a column run at a time
+    where :meth:`MapPartitionsRDD.column_runs` applies.
+    """
+
+    def __init__(self, reduce_partition: Callable[[Iterator[Any]], Any],
+                 column_fold: ColumnFold) -> None:
+        self.reduce_partition = reduce_partition
+        self.column_fold = column_fold
+
+    def __call__(self, records: Iterator[Any]) -> Any:
+        return self.reduce_partition(records)
+
+    def run_task(self, rdd: "MapPartitionsRDD", split: int,
+                 task: "TaskContext") -> Any:
+        runs = rdd.column_runs(split, task)
+        if runs is None:
+            return self.reduce_partition(rdd.iterator(split, task))
+        fold, acc = self.column_fold, None
+        for columns in runs:
+            acc = fold(acc, columns)
+        return _SENTINEL if acc is None else acc
 
 
 class ParallelCollectionRDD(RDD):
@@ -492,6 +566,51 @@ class MapPartitionsRDD(RDD):
             self._transformed = self.ctx._is_deca_transformed(self)
         return self._transformed
 
+    def _record_ticks(self, prices: "Prices") -> int:
+        """One UDF application's compute charge."""
+        return (prices.record_op if self._record_cost_ms is None
+                else prices.per_slot(self._record_cost_ms))
+
+    def column_runs(self, split: int, task: "TaskContext"
+                    ) -> Iterator[list[tuple]] | None:
+        """This ``map``'s input where a column fold may stand in for the
+        record chain: its cached parent's records, read as
+        :meth:`compute` reads them, in runs of at most ``COLUMN_RUN``
+        turned into columns (:func:`leaf_columns`).  Each run is charged,
+        once the fold has taken it, what the transformed record path
+        charges its records.  ``None`` — run the records through the map
+        — unless the stage is Deca-transformed, this map is not cached,
+        its parent's block here is resident fixed-size Deca pages
+        (:meth:`CacheStore.holds_fixed_pages`), and no fault is armed (a
+        kill strikes on the op its countdown names, so an armed attempt
+        charges one record at a time).
+        """
+        executor = task.executor
+        parent = self.deps[0].parent
+        if (self._record_kind != "map" or self.is_cached
+                or not parent.is_cached or executor.fault_armed
+                or not self._reads_decomposed_data()
+                or not executor.cache.holds_fixed_pages(
+                    (parent.rdd_id, split))):
+            return None
+        return self._charged(parent.iterator(split, task), task)
+
+    def _charged(self, records: Iterator[Any], task: "TaskContext"
+                 ) -> Iterator[list[tuple]]:
+        executor = task.executor
+        prices = executor.prices
+        cost = self._record_ticks(prices) + prices.page_access
+        charge = executor.charge_compute
+        metrics = task.metrics
+        while run := list(islice(records, COLUMN_RUN)):
+            yield leaf_columns(run)
+            # Integer ticks: one charge of count * cost moves the clock,
+            # the task's tally and the profiler's grid samples as count
+            # charges of cost do, since nothing in between allocates.
+            count = len(run)
+            charge(cost * count)
+            metrics.records_read += count
+
     def compute(self, split: int, task: "TaskContext") -> Iterator[Any]:
         parent = self.deps[0].parent
         source = parent.iterator(split, task)
@@ -500,8 +619,7 @@ class MapPartitionsRDD(RDD):
         if not self._per_record:
             yield from self._body(source, task)
             return
-        cost = (prices.record_op if self._record_cost_ms is None
-                else prices.per_slot(self._record_cost_ms))
+        cost = self._record_ticks(prices)
         # The per-record callables are picked once per partition.
         charge = executor.charge_compute
         metrics = task.metrics

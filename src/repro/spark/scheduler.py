@@ -273,7 +273,14 @@ class DAGScheduler:
         if backend_results is not None:
             results = backend_results
         else:
+            # An action that reads its partition itself (``reduce`` with
+            # a column fold) is handed the task; any other action gets
+            # the partition's records.
+            run_task = getattr(func, "run_task", None)
+
             def body(task: TaskContext, split: int) -> Any:
+                if run_task is not None:
+                    return run_task(stage.rdd, split, task)
                 return func(stage.rdd.iterator(split, task))
 
             results = []

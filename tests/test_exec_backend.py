@@ -81,6 +81,17 @@ class TestEquivalence:
         assert mp == sim
         assert metrics.backend["mp_stages"] >= 4
 
+    def test_reduce_skips_empty_partitions(self):
+        """Two records over four partitions: the workers' empty results
+        cross the pickle boundary as empty, not as records."""
+        results = {}
+        for backend in ("sim", "mp"):
+            ctx = make_ctx(backend=backend)
+            results[backend] = ctx.parallelize([1, 2], 4).reduce(
+                lambda a, b: a + b)
+            ctx.finish()
+        assert results == {"sim": 3, "mp": 3}
+
     def test_result_stage_rows_keep_partition_order(self):
         ctx = make_ctx()
         got = ctx.parallelize(list(range(100)), 5, name="ord.nums") \

@@ -233,10 +233,10 @@ class TestWorkerDeathCleanup:
                                        name="wd.counts")
             result = sorted(counts.collect())
             metrics = ctx.finish()
-            return result, metrics
+            return result, metrics, ctx.backend.run_tag
 
-        clean, _ = run()
-        faulty, metrics = run(FaultConfig(scripted=(
+        clean, _, clean_tag = run()
+        faulty, metrics, faulty_tag = run(FaultConfig(scripted=(
             ScriptedFault("executor-crash", stage_id=0, partition=1,
                           after_ops=3),)))
         assert faulty == clean
@@ -244,10 +244,12 @@ class TestWorkerDeathCleanup:
         assert stats["worker_deaths"] == 1
         assert metrics.recovery.executors_lost == 1
         assert metrics.recovery.task_retries >= 1
-        # Nothing of either run is left in /dev/shm.
+        # Nothing of either run is left in /dev/shm.  Only the two runs'
+        # own names are listed: a segment another process (or an earlier,
+        # killed test session) left under the shared prefix is not theirs.
         assert stats["segments_live"] == 0
-        assert [name for name in list_segments()
-                if "-test-" not in name] == []
+        assert list_segments(f"{clean_tag}-") == []
+        assert list_segments(f"{faulty_tag}-") == []
 
 
 class TestPartialReadsOnTheRealBackend:

@@ -94,6 +94,18 @@ class TestFold:
         assert sorted(merged["runs"]) == ["lr", "wc"]
         assert merged["what"] == "first second"
 
+    @pytest.mark.parametrize("old_what, new_what, want", [
+        ("first", "first", "first"),
+        ("first second", "second", "first second"),
+        ("", "second", "second"),
+        ("first", "", "first"),
+    ])
+    def test_merge_writes_a_repeated_text_once(self, old_what, new_what,
+                                               want):
+        old = perf_pairs.fold(CANNED[:6], old_what)
+        new = perf_pairs.fold(CANNED[6:], new_what)
+        assert perf_pairs.merge(old, new)["what"] == want
+
     def test_alternating_order(self):
         assert [perf_pairs.pair_order(i)[0] for i in range(4)] == \
             ["parent", "change", "parent", "change"]

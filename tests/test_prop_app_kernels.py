@@ -15,6 +15,7 @@ are captured from a tiny run, so what is checked is what the apps ship.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import pytest
@@ -37,7 +38,8 @@ from repro.apps.wordcount import wordcount_udt_info
 from repro.analysis.size_type import SizeType
 from repro.config import DecaConfig, ExecutionMode
 from repro.memory.layout import build_schema
-from repro.spark.rdd import RDD
+from repro.memory.page import PageGroup
+from repro.spark.rdd import RDD, leaf_columns
 
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True)
 DIM = 5
@@ -113,7 +115,8 @@ def assert_bits(got, want):
 @functools.lru_cache(maxsize=None)
 def app_udfs() -> dict[str, object]:
     """The functions the LR and KMeans runs hand to ``map`` / ``reduce``
-    / ``reduce_by_key``, by RDD name (``reduce`` has none: "reduce")."""
+    / ``reduce_by_key``, by RDD name (``reduce`` has none: "reduce", and
+    its column fold is "column_fold")."""
     seen: dict[str, object] = {}
     real_map, real_reduce, real_rbk = RDD.map, RDD.reduce, RDD.reduce_by_key
 
@@ -121,9 +124,11 @@ def app_udfs() -> dict[str, object]:
         seen.setdefault(name, f)
         return real_map(self, f, name, **kwargs)
 
-    def reduce_(self, f):
+    def reduce_(self, f, **kwargs):
         seen.setdefault("reduce", f)
-        return real_reduce(self, f)
+        if "column_fold" in kwargs:
+            seen.setdefault("column_fold", kwargs["column_fold"])
+        return real_reduce(self, f, **kwargs)
 
     def reduce_by_key_(self, merge, num_partitions=None, name=None):
         seen.setdefault(name, merge)
@@ -176,6 +181,69 @@ class TestLogisticRegressionKernels:
         w = (1.0,) + (0.0,) * (DIM - 1)
         assert_bits(app_udfs()["lr.gradient"]((-1.0, features), w=w),
                     oracle_gradient((-1.0, features), w))
+
+
+@functools.lru_cache(maxsize=None)
+def lr_page_schema():
+    """The layout a deca cache of DIM-dimensional ``LabeledPoint``s is
+    packed in."""
+    ctx = make_context(DecaConfig(mode=ExecutionMode.DECA))
+    cached = ctx.parallelize([(1.0, (0.0,) * DIM)], 1).map(
+        lambda rec: rec, udt_info=labeled_point_udt_info(DIM)).cache()
+    schema = ctx.plan_cache(cached).schema
+    ctx.finish()
+    return schema
+
+
+def column_runs(group, schema, run):
+    """A page group's records as the engine hands them to a column fold:
+    runs of at most *run* records (crossing pages), as leaf columns."""
+    records = group.records(schema)
+    while chunk := list(itertools.islice(records, run)):
+        yield leaf_columns(chunk)
+
+
+class TestLogisticRegressionColumnFold:
+    """The column fold LR hands ``reduce``, over records packed into
+    pages, against ``reduce(combine, map(gradient, records))``: runs of
+    1 to 7 records (and runs longer than a page), pages of 1 to 9
+    records."""
+
+    @PROFILE
+    @given(points=st.lists(st.tuples(labels, vectors), min_size=1,
+                           max_size=40),
+           w=vectors, per_page=st.integers(1, 9),
+           run=st.sampled_from([1, 2, 3, 7, 256]))
+    def test_fold_over_pages(self, points, w, per_page, run):
+        schema = lr_page_schema()
+        group = PageGroup("prop:lr", schema.fixed_size * per_page)
+        group.append_records(schema, points)
+        udfs = app_udfs()
+        fold, acc = udfs["column_fold"], None
+        for columns in column_runs(group, schema, run):
+            acc = fold(acc, columns, w=w)
+        gradient, combine = udfs["lr.gradient"], udfs["reduce"]
+        assert_bits(acc, functools.reduce(
+            combine, [gradient(point, w=w) for point in points]))
+
+    @pytest.mark.parametrize("margin", [math.nan, -0.0, 0.0, 30.0, -30.0,
+                                        30.5, -31.0, 1e300, math.inf,
+                                        -math.inf, 29.999])
+    def test_clamp_edges(self, margin):
+        """One out-of-range margin sends the whole run through the
+        clamp; the records beside it must not move."""
+        points = [(-1.0, (margin,) + (1.0,) * (DIM - 1)),
+                  (1.0, (0.5,) * DIM), (-0.0, (-0.0,) * DIM)]
+        w = (1.0,) + (0.0,) * (DIM - 1)
+        schema = lr_page_schema()
+        group = PageGroup("edge:lr", schema.fixed_size * 2)
+        group.append_records(schema, points)
+        udfs = app_udfs()
+        acc = None
+        for columns in column_runs(group, schema, 256):
+            acc = udfs["column_fold"](acc, columns, w=w)
+        assert_bits(acc, functools.reduce(
+            udfs["reduce"], [udfs["lr.gradient"](p, w=w) for p in points]))
 
 
 class TestKMeansKernels:
