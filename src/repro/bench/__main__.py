@@ -26,7 +26,6 @@ Three kinds of subcommand, each registered with ``set_defaults(func=…)``:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -55,6 +54,7 @@ from .report import (
 
 LINT_BASELINE = os.path.join(os.path.dirname(RESULTS_DIR), "baselines",
                              "lint_baseline.json")
+LINT_SARIF_BASELINE = os.path.splitext(LINT_BASELINE)[0] + ".sarif"
 
 
 def _modes(names: list[str] | None) -> list[ExecutionMode]:
@@ -148,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text",
                    choices=["text", "json", "sarif"],
                    help="output format printed to stdout")
-    p.add_argument("--baseline", metavar="PATH",
-                   help="fail if findings appear that this baseline "
-                        "payload does not contain")
-    p.add_argument("--write-baseline", metavar="PATH",
-                   help="write the canonical payload to PATH and exit")
     p.add_argument("--no-shadow", action="store_true",
                    help="skip the sanitized shadow runs "
                         "(static rules only)")
@@ -161,15 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "one of these prefixes (e.g. DECA2 for the "
                         "closure family); summaries are unaffected")
     p.add_argument("--check", action="store_true",
-                   help="compare against the committed baseline "
-                        "(benchmarks/baselines/lint_baseline.json "
-                        "unless --baseline overrides it) and exit 1 "
-                        "on any finding it does not contain")
+                   help="exit 1 unless this full run's JSON and SARIF "
+                        "match the committed baselines (benchmarks/"
+                        "baselines/lint_baseline.{json,sarif}) byte for "
+                        "byte, the audits' walk counts excepted")
     p.add_argument("--update-baseline", action="store_true",
-                   help="regenerate the committed baseline "
-                        "(benchmarks/baselines/lint_baseline.json) "
-                        "from this run, print a per-app audit of "
-                        "what it now contains, and exit")
+                   help="rewrite both committed baselines from this "
+                        "full run, print a per-app audit of what they "
+                        "now contain, and exit")
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
@@ -260,18 +254,21 @@ def _cmd_sanitize(args) -> int:
     return 0
 
 
-def _write_baseline(path: str, payload: dict) -> None:
-    from ..lint import serialize
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
+
+def _write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize(payload))
+        handle.write(text)
 
 
 def _cmd_lint(args) -> int:
     """The ``lint`` subcommand: rules + shadow validation + baseline."""
     from ..lint import (
-        baseline_diff,
+        baseline_gate,
         filter_report,
         render_text,
         report_payload,
@@ -280,6 +277,12 @@ def _cmd_lint(args) -> int:
         to_sarif,
     )
 
+    gated = args.check or args.update_baseline
+    if gated and (args.apps != ["all"] or args.rules or args.no_shadow):
+        # The baselines hold a full run: a part of one cannot match them.
+        print("lint: --check and --update-baseline need a full run "
+              "(--apps all, no --rules, no --no-shadow)", file=sys.stderr)
+        return 2
     try:
         report = run_lint(args.apps, shadow=not args.no_shadow)
     except KeyError as exc:
@@ -287,44 +290,38 @@ def _cmd_lint(args) -> int:
     if args.rules:
         report = filter_report(report, tuple(args.rules))
     payload = report_payload(report)
+    texts = (serialize(payload), serialize(to_sarif(report)))
 
     if args.update_baseline:
-        # One audited command: rewrite the committed baseline from a
-        # full run and print exactly what it now contains so the diff
+        # One audited command: rewrite the committed baselines from a
+        # full run and print exactly what they now contain so the diff
         # is reviewable next to the code change that motivated it.
-        _write_baseline(LINT_BASELINE, payload)
+        _write(LINT_BASELINE, texts[0])
+        _write(LINT_SARIF_BASELINE, texts[1])
         apps = payload.get("apps", [])
         for app in apps:
             print(f"  {app['app']:<16} "
                   f"findings={len(app.get('findings', []))}")
         total = sum(len(app.get("findings", [])) for app in apps)
-        print(f"updated baseline {LINT_BASELINE} "
+        print(f"updated baselines {LINT_BASELINE} and "
+              f"{os.path.basename(LINT_SARIF_BASELINE)} "
               f"({len(apps)} apps, {total} findings)")
         return 0
 
-    if args.write_baseline:
-        _write_baseline(args.write_baseline, payload)
-        print(f"wrote baseline {args.write_baseline}")
-        return 0
-
     if args.format == "json":
-        print(serialize(payload), end="")
+        print(texts[0], end="")
     elif args.format == "sarif":
-        print(serialize(to_sarif(report)), end="")
+        print(texts[1], end="")
     else:
         print(render_text(report))
 
-    baseline_path = args.baseline or (LINT_BASELINE if args.check else None)
     status = 0
-    if baseline_path:
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        new_findings = baseline_diff(payload, baseline)
-        if new_findings:
-            print(f"{len(new_findings)} finding(s) not in baseline "
-                  f"{baseline_path}:", file=sys.stderr)
-            for identity in new_findings:
-                print(f"  {identity}", file=sys.stderr)
+    if args.check:
+        ok, lines = baseline_gate(
+            (_read(LINT_BASELINE), _read(LINT_SARIF_BASELINE)), texts)
+        for line in lines:
+            print(line, file=sys.stderr)
+        if not ok:
             status = 1
     if report.has_errors:
         print("deca-lint: error-severity findings present",

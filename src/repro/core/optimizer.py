@@ -1,8 +1,15 @@
-"""The hybrid Deca optimizer (paper §5, Appendix A).
+"""The engine's one planner: every container's storage, in every mode.
 
-A static enumeration of every possible job suffers path explosion, so Deca
-optimizes *at runtime*: when a job first materializes a cached dataset or
-a shuffle, the optimizer
+A cache block or a shuffle buffer is stored as objects (Spark), Kryo
+bytes (SparkSer) or decomposed pages (Deca); the execution mode is the
+first input of the one decision routine, :meth:`DecaOptimizer._plan`.
+A cached SQL relation is planned by :func:`plan_sql_layout`, as pages
+laid out row- or column-major.
+
+In ``DECA`` mode the routine is the hybrid Deca optimizer (paper §5,
+Appendix A).  A static enumeration of every possible job suffers path
+explosion, so Deca optimizes *at runtime*: when a job first materializes
+a cached dataset or a shuffle, the optimizer
 
 1. runs the UDT classification — local (Algorithm 1) then global
    (Algorithms 2–4) over the dataset's declared stage call graph;
@@ -23,7 +30,6 @@ are generated once and shipped to every executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..analysis.global_refine import GlobalClassifier
@@ -31,8 +37,9 @@ from ..analysis.local import classify_locally
 from ..analysis.size_type import SizeType
 from ..analysis.symconst import Affine
 from ..analysis.udt import ClassType, PrimitiveType
+from ..config import ExecutionMode
 from ..errors import MemoryLayoutError
-from ..memory.layout import build_schema, columnar_plan
+from ..memory.layout import Schema, build_schema, columnar_plan
 from ..spark.shuffle import ShuffleKind
 from .plan import ContainerPlan, StorageStrategy
 
@@ -44,13 +51,15 @@ if TYPE_CHECKING:
 
 
 class DecaOptimizer:
-    """Plans cache and shuffle storage for a context in DECA mode."""
+    """Plans cache and shuffle storage for a context, in its mode."""
 
     def __init__(self, ctx: "DecaContext") -> None:
         self.ctx = ctx
-        # The context's plan table: (container family, id) -> plan, in
-        # creation order.
-        self._plans = ctx._plans
+        self.mode = ctx.mode
+        # The plan table: (container family, id) -> plan, in creation
+        # order.  A plan is made when a job first materializes its
+        # container.
+        self._plans: dict[tuple[str, int], ContainerPlan] = {}
         self._closure_reports: dict[int, "ClosureReport | None"] = {}
 
     @property
@@ -110,21 +119,49 @@ class DecaOptimizer:
     def _plan(self, target: str, info: "UdtInfo | None", *,
               cached: "RDD | None" = None,
               dep: "ShuffleDependency | None" = None) -> ContainerPlan:
-        """Classify → resolve lengths → lay out → explain: the plan of
-        the cached dataset *cached* or of the shuffle *dep*."""
+        """The plan of the cached dataset *cached* or of the shuffle
+        *dep*: the Spark baselines' by mode, Deca's by classify →
+        resolve lengths → lay out → explain."""
         measure = dep.parent.measure_record if dep is not None else None
         tag = dep.tag if dep is not None else None
 
-        def object_form(reason: str, local: SizeType | None = None,
-                        refined: SizeType | None = None) -> ContainerPlan:
+        def undecomposed(reason: str, local: SizeType | None = None,
+                         refined: SizeType | None = None, *,
+                         strategy: StorageStrategy = StorageStrategy.OBJECTS,
+                         schema: Schema | None = None) -> ContainerPlan:
             return ContainerPlan(
                 target=target, udt=info.udt.name if info else None,
                 local_size_type=local, global_size_type=refined,
-                decomposed=False, reason=reason, measure=measure, tag=tag)
+                decomposed=False, reason=reason, strategy=strategy,
+                schema=schema, measure=measure, tag=tag)
 
+        mode = self.mode
+        if mode is not ExecutionMode.DECA:
+            if dep is not None:
+                # Spark 1.6 has no in-memory serialized shuffle buffers;
+                # both Spark and SparkSer shuffle object graphs (§6.5).
+                return undecomposed(f"{mode.value} shuffles object graphs")
+            if mode is ExecutionMode.SPARK:
+                return undecomposed("spark caches object graphs")
+            # SparkSer: a Kryo-equivalent blob in the RFST layout, or the
+            # record list when there is none.
+            kept = "the block keeps its record list"
+            if info is None:
+                return undecomposed(f"no UDT declared; {kept}",
+                                    strategy=StorageStrategy.SERIALIZED)
+            try:
+                schema = build_schema(info.udt, SizeType.RUNTIME_FIXED)
+            except MemoryLayoutError as exc:
+                return undecomposed(f"layout failed: {exc}; {kept}",
+                                    strategy=StorageStrategy.SERIALIZED)
+            return undecomposed("kryo-serialized in the RFST layout",
+                                strategy=StorageStrategy.SERIALIZED,
+                                schema=schema)
+
+        # Deca: object form unless the records decompose (§4.2–§4.3).
         if info is None:
-            return object_form("no UDT declared" if dep is None else
-                               "no UDT declared for the shuffled records")
+            return undecomposed("no UDT declared" if dep is None else
+                                "no UDT declared for the shuffled records")
         escaper = (self._escaping_consumer(cached)
                    if cached is not None else None)
         if escaper is not None:
@@ -132,27 +169,27 @@ class DecaOptimizer:
             # captured state or closed over) — decomposed page records
             # would dangle once the page group is reclaimed, so the
             # container must stay in object form (§4.2).
-            return object_form(
+            return undecomposed(
                 f"records escape consuming UDF {escaper}; "
                 "closure analysis forces object form")
 
         local, refined, classifier = self._classify(info)
         if refined is None or not refined.decomposable:
             if dep is None:
-                return object_form(
+                return undecomposed(
                     f"size-type {refined.value if refined else '?'} "
                     "cannot be safely decomposed", local, refined)
             # Fig. 7(b): a grouped Value array is a VST inside the buffer;
             # the buffer keeps object form (a later cache may still
             # decompose — that is the cache plan's business).
-            return object_form("records not decomposable inside the buffer",
-                               local, refined)
+            return undecomposed("records not decomposable inside the buffer",
+                                local, refined)
         try:
             schema = build_schema(
                 info.udt, refined,
                 fixed_lengths=self._resolve_fixed_lengths(info, classifier))
         except MemoryLayoutError as exc:
-            return object_form(f"layout failed: {exc}", local, refined)
+            return undecomposed(f"layout failed: {exc}", local, refined)
 
         value_reuse = pointer_array = False
         reason = "decomposed into cache-block page groups"
@@ -256,50 +293,40 @@ class DecaOptimizer:
 
 
 # -- SQL cache layout --------------------------------------------------------
-@dataclass(frozen=True)
-class SqlLayoutPlan:
-    """The optimizer's row-vs-columnar decision for one cached relation."""
-
-    table: str
-    layout: str  # "columnar" | "row"
-    size_type: SizeType | None
-    reason: str
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "table": self.table,
-            "layout": self.layout,
-            "size_type": self.size_type.value if self.size_type else None,
-            "reason": self.reason,
-        }
-
-
-def plan_sql_layout(schema: "TableSchema") -> SqlLayoutPlan:
-    """Decide the cache layout for a SQL relation.
+def plan_sql_layout(schema: "TableSchema") -> ContainerPlan:
+    """The plan of a cached SQL relation: Deca pages, column- or row-major.
 
     Column-major needs a fixed-schema (UDT-F) relation: the synthesized
     UDT must classify decomposable (Algorithm 1 over one field per
     column) and every field must have a per-column layout
     (:func:`~repro.memory.layout.columnar_plan`).  Opaque payload
     columns fail that — their element type-sets are polymorphic — so
-    those relations fall back to the row-major record layout.
+    those relations fall back to the row-major record layout
+    (:func:`~repro.sql.columnar.row_major_schema`).
     """
+    from ..sql.columnar import row_major_schema
     from ..sql.schema import table_udt
 
     udt = table_udt(schema)
     size_type = classify_locally(udt)
+
+    def pages(reason: str, strategy: StorageStrategy,
+              record: Schema) -> ContainerPlan:
+        return ContainerPlan(
+            target=f"sql:{schema.name}", udt=udt.name,
+            local_size_type=size_type, global_size_type=size_type,
+            decomposed=True, reason=reason, strategy=strategy,
+            schema=record)
+
     if not size_type.decomposable:
-        return SqlLayoutPlan(
-            table=schema.name, layout="row", size_type=size_type,
-            reason=f"{udt.name} classifies {size_type.value}; "
-                   "caching row-major")
+        return pages(f"{udt.name} classifies {size_type.value}; "
+                     "caching row-major",
+                     StorageStrategy.DECA_PAGES, row_major_schema(schema))
     try:
         record = build_schema(udt, size_type)
         columnar_plan(record)
     except MemoryLayoutError as exc:
-        return SqlLayoutPlan(
-            table=schema.name, layout="row", size_type=size_type,
-            reason=f"no column-major layout: {exc}")
-    return SqlLayoutPlan(
-        table=schema.name, layout="columnar", size_type=size_type,
-        reason="fixed-schema relation; one page run per column")
+        return pages(f"no column-major layout: {exc}",
+                     StorageStrategy.DECA_PAGES, row_major_schema(schema))
+    return pages("fixed-schema relation; one page run per column",
+                 StorageStrategy.DECA_COLUMNS, record)

@@ -5,9 +5,11 @@ block or a shuffle buffer is classified once, decomposed or not, and
 everything that touches it follows that one decision.  A
 :class:`ContainerPlan` is that decision as one value — the verdict and
 why (what ``repro.lint`` audits), the storage strategy and the record
-codec (what the engine executes).  The optimizer emits one per container
-in ``DECA`` mode (Appendix A); the context emits the object-form /
-Kryo-serialized ones of the Spark baselines.
+codec (what the engine executes).  One emitter makes every plan: the
+optimizer (:mod:`repro.core.optimizer`, Appendix A), in every execution
+mode — the object-form / Kryo-serialized ones of the Spark baselines, the
+decomposed pages of Deca, and the row- or column-major pages of a cached
+SQL relation.
 
 A record is its UDT's value (:func:`repro.memory.layout.record_shape`),
 so :meth:`~ContainerPlan.pack` / :meth:`~ContainerPlan.records` go
@@ -37,6 +39,8 @@ class StorageStrategy(enum.Enum):
     OBJECTS = "objects"
     SERIALIZED = "serialized"
     DECA_PAGES = "deca-pages"
+    #: One page run per field (a cached SQL relation, column-major).
+    DECA_COLUMNS = "deca-columns"
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,8 @@ class ContainerPlan:
     """What was decided for one cache dataset / shuffle, and why.
 
     *schema* is set exactly when the container holds packed bytes: a
-    decomposed container's pages, or a SparkSer block with an RFST layout.
+    decomposed container's pages, a SparkSer block with an RFST layout,
+    or a cached SQL relation (its record, whichever way it is laid out).
     *value_segment_reuse* — the combined Value is an SFST, so eager merges
     overwrite the segment in place instead of allocating (§4.3.2).
     *pointer_array* — sorting/hashing runs over an array of pointers into

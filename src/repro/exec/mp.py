@@ -286,8 +286,9 @@ class MpBackend(ExecutionBackend):
 
         Planning first is what lets a worker serve the whole job from
         one fork: the plan of every shuffle and of every cached dataset
-        a stage reads — codec included — is in the context's memo when
-        the workers inherit it, so an order only has to name the stage.
+        a stage reads — codec included — is in the planner's table
+        (``ctx._optimizer``) when the workers inherit it, so an order
+        only has to name the stage.
         """
         ctx = self.ctx
         plans: dict[int, tuple["Stage", ContainerPlan | None]] = {}

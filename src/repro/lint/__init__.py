@@ -44,7 +44,7 @@ from .engine import (
 from ..obs.rules import RULES, RULES_BY_ID, Rule, Severity
 from .findings import Finding, make_finding, sort_findings
 from .output import (
-    baseline_diff,
+    baseline_gate,
     filter_report,
     render_text,
     report_payload,
@@ -81,7 +81,7 @@ __all__ = [
     "analyze_race_source",
     "analyze_source",
     "app_sites",
-    "baseline_diff",
+    "baseline_gate",
     "check_arena_accounting",
     "check_imprecision",
     "check_observations",

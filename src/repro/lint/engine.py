@@ -70,8 +70,7 @@ def lint_app(app: LintApp, shadow: bool = True) -> AppLintResult:
         if sanitizer is None:
             raise ValueError(
                 f"shadow run of {app.name!r} ran without sanitize=True")
-        optimizer = ctx._optimizer
-        plans = tuple(optimizer.reports) if optimizer is not None else ()
+        plans = tuple(ctx._optimizer.reports)
         findings.extend(run_plan_rules(app.name, plans, targets))
         findings.extend(check_observations(app.name, sanitizer, plans))
         findings.extend(check_arena_accounting(app.name, sanitizer,

@@ -1,9 +1,10 @@
-"""Lint output: text, JSON and SARIF renderings plus baseline diffing.
+"""Lint output: text, JSON and SARIF renderings plus the baseline gate.
 
 The JSON payload is deterministic (sorted findings, integer-only
 summaries, no timestamps) and is serialized exactly like
-:func:`repro.bench.report.write_json_result` writes it, so CI can ``cmp``
-a fresh run's file against the committed baseline byte for byte.
+:func:`repro.bench.report.write_json_result` writes it, so a fresh full
+run can be compared with the committed baseline byte for byte
+(:func:`baseline_gate`, behind ``repro.bench lint --check``).
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from ..obs.rules import RULES, Severity
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://json.schemastore.org/sarif-2.1.0.json")
-
-# The finding keys that identify a diagnostic across runs (the "why"
-# chain and location are presentation, not identity).
-_IDENTITY_KEYS = ("rule", "severity", "target", "subject", "message")
 
 
 def report_payload(report: LintReport) -> dict[str, Any]:
@@ -166,20 +163,76 @@ def filter_report(report: LintReport,
     return LintReport(apps=apps)
 
 
-def finding_identities(payload: dict[str, Any]) -> set[str]:
-    """The identity set of a payload's findings, for baseline diffing."""
-    identities: set[str] = set()
-    for app in payload.get("apps", ()):
-        for finding in app.get("findings", ()):
-            identity = {"app": app.get("app", "")}
-            identity.update({key: finding.get(key, "")
-                             for key in _IDENTITY_KEYS})
-            identities.add(json.dumps(identity, sort_keys=True))
-    return identities
+#: The audit families, and the summary keys that count what they walked.
+#: Those counts move whenever a function in an audited module is added or
+#: deleted, with the findings unchanged, so the gate prints them and does
+#: not compare them.
+AUDITS = ("engine", "race")
+WALKED = ("functions", "scope_methods")
 
 
-def baseline_diff(current: dict[str, Any],
-                  baseline: dict[str, Any]) -> list[str]:
-    """Findings present now but absent from the baseline (sorted)."""
-    return sorted(finding_identities(current)
-                  - finding_identities(baseline))
+def _dump(payload: Any) -> str:
+    """*payload* as :func:`serialize` wrote it, in the key order it holds."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _without_walk_counts(text: str
+                         ) -> tuple[dict[str, Any], dict[str, dict[str, int]]]:
+    """The payload of *text* without the walk counts, and the walk counts
+    by audit family."""
+    payload = json.loads(text)
+    walked: dict[str, dict[str, int]] = {}
+    for app in payload.get("apps", []):
+        if app.get("app") in AUDITS:
+            summary = app.get("summary", {})
+            walked[app["app"]] = {key: summary.pop(key) for key in WALKED
+                                  if key in summary}
+    return payload, walked
+
+
+def baseline_gate(baseline: tuple[str, str],
+                  current: tuple[str, str]) -> tuple[bool, list[str]]:
+    """Compare a full run with the committed baseline, byte for byte.
+
+    *baseline* and *current* are each ``(json_text, sarif_text)``.  Each
+    JSON text must read back as exactly the text :func:`serialize` writes
+    of its own payload, and the two must be equal once the walk counts
+    (:data:`WALKED`) are removed; the walk counts are reported (baseline
+    -> current) instead.  The SARIF texts must be equal.  Returns whether
+    the gate holds and the lines that say why.
+    """
+    (old_text, old_sarif), (new_text, new_sarif) = baseline, current
+    old, old_walked = _without_walk_counts(old_text)
+    new, new_walked = _without_walk_counts(new_text)
+    lines = ["functions / scope methods the audits walked (printed, not "
+             "compared):"]
+    for family in AUDITS:
+        was, now = old_walked.get(family, {}), new_walked.get(family, {})
+        cells = ", ".join(f"{key} {was.get(key, '-')} -> {now.get(key, '-')}"
+                          for key in WALKED if key in was or key in now)
+        lines.append(f"  {family}: {cells or '-'}")
+    ok = True
+    for name, text in (("baseline", old_text), ("current", new_text)):
+        if _dump(json.loads(text)) != text:
+            lines.append(f"the {name} JSON is not formatted as the lint "
+                         "formats JSON")
+            ok = False
+    if _dump(old) == _dump(new):
+        lines.append("findings, plans and summaries: identical to the "
+                     "baseline")
+    else:
+        old_apps = {app["app"]: app for app in old.get("apps", [])}
+        new_apps = {app["app"]: app for app in new.get("apps", [])}
+        differing = sorted(
+            name for name in old_apps.keys() | new_apps.keys()
+            if _dump(old_apps.get(name)) != _dump(new_apps.get(name)))
+        lines.append("findings, plans or summaries DIFFER from the "
+                     "baseline: " + (", ".join(differing)
+                                     or "top-level keys"))
+        ok = False
+    if old_sarif == new_sarif:
+        lines.append("SARIF: identical to the baseline")
+    else:
+        lines.append("SARIF DIFFERS from the baseline")
+        ok = False
+    return ok, lines

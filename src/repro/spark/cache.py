@@ -65,9 +65,6 @@ class CacheStore:
         # Counts touches; names the page groups of swapped-in blocks.
         self._tick = 0
         self.swapped_bytes_total = 0
-        # Running sum of resident (not-on-disk) block bytes, maintained on
-        # put/swap/drop instead of recomputed over every block.
-        self._resident_bytes = 0
         # Keys whose swap is in flight: the swap's copies can raise heap
         # pressure re-entrantly, which must not drain the block again.
         self._inflight: set[BlockKey] = set()
@@ -95,11 +92,7 @@ class CacheStore:
 
     @property
     def memory_bytes(self) -> int:
-        return self._resident_bytes
-
-    def recompute_memory_bytes(self) -> int:
-        """O(blocks) ground truth for the resident counter (invariant
-        checks only — the hot paths must not call this)."""
+        """Bytes of the resident (not swapped-out) blocks."""
         return sum(b.memory_bytes for b in self.blocks.values()
                    if not b.on_disk)
 
@@ -134,8 +127,6 @@ class CacheStore:
         fits = admit(self._entry_name(block), block.memory_bytes,
                      lambda: self.swap_out(key), block=key)
         self.blocks[key] = block
-        if not block.on_disk:
-            self._resident_bytes += block.memory_bytes
         self._touch(key)
         if not fits and not block.on_disk:
             # The arena traced a ``memory:reject``: store straight to
@@ -199,7 +190,6 @@ class CacheStore:
         self.arena.storage_discard(self._entry_name(block))
         block.on_disk = True
         block.memory_bytes = 0
-        self._resident_bytes -= released
         self.swapped_bytes_total += block.disk_bytes
         swap_args = dict(
             rdd_id=key[0], partition=key[1],
@@ -260,7 +250,6 @@ class CacheStore:
             executor.heap.allocate(group, objects, block.memory_bytes)
             block.alloc_group = group
         block.on_disk = False
-        self._resident_bytes += block.memory_bytes
         self._touch(key)
         # Re-register: the arena evicts colder entries, never this block
         # (it becomes the newest entry once registered; no thrash).
@@ -305,8 +294,6 @@ class CacheStore:
 
     def _drop_block(self, key: BlockKey) -> None:
         block = self.blocks.pop(key)
-        if not block.on_disk:
-            self._resident_bytes -= block.memory_bytes
         if block.alloc_group is not None and not block.alloc_group.freed:
             self.executor.heap.free_group(block.alloc_group)
         self.arena.storage_discard(self._entry_name(block))

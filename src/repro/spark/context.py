@@ -1,9 +1,9 @@
 """DecaContext — the application entry point (SparkContext analogue).
 
 A context owns the simulated cluster (executors with heaps and clocks), the
-shuffle service, the DAG scheduler and — in ``DECA`` mode — the runtime
-optimizer that plans cache/shuffle decomposition per job (the hybrid
-optimization of Appendix A: plans are made when a dataset is first
+shuffle service, the DAG scheduler and the planner that decides how each
+cache block and shuffle buffer is stored — in ``DECA`` mode the runtime
+optimizer of Appendix A (plans are made when a dataset is first
 materialized, using the UDT analysis plus runtime symbol bindings).
 
 Typical use::
@@ -22,13 +22,11 @@ import itertools
 import zlib
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from ..analysis.size_type import SizeType
 from ..config import DecaConfig, ExecutionMode
 from ..core.plan import ContainerPlan, StorageStrategy
-from ..errors import ExecutionError, MemoryLayoutError, SanitizerError
+from ..errors import ExecutionError, SanitizerError
 from ..exec import create_backend
 from ..jvm.objects import Lifetime
-from ..memory.layout import build_schema
 from ..obs import Tracer
 from ..simtime import ticks_to_ms
 from .cache import CachedBlock
@@ -143,15 +141,10 @@ class DecaContext:
         self._shuffle_ids = itertools.count()
         self._rdds: dict[int, RDD] = {}
         self._jobs: list[JobMetrics] = []
-        # Every container's plan, made when a job first materializes it:
-        # ("cache", rdd_id) / ("shuffle", shuffle_id) -> plan, in creation
-        # order.  The optimizer fills it in DECA mode, the context itself
-        # for the Spark baselines.
-        self._plans: dict[tuple[str, int], ContainerPlan] = {}
-        self._optimizer = None
-        if self.mode is ExecutionMode.DECA:
-            from ..core.optimizer import DecaOptimizer
-            self._optimizer = DecaOptimizer(self)
+        # The one planner: every container's plan, in every mode, made
+        # when a job first materializes the container.
+        from ..core.optimizer import DecaOptimizer
+        self._optimizer = DecaOptimizer(self)
 
     # -- dataset creation ---------------------------------------------------------
     def parallelize(self, data: Iterable[Any], num_partitions: int,
@@ -184,58 +177,14 @@ class DecaContext:
         """
         return self.executors[(split + attempt) % len(self.executors)]
 
-    # -- planning hooks (mode dispatch) ------------------------------------------------
+    # -- planning hooks (the optimizer plans every mode) ----------------------------
     def plan_cache(self, rdd: RDD) -> ContainerPlan:
         """Decide how *rdd*'s blocks are stored."""
-        if self._optimizer is not None:
-            return self._optimizer.plan_cache(rdd)
-        key = ("cache", rdd.rdd_id)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._baseline_cache_plan(rdd)
-        return plan
+        return self._optimizer.plan_cache(rdd)
 
     def plan_shuffle(self, dep: ShuffleDependency) -> ContainerPlan:
         """Decide how *dep*'s buffers are stored."""
-        if self._optimizer is not None:
-            return self._optimizer.plan_shuffle(dep)
-        key = ("shuffle", dep.shuffle_id)
-        plan = self._plans.get(key)
-        if plan is None:
-            info = dep.parent.udt_info
-            # Spark 1.6 has no in-memory serialized shuffle buffers; both
-            # Spark and SparkSer shuffle object graphs (§6.5).
-            plan = self._plans[key] = ContainerPlan(
-                target=f"shuffle:{dep.shuffle_id}:{dep.parent.name}",
-                udt=info.udt.name if info else None,
-                local_size_type=None, global_size_type=None,
-                decomposed=False,
-                reason=f"{self.mode.value} shuffles object graphs",
-                measure=dep.parent.measure_record, tag=dep.tag)
-        return plan
-
-    def _baseline_cache_plan(self, rdd: RDD) -> ContainerPlan:
-        """Spark's object blocks, or SparkSer's Kryo-equivalent blobs."""
-        info = rdd.udt_info
-        schema = None
-        if self.mode is ExecutionMode.SPARK:
-            strategy = StorageStrategy.OBJECTS
-            reason = "spark caches object graphs"
-        else:
-            strategy = StorageStrategy.SERIALIZED
-            reason = "no UDT declared; the block keeps its record list"
-        if strategy is StorageStrategy.SERIALIZED and info is not None:
-            try:
-                # A Kryo-equivalent layout (RFST shape).
-                schema = build_schema(info.udt, SizeType.RUNTIME_FIXED)
-                reason = "kryo-serialized in the RFST layout"
-            except MemoryLayoutError as exc:
-                reason = (f"layout failed: {exc}; "
-                          "the block keeps its record list")
-        return ContainerPlan(
-            target=f"cache:{rdd.name}", udt=info.udt.name if info else None,
-            local_size_type=None, global_size_type=None, decomposed=False,
-            reason=reason, strategy=strategy, schema=schema)
+        return self._optimizer.plan_shuffle(dep)
 
     # -- cache materialization ------------------------------------------------------------
     def _cached_iterator(self, rdd: RDD, split: int,

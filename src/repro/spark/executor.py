@@ -126,9 +126,8 @@ class Executor(FaultCountdown):
         self.profiler: HeapProfiler | None = None
         self._temp_group: AllocationGroup | None = None
         self._current_task: "TaskContext | None" = None
-        # Cumulative I/O ticks (for Fig. 11 breakdowns).
-        self.disk_ticks = 0
-        self.network_ticks = 0
+        # Cold-tier ticks for the tier's snapshot (``tier_ms``): the tier
+        # also moves bytes outside any task (the SQL engine's swaps).
         self.tier_ticks = 0
         # Shuffle bytes spilled by this executor's successful attempts.
         self.spilled_shuffle_bytes = 0
@@ -223,7 +222,6 @@ class Executor(FaultCountdown):
     def charge_disk_write(self, nbytes: int) -> None:
         p = self.prices
         ticks = p.disk_seek + p.disk_write_per_byte * nbytes
-        self.disk_ticks += ticks
         metrics = self._charge_io(ticks, nbytes, "disk:write")
         if metrics is not None:
             metrics.shuffle_write_ticks += ticks
@@ -231,7 +229,6 @@ class Executor(FaultCountdown):
     def charge_disk_read(self, nbytes: int) -> None:
         p = self.prices
         ticks = p.disk_seek + p.disk_read_per_byte * nbytes
-        self.disk_ticks += ticks
         metrics = self._charge_io(ticks, nbytes, "disk:read")
         if metrics is not None:
             metrics.shuffle_read_ticks += ticks
@@ -250,14 +247,11 @@ class Executor(FaultCountdown):
 
     def _charge_tier(self, ticks: int, nbytes: int, event: str) -> None:
         self.tier_ticks += ticks
-        metrics = self._charge_io(ticks, nbytes, event)
-        if metrics is not None:
-            metrics.cache_io_ticks += ticks
+        self._charge_io(ticks, nbytes, event)
 
     def charge_network(self, nbytes: int) -> None:
         p = self.prices
         ticks = p.network_rtt + p.network_per_byte * nbytes
-        self.network_ticks += ticks
         metrics = self._charge_io(ticks, nbytes, "net:transfer")
         if metrics is not None:
             metrics.shuffle_read_ticks += ticks

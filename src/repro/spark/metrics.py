@@ -35,16 +35,13 @@ class TaskMetrics:
     deser_ticks: int = 0
     shuffle_read_ticks: int = 0
     shuffle_write_ticks: int = 0
-    cache_io_ticks: int = 0
     duration_ticks: int = 0
 
     compute_ms = MsView()
     gc_pause_ms = MsView()
-    ser_ms = MsView()
     deser_ms = MsView()
     shuffle_read_ms = MsView()
     shuffle_write_ms = MsView()
-    cache_io_ms = MsView()
     duration_ms = MsView()
 
     def add(self, other: "TaskMetrics") -> None:
@@ -56,7 +53,6 @@ class TaskMetrics:
         self.deser_ticks += other.deser_ticks
         self.shuffle_read_ticks += other.shuffle_read_ticks
         self.shuffle_write_ticks += other.shuffle_write_ticks
-        self.cache_io_ticks += other.cache_io_ticks
         self.duration_ticks += other.duration_ticks
 
 

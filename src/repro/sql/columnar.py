@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..analysis.udt import CHAR, DOUBLE, INT, LONG
-from ..errors import MemoryLayoutError, SchemaError, SqlError
+from ..errors import SchemaError, SqlError
 from ..jvm.heap import SimHeap
 from ..memory.layout import (
     FixedColumnLayout,
@@ -36,6 +36,7 @@ from ..memory.layout import (
     StringRunView,
     StringSchema,
     VarArraySchema,
+    columnar_plan,
 )
 from ..memory.manager import DecaMemoryManager
 from ..memory.page import PageGroup, PagePointer
@@ -45,12 +46,6 @@ from .schema import ColumnType, TableSchema
 # because column runs and records always allocate exactly-sized pages via
 # the group, but PageGroup requires a positive default.
 _DEFAULT_PAGE_BYTES = 64 * 1024
-
-_FIXED_CODES = {
-    ColumnType.INT: "i",
-    ColumnType.LONG: "q",
-    ColumnType.DOUBLE: "d",
-}
 
 # The analysis primitives backing each fixed-width SQL type (row-major
 # records reuse the decomposition schemas of repro.memory.layout).
@@ -298,17 +293,8 @@ class ColumnarTable(PagedRelation):
         schema.validate_rows(rows)
         # Plan every column before touching the page manager, so an
         # unsupported schema fails without leaking a registered group.
-        layouts: list[FixedColumnLayout | StringColumnLayout] = []
-        for column in schema.columns:
-            code = _FIXED_CODES.get(column.ctype)
-            if code is not None:
-                layouts.append(FixedColumnLayout(code))
-            elif column.ctype is ColumnType.STRING:
-                layouts.append(StringColumnLayout())
-            else:
-                raise MemoryLayoutError(
-                    f"column {schema.name}.{column.name} "
-                    f"({column.ctype.value}) has no column-major layout")
+        layouts = [layout for _, layout
+                   in columnar_plan(row_major_schema(schema))]
         super().__init__(schema, heap=heap, manager=manager,
                          group_name=group_name)
         self.row_count = len(rows)

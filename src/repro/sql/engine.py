@@ -12,9 +12,10 @@ plus scan / top-k shapes, expressed through a small structured-query API
 columnar by default: predicates run as per-column loops over typed
 zero-copy views, projections as per-column gathers, and aggregation zips
 a key column against a value column — no row objects are reconstructed.
-The optimizer (:func:`repro.core.optimizer.plan_sql_layout`) picks the
-layout per relation; opaque relations fall back to row-major kernels
-that pay the record-reconstruction cost on every read.
+The planner (:func:`repro.core.optimizer.plan_sql_layout`) makes each
+relation's :class:`~repro.core.plan.ContainerPlan`, whose strategy names
+the layout; opaque relations fall back to row-major kernels that pay the
+record-reconstruction cost on every read.
 
 The engine runs on the first executor of its own ``DecaContext``.
 Cached relations are ordinary Deca page groups: they are charged to its
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..config import DecaConfig
+from ..core.plan import StorageStrategy
 from ..errors import SchemaError, SqlError
 from ..jvm.objects import Lifetime
 from ..simtime import Prices, ticks_to_ms
@@ -223,7 +225,9 @@ class SqlEngine:
             return cached
         if layout == "auto":
             from ..core.optimizer import plan_sql_layout
-            layout = plan_sql_layout(schema).layout
+            columns = (plan_sql_layout(schema).strategy
+                       is StorageStrategy.DECA_COLUMNS)
+            layout = "columnar" if columns else "row"
         # Encoding cost: one pass over every cell, a quarter of a record
         # op each.
         self.clock.advance(

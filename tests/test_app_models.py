@@ -76,7 +76,7 @@ def test_the_adjacency_verdict_comes_from_the_init_only_proof(
     ctx = run_pagerank(power_law_graph(30, 100),
                        DecaConfig(mode=ExecutionMode.DECA), iterations=1,
                        num_partitions=2).ctx
-    (plan,) = [plan for plan in ctx._plans.values()
+    (plan,) = [plan for plan in ctx._optimizer.reports
                if plan.target == "cache:pr.adjacency"]
     assert asked
     assert plan.decomposed is proved

@@ -68,9 +68,8 @@ lint --apps engine --no-shadow --check
 lint --apps race --no-shadow
 lint --apps race --no-shadow --check
 lint --apps all --rules DECA2 --format sarif
-lint --apps all --format text --baseline benchmarks/baselines/lint_baseline.json
-lint --apps wordcount --write-baseline out.json
 lint --check
+lint --check --format sarif
 lint --update-baseline
 sanitize
 sanitize --fixtures-only

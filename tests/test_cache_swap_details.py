@@ -175,29 +175,32 @@ class TestDropBlockReleasesPayloads:
 
 
 class TestResidentBytesCounter:
+    """The cache's resident bytes (summed over its blocks) agree with the
+    arena's storage book through every put, swap and drop."""
+
     def test_counter_tracks_put_swap_and_drop(self):
         executor, store = bare_store()
         executor.arena.storage_budget = 25_000
         blocks = [object_block(executor, rdd_id=i) for i in range(1, 5)]
         for block in blocks:
             store.put(block)
-            assert store.memory_bytes == store.recompute_memory_bytes()
+            assert store.memory_bytes == store.arena.storage_used
         store.swap_in(blocks[0].key)
-        assert store.memory_bytes == store.recompute_memory_bytes()
+        assert store.memory_bytes == store.arena.storage_used
         store.remove_rdd(2)
-        assert store.memory_bytes == store.recompute_memory_bytes()
+        assert store.memory_bytes == store.arena.storage_used
         store.invalidate_all()
-        assert store.memory_bytes == store.recompute_memory_bytes() == 0
+        assert store.memory_bytes == store.arena.storage_used == 0
 
     @pytest.mark.parametrize("mode", list(ExecutionMode),
                              ids=lambda m: m.value)
     def test_counter_matches_ground_truth_after_run(self, mode):
         ctx, rdd, _ = ctx_with_cached(mode)
         store = ctx.executors[0].cache
-        assert store.memory_bytes == store.recompute_memory_bytes() > 0
+        assert store.memory_bytes == store.arena.storage_used > 0
         for key in list(store.blocks):
             store.swap_out(key)
-        assert store.memory_bytes == store.recompute_memory_bytes() == 0
+        assert store.memory_bytes == store.arena.storage_used == 0
 
 
 class TestDecaSwapDoubleBuffering:
@@ -266,9 +269,9 @@ class TestReentrantEvictionGuard:
             executor.serializer.note_swap_copy = real_note
         assert released > 0
         assert store.blocks[key].on_disk
-        # One drain, one accounting decrement: the resident counter
-        # still matches ground truth (the double-drain corrupted it).
-        assert store.memory_bytes == store.recompute_memory_bytes()
+        # One drain, one storage release: the resident bytes still
+        # match the arena's book (the double-drain corrupted it).
+        assert store.memory_bytes == store.arena.storage_used
         assert sorted(rdd.collect()) == sorted(data)
 
     def test_reentrant_admission_cannot_revictimize_the_evicting_entry(self):
@@ -334,7 +337,7 @@ class TestSwapByteSymmetry:
     def test_serialized_record_block_readmits_released_bytes(self):
         """Swap-in must restore what swap-out released: charging the
         footprint's ``serialized_bytes`` estimate instead leaks the
-        difference into the resident counter on every round trip."""
+        difference into the arena's storage book on every round trip."""
         executor, store = bare_store()
         block = serialized_record_block(executor, rdd_id=7)
         store.put(block)
@@ -342,7 +345,7 @@ class TestSwapByteSymmetry:
         assert released == 9_000
         restored = store.swap_in(block.key)
         assert restored.memory_bytes == released
-        assert store.memory_bytes == store.recompute_memory_bytes()
+        assert store.memory_bytes == store.arena.storage_used
 
     def test_objects_block_readmits_released_bytes(self):
         executor, store = bare_store()
@@ -354,7 +357,7 @@ class TestSwapByteSymmetry:
         released = store.swap_out(block.key)
         assert released == 11_000
         assert store.swap_in(block.key).memory_bytes == released
-        assert store.memory_bytes == store.recompute_memory_bytes()
+        assert store.memory_bytes == store.arena.storage_used
 
 
 class TestMmapColdTier:

@@ -194,7 +194,8 @@ class TestCacheLifecycle:
         spawn = MpBackend._spawn
 
         def spawning(backend, job, worker_id):
-            planned_at_spawn.append(("cache", cached.rdd_id) in ctx._plans)
+            planned_at_spawn.append(
+                ("cache", cached.rdd_id) in ctx._optimizer._plans)
             return spawn(backend, job, worker_id)
 
         monkeypatch.setattr(MpBackend, "_spawn", spawning)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.bench import __main__ as cli
 from repro.bench.__main__ import main
+from repro.lint import serialize
 
 
 class TestLintCli:
@@ -29,25 +31,41 @@ class TestLintCli:
         assert sarif["version"] == "2.1.0"
         assert sarif["runs"][0]["tool"]["driver"]["name"] == "deca-lint"
 
-    def test_written_baseline_round_trips(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--apps", "wordcount", "--write-baseline",
-                     str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(["lint", "--apps", "wordcount", "--format", "json",
-                     "--baseline", str(baseline)]) == 0
+    @pytest.fixture
+    def baselines(self, tmp_path, monkeypatch):
+        """The committed baselines' paths, pointed at *tmp_path*."""
+        paths = (tmp_path / "lint.json", tmp_path / "lint.sarif")
+        monkeypatch.setattr(cli, "LINT_BASELINE", str(paths[0]))
+        monkeypatch.setattr(cli, "LINT_SARIF_BASELINE", str(paths[1]))
+        return paths
 
-    def test_findings_missing_from_baseline_fail(self, tmp_path, capsys):
-        baseline = tmp_path / "empty.json"
-        baseline.write_text(json.dumps({"apps": []}))
+    def test_written_baseline_round_trips(self, baselines, capsys):
+        assert main(["lint", "--update-baseline"]) == 0
+        assert all(path.read_text() for path in baselines)
+        capsys.readouterr()
+        assert main(["lint", "--check"]) == 0
+        assert "SARIF: identical" in capsys.readouterr().err
+
+    def test_findings_missing_from_baseline_fail(self, baselines, capsys):
+        assert main(["lint", "--update-baseline"]) == 0
         # The q2 shadow run produces a DECA006 note (its aggregation
-        # shuffle has no declared UDT), which an empty baseline does not
-        # contain.
-        assert main(["lint", "--apps", "q2", "--format", "json",
-                     "--baseline", str(baseline)]) == 1
-        captured = capsys.readouterr()
-        assert "not in baseline" in captured.err
-        assert "DECA006" in captured.err
+        # shuffle has no declared UDT); a baseline without it fails.
+        payload = json.loads(baselines[0].read_text())
+        q2 = next(app for app in payload["apps"] if app["app"] == "q2")
+        assert [f["rule"] for f in q2.pop("findings")] == ["DECA006"]
+        baselines[0].write_text(serialize(payload))
+        capsys.readouterr()
+        assert main(["lint", "--check"]) == 1
+        assert "DIFFER from the baseline: q2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("partial", [
+        ["--apps", "lr"], ["--rules", "DECA2"], ["--no-shadow"]])
+    @pytest.mark.parametrize("gate", ["--check", "--update-baseline"])
+    def test_a_partial_run_is_refused(self, baselines, capsys, partial,
+                                      gate):
+        assert main(["lint", gate, *partial]) == 2
+        assert "need a full run" in capsys.readouterr().err
+        assert not any(path.exists() for path in baselines)
 
     def test_rules_filter_keeps_only_matching_family(self, capsys):
         # q2 emits a DECA006 note; the closure-family filter drops it.

@@ -1,4 +1,4 @@
-"""Output-layer tests: JSON round-trips, SARIF shape, baseline diffing."""
+"""Output-layer tests: JSON round-trips, SARIF shape, the baseline gate."""
 
 import json
 
@@ -8,7 +8,7 @@ from repro.lint import (
     LintReport,
     RULES,
     Severity,
-    baseline_diff,
+    baseline_gate,
     make_finding,
     report_payload,
     render_text,
@@ -109,32 +109,44 @@ class TestSarif:
 
 
 class TestBaselineDiff:
+    """:func:`baseline_gate` on payloads: any change to a finding fails,
+    not only a finding the baseline lacks."""
+
+    @staticmethod
+    def gate(current: dict, baseline: dict) -> tuple[bool, str]:
+        ok, lines = baseline_gate((serialize(baseline), ""),
+                                  (serialize(current), ""))
+        return ok, "\n".join(lines)
+
     def test_identical_payloads_have_no_diff(self):
         payload = report_payload(_sample_report())
-        assert baseline_diff(payload, payload) == []
+        assert self.gate(payload, payload)[0]
 
     def test_new_findings_are_reported(self):
         payload = report_payload(_sample_report())
-        assert len(baseline_diff(payload, {"apps": []})) == 3
-
-    def test_removed_findings_do_not_fail(self):
-        payload = report_payload(_sample_report())
         empty = report_payload(LintReport(apps=()))
-        assert baseline_diff(empty, payload) == []
+        ok, out = self.gate(payload, empty)
+        assert not ok and "DIFFER from the baseline: app" in out
 
-    def test_diff_ignores_why_chain_changes(self):
+    def test_removed_findings_fail(self):
+        payload = report_payload(_sample_report())
+        mutated = json.loads(serialize(payload))
+        mutated["apps"][0]["findings"].pop()
+        assert not self.gate(mutated, payload)[0]
+
+    def test_why_chain_changes_fail(self):
         payload = report_payload(_sample_report())
         mutated = json.loads(serialize(payload))
         for app in mutated["apps"]:
             for finding in app["findings"]:
                 finding["why"] = ["something else entirely"]
-        assert baseline_diff(mutated, payload) == []
+        assert not self.gate(mutated, payload)[0]
 
     def test_severity_changes_are_new_findings(self):
         payload = report_payload(_sample_report())
         mutated = json.loads(serialize(payload))
         mutated["apps"][0]["findings"][0]["severity"] = "note"
-        assert len(baseline_diff(mutated, payload)) == 1
+        assert not self.gate(mutated, payload)[0]
 
     def test_cross_app_findings_do_not_collide(self):
         finding = make_finding("DECA006", "t", "s", "m")
@@ -142,5 +154,5 @@ class TestBaselineDiff:
             app="a", title="A", findings=(finding,), summary={}),))
         other = LintReport(apps=(AppLintResult(
             app="b", title="B", findings=(finding,), summary={}),))
-        assert len(baseline_diff(report_payload(one),
-                                 report_payload(other))) == 1
+        ok, out = self.gate(report_payload(one), report_payload(other))
+        assert not ok and "baseline: a, b" in out

@@ -437,7 +437,7 @@ class TestCacheFailFastRegression:
                    if e.name == "memory:reject"]
         assert len(rejects) == 1
         assert rejects[0].args["nbytes"] == oversized_bytes
-        assert cache.recompute_memory_bytes() == cache.memory_bytes
+        assert cache.arena.storage_used == cache.memory_bytes
 
 
 class TestUnifiedEndToEnd:

@@ -204,9 +204,9 @@ def test_borrow_evict_release_conserve_bytes(data):
                         ExecutionMode.DECA]))
 @settings(max_examples=30, deadline=None)
 def test_cache_counter_consistent_under_unified_mode(pairs, parts, mode):
-    """After arbitrary unified-mode workloads the cache's O(1) resident
-    counter equals the O(blocks) ground truth, and the arena's storage
-    ledger contains every resident block."""
+    """After arbitrary unified-mode workloads the cache's resident bytes
+    equal the arena's storage book, and that ledger contains every
+    resident block."""
     ctx = DecaContext(DecaConfig(mode=mode, memory_mode="unified",
                                  heap_bytes=8 * MB, num_executors=2,
                                  tasks_per_executor=2))
@@ -222,7 +222,7 @@ def test_cache_counter_consistent_under_unified_mode(pairs, parts, mode):
     assert result == expected
     for exe in ctx.executors:
         cache = exe.cache
-        assert cache.recompute_memory_bytes() == cache.memory_bytes
+        assert cache.arena.storage_used == cache.memory_bytes
         arena = exe.arena
         assert isinstance(arena, UnifiedMemoryManager)
         check_invariants(arena)

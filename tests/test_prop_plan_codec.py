@@ -60,7 +60,7 @@ def _byte_plans():
         for app, run in APPS.items():
             ctx = run(DecaConfig(mode=mode, heap_bytes=32 * MB,
                                  num_executors=2, tasks_per_executor=2)).ctx
-            for plan in ctx._plans.values():
+            for plan in ctx._optimizer.reports:
                 if plan.schema is not None:
                     plans[f"{mode.value}:{app}:{plan.target}"] = plan
     return plans

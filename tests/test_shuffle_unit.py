@@ -23,6 +23,12 @@ def shuffle_plan(decomposed=False, **flags):
                          measure=measure_generic, **flags)
 
 
+def io_ticks(exe, device: str) -> int:
+    """Ticks *exe* spent on ``<device>:*`` transfers (its trace spans)."""
+    return sum(e.dur_ticks for e in exe.tracer.by_category(f"io.{device}")
+               if e.pid == exe.trace_pid)
+
+
 def executor(**overrides):
     defaults = dict(heap_bytes=32 * MB, num_executors=2,
                     tasks_per_executor=2)
@@ -182,7 +188,7 @@ class TestReduceRead:
             [(1, "a")], nbytes=1000, objects=1,
             executor_id=exe.executor_id + 1, plan=shuffle_plan()))
         list(read_reduce_partition(exe, store, 5, 0))
-        assert exe.network_ticks > 0
+        assert io_ticks(exe, "net") > 0
 
     def test_local_block_skips_network(self):
         exe = executor()
@@ -192,7 +198,7 @@ class TestReduceRead:
             [(1, "a")], nbytes=1000, objects=1,
             executor_id=exe.executor_id, plan=shuffle_plan()))
         list(read_reduce_partition(exe, store, 5, 0))
-        assert exe.network_ticks == 0
+        assert io_ticks(exe, "net") == 0
 
     def test_decomposed_blocks_skip_deserialization(self):
         exe = executor()
@@ -224,7 +230,7 @@ class TestSpillMerge:
         assert block.merge_penalty_bytes > 0
 
         reader = executor()
-        disk_before = reader.disk_ticks
+        disk_before = io_ticks(reader, "disk")
         list(read_reduce_partition(reader, store, 0, 0))
         plain_store = ShuffleBlockStore()
         plain_store.set_map_parts(0, 1)
@@ -234,8 +240,8 @@ class TestSpillMerge:
             plan=shuffle_plan()))
         reader_b = executor()
         list(read_reduce_partition(reader_b, plain_store, 0, 0))
-        spilled_cost = reader.disk_ticks - disk_before
-        assert spilled_cost > reader_b.disk_ticks
+        spilled_cost = io_ticks(reader, "disk") - disk_before
+        assert spilled_cost > io_ticks(reader_b, "disk")
 
     def test_spill_sort_charges_cover_only_the_buffer_epoch(self):
         """Each spill sorts the records accumulated since the previous

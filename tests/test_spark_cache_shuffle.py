@@ -116,8 +116,8 @@ class TestCacheEvictionAndSwap:
         self._fill(ctx)
         # Under cold_tier="mmap" the same traffic is charged to the
         # (faster) tier clock instead of the disk clock.
-        assert any(e.disk_ticks > 0 or e.tier_ticks > 0
-                   for e in ctx.executors)
+        assert any(e.dur_ticks > 0 for e in ctx.tracer.events
+                   if e.category in ("io.disk", "io.tier"))
 
     def test_missing_block_raises(self):
         ctx = make_ctx()
@@ -151,7 +151,8 @@ class TestShuffleCosts:
         ctx = make_ctx()
         pairs = ctx.parallelize([(i % 5, 1) for i in range(200)], 4)
         pairs.reduce_by_key(lambda a, b: a + b, 4).collect()
-        assert any(e.network_ticks > 0 for e in ctx.executors)
+        assert any(e.dur_ticks > 0 for e in ctx.tracer.events
+                   if e.name == "net:transfer")
 
     def test_spill_when_buffer_exceeds_budget(self):
         ctx = make_ctx(heap_mb=2, storage_fraction=0.1,

@@ -148,9 +148,18 @@ print([stable_hash(key) for key in keys])
 
 
 class TestPlanDispatch:
-    def test_spark_mode_has_no_optimizer(self):
-        ctx = make_ctx(ExecutionMode.SPARK)
-        assert ctx._optimizer is None
+    @pytest.mark.parametrize("mode", list(ExecutionMode),
+                             ids=lambda m: m.value)
+    def test_every_mode_plans_through_the_optimizer(self, mode):
+        """One planner: the context keeps no plan table of its own, and
+        every container's plan lands in the optimizer's, in order."""
+        ctx = make_ctx(mode)
+        assert not hasattr(ctx, "_plans")
+        parent = ctx.parallelize([("a", 1)], 1).map(lambda r: r).cache()
+        dep = parent.reduce_by_key(lambda a, b: a, 1).shuffle_dep
+        plans = [ctx.plan_shuffle(dep), ctx.plan_cache(parent)]
+        assert ctx._optimizer.reports == plans
+        assert ctx.plan_cache(parent) is plans[1]
 
     def test_deca_mode_builds_optimizer(self):
         ctx = make_ctx(ExecutionMode.DECA)

@@ -162,8 +162,11 @@ class TestTaskLifecycle:
         executor.charge_disk_write(10_000)
         executor.charge_disk_read(10_000)
         executor.charge_network(10_000)
-        assert executor.disk_ticks > 0
-        assert executor.network_ticks > 0
+        spans = [(e.name, e.dur_ticks > 0) for e in executor.tracer.events]
+        assert spans == [("disk:write", True), ("disk:read", True),
+                         ("net:transfer", True)]
+        assert executor.clock.ticks == sum(
+            e.dur_ticks for e in executor.tracer.events)
 
     @pytest.mark.parametrize("after_ops", [0, 1, 7])
     def test_armed_kill_strikes_on_the_charge_after_its_countdown(

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.analysis import udt as type_graph
+from repro.analysis.size_type import SizeType
 from repro.apps.sql_queries import (make_suite_engine, run_sql_suite,
                                     suite_queries)
 from repro.config import DecaConfig, MB
 from repro.core.optimizer import plan_sql_layout
+from repro.core.plan import StorageStrategy
 from repro.data import rankings_table, uservisits_table
-from repro.errors import SchemaError, SqlError
+from repro.errors import MemoryLayoutError, SchemaError, SqlError
+from repro.memory.layout import columnar_plan
 from repro.sql import (
     Column,
     ColumnType,
@@ -20,6 +23,7 @@ from repro.sql import (
     select,
     top_k,
 )
+from repro.sql.columnar import row_major_schema
 from repro.sql.schema import RANKINGS_SCHEMA, USERVISITS_SCHEMA, table_udt
 
 BLOBS_SCHEMA = TableSchema("blobs", [
@@ -285,14 +289,31 @@ class TestLayoutPlanning:
         assert type_graph.epoch == before
 
     def test_fixed_schema_goes_columnar(self):
+        """A fixed-schema relation's plan is column-major pages, and its
+        record schema is the one the columns are laid out from."""
         plan = plan_sql_layout(RANKINGS_SCHEMA)
-        assert plan.layout == "columnar"
-        assert plan.table == "rankings"
+        assert plan.strategy is StorageStrategy.DECA_COLUMNS
+        assert (plan.target, plan.udt) == ("sql:rankings",
+                                          "SqlRelation_rankings")
+        assert plan.decomposed
+        assert plan.local_size_type is plan.global_size_type \
+            is SizeType.RUNTIME_FIXED
+        assert [name for name, _ in columnar_plan(plan.schema)] \
+            == [column.name for column in RANKINGS_SCHEMA.columns]
+        table = ColumnarTable(RANKINGS_SCHEMA, rankings_table(5))
+        assert repr(table._layouts) == repr(
+            [layout for _, layout in columnar_plan(plan.schema)])
 
     def test_opaque_column_falls_back_to_row(self):
+        """An opaque relation's plan is row-major pages in the record
+        layout of ``row_major_schema``, and it says why."""
         plan = plan_sql_layout(BLOBS_SCHEMA)
-        assert plan.layout == "row"
-        assert plan.reason
+        assert plan.strategy is StorageStrategy.DECA_PAGES
+        assert plan.target == "sql:blobs" and plan.decomposed
+        assert repr(plan.schema) == repr(row_major_schema(BLOBS_SCHEMA))
+        assert plan.reason.startswith("no column-major layout: ")
+        with pytest.raises(MemoryLayoutError, match="no column-major"):
+            ColumnarTable(BLOBS_SCHEMA, [(1, b"x")])
 
     def test_engine_auto_layouts(self):
         engine = SqlEngine(DecaConfig(heap_bytes=64 * MB))
