@@ -39,7 +39,8 @@ TOLERANCE = 1e-6
 SUFFIXES = (".json", ".txt")
 #: File-name patterns of the real-clock result files (the one list of
 #: them: CI's drift gate reads it through ``--git-excludes``).
-REAL_CLOCK = ("*ablation_backend*", "*mp_scaling*", "BENCH_perf_pairs_*")
+REAL_CLOCK = ("*ablation_backend*", "*mp_scaling*", "BENCH_perf_pairs_*",
+              "BENCH_perf_trajectory*")
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 

@@ -38,7 +38,17 @@ Usage (from the change's checkout):
 
 ``--merge`` folds the runs into an existing ``--out`` file (a second
 invocation with other workloads or pair counts).  Exit status 1 if any
-run failed, printed no result or came out incorrect.
+run failed, printed no result or came out incorrect.  A session whose
+``--parent`` holds the same ``src/`` and ``benchmarks/perf/`` as the
+checked-out tree is an A/A session (``"aa": true`` in its file): both
+sides run the same code, so its spread is the machine's drift alone.
+
+    python scripts/perf_pairs.py --trajectory
+
+folds every committed pairs file, oldest first, into
+``benchmarks/results/BENCH_perf_trajectory.json``: one row per file
+giving, per workload and end-to-end metric, both medians, their ratio,
+the parent's IQR and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -77,6 +87,15 @@ sys.exit(status)
 """
 CLOCK = ("real (time.perf_counter / process CPU), calibrated reference "
          "seconds as benchmarks/perf reports them")
+#: What the runner executes of a tree: a session whose parent holds the
+#: same files here as the checked-out tree is A/A.
+MEASURED = ("src", "benchmarks/perf")
+RESULTS = os.path.join("benchmarks", "results")
+PAIRS_GLOB = os.path.join(RESULTS, "BENCH_perf_pairs_*.json")
+TRAJECTORY = os.path.join(RESULTS, "BENCH_perf_trajectory.json")
+#: The summary fields a trajectory row keeps per workload and metric.
+TRAJECTORY_FIELDS = ("parent_median", "change_median", "ratio",
+                     "parent_iqr", "wins", "pairs")
 
 
 # -- the fold and the statistics (pure; the tier-1 test drives these) --------
@@ -116,11 +135,13 @@ def fold(records: Iterable[dict[str, Any]],
 def merge(old: dict[str, Any], new: dict[str, Any]) -> dict[str, Any]:
     """*new*'s workloads replace or join *old*'s; *new*'s text joins
     *old*'s unless *old* already holds it (a session repeating its
-    ``--what``)."""
+    ``--what``).  The file stays A/A only if both sessions were."""
     payload = {key: dict(old[key]) for key in ("jobs", "runs", "seeds")}
     for key in payload:
         payload[key].update(new[key])
     payload["clock"] = old.get("clock", new["clock"])
+    if "aa" in new:
+        payload["aa"] = bool(old.get("aa")) and new["aa"]
     what = old.get("what") or ""
     if new["what"] not in what:
         what = f"{what} {new['what']}" if what else new["what"]
@@ -211,6 +232,92 @@ def _line(workload: str, name: str, sides: dict[str, list[float]],
             f"  {s.get('verdict', '-')}")
 
 
+def session_runs(payload: dict[str, Any]
+                 ) -> dict[str, dict[str, dict[str, list[float]]]]:
+    """A pairs file's values as workload → metric → side → list.
+
+    One early file keeps a list of raw run records (``workload``,
+    ``seed``, ``side``, ``result``) instead; it is folded here in seed
+    order."""
+    runs = payload["runs"]
+    if isinstance(runs, dict):
+        return runs
+    out: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for record in sorted(runs, key=lambda r: (r["workload"], r["seed"])):
+        for name, entry in record["result"].get("metrics", {}).items():
+            out.setdefault(record["workload"], {}).setdefault(name, {}) \
+                .setdefault(record["side"], []).append(entry["value"])
+    return out
+
+
+def trajectory(sessions: Iterable[tuple[str, dict[str, Any]]],
+               metrics: dict[str, tuple[str, float]]) -> dict[str, Any]:
+    """Pairs files (name, payload), oldest first → the trajectory
+    payload: one row per file with :data:`TRAJECTORY_FIELDS` of every
+    workload × end-to-end metric it paired."""
+    rows = []
+    for name, payload in sessions:
+        workloads: dict[str, Any] = {}
+        for workload, by_metric in session_runs(payload).items():
+            for metric, (better, _) in metrics.items():
+                try:
+                    s = summarize(by_metric[metric], better)
+                except (KeyError, ValueError):  # not paired here
+                    continue
+                workloads.setdefault(workload, {})[metric] = {
+                    key: s[key] for key in TRAJECTORY_FIELDS}
+        rows.append({"file": name, "aa": bool(payload.get("aa")),
+                     "workloads": workloads})
+    return {"clock": CLOCK, "metrics": sorted(metrics), "sessions": rows}
+
+
+def committed_pairs_files(root: str) -> list[str]:
+    """The pairs files git tracks under *root*, oldest commit first (a
+    file staged but not yet committed last, by name)."""
+    tracked = subprocess.run(
+        ["git", "-C", root, "ls-files", "--", PAIRS_GLOB], check=True,
+        capture_output=True, text=True).stdout.split()
+    log = subprocess.run(
+        ["git", "-C", root, "log", "--diff-filter=A", "--format=@%ct",
+         "--name-only", "--", PAIRS_GLOB], check=True,
+        capture_output=True, text=True).stdout.split()
+    added: dict[str, int] = {}
+    stamp = 0
+    for token in log:
+        if token.startswith("@"):
+            stamp = int(token[1:])
+        else:
+            added.setdefault(token, stamp)   # newest log entry first
+    last = max(added.values(), default=0) + 1
+    return sorted(tracked, key=lambda path: (added.get(path, last), path))
+
+
+def write_trajectory(root: str) -> str:
+    """Fold *root*'s committed pairs files into :data:`TRAJECTORY`."""
+    sessions = []
+    for path in committed_pairs_files(root):
+        with open(os.path.join(root, path)) as handle:
+            sessions.append((os.path.basename(path), json.load(handle)))
+    out = os.path.join(root, TRAJECTORY)
+    with open(out, "w") as handle:
+        json.dump(trajectory(sessions, end_to_end_metrics(root)), handle,
+                  indent=2, sort_keys=True)
+        handle.write("\n")
+    return out
+
+
+def same_measured_code(rev: str) -> bool:
+    """Whether *rev*'s committed :data:`MEASURED` files are the
+    checked-out tree's (no difference, nothing untracked): an A/A
+    session."""
+    diff = subprocess.run(["git", "-C", ROOT, "diff", "--quiet", rev, "--",
+                           *MEASURED])
+    untracked = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "--others", "--exclude-standard",
+         "--", *MEASURED], check=True, capture_output=True, text=True)
+    return diff.returncode == 0 and not untracked.stdout.strip()
+
+
 def end_to_end_metrics(root: str) -> dict[str, tuple[str, float]]:
     """``BENCHMARK.json``'s end-to-end metric names → better direction
     and bound."""
@@ -261,22 +368,34 @@ def run_once(tree: str, workload: str, seed: int,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, metavar="REV")
-    parser.add_argument("--workload", required=True, nargs="+",
-                        metavar="W")
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--out", required=True, metavar="FILE")
-    parser.add_argument("--what", required=True, metavar="TEXT")
+    parser.add_argument("--parent", metavar="REV")
+    parser.add_argument("--workload", nargs="+", metavar="W")
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--seed-base", type=int)
+    parser.add_argument("--out", metavar="FILE")
+    parser.add_argument("--what", metavar="TEXT")
     parser.add_argument("--merge", action="store_true",
                         help="fold into an existing --out file")
     parser.add_argument("--scratch", default=None, metavar="DIR",
                         help="where the parent tree is extracted "
                              "(default: the system temp directory)")
+    parser.add_argument("--trajectory", action="store_true",
+                        help=f"only fold the committed pairs files into "
+                             f"{TRAJECTORY}")
     options = parser.parse_args(argv)
+    if options.trajectory:
+        print(f"wrote {write_trajectory(ROOT)}")
+        return 0
+    missing = [flag for flag in ("parent", "workload", "pairs", "seconds",
+                                 "seed_base", "out", "what")
+               if getattr(options, flag) is None]
+    if missing:
+        parser.error("a session needs " + ", ".join(
+            "--" + flag.replace("_", "-") for flag in missing))
 
     metrics = end_to_end_metrics(ROOT)
+    aa = same_measured_code(options.parent)
     parent_tree = extract(options.parent, options.scratch
                           or tempfile.gettempdir())
     trees = {"parent": parent_tree, "change": ROOT}
@@ -307,6 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     records.sort(key=lambda r: (options.workload.index(r["workload"]),
                                 r["seed"], SIDES.index(r["side"])))
     payload = fold(records, options.what)
+    payload["aa"] = aa
     if options.merge and os.path.exists(options.out):
         with open(options.out) as handle:
             payload = merge(json.load(handle), payload)
@@ -314,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print("\n".join(report(payload, metrics)))
-    print(f"wrote {options.out}; {bad} failed or incorrect run(s)")
+    print(f"wrote {options.out}{' (A/A)' if aa else ''}; {bad} failed or "
+          f"incorrect run(s)")
     return 1 if bad else 0
 
 

@@ -12,11 +12,11 @@ each stage the driver sends every worker one small :class:`StageOrder`
 (stage id, splits, attempt numbers, fault plans) carrying the *delta*
 since that worker last heard: the outputs earlier stages registered,
 which the worker folds into its inherited tables with the same
-:meth:`JobState.register` the driver used.  A decomposed block ships
-back as a :class:`~repro.exec.shm.SegmentRef` naming the shared-memory
-pages the worker packed it into.  Record payloads cross process boundaries either
-in place (shared segments, counted as ``bytes_shared``) or, for
-object-form plans, through one explicit pickle (counted as
+:meth:`JobState.register` the driver used.  Every block ships back as
+one :class:`~repro.exec.shm.BlockPayload` in the form its container's
+plan fixes: in place for Deca pages (a shared segment, counted as
+``bytes_shared``), as bytes otherwise — SparkSer's packed blob or one
+explicit pickle of object-form records (counted as
 ``bytes_pickled_records`` — the serialization tax the paper's
 decomposition eliminates).
 
@@ -64,16 +64,14 @@ from ..spark.faults import MAX_TASK_FAILURES
 from ..spark.metrics import TaskMetrics
 from ..spark.shuffle import MapOutputBlock
 from .backend import ExecutionBackend
-from .shm import (SEGMENT_PREFIX, SegmentRef, ShmSegmentRegistry,
-                  read_segment_records, shm_available, sweep_segments,
-                  unlink_segment)
-from .worker import (CacheBlockOut, StageOrder, TaskFailure, TaskOutput,
-                     worker_main)
+from .shm import (SEGMENT_PREFIX, BlockPayload, SegmentRef,
+                  ShmSegmentRegistry, read_block, shm_available,
+                  sweep_segments, unlink_segment)
+from .worker import StageOrder, TaskFailure, TaskOutput, worker_main
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
-    from ..obs.sanitizer import Sanitizer
     from ..spark.context import DecaContext
     from ..spark.metrics import JobMetrics, StageMetrics
     from ..spark.scheduler import DAGScheduler, Stage
@@ -88,30 +86,6 @@ _REAP_GRACE_S = 5.0
 
 
 @dataclass
-class CacheEntry:
-    """One cached partition in the backend's cross-process table."""
-
-    kind: str                       # "shm" | "packed" | "records"
-    count: int
-    ref: SegmentRef | None = None
-    blob: bytes | None = None
-    records: list | None = None
-    # The dataset's cache plan: the codec of the shm / packed forms.
-    plan: ContainerPlan | None = None
-
-    def read(self, sanitizer: Sanitizer | None = None) -> Iterator[Any]:
-        if self.kind == "records":
-            assert self.records is not None
-            yield from self.records
-        elif self.kind == "shm":
-            assert self.ref is not None and self.plan is not None
-            yield from read_segment_records(self.ref, self.plan, sanitizer)
-        else:  # packed: the sim cache's SERIALIZED representation
-            assert self.blob is not None and self.plan is not None
-            yield from self.plan.records(self.blob)
-
-
-@dataclass
 class JobState:
     """The driver state a job's executors are forked from.
 
@@ -119,7 +93,9 @@ class JobState:
     the context's: each process mutates its copy through :meth:`register`
     — the driver when a task reports, a worker when the same output
     reaches it in an order's delta — so all copies move through the same
-    states in the same order.  Decoding needs no table of its own: a
+    states in the same order.  A cache block is stored as its
+    :class:`~repro.exec.shm.BlockPayload`, or as the record list a
+    pickle was decoded into.  Decoding needs no table of its own: a
     shuffle's plan (planned by ``begin_job``, before the fork) and a
     cached dataset's plan carry their codecs, and every process holds
     the same ones.
@@ -129,7 +105,7 @@ class JobState:
     # stage_id -> (stage, its shuffle plan; None for the result stage).
     stages: dict[int, tuple["Stage", ContainerPlan | None]]
     result_func: Callable[[Iterator], Any]
-    cache_blocks: dict[tuple[int, int], CacheEntry]
+    cache_blocks: dict[tuple[int, int], BlockPayload | list]
     run_tag: str
 
     def register(self, stage_id: int, out: TaskOutput,
@@ -147,42 +123,44 @@ class JobState:
         dep = stage.shuffle_dep
         for mb in out.map_blocks:
             assert dep is not None and plan is not None
-            if mb.ref is not None:
-                if owner is not None:
-                    owner._adopt_segment(mb.ref, out.executor_id)
-                records = None
-            else:
-                assert mb.blob is not None
-                if owner is not None:
-                    owner.stats.bytes_pickled_records += len(mb.blob)
-                records = pickle.loads(mb.blob)
             ctx.shuffle_store.register(
                 dep.shuffle_id, out.split, mb.reduce_part,
                 MapOutputBlock(
-                    records=records, nbytes=mb.nbytes, objects=mb.objects,
+                    records=self._land(mb.payload, plan, out.executor_id,
+                                       owner),
+                    nbytes=mb.nbytes, objects=mb.objects,
                     executor_id=out.executor_id, plan=plan,
                     merge_penalty_bytes=mb.merge_penalty_bytes,
-                    shm_ref=mb.ref))
-        for cb in out.cache_blocks:
-            key = (cb.rdd_id, cb.split)
+                    payload=mb.payload))
+        for key, payload in out.cache_blocks.items():
             if key in self.cache_blocks:
                 # Already materialized by an earlier task (cannot happen
                 # within a stage; defensive for replays): keep the first.
-                if (owner is not None and cb.ref is not None
-                        and cb.ref.name is not None):
-                    unlink_segment(cb.ref.name)
+                if owner is not None and payload.segment is not None:
+                    unlink_segment(payload.segment)
                 continue
+            records = self._land(payload, ctx.plan_cache(ctx._rdds[key[0]]),
+                                 out.executor_id, owner)
+            self.cache_blocks[key] = payload if records is None else records
+
+    @staticmethod
+    def _land(payload: BlockPayload, plan: ContainerPlan, executor_id: int,
+              owner: "MpBackend | None") -> list | None:
+        """One shipped block arriving in this process: the driver adopts
+        its segment or counts its bytes.  A pickle is decoded here, once
+        per process, into the records returned — a worker forked later
+        inherits them; shared pages and packed bytes are decoded when
+        read."""
+        if payload.ref is not None:
             if owner is not None:
-                owner._account_cache_block(cb, out.executor_id)
-            if cb.kind == "pickle":
-                assert cb.blob is not None
-                self.cache_blocks[key] = CacheEntry(
-                    kind="records", count=cb.count,
-                    records=pickle.loads(cb.blob))
-            else:
-                self.cache_blocks[key] = CacheEntry(
-                    kind=cb.kind, count=cb.count, ref=cb.ref, blob=cb.blob,
-                    plan=ctx.plan_cache(ctx._rdds[cb.rdd_id]))
+                owner._adopt_segment(payload.ref, executor_id)
+            return None
+        assert payload.blob is not None
+        if owner is not None:
+            owner.stats.bytes_pickled_records += len(payload.blob)
+        if plan.schema is not None:
+            return None
+        return list(read_block(payload, plan))
 
 
 @dataclass
@@ -239,45 +217,29 @@ class MpBackend(ExecutionBackend):
         # register/release — unlink with readers is a violation.
         self.registry = ShmSegmentRegistry(on_unlink=self._segment_unlinked,
                                            sanitizer=ctx.sanitizer)
-        self.cache_blocks: dict[tuple[int, int], CacheEntry] = {}
-        self._cache_segments: dict[int, list[str]] = {}
+        self.cache_blocks: dict[tuple[int, int], BlockPayload | list] = {}
         self._segment_owner: dict[str, int] = {}
         self._job: _Job | None = None
 
     # -- arena accounting -----------------------------------------------------
-    def _charge_segment(self, ref: SegmentRef, executor_id: int) -> None:
-        """Charge a shared segment to its owning executor's pool."""
-        assert ref.name is not None
+    def _adopt_segment(self, ref: SegmentRef, executor_id: int) -> None:
+        """Register a shipped segment and charge it to its owning
+        executor's pool."""
+        if ref.name is None:
+            return
+        self.registry.register(ref)
         self._segment_owner[ref.name] = executor_id
         self.ctx.executors[executor_id].arena.storage_register_pinned(
             f"shm:{ref.name}", ref.nbytes)
+        self.stats.segments_created += 1
+        self.stats.bytes_shared += ref.nbytes
+        self.stats.segments_live = len(self.registry)
 
     def _segment_unlinked(self, name: str, nbytes: int) -> None:
         executor_id = self._segment_owner.pop(name, None)
         if executor_id is None:
             return
         self.ctx.executors[executor_id].arena.storage_discard(f"shm:{name}")
-
-    def _adopt_segment(self, ref: SegmentRef, executor_id: int) -> None:
-        if ref.name is None:
-            return
-        self.registry.register(ref)
-        self._charge_segment(ref, executor_id)
-        self.stats.segments_created += 1
-        self.stats.bytes_shared += ref.nbytes
-        self.stats.segments_live = len(self.registry)
-
-    def _account_cache_block(self, cb: CacheBlockOut,
-                             executor_id: int) -> None:
-        """Driver-side bookkeeping for a cache block entering the table
-        (see :meth:`JobState.register`)."""
-        if cb.ref is None:
-            assert cb.blob is not None
-            self.stats.bytes_pickled_records += len(cb.blob)
-        elif cb.ref.name is not None:
-            self._adopt_segment(cb.ref, executor_id)
-            self._cache_segments.setdefault(cb.rdd_id, []).append(
-                cb.ref.name)
 
     # -- the job lifecycle ----------------------------------------------------
     def begin_job(self, stages: "list[Stage]",
@@ -428,14 +390,13 @@ class MpBackend(ExecutionBackend):
 
     def unpersist_rdd(self, rdd_id: int) -> None:
         for key in [k for k in self.cache_blocks if k[0] == rdd_id]:
-            del self.cache_blocks[key]
-        for name in self._cache_segments.pop(rdd_id, []):
-            self.registry.release(name)
+            block = self.cache_blocks.pop(key)
+            if isinstance(block, BlockPayload) and block.segment is not None:
+                self.registry.release(block.segment)
         self.stats.segments_live = len(self.registry)
 
     def shutdown(self) -> None:
         self.cache_blocks.clear()
-        self._cache_segments.clear()
         self.registry.release_all()
         self.stats.segments_live = 0
 
@@ -557,9 +518,10 @@ class MpBackend(ExecutionBackend):
         are unlinked by name, not swept, because their workers are alive.
         """
         for out in outputs.values():
-            for block in (*out.map_blocks, *out.cache_blocks):
-                if block.ref is not None and block.ref.name is not None:
-                    unlink_segment(block.ref.name)
+            for payload in (*(mb.payload for mb in out.map_blocks),
+                            *out.cache_blocks.values()):
+                if payload.segment is not None:
+                    unlink_segment(payload.segment)
 
     def _flush(self, scheduler: "DAGScheduler",
                stage_metrics: "StageMetrics",

@@ -1,7 +1,10 @@
 """Shared-memory Deca page segments (the mp backend's data plane).
 
-A decomposed container that must cross a process boundary — a shuffle map
-output or a cached block under the mp backend — is packed once into a
+Every block that crosses a process boundary under the mp backend — a
+shuffle map output or a cached block — crosses as one
+:class:`BlockPayload` in the form its container's plan fixes
+(:func:`ship_block`), and is read back by one reader
+(:func:`read_block`).  A decomposed container is packed once into a
 POSIX shared-memory segment and read **in place** by every consumer
 process through schema accessors over a ``memoryview``.  No pickle, no
 copy of the byte stream: the segment *is* the Deca page group, exactly
@@ -34,12 +37,13 @@ from __future__ import annotations
 import atexit
 import mmap
 import os
+import pickle
 import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from ..core.plan import ContainerPlan
+from ..core.plan import ContainerPlan, StorageStrategy
 from ..errors import PageError
 from ..memory.layout import Schema
 from ..memory.page import Page, PageGroup
@@ -226,10 +230,9 @@ def attach_page_group(ref: SegmentRef, group_name: str | None = None,
 def read_segment_records(ref: SegmentRef, plan: ContainerPlan,
                          sanitizer: Sanitizer | None = None,
                          ) -> Iterator[Any]:
-    """Decode every record of *ref* in place (attach, scan, detach) —
-    the one reader of shared blocks, shuffle and cache, in the driver
-    and in every worker.  With *sanitizer* the attach is a read-only
-    borrow, checksummed again at the detach (DECA408)."""
+    """Decode every record of *ref* in place (attach, scan, detach).
+    With *sanitizer* the attach is a read-only borrow, checksummed again
+    at the detach (DECA408)."""
     if ref.name is None or ref.count == 0:
         return
     assert plan.schema is not None
@@ -241,6 +244,54 @@ def read_segment_records(ref: SegmentRef, plan: ContainerPlan,
     finally:
         values.close()      # its page view must go before the detach
         info.close()
+
+
+# -- the one block form across the pipe ---------------------------------------
+
+@dataclass(frozen=True)
+class BlockPayload:
+    """A block's records as they cross the pipe: the shared pages *ref*
+    names, or the bytes *blob*.  Which one, and what the bytes are, is the
+    container plan's: see :func:`ship_block`."""
+
+    ref: SegmentRef | None = None
+    blob: bytes | None = None
+
+    @property
+    def segment(self) -> str | None:
+        """The shared segment holding the records, if one was created."""
+        return self.ref.name if self.ref is not None else None
+
+
+def ship_block(plan: ContainerPlan, records: Sequence[Any],
+               name: str) -> BlockPayload:
+    """*records* in the form *plan* gives them across the pipe.
+
+    A ``DECA_PAGES`` plan packs them into shared pages (a segment named
+    *name*, none for zero bytes); any other plan with a schema ships its
+    packed bytes (SparkSer's blob, what the sim cache stores); any other
+    plan pickles the records.
+    """
+    if plan.strategy is StorageStrategy.DECA_PAGES:
+        assert plan.schema is not None
+        return BlockPayload(ref=pack_records_segment(
+            name, plan.schema, plan.encoded(records)))
+    if plan.schema is not None:
+        return BlockPayload(blob=plan.pack(records))
+    return BlockPayload(blob=pickle.dumps(records))
+
+
+def read_block(block: BlockPayload, plan: ContainerPlan,
+               sanitizer: Sanitizer | None = None) -> Iterator[Any]:
+    """Decode *block* with the *plan* it was shipped under — the one
+    reader of shuffle and cache blocks, in the driver and in every
+    worker; *sanitizer* checks shared pages stay unwritten."""
+    if block.ref is not None:
+        return read_segment_records(block.ref, plan, sanitizer)
+    assert block.blob is not None
+    if plan.schema is not None:
+        return plan.records(block.blob)
+    return iter(pickle.loads(block.blob))
 
 
 # -- driver-side lifetime registry ------------------------------------------

@@ -19,14 +19,15 @@ the same order, mp results are bitwise identical to sim results (float
 summation order included); only the *costs* differ: mp tasks are measured
 on the wall clock, not the simulated one.
 
-Outputs leave the worker two ways:
-
-* decomposed shuffle blocks and Deca-page cache blocks are packed into
-  shared-memory segments (:mod:`repro.exec.shm`) and only a
-  :class:`~repro.exec.shm.SegmentRef` crosses the pipe — zero pickled
-  record bytes;
-* object-form blocks are pickled (and counted — this is exactly the
-  serialization cost the paper's decomposition removes).
+Every block a task outputs — each shuffle block it writes and each
+cache block it materializes — leaves as one
+:class:`~repro.exec.shm.BlockPayload` in the form its container's plan
+fixes (:func:`~repro.exec.shm.ship_block`): Deca pages are packed into a
+shared-memory segment and only its :class:`~repro.exec.shm.SegmentRef`
+crosses the pipe — zero pickled record bytes; everything else crosses
+as bytes (SparkSer's packed blob, or a pickle of object-form records),
+and the driver counts them — exactly the serialization cost the paper's
+decomposition removes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, TypeVar, TYPE_CHECKING
 
-from ..core.plan import ContainerPlan, StorageStrategy
+from ..core.plan import ContainerPlan
 from ..errors import TaskKilledError
 from ..obs.tracer import TraceEvent, Tracer
 from ..obs.sanitizer import Sanitizer
@@ -47,7 +48,7 @@ from ..spark.faults import EXECUTOR_CRASH, TASK_KILL, TaskFaultPlan
 from ..spark.metrics import TaskMetrics
 from ..spark.scheduler import TaskContext
 from ..spark.shuffle import ShuffleBlockStore
-from .shm import SegmentRef, pack_records_segment, unlink_segment
+from .shm import BlockPayload, read_block, ship_block, unlink_segment
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -78,27 +79,14 @@ class StageOrder:
 
 @dataclass
 class MapBlockOut:
-    """One (map, reduce) shuffle block leaving a worker."""
+    """One (map, reduce) shuffle block leaving a worker: its accounting
+    next to its payload."""
 
     reduce_part: int
-    count: int
     nbytes: int
     objects: int
     merge_penalty_bytes: int
-    ref: SegmentRef | None = None   # shared pages (decomposed plans)
-    blob: bytes | None = None       # pickled records (object plans)
-
-
-@dataclass
-class CacheBlockOut:
-    """One cached partition materialized by a worker task."""
-
-    rdd_id: int
-    split: int
-    kind: str                       # "shm" | "packed" | "pickle"
-    count: int
-    ref: SegmentRef | None = None
-    blob: bytes | None = None
+    payload: BlockPayload
 
 
 @dataclass
@@ -112,7 +100,9 @@ class TaskOutput:
     duration_ticks: int = 0
     records_read: int = 0
     map_blocks: list[MapBlockOut] = field(default_factory=list)
-    cache_blocks: list[CacheBlockOut] = field(default_factory=list)
+    # (rdd_id, split) -> the cached partition this task materialized.
+    cache_blocks: dict[tuple[int, int], BlockPayload] = field(
+        default_factory=dict)
     result_blob: bytes | None = None
     events: list[TraceEvent] = field(default_factory=list)
     # Sanitizer notes (sanitize mode only): the worker's clock plus its
@@ -317,11 +307,11 @@ class _WorkerRuntime:
             self.sanitizer.join("driver", order.sanitizer_clock)
         for stage_id, out in order.delta:
             state.register(stage_id, out)
-            for cb in out.cache_blocks:
+            for key in out.cache_blocks:
                 # The table now serves this block (this worker's own
                 # computed records included): later stages decode the
                 # registered bytes, exactly what a sim cache read yields.
-                self.local_cache.pop((cb.rdd_id, cb.split), None)
+                self.local_cache.pop(key, None)
         self.stage, plan = state.stages[order.stage_id]
         if plan is not None:
             # One map-task body per stage, over the plan the fork
@@ -352,9 +342,11 @@ class _WorkerRuntime:
         if local is not None:
             yield from local
             return
-        entry = self.state.cache_blocks.get(key)
-        if entry is not None:
-            records = list(entry.read(self.sanitizer))
+        block = self.state.cache_blocks.get(key)
+        if block is not None:
+            # A list was decoded when it was registered (a pickle).
+            records = list(block if isinstance(block, list) else read_block(
+                block, self.state.ctx.plan_cache(rdd), self.sanitizer))
             self.local_cache[key] = records
             yield from records
             return
@@ -368,33 +360,19 @@ class _WorkerRuntime:
         out = self.current_out
         if out is None:
             return
-        plan = self.state.ctx.plan_cache(rdd)
-        if plan.schema is None:
-            out.cache_blocks.append(CacheBlockOut(
-                rdd_id=key[0], split=key[1], kind="pickle",
-                count=len(records), blob=pickle.dumps(records)))
-        elif plan.strategy is StorageStrategy.DECA_PAGES:
-            ref = self._pack_segment(f"c{key[0]}", plan, records)
-            out.cache_blocks.append(CacheBlockOut(
-                rdd_id=key[0], split=key[1], kind="shm",
-                count=len(records), ref=ref))
-        else:
-            # The sim cache's SERIALIZED representation, from the same
-            # plan.pack: both backends hand later stages byte-identical
-            # record values.
-            out.cache_blocks.append(CacheBlockOut(
-                rdd_id=key[0], split=key[1], kind="packed",
-                count=len(records), blob=plan.pack(records)))
+        # The sim cache's representation under the same plan: both
+        # backends hand later stages byte-identical record values.
+        out.cache_blocks[key] = self._ship(
+            self.state.ctx.plan_cache(rdd), records, f"c{key[0]}")
 
-    def _pack_segment(self, suffix: str, plan: ContainerPlan,
-                      records: list) -> SegmentRef:
-        """Pack *records* into this attempt's segment ``…<suffix>``."""
-        assert plan.schema is not None
-        ref = pack_records_segment(self.attempt_tag + suffix, plan.schema,
-                                   plan.encoded(records))
-        if ref.name is not None:
-            self.created.append(ref.name)
-        return ref
+    def _ship(self, plan: ContainerPlan, records: list,
+              suffix: str) -> BlockPayload:
+        """*records* as *plan* ships them; a segment is this attempt's
+        ``…<suffix>``."""
+        payload = ship_block(plan, records, self.attempt_tag + suffix)
+        if payload.segment is not None:
+            self.created.append(payload.segment)
+        return payload
 
     # -- one task attempt ----------------------------------------------------
     def run_task(self, split: int, attempt: int
@@ -474,8 +452,8 @@ class _WorkerRuntime:
         if self.current_out is not None:
             # Blocks this attempt computed never reach the driver's
             # table: the retry must rebuild (and report) them.
-            for cb in self.current_out.cache_blocks:
-                self.local_cache.pop((cb.rdd_id, cb.split), None)
+            for key in self.current_out.cache_blocks:
+                self.local_cache.pop(key, None)
         return self._seal(
             TaskFailure(split=split, attempt=attempt,
                         executor_id=executor.executor_id, status=status,
@@ -485,7 +463,7 @@ class _WorkerRuntime:
     def _run_map_task(self, task: TaskContext, split: int,
                       out: TaskOutput) -> None:
         """The sim engine's map task against a task-local store, then the
-        store's blocks leave as segments (decomposed) or pickles."""
+        store's blocks leave in their plan's form."""
         dep = self.stage.shuffle_dep
         assert dep is not None and self.map_body is not None
         store = self.map_store
@@ -494,17 +472,12 @@ class _WorkerRuntime:
             for reduce_part in range(dep.num_reduce):
                 block = store.fetch(dep.shuffle_id, split, reduce_part)
                 assert block is not None and block.records is not None
-                mb = MapBlockOut(
-                    reduce_part=reduce_part, count=len(block.records),
-                    nbytes=block.nbytes, objects=block.objects,
-                    merge_penalty_bytes=block.merge_penalty_bytes)
-                if block.plan.schema is not None:
-                    mb.ref = self._pack_segment(
-                        f"s{dep.shuffle_id}r{reduce_part}", block.plan,
-                        block.records)
-                else:
-                    mb.blob = pickle.dumps(block.records)
-                out.map_blocks.append(mb)
+                out.map_blocks.append(MapBlockOut(
+                    reduce_part=reduce_part, nbytes=block.nbytes,
+                    objects=block.objects,
+                    merge_penalty_bytes=block.merge_penalty_bytes,
+                    payload=self._ship(block.plan, block.records,
+                                       f"s{dep.shuffle_id}r{reduce_part}")))
         finally:
             # The blocks have left (or the attempt failed): drop them.
             store.remove_shuffle(dep.shuffle_id)

@@ -118,7 +118,7 @@ class Executor(FaultCountdown):
         self.prices = Prices(config, config.tasks_per_executor)
         self.serializer = SerializerModel(self.prices, self.clock)
         self.cache = CacheStore(self)
-        self.serializer.on_charge = self._attribute_serializer_time
+        self.serializer.on_deserialize = self._attribute_deser_time
         self.shuffle_store = shuffle_store
         # One pressure plane: the arena evicts its storage LRU (and, when
         # unified, then spills execution consumers, largest first).
@@ -158,12 +158,8 @@ class Executor(FaultCountdown):
             live_objects_after=event.live_objects_after,
             heap_used_bytes=event.used_bytes_after)
 
-    def _attribute_serializer_time(self, kind: str, ticks: int) -> None:
-        if self._current_task is None:
-            return
-        if kind == "ser":
-            self._current_task.metrics.ser_ticks += ticks
-        else:
+    def _attribute_deser_time(self, ticks: int) -> None:
+        if self._current_task is not None:
             self._current_task.metrics.deser_ticks += ticks
 
     # -- profiling --------------------------------------------------------------

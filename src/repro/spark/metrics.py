@@ -28,10 +28,8 @@ class TaskMetrics:
     # "success" | "killed" | "fetch-failed" | "executor-lost"
     status: str = "success"
     records_read: int = 0
-    records_written: int = 0
     compute_ticks: int = 0
     gc_pause_ticks: int = 0
-    ser_ticks: int = 0
     deser_ticks: int = 0
     shuffle_read_ticks: int = 0
     shuffle_write_ticks: int = 0
@@ -46,10 +44,8 @@ class TaskMetrics:
 
     def add(self, other: "TaskMetrics") -> None:
         self.records_read += other.records_read
-        self.records_written += other.records_written
         self.compute_ticks += other.compute_ticks
         self.gc_pause_ticks += other.gc_pause_ticks
-        self.ser_ticks += other.ser_ticks
         self.deser_ticks += other.deser_ticks
         self.shuffle_read_ticks += other.shuffle_read_ticks
         self.shuffle_write_ticks += other.shuffle_write_ticks

@@ -30,9 +30,10 @@ class SerializerModel:
         # eliminates).  A byte counter only — it never advances the
         # clock, so heap-mode timings stay identical to the seed.
         self.swap_copy_bytes_total = 0
-        # Optional sink called with ("ser"|"deser", charged_ticks) so the
-        # executor can attribute the time to the running task (Fig. 11).
-        self.on_charge = None
+        # Optional sink called with each deserialization charge's ticks so
+        # the executor can attribute the time to the running task
+        # (Fig. 11).
+        self.on_deserialize = None
 
     def _charge(self, kind: str, ticks: int) -> int:
         self.clock.advance(ticks)
@@ -40,8 +41,8 @@ class SerializerModel:
             self.ser_ticks += ticks
         else:
             self.deser_ticks += ticks
-        if self.on_charge is not None:
-            self.on_charge(kind, ticks)
+            if self.on_deserialize is not None:
+                self.on_deserialize(ticks)
         return ticks
 
     def note_swap_copy(self, nbytes: int) -> None:

@@ -33,7 +33,7 @@ from .measure import KRYO_TAG_BYTES
 from .measure import measure_generic as measure_generic
 
 if TYPE_CHECKING:
-    from ..exec.shm import SegmentRef
+    from ..exec.shm import BlockPayload
     from ..obs.sanitizer import Sanitizer
 
 
@@ -51,10 +51,11 @@ class MapOutputBlock:
     """One (map partition, reduce partition) shuffle block.
 
     Under the sim backend ``records`` holds the block's record objects.
-    Under the mp backend a decomposed block lives in a shared-memory
-    segment instead: ``records`` is ``None`` and ``shm_ref`` points at
-    the packed pages — reducers attach the segment and decode in place
-    through the shuffle's plan.
+    Under the mp backend ``payload`` is the block as it crossed the pipe
+    (:class:`~repro.exec.shm.BlockPayload`, in the form the shuffle's
+    plan fixes): shared pages, which reducers attach and decode in
+    place, or a pickle, which was decoded into ``records`` when the
+    block was registered.
     """
 
     records: list | None
@@ -66,20 +67,20 @@ class MapOutputBlock:
     # the sorted spill files with the final output (Appendix C: Deca
     # merges through a single-page buffer; Spark re-reads the runs).
     merge_penalty_bytes: int = 0
-    # Shared-segment form (mp backend): see repro.exec.shm.
-    shm_ref: SegmentRef | None = None
+    # The shipped form (mp backend): see repro.exec.shm.
+    payload: BlockPayload | None = None
 
     def read(self, sanitizer: Sanitizer | None = None
              ) -> Iterator[tuple[Any, Any]]:
-        """The block's records, decoded in place from shared pages if
-        that is where they live — the reader of driver and workers;
-        *sanitizer* checks the shared pages stay unwritten (DECA408)."""
+        """The block's records, decoded from its payload unless they
+        are at hand — the reader of driver and workers; *sanitizer*
+        checks shared pages stay unwritten (DECA408)."""
         if self.records is not None:
             return iter(self.records)
         # Imported here: a sim run never loads the shared-memory stack.
-        from ..exec.shm import read_segment_records
-        assert self.shm_ref is not None
-        return read_segment_records(self.shm_ref, self.plan, sanitizer)
+        from ..exec.shm import read_block
+        assert self.payload is not None
+        return read_block(self.payload, self.plan, sanitizer)
 
 
 class ShuffleBlockStore:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from ..analysis.udt import CHAR, DOUBLE, INT, LONG
+from ..analysis.udt import CHAR
 from ..errors import SchemaError, SqlError
 from ..jvm.heap import SimHeap
 from ..memory.layout import (
@@ -40,21 +40,12 @@ from ..memory.layout import (
 )
 from ..memory.manager import DecaMemoryManager
 from ..memory.page import PageGroup, PagePointer
-from .schema import ColumnType, TableSchema
+from .schema import COLUMN_PRIMITIVES, ColumnType, TableSchema
 
 # Page size for standalone (manager-less) tables; irrelevant for sizing
 # because column runs and records always allocate exactly-sized pages via
 # the group, but PageGroup requires a positive default.
 _DEFAULT_PAGE_BYTES = 64 * 1024
-
-# The analysis primitives backing each fixed-width SQL type (row-major
-# records reuse the decomposition schemas of repro.memory.layout).
-_ROW_PRIMITIVES = {
-    ColumnType.INT: INT,
-    ColumnType.LONG: LONG,
-    ColumnType.DOUBLE: DOUBLE,
-}
-
 
 # ``WHERE column <op> literal``: one whole-column pass per operator with
 # the comparison inlined, so the predicate costs no call per row.
@@ -78,7 +69,7 @@ def row_major_schema(schema: TableSchema) -> RecordSchema:
     """
     fields: list[tuple[str, Any]] = []
     for column in schema.columns:
-        primitive = _ROW_PRIMITIVES.get(column.ctype)
+        primitive = COLUMN_PRIMITIVES.get(column.ctype)
         if primitive is not None:
             fields.append((column.name, PrimitiveSlot(primitive)))
         elif column.ctype is ColumnType.STRING:

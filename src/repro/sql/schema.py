@@ -6,12 +6,11 @@ import enum
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
+from ..analysis.udt import (BYTE, CHAR, DOUBLE, INT, LONG, ArrayType,
+                            ClassType, Field)
 from ..errors import SchemaError
-
-if TYPE_CHECKING:
-    from ..analysis.udt import ClassType
 
 
 class ColumnType(enum.Enum):
@@ -46,6 +45,17 @@ _ACCEPTS: dict[ColumnType, tuple[type | tuple[type, ...], str]] = {
     ColumnType.OPAQUE: ((bytes, bytearray), "bytes"),
 }
 _INTEGRAL = (ColumnType.INT, ColumnType.LONG)
+
+#: The analysis primitive of each fixed-width column type — the one map
+#: both a relation's UDT (:func:`table_udt`, what the optimizer plans)
+#: and its row-major record
+#: (:func:`~repro.sql.columnar.row_major_schema`, what a cached table
+#: lays out) are built from.
+COLUMN_PRIMITIVES = {
+    ColumnType.INT: INT,
+    ColumnType.LONG: LONG,
+    ColumnType.DOUBLE: DOUBLE,
+}
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,7 @@ class TableSchema:
         return f"TableSchema({self.name!r}: {cols})"
 
 
-def table_udt(schema: TableSchema) -> "ClassType":
+def table_udt(schema: TableSchema) -> ClassType:
     """The analysis UDT of a SQL relation, synthesized once per schema.
 
     One final field per column: fixed-width columns map to primitives,
@@ -141,22 +151,10 @@ def table_udt(schema: TableSchema) -> "ClassType":
     return schema._udt
 
 
-def _relation_udt(schema: TableSchema) -> "ClassType":
-    from ..analysis.udt import (
-        BYTE,
-        CHAR,
-        DOUBLE,
-        INT,
-        LONG,
-        ArrayType,
-        ClassType,
-        Field,
-    )
-    primitives = {ColumnType.INT: INT, ColumnType.LONG: LONG,
-                  ColumnType.DOUBLE: DOUBLE}
+def _relation_udt(schema: TableSchema) -> ClassType:
     fields: list[Field] = []
     for column in schema.columns:
-        primitive = primitives.get(column.ctype)
+        primitive = COLUMN_PRIMITIVES.get(column.ctype)
         if primitive is not None:
             fields.append(Field(column.name, primitive, final=True))
         elif column.ctype is ColumnType.STRING:

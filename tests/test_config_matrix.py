@@ -19,6 +19,9 @@ static with the sanitizer off.  A cell passes when
   the mmap tier is a byte move (no serializer copies, bytes in the
   tier), and Deca data crosses processes in shared pages (WordCount
   pickles no record bytes);
+* an mp cell ships exactly the bytes its (app, mode) row of
+  ``EXCHANGE`` pins: the container's plan alone decides how its records
+  cross the pipe, so no other axis moves these counters;
 * on the deterministic backend a second run serializes byte-identically;
 * nothing is left behind: no ``repro-mp-<pid>-*`` segment, no
   ``repro-tier-<pid>-*`` file.
@@ -76,6 +79,30 @@ REFERENCE = dict(mode=ExecutionMode.SPARK, execution_backend="sim",
                  cold_tier="heap", memory_mode="static", sanitize=False)
 
 CACHING_APPS = ("lr", "kmeans")
+
+#: The mp backend's exchange counters, in this order, per (app, mode):
+#: the same on every cold tier and memory mode (workers neither spill
+#: nor swap).  Deca data crosses in shared segments and pickles no
+#: record bytes; Spark and SparkSer blocks cross as bytes.
+EXCHANGE_COUNTERS = ("bytes_pickled_records", "bytes_shared",
+                     "segments_created", "bytes_pickled_results")
+EXCHANGE = {
+    ("wc", "spark"): (5903, 0, 0, 1604),
+    ("wc", "spark-ser"): (5903, 0, 0, 1604),
+    ("wc", "deca"): (0, 7994, 16, 1604),
+    ("pr", "spark"): (4829, 0, 0, 831),
+    ("pr", "spark-ser"): (6468, 0, 0, 831),
+    ("pr", "deca"): (0, 8724, 36, 831),
+    ("cc", "spark"): (7454, 0, 0, 424),
+    ("cc", "spark-ser"): (10452, 0, 0, 424),
+    ("cc", "deca"): (0, 17232, 44, 424),
+    ("kmeans", "spark"): (80672, 0, 0, 969),
+    ("kmeans", "spark-ser"): (80544, 0, 0, 969),
+    ("kmeans", "deca"): (0, 75632, 72, 969),
+    ("lr", "spark"): (72928, 0, 0, 1680),
+    ("lr", "spark-ser"): (72800, 0, 0, 1680),
+    ("lr", "deca"): (0, 70000, 8, 1680),
+}
 
 
 @cache
@@ -170,6 +197,9 @@ def test_cell_matches_reference(app, mode, backend, cold_tier, memory_mode,
         assert shares_pages(metrics.backend), metrics.backend
         if app == "wc":
             assert pickles_no_records(metrics.backend), metrics.backend
+    if backend == "mp":
+        assert tuple(metrics.backend[name] for name in EXCHANGE_COUNTERS) \
+            == EXCHANGE[app, mode.value]
 
     if backend == "sim":
         _, again = run(app, **axes)

@@ -155,8 +155,8 @@ class TestCacheLifecycle:
         first = sorted(counts.collect())
         assert sorted(counts.collect()) == first
         backend = ctx.backend
-        kinds = {entry.kind for entry in backend.cache_blocks.values()}
-        assert kinds == {"shm"}
+        assert all(block.segment is not None
+                   for block in backend.cache_blocks.values())
         live_before = len(backend.registry)
         pairs.unpersist()
         assert not backend.cache_blocks

@@ -161,9 +161,11 @@ class TestDataArrivesByDelta:
         ctx = DecaContext(config(mode=ExecutionMode.SPARK_SER))
         cached, got = cached_points_twice(ctx)
         assert got == expected
-        kinds = {entry.kind for key, entry in ctx.backend.cache_blocks.items()
-                 if key[0] == cached.rdd_id}
-        assert kinds == {"packed"}
+        # The plan's packed bytes, kept as shipped (decoded when read).
+        blocks = [block for key, block in ctx.backend.cache_blocks.items()
+                  if key[0] == cached.rdd_id]
+        assert blocks and all(block.ref is None and block.blob
+                              for block in blocks)
         stats = finish_clean(ctx).backend
         assert stats["mp_stages"] == 3
         assert stats["workers_forked"] == WORKERS

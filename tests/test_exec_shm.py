@@ -6,8 +6,10 @@ process, owned (refcounted, unlinked) by the driver-side registry —
 the cross-process analogue of page-info reference counting (§4.3.3).
 """
 
+import dataclasses
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
@@ -18,13 +20,16 @@ from repro.core.plan import ContainerPlan, StorageStrategy
 from repro.errors import PageError
 from repro.exec.shm import (
     EMPTY_SEGMENT,
+    BlockPayload,
     SegmentRef,
     SharedPageSegment,
     ShmSegmentRegistry,
     attach_page_group,
     list_segments,
     pack_records_segment,
+    read_block,
     read_segment_records,
+    ship_block,
     shm_available,
     sweep_segments,
     unlink_segment,
@@ -115,6 +120,39 @@ class TestPackAndRead:
                 segment.allocate(1)
         finally:
             segment.close()
+
+
+class TestBlockForm:
+    """A block's plan alone picks the form it crosses the pipe in."""
+
+    @pytest.mark.parametrize("strategy, schema, form", [
+        (StorageStrategy.DECA_PAGES, PAIR, "segment"),
+        (StorageStrategy.SERIALIZED, PAIR, "packed"),
+        (StorageStrategy.SERIALIZED, None, "pickle"),
+        (StorageStrategy.OBJECTS, None, "pickle"),
+    ])
+    def test_the_plan_picks_the_form(self, seg_name, strategy, schema,
+                                     form):
+        plan = dataclasses.replace(pair_plan(), strategy=strategy,
+                                   schema=schema)
+        payload = ship_block(plan, PAIRS, seg_name)
+        if form == "segment":
+            assert payload == BlockPayload(ref=SegmentRef(
+                seg_name, PAIR.size_of_run(PAIRS), len(PAIRS)))
+            assert payload.segment == seg_name
+        else:
+            want = plan.pack(PAIRS) if form == "packed" \
+                else pickle.dumps(PAIRS)
+            assert payload == BlockPayload(blob=want)
+            assert payload.segment is None
+            assert not _segment_linked(seg_name)
+        assert list(read_block(payload, plan)) == PAIRS
+
+    def test_no_records_make_no_segment(self, seg_name):
+        payload = ship_block(pair_plan(), [], seg_name)
+        assert payload == BlockPayload(ref=EMPTY_SEGMENT)
+        assert payload.segment is None
+        assert list(read_block(payload, pair_plan())) == []
 
 
 def _child_read(ref: SegmentRef, queue) -> None:

@@ -106,6 +106,18 @@ class TestFold:
         new = perf_pairs.fold(CANNED[6:], new_what)
         assert perf_pairs.merge(old, new)["what"] == want
 
+    @pytest.mark.parametrize("old_aa, new_aa, want", [
+        (True, True, True), (True, False, False), (None, True, False),
+        (False, True, False),
+    ])
+    def test_merge_stays_aa_only_if_both_sessions_were(self, old_aa, new_aa,
+                                                       want):
+        old = perf_pairs.fold(CANNED[:6], "first")
+        if old_aa is not None:
+            old["aa"] = old_aa
+        new = dict(perf_pairs.fold(CANNED[6:], "second"), aa=new_aa)
+        assert perf_pairs.merge(old, new)["aa"] is want
+
     def test_alternating_order(self):
         assert [perf_pairs.pair_order(i)[0] for i in range(4)] == \
             ["parent", "change", "parent", "change"]
@@ -158,6 +170,63 @@ class TestStatistics:
                                     0.25)["verdict"] == "within bound"
         assert "verdict" not in perf_pairs.summarize(
             runs["slower"]["job_wall_s"])
+
+
+class TestTrajectory:
+    METRICS = {"job_wall_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1),
+               "job_cpu_s": ("lower", 0.25)}
+
+    def sessions(self):
+        aa = dict(perf_pairs.fold(CANNED, "a/a"), aa=True)
+        # The early list-of-records schema of one committed file.
+        listed = {"runs": [
+            {"workload": "wc", "seed": seed, "side": side,
+             "result": {"metrics": {"job_wall_s": {"value": wall}}}}
+            for seed, side, wall in ((2, "change", 0.3), (2, "parent", 0.4),
+                                     (1, "parent", 0.2), (1, "change", 0.1))]}
+        return [("BENCH_perf_pairs_aa.json", aa),
+                ("BENCH_perf_pairs_old.json", listed),
+                ("BENCH_perf_pairs_verdicts.json",
+                 perf_pairs.fold(VERDICTS, "v"))]
+
+    def test_one_row_per_session_in_order(self):
+        out = perf_pairs.trajectory(self.sessions(), self.METRICS)
+        assert out["metrics"] == ["job_cpu_s", "job_wall_s", "peak_rss_mb"]
+        assert [(row["file"], row["aa"]) for row in out["sessions"]] == [
+            ("BENCH_perf_pairs_aa.json", True),
+            ("BENCH_perf_pairs_old.json", False),
+            ("BENCH_perf_pairs_verdicts.json", False)]
+
+    def test_row_fields_are_the_paired_summary(self):
+        rows = perf_pairs.trajectory(self.sessions(),
+                                     self.METRICS)["sessions"]
+        lr = rows[0]["workloads"]["lr"]
+        # Only what the session paired: no job_cpu_s in the canned runs.
+        assert sorted(lr) == ["job_wall_s", "peak_rss_mb"]
+        assert lr["job_wall_s"] == {
+            "parent_median": 0.80, "change_median": 0.55,
+            "ratio": pytest.approx(0.6875), "parent_iqr": pytest.approx(0.2),
+            "wins": 2, "pairs": 3}
+        assert rows[1]["workloads"]["wc"]["job_wall_s"] == {
+            "parent_median": pytest.approx(0.3),
+            "change_median": pytest.approx(0.2),
+            "ratio": pytest.approx(2 / 3), "parent_iqr": pytest.approx(0.3),
+            "wins": 2, "pairs": 2}
+        assert sorted(rows[2]["workloads"]) == ["faster", "noisy", "slower",
+                                                "steady"]
+
+    def test_the_committed_trajectory_folds_the_committed_files(self):
+        with open(os.path.join(ROOT, perf_pairs.TRAJECTORY)) as handle:
+            committed = json.load(handle)
+        metrics = perf_pairs.end_to_end_metrics(ROOT)
+        sessions = []
+        for row in committed["sessions"]:
+            path = os.path.join(ROOT, perf_pairs.RESULTS, row["file"])
+            with open(path) as handle:
+                sessions.append((row["file"], json.load(handle)))
+        assert perf_pairs.trajectory(sessions, metrics) == committed
+        assert any(row["aa"] for row in committed["sessions"])
+        assert all(row["workloads"] for row in committed["sessions"])
 
 
 def test_rereads_a_committed_pairs_file():

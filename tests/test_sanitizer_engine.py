@@ -14,9 +14,8 @@ from repro.config import DecaConfig, ExecutionMode
 from repro.core.plan import ContainerPlan, StorageStrategy
 from repro.errors import SanitizerError
 from repro.exec import shm
-from repro.exec.mp import CacheEntry
-from repro.exec.shm import pack_records_segment, shm_available, \
-    unlink_segment
+from repro.exec.shm import BlockPayload, pack_records_segment, \
+    read_block, shm_available, unlink_segment
 from repro.memory.layout import PrimitiveSlot, RecordSchema
 from repro.obs.sanitizer import Sanitizer
 from repro.spark import DecaContext
@@ -58,9 +57,9 @@ def test_leaked_task_slot_is_reported_at_finish(monkeypatch):
                     reason="platform has no shared memory")
 @pytest.mark.parametrize("reader", ["shuffle", "cache"])
 def test_write_through_an_attached_segment_is_caught(monkeypatch, reader):
-    """DECA408: both shared-block readers attach read-only under the
-    run's sanitizer, so a write through the mounted pages is seen at the
-    detach."""
+    """DECA408: the block reader attaches read-only under the run's
+    sanitizer — for a shuffle block and a cache-table payload alike — so
+    a write through the mounted pages is seen at the detach."""
     name = f"repro-mp-test-{os.getpid()}-ro-{reader}"
     ref = pack_records_segment(name, PAIR, PAIRS)
     attach = shm.attach_page_group
@@ -72,15 +71,18 @@ def test_write_through_an_attached_segment_is_caught(monkeypatch, reader):
         return group
 
     monkeypatch.setattr(shm, "attach_page_group", attach_and_write)
+    payload = BlockPayload(ref=ref)
     if reader == "shuffle":
         block = MapOutputBlock(records=None, nbytes=ref.nbytes, objects=0,
-                               executor_id=0, plan=PAIR_PLAN, shm_ref=ref)
+                               executor_id=0, plan=PAIR_PLAN, payload=payload)
+        read = block.read
     else:
-        block = CacheEntry(kind="shm", count=ref.count, ref=ref,
-                           plan=PAIR_PLAN)
+        # A worker's cache read: the table's payload, the dataset's plan.
+        def read(sanitizer):
+            return read_block(payload, PAIR_PLAN, sanitizer)
     sanitizer = Sanitizer()
     try:
-        records = list(block.read(sanitizer))
+        records = list(read(sanitizer))
     finally:
         unlink_segment(name)
     assert records[0] == (0, 1) and records[1:] == PAIRS[1:]

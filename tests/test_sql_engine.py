@@ -304,6 +304,24 @@ class TestLayoutPlanning:
         assert repr(table._layouts) == repr(
             [layout for _, layout in columnar_plan(plan.schema)])
 
+    @pytest.mark.parametrize("ctypes", [
+        *([ctype] for ctype in ColumnType if ctype is not ColumnType.OPAQUE),
+        [ctype for ctype in ColumnType if ctype is not ColumnType.OPAQUE],
+    ], ids=lambda ctypes: "-".join(ctype.value for ctype in ctypes))
+    def test_columnar_plan_record_is_the_row_major_record(self, ctypes):
+        """For every fixed-width and string column type the columnar
+        plan's record is the record the tables lay out, field for field
+        (the plan's record is named after the UDT, the table's after the
+        relation): both are built from one column-type map."""
+        schema = TableSchema(f"t_{'_'.join(c.value for c in ctypes)}", [
+            Column(f"c{i}", ctype) for i, ctype in enumerate(ctypes)])
+        plan = plan_sql_layout(schema)
+        laid_out = row_major_schema(schema)
+        assert plan.strategy is StorageStrategy.DECA_COLUMNS
+        assert repr(plan.schema.fields) == repr(laid_out.fields)
+        assert repr(columnar_plan(plan.schema)) \
+            == repr(columnar_plan(laid_out))
+
     def test_opaque_column_falls_back_to_row(self):
         """An opaque relation's plan is row-major pages in the record
         layout of ``row_major_schema``, and it says why."""
