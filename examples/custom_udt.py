@@ -8,8 +8,9 @@ through inside the optimizer:
 2. run the local classification (Algorithm 1) — conservative verdict;
 3. run the global refinement (Algorithms 2–4) over the stage call graph;
 4. build the byte layout and the synthesized accessor class (SUDT);
-5. store records into a reference-counted page group and read them back
-   through the accessor — no per-record objects anywhere.
+5. store records into the container's page group and read them back
+   through the accessor — no per-record objects anywhere;
+6. end the container's lifetime: its owner reclaims the group at once.
 
 Run:  python examples/custom_udt.py
 """
@@ -114,13 +115,11 @@ def main() -> None:
     accessor.timestamp = 42  # writes go straight to the page bytes
     assert accessor.timestamp == 42
 
-    info = group.new_page_info()
-    shared = info.share()      # a secondary container shares the group
-    info.close()
-    assert not group.reclaimed  # still referenced
-    shared.close()
-    assert group.reclaimed      # last reference gone: bulk reclamation
-    print("6. reference counting   : group reclaimed after last close")
+    records = group.used_bytes
+    group.reclaim()            # the container's lifetime ended: its owner
+    assert group.reclaimed     # frees every page (and record) at once
+    print(f"6. bulk reclamation     : group reclaimed by its owner "
+          f"({records} bytes at once)")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ substrates:
 The container lifetimes of §4.2 are executed by
 :class:`~repro.jvm.objects.Lifetime` groups and
 :meth:`~repro.memory.page.PageGroup.reclaim`; the shared-object rules of
-§4.3.3 by the per-container plan plus
-:class:`~repro.memory.page.PageInfo` reference counts.
+§4.3.3 by the per-container plan: each container that holds the objects
+is planned on its own, so none shares another's page group and each
+group's one owner reclaims it.
 """
 
 # Only the plan is re-exported: it sits below the engine (analysis and

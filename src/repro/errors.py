@@ -56,7 +56,7 @@ class PageOverflowError(PageError):
 
 
 class PageReclaimedError(PageError):
-    """An access through a page-info whose page group was already reclaimed."""
+    """An access to a page group that was already reclaimed."""
 
 
 class ExecutionError(DecaError):

@@ -72,6 +72,7 @@ from .worker import StageOrder, TaskFailure, TaskOutput, worker_main
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
+    from ..obs.sanitizer import Sanitizer
     from ..spark.context import DecaContext
     from ..spark.metrics import JobMetrics, StageMetrics
     from ..spark.scheduler import DAGScheduler, Stage
@@ -93,19 +94,26 @@ class JobState:
     the context's: each process mutates its copy through :meth:`register`
     — the driver when a task reports, a worker when the same output
     reaches it in an order's delta — so all copies move through the same
-    states in the same order.  A cache block is stored as its
-    :class:`~repro.exec.shm.BlockPayload`, or as the record list a
-    pickle was decoded into.  Decoding needs no table of its own: a
-    shuffle's plan (planned by ``begin_job``, before the fork) and a
-    cached dataset's plan carry their codecs, and every process holds
-    the same ones.
+    states in the same order.  Both store every block as the
+    :class:`~repro.exec.shm.BlockPayload` it crossed the pipe as.
+
+    A block is decoded where it is read: a shuffle block by the reducer
+    that reads it (:meth:`MapOutputBlock.read`), a cache block by
+    :meth:`cached_records`, at most once per process, into ``decoded`` —
+    the process's one map of decoded records.  The driver's map is the
+    backend's and outlives the job, so a worker forked later inherits
+    what the driver decoded.  No table of codecs is needed: a shuffle's
+    plan (planned by ``begin_job``, before the fork) and a cached
+    dataset's plan carry their codecs, and every process holds the same
+    ones.
     """
 
     ctx: "DecaContext"
     # stage_id -> (stage, its shuffle plan; None for the result stage).
     stages: dict[int, tuple["Stage", ContainerPlan | None]]
     result_func: Callable[[Iterator], Any]
-    cache_blocks: dict[tuple[int, int], BlockPayload | list]
+    cache_blocks: dict[tuple[int, int], BlockPayload]
+    decoded: dict[tuple[int, int], list]
     run_tag: str
 
     def register(self, stage_id: int, out: TaskOutput,
@@ -115,20 +123,20 @@ class JobState:
 
         *owner* is the driver's backend: only it adopts segments into the
         registry, charges arenas, counts bytes and unlinks a duplicate
-        block's segment.  A worker passes ``None`` and merely learns where
-        the blocks are.
+        block's segment, and it decodes a pickled cache block now, so
+        every later fork inherits the records.  A worker passes ``None``,
+        merely learns where the blocks are and decodes nothing.
         """
         ctx = self.ctx
         stage, plan = self.stages[stage_id]
         dep = stage.shuffle_dep
         for mb in out.map_blocks:
             assert dep is not None and plan is not None
+            self._land(mb.payload, out.executor_id, owner)
             ctx.shuffle_store.register(
                 dep.shuffle_id, out.split, mb.reduce_part,
                 MapOutputBlock(
-                    records=self._land(mb.payload, plan, out.executor_id,
-                                       owner),
-                    nbytes=mb.nbytes, objects=mb.objects,
+                    records=None, nbytes=mb.nbytes, objects=mb.objects,
                     executor_id=out.executor_id, plan=plan,
                     merge_penalty_bytes=mb.merge_penalty_bytes,
                     payload=mb.payload))
@@ -139,28 +147,35 @@ class JobState:
                 if owner is not None and payload.segment is not None:
                     unlink_segment(payload.segment)
                 continue
-            records = self._land(payload, ctx.plan_cache(ctx._rdds[key[0]]),
-                                 out.executor_id, owner)
-            self.cache_blocks[key] = payload if records is None else records
+            self._land(payload, out.executor_id, owner)
+            self.cache_blocks[key] = payload
+            if owner is not None and payload.blob is not None:
+                cache_plan = ctx.plan_cache(ctx._rdds[key[0]])
+                if cache_plan.schema is None:
+                    self.cached_records(key, cache_plan)
 
     @staticmethod
-    def _land(payload: BlockPayload, plan: ContainerPlan, executor_id: int,
-              owner: "MpBackend | None") -> list | None:
+    def _land(payload: BlockPayload, executor_id: int,
+              owner: "MpBackend | None") -> None:
         """One shipped block arriving in this process: the driver adopts
-        its segment or counts its bytes.  A pickle is decoded here, once
-        per process, into the records returned — a worker forked later
-        inherits them; shared pages and packed bytes are decoded when
-        read."""
+        its segment or counts its bytes.  Nothing is decoded."""
+        if owner is None:
+            return
         if payload.ref is not None:
-            if owner is not None:
-                owner._adopt_segment(payload.ref, executor_id)
-            return None
-        assert payload.blob is not None
-        if owner is not None:
+            owner._adopt_segment(payload.ref, executor_id)
+        else:
+            assert payload.blob is not None
             owner.stats.bytes_pickled_records += len(payload.blob)
-        if plan.schema is not None:
-            return None
-        return list(read_block(payload, plan))
+
+    def cached_records(self, key: tuple[int, int], plan: ContainerPlan,
+                       sanitizer: Sanitizer | None = None) -> list:
+        """The records of registered cache block *key*, decoded with
+        its *plan* at most once in this process."""
+        records = self.decoded.get(key)
+        if records is None:
+            records = self.decoded[key] = list(
+                read_block(self.cache_blocks[key], plan, sanitizer))
+        return records
 
 
 @dataclass
@@ -217,7 +232,10 @@ class MpBackend(ExecutionBackend):
         # register/release — unlink with readers is a violation.
         self.registry = ShmSegmentRegistry(on_unlink=self._segment_unlinked,
                                            sanitizer=ctx.sanitizer)
-        self.cache_blocks: dict[tuple[int, int], BlockPayload | list] = {}
+        self.cache_blocks: dict[tuple[int, int], BlockPayload] = {}
+        # The driver's decoded cache records (see JobState), inherited by
+        # every fork.
+        self.decoded: dict[tuple[int, int], list] = {}
         self._segment_owner: dict[str, int] = {}
         self._job: _Job | None = None
 
@@ -267,7 +285,8 @@ class MpBackend(ExecutionBackend):
             ctx.shuffle_store.set_map_parts(dep.shuffle_id, stage.num_tasks)
         job = self._job = _Job(JobState(
             ctx=ctx, stages=plans, result_func=func,
-            cache_blocks=self.cache_blocks, run_tag=self.run_tag))
+            cache_blocks=self.cache_blocks, decoded=self.decoded,
+            run_tag=self.run_tag))
         width = max(stage.num_tasks for stage in stages)
         for worker_id in range(max(1, min(self.num_workers, width))):
             self._spawn(job, worker_id)
@@ -391,12 +410,14 @@ class MpBackend(ExecutionBackend):
     def unpersist_rdd(self, rdd_id: int) -> None:
         for key in [k for k in self.cache_blocks if k[0] == rdd_id]:
             block = self.cache_blocks.pop(key)
-            if isinstance(block, BlockPayload) and block.segment is not None:
+            self.decoded.pop(key, None)
+            if block.segment is not None:
                 self.registry.release(block.segment)
         self.stats.segments_live = len(self.registry)
 
     def shutdown(self) -> None:
         self.cache_blocks.clear()
+        self.decoded.clear()
         self.registry.release_all()
         self.stats.segments_live = 0
 

@@ -10,7 +10,7 @@ process through schema accessors over a ``memoryview``.  No pickle, no
 copy of the byte stream: the segment *is* the Deca page group, exactly
 the property §4.3 claims for decomposed data.
 
-Lifecycle rules (mirroring page-info reference counting, §4.3.3):
+Lifecycle rules:
 
 * the **worker that runs the producing task creates** the segment, packs
   the records and immediately detaches.  Segments are **untracked**: a
@@ -20,9 +20,10 @@ Lifecycle rules (mirroring page-info reference counting, §4.3.3):
   whichever process happened to create or attach it;
 * the **driver registers** the segment in a :class:`ShmSegmentRegistry`
   with a reference count; consumers attach/detach without touching the
-  count, while logical owners (a shuffle's blocks, a cached RDD) hold
-  references — the segment is unlinked, by name, when the last one is
-  released;
+  count — a reader mounts the segment as a page group of its own and
+  reclaims it when its scan ends — while logical owners (a shuffle's
+  blocks, a cached RDD) hold references; the segment is unlinked, by
+  name, when the last one is released;
 * segment names are **deterministic** (``repro-mp-<pid>-<run>-...``), so
   after a worker dies mid-task the driver can sweep the attempt's
   leftover segments from ``/dev/shm`` by prefix without any cooperation
@@ -186,10 +187,9 @@ def attach_page_group(ref: SegmentRef, group_name: str | None = None,
                       sanitizer: Sanitizer | None = None) -> PageGroup:
     """Attach *ref* as a single-page read-side :class:`PageGroup`.
 
-    The group's pages alias the shared mapping (zero-copy); reclaiming
-    the group — by refcount through its page-infos, like any Deca
-    container — detaches the mapping.  The segment itself stays linked:
-    unlinking is the driver registry's job.
+    The group's pages alias the shared mapping (zero-copy); the caller
+    owns the group, and reclaiming it detaches the mapping.  The segment
+    itself stays linked: unlinking is the driver registry's job.
     """
     if ref.name is None or ref.nbytes <= 0:
         return PageGroup(group_name or "shm:empty", page_bytes=1)
@@ -237,13 +237,12 @@ def read_segment_records(ref: SegmentRef, plan: ContainerPlan,
         return
     assert plan.schema is not None
     group = attach_page_group(ref, sanitizer=sanitizer)
-    info = group.new_page_info()
     values = group.records(plan.schema)
     try:
         yield from plan.decoded(values)
     finally:
         values.close()      # its page view must go before the detach
-        info.close()
+        group.reclaim()
 
 
 # -- the one block form across the pipe ---------------------------------------
@@ -284,8 +283,8 @@ def ship_block(plan: ContainerPlan, records: Sequence[Any],
 def read_block(block: BlockPayload, plan: ContainerPlan,
                sanitizer: Sanitizer | None = None) -> Iterator[Any]:
     """Decode *block* with the *plan* it was shipped under — the one
-    reader of shuffle and cache blocks, in the driver and in every
-    worker; *sanitizer* checks shared pages stay unwritten."""
+    reader of shuffle and cache blocks, called where a block is read;
+    *sanitizer* checks shared pages stay unwritten."""
     if block.ref is not None:
         return read_segment_records(block.ref, plan, sanitizer)
     assert block.blob is not None
@@ -395,10 +394,9 @@ def sweep_segments(prefix: str) -> list[str]:
 class ShmSegmentRegistry:
     """Reference-counted ownership of a run's shared segments.
 
-    The registry is the mp analogue of page-info reference counting: a
-    segment is registered with one reference by its first logical owner;
-    additional owners ``acquire`` it; ``release`` at zero unlinks the
-    segment from the system.  ``on_unlink`` lets the backend discharge
+    A segment is registered with one reference by its first logical
+    owner; additional owners ``acquire`` it; ``release`` at zero unlinks
+    the segment from the system.  ``on_unlink`` lets the backend discharge
     the segment's bytes from the owning executor's memory arena.
     """
 

@@ -48,7 +48,7 @@ from ..spark.faults import EXECUTOR_CRASH, TASK_KILL, TaskFaultPlan
 from ..spark.metrics import TaskMetrics
 from ..spark.scheduler import TaskContext
 from ..spark.shuffle import ShuffleBlockStore
-from .shm import BlockPayload, read_block, ship_block, unlink_segment
+from .shm import BlockPayload, ship_block, unlink_segment
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -273,15 +273,18 @@ class _WorkerRuntime:
         # The stage being served and this wave's fault plans.
         self.stage: Any = None
         self.fault_plans: dict[int, TaskFaultPlan] = {}
-        # (rdd_id, split) -> records decoded/computed in this process.
-        # It outlives the stage, so a cached block is decoded once per
-        # job; `begin_stage` evicts what the driver has since registered.
-        self.local_cache: dict[tuple[int, int], list] = {}
         # Segment names created by the current attempt (unlinked if the
         # attempt fails gracefully; left for the driver sweep if the
         # process dies).
         self.created: list[str] = []
         self.current_out: TaskOutput | None = None
+        # (rdd_id, split) -> the records the current attempt computed and
+        # shipped as a cache block: a second read inside the attempt
+        # (PageRank's first join reads its adjacency directly and through
+        # the ranks) streams them again.  Dropped with the attempt, so a
+        # retry rebuilds its blocks and a later stage reads the
+        # registered bytes.
+        self.computed: dict[tuple[int, int], list] = {}
         self.attempt_tag = ""
         # The current map stage's task body (built by `begin_stage`) and
         # the store it writes into, emptied after every task.
@@ -307,11 +310,6 @@ class _WorkerRuntime:
             self.sanitizer.join("driver", order.sanitizer_clock)
         for stage_id, out in order.delta:
             state.register(stage_id, out)
-            for key in out.cache_blocks:
-                # The table now serves this block (this worker's own
-                # computed records included): later stages decode the
-                # registered bytes, exactly what a sim cache read yields.
-                self.local_cache.pop(key, None)
         self.stage, plan = state.stages[order.stage_id]
         if plan is not None:
             # One map-task body per stage, over the plan the fork
@@ -337,22 +335,20 @@ class _WorkerRuntime:
     # -- cache shim ----------------------------------------------------------
     def _cached_iterator(self, rdd: Any, split: int,
                          task: TaskContext) -> Iterator[Any]:
+        """A registered block's records, decoded once per process; else
+        the partition computed, shipped and streamed as computed — so a
+        later stage reads the registered bytes, exactly what a sim cache
+        read yields."""
         key = (rdd.rdd_id, split)
-        local = self.local_cache.get(key)
-        if local is not None:
-            yield from local
+        state = self.state
+        if key in state.cache_blocks:
+            yield from state.cached_records(key, state.ctx.plan_cache(rdd),
+                                           self.sanitizer)
             return
-        block = self.state.cache_blocks.get(key)
-        if block is not None:
-            # A list was decoded when it was registered (a pickle).
-            records = list(block if isinstance(block, list) else read_block(
-                block, self.state.ctx.plan_cache(rdd), self.sanitizer))
-            self.local_cache[key] = records
-            yield from records
-            return
-        records = list(rdd.compute(split, task))
-        self.local_cache[key] = records
-        self._build_cache_block(rdd, key, records)
+        records = self.computed.get(key)
+        if records is None:
+            records = self.computed[key] = list(rdd.compute(split, task))
+            self._build_cache_block(rdd, key, records)
         yield from records
 
     def _build_cache_block(self, rdd: Any, key: tuple[int, int],
@@ -442,6 +438,7 @@ class _WorkerRuntime:
         if self.sanitizer is not None:
             outcome.sanitizer_notes = self.sanitizer.export_notes(drain=True)
         self.current_out = None
+        self.computed = {}
         return outcome
 
     def _fail(self, split: int, attempt: int, executor: WorkerExecutor,
@@ -449,11 +446,6 @@ class _WorkerRuntime:
         for name in self.created:
             unlink_segment(name)
         self.created = []
-        if self.current_out is not None:
-            # Blocks this attempt computed never reach the driver's
-            # table: the retry must rebuild (and report) them.
-            for key in self.current_out.cache_blocks:
-                self.local_cache.pop(key, None)
         return self._seal(
             TaskFailure(split=split, attempt=attempt,
                         executor_id=executor.executor_id, status=status,

@@ -9,8 +9,9 @@ no per-record Python objects survive.
 * :mod:`repro.memory.layout` — byte-layout schemas for decomposable UDTs:
   field offsets, data-size computation, pack/unpack;
 * :mod:`repro.memory.sudt` — synthesized accessor classes over segments;
-* :mod:`repro.memory.page` — :class:`Page`, :class:`PageInfo` and
-  :class:`PageGroup` (§4.3.1), with reference-counted reclamation;
+* :mod:`repro.memory.page` — :class:`Page` and :class:`PageGroup`
+  (§4.3.1): one group per container, reclaimed at once by its one owner
+  when the container's lifetime ends;
 * :mod:`repro.memory.manager` — the per-executor memory manager: the
   page-group registry, reporting each cache group to the executor arena;
 * :mod:`repro.memory.unified` — the executor memory arena: one
@@ -31,7 +32,7 @@ from .layout import (
     build_schema,
 )
 from .sudt import SudtClass, synthesize_sudt
-from .page import Page, PageGroup, PageInfo, PagePointer
+from .page import Page, PageGroup, PagePointer
 from .manager import DecaMemoryManager
 from .tier import PageStoreTier, TierExtent, TierStats
 from .unified import (
@@ -53,7 +54,6 @@ __all__ = [
     "synthesize_sudt",
     "Page",
     "PageGroup",
-    "PageInfo",
     "PagePointer",
     "DecaMemoryManager",
     "PageStoreTier",

@@ -1,19 +1,23 @@
-"""Memory pages, page groups and page-infos (paper §4.3.1).
+"""Memory pages and page groups (paper §4.3.1).
 
 Deca stores decomposed objects in unified byte arrays with a common fixed
 size — *pages*.  A page is logically split into consecutive byte segments,
 one per top-level object.  For each data container a *page group* is
-allocated; its metadata lives in a *page-info*:
+allocated, holding the page-info fields of §4.3.1:
 
 * ``pages`` — the array of page references,
-* ``endOffset`` — start of the unused part of the last page,
-* ``curPage`` / ``curOffset`` — the progress of a sequential scan.
+* ``end_offset`` — start of the unused part of the last page;
 
-Space is reclaimed by **reference counting** page-infos (§4.3.3): creating
-a page-info on a group increments its counter, destroying one decrements
-it, and at zero the whole group — and therefore every object in it — is
-released at once.  That single release is the paper's entire memory-
-management story for millions of records.
+a sequential scan's progress is the reader's own iterator
+(:meth:`PageGroup.records`, :meth:`PageGroup.scan`).
+
+No container shares a page group — a container that holds the same
+records in another form gets its own plan and its own pages — so a group
+has exactly one owner: a cache block, a shuffle writer, a SQL relation or
+an shm reader.  When the container's lifetime ends the owner calls
+:meth:`PageGroup.reclaim`, and the whole group — and therefore every
+object in it — is released at once.  That single release is the paper's
+entire memory-management story for millions of records.
 
 Each page is registered with the simulated heap as one PINNED object, so
 the GC substrate sees exactly what a real JVM would: a handful of byte
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator
 
 from ..errors import PageError, PageOverflowError, PageReclaimedError
@@ -88,8 +93,8 @@ class PageGroup:
     """The pages owned by one data container.
 
     Appends are sequential; records never span pages (a record larger than
-    the page size gets a dedicated oversized page).  Reclamation happens
-    when the last :class:`PageInfo` on the group is closed.
+    the page size gets a dedicated oversized page).  The container's one
+    owner calls :meth:`reclaim` when its lifetime ends.
     """
 
     def __init__(self, name: str, page_bytes: int,
@@ -103,7 +108,6 @@ class PageGroup:
         self.page_bytes = page_bytes
         self.heap = heap
         self.pages: list[Page] = []
-        self.refcount = 0
         self.reclaimed = False
         self._on_reclaim = on_reclaim
         # Called with the byte delta every time the group's heap
@@ -397,22 +401,15 @@ class PageGroup:
                 view.release()
 
     # -- lifetime ------------------------------------------------------------------
-    def new_page_info(self) -> "PageInfo":
-        """Hand out a page-info, incrementing the reference counter."""
-        self._check_alive()
-        self.refcount += 1
-        return PageInfo(self)
+    def new_page_info(self) -> SimpleNamespace:
+        """A handle whose ``close()`` reclaims the group.
 
-    def _release(self) -> None:
-        if self.reclaimed:
-            raise PageReclaimedError(
-                f"page group {self.name!r} released after reclamation")
-        self.refcount -= 1
-        if self.refcount < 0:
-            raise PageError(
-                f"page group {self.name!r} reference counter underflow")
-        if self.refcount == 0:
-            self.reclaim()
+        Not §4.3.3's counted page-info: a group has one owner, which
+        calls :meth:`reclaim`.  Only the shm probe in
+        ``benchmarks/perf/probes.py`` still releases a group through
+        this; it goes when that probe calls :meth:`reclaim`.
+        """
+        return SimpleNamespace(close=self.reclaim)
 
     def reclaim(self) -> None:
         """Release every page at once (the container's lifetime ended)."""
@@ -448,71 +445,7 @@ class PageGroup:
                 f"page group {self.name!r} was already reclaimed")
 
     def __repr__(self) -> str:
-        state = "reclaimed" if self.reclaimed else f"rc={self.refcount}"
+        state = "reclaimed" if self.reclaimed else "live"
         return (f"PageGroup({self.name!r}, pages={self.page_count}, "
                 f"used={self.used_bytes} B, {state})")
 
-
-class PageInfo:
-    """A container's handle on a page group (§4.3.1).
-
-    Holds the scan cursor (``cur_page`` / ``cur_offset``) and, for
-    secondary containers, the page-infos of the primary container(s) it
-    depends on (``dep_pages``, Fig. 7(a)).  Closing a page-info decrements
-    the group's reference counter — and closes its dependencies.
-    """
-
-    def __init__(self, group: PageGroup) -> None:
-        self.group = group
-        self.cur_page = 0
-        self.cur_offset = 0
-        self.dep_pages: list["PageInfo"] = []
-        self._closed = False
-
-    @property
-    def pages(self) -> list[Page]:
-        return self.group.pages
-
-    @property
-    def end_offset(self) -> int:
-        return self.group.end_offset
-
-    def add_dependency(self, other: "PageInfo") -> None:
-        """Record that this page-info references *other*'s pages."""
-        self.dep_pages.append(other)
-
-    def share(self) -> "PageInfo":
-        """Copy this page-info for a secondary container (§4.3.3).
-
-        Both containers then share the same page group; the copy bumps the
-        reference counter so the group outlives whichever container dies
-        first.
-        """
-        self._check_open()
-        return self.group.new_page_info()
-
-    def reset_cursor(self) -> None:
-        self.cur_page = 0
-        self.cur_offset = 0
-
-    def close(self) -> None:
-        """Destroy this page-info; may reclaim the group."""
-        if self._closed:
-            raise PageReclaimedError("page-info closed twice")
-        self._closed = True
-        for dep in self.dep_pages:
-            if not dep._closed:
-                dep.close()
-        self.group._release()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise PageReclaimedError("page-info is closed")
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return f"PageInfo({self.group.name!r}, {state})"

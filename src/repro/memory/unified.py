@@ -190,6 +190,9 @@ class _ArenaBase:
         self.storage_used = 0
         self._entries: dict[str, _StorageEntry] = {}
         self._tick = 0
+        # Entries mid-eviction: a swap's transient copies can raise heap
+        # pressure re-entrantly, which must not pick them again.
+        self._inflight: set[str] = set()
         # The run's sanitizer; set by the executor when config.sanitize.
         self.sanitizer: Optional[Sanitizer] = None
 
@@ -212,8 +215,12 @@ class _ArenaBase:
         return name in self._entries
 
     def _lru_entries(self) -> list[_StorageEntry]:
+        """The evictable entries, least recently used first; an entry
+        whose eviction is under way is not one of them."""
         return sorted((e for e in self._entries.values()
-                       if e.evict is not None), key=lambda e: e.tick)
+                       if e.evict is not None
+                       and e.name not in self._inflight),
+                      key=lambda e: e.tick)
 
 
 class StaticMemoryArena(_ArenaBase):
@@ -234,9 +241,6 @@ class StaticMemoryArena(_ArenaBase):
         self.storage_budget = config.storage_bytes
         self.shuffle_budget = config.shuffle_bytes
         self.shuffle_used = 0
-        # Entries mid-eviction: a swap's transient copies can raise heap
-        # pressure re-entrantly, which must not pick them again.
-        self._inflight: set[str] = set()
 
     def task_started(self) -> int:
         return 0
@@ -281,8 +285,7 @@ class StaticMemoryArena(_ArenaBase):
         return entry.nbytes
 
     def _lru_victim(self) -> Optional[_StorageEntry]:
-        victim = next((entry for entry in self._lru_entries()
-                       if entry.name not in self._inflight), None)
+        victim = next(iter(self._lru_entries()), None)
         if victim is not None and self.sanitizer is not None:
             self.sanitizer.note_victim(str(victim.block))
         return victim
@@ -728,11 +731,11 @@ class UnifiedMemoryManager(_ArenaBase):
     def _make_storage_room(self, nbytes: int) -> None:
         """Evict LRU storage so a new *nbytes* storage claim fits."""
         limit = self.total - self.execution_used
-        while (self.storage_used + nbytes > limit
-               and any(e.evict is not None
-                       for e in self._entries.values())):
-            victim = self._lru_entries()[0]
-            self._evict_entry(victim, reason="storage-demand")
+        while self.storage_used + nbytes > limit:
+            candidates = self._lru_entries()
+            if not candidates:
+                break
+            self._evict_entry(candidates[0], reason="storage-demand")
 
     def _evict_storage(self, nbytes: int, reason: str) -> int:
         """Evict LRU entries until *nbytes* are reclaimed (never below
@@ -753,7 +756,11 @@ class UnifiedMemoryManager(_ArenaBase):
             # The callback swaps the block/pages to disk and is expected
             # to discard the entry; discard again defensively (no-op
             # when already gone).
-            evict()
+            self._inflight.add(entry.name)
+            try:
+                evict()
+            finally:
+                self._inflight.discard(entry.name)
         self.storage_discard(entry.name)
         self.stats.evict_events += 1
         self.stats.evicted_bytes += nbytes

@@ -51,11 +51,11 @@ class MapOutputBlock:
     """One (map partition, reduce partition) shuffle block.
 
     Under the sim backend ``records`` holds the block's record objects.
-    Under the mp backend ``payload`` is the block as it crossed the pipe
-    (:class:`~repro.exec.shm.BlockPayload`, in the form the shuffle's
-    plan fixes): shared pages, which reducers attach and decode in
-    place, or a pickle, which was decoded into ``records`` when the
-    block was registered.
+    Under the mp backend ``records`` is ``None`` and ``payload`` is the
+    block as it crossed the pipe (:class:`~repro.exec.shm.BlockPayload`,
+    in the form the shuffle's plan fixes): shared pages, which a reducer
+    attaches and decodes in place, or bytes, which it decodes — only the
+    worker that reads a reduce partition decodes its blocks.
     """
 
     records: list | None
@@ -73,8 +73,8 @@ class MapOutputBlock:
     def read(self, sanitizer: Sanitizer | None = None
              ) -> Iterator[tuple[Any, Any]]:
         """The block's records, decoded from its payload unless they
-        are at hand — the reader of driver and workers; *sanitizer*
-        checks shared pages stay unwritten (DECA408)."""
+        are at hand (sim); *sanitizer* checks shared pages stay
+        unwritten (DECA408)."""
         if self.records is not None:
             return iter(self.records)
         # Imported here: a sim run never loads the shared-memory stack.

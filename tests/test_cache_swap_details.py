@@ -1,4 +1,4 @@
-"""Detailed tests for cache swapping and page-info bookkeeping."""
+"""Detailed tests for cache swapping and its bookkeeping."""
 
 import dataclasses
 
@@ -497,28 +497,6 @@ class TestStreamedReadViewLifetime:
         ctx = self.stream_swapped_block(mode, how, sanitize=True)
         run = ctx.finish()
         assert run.sanitize.get("violations", 0) == 0
-
-
-class TestPageInfoCursor:
-    def test_cursor_resets(self):
-        from repro.memory import PageGroup
-        group = PageGroup("g", page_bytes=64)
-        info = group.new_page_info()
-        info.cur_page, info.cur_offset = 3, 40
-        info.reset_cursor()
-        assert (info.cur_page, info.cur_offset) == (0, 0)
-        info.close()
-
-    def test_end_offset_mirrors_group(self):
-        from repro.memory import PageGroup
-        from repro.analysis import BYTE
-        from repro.memory.layout import FixedArraySchema, PrimitiveSlot
-        group = PageGroup("g", page_bytes=64)
-        group.append_record(FixedArraySchema(PrimitiveSlot(BYTE), 3),
-                            (1, 2, 3))
-        info = group.new_page_info()
-        assert info.end_offset == 3
-        info.close()
 
 
 class TestUdtInfoCaching:

@@ -29,7 +29,7 @@ class TestExamples:
         out = run_example("custom_udt.py", capsys)
         assert "local classification : runtime-fixed" in out
         assert "static-fixed" in out
-        assert "group reclaimed after last close" in out
+        assert "group reclaimed by its owner" in out
 
     def test_sql_comparison(self, capsys):
         out = run_example("sql_comparison.py", capsys)

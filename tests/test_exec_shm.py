@@ -2,8 +2,8 @@
 
 The mp backend's data plane: decomposed containers packed once into
 ``multiprocessing.shared_memory`` segments, read in place from any
-process, owned (refcounted, unlinked) by the driver-side registry —
-the cross-process analogue of page-info reference counting (§4.3.3).
+process, owned (refcounted, unlinked) by the driver-side registry; a
+reader attaches a segment as a page group and reclaims that group itself.
 """
 
 import dataclasses
@@ -181,11 +181,10 @@ class TestCrossProcess:
         registry = ShmSegmentRegistry()
         registry.register(ref)
         group = attach_page_group(ref)
-        info = group.new_page_info()
         registry.release(seg_name)          # last owner: segment unlinked
         assert not _segment_linked(seg_name)
         assert list(group.records(PAIR)) == PAIRS
-        info.close()                        # reclaim detaches the mapping
+        group.reclaim()                     # reclaim detaches the mapping
 
 
 class TestRegistry:
@@ -248,9 +247,8 @@ class TestManagerIntegration:
 
         ref = SegmentRef(name=seg_name, nbytes=total, count=len(PAIRS))
         attached = attach_page_group(ref)
-        info = attached.new_page_info()
         assert list(attached.records(PAIR)) == PAIRS
-        info.close()
+        attached.reclaim()
 
 
 class TestWorkerDeathCleanup:

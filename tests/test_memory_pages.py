@@ -59,6 +59,12 @@ class TestPageGroupAppend:
         buf, off = group.read(pointer)
         assert schema.unpack_from(buf, off)[0] == (2.5, 7)
 
+    def test_append_after_reclaim_raises(self):
+        group = PageGroup("g", page_bytes=64)
+        group.reclaim()
+        with pytest.raises(PageReclaimedError):
+            append_blob(group, 1)
+
     def test_read_past_used_raises(self):
         group = PageGroup("g", page_bytes=64)
         append_blob(group, 3)
@@ -204,42 +210,6 @@ class TestRecordsViewLifetime:
         _consume(other.records(schema), how, values)
         other.reclaim()
         assert other.pages == []
-
-
-class TestRefCounting:
-    def test_group_reclaims_at_zero(self):
-        group = PageGroup("g", page_bytes=64)
-        info_a = group.new_page_info()
-        info_b = info_a.share()
-        info_a.close()
-        assert not group.reclaimed
-        info_b.close()
-        assert group.reclaimed
-
-    def test_double_close_raises(self):
-        group = PageGroup("g", page_bytes=64)
-        info = group.new_page_info()
-        info.close()
-        with pytest.raises(PageReclaimedError):
-            info.close()
-
-    def test_access_after_reclaim_raises(self):
-        group = PageGroup("g", page_bytes=64)
-        group.new_page_info().close()
-        with pytest.raises(PageReclaimedError):
-            append_blob(group, 1)
-
-    def test_dependency_closes_with_owner(self):
-        """Fig. 7(a): a secondary's page-info holds the primary's alive."""
-        primary = PageGroup("primary", page_bytes=64)
-        secondary = PageGroup("secondary", page_bytes=64)
-        p_info = primary.new_page_info()
-        s_info = secondary.new_page_info()
-        s_info.add_dependency(p_info)
-        assert not primary.reclaimed
-        s_info.close()
-        assert primary.reclaimed
-        assert secondary.reclaimed
 
 
 class TestHeapIntegration:

@@ -159,12 +159,11 @@ def check_carriers(plan, records, tier_dir):
         try:
             assert list(read_segment_records(ref, plan)) == records
             attached = attach_page_group(ref)
-            info = attached.new_page_info()
             try:
                 assert [r for page in attached.pages for r in
                         plan.records(page.data[:page.used])] == records
             finally:
-                info.close()
+                attached.reclaim()
         finally:
             unlink_segment(name)
 
@@ -236,12 +235,11 @@ def test_the_segment_pack_writes_the_walkers_bytes(plan_id, data):
     try:
         assert ref.nbytes == len(want)
         group = attach_page_group(ref)
-        info = group.new_page_info()
         try:
             page = group.pages[0]
             assert bytes(page.data[:page.used]) == want
         finally:
-            info.close()
+            group.reclaim()
     finally:
         unlink_segment(name)
 
