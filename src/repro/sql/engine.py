@@ -28,7 +28,7 @@ by the run's sanitizer; on the heap tier as counted copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..config import DecaConfig
 from ..core.plan import StorageStrategy
@@ -403,13 +403,13 @@ class SqlEngine:
         self.heap.free_group(temp)
         if query.order_by is not None:
             self.clock.advance(prices.sort_per_record * len(matches))
-            # Late materialization: sort row ids on the key column
-            # alone (stable, so ties keep row order under either
-            # direction) and project only the rows that survive LIMIT.
+            # Late materialization: order row ids on the key column
+            # alone and project only the rows that survive LIMIT.
             keys = table.column(query.order_by).gather(matches)
-            order = sorted(range(len(keys)), key=keys.__getitem__,
-                           reverse=query.descending)
-            matches = [matches[i] for i in order[:query.limit]]
+            ctype = table.schema.column(query.order_by).ctype
+            order = _ordered_rows(keys, query.descending, query.limit,
+                                  ctype is ColumnType.DOUBLE)
+            matches = [matches[i] for i in order]
         else:
             matches = matches[:query.limit]
         return table.gather(matches, query.projection)
@@ -417,10 +417,11 @@ class SqlEngine:
     def _run_aggregate(self, table: PagedRelation,
                        agg: Aggregation) -> list[tuple]:
         prices = self.prices
+        schema = table.schema
         key_col = table.column(agg.key_column)
         value_col = table.column(agg.value_column)
-        # One zipped pass over the key and value columns; the
-        # aggregation buffer holds primitive accumulators
+        # One zipped pass over the key and value columns per aggregate;
+        # the aggregation buffer holds primitive accumulators
         # (Tungsten-style), not boxed objects.
         count = table.row_count
         if table.layout == "row":
@@ -429,38 +430,112 @@ class SqlEngine:
         else:
             per_row = prices.page_access * 2 + prices.hash_probe
         self.clock.advance(per_row * count)
-        buffer_group = self.heap.new_group("sql-agg-buffer",
-                                           Lifetime.PINNED)
         if agg.key_prefix is not None:
             keys = key_col.prefix_values(agg.key_prefix)
         else:
             keys = key_col.values()
-        # Accumulators: (sum, count, min, max) cover every function.
-        acc: dict[Any, list] = {}
-        for key, value in zip(keys, value_col.values()):
-            slot = acc.get(key)
-            if slot is None:
-                acc[key] = [value, 1, value, value]
-                self.heap.allocate(buffer_group, 1, 56)
-            else:
-                slot[0] += value
-                slot[1] += 1
-                if value < slot[2]:
-                    slot[2] = value
-                if value > slot[3]:
-                    slot[3] = value
+        nan = None
+        if schema.column(agg.key_column).ctype is ColumnType.DOUBLE:
+            keys, nan = _one_nan_key(keys)
+        func = agg.func
+        if func == "COUNT":
+            acc: dict[Any, Any] = _fold_count(keys)
+        elif func in ("SUM", "AVG"):
+            # The fold starts from the additive identity of the column's
+            # type: -0.0 leaves every float (-0.0 included) unchanged,
+            # and 0 keeps INT/LONG sums exact ints.
+            zero = (-0.0 if schema.column(agg.value_column).ctype
+                    is ColumnType.DOUBLE else 0)
+            acc = _fold_sum(keys, value_col.values(), zero)
+            if func == "AVG":
+                counts = _fold_count(keys)
+                acc = {key: total / counts[key]
+                       for key, total in acc.items()}
+        else:
+            acc = _fold_extreme(keys, value_col.values(),
+                                min if func == "MIN" else max)
+        # One 56-byte buffer slot per group, in first-seen order: the
+        # fold neither allocates nor advances the clock, so booking
+        # after it leaves the heap's call and event sequence unchanged.
+        buffer_group = self.heap.new_group("sql-agg-buffer",
+                                           Lifetime.PINNED)
+        for _ in acc:
+            self.heap.allocate(buffer_group, 1, 56)
         self.heap.free_group(buffer_group)
-        out = []
-        for key, (total, n, low, high) in acc.items():
-            if agg.func == "SUM":
-                result: Any = total
-            elif agg.func == "COUNT":
-                result = n
-            elif agg.func == "AVG":
-                result = total / n
-            elif agg.func == "MIN":
-                result = low
-            else:
-                result = high
-            out.append((key, result))
-        return sorted(out)
+        if nan is None:
+            return sorted(acc.items())
+        nan_result = acc.pop(nan)
+        return sorted(acc.items()) + [(nan, nan_result)]
+
+
+# -- aggregate folds ----------------------------------------------------------
+# Each fold visits the rows in order and keeps one value per group in a
+# dict, so a group's floats are combined in row order on both layouts and
+# its slot is created on the key's first appearance (first-seen order).
+
+def _fold_sum(keys: Sequence[Any], values: Sequence[Any],
+              zero: Any) -> dict[Any, Any]:
+    acc: dict[Any, Any] = {}
+    get = acc.get
+    for key, value in zip(keys, values):
+        acc[key] = get(key, zero) + value
+    return acc
+
+
+def _fold_count(keys: Sequence[Any]) -> dict[Any, int]:
+    acc: dict[Any, int] = {}
+    get = acc.get
+    for key in keys:
+        acc[key] = get(key, 0) + 1
+    return acc
+
+
+def _fold_extreme(keys: Sequence[Any], values: Sequence[Any],
+                  pick: Callable[[Any, Any], Any]) -> dict[Any, Any]:
+    """MIN (*pick* = ``min``) or MAX (``max``): a value replaces the held
+    one only when strictly smaller (larger), so a NaN that comes first is
+    kept, a later NaN is not, and of ``-0.0`` and ``0.0`` the first stays."""
+    acc: dict[Any, Any] = {}
+    get = acc.get
+    for key, value in zip(keys, values):
+        acc[key] = pick(get(key, value), value)
+    return acc
+
+
+def _one_nan_key(keys: list[Any]) -> tuple[list[Any], Any]:
+    """Fold every NaN key of a DOUBLE column into one group, as Spark SQL
+    does: each NaN row is replaced by the first NaN object, which a dict
+    finds by identity.  Returns the keys and that NaN (``None`` if none)."""
+    nan = next((key for key in keys if key != key), None)
+    if nan is None:
+        return keys, None
+    return [nan if key != key else key for key in keys], nan
+
+
+def _ordered_rows(keys: Sequence[Any], descending: bool,
+                  limit: int | None, may_hold_nan: bool) -> list[int]:
+    """Indexes into *keys* in ORDER BY order, cut to *limit*.
+
+    Ties keep row order in either direction (the sort is stable under
+    ``reverse=True``, and ``heapq.nlargest``/``nsmallest`` equal
+    ``sorted(...)[:k]``).  On a DOUBLE column NaN is the largest value,
+    as in Spark: the NaN rows are split out first, in row order, and go
+    last ascending and first descending, which also leaves the selection
+    a total order to work on.
+    """
+    rows: Sequence[int] = range(len(keys))
+    nans: list[int] = []
+    if may_hold_nan:
+        nans = [row for row in rows if keys[row] != keys[row]]
+        if nans:
+            rows = [row for row in rows if keys[row] == keys[row]]
+    if limit is None:
+        ordered = sorted(rows, key=keys.__getitem__, reverse=descending)
+        return nans + ordered if descending else ordered + nans
+    import heapq   # first loaded by a query, not by the engine import
+    if descending:
+        head = nans[:limit]
+        return head + heapq.nlargest(limit - len(head), rows,
+                                     key=keys.__getitem__)
+    ordered = heapq.nsmallest(limit, rows, key=keys.__getitem__)
+    return ordered + nans[:limit - len(ordered)]

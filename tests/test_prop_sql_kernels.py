@@ -24,6 +24,7 @@ from repro.sql import (
     Column,
     ColumnType,
     ColumnarTable,
+    Query,
     SqlEngine,
     TableSchema,
     groupby_agg,
@@ -85,8 +86,9 @@ def draw_where(draw, schema, rows):
     return index, draw_literal(draw, schema, rows, index)
 
 
-def run_both(schema, rows, queries):
-    """Each query's rows, asserted equal across the two layouts."""
+def run_both(schema, rows, queries, form=list):
+    """Each query's rows in *form*, asserted equal across the two
+    layouts."""
     with ExitStack() as stack:
         engines = []
         for layout in ("columnar", "row"):
@@ -98,7 +100,8 @@ def run_both(schema, rows, queries):
             engines.append(engine)
         out = []
         for query in queries:
-            columnar, row_major = (e.run(query).rows for e in engines)
+            columnar, row_major = (form(e.run(query).rows)
+                                   for e in engines)
             assert columnar == row_major
             out.append(columnar)
         return out
@@ -255,3 +258,142 @@ def test_bulk_readers_match_per_row_loops(data):
         assert table.gather(picks, [column.name]) \
             == [(value,) for value in loop_gather(reader, picks)]
         table.release()
+
+
+# -- float edges: NaN, ±0.0, ±inf, huge values; text and 64-bit values --------
+
+NAN = float("nan")
+_EDGE_DOUBLES = st.sampled_from(
+    [NAN, -0.0, 0.0, float("inf"), float("-inf"), 1e308, -1e308, 1.5]) \
+    | st.floats(min_value=1e300) | st.floats(max_value=-1e300) | st.floats()
+_EDGE_KEYS = {
+    ColumnType.DOUBLE: st.sampled_from([NAN, -0.0, 0.0, 1.0]) | st.floats(),
+    ColumnType.LONG: st.integers(-2, 2),
+    ColumnType.STRING: st.sampled_from(["", "a", "b"]),
+}
+_EDGE_VALUES = {
+    "d": _EDGE_DOUBLES,
+    "i": st.sampled_from([-2**31, 2**31 - 1]) | st.integers(-3, 3),
+    "l": st.sampled_from([-2**63, 2**63 - 1]) | st.integers(-3, 3),
+    "s": _VALUES[ColumnType.STRING],
+}
+_EDGE_TYPES = {"d": ColumnType.DOUBLE, "i": ColumnType.INT,
+               "l": ColumnType.LONG, "s": ColumnType.STRING}
+
+
+@st.composite
+def edge_tables(draw):
+    """``(schema, rows)``: a key column ``k`` of a drawn type, then one
+    value column per type (``d``, ``i``, ``l``, ``s``), 0…80 rows."""
+    key_type = draw(st.sampled_from(list(_EDGE_KEYS)))
+    schema = TableSchema("t", [Column("k", key_type)] + [
+        Column(name, ctype) for name, ctype in _EDGE_TYPES.items()])
+    rows = draw(st.lists(st.tuples(
+        _EDGE_KEYS[key_type], *_EDGE_VALUES.values()), max_size=80))
+    return schema, rows
+
+
+def is_nan(value):
+    return value != value
+
+
+def reprs(rows):
+    """Rows as ``repr`` strings, which tell apart what ``==`` does not:
+    ``nan`` is not equal to itself, ``-0.0`` equals ``0.0`` and ``1``
+    equals ``1.0``."""
+    return [repr(row) for row in rows]
+
+
+def oracle_edge_aggregate(rows, func, value_index):
+    """GROUP BY over the first column with one four-slot accumulator per
+    group (the first value, then ``+=`` and strict ``<``/``>`` in row
+    order), every NaN key in one group, sorted last."""
+    acc, nan_key = {}, None
+    for row in rows:
+        key, value = row[0], row[value_index]
+        if is_nan(key):
+            if nan_key is None:
+                nan_key = key
+            key = nan_key
+        slot = acc.get(key)
+        if slot is None:
+            acc[key] = [value, 1, value, value]
+            continue
+        slot[0] += value
+        slot[1] += 1
+        if value < slot[2]:
+            slot[2] = value
+        if value > slot[3]:
+            slot[3] = value
+    pick = {"SUM": lambda s: s[0], "COUNT": lambda s: s[1],
+            "AVG": lambda s: s[0] / s[1], "MIN": lambda s: s[2],
+            "MAX": lambda s: s[3]}[func]
+    out = sorted((key, pick(slot)) for key, slot in acc.items()
+                 if key is not nan_key)
+    if nan_key is not None:
+        out.append((nan_key, pick(acc[nan_key])))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_tables())
+def test_groupby_float_edges_match_oracle(table):
+    schema, rows = table
+    names = [c.name for c in schema.columns]
+    shapes = [(func, value) for value in ("d", "i", "l")
+              for func in ("SUM", "COUNT", "AVG", "MIN", "MAX")]
+    shapes += [(func, "s") for func in ("COUNT", "MIN", "MAX")]
+    queries = [groupby_agg("t", func, "k", value) for func, value in shapes]
+    results = run_both(schema, rows, queries, form=reprs)
+    for (func, value), result in zip(shapes, results):
+        value_index = names.index(value)
+        expected = oracle_edge_aggregate(rows, func, value_index)
+        # On repr an INT/LONG sum must be an int: a float (rounded at
+        # ±2**63) would print with a point or an exponent.
+        assert result == reprs(expected), (func, value)
+
+
+def test_integer_sums_are_exact_past_64_bits():
+    schema = TableSchema("t", [Column("k", ColumnType.INT),
+                               Column("l", ColumnType.LONG)])
+    rows = [(0, 2**63 - 1), (0, 2**63 - 1), (1, -2**63), (1, -2**63),
+            (1, 1)]
+    (result,) = run_both(schema, rows, [groupby_agg("t", "SUM", "k", "l")])
+    assert result == [(0, 2**64 - 2), (1, -2**64 + 1)]
+    assert all(type(total) is int for _, total in result)
+
+
+def oracle_nan_top_k(rows, projection, order_index, descending, limit):
+    """Materialize, split the NaN rows out in row order, sort the rest,
+    and put NaN last ascending and first descending."""
+    out = [tuple(row[i] for i in projection) for row in rows]
+    key = projection.index(order_index)
+    nans = [row for row in out if is_nan(row[key])]
+    rest = [row for row in out if not is_nan(row[key])]
+    rest.sort(key=lambda row: row[key], reverse=descending)
+    ordered = nans + rest if descending else rest + nans
+    return ordered if limit is None else ordered[:limit]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_top_k_nan_order_matches_oracle(data):
+    schema, rows = data.draw(edge_tables())
+    names = [c.name for c in schema.columns]
+    order_by = data.draw(st.sampled_from(
+        [i for i, c in enumerate(schema.columns)
+         if c.ctype is ColumnType.DOUBLE]))
+    projection = data.draw(st.permutations(range(len(names))))[
+        :data.draw(st.integers(1, len(names)))]
+    if order_by not in projection:
+        projection.append(order_by)
+    columns = [names[i] for i in projection]
+    queries, expected = [], []
+    for descending in (False, True):
+        for k in (0, 1, len(rows), len(rows) + 5, None):
+            queries.append(Query(
+                table="t", projection=tuple(columns),
+                order_by=names[order_by], descending=descending, limit=k))
+            expected.append(reprs(oracle_nan_top_k(
+                rows, projection, order_by, descending, k)))
+    assert run_both(schema, rows, queries, form=reprs) == expected

@@ -397,6 +397,50 @@ class TestLayoutPlanning:
             engine.cache_table("rankings", layout="diagonal")
 
 
+NAN = float("nan")
+NAN_SCHEMA = TableSchema("t", [Column("k", ColumnType.DOUBLE),
+                               Column("v", ColumnType.DOUBLE)])
+NAN_ROWS = [(NAN, 1.0), (2.0, 1.0), (NAN, 2.0), (-0.0, 5.0), (0.0, 6.0),
+            (NAN, 4.0)]
+
+
+@pytest.mark.parametrize("layout", ["columnar", "row"])
+class TestNanKeys:
+    """Regression: a NaN key is not equal to itself, so every NaN row
+    used to open its own group (which ``sorted`` could not place), and a
+    top-k sort on a NaN-holding column dropped ordinary rows.  NaN keys
+    now form one group, sorted last; in ORDER BY, NaN is the largest
+    value (Spark's order).  Rows compare on ``repr``, which tells
+    ``nan``, ``-0.0`` and ``0.0`` apart."""
+
+    def run(self, layout, query):
+        with SqlEngine(DecaConfig(heap_bytes=64 * MB)) as engine:
+            engine.register_table("t", NAN_SCHEMA, NAN_ROWS)
+            engine.cache_table("t", layout=layout)
+            return repr(engine.run(query).rows)
+
+    def test_nan_keys_form_one_group(self, layout):
+        # The ±0.0 group keeps its first-seen key; NaN's sum is in row
+        # order, 1.0 + 2.0 + 4.0.
+        assert self.run(layout, groupby_agg("t", "SUM", "k", "v")) \
+            == repr([(-0.0, 11.0), (2.0, 1.0), (NAN, 7.0)])
+        assert self.run(layout, groupby_agg("t", "COUNT", "k", "v")) \
+            == repr([(-0.0, 2), (2.0, 1), (NAN, 3)])
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 6, 11])
+    def test_top_k_orders_nan_as_largest(self, layout, descending, k):
+        ordinary = [(-0.0, 5.0), (0.0, 6.0), (2.0, 1.0)]
+        nans = [(NAN, 1.0), (NAN, 2.0), (NAN, 4.0)]
+        if descending:
+            expected = nans + [(2.0, 1.0), (-0.0, 5.0), (0.0, 6.0)]
+        else:
+            expected = ordinary + nans
+        assert self.run(layout, top_k(["k", "v"], "t", order_by="k", k=k,
+                                      descending=descending)) \
+            == repr(expected[:k])
+
+
 class TestColdTierSwap:
     def make_engine(self, rows=400):
         cfg = DecaConfig(heap_bytes=64 * MB, cold_tier="mmap",
