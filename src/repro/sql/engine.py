@@ -516,12 +516,13 @@ def _ordered_rows(keys: Sequence[Any], descending: bool,
                   limit: int | None, may_hold_nan: bool) -> list[int]:
     """Indexes into *keys* in ORDER BY order, cut to *limit*.
 
-    Ties keep row order in either direction (the sort is stable under
-    ``reverse=True``, and ``heapq.nlargest``/``nsmallest`` equal
-    ``sorted(...)[:k]``).  On a DOUBLE column NaN is the largest value,
-    as in Spark: the NaN rows are split out first, in row order, and go
-    last ascending and first descending, which also leaves the selection
-    a total order to work on.
+    Ties keep row order in either direction: ``heapq.nlargest`` /
+    ``nsmallest`` equal ``sorted(...)[:k]``, which is stable under
+    ``reverse=True`` too, and with no *limit* they take every row.  On
+    a DOUBLE column NaN is the largest value, as in Spark: the NaN rows
+    are split out first, in row order, and go last ascending and first
+    descending, which also leaves the selection a total order to work
+    on.
     """
     rows: Sequence[int] = range(len(keys))
     nans: list[int] = []
@@ -530,8 +531,7 @@ def _ordered_rows(keys: Sequence[Any], descending: bool,
         if nans:
             rows = [row for row in rows if keys[row] == keys[row]]
     if limit is None:
-        ordered = sorted(rows, key=keys.__getitem__, reverse=descending)
-        return nans + ordered if descending else ordered + nans
+        limit = len(keys)
     import heapq   # first loaded by a query, not by the engine import
     if descending:
         head = nans[:limit]
