@@ -1,9 +1,12 @@
 """Table 6: the two exploratory SQL queries — Spark vs Spark SQL vs Deca.
 
-Query 1 (a selective filter over a small table): all three systems are
-close, GC differences are noise.  Query 2 (GroupBy-SUM over the large
-table): row-object Spark pays heavy GC; Spark SQL's columnar cache and
-Deca's pages both cut execution time and shrink the cache severalfold.
+Every row is one whole run on its own context, timed by its
+``RunMetrics.wall_ms``: the cache build and the query, as the paper
+times a job.  Query 1 (a selective filter over a small table): all
+three systems are close, GC differences are noise.  Query 2
+(GroupBy-SUM over the large table): row-object Spark pays heavy GC;
+Spark SQL's columnar cache and Deca's pages both cut execution time and
+shrink the cache severalfold.
 """
 
 from repro.config import DecaConfig, ExecutionMode, MB
@@ -31,34 +34,21 @@ def _config(mode):
 
 
 def test_table6_sql():
-    def scenario():
-        rankings = rankings_table(RANKINGS_ROWS)
-        visits = uservisits_table(USERVISITS_ROWS)
-        out = {}
-        for mode in (ExecutionMode.SPARK, ExecutionMode.DECA):
-            out[("Query1", mode.value)] = run_query1(rankings,
-                                                     _config(mode))
-            out[("Query2", mode.value)] = run_query2(visits,
-                                                     _config(mode))
-        out[("Query1", "spark-sql")] = run_query1_sparksql(
-            rankings, _config(ExecutionMode.SPARK))
-        out[("Query2", "spark-sql")] = run_query2_sparksql(
-            visits, _config(ExecutionMode.SPARK))
-        suite = run_sql_suite(rankings, visits,
-                              _config(ExecutionMode.SPARK))
-        for name, result in suite.items():
-            out[(f"Suite:{name}", "spark-sql")] = result
-        return out
-
-    out = scenario()
+    rankings = rankings_table(RANKINGS_ROWS)
+    visits = uservisits_table(USERVISITS_ROWS)
+    out = {}
+    for mode in (ExecutionMode.SPARK, ExecutionMode.DECA):
+        out[("Query1", mode.value)] = run_query1(rankings, _config(mode))
+        out[("Query2", mode.value)] = run_query2(visits, _config(mode))
+    out[("Query1", "spark-sql")] = run_query1_sparksql(
+        rankings, _config(ExecutionMode.SPARK))
+    out[("Query2", "spark-sql")] = run_query2_sparksql(
+        visits, _config(ExecutionMode.SPARK))
 
     def stats(key):
         run = out[key]
-        if hasattr(run, "metrics"):  # an RDD AppRun
-            return (run.wall_s, run.gc_s,
-                    run.cached_bytes / MB + run.swapped_cache_bytes / MB)
-        return (run.wall_ms / 1000.0, run.gc_pause_ms / 1000.0,
-                run.cached_bytes / MB)
+        return (run.wall_s, run.gc_s,
+                run.cached_bytes / MB + run.swapped_cache_bytes / MB)
 
     body = []
     for (query, system) in out:
@@ -73,23 +63,28 @@ def test_table6_sql():
     # Query 1: all three perform comparably (small input, simple filter).
     q1 = {system: stats(("Query1", system))
           for system in ("spark", "spark-sql", "deca")}
-    assert q1["deca"][0] <= 1.5 * q1["spark"][0]
+    times = [exec_s for exec_s, _, _ in q1.values()]
+    assert max(times) <= 2 * min(times)
+    assert q1["spark"][0] / 1.5 <= q1["deca"][0] <= 1.5 * q1["spark"][0]
     # Row-object Spark caches the table severalfold larger.
-    assert q1["spark"][2] > 1.5 * q1["deca"][2]
-    assert q1["spark"][2] > 1.5 * q1["spark-sql"][2]
+    assert 1.5 * q1["deca"][2] < q1["spark"][2] < 4 * q1["deca"][2]
+    assert 1.5 * q1["spark-sql"][2] < q1["spark"][2] \
+        < 4 * q1["spark-sql"][2]
 
     # Query 2: Deca and Spark SQL both cut execution time against Spark
-    # (paper: >50 %) with far lower GC time.
+    # (paper: >50 %), within 2x of each other, with far lower GC time.
     q2 = {system: stats(("Query2", system))
           for system in ("spark", "spark-sql", "deca")}
-    assert q2["deca"][0] < 0.7 * q2["spark"][0]
-    assert q2["spark-sql"][0] < 0.7 * q2["spark"][0]
-    assert q2["deca"][1] < 0.3 * q2["spark"][1]
-    assert q2["spark-sql"][1] < 0.3 * q2["spark"][1]
+    for system in ("deca", "spark-sql"):
+        assert 0.25 * q2["spark"][0] < q2[system][0] < 0.7 * q2["spark"][0]
+        assert 0.0 <= q2[system][1] < 0.3 * q2["spark"][1]
+    assert q2["deca"][0] / 2 <= q2["spark-sql"][0] <= 2 * q2["deca"][0]
     # And their caches are severalfold smaller.
-    assert q2["spark"][2] > 1.5 * q2["deca"][2]
+    assert 1.5 * q2["deca"][2] < q2["spark"][2] < 4 * q2["deca"][2]
 
     # The TPC-H-flavoured suite runs on one shared engine: the scan
-    # keeps every row, top-k keeps exactly k.
-    assert len(out[("Suite:scan", "spark-sql")].rows) == RANKINGS_ROWS
-    assert len(out[("Suite:topk", "spark-sql")].rows) == 10
+    # keeps every row, top-k keeps exactly k.  Its per-query times are
+    # the ``sql`` ablation's (ablation_sql.txt), not a Table 6 row.
+    suite = run_sql_suite(rankings, visits, _config(ExecutionMode.SPARK))
+    assert len(suite["scan"].rows) == RANKINGS_ROWS
+    assert len(suite["topk"].rows) == 10

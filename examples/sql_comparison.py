@@ -29,19 +29,16 @@ def main() -> None:
     sql = run_query2_sparksql(visits, config(ExecutionMode.SPARK))
 
     print(f"{'system':10s} {'exec(s)':>9s} {'gc(s)':>8s} {'cache(MB)':>10s}")
-    print(f"{'spark':10s} {spark.wall_s:9.3f} {spark.gc_s:8.3f} "
-          f"{(spark.cached_bytes + spark.swapped_cache_bytes) / MB:10.2f}")
-    print(f"{'deca':10s} {deca.wall_s:9.3f} {deca.gc_s:8.3f} "
-          f"{(deca.cached_bytes + deca.swapped_cache_bytes) / MB:10.2f}")
-    print(f"{'spark-sql':10s} {sql.wall_ms / 1000:9.3f} "
-          f"{sql.gc_pause_ms / 1000:8.3f} "
-          f"{sql.cached_bytes / MB:10.2f}")
+    for name, run in (("spark", spark), ("deca", deca), ("spark-sql", sql)):
+        cache_mb = (run.cached_bytes + run.swapped_cache_bytes) / MB
+        print(f"{name:10s} {run.wall_s:9.3f} {run.gc_s:8.3f} "
+              f"{cache_mb:10.2f}")
 
     # All three systems agree on the aggregates.
     rdd_rows = dict(deca.result)
-    for key, total in sql.rows:
+    for key, total in sql.result:
         assert abs(rdd_rows[key] - total) < 1e-6
-    print(f"\n{len(sql.rows)} groups; all three systems agree.  "
+    print(f"\n{len(sql.result)} groups; all three systems agree.  "
           "Deca keeps Spark's programming model (arbitrary UDFs/UDTs) at "
           "Spark SQL's memory efficiency.")
 

@@ -20,6 +20,14 @@ class AppRun:
     cached_bytes: int = 0
     swapped_cache_bytes: int = 0
 
+    @classmethod
+    def finish(cls, ctx: DecaContext, result: Any, cached: Any) -> "AppRun":
+        """Finish *ctx*'s run; the cache bars are *cached*'s bytes."""
+        metrics = ctx.finish()
+        return cls(result=result, metrics=metrics, ctx=ctx,
+                   cached_bytes=ctx.cached_bytes_of(cached),
+                   swapped_cache_bytes=ctx.swapped_bytes_of(cached))
+
     @property
     def wall_s(self) -> float:
         return self.metrics.wall_ms / 1000.0

@@ -55,10 +55,7 @@ def run_connected_components(edges: list[EdgePair],
             .map(lambda kv: (kv[0], min(kv[1][0], kv[1][1])),
                  name="cc.newLabels").with_udt(msg_info)
     result = dict(labels.collect())
-    metrics = ctx.finish()
-    return AppRun(result=result, metrics=metrics, ctx=ctx,
-                  cached_bytes=ctx.cached_bytes_of(adjacency),
-                  swapped_cache_bytes=ctx.swapped_bytes_of(adjacency))
+    return AppRun.finish(ctx, result, adjacency)
 
 
 def _broadcast_label(record):

@@ -109,7 +109,4 @@ def run_kmeans(points: list[Point], k: int = 8,
             new_centers[index] = _center(vector_sum, count)
         centers = new_centers
 
-    metrics = ctx.finish()
-    return AppRun(result=centers, metrics=metrics, ctx=ctx,
-                  cached_bytes=ctx.cached_bytes_of(cached),
-                  swapped_cache_bytes=ctx.swapped_bytes_of(cached))
+    return AppRun.finish(ctx, centers, cached)

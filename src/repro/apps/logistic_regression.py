@@ -106,7 +106,4 @@ def run_logistic_regression(points: list[Sample],
                               column_fold=fold)
         weights = [w - g / count for w, g in zip(weights, total)]
 
-    metrics = ctx.finish()
-    return AppRun(result=tuple(weights), metrics=metrics, ctx=ctx,
-                  cached_bytes=ctx.cached_bytes_of(cached),
-                  swapped_cache_bytes=ctx.swapped_bytes_of(cached))
+    return AppRun.finish(ctx, tuple(weights), cached)

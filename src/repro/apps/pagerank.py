@@ -87,10 +87,7 @@ def run_pagerank(edges: list[EdgePair], config: DecaConfig | None = None,
             lambda total, d=damping: (1.0 - d) + d * total,
             name="pr.newRanks").with_udt(msg_info)
     result = dict(ranks.collect())
-    metrics = ctx.finish()
-    return AppRun(result=result, metrics=metrics, ctx=ctx,
-                  cached_bytes=ctx.cached_bytes_of(adjacency),
-                  swapped_cache_bytes=ctx.swapped_bytes_of(adjacency))
+    return AppRun.finish(ctx, result, adjacency)
 
 
 def _contributions(record):

@@ -23,7 +23,7 @@ from ..data.tables import RankingRow, UserVisitRow
 from ..spark.rdd import UdtInfo
 from ..sql import SqlEngine, groupby_sum, select, top_k
 from ..sql.engine import Query, QueryResult
-from ..sql.schema import RANKINGS_SCHEMA, USERVISITS_SCHEMA
+from ..sql.schema import RANKINGS_SCHEMA, USERVISITS_SCHEMA, TableSchema
 from .common import AppRun, make_context
 from .udts import RANKINGS_SCAN, Ranking, USERVISITS_SCAN, UserVisit
 
@@ -48,10 +48,7 @@ def run_query1(rankings: list[RankingRow],
     result = rows.filter(lambda r: r[1] > threshold, name="q1.filter") \
         .map(lambda r: (r[0], r[1]), name="q1.project") \
         .collect()
-    metrics = ctx.finish()
-    return AppRun(result=result, metrics=metrics, ctx=ctx,
-                  cached_bytes=ctx.cached_bytes_of(rows),
-                  swapped_cache_bytes=ctx.swapped_bytes_of(rows))
+    return AppRun.finish(ctx, result, rows)
 
 
 def run_query2(uservisits: list[UserVisitRow],
@@ -68,33 +65,38 @@ def run_query2(uservisits: list[UserVisitRow],
         .reduce_by_key(lambda a, b: a + b, num_partitions,
                        name="q2.sum")
     result = sorted(summed.collect())
-    metrics = ctx.finish()
-    return AppRun(result=result, metrics=metrics, ctx=ctx,
-                  cached_bytes=ctx.cached_bytes_of(rows),
-                  swapped_cache_bytes=ctx.swapped_bytes_of(rows))
+    return AppRun.finish(ctx, result, rows)
 
 
 def run_query1_sparksql(rankings: list[RankingRow],
                         config: DecaConfig | None = None,
-                        threshold: int = 100) -> QueryResult:
-    """Query 1 on the columnar engine; returns its QueryResult."""
-    with SqlEngine(config) as engine:
-        engine.register_table("rankings", RANKINGS_SCHEMA, rankings)
-        engine.cache_table("rankings")
-        return engine.run(select(["pageURL", "pageRank"], "rankings",
-                                 where=("pageRank", ">", threshold)))
+                        threshold: int = 100) -> AppRun:
+    """Query 1 on the columnar engine, timed like :func:`run_query1`:
+    the whole run, cache build included."""
+    return _run_sparksql("rankings", RANKINGS_SCHEMA, rankings, config,
+                         select(["pageURL", "pageRank"], "rankings",
+                                where=("pageRank", ">", threshold)))
 
 
 def run_query2_sparksql(uservisits: list[UserVisitRow],
                         config: DecaConfig | None = None,
-                        prefix: int = 5) -> QueryResult:
-    """Query 2 on the columnar engine; returns its QueryResult."""
+                        prefix: int = 5) -> AppRun:
+    """Query 2 on the columnar engine, timed like :func:`run_query2`."""
+    return _run_sparksql("uservisits", USERVISITS_SCHEMA, uservisits,
+                         config, groupby_sum("uservisits", "sourceIP",
+                                             "adRevenue", key_prefix=prefix))
+
+
+def _run_sparksql(name: str, schema: TableSchema, rows: list,
+                  config: DecaConfig | None, query: Query) -> AppRun:
+    """Cache *rows* as *name* and run *query*; the metrics span the run."""
     with SqlEngine(config) as engine:
-        engine.register_table("uservisits", USERVISITS_SCHEMA,
-                              uservisits)
-        engine.cache_table("uservisits")
-        return engine.run(groupby_sum("uservisits", "sourceIP",
-                                      "adRevenue", key_prefix=prefix))
+        engine.register_table(name, schema, rows)
+        engine.cache_table(name)
+        result = engine.run(query).rows
+        cached_bytes = engine.cached_bytes
+    return AppRun(result=result, metrics=engine.close(), ctx=engine.context,
+                  cached_bytes=cached_bytes)
 
 
 def suite_queries(threshold: int = 100, prefix: int = 5,

@@ -225,7 +225,7 @@ class WorkerExecutor(FaultCountdown):
         self.arena = _NullArena()
         self.serializer = _NullSerializer()
         self.fault_injector = None
-        self.prices = Prices(config, config.tasks_per_executor)
+        self.prices = Prices(config)
         self._read_shuffle_fn = read_shuffle_fn
         self._fault_plan: TaskFaultPlan | None = None
         self._fault_countdown = 0

@@ -83,8 +83,8 @@ class SimClock:
 
 class Prices:
     """One executor's cost tables in ticks: every ``*_ms`` constant of
-    ``config.cpu``, ``config.io`` and ``config.serializer`` divided by the
-    executor's task *slots* once, named without its ``_ms`` suffix."""
+    ``config.cpu``, ``config.io`` and ``config.serializer`` divided once
+    by ``config.tasks_per_executor``, named without its ``_ms`` suffix."""
 
     record_op: int
     arithmetic_per_dim: int
@@ -106,8 +106,8 @@ class Prices:
     deca_read_per_object: int
     per_byte: int
 
-    def __init__(self, config: Any, slots: int = 1) -> None:
-        self.slots = slots
+    def __init__(self, config: Any) -> None:
+        self.slots = config.tasks_per_executor
         for table in (config.cpu, config.io, config.serializer):
             for cost in fields(table):
                 setattr(self, cost.name.removesuffix("_ms"),

@@ -115,7 +115,7 @@ class Executor(FaultCountdown):
         self.sanitizer = self.arena.sanitizer = sanitizer
         self.memory_manager = DecaMemoryManager(config, self.heap,
                                                 self.arena)
-        self.prices = Prices(config, config.tasks_per_executor)
+        self.prices = Prices(config)
         self.serializer = SerializerModel(self.prices, self.clock)
         self.cache = CacheStore(self)
         self.serializer.on_deserialize = self._attribute_deser_time

@@ -17,12 +17,15 @@ relation's :class:`~repro.core.plan.ContainerPlan`, whose strategy names
 the layout; opaque relations fall back to row-major kernels that pay the
 record-reconstruction cost on every read.
 
-The engine runs on the first executor of its own ``DecaContext``.
-Cached relations are ordinary Deca page groups: they are charged to its
-arena (per ``memory_mode``) and swap through its cold tier between
-queries — on the mmap tier as raw bytes adopted back zero-copy, audited
-by the run's sanitizer; on the heap tier as counted copies.
-:meth:`SqlEngine.close` returns the run's ``RunMetrics``.
+The engine runs on the first executor of its own ``DecaContext`` and
+charges every tick there, pricing a query as the Spark SQL plan it
+stands for with one partition per task slot (Spark's default
+parallelism): a scan and a filter, or a partial aggregate, an exchange
+and a final aggregate.  Cached relations are ordinary Deca page groups:
+they are charged to its arena (per ``memory_mode``) and swap through its
+cold tier between queries — on the mmap tier as raw bytes adopted back
+zero-copy, audited by the run's sanitizer; on the heap tier as counted
+copies.  :meth:`SqlEngine.close` returns the run's ``RunMetrics``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from ..config import DecaConfig
 from ..core.plan import StorageStrategy
 from ..errors import SchemaError, SqlError
 from ..jvm.objects import Lifetime
-from ..simtime import Prices, ticks_to_ms
+from ..simtime import ticks_to_ms
+from ..spark.measure import measure_generic
 from ..spark.context import DecaContext
 from ..spark.metrics import RunMetrics
 from .columnar import SELECTORS, ColumnarTable, PagedRelation, RowMajorTable
@@ -147,7 +151,6 @@ class QueryResult:
     rows: list[tuple]
     wall_ms: float
     gc_pause_ms: float
-    cached_bytes: int
 
 
 def _check_types(schema: TableSchema, query: Query) -> None:
@@ -180,21 +183,14 @@ class SqlEngine:
     def __init__(self, config: DecaConfig | None = None) -> None:
         self.context = DecaContext(config)
         self.config = self.context.config
-        executor = self.context.executors[0]
-        # Queries advance this clock directly, at one-slot prices: the
-        # executor's charge_compute reads prices divided by its slots.
-        self.clock = executor.clock
-        self.prices = Prices(self.config)
+        executor = self.executor = self.context.executors[0]
         self.tracer = executor.tracer
         self.heap = executor.heap
         self.arena = executor.arena
         self.sanitizer = executor.sanitizer
-        self.memory_manager = executor.memory_manager
-        self.serializer = executor.serializer
         self.cold_tier = executor.cold_tier
         self._tables: dict[str, tuple[TableSchema, list]] = {}
         self._cached: dict[str, PagedRelation] = {}
-        self._closed = False
         self._run: RunMetrics | None = None
 
     # -- catalog --------------------------------------------------------------
@@ -230,10 +226,10 @@ class SqlEngine:
             layout = "columnar" if columns else "row"
         # Encoding cost: one pass over every cell, a quarter of a record
         # op each.
-        self.clock.advance(
-            self.prices.record_op * len(rows) * len(schema.columns) // 4)
+        self.executor.charge_compute(self.executor.prices.record_op
+                                     * len(rows) * len(schema.columns) // 4)
         cls = ColumnarTable if layout == "columnar" else RowMajorTable
-        table = cls(schema, rows, manager=self.memory_manager,
+        table = cls(schema, rows, manager=self.executor.memory_manager,
                     group_name=f"sql:{name}")
         self._cached[name] = table
         self._charge(name, table)
@@ -254,7 +250,7 @@ class SqlEngine:
             raise SqlError(f"unknown table {name!r}") from None
 
     def _check_open(self) -> None:
-        if self._closed:
+        if self._run is not None:
             raise SqlError("the engine is closed")
 
     @property
@@ -265,7 +261,7 @@ class SqlEngine:
     def swap_copy_bytes(self) -> int:
         """Serializer bytes copied during swaps: always 0 on the mmap
         tier (pages move as raw bytes), > 0 on the heap tier."""
-        return self.serializer.swap_copy_bytes_total
+        return self.executor.serializer.swap_copy_bytes_total
 
     def layout_of(self, name: str) -> str | None:
         """The cached relation's layout (None when not cached)."""
@@ -321,7 +317,6 @@ class SqlEngine:
         metrics (tier snapshot, sanitizer audit), the same on every
         call.  A closed engine refuses to cache, demote or run."""
         if self._run is None:
-            self._closed = True
             for name in list(self._cached):
                 self.uncache_table(name)
             self._run = self.context.finish()
@@ -342,32 +337,22 @@ class SqlEngine:
     def run(self, query: Query) -> QueryResult:
         self._check_open()
         _check_types(self._lookup(query.table)[0], query)
-        table = self._cached.get(query.table)
-        if table is not None and not table.resident:
-            self._promote(query.table, table)
-        else:
-            table = self.cache_table(query.table)
-        start = self.clock.ticks
+        table = self.cache_table(query.table)   # promoted if demoted
+        clock = self.executor.clock
+        start = clock.ticks
         gc_start = self.heap.stats.pause_ticks
         if query.aggregation is not None:
             rows = self._run_aggregate(table, query.aggregation)
         else:
             rows = self._run_scan(table, query)
         return QueryResult(
-            rows=rows,
-            wall_ms=ticks_to_ms(self.clock.ticks - start),
-            gc_pause_ms=ticks_to_ms(self.heap.stats.pause_ticks - gc_start),
-            cached_bytes=self.cached_bytes,
-        )
+            rows=rows, wall_ms=ticks_to_ms(clock.ticks - start),
+            gc_pause_ms=ticks_to_ms(self.heap.stats.pause_ticks - gc_start))
 
     def _scan_cost_per_row(self, table: PagedRelation) -> int:
-        """Bytes-touched cost of reading one predicate/key value.
-
-        Columnar reads touch exactly one column run; row-major reads
-        must walk the whole record (every column's bytes) and box the
-        fields into a row tuple first.
-        """
-        prices = self.prices
+        """Cost of reading one predicate/key value: one column run when
+        columnar; the whole record, boxed into a row tuple, when not."""
+        prices = self.executor.prices
         if table.layout == "row":
             width = len(table.schema.columns)
             return prices.page_access * width + prices.boxing
@@ -375,7 +360,8 @@ class SqlEngine:
 
     def _run_scan(self, table: PagedRelation,
                   query: Query) -> list[tuple]:
-        prices = self.prices
+        prices = self.executor.prices
+        charge = self.executor.charge_compute
         count = table.row_count
         matches: Sequence[int]
         if query.where is not None:
@@ -384,16 +370,13 @@ class SqlEngine:
             # Columnar: one bulk predicate pass over the typed view.
             # Row-major: the same predicate, but every probe
             # reconstructs a record.
-            self.clock.advance(self._scan_cost_per_row(table) * count)
+            charge(self._scan_cost_per_row(table) * count)
             matches = column.select(condition.op, condition.literal)
         else:
             matches = range(count)
-        if table.layout == "row":
-            per_row = (prices.page_access * len(table.schema.columns)
-                       + prices.boxing)
-        else:
-            per_row = prices.page_access * max(1, len(query.projection))
-        self.clock.advance(per_row * len(matches))
+        per_row = (self._scan_cost_per_row(table) if table.layout == "row"
+                   else prices.page_access * max(1, len(query.projection)))
+        charge(per_row * len(matches))
         # Result rows are short-lived driver objects.  The simulated
         # engine materializes every match before it sorts, so the
         # charges below stay functions of len(matches) even though the
@@ -402,7 +385,7 @@ class SqlEngine:
         self.heap.allocate(temp, len(matches), 48 * max(1, len(matches)))
         self.heap.free_group(temp)
         if query.order_by is not None:
-            self.clock.advance(prices.sort_per_record * len(matches))
+            charge(prices.sort_per_record * len(matches))
             # Late materialization: order row ids on the key column
             # alone and project only the rows that survive LIMIT.
             keys = table.column(query.order_by).gather(matches)
@@ -416,20 +399,17 @@ class SqlEngine:
 
     def _run_aggregate(self, table: PagedRelation,
                        agg: Aggregation) -> list[tuple]:
-        prices = self.prices
+        prices = self.executor.prices
         schema = table.schema
         key_col = table.column(agg.key_column)
         value_col = table.column(agg.value_column)
-        # One zipped pass over the key and value columns per aggregate;
-        # the aggregation buffer holds primitive accumulators
-        # (Tungsten-style), not boxed objects.
-        count = table.row_count
-        if table.layout == "row":
-            per_row = (self._scan_cost_per_row(table) * 2
-                       + prices.hash_probe)
-        else:
-            per_row = prices.page_access * 2 + prices.hash_probe
-        self.clock.advance(per_row * count)
+        # The partial aggregates: read the key and the value, evaluate
+        # SUBSTR (a new string per row) and hash into a buffer of
+        # primitive accumulators (Tungsten-style), not boxed objects.
+        per_row = self._scan_cost_per_row(table) * 2 + prices.hash_probe
+        if agg.key_prefix is not None:
+            per_row += prices.object_alloc
+        self.executor.charge_compute(per_row * table.row_count)
         if agg.key_prefix is not None:
             keys = key_col.prefix_values(agg.key_prefix)
         else:
@@ -454,6 +434,7 @@ class SqlEngine:
         else:
             acc = _fold_extreme(keys, value_col.values(),
                                 min if func == "MIN" else max)
+        self._charge_exchange(acc)
         # One 56-byte buffer slot per group, in first-seen order: the
         # fold neither allocates nor advances the clock, so booking
         # after it leaves the heap's call and event sequence unchanged.
@@ -466,6 +447,27 @@ class SqlEngine:
             return sorted(acc.items())
         nan_result = acc.pop(nan)
         return sorted(acc.items()) + [(nan, nan_result)]
+
+    def _charge_exchange(self, acc: dict[Any, Any]) -> None:
+        """The shuffle of P partitions' G partial groups each, then the
+        final aggregate's hash probe per partial row: P² blocks priced
+        with :mod:`repro.spark.shuffle`'s per-block disk-write, disk-read
+        and network formulas, summed in closed form.  A block is remote
+        unless both partitions share an executor; one row sets the row
+        width."""
+        prices = self.executor.prices
+        slots = self.config.tasks_per_executor
+        parts = self.config.num_executors * slots
+        remote = parts - slots
+        groups = len(acc)
+        width = measure_generic(next(iter(acc.items()), ())).serialized_bytes
+        self.executor.charge_compute(
+            parts * parts * 2 * prices.disk_seek
+            + parts * groups * width * (prices.disk_write_per_byte
+                                        + prices.disk_read_per_byte)
+            + parts * remote * prices.network_rtt
+            + remote * groups * width * prices.network_per_byte
+            + parts * groups * prices.hash_probe)
 
 
 # -- aggregate folds ----------------------------------------------------------

@@ -252,10 +252,10 @@ class TestSqlQueries:
 
     def test_sparksql_agrees_with_rdd(self):
         q1 = run_query1_sparksql(self.rankings)
-        assert sorted(q1.rows) == self.expected_q1()
+        assert sorted(q1.result) == self.expected_q1()
         q2 = run_query2_sparksql(self.visits)
         expected = self.expected_q2()
-        for (key, total), (ekey, etotal) in zip(q2.rows, expected):
+        for (key, total), (ekey, etotal) in zip(q2.result, expected):
             assert key == ekey
             assert math.isclose(total, etotal, rel_tol=1e-9)
 

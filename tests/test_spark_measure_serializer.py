@@ -134,7 +134,8 @@ class TestMeasureGeneric:
 class TestSerializerModel:
     def make(self):
         clock = SimClock()
-        return SerializerModel(Prices(DecaConfig()), clock), clock
+        return SerializerModel(Prices(DecaConfig(tasks_per_executor=1)),
+                               clock), clock
 
     def test_deser_costs_more_than_ser(self):
         model, clock = self.make()
@@ -149,10 +150,11 @@ class TestSerializerModel:
         assert clock.ticks == before
 
     def test_parallelism_scales_charges(self):
-        config = DecaConfig()
         c1, c4 = SimClock(), SimClock()
-        serial = SerializerModel(Prices(config, 1), c1)
-        parallel = SerializerModel(Prices(config, 4), c4)
+        serial = SerializerModel(
+            Prices(DecaConfig(tasks_per_executor=1)), c1)
+        parallel = SerializerModel(
+            Prices(DecaConfig(tasks_per_executor=4)), c4)
         serial.kryo_serialize(1000, 10_000)
         parallel.kryo_serialize(1000, 10_000)
         assert c1.ticks == 4 * c4.ticks

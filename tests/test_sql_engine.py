@@ -274,6 +274,57 @@ class TestArenaAccounting:
             assert "memory:release" in events
 
 
+#: The executor's charge methods: every tick a query books goes through one.
+CHARGES = ("charge_compute", "charge_disk_write", "charge_disk_read",
+           "charge_network", "charge_tier_write", "charge_tier_read")
+
+
+class TestOneChargingPath:
+    @pytest.mark.parametrize("layout", ["columnar", "row"])
+    def test_every_query_tick_is_an_executor_charge(self, layout,
+                                                    monkeypatch):
+        """Spy on the executor's charges: what they book plus the heap's
+        GC pauses is the clock's whole advance, for the cache build and
+        every suite query (a 1 MB heap puts a minor collection inside
+        one), so nothing in the engine moves the clock on its own."""
+        engine = SqlEngine(DecaConfig(heap_bytes=1 * MB))
+        executor = engine.context.executors[0]
+        booked = []
+
+        def spy(charge):
+            def book(*args):
+                start = executor.clock.ticks
+                gc_start = executor.heap.stats.pause_ticks
+                charge(*args)
+                booked.append(executor.clock.ticks - start
+                              - (executor.heap.stats.pause_ticks - gc_start))
+            return book
+
+        for name in CHARGES:
+            monkeypatch.setattr(executor, name, spy(getattr(executor, name)))
+
+        def check(step, work):
+            booked.clear()
+            start = executor.clock.ticks
+            gc_start = executor.heap.stats.pause_ticks
+            work()
+            advance = executor.clock.ticks - start
+            assert advance > 0, step
+            assert sum(booked) + executor.heap.stats.pause_ticks \
+                - gc_start == advance, step
+
+        engine.register_table("rankings", RANKINGS_SCHEMA,
+                              rankings_table(1500, seed=7))
+        engine.register_table("uservisits", USERVISITS_SCHEMA,
+                              uservisits_table(3000, seed=8))
+        with engine:
+            for table in ("rankings", "uservisits"):
+                check(table, lambda: engine.cache_table(table, layout))
+            for name, query in suite_queries():
+                check(name, lambda: engine.run(query))
+            assert engine.heap.stats.minor_count > 0
+
+
 class TestLayoutPlanning:
     def test_one_relation_udt_per_schema(self):
         assert table_udt(RANKINGS_SCHEMA) is table_udt(RANKINGS_SCHEMA)
