@@ -13,18 +13,33 @@ runs, its ``main`` called from :data:`RUN_MAIN` in the tree's root.
 
 Pair *i* (seed ``--seed-base + i``) runs the parent first when *i* is
 even (the 1st, 3rd, ... pair) and the change first otherwise, so a
-drifting machine favours neither side.  The raw values are written in
-the schema of the committed ``benchmarks/results/BENCH_perf_pairs_*.json``
-files (``clock``, ``jobs``, ``runs``, ``seeds``, ``what``; list index *i*
-of every metric is the *i*-th seed of its workload), and for every
+drifting machine favours neither side.  :data:`AA_PAIRS` of the pairs
+(spread evenly over the session) are each followed by an A/A pair of
+the same workload and seed: the parent tree twice, its two runs
+labelled ``parent`` and ``again`` and alternated the same way.  Their
+ratios (``again`` / ``parent``) are the session's own A/A band for that
+workload: what the machine's drift alone moves a ratio by, measured
+beside the change.  The A/A block costs ``min(3, --pairs)`` extra pairs
+per workload: 30 % more runs on a 10-pair claim, twice the runs of a
+3-pair check.
+
+The raw values are written in the schema of the committed
+``benchmarks/results/BENCH_perf_pairs_*.json`` files (``clock``,
+``jobs``, ``runs``, ``seeds``, ``what``; list index *i* of every metric
+is the *i*-th seed of its workload; the A/A pairs, when there are any,
+in ``aa_runs`` / ``aa_seeds`` of the same shape), and for every
 end-to-end metric of ``BENCHMARK.json`` the script prints the two
 medians, their ratio, the parent's inter-quartile range, the pairs the
-change won, a one-sided sign-test p and a verdict against the metric's
-bound (a share of the parent's median): ``worse`` when the change's
-median is worse than the parent's by more than the bound,
-``unresolved`` when the parent's own IQR is wider than the bound and
-not every change run beats every parent run, ``within bound``
-otherwise.  ``runs`` also holds the set-up
+change won, a one-sided sign-test p, the A/A band and two verdicts.
+Against the band: ``claimed`` when the ratio lies beyond the band on the
+better side with a sign-test p of at most 0.05, ``drift`` when it lies
+outside the band otherwise, ``unresolved`` inside the band with fewer
+than :data:`MIN_PAIRS` pairs or no band of two A/A pairs, ``within
+band`` otherwise.  Against the metric's bound (a share of the parent's
+median): ``worse`` when the change's median is worse than the parent's
+by more than the bound, ``unresolved`` when the parent's own IQR is
+wider than the bound and not every change run beats every parent run,
+``within bound`` otherwise.  ``runs`` also holds the set-up
 phases of each run's timed child (``import_s``, ``generate_s``,
 ``open_s``: the ``setup_parts`` the runner keeps in its ``info``), and
 the report prints their medians under each ``setup_s`` line, so a set-up
@@ -48,7 +63,9 @@ sides run the same code, so its spread is the machine's drift alone.
 folds every committed pairs file, oldest first, into
 ``benchmarks/results/BENCH_perf_trajectory.json``: one row per file
 giving, per workload and end-to-end metric, both medians, their ratio,
-the parent's IQR and the pairs the change won.
+the parent's IQR and the pairs the change won, and in ``aa`` the A/A
+band of each workload and metric — from the session's A/A pairs, or from
+all its pairs in an A/A session — or ``null`` for a session without one.
 """
 
 from __future__ import annotations
@@ -96,12 +113,29 @@ TRAJECTORY = os.path.join(RESULTS, "BENCH_perf_trajectory.json")
 #: The summary fields a trajectory row keeps per workload and metric.
 TRAJECTORY_FIELDS = ("parent_median", "change_median", "ratio",
                      "parent_iqr", "wins", "pairs")
+#: The two runs of an A/A pair: both are the parent tree.
+AA_SIDES = ("parent", "again")
+#: A/A pairs per workload and session: a band of at least two ratios on
+#: a 3-pair check, for 30 % more runs on a 10-pair claim.
+AA_PAIRS = 3
+#: The fewest pairs whose one-sided sign test can reach p <= 0.05 (5 of
+#: 5 won: p = 1/32); a ratio inside its band on fewer reads unresolved.
+MIN_PAIRS = 5
+CLAIM_P = 0.05
 
 
 # -- the fold and the statistics (pure; the tier-1 test drives these) --------
-def pair_order(index: int) -> tuple[str, str]:
+def pair_order(index: int, sides: tuple[str, str] = SIDES
+               ) -> tuple[str, str]:
     """Which side runs first in pair *index* (0-based)."""
-    return SIDES if index % 2 == 0 else SIDES[::-1]
+    return sides if index % 2 == 0 else sides[::-1]
+
+
+def aa_schedule(pairs: int) -> set[int]:
+    """The pair indices an A/A pair follows: :data:`AA_PAIRS` of them
+    (at most one per pair), spread evenly from the first pair on."""
+    count = min(AA_PAIRS, pairs)
+    return {i * pairs // count for i in range(count)}
 
 
 def fold(records: Iterable[dict[str, Any]],
@@ -109,36 +143,47 @@ def fold(records: Iterable[dict[str, Any]],
     """Runs → the pairs-file payload.
 
     Each record is ``{"workload", "seed", "side", "attempted", "failed",
-    "metrics": {name: value}}`` (set-up phases are metrics too); records
-    of one workload arrive in seed order, and a metric list holds one
-    value per seed.
+    "metrics": {name: value}}`` (set-up phases are metrics too), and
+    ``"aa": True`` for a run of an A/A pair (sides :data:`AA_SIDES`),
+    which goes to ``aa_runs`` / ``aa_seeds`` and is tallied in ``jobs``
+    under ``"aa"``; records of one workload arrive in seed order, and a
+    metric list holds one value per seed.
     """
     jobs: dict[str, Any] = {}
-    runs: dict[str, Any] = {}
-    seeds: dict[str, list[int]] = {}
+    payload: dict[str, Any] = {"clock": CLOCK, "jobs": jobs, "runs": {},
+                               "seeds": {}, "what": what}
     for record in records:
         workload, side = record["workload"], record["side"]
-        seen = seeds.setdefault(workload, [])
+        aa = bool(record.get("aa"))
+        runs = payload.setdefault("aa_runs" if aa else "runs", {})
+        seen = payload.setdefault("aa_seeds" if aa else "seeds",
+                                  {}).setdefault(workload, [])
         if record["seed"] not in seen:
             seen.append(record["seed"])
         tally = jobs.setdefault(workload, {}).setdefault(
-            side, {"attempted": 0, "failed": 0})
+            "aa" if aa else side, {"attempted": 0, "failed": 0})
         tally["attempted"] += record["attempted"]
         tally["failed"] += record["failed"]
         for name, value in record["metrics"].items():
             runs.setdefault(workload, {}).setdefault(name, {}) \
                 .setdefault(side, []).append(value)
-    return {"clock": CLOCK, "jobs": jobs, "runs": runs, "seeds": seeds,
-            "what": what}
+    return payload
 
 
 def merge(old: dict[str, Any], new: dict[str, Any]) -> dict[str, Any]:
     """*new*'s workloads replace or join *old*'s; *new*'s text joins
     *old*'s unless *old* already holds it (a session repeating its
     ``--what``).  The file stays A/A only if both sessions were."""
-    payload = {key: dict(old[key]) for key in ("jobs", "runs", "seeds")}
-    for key in payload:
-        payload[key].update(new[key])
+    rerun = set(new["runs"])
+    payload: dict[str, Any] = {}
+    for key in ("jobs", "runs", "seeds", "aa_runs", "aa_seeds"):
+        # A workload *new* ran again keeps none of its old A/A pairs.
+        merged = {workload: value
+                  for workload, value in old.get(key, {}).items()
+                  if workload not in rerun}
+        merged.update(new.get(key, {}))
+        if merged or key in new:
+            payload[key] = merged
     payload["clock"] = old.get("clock", new["clock"])
     if "aa" in new:
         payload["aa"] = bool(old.get("aa")) and new["aa"]
@@ -199,6 +244,55 @@ def summarize(sides: dict[str, list[float]], better: str = "lower",
     return summary
 
 
+def aa_band(first: list[float], second: list[float]
+            ) -> dict[str, Any] | None:
+    """The A/A band of one metric from its A/A pairs' two runs: the
+    lowest and the highest second/first ratio, the ratios' IQR and the
+    pair count; ``None`` without a pair."""
+    ratios = [b / a for a, b in zip(first, second) if a]
+    if not ratios:
+        return None
+    return {"low": min(ratios), "high": max(ratios), "iqr": iqr(ratios),
+            "pairs": len(ratios)}
+
+
+def band_verdict(summary: dict[str, Any], band: dict[str, Any] | None,
+                 better: str = "lower") -> str:
+    """``claimed`` / ``drift`` / ``unresolved`` / ``within band`` for
+    one metric's :func:`summarize` against its A/A *band*."""
+    if band is None or band["pairs"] < 2:
+        return "unresolved"
+    ratio = summary["ratio"]
+    gained = ratio < band["low"] if better == "lower" else \
+        ratio > band["high"]
+    if gained and summary["p"] <= CLAIM_P:
+        return "claimed"
+    if not band["low"] <= ratio <= band["high"]:
+        return "drift"
+    return "unresolved" if summary["pairs"] < MIN_PAIRS else "within band"
+
+
+def session_bands(payload: dict[str, Any], metrics: Iterable[str]
+                  ) -> dict[str, dict[str, dict[str, Any]]] | None:
+    """workload → metric (of *metrics*) → :func:`aa_band` of a pairs
+    file: its A/A pairs, or every pair of an A/A session; ``None`` for a
+    session with neither."""
+    if "aa_runs" in payload:
+        runs, second = payload["aa_runs"], AA_SIDES[1]
+    elif payload.get("aa"):
+        runs, second = session_runs(payload), SIDES[1]
+    else:
+        return None
+    bands: dict[str, dict[str, dict[str, Any]]] = {}
+    for workload, by_metric in runs.items():
+        for metric in metrics:
+            sides = by_metric.get(metric)
+            band = sides and aa_band(sides["parent"], sides[second])
+            if band:
+                bands.setdefault(workload, {})[metric] = band
+    return bands
+
+
 def report(payload: dict[str, Any],
            metrics: dict[str, tuple[str, float]]) -> list[str]:
     """One printable line per workload × end-to-end metric (*metrics*:
@@ -206,13 +300,15 @@ def report(payload: dict[str, Any],
     (indented, no verdict) under each ``setup_s`` line."""
     lines = [f"{'workload':<24} {'metric':<12} {'parent':>9} {'change':>9} "
              f"{'ratio':>6} {'p.IQR':>8} {'won':>6} {'sign p':>7}  gap>IQR"
-             f"  verdict"]
+             f"  {'A/A band':<11}  {'band verdict':<12}  bound verdict"]
+    bands = ("aa_runs" in payload and session_bands(payload, metrics)) or {}
     for workload, by_metric in payload["runs"].items():
         for name, (better, bound) in metrics.items():
             if name not in by_metric:
                 continue
+            band = bands.get(workload, {}).get(name)
             lines.append(_line(workload, name, by_metric[name], better,
-                               bound))
+                               bound, band))
             if name == "setup_s":
                 lines += [_line("", f"  {part}", by_metric[part], "lower")
                           for part in SETUP_PARTS if part in by_metric]
@@ -220,16 +316,20 @@ def report(payload: dict[str, Any],
 
 
 def _line(workload: str, name: str, sides: dict[str, list[float]],
-          better: str, bound: float | None = None) -> str:
+          better: str, bound: float | None = None,
+          band: dict[str, Any] | None = None) -> str:
     try:
         s = summarize(sides, better, bound)
     except ValueError:
         return f"{workload:<24} {name:<12} unpaired (a run failed)"
+    # A set-up phase has no bound, and is given no band verdict either.
+    span = f"{band['low']:.3f}-{band['high']:.3f}" if band else "-"
+    verdict = band_verdict(s, band, better) if bound is not None else "-"
     return (f"{workload:<24} {name:<12} {s['parent_median']:>9.4g} "
             f"{s['change_median']:>9.4g} {s['ratio']:>6.3f} "
             f"{s['parent_iqr']:>8.3g} {s['wins']:>3}/{s['pairs']:<2} "
             f"{s['p']:>7.4f}  {'yes' if s['beyond_iqr'] else 'no':<7}"
-            f"  {s.get('verdict', '-')}")
+            f"  {span:<11}  {verdict:<12}  {s.get('verdict', '-')}")
 
 
 def session_runs(payload: dict[str, Any]
@@ -254,7 +354,8 @@ def trajectory(sessions: Iterable[tuple[str, dict[str, Any]]],
                metrics: dict[str, tuple[str, float]]) -> dict[str, Any]:
     """Pairs files (name, payload), oldest first → the trajectory
     payload: one row per file with :data:`TRAJECTORY_FIELDS` of every
-    workload × end-to-end metric it paired."""
+    workload × end-to-end metric it paired, and its
+    :func:`session_bands` (``None`` when it has none)."""
     rows = []
     for name, payload in sessions:
         workloads: dict[str, Any] = {}
@@ -266,7 +367,7 @@ def trajectory(sessions: Iterable[tuple[str, dict[str, Any]]],
                     continue
                 workloads.setdefault(workload, {})[metric] = {
                     key: s[key] for key in TRAJECTORY_FIELDS}
-        rows.append({"file": name, "aa": bool(payload.get("aa")),
+        rows.append({"file": name, "aa": session_bands(payload, metrics),
                      "workloads": workloads})
     return {"clock": CLOCK, "metrics": sorted(metrics), "sessions": rows}
 
@@ -399,32 +500,42 @@ def main(argv: list[str] | None = None) -> int:
     parent_tree = extract(options.parent, options.scratch
                           or tempfile.gettempdir())
     trees = {"parent": parent_tree, "change": ROOT}
+    aa_at = aa_schedule(options.pairs)
     records: list[dict[str, Any]] = []
     bad = 0
     try:
         for index in range(options.pairs):
             seed = options.seed_base + index
             for workload in options.workload:
-                for side in pair_order(index):
-                    run = run_once(trees[side], workload, seed,
-                                   options.seconds)
-                    wall = run["metrics"].get("job_wall_s", math.nan)
-                    print(f"pair {index + 1}/{options.pairs} {workload} "
-                          f"seed {seed} {side:<6} job_wall_s {wall:.4f}"
-                          f"{'' if run['ok'] else '  FAILED'}",
-                          flush=True)
-                    if not run["ok"]:
-                        bad += 1
-                        print(run["stderr"], file=sys.stderr)
-                    records.append(dict(run, workload=workload, seed=seed,
-                                        side=side))
+                blocks = [(False, pair_order(index))]
+                if index in aa_at:
+                    blocks.append((True, pair_order(index, AA_SIDES)))
+                for again, order in blocks:
+                    for side in order:
+                        run = run_once(trees["parent" if again else side],
+                                       workload, seed, options.seconds)
+                        wall = run["metrics"].get("job_wall_s", math.nan)
+                        print(f"pair {index + 1}/{options.pairs} "
+                              f"{workload} seed {seed} "
+                              f"{'A/A ' if again else ''}{side:<6} "
+                              f"job_wall_s {wall:.4f}"
+                              f"{'' if run['ok'] else '  FAILED'}",
+                              flush=True)
+                        if not run["ok"]:
+                            bad += 1
+                            print(run["stderr"], file=sys.stderr)
+                        records.append(dict(run, workload=workload,
+                                            seed=seed, side=side, aa=again))
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
 
-    # Pairs are folded per workload in seed order, parent before change
-    # within a seed, whichever ran first.
+    # Pairs are folded per workload in seed order, the change pairs
+    # parent before change and the A/A pairs parent before again within
+    # a seed, whichever ran first.
     records.sort(key=lambda r: (options.workload.index(r["workload"]),
-                                r["seed"], SIDES.index(r["side"])))
+                                r["seed"], r["aa"],
+                                (AA_SIDES if r["aa"] else SIDES)
+                                .index(r["side"])))
     payload = fold(records, options.what)
     payload["aa"] = aa
     if options.merge and os.path.exists(options.out):

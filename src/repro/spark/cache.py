@@ -81,15 +81,6 @@ class CacheStore:
         self._touch(key)
         return block
 
-    def holds_fixed_pages(self, key: BlockKey) -> bool:
-        """Is *key* a resident block of decomposed fixed-size records?
-        :meth:`read_records` reads such a block a page at a time, with
-        one charge for the whole block up front."""
-        block = self.blocks.get(key)
-        return (block is not None and not block.on_disk
-                and block.page_group is not None
-                and bool(block.plan.schema.fixed_size))
-
     @property
     def memory_bytes(self) -> int:
         """Bytes of the resident (not swapped-out) blocks."""

@@ -26,6 +26,7 @@ from ..analysis.ir import Method
 from ..analysis.local import classify_locally
 from ..analysis.size_type import SizeType
 from ..analysis.udt import DataType
+from ..core.plan import StorageStrategy
 from ..errors import ExecutionError
 from .measure import RecordFootprint, measure_generic, measure_typed
 from .shuffle import ShuffleKind
@@ -414,10 +415,11 @@ class RDD:
         (None before a partition's first run) with the run's mapped
         records folded on by *f*, bit for bit.  ``columns`` hold at most
         ``COLUMN_RUN`` of the map's input records, one tuple per leaf of
-        the record value in order.  The engine calls it where
-        :meth:`MapPartitionsRDD.column_runs` applies and runs the map
-        and *f* everywhere else, so both stay the definition that every
-        mode, backend and analysis reads.
+        the record value in order.  The sim engine calls it where
+        :meth:`MapPartitionsRDD.column_runs` applies (a Deca ``map`` over
+        a cache planned as fixed-size pages, no fault armed) and runs the
+        map and *f* everywhere else, so both stay the definition that
+        every mode, backend and analysis reads.
         """
         def reduce_partition(it):
             first = next(it, _SENTINEL)
@@ -491,7 +493,8 @@ class _ColumnReduce:
     Called with a partition's records it is the record fold (the mp
     workers call it so); the sim scheduler calls :meth:`run_task`
     instead, which folds the map's cached input a column run at a time
-    where :meth:`MapPartitionsRDD.column_runs` applies.
+    where :meth:`MapPartitionsRDD.column_runs` applies: whether the block
+    is resident, swapped or built by this very task.
     """
 
     def __init__(self, reduce_partition: Callable[[Iterator[Any]], Any],
@@ -580,18 +583,24 @@ class MapPartitionsRDD(RDD):
         once the fold has taken it, what the transformed record path
         charges its records.  ``None`` — run the records through the map
         — unless the stage is Deca-transformed, this map is not cached,
-        its parent's block here is resident fixed-size Deca pages
-        (:meth:`CacheStore.holds_fixed_pages`), and no fault is armed (a
-        kill strikes on the op its countdown names, so an armed attempt
-        charges one record at a time).
+        its parent's cache plan is Deca pages of fixed-size records, and
+        no fault is armed (a kill strikes on the op its countdown names,
+        so an armed attempt charges one record at a time).
+
+        The rule reads the plan, not this executor's block: a resident
+        block charges its read before its first record, a swapped one
+        (either cold tier) its tier read and ``deca_read``, and an absent
+        one is computed and cached whole first.  Past the first record nothing
+        charges or allocates between records in any of the three.
         """
-        executor = task.executor
         parent = self.deps[0].parent
         if (self._record_kind != "map" or self.is_cached
-                or not parent.is_cached or executor.fault_armed
-                or not self._reads_decomposed_data()
-                or not executor.cache.holds_fixed_pages(
-                    (parent.rdd_id, split))):
+                or not parent.is_cached or task.executor.fault_armed
+                or not self._reads_decomposed_data()):
+            return None
+        plan = self.ctx.plan_cache(parent)
+        if (plan.strategy is not StorageStrategy.DECA_PAGES
+                or plan.schema is None or not plan.schema.fixed_size):
             return None
         return self._charged(parent.iterator(split, task), task)
 

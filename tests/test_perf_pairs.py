@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 
 import pytest
 
@@ -192,7 +193,9 @@ class TestTrajectory:
     def test_one_row_per_session_in_order(self):
         out = perf_pairs.trajectory(self.sessions(), self.METRICS)
         assert out["metrics"] == ["job_cpu_s", "job_wall_s", "peak_rss_mb"]
-        assert [(row["file"], row["aa"]) for row in out["sessions"]] == [
+        # An A/A session's band is its own pairs; the others have none.
+        assert [(row["file"], row["aa"] is not None)
+                for row in out["sessions"]] == [
             ("BENCH_perf_pairs_aa.json", True),
             ("BENCH_perf_pairs_old.json", False),
             ("BENCH_perf_pairs_verdicts.json", False)]
@@ -227,6 +230,106 @@ class TestTrajectory:
         assert perf_pairs.trajectory(sessions, metrics) == committed
         assert any(row["aa"] for row in committed["sessions"])
         assert all(row["workloads"] for row in committed["sessions"])
+
+
+def _aa_session(workloads):
+    """Runs of one session: per workload, change pairs (parent, change
+    values) and A/A pairs (parent, again values) on the same seeds."""
+    records = []
+    for workload, (pairs, aa_pairs) in workloads.items():
+        for seed, (parent, change) in enumerate(pairs, start=1):
+            records += [_run(workload, seed, "parent", parent),
+                        _run(workload, seed, "change", change)]
+        for seed, (first, again) in enumerate(aa_pairs, start=1):
+            records += [dict(_run(workload, seed, "parent", first), aa=True),
+                        dict(_run(workload, seed, "again", again), aa=True)]
+    return perf_pairs.fold(records, "aa")
+
+
+def _band_verdicts(payload):
+    lines = perf_pairs.report(payload, {"job_wall_s": ("lower", 0.25)})
+    # Columns: ... gap>IQR, A/A band, band verdict, bound verdict.
+    return {line.split()[0]: re.split(r"\s{2,}", line.strip())[-2]
+            for line in lines[1:]}
+
+
+#: Three A/A pairs within ±2 % of each other.
+TIGHT_AA = [(0.50, 0.51), (0.50, 0.49), (0.52, 0.52)]
+
+
+class TestAABand:
+    def test_schedule_spreads_the_aa_pairs(self):
+        assert perf_pairs.AA_PAIRS == 3
+        assert perf_pairs.aa_schedule(10) == {0, 3, 6}
+        assert perf_pairs.aa_schedule(3) == {0, 1, 2}
+        assert perf_pairs.aa_schedule(2) == {0, 1}
+
+    def test_aa_pairs_fold_beside_the_change_pairs(self):
+        payload = _aa_session({"lr": ([(0.5, 0.4)] * 3, TIGHT_AA)})
+        assert payload["runs"]["lr"]["job_wall_s"] == {
+            "parent": [0.5] * 3, "change": [0.4] * 3}
+        assert payload["aa_runs"]["lr"]["job_wall_s"] == {
+            "parent": [0.50, 0.50, 0.52], "again": [0.51, 0.49, 0.52]}
+        assert payload["aa_seeds"] == {"lr": [1, 2, 3]}
+        assert payload["jobs"]["lr"]["aa"] == {"attempted": 30, "failed": 0}
+        sides = payload["aa_runs"]["lr"]["job_wall_s"]
+        band = perf_pairs.aa_band(sides["parent"], sides["again"])
+        assert band == {"low": pytest.approx(0.98),
+                        "high": pytest.approx(1.02),
+                        "iqr": pytest.approx(0.04), "pairs": 3}
+
+    @pytest.mark.parametrize("aa_pairs", [
+        TIGHT_AA,
+        # A band wide enough to hold the move.
+        [(0.50, 0.40), (0.50, 0.65), (0.50, 0.50)],
+        # A band of one pair, and none at all.
+        [(0.50, 0.50)], [],
+    ], ids=["tight", "wide", "one-pair", "none"])
+    def test_an_untouched_workload_moving_20_percent_is_never_within_band(
+            self, aa_pairs):
+        payload = _aa_session({"untouched": ([(0.50, 0.60)] * 3, aa_pairs)})
+        assert _band_verdicts(payload)["untouched"] in {"drift",
+                                                        "unresolved"}
+
+    def test_each_band_verdict(self):
+        payload = _aa_session({
+            # 10 pairs at 0.79x, 9 won, beyond a ±2 % band: claimed.
+            "claimed": ([(0.50, 0.395)] * 9 + [(0.50, 0.51)], TIGHT_AA),
+            # Beyond the band on the better side, but 3 pairs: drift.
+            "faster": ([(0.50, 0.40)] * 3, TIGHT_AA),
+            # Beyond the band on the worse side: drift.
+            "slower": ([(0.50, 0.60)] * 10, TIGHT_AA),
+            # Inside the band on 6 pairs: within band; on 3: unresolved.
+            "steady": ([(0.50, 0.505)] * 6, TIGHT_AA),
+            "short": ([(0.50, 0.505)] * 3, TIGHT_AA),
+        })
+        assert _band_verdicts(payload) == {
+            "claimed": "claimed", "faster": "drift", "slower": "drift",
+            "steady": "within band", "short": "unresolved"}
+
+    def test_a_session_without_aa_pairs_reads_unresolved(self):
+        payload = perf_pairs.fold(VERDICTS, "")
+        assert set(_band_verdicts(payload).values()) == {"unresolved"}
+
+    def test_merge_replaces_the_aa_pairs_of_a_rerun_workload(self):
+        old = _aa_session({"lr": ([(0.5, 0.4)] * 3, TIGHT_AA),
+                           "wc": ([(0.2, 0.2)] * 3, TIGHT_AA)})
+        new = _aa_session({"lr": ([(0.5, 0.45)] * 3, [])})
+        merged = perf_pairs.merge(old, new)
+        assert sorted(merged["runs"]) == ["lr", "wc"]
+        assert sorted(merged["aa_runs"]) == ["wc"]
+        assert merged["runs"]["lr"] == new["runs"]["lr"]
+
+    def test_trajectory_carries_the_band_or_null(self):
+        with_aa = _aa_session({"lr": ([(0.5, 0.4)] * 3, TIGHT_AA)})
+        rows = perf_pairs.trajectory(
+            [("with.json", with_aa),
+             ("without.json", perf_pairs.fold(CANNED, ""))],
+            {"job_wall_s": ("lower", 0.25)})["sessions"]
+        sides = with_aa["aa_runs"]["lr"]["job_wall_s"]
+        assert rows[0]["aa"] == {"lr": {"job_wall_s": perf_pairs.aa_band(
+            sides["parent"], sides["again"])}}
+        assert rows[1]["aa"] is None
 
 
 def test_rereads_a_committed_pairs_file():
